@@ -50,9 +50,6 @@ func (l *Local) Stop(user, id string) error { return l.C.Stop(user, id) }
 func (l *Local) Instances(user string) ([]Instance, error) {
 	var out []Instance
 	for _, i := range l.C.Instances(user) {
-		if i.State == iaas.StateTerminated {
-			continue
-		}
 		out = append(out, view(i))
 	}
 	return out, nil

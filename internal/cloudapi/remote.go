@@ -183,16 +183,38 @@ func (r *Remote) novaDo(method, path, body, user string) (*http.Response, error)
 	return r.client.Do(req)
 }
 
-func (r *Remote) novaInstances(user string) ([]Instance, error) {
-	resp, err := r.novaDo(http.MethodGet, "/v2/servers", "", user)
+// novaFailMessage extracts the message from a Nova error envelope.
+func novaFailMessage(body io.Reader) string {
+	var fail struct {
+		Error struct {
+			Message string `json:"message"`
+		} `json:"error"`
+	}
+	_ = json.NewDecoder(body).Decode(&fail)
+	return fail.Error.Message
+}
+
+// novaRead issues one GET on the OpenStack dialect and decodes a 200 body
+// into `into`. Any other status surfaces the site's error message in the
+// shape the EC2 readers use, instead of decoding the error envelope into
+// an empty listing.
+func (r *Remote) novaRead(path, user string, into interface{}) error {
+	resp, err := r.novaDo(http.MethodGet, path, "", user)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("cloudapi: %s GET %s (%d): %s", r.name, path, resp.StatusCode, novaFailMessage(resp.Body))
+	}
+	return json.NewDecoder(resp.Body).Decode(into)
+}
+
+func (r *Remote) novaInstances(user string) ([]Instance, error) {
 	var body struct {
 		Servers []novaWire `json:"servers"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+	if err := r.novaRead("/v2/servers", user, &body); err != nil {
 		return nil, err
 	}
 	var out []Instance
@@ -210,13 +232,7 @@ func (r *Remote) novaLaunch(user, name, flavor, image string) (Instance, error) 
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
-		var fail struct {
-			Error struct {
-				Message string `json:"message"`
-			} `json:"error"`
-		}
-		_ = json.NewDecoder(resp.Body).Decode(&fail)
-		return Instance{}, r.launchError(user, flavor, resp.StatusCode, "", fail.Error.Message)
+		return Instance{}, r.launchError(user, flavor, resp.StatusCode, "", novaFailMessage(resp.Body))
 	}
 	var body struct {
 		Server novaWire `json:"server"`
@@ -252,26 +268,16 @@ func (r *Remote) novaStop(user, id string) error {
 }
 
 func (r *Remote) novaImages(user string) ([]Image, error) {
-	resp, err := r.novaDo(http.MethodGet, "/v2/images", "", user)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
 	var body struct {
 		Images []Image `json:"images"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+	if err := r.novaRead("/v2/images", user, &body); err != nil {
 		return nil, err
 	}
 	return body.Images, nil
 }
 
 func (r *Remote) novaFlavors() ([]iaas.Flavor, error) {
-	resp, err := r.novaDo(http.MethodGet, "/v2/flavors", "", "flavor-reader")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
 	var body struct {
 		Flavors []struct {
 			Name   string `json:"name"`
@@ -280,7 +286,7 @@ func (r *Remote) novaFlavors() ([]iaas.Flavor, error) {
 			DiskGB int    `json:"disk"`
 		} `json:"flavors"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+	if err := r.novaRead("/v2/flavors", "flavor-reader", &body); err != nil {
 		return nil, err
 	}
 	var out []iaas.Flavor

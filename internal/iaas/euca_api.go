@@ -139,9 +139,6 @@ func (a *EucaAPI) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case "DescribeInstances":
 		var items []ec2Instance
 		for _, i := range a.Cloud.Instances(user) {
-			if i.State == StateTerminated {
-				continue
-			}
 			items = append(items, ec2Instance{
 				InstanceID: i.ID, ImageID: i.ImageID,
 				InstanceType: i.Flavor.Name, StateName: ec2State(i.State), KeyName: i.Name,

@@ -150,13 +150,15 @@ func FreeTierQuota() Quota { return Quota{MaxInstances: 2, MaxCores: 4} }
 
 // userAccount is one user's shard-local accounting: the running footprint
 // (instances and cores over this bucket's BUILD/ACTIVE records), the
-// bucket-local instance index, and the usage revision of the user's last
-// footprint change in this bucket. Counters are maintained incrementally
-// at state transitions under the bucket lock, so a usage sample merges K
-// small per-user maps instead of walking every instance record, and
-// Instances(user) touches only the user's own index entries. An account
-// whose footprint has returned to zero is retained as a grave — its rev
-// is what lets UsageSince report the user as removed.
+// bucket-local live instance index (every record of the user's that has
+// not been terminated — Terminate unlinks it), and the usage revision of
+// the user's last footprint change in this bucket. Counters are maintained
+// incrementally at state transitions under the bucket lock, so a usage
+// sample merges K small per-user maps instead of walking every instance
+// record, and Instances(user) touches only the user's live records however
+// many VMs they have launched and terminated before. An account whose
+// footprint has returned to zero is retained as a grave — its rev is what
+// lets UsageSince report the user as removed.
 type userAccount struct {
 	n     int
 	cores int
@@ -311,7 +313,11 @@ func (c *Cloud) SetShards(set *sim.ShardSet) {
 			nsh := next.bucket(id)
 			nsh.inst[id] = inst
 			// Rebuild the user accounts in the new buckets: the index
-			// follows the record, the footprint is recomputed from state.
+			// follows the live record (tombstones stay reachable by ID
+			// only), the footprint is recomputed from state.
+			if inst.State == StateTerminated {
+				continue
+			}
 			a := nsh.account(inst.User)
 			a.inst[id] = inst
 			if inst.State == StateBuild || inst.State == StateActive {
@@ -680,13 +686,15 @@ func (c *Cloud) Terminate(user, id string) error {
 	// instance (no running-footprint change) the host occupancy a Usage
 	// sample reports just changed, so cached same-rev snapshots must not
 	// be served. The user's account rev moves only when the running
-	// footprint itself changed.
+	// footprint itself changed. Either way the record leaves the user's
+	// live index; the tombstone stays in sh.inst for Instance(id).
 	rev := c.usageRev.Add(1)
+	a := sh.account(inst.User)
+	delete(a.inst, id)
 	if wasRunning {
 		// A SHUTOFF instance keeps its earlier stop timestamp — billing
 		// must not re-open the accrual window.
 		inst.Stopped = eng.Now()
-		a := sh.account(inst.User)
 		a.n--
 		a.cores -= inst.Flavor.VCPUs
 		a.rev = rev
@@ -698,6 +706,7 @@ func (c *Cloud) Terminate(user, id string) error {
 			h.usedRAM -= inst.Flavor.RAMMB
 			h.usedDisk -= inst.Flavor.DiskGB
 			delete(h.instances, id)
+			break
 		}
 	}
 	if wasRunning {
@@ -706,14 +715,17 @@ func (c *Cloud) Terminate(user, id string) error {
 	return nil
 }
 
-// Instances lists a user's instances ("" = all), sorted by ID. The
-// returned records are point-in-time copies: the live instances keep
-// changing state (boot timers, terminations) on the shard goroutines, so
-// handing out the internal pointers would race with every caller that
-// renders them. A named user's listing goes through the per-shard user
-// index — K short bucket locks touching only that user's own records —
-// so a console list stays O(the user's instances) even over a
-// 10⁵-instance population; only the ""-wildcard walks every record.
+// Instances lists a user's instances that still exist — BUILD, ACTIVE,
+// SHUTOFF or ERROR, never TERMINATED — sorted by ID. The returned records
+// are point-in-time copies: the live instances keep changing state (boot
+// timers, terminations) on the shard goroutines, so handing out the
+// internal pointers would race with every caller that renders them. The
+// listing goes through the per-shard live index — K short bucket locks
+// touching only that user's own live records — so a console list costs
+// O(the user's live instances), whatever the population and however long
+// the user's launch history. A terminated record stays reachable by ID
+// (Instance). The "" wildcard is the audit walk instead: every record of
+// every user, tombstones included.
 func (c *Cloud) Instances(user string) []*Instance {
 	t := c.topo.Load()
 	var out []*Instance

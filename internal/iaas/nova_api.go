@@ -81,9 +81,7 @@ func (a *NovaAPI) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case r.URL.Path == "/v2/servers" && r.Method == http.MethodGet:
 		var out []NovaServer
 		for _, i := range a.Cloud.Instances(user) {
-			if i.State != StateTerminated {
-				out = append(out, novaServer(i))
-			}
+			out = append(out, novaServer(i))
 		}
 		writeJSON(w, http.StatusOK, map[string]interface{}{"servers": out})
 

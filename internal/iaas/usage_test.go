@@ -80,38 +80,130 @@ func TestRunningByUserCountersMatchScan(t *testing.T) {
 	}
 }
 
-func TestInstancesByUserIndex(t *testing.T) {
-	set, c := shardedCloud(8)
-	c.SetQuota("alice", Quota{MaxInstances: 32, MaxCores: 32})
-	c.SetQuota("bob", Quota{MaxInstances: 32, MaxCores: 32})
-	for i := 0; i < 10; i++ {
-		user := "alice"
-		if i%2 == 1 {
-			user = "bob"
-		}
-		if _, err := c.Launch(user, fmt.Sprintf("vm%02d", i), "m1.small", ""); err != nil {
-			t.Fatal(err)
-		}
-	}
-	set.RunFor(120)
-	// Terminate one of alice's: the terminated record must still list,
-	// exactly as the full walk lists it.
-	victim := c.Instances("alice")[0]
-	if err := c.Terminate("alice", victim.ID); err != nil {
-		t.Fatal(err)
-	}
-
+// assertListingIsLiveSet requires every named listing to equal the
+// wildcard audit walk filtered to that user minus TERMINATED records.
+func assertListingIsLiveSet(t *testing.T, c *Cloud, when string) {
+	t.Helper()
+	all := c.Instances("")
 	for _, user := range []string{"alice", "bob", "nobody"} {
 		var want []*Instance
-		for _, i := range c.Instances("") {
-			if i.User == user {
+		for _, i := range all {
+			if i.User == user && i.State != StateTerminated {
 				want = append(want, i)
 			}
 		}
-		got := c.Instances(user)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("Instances(%q) diverged from the full walk:\nindex: %+v\nwalk : %+v", user, got, want)
+		if got := c.Instances(user); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Instances(%q) diverged from the live set of the full walk:\nindex: %+v\nwalk : %+v", when, user, got, want)
 		}
+	}
+}
+
+// TestInstancesByUserIndex pins the listing contract: a named listing is
+// the user's instances that still exist (SHUTOFF included, TERMINATED
+// not), the "" wildcard is the audit walk over every record, and a
+// tombstone stays reachable by ID — through Terminate's unlink and
+// through SetShards' rebuild of the index.
+func TestInstancesByUserIndex(t *testing.T) {
+	for _, k := range []int{1, 8} {
+		t.Run(fmt.Sprintf("k%d", k), func(t *testing.T) {
+			set, c := shardedCloud(k)
+			c.SetQuota("alice", Quota{MaxInstances: 32, MaxCores: 32})
+			c.SetQuota("bob", Quota{MaxInstances: 32, MaxCores: 32})
+			for i := 0; i < 10; i++ {
+				user := "alice"
+				if i%2 == 1 {
+					user = "bob"
+				}
+				if _, err := c.Launch(user, fmt.Sprintf("vm%02d", i), "m1.small", ""); err != nil {
+					t.Fatal(err)
+				}
+			}
+			set.RunFor(120)
+			assertListingIsLiveSet(t, c, "after boot")
+
+			alices := c.Instances("alice")
+			stopped, victim := alices[0].ID, alices[1].ID
+			if err := c.Stop("alice", stopped); err != nil {
+				t.Fatal(err)
+			}
+			set.RunFor(float64(stopDelay) + 1)
+			if err := c.Terminate("alice", victim); err != nil {
+				t.Fatal(err)
+			}
+
+			check := func(when string) {
+				t.Helper()
+				assertListingIsLiveSet(t, c, when)
+				states := map[string]InstanceState{}
+				for _, i := range c.Instances("alice") {
+					states[i.ID] = i.State
+				}
+				if len(states) != 4 || states[stopped] != StateShutoff {
+					t.Fatalf("%s: alice lists %v, want 4 instances with %s SHUTOFF", when, states, stopped)
+				}
+				if _, listed := states[victim]; listed {
+					t.Fatalf("%s: terminated %s still in alice's listing", when, victim)
+				}
+				if n := len(c.Instances("")); n != 10 {
+					t.Fatalf("%s: audit walk holds %d records, want all 10", when, n)
+				}
+				if got, ok := c.Instance(victim); !ok || got.State != StateTerminated {
+					t.Fatalf("%s: Instance(%s) = %+v, %v; want the TERMINATED tombstone", when, victim, got, ok)
+				}
+				if err := c.Terminate("alice", victim); err != nil {
+					t.Fatalf("%s: second Terminate = %v, want nil", when, err)
+				}
+			}
+			check("after terminate")
+
+			// Re-bucket K → 1 → K: the rebuilt index must not resurrect
+			// the tombstone.
+			c.SetShards(nil)
+			check("re-bucketed onto one shard")
+			c.SetShards(set)
+			check("re-bucketed back")
+
+			// The rebuilt index keeps serving transitions.
+			if err := c.Terminate("alice", stopped); err != nil {
+				t.Fatal(err)
+			}
+			assertListingIsLiveSet(t, c, "terminate after re-bucket")
+			if n := len(c.Instances("alice")); n != 3 {
+				t.Fatalf("alice lists %d after terminating a SHUTOFF instance, want 3", n)
+			}
+		})
+	}
+}
+
+// TestInstancesCostIndependentOfHistory: a listing pays for the live set,
+// not for what the user launched and terminated before it.
+func TestInstancesCostIndependentOfHistory(t *testing.T) {
+	_, c := shardedCloud(8)
+	for _, user := range []string{"newcomer", "veteran"} {
+		if _, err := c.Launch(user, "live", "m1.small", ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4096; i++ {
+		inst, err := c.Launch("veteran", fmt.Sprintf("old%04d", i), "m1.small", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Terminate("veteran", inst.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, v := len(c.Instances("newcomer")), len(c.Instances("veteran")); n != 1 || v != 1 {
+		t.Fatalf("listings hold %d and %d instances, want 1 and 1", n, v)
+	}
+	if n := len(c.Instances("")); n != 4098 {
+		t.Fatalf("audit walk holds %d records, want 4098", n)
+	}
+	allocs := func(user string) float64 {
+		return testing.AllocsPerRun(100, func() { _ = c.Instances(user) })
+	}
+	if n, v := allocs("newcomer"), allocs("veteran"); n != v {
+		t.Fatalf("Instances allocates %.0f times for a fresh user but %.0f behind a 4096-record history", n, v)
 	}
 }
 

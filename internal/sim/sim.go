@@ -626,6 +626,11 @@ func (e *Engine) compact() {
 	// Every tombstone is now either removed from the queue or was stale
 	// (its event had already fired); either way the map is done with it.
 	clear(e.cancelled)
+	// Every queued event may have been cancelled; (0-2)/4 truncates to 0,
+	// so the loop below would sift slot 0 of an empty heap.
+	if len(e.queue) == 0 {
+		return
+	}
 	for i := (len(e.queue) - 2) / 4; i >= 0; i-- {
 		e.down(i)
 	}

@@ -373,6 +373,28 @@ func TestCancelReclaimsQueueSlots(t *testing.T) {
 	}
 }
 
+// TestCancelEverythingCompactsToEmpty: when every queued event is a
+// tombstone at the moment compaction triggers (an idle shard whose only
+// timers were the boots of VMs launched and terminated one after another)
+// the heap compacts down to nothing; that used to sift slot 0 of the empty
+// queue and panic.
+func TestCancelEverythingCompactsToEmpty(t *testing.T) {
+	e := NewEngine(1)
+	for i := 0; i < 200; i++ {
+		h := e.After(90, func() { t.Error("cancelled event fired") })
+		h.Cancel()
+	}
+	if got := e.Pending(); got != 0 {
+		t.Fatalf("Pending = %d after cancelling everything, want 0", got)
+	}
+	fired := false
+	e.After(1, func() { fired = true })
+	e.Run()
+	if !fired || e.Fired() != 1 {
+		t.Fatalf("engine unusable after compacting to empty: fired=%v count=%d", fired, e.Fired())
+	}
+}
+
 // TestCancelInterleavedWithPops checks ordering stays correct when cancels,
 // schedules, and pops interleave heavily (the compaction path reheapifies).
 func TestCancelInterleavedWithPops(t *testing.T) {

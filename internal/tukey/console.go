@@ -219,7 +219,8 @@ func (c *Console) handleLogin(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Console) handleInstances(w http.ResponseWriter, r *http.Request) {
-	servers, err := c.MW.ListServers(r.Header.Get("X-Tukey-Session"))
+	si, _ := sessionFrom(r)
+	servers, err := c.MW.listServers(si.id)
 	if err != nil {
 		writeJSON(w, http.StatusBadGateway, map[string]string{"error": err.Error()})
 		return
@@ -233,7 +234,8 @@ func (c *Console) handleLaunch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
-	srv, err := c.MW.LaunchServer(r.Header.Get("X-Tukey-Session"), req.Cloud, req.Name, req.Flavor)
+	si, _ := sessionFrom(r)
+	srv, err := c.MW.launchServer(si.id, req.Cloud, req.Name, req.Flavor)
 	if err != nil {
 		writeJSON(w, http.StatusConflict, map[string]string{"error": err.Error()})
 		return
@@ -247,7 +249,8 @@ func (c *Console) handleTerminate(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
-	if err := c.MW.TerminateServer(r.Header.Get("X-Tukey-Session"), req.Cloud, req.ID); err != nil {
+	si, _ := sessionFrom(r)
+	if err := c.MW.terminateServer(si.id, req.Cloud, req.ID); err != nil {
 		writeJSON(w, http.StatusConflict, map[string]string{"error": err.Error()})
 		return
 	}
@@ -260,7 +263,8 @@ func (c *Console) handleStop(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
-	if err := c.MW.StopServer(r.Header.Get("X-Tukey-Session"), req.Cloud, req.ID); err != nil {
+	si, _ := sessionFrom(r)
+	if err := c.MW.stopServer(si.id, req.Cloud, req.ID); err != nil {
 		writeJSON(w, http.StatusConflict, map[string]string{"error": err.Error()})
 		return
 	}

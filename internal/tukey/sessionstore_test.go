@@ -1,7 +1,10 @@
 package tukey
 
 import (
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -62,6 +65,12 @@ func (c *countingStore) Get(token string) (Session, bool) {
 	return c.MemorySessionStore.Get(token)
 }
 
+func (c *countingStore) count() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.gets
+}
+
 // TestMiddlewareUsesInjectedStore swaps the store before traffic and
 // checks logins land in it and lookups come from it — the seam a shared
 // cross-replica store will plug into.
@@ -90,6 +99,50 @@ func TestMiddlewareUsesInjectedStore(t *testing.T) {
 	mw2.SetSessionStore(store)
 	if _, ok := mw2.identityFor(tok); !ok {
 		t.Fatal("replica sharing the store rejected the session")
+	}
+}
+
+// TestConsoleResolvesSessionOncePerRequest pins the request path's session
+// cost: the auth layer's lookup is the only SessionStore.Get a console
+// request makes — on a replica each Get is a state-plane round trip — so
+// the server routes must act on the identity already in the context, not
+// resolve the token again.
+func TestConsoleResolvesSessionOncePerRequest(t *testing.T) {
+	r, srv := consoleRig(t)
+	store := &countingStore{MemorySessionStore: NewMemorySessionStore()}
+	r.mw.SetSessionStore(store)
+	tok := consoleLogin(t, srv)
+
+	// $ID in a body is the server launched by the first step.
+	id := ""
+	steps := []struct {
+		method, path, body string
+		want               int
+	}{
+		{"POST", "/console/launch", `{"cloud":"adler","name":"vm","flavor":"m1.small"}`, http.StatusAccepted},
+		{"GET", "/console/instances", "", http.StatusOK},
+		{"POST", "/console/stop", `{"cloud":"adler","id":"$ID"}`, http.StatusOK},
+		{"POST", "/console/terminate", `{"cloud":"adler","id":"$ID"}`, http.StatusOK},
+	}
+	for _, st := range steps {
+		before := store.count()
+		resp := consoleDo(t, srv, st.method, st.path, tok, strings.Replace(st.body, "$ID", id, 1))
+		if resp.StatusCode != st.want {
+			t.Fatalf("%s status = %d, want %d", st.path, resp.StatusCode, st.want)
+		}
+		if st.path == "/console/launch" {
+			var out struct {
+				Server TaggedServer `json:"server"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+				t.Fatal(err)
+			}
+			id = out.Server.ID
+		}
+		resp.Body.Close()
+		if got := store.count() - before; got != 1 {
+			t.Errorf("%s made %d SessionStore.Get calls, want exactly 1", st.path, got)
+		}
 	}
 }
 

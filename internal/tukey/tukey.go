@@ -440,12 +440,20 @@ type TaggedServer struct {
 }
 
 // ListServers fans out to every cloud the user holds credentials for,
-// translating per dialect, and aggregates.
+// translating per dialect, and aggregates. Like the other token-taking
+// methods it resolves the session and hands the identity to the
+// unexported body; the console, whose auth layer has already resolved
+// the session for the request, calls the bodies directly so a request
+// costs one SessionStore.Get (on a replica, one state-plane round trip).
 func (m *Middleware) ListServers(token string) ([]TaggedServer, error) {
 	id, ok := m.identityFor(token)
 	if !ok {
 		return nil, fmt.Errorf("tukey: invalid session")
 	}
+	return m.listServers(id)
+}
+
+func (m *Middleware) listServers(id Identity) ([]TaggedServer, error) {
 	var out []TaggedServer
 	for _, cfg := range m.cloudConfigs() {
 		cred, ok := m.credsFor(id, cfg.Name)
@@ -498,6 +506,10 @@ func (m *Middleware) LaunchServer(token, cloud, name, flavor string) (*TaggedSer
 	if !ok {
 		return nil, fmt.Errorf("tukey: invalid session")
 	}
+	return m.launchServer(id, cloud, name, flavor)
+}
+
+func (m *Middleware) launchServer(id Identity, cloud, name, flavor string) (*TaggedServer, error) {
 	cfg, ok := m.cloudConfigByName(cloud)
 	if !ok {
 		return nil, fmt.Errorf("tukey: unknown cloud %q", cloud)
@@ -527,6 +539,10 @@ func (m *Middleware) TerminateServer(token, cloud, id string) error {
 	if !ok {
 		return fmt.Errorf("tukey: invalid session")
 	}
+	return m.terminateServer(ident, cloud, id)
+}
+
+func (m *Middleware) terminateServer(ident Identity, cloud, id string) error {
 	cfg, ok := m.cloudConfigByName(cloud)
 	if !ok {
 		return fmt.Errorf("tukey: unknown cloud %q", cloud)
@@ -551,6 +567,10 @@ func (m *Middleware) StopServer(token, cloud, id string) error {
 	if !ok {
 		return fmt.Errorf("tukey: invalid session")
 	}
+	return m.stopServer(ident, cloud, id)
+}
+
+func (m *Middleware) stopServer(ident Identity, cloud, id string) error {
 	cfg, ok := m.cloudConfigByName(cloud)
 	if !ok {
 		return fmt.Errorf("tukey: unknown cloud %q", cloud)
