@@ -10,6 +10,7 @@ package osdc
 //	go test -bench=. -benchmem
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -75,14 +76,19 @@ func BenchmarkTable3Transfers(b *testing.B) {
 	for _, cfg := range udr.Table3Configs() {
 		cfg := cfg
 		b.Run(cfg.String(), func(b *testing.B) {
-			var mbit, llr float64
+			interval := cfg.Controller(path).Interval()
+			var mbit, llr, ticks float64
 			for i := 0; i < b.N; i++ {
 				rng := sim.NewRNG(uint64(i) + 7)
 				res, caps := udr.Transfer(rng, cfg, path, 108<<30)
 				mbit, llr = res.ThroughputMbit(), res.LLR(caps)
+				// Only the last control interval is cut short (to the final
+				// byte), so the duration rounds up to the interval count.
+				ticks += math.Ceil(res.Duration / interval)
 			}
 			b.ReportMetric(mbit, "mbit/s")
 			b.ReportMetric(llr, "LLR")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/ticks, "ns/tick")
 		})
 	}
 }

@@ -21,11 +21,10 @@ import (
 // returned Results are per flow, with Duration the virtual time at which
 // that flow completed.
 //
-// The per-tick accounting (cap clamp, Poisson tail loss, congestion-drop
-// threshold, retransmit/PeakBps bookkeeping) deliberately mirrors
-// Simulate; keep the two in sync when touching the loss model.
-// TestSharedSingleFlowMatchesDedicated pins the single-flow case to the
-// dedicated model within 10%.
+// Random tail loss is drawn through the same lossSampler as Simulate, one
+// per flow. The cap clamp, overflow and final-tick overshoot steps are
+// this loop's own; TestSharedSingleFlowMatchesDedicated pins the
+// single-flow case to the dedicated model within 10%.
 func SimulateShared(rng *sim.RNG, path Path, ctrls []Controller, totalBytes []int64, caps Caps) []Result {
 	if len(ctrls) == 0 || len(ctrls) != len(totalBytes) {
 		panic(fmt.Sprintf("transport: %d controllers for %d transfer sizes", len(ctrls), len(totalBytes)))
@@ -51,6 +50,7 @@ func SimulateShared(rng *sim.RNG, path Path, ctrls []Controller, totalBytes []in
 	}
 
 	type flowState struct {
+		loss      lossSampler
 		remaining float64
 		// retrans accumulates fractional lost packets across ticks; the
 		// per-tick losses of a slow flow are routinely < 1 packet, so
@@ -100,7 +100,7 @@ func SimulateShared(rng *sim.RNG, path Path, ctrls []Controller, totalBytes []in
 				eff *= keep
 			}
 			sent := eff * tick
-			lost := poisson(rng, sent*path.Loss)
+			lost := flows[i].loss.draw(rng, sent*path.Loss)
 			if lost > sent {
 				lost = sent
 			}

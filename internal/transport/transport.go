@@ -59,7 +59,7 @@ type Controller interface {
 	// Name identifies the law, e.g. "udt-daimd" or "tcp-reno".
 	Name() string
 	// Interval is the control-loop period: UDT's SYN (10 ms) or one RTT for
-	// TCP.
+	// TCP. It is positive and constant for the controller's lifetime.
 	Interval() sim.Duration
 	// RatePps is the currently allowed sending rate in packets/second.
 	RatePps() float64
@@ -143,25 +143,35 @@ func Simulate(rng *sim.RNG, path Path, ctrl Controller, totalBytes int64, caps C
 	if path.MSS <= 0 {
 		path.MSS = DefaultMSS
 	}
+	dt := ctrl.Interval()
+	if dt <= 0 {
+		// sent and t would both stay 0 and the loop below never ends.
+		panic("transport: controller has non-positive interval")
+	}
 	res := Result{Protocol: ctrl.Name(), Bytes: totalBytes}
 	capBps := caps.Min()
 	pktBits := float64(path.MSS * 8)
 	bottleneckPps := path.BandwidthBps / pktBits
+	capPps := capBps / pktBits
+	mss := float64(path.MSS)
+	total := float64(totalBytes)
 
+	var loss lossSampler
 	var delivered float64
 	var t sim.Duration
 	// Fractional lost packets accumulate across intervals and are rounded
 	// once at the end; truncating per interval undercounts slow flows
-	// whose per-interval loss is < 1 packet (mirrored in SimulateShared).
+	// whose per-interval loss is < 1 packet.
 	var retrans float64
-	for delivered < float64(totalBytes) {
-		dt := ctrl.Interval()
-		rawPps := ctrl.RatePps()
+	// The largest interval delivery; bytes → bits/s is monotone, so it is
+	// converted once, after the loop.
+	var peak float64
+	for delivered < total {
 		// Application-side caps throttle the send loop; that is not loss,
 		// the sender simply paces slower.
-		effPps := rawPps
+		effPps := ctrl.RatePps()
 		if capBps < effPps*pktBits {
-			effPps = capBps / pktBits
+			effPps = capPps
 		}
 		// Pushing above the bottleneck overflows its queue: the excess is
 		// congestion loss the controller must react to.
@@ -171,8 +181,7 @@ func Simulate(rng *sim.RNG, path Path, ctrl Controller, totalBytes int64, caps C
 			effPps = bottleneckPps
 		}
 		sent := effPps * dt // packets that actually traverse the bottleneck
-		// Random tail loss, Poisson-approximated binomial.
-		lost := poisson(rng, sent*path.Loss)
+		lost := loss.draw(rng, sent*path.Loss)
 		if lost > sent {
 			lost = sent
 		}
@@ -183,10 +192,10 @@ func Simulate(rng *sim.RNG, path Path, ctrl Controller, totalBytes int64, caps C
 		// steady state (duplicates are rare enough to ignore).
 		arrived := sent - lost
 		retrans += lost + congDrops
-		deliveredNow := arrived * float64(path.MSS)
+		deliveredNow := arrived * mss
 		delivered += deliveredNow
-		if bps := deliveredNow * 8 / dt; bps > res.PeakBps {
-			res.PeakBps = bps
+		if deliveredNow > peak {
+			peak = deliveredNow
 		}
 		if lossEvent {
 			res.LossEvents++
@@ -197,8 +206,9 @@ func Simulate(rng *sim.RNG, path Path, ctrl Controller, totalBytes int64, caps C
 			panic("transport: transfer did not converge (rate stuck near zero?)")
 		}
 	}
+	res.PeakBps = peak * 8 / dt
 	// Remove the overshoot of the final interval for a fair duration.
-	over := delivered - float64(totalBytes)
+	over := delivered - total
 	if over > 0 {
 		lastRate := delivered / t
 		if lastRate > 0 {
@@ -210,10 +220,23 @@ func Simulate(rng *sim.RNG, path Path, ctrl Controller, totalBytes int64, caps C
 	return res
 }
 
-// poisson samples a Poisson(mean) variate. For large means it uses a normal
+// lossSampler draws one flow's random tail loss per tick: Poisson(mean)
+// lost packets, the Poisson approximation of a binomial. Knuth's method
+// needs exp(-mean), and a flow pinned at its sender, cipher or window cap
+// offers the same mean tick after tick, so the sampler keeps the last
+// small mean with its exponential and recomputes only when the mean
+// differs. The memo is keyed on exact float equality: a hit returns the
+// very bits math.Exp would, so results and RNG draws are unchanged.
+type lossSampler struct {
+	mean, expNeg float64 // last mean in (0, 50] and exp(-mean)
+}
+
+// draw samples Poisson(mean). For large means it uses a normal
 // approximation, which is fine at the scales we simulate.
-func poisson(rng *sim.RNG, mean float64) float64 {
+func (s *lossSampler) draw(rng *sim.RNG, mean float64) float64 {
 	if mean <= 0 {
+		// Before the memo: the zero value holds mean 0 with expNeg 0, not
+		// exp(-0) = 1, and must never be taken for a hit.
 		return 0
 	}
 	if mean > 50 {
@@ -223,13 +246,15 @@ func poisson(rng *sim.RNG, mean float64) float64 {
 		}
 		return v
 	}
+	if mean != s.mean {
+		s.mean, s.expNeg = mean, math.Exp(-mean)
+	}
 	// Knuth's method.
-	l := math.Exp(-mean)
 	k := 0
 	p := 1.0
 	for {
 		p *= rng.Float64()
-		if p <= l {
+		if p <= s.expNeg {
 			break
 		}
 		k++

@@ -125,21 +125,79 @@ func TestSimulatePanicsOnZeroBytes(t *testing.T) {
 	Simulate(sim.NewRNG(1), Path{BandwidthBps: 1e9, RTT: 0.1, MSS: 1000}, &fixedRate{pps: 10, dt: 0.01}, 0, Caps{})
 }
 
+// TestSimulatePanicsOnNonPositiveInterval: with dt <= 0 nothing is ever
+// sent and t never advances, so neither the delivery condition nor the
+// 100-day guard could end the loop.
+func TestSimulatePanicsOnNonPositiveInterval(t *testing.T) {
+	for _, dt := range []sim.Duration{0, -0.01} {
+		func() {
+			defer func() {
+				if got := recover(); got != "transport: controller has non-positive interval" {
+					t.Fatalf("interval %v: recovered %v", dt, got)
+				}
+			}()
+			Simulate(sim.NewRNG(1), Path{BandwidthBps: 1e9, RTT: 0.1, MSS: 1000}, &fixedRate{pps: 10, dt: dt}, 1000, Caps{})
+		}()
+	}
+}
+
 func TestPoissonMean(t *testing.T) {
 	rng := sim.NewRNG(3)
+	var s lossSampler
+	const n = 20000
 	for _, mean := range []float64{0.5, 5, 200} {
 		sum := 0.0
-		const n = 20000
 		for i := 0; i < n; i++ {
-			sum += poisson(rng, mean)
+			sum += s.draw(rng, mean)
 		}
 		got := sum / n
 		if math.Abs(got-mean) > mean*0.05+0.05 {
 			t.Fatalf("poisson(%v) sample mean = %v", mean, got)
 		}
 	}
-	if poisson(rng, 0) != 0 {
+	if s.draw(rng, 0) != 0 {
 		t.Fatal("poisson(0) != 0")
+	}
+	// Alternating two small means recomputes the memo on every draw; each
+	// stream must still have its own mean.
+	means := [2]float64{0.5, 5}
+	var sums [2]float64
+	for i := 0; i < 2*n; i++ {
+		sums[i%2] += s.draw(rng, means[i%2])
+	}
+	for i, mean := range means {
+		if got := sums[i] / n; math.Abs(got-mean) > mean*0.05+0.05 {
+			t.Fatalf("alternating: poisson(%v) sample mean = %v", mean, got)
+		}
+	}
+}
+
+// TestLossSamplerMemoEdges pins the two cases that must never reach the
+// memo. The zero-value sampler holds mean 0 with expNeg 0: were mean <= 0
+// looked up there, it would hit, and Knuth's loop would draw until its
+// product underflowed (~1000 draws a tick). And mean > 50 takes the normal
+// branch without evicting the small mean a capped flow will come back to.
+func TestLossSamplerMemoEdges(t *testing.T) {
+	rng := sim.NewRNG(11)
+	ctrl := &fixedRate{pps: 1000, dt: 0.01}
+	Simulate(rng, Path{BandwidthBps: 1e9, RTT: 0.1, Loss: 0, MSS: 1000}, ctrl, 8_000_000, Caps{})
+	if got, want := rng.Uint64(), sim.NewRNG(11).Uint64(); got != want {
+		t.Fatalf("a lossless transfer drew from the RNG: next Uint64 %#x, fresh RNG %#x", got, want)
+	}
+
+	var s lossSampler
+	if s.draw(rng, -1) != 0 || s != (lossSampler{}) {
+		t.Fatalf("negative mean touched the memo: %+v", s)
+	}
+	s.draw(rng, 0.25)
+	held := s
+	if held.mean != 0.25 || held.expNeg != math.Exp(-0.25) {
+		t.Fatalf("memo after draw(0.25) = %+v", held)
+	}
+	s.draw(rng, 200)
+	s.draw(rng, 0)
+	if s != held {
+		t.Fatalf("memo moved off the small mean: %+v, want %+v", s, held)
 	}
 }
 

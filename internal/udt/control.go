@@ -41,6 +41,8 @@ const DecreaseFactor = 8.0 / 9.0
 // RateControl is UDT's DAIMD law. It implements transport.Controller.
 type RateControl struct {
 	mss         int
+	minInc      float64 // 1/MSS: the per-SYN increase floor, packets
+	minIncPps   float64 // minInc/SYN: what the floor adds to the rate
 	capacityPps float64 // receiver's estimated link capacity, packets/s
 	ratePps     float64
 	decreases   int64
@@ -58,8 +60,11 @@ func NewRateControl(path transport.Path) *RateControl {
 	if mss <= 0 {
 		mss = transport.DefaultMSS
 	}
+	minInc := 1.0 / float64(mss)
 	return &RateControl{
 		mss:         mss,
+		minInc:      minInc,
+		minIncPps:   minInc / SYN,
 		capacityPps: path.BandwidthBps / float64(mss*8),
 		// UDT leaves slow start after the first SYN in practice; starting at
 		// a small positive rate, the DAIMD ramp reaches gigabit rates in
@@ -90,21 +95,26 @@ func (rc *RateControl) OnInterval(lossEvent bool) {
 		rc.decreases++
 		return
 	}
-	rc.ratePps += rc.increment() / SYN
+	if rc.capacityPps-rc.ratePps <= 0 {
+		// At capacity, where a flow held below the link by a host-side cap
+		// spends nearly every SYN: increment() is the floor.
+		rc.ratePps += rc.minIncPps
+	} else {
+		rc.ratePps += rc.increment() / SYN
+	}
 	rc.increases++
 }
 
 // increment returns UDT's per-SYN additive increase in packets.
 func (rc *RateControl) increment() float64 {
 	residualPps := rc.capacityPps - rc.ratePps
-	minInc := 1.0 / float64(rc.mss)
 	if residualPps <= 0 {
-		return minInc
+		return rc.minInc
 	}
 	residualBits := residualPps * float64(rc.mss*8)
 	inc := math.Pow(10, math.Ceil(math.Log10(residualBits))) * Beta / float64(rc.mss)
-	if inc < minInc {
-		return minInc
+	if inc < rc.minInc {
+		return rc.minInc
 	}
 	return inc
 }

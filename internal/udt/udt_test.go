@@ -73,6 +73,65 @@ func TestIncrementShrinksNearCapacity(t *testing.T) {
 	}
 }
 
+// referenceRate is the control law as written before OnInterval learned
+// to skip increment() at capacity: 1/MSS and the division by SYN computed
+// on every interval.
+type referenceRate struct {
+	mss                  int
+	capacityPps, ratePps float64
+}
+
+func (rc *referenceRate) onInterval(lossEvent bool) {
+	if lossEvent {
+		rc.ratePps *= DecreaseFactor
+		if rc.ratePps < 1/SYN {
+			rc.ratePps = 1 / SYN
+		}
+		return
+	}
+	rc.ratePps += rc.increment() / SYN
+}
+
+func (rc *referenceRate) increment() float64 {
+	residualPps := rc.capacityPps - rc.ratePps
+	minInc := 1.0 / float64(rc.mss)
+	if residualPps <= 0 {
+		return minInc
+	}
+	residualBits := residualPps * float64(rc.mss*8)
+	inc := math.Pow(10, math.Ceil(math.Log10(residualBits))) * Beta / float64(rc.mss)
+	if inc < minInc {
+		return minInc
+	}
+	return inc
+}
+
+// TestRateControlMatchesReferenceLaw walks both laws through the ramp, a
+// long stay above capacity and seeded loss at several rates, over Ethernet
+// and jumbo segments, and wants the same rate bits after every interval.
+func TestRateControlMatchesReferenceLaw(t *testing.T) {
+	for _, mss := range []int{transport.DefaultMSS, 8960} {
+		for _, lossEvery := range []int{0, 7, 400, 5000} {
+			path := lvocPath()
+			path.MSS = mss
+			rc := NewRateControl(path)
+			ref := &referenceRate{mss: mss, capacityPps: rc.capacityPps, ratePps: rc.ratePps}
+			rng := sim.NewRNG(uint64(mss + lossEvery))
+			for i := 0; i < 50_000; i++ {
+				loss := lossEvery > 0 && rng.Intn(lossEvery) == 0
+				rc.OnInterval(loss)
+				ref.onInterval(loss)
+				if rc.ratePps != ref.ratePps {
+					t.Fatalf("mss %d, loss 1/%d, interval %d: rate %v, reference %v", mss, lossEvery, i, rc.ratePps, ref.ratePps)
+				}
+			}
+			if lossEvery == 0 && rc.ratePps <= rc.capacityPps {
+				t.Fatalf("mss %d: a lossless walk never reached the at-capacity branch", mss)
+			}
+		}
+	}
+}
+
 func TestMacroTransferApproachesBottleneckOnCleanPath(t *testing.T) {
 	path := transport.Path{BandwidthBps: 1 * simnet.Gbit, RTT: 0.104, Loss: 0, MSS: 1460}
 	rc := NewRateControl(path)
