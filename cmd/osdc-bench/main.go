@@ -18,17 +18,6 @@
 // service lock saturates first at the latency knee (inspect with `go tool
 // pprof knee.pb.gz`).
 //
-// -bench-json FILE runs the tracked perf suite (internal/perf: engine
-// churn, pooled churn, sharded churn, same-tick batch dispatch, biller
-// parallel accrual, console-load p95) through testing.Benchmark and
-// writes the snapshot as JSON — the BENCH_<pr>.json files CI uploads so
-// the perf trajectory is pinned per PR. "-" writes to stdout; -bench-pr
-// labels the snapshot. -bench-compare OLD.json,NEW.json diffs two such
-// snapshots and prints per-metric deltas (new and dropped metrics
-// flagged); it is warn-only — regressions print, the exit code stays 0 —
-// because snapshots from different boxes are a trajectory to read, not a
-// gate.
-//
 // Experiments live in internal/experiments and self-register into
 // internal/scenario; adding a scenario there makes it appear here with no
 // changes to this file.
@@ -48,7 +37,6 @@ import (
 	"strings"
 
 	_ "osdc/internal/experiments" // populate the scenario registry
-	"osdc/internal/perf"
 	"osdc/internal/scenario"
 )
 
@@ -80,9 +68,6 @@ func run(args []string, stdout io.Writer) error {
 	list := fs.Bool("list", false, "list registered scenarios and exit")
 	params := fs.String("param", "", "comma-separated k=v overrides for a parametric scenario (requires -exp <name>)")
 	mutexProfile := fs.String("mutexprofile", "", "write a mutex-contention profile of the run to this file (e.g. during -exp console-knee)")
-	benchJSON := fs.String("bench-json", "", "run the tracked perf suite and write the JSON snapshot to this file ('-' = stdout)")
-	benchPR := fs.String("bench-pr", "", "PR label embedded in the -bench-json snapshot")
-	benchCompare := fs.String("bench-compare", "", "diff two perf snapshots (OLD.json,NEW.json) and print per-metric deltas; always exits 0 (warn-only)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			fs.SetOutput(stdout)
@@ -109,18 +94,6 @@ func run(args []string, stdout io.Writer) error {
 				fmt.Fprintf(os.Stderr, "osdc-bench: mutex profile: %v\n", err)
 			}
 		}()
-	}
-
-	if *benchCompare != "" {
-		oldPath, newPath, ok := strings.Cut(*benchCompare, ",")
-		if !ok || oldPath == "" || newPath == "" {
-			return fmt.Errorf("-bench-compare wants OLD.json,NEW.json, got %q", *benchCompare)
-		}
-		return compareBenchJSON(oldPath, newPath, stdout)
-	}
-
-	if *benchJSON != "" {
-		return writeBenchJSON(*benchJSON, *benchPR, stdout)
 	}
 
 	if *list {
@@ -199,81 +172,6 @@ func run(args []string, stdout io.Writer) error {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		return enc.Encode(jsonOut)
-	}
-	return nil
-}
-
-// writeBenchJSON runs the tracked perf suite and writes the snapshot.
-func writeBenchJSON(path, pr string, stdout io.Writer) error {
-	snap, err := perf.Collect(pr)
-	if err != nil {
-		return err
-	}
-	out := stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
-	}
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	return enc.Encode(snap)
-}
-
-// compareBenchJSON prints per-metric deltas between two perf snapshots.
-// It is deliberately warn-only — it always returns nil on a readable pair
-// of files — because the reference runner has nproc=1 and the recorded
-// caveat (EXPERIMENTS.md) says cross-box comparisons are a trajectory to
-// read, not a gate to fail CI on.
-func compareBenchJSON(oldPath, newPath string, stdout io.Writer) error {
-	read := func(path string) (perf.Snapshot, error) {
-		var s perf.Snapshot
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			return s, err
-		}
-		return s, json.Unmarshal(raw, &s)
-	}
-	oldSnap, err := read(oldPath)
-	if err != nil {
-		return fmt.Errorf("bench-compare: %w", err)
-	}
-	newSnap, err := read(newPath)
-	if err != nil {
-		return fmt.Errorf("bench-compare: %w", err)
-	}
-	prev := make(map[string]perf.Metric, len(oldSnap.Metrics))
-	for _, m := range oldSnap.Metrics {
-		prev[m.Name] = m
-	}
-	fmt.Fprintf(stdout, "bench-compare: %s (PR %s) → %s (PR %s)\n",
-		oldPath, oldSnap.PR, newPath, newSnap.PR)
-	if oldSnap.NumCPU != newSnap.NumCPU {
-		fmt.Fprintf(stdout, "  warning: num_cpu differs (%d → %d); deltas are not like-for-like\n",
-			oldSnap.NumCPU, newSnap.NumCPU)
-	}
-	seen := make(map[string]bool, len(newSnap.Metrics))
-	for _, m := range newSnap.Metrics {
-		seen[m.Name] = true
-		p, ok := prev[m.Name]
-		if !ok {
-			fmt.Fprintf(stdout, "  %-32s %14.1f %-5s (new metric)\n", m.Name, m.NsPerOp, m.Unit)
-			continue
-		}
-		pct := 0.0
-		if p.NsPerOp != 0 {
-			pct = (m.NsPerOp - p.NsPerOp) / p.NsPerOp * 100
-		}
-		fmt.Fprintf(stdout, "  %-32s %14.1f → %14.1f %-5s %+7.1f%%\n",
-			m.Name, p.NsPerOp, m.NsPerOp, m.Unit, pct)
-	}
-	for _, m := range oldSnap.Metrics {
-		if !seen[m.Name] {
-			fmt.Fprintf(stdout, "  %-32s dropped (was %.1f %s)\n", m.Name, m.NsPerOp, m.Unit)
-		}
 	}
 	return nil
 }

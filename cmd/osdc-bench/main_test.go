@@ -313,58 +313,3 @@ func TestDeterministicAccountingPinnedAcrossTopologies(t *testing.T) {
 		}
 	}
 }
-
-// TestBenchCompare pins the -bench-compare surface: per-metric deltas,
-// new/dropped metric flags, a num_cpu mismatch warning, and the warn-only
-// contract (regressions never fail the run; only unreadable input does).
-func TestBenchCompare(t *testing.T) {
-	dir := t.TempDir()
-	writeSnap := func(name, body string) string {
-		t.Helper()
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	oldPath := writeSnap("old.json", `{
-		"pr": "8", "goos": "linux", "goarch": "amd64", "num_cpu": 1,
-		"metrics": [
-			{"name": "usage-sample-sharded-k1", "ns_per_op": 13000000, "unit": "ns/op"},
-			{"name": "retired-metric", "ns_per_op": 42, "unit": "ns/op"}
-		]}`)
-	newPath := writeSnap("new.json", `{
-		"pr": "9", "goos": "linux", "goarch": "amd64", "num_cpu": 4,
-		"metrics": [
-			{"name": "usage-sample-sharded-k1", "ns_per_op": 26000000, "unit": "ns/op"},
-			{"name": "usage-sample-incremental-k1", "ns_per_op": 9000, "unit": "ns/op"}
-		]}`)
-
-	var out bytes.Buffer
-	if err := run([]string{"-bench-compare", oldPath + "," + newPath}, &out); err != nil {
-		t.Fatalf("bench-compare is warn-only but returned %v", err)
-	}
-	text := out.String()
-	for _, want := range []string{
-		"PR 8",
-		"PR 9",
-		"num_cpu differs (1 → 4)",
-		"usage-sample-sharded-k1",
-		"+100.0%",
-		"usage-sample-incremental-k1",
-		"(new metric)",
-		"retired-metric",
-		"dropped",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("bench-compare output missing %q:\n%s", want, text)
-		}
-	}
-
-	if err := run([]string{"-bench-compare", oldPath}, &out); err == nil {
-		t.Fatal("single-file -bench-compare did not error")
-	}
-	if err := run([]string{"-bench-compare", oldPath + "," + filepath.Join(dir, "missing.json")}, &out); err == nil {
-		t.Fatal("unreadable snapshot did not error")
-	}
-}

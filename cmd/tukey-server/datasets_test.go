@@ -83,10 +83,10 @@ func TestReplicationAndStagingInProcess(t *testing.T) {
 }
 
 // TestStageAcrossSubprocessSite is the data plane's multi-process smoke
-// test (CI runs it under -race next to TestCloudSiteSubprocess): a real
-// cloud-site OS process serves its dataset store with -operator-secret,
-// tukey-server attaches it, and a console stage call moves a dataset
-// across the process boundary — authenticated puts only.
+// test, the companion of TestCloudSiteSubprocess: a real cloud-site OS
+// process serves its dataset store with -operator-secret, tukey-server
+// attaches it, and a console stage call moves a dataset across the
+// process boundary — authenticated puts only.
 func TestStageAcrossSubprocessSite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns a subprocess and builds a binary")

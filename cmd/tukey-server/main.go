@@ -374,17 +374,18 @@ func newServer(opt options) (*server, error) {
 	// The data plane: keep every catalog dataset at the target factor
 	// across the attached site stores, and expose placement + staging on
 	// the console.
+	replicationInterval := opt.replicationInterval
+	if replicationInterval <= 0 {
+		replicationInterval = 200 * time.Millisecond
+	}
 	if opt.replicationFactor > 0 {
-		interval := opt.replicationInterval
-		if interval <= 0 {
-			interval = 200 * time.Millisecond
-		}
+		// Built here because the console serves its placement; its wall
+		// loop starts below, once the driver has shared the engine.
 		f.StartReplication(core.ReplicationOptions{
-			Factor: opt.replicationFactor, Interval: interval,
-			Seed: opt.seed, Sites: dataSites,
+			Factor: opt.replicationFactor, Seed: opt.seed, Sites: dataSites,
 		})
 		log.Printf("replication coordinator: factor %d over %d site stores, round every %v",
-			opt.replicationFactor, len(dataSites), interval)
+			opt.replicationFactor, len(dataSites), replicationInterval)
 	}
 
 	s.console = &tukey.Console{MW: f.Tukey, Biller: f.Biller, Catalog: f.Catalog, UsageMon: f.UsageMon,
@@ -479,6 +480,12 @@ func newServer(opt options) (*server, error) {
 		} else {
 			s.driver = sim.StartDriver(f.Engine, opt.speedup, 5*time.Millisecond)
 		}
+	}
+	if f.Replication != nil {
+		// The round loop reads the engine clock from its own goroutine, so
+		// it starts only after the driver's Share (sim.Engine.Share must
+		// precede every goroutine that reaches the engine).
+		f.Replication.Start(replicationInterval)
 	}
 	if opt.clockSync > 0 && len(syncTargets) > 0 {
 		f.StartClockSync(opt.clockSync, syncTargets...)

@@ -20,9 +20,11 @@ import (
 // replicas sharing a tukey-state plane, fronted by the tukey-lb pool.
 // A researcher logs in through the balancer, their session is valid on
 // every replica, the per-user admission budget is shared (429s count
-// requests across replicas, not per replica), and killing the exact
-// replica the session is pinned to loses nothing — the next request
-// retries onto the survivor with the same token.
+// requests across replicas, not per replica), every binary in the
+// deployment (both replicas, the balancer, the state plane) answers a
+// gated /metrics scrape, and killing the exact replica the session is
+// pinned to loses nothing — the next request retries onto the survivor
+// with the same token.
 func TestMultiReplicaSmoke(t *testing.T) {
 	// One shared world: both clouds live behind cloudapi sites that every
 	// replica attaches by URL, so a VM launched through replica 1 is

@@ -243,12 +243,6 @@ func (b *Biller) accrueCores(user string, cores int) {
 	u.Samples++
 }
 
-// AccrueCoresSample credits one minute-sample of cores to user — the
-// poller's accrual path, exported so the perf snapshot suite
-// (internal/perf) can drive the sharded accumulators directly without
-// standing up a federation to poll.
-func (b *Biller) AccrueCoresSample(user string, cores int) { b.accrueCores(user, cores) }
-
 // accrueGB credits a daily storage sample to user.
 func (b *Biller) accrueGB(user string, bytes int64) {
 	sh := b.shardFor(user)

@@ -58,9 +58,9 @@ func both[T any](t *testing.T, what string, viaLocal, viaRemote func() (T, error
 // TestLocalRemoteParity drives every CloudAPI method through both backends
 // against the same seeded cloud, once per native dialect, and requires
 // identical observable results — the contract that makes the remote
-// topology a deployment choice instead of a behavior change. CI runs it
-// explicitly under -race: the Remote path crosses real HTTP server
-// goroutines on every call.
+// topology a deployment choice instead of a behavior change. Under -race
+// it is also a concurrency check: the Remote path crosses real HTTP
+// server goroutines on every call.
 func TestLocalRemoteParity(t *testing.T) {
 	for _, stack := range []string{"openstack", "eucalyptus"} {
 		t.Run(stack, func(t *testing.T) {

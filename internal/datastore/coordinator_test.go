@@ -85,6 +85,9 @@ func (rig *coordRig) replicaCount(dataset string) int {
 	return n
 }
 
+// TestCoordinatorReachesFactor is placement convergence: from masters on
+// one site the coordinator brings every dataset to the factor, moving
+// exactly one copy of each and accounting every byte to a link.
 func TestCoordinatorReachesFactor(t *testing.T) {
 	rig := newCoordRig(t, 11)
 	c := NewCoordinator(rig.e, rig.nw, rig.cat, Options{Factor: 2, Seed: 11}, rig.a, rig.b, rig.c)

@@ -787,30 +787,6 @@ func (c *Cloud) RunningByUser() map[string][2]int {
 	return out
 }
 
-// RunningByUserScan recomputes the usage sample the pre-counter way: a
-// full walk over every instance record in every bucket. It exists as the
-// ground truth the storm test recounts against (counters ≡ scan at every
-// join point) and as the baseline body behind the usage-sample-sharded
-// benchmarks, so the perf trajectory keeps its pre-incremental numbers
-// comparable across snapshots.
-func (c *Cloud) RunningByUserScan() map[string][2]int {
-	t := c.topo.Load()
-	out := make(map[string][2]int)
-	for _, sh := range t.sh {
-		sh.mu.Lock()
-		for _, i := range sh.inst {
-			if i.State == StateActive || i.State == StateBuild {
-				v := out[i.User]
-				v[0]++
-				v[1] += i.Flavor.VCPUs
-				out[i.User] = v
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return out
-}
-
 // UsageRev returns the cloud's current usage revision: a counter bumped,
 // under the owning bucket's lock, by every footprint change. Equal revs
 // imply identical usage snapshots; the converse does not hold (a bump

@@ -13,6 +13,27 @@ import (
 	"testing"
 )
 
+// RunningByUserScan recomputes the usage sample by a full walk over every
+// instance record in every bucket: the ground truth RunningByUser's
+// per-user counters are recounted against.
+func (c *Cloud) RunningByUserScan() map[string][2]int {
+	t := c.topo.Load()
+	out := make(map[string][2]int)
+	for _, sh := range t.sh {
+		sh.mu.Lock()
+		for _, i := range sh.inst {
+			if i.State == StateActive || i.State == StateBuild {
+				v := out[i.User]
+				v[0]++
+				v[1] += i.Flavor.VCPUs
+				out[i.User] = v
+			}
+		}
+		sh.mu.Unlock()
+	}
+	return out
+}
+
 // assertCountersMatchScan requires the counter merge and the full-walk
 // recount to agree exactly.
 func assertCountersMatchScan(t *testing.T, c *Cloud, when string) {
@@ -204,6 +225,51 @@ func TestInstancesCostIndependentOfHistory(t *testing.T) {
 	}
 	if n, v := allocs("newcomer"), allocs("veteran"); n != v {
 		t.Fatalf("Instances allocates %.0f times for a fresh user but %.0f behind a 4096-record history", n, v)
+	}
+}
+
+// TestRunningByUserCostIndependentOfPopulation: the usage sample merges
+// the per-user accounts, so it pays for the users, not for the instances
+// behind them — the same two tenants cost the same over 1 000 and over
+// 20 000 records, and the answer survives taking the records away.
+func TestRunningByUserCostIndependentOfPopulation(t *testing.T) {
+	grid := func(pop int) *Cloud {
+		const hostCores = 512
+		_, c := shardedCloud(8)
+		for i := 0; i*hostCores < pop; i++ {
+			c.AddHost(NewHost(fmt.Sprintf("grid-%02d", i), hostCores, hostCores*4096, hostCores*100))
+		}
+		c.SetQuota("grid", Quota{MaxInstances: pop, MaxCores: pop})
+		for i := 0; i < pop; i++ {
+			if _, err := c.Launch("grid", fmt.Sprintf("bg%05d", i), "m1.small", ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 2; i++ {
+			if _, err := c.Launch("alice", fmt.Sprintf("vm%d", i), "m1.small", ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return c
+	}
+	small, large := grid(1000), grid(20000)
+	allocs := func(c *Cloud) float64 {
+		return testing.AllocsPerRun(100, func() { _ = c.RunningByUser() })
+	}
+	if s, l := allocs(small), allocs(large); s != l {
+		t.Fatalf("RunningByUser allocates %.0f times over 1000 instances but %.0f over 20000", s, l)
+	}
+	want := map[string][2]int{"grid": {20000, 20000}, "alice": {2, 2}}
+	if got := large.RunningByUser(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("RunningByUser = %v, want %v", got, want)
+	}
+	for _, sh := range large.topo.Load().sh {
+		sh.mu.Lock()
+		sh.inst = nil
+		sh.mu.Unlock()
+	}
+	if got := large.RunningByUser(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("RunningByUser read the instance records: without them it answers %v, want %v", got, want)
 	}
 }
 

@@ -5,7 +5,7 @@
 // over SSE on the simulation's virtual clock.
 //
 // The registry exists because every scale claim so far is proven post-hoc
-// — scenario goldens and BENCH snapshots — while a running federation
+// — scenario goldens and benchmark runs — while a running federation
 // shows operators only point-in-time JSON. Counters and histograms ride
 // the hot paths (console requests, lb retries, engine dispatch), so the
 // increment path is a single atomic add: no locks, no allocations, no
@@ -197,10 +197,12 @@ func escapeLabel(v string) string {
 	return r.Replace(v)
 }
 
-// register finds or creates the (family, series) slot, panicking on a
-// type mismatch: metric names are programmer-chosen identifiers and a
-// collision between types is always a bug.
-func (r *Registry) register(name, help, typ string, labels []Label) (*family, *series, bool) {
+// register finds or creates the series slot, panicking on a type
+// mismatch: metric names are programmer-chosen identifiers and a
+// collision between types is always a bug. A fresh series is filled by
+// init before it becomes visible, under the lock a render takes to copy
+// the series list, so no render sees it half-built.
+func (r *Registry) register(name, help, typ string, labels []Label, init func(*series)) (*series, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f := r.families[name]
@@ -216,19 +218,17 @@ func (r *Registry) register(name, help, typ string, labels []Label) (*family, *s
 	}
 	key := labelBlock(labels, "")
 	if s, ok := f.series[key]; ok {
-		return f, s, false
+		return s, false
 	}
 	s := &series{labels: key}
+	init(s)
 	f.series[key] = s
-	return f, s, true
+	return s, true
 }
 
 // Counter registers (or finds) a counter series and returns its handle.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	_, s, fresh := r.register(name, help, "counter", labels)
-	if fresh {
-		s.ctr = &Counter{}
-	}
+	s, _ := r.register(name, help, "counter", labels, func(s *series) { s.ctr = &Counter{} })
 	if s.ctr == nil {
 		panic("telemetry: " + name + " is not a plain counter series")
 	}
@@ -237,10 +237,7 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 
 // Gauge registers (or finds) a gauge series and returns its handle.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	_, s, fresh := r.register(name, help, "gauge", labels)
-	if fresh {
-		s.gauge = &Gauge{}
-	}
+	s, _ := r.register(name, help, "gauge", labels, func(s *series) { s.gauge = &Gauge{} })
 	if s.gauge == nil {
 		panic("telemetry: " + name + " is not a plain gauge series")
 	}
@@ -251,28 +248,25 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 // render time — the bridge to counters that already exist elsewhere
 // (engine fired counts, biller poll errors) without double accounting.
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
-	_, s, fresh := r.register(name, help, "counter", labels)
+	s, fresh := r.register(name, help, "counter", labels, func(s *series) { s.fn = fn })
 	if !fresh {
 		panic("telemetry: duplicate series " + name + s.labels)
 	}
-	s.fn = fn
 }
 
 // GaugeFunc registers a gauge series read from fn at render time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	_, s, fresh := r.register(name, help, "gauge", labels)
+	s, fresh := r.register(name, help, "gauge", labels, func(s *series) { s.fn = fn })
 	if !fresh {
 		panic("telemetry: duplicate series " + name + s.labels)
 	}
-	s.fn = fn
 }
 
 // Histogram registers (or finds) a fixed-bucket histogram series.
 func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Label) *Histogram {
-	_, s, fresh := r.register(name, help, "histogram", labels)
-	if fresh {
+	s, _ := r.register(name, help, "histogram", labels, func(s *series) {
 		s.hist = &Histogram{bounds: append([]float64(nil), buckets...), counts: make([]atomic.Uint64, len(buckets)+1)}
-	}
+	})
 	if s.hist == nil {
 		panic("telemetry: " + name + " is not a histogram series")
 	}

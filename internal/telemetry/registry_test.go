@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -195,8 +196,26 @@ func TestServeMetricsGate(t *testing.T) {
 	}
 }
 
-// BenchmarkCounterInc is the registry hot path the BENCH snapshots track:
-// one atomic add, zero allocations.
+// TestCounterIncAllocs gates the registry hot path: counters sit on every
+// instrumented console request, so an increment is one atomic add and
+// never allocates.
+func TestCounterIncAllocs(t *testing.T) {
+	c := NewRegistry().Counter("bench_total", "bench", Label{"route", "GET /bench"})
+	if a := testing.AllocsPerRun(1000, c.Inc); a != 0 {
+		t.Fatalf("Counter.Inc allocates %.0f times per call, want 0", a)
+	}
+}
+
+// TestHistogramObserveAllocs gates the latency-observation path the same
+// way: one bucket walk plus three atomics, no allocation.
+func TestHistogramObserveAllocs(t *testing.T) {
+	h := NewRegistry().Histogram("bench_seconds", "bench", LatencyBuckets)
+	if a := testing.AllocsPerRun(1000, func() { h.Observe(0.003) }); a != 0 {
+		t.Fatalf("Histogram.Observe allocates %.0f times per call, want 0", a)
+	}
+}
+
+// BenchmarkCounterInc times the registry hot path: one atomic add.
 func BenchmarkCounterInc(b *testing.B) {
 	reg := NewRegistry()
 	c := reg.Counter("bench_total", "bench", Label{"route", "GET /bench"})
@@ -218,12 +237,29 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	}
 }
 
+// BenchmarkSnapshot200Series measures one Snapshot() sweep over a
+// 200-series registry — the cold path the streamer walks once per frame
+// and the exposition handler walks once per scrape.
+func BenchmarkSnapshot200Series(b *testing.B) {
+	reg := NewRegistry()
+	for i := 0; i < 200; i++ {
+		reg.Counter(fmt.Sprintf("bench_series_%03d_total", i), "bench",
+			Label{"shard", strconv.Itoa(i % 8)}).Add(int64(i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = reg.Snapshot()
+	}
+}
+
 // TestConcurrentRegisterAndRender pins the registry's central concurrency
 // contract: lazy registration (console routes instrumented on the first
 // request) may race a render (/metrics scrape, Streamer tick) without the
 // renderer iterating a family map another goroutine is growing — which
 // would be an unrecoverable runtime throw, not just a flaky value. Run
-// with -race this also proves the snapshot path takes the lock.
+// with -race this also proves the snapshot path takes the lock and that a
+// series only becomes visible to it once its handle is set.
 func TestConcurrentRegisterAndRender(t *testing.T) {
 	reg := NewRegistry()
 	done := make(chan struct{})

@@ -19,7 +19,7 @@ import (
 // same -session-file keeps every live session valid — the ROADMAP's "a
 // restart logs everyone out" limitation, lifted.
 //
-// The log replaces the v1 whole-file rewrite: with sliding-TTL refresh
+// It is a log, not a whole-file snapshot, because with sliding-TTL refresh
 // every console request may touch the store, and rewriting the entire
 // session map per touch is O(sessions) work and an fsync on the hot path.
 // An append is O(1) regardless of how many sessions are live. The file
@@ -46,18 +46,11 @@ type FileSessionStore struct {
 	f       *os.File // lazily opened O_APPEND handle
 }
 
-// logVersion is the append-log format version (v1 was the whole-file
-// snapshot; loading still migrates it).
+// logVersion is the append-log format version; a file whose first line
+// is not a header carrying it is refused.
 const logVersion = 2
 
-// fileSessionWire is the v1 on-disk form, kept for migration: a file that
-// parses as one JSON object with version 1 is an old snapshot.
-type fileSessionWire struct {
-	Version  int                `json:"version"`
-	Sessions map[string]Session `json:"sessions"`
-}
-
-// logHeader is the first line of a v2 log.
+// logHeader is the first line of the log.
 type logHeader struct {
 	Version int `json:"version"`
 }
@@ -92,26 +85,16 @@ func NewFileSessionStore(path string) (*FileSessionStore, error) {
 	return s, nil
 }
 
-// load parses raw as a v2 append log, falling back to the v1 snapshot form
-// for migration. Any line that does not parse marks the file corrupt: a
-// torn final append would also fail here, but the store never syncs a
-// partial line (records are written whole), so a torn line means foreign
-// writes, and silently dropping it could resurrect a deleted session.
+// load parses raw as an append log: the version header, then one record
+// per line (a header alone is a valid empty store). Anything else marks
+// the file corrupt and the caller leaves it untouched — a file without
+// the header is not ours to rewrite. A torn final append would also fail
+// here, but the store never syncs a partial line (records are written
+// whole), so a torn line means foreign writes, and silently dropping it
+// could resurrect a deleted session.
 func (s *FileSessionStore) load(raw []byte) error {
 	corrupt := func(err error) error {
 		return fmt.Errorf("tukey: session file %s is corrupt: %w", s.path, err)
-	}
-	// v1 files are a single JSON object; try that form first.
-	var wire fileSessionWire
-	if err := json.Unmarshal(raw, &wire); err == nil {
-		if wire.Version <= 1 {
-			if wire.Sessions != nil {
-				s.m = wire.Sessions
-			}
-			return nil
-		}
-		// A bare v2 header with no records (valid empty log).
-		return nil
 	}
 	sc := bufio.NewScanner(bytes.NewReader(raw))
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)

@@ -91,6 +91,50 @@ func TestFileSessionStoreCorruptFile(t *testing.T) {
 	}
 }
 
+// TestFileStoreHeaderCheck: every file goes through the one header check.
+// Only a log that opens with the current version header loads (a header
+// alone is an empty store); anything else — the retired whole-file
+// snapshot form, somebody else's JSON, a future version — is refused as
+// corrupt and left byte for byte as it was found, never compacted over.
+func TestFileStoreHeaderCheck(t *testing.T) {
+	for _, tc := range []struct {
+		name, content string
+		corrupt       bool
+	}{
+		{"v1 snapshot", `{"version":1,"sessions":{"tukey-sess-000001":{"Identity":{"Provider":"shibboleth","Identifier":"alice@uchicago.edu"},"Expires":"0001-01-01T00:00:00Z"}}}`, true},
+		{"foreign JSON object", `{"name":"not a session file","version":7,"port":8080}`, true},
+		{"header only", "{\"version\":2}\n", false},
+		{"future version", "{\"version\":3}\n", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "sessions.json")
+			if err := os.WriteFile(path, []byte(tc.content), 0o600); err != nil {
+				t.Fatal(err)
+			}
+			s, err := NewFileSessionStore(path)
+			if !tc.corrupt {
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n := s.Count(); n != 0 {
+					t.Fatalf("header-only log holds %d sessions, want 0", n)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), "corrupt") {
+				t.Fatalf("error = %v, want corrupt", err)
+			}
+			after, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(after) != tc.content {
+				t.Fatalf("refused file was rewritten:\nbefore: %q\nafter : %q", tc.content, after)
+			}
+		})
+	}
+}
+
 // TestFileSessionStoreNoTempLitter: the atomic-rename dance leaves no temp
 // files behind.
 func TestFileSessionStoreNoTempLitter(t *testing.T) {

@@ -197,33 +197,6 @@ func TestFileStoreCompactsOnLoad(t *testing.T) {
 	}
 }
 
-// TestFileStoreMigratesV1Snapshot: a file written by the v1 whole-snapshot
-// store loads cleanly and is rewritten as a v2 log.
-func TestFileStoreMigratesV1Snapshot(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sessions.json")
-	v1 := `{"version":1,"sessions":{"tukey-sess-000001":{"Identity":{"Provider":"shibboleth","Identifier":"alice@uchicago.edu"},"Expires":"0001-01-01T00:00:00Z"}}}`
-	if err := os.WriteFile(path, []byte(v1), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewFileSessionStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, ok := s.Get("tukey-sess-000001")
-	if !ok || sess.Identity.Identifier != "alice@uchicago.edu" {
-		t.Fatalf("v1 session not migrated: ok=%v sess=%v", ok, sess)
-	}
-	// The migrated file is now a v2 log: header line first.
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := strings.SplitN(string(raw), "\n", 2)[0]
-	if first != `{"version":2}` {
-		t.Fatalf("migrated file header = %q, want v2 log header", first)
-	}
-}
-
 // TestFileStoreExpireRecordReplays: an expiry sweep is one log record, and
 // replaying it on load reaps the same sessions.
 func TestFileStoreExpireRecordReplays(t *testing.T) {
