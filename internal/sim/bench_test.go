@@ -168,3 +168,24 @@ func runSameTick(b *testing.B, e *Engine, drain func(*Engine)) {
 		drain(e)
 	}
 }
+
+// BenchmarkSameTickRearm is the tick the other way round: 1024 pooled
+// timers aligned on one instant, each re-arming itself one period ahead
+// from its callback — the heartbeat shape. The re-arms arrive back to back
+// for the same instant, so they ride the heap as one run and a tick costs
+// one sift each way instead of one per timer.
+func BenchmarkSameTickRearm(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine(2012)
+	e.Share()
+	const width = 1024
+	for i := 0; i < width; i++ {
+		var tm *Timer
+		tm = NewTimer(e, func() { tm.Reset(1) })
+		tm.ResetAt(1)
+	}
+	b.ResetTimer()
+	for tick := Time(1); e.Fired() < uint64(b.N); tick++ {
+		e.RunUntil(tick)
+	}
+}

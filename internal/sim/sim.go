@@ -28,6 +28,23 @@
 // of the same tick prevents it from firing; Halt() mid-batch pushes the
 // unfired remainder back onto the queue.
 //
+// # Run coalescing
+//
+// The schedule side batches too. The engine remembers the heap entry its
+// most recent schedule created (the tail); a schedule due at exactly that
+// entry's instant joins the entry's run — a pooled slice of {seq, callback}
+// found through one map lookup per run — instead of the heap. The entry
+// itself stays 24 bytes: a nil callback marks a run head, keyed by its
+// first seq. A tick of N timers re-arming back to back for one instant
+// therefore costs one sift in and one out, not N. Dispatch order is still
+// exactly (at, seq): a run grows only while it is the tail, and seqs are
+// issued in schedule order under the same lock, so the seq ranges of two
+// entries of one instant never interleave, and heap order on (at, first
+// seq) followed by in-run order is (at, seq) order. Anything that moves
+// heap entries other than a push — pop, compaction — invalidates the tail,
+// and so does the requeue after Halt, which re-inserts old seqs that a new
+// schedule must not be appended to.
+//
 // For schedule/cancel-heavy hot paths, Timer (NewTimer/Reset) reschedules
 // a pre-allocated callback with zero steady-state allocations — the
 // pooled-payload discipline the churn benchmarks measure.
@@ -49,6 +66,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -94,10 +112,24 @@ func (t Time) String() string {
 // AsWall converts virtual seconds to a time.Duration for reporting.
 func (t Time) AsWall() time.Duration { return time.Duration(float64(t) * float64(time.Second)) }
 
-// event is one scheduled callback, stored by value in the heap slice.
+// event is one heap entry, stored by value in the heap slice: a scheduled
+// callback, or — when fire is nil — the head of a run, whose events wait in
+// e.runs[seq] (see "Run coalescing").
 type event struct {
 	at   Time
-	seq  uint64 // tie-break: FIFO among equal timestamps; unique per event
+	seq  uint64 // tie-break: FIFO among equal timestamps; a run's first seq
+	fire func()
+}
+
+// run holds the events of one coalesced heap entry in seq order.
+// members[:next] are gone already: taken by Step or reaped as tombstones.
+type run struct {
+	members []runMember
+	next    int
+}
+
+type runMember struct {
+	seq  uint64
 	fire func()
 }
 
@@ -166,6 +198,16 @@ type Engine struct {
 	// queue is a 4-ary min-heap ordered by (at, seq): children of node i
 	// live at 4i+1..4i+4.
 	queue []event
+	// queued counts the events in queue and runs, tombstoned ones included.
+	queued int
+	// runs maps a run head's seq to its members; freeRuns pools emptied ones.
+	runs     map[uint64]*run
+	freeRuns []*run
+	// tail is the heap index of the entry the most recent schedule created,
+	// or -1 once anything but a push has moved heap entries; tailRun is its
+	// run while that entry is a run head.
+	tail    int
+	tailRun *run
 	// cancelled holds seqs awaiting reclaim; entries are deleted as their
 	// events are skipped on pop or swept by compaction, so the map stays
 	// bounded by the compaction threshold, not by cancel traffic. Its
@@ -188,12 +230,15 @@ type Engine struct {
 	// cancellation carry dead=1, so Pending can count the unfired
 	// remainder from any goroutine via the atomic dead words alone.
 	batch []batchEntry
+	// batchProbes counts the batch entries cancelInBatch has examined: what
+	// its cost gate in the tests reads in place of a wall clock.
+	batchProbes int
 }
 
 // NewEngine returns an engine with its clock at zero and a deterministic RNG
 // seeded with seed.
 func NewEngine(seed uint64) *Engine {
-	return &Engine{rng: NewRNG(seed)}
+	return &Engine{rng: NewRNG(seed), tail: -1}
 }
 
 // Share switches the engine into shared (locked) mode. It must be called
@@ -266,7 +311,8 @@ func (e *Engine) RandExp(mean float64) float64 {
 // Fired returns the number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired.Load() }
 
-// Pending returns the number of live (non-cancelled) events still queued,
+// Pending returns the number of live (non-cancelled) events still queued
+// — events, not heap entries: every member of a coalesced run counts —
 // including events drained into the current dispatch batch but not yet
 // fired. The count is exact except after Cancel calls on already-fired
 // events (a documented no-op): each leaves a stale tombstone that
@@ -274,7 +320,7 @@ func (e *Engine) Fired() uint64 { return e.fired.Load() }
 func (e *Engine) Pending() int {
 	e.lock()
 	defer e.unlock()
-	n := len(e.queue) - len(e.cancelled)
+	n := e.queued - len(e.cancelled)
 	for i := range e.batch {
 		if atomic.LoadUint32(&e.batch[i].dead) == 0 {
 			n++
@@ -312,15 +358,49 @@ func (e *Engine) At(t Time, fire func()) Handle {
 	return e.at(t, fire)
 }
 
-// at is At with the lock already held.
+// at is At with the lock already held. A schedule due at exactly the
+// instant of the entry the previous schedule created joins that entry's
+// run instead of the heap.
 func (e *Engine) at(t Time, fire func()) Handle {
+	if fire == nil {
+		panic("sim: nil callback")
+	}
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling into the past: at=%v now=%v", t, e.now))
 	}
 	seq := e.seq
 	e.seq++
-	e.push(event{at: t, seq: seq, fire: fire})
+	e.queued++
+	if e.tail < 0 || e.queue[e.tail].at != t {
+		e.push(event{at: t, seq: seq, fire: fire})
+		return Handle{e: e, seq: seq}
+	}
+	if head := &e.queue[e.tail]; head.fire != nil {
+		// Second event of the instant: the entry becomes a run head.
+		var r *run
+		if n := len(e.freeRuns); n > 0 {
+			r, e.freeRuns = e.freeRuns[n-1], e.freeRuns[:n-1]
+		} else {
+			r = &run{}
+		}
+		r.members = append(r.members, runMember{head.seq, head.fire})
+		if e.runs == nil {
+			e.runs = make(map[uint64]*run)
+		}
+		e.runs[head.seq] = r
+		head.fire, e.tailRun = nil, r
+	}
+	e.tailRun.members = append(e.tailRun.members, runMember{seq, fire})
 	return Handle{e: e, seq: seq}
+}
+
+// dropRun forgets the run of the heap entry keyed seq, releasing its
+// closures and pooling its slice.
+func (e *Engine) dropRun(seq uint64, r *run) {
+	delete(e.runs, seq)
+	clear(r.members)
+	r.members, r.next = r.members[:0], 0
+	e.freeRuns = append(e.freeRuns, r)
 }
 
 // After schedules fire to run d seconds from now. Negative d panics.
@@ -404,30 +484,68 @@ func (e *Engine) Halt() { e.halted = true }
 func (e *Engine) takeNext(deadline Time, clamp bool) func() {
 	e.lock()
 	defer e.unlock()
+	top, r := e.liveTop()
+	if top == nil || top.at > deadline {
+		if clamp && e.now < deadline {
+			e.now = deadline
+		}
+		return nil
+	}
+	if top.at < e.now {
+		panic("sim: event queue time went backwards")
+	}
+	e.now = top.at
+	fire := top.fire
+	if r != nil {
+		// One event off the run; the rest stay, keyed by its first seq.
+		m := &r.members[r.next]
+		fire, m.fire = m.fire, nil
+		r.next++
+	}
+	if r == nil || r.next == len(r.members) {
+		e.pop()
+	}
+	e.queued--
+	e.fired.Add(1)
+	return fire
+}
+
+// reap reports whether seq is tombstoned, consuming the tombstone.
+func (e *Engine) reap(seq uint64) bool {
+	if len(e.cancelled) == 0 {
+		return false
+	}
+	_, dead := e.cancelled[seq]
+	if dead {
+		delete(e.cancelled, seq)
+		e.queued--
+	}
+	return dead
+}
+
+// liveTop discards tombstoned events from the front of the queue and
+// returns the heap entry holding the earliest live one, or nil when none
+// is queued. For a run head it also returns the run, whose
+// members[next] is that event. Lock held.
+func (e *Engine) liveTop() (*event, *run) {
 	for len(e.queue) > 0 {
-		top := e.queue[0]
-		if len(e.cancelled) > 0 {
-			if _, dead := e.cancelled[top.seq]; dead {
-				delete(e.cancelled, top.seq)
-				e.pop()
-				continue
+		top := &e.queue[0]
+		if top.fire != nil {
+			if !e.reap(top.seq) {
+				return top, nil
+			}
+		} else {
+			r := e.runs[top.seq]
+			for r.next < len(r.members) && e.reap(r.members[r.next].seq) {
+				r.next++
+			}
+			if r.next < len(r.members) {
+				return top, r
 			}
 		}
-		if top.at > deadline {
-			break
-		}
-		if top.at < e.now {
-			panic("sim: event queue time went backwards")
-		}
 		e.pop()
-		e.now = top.at
-		e.fired.Add(1)
-		return top.fire
 	}
-	if clamp && e.now < deadline {
-		e.now = deadline
-	}
-	return nil
+	return nil, nil
 }
 
 // takeBatch drains every live event sharing the earliest due timestamp ≤
@@ -445,14 +563,10 @@ func (e *Engine) takeBatch(deadline Time, clamp bool) int {
 	}
 	e.batch = e.batch[:0]
 	var at Time
-	for len(e.queue) > 0 {
-		top := &e.queue[0]
-		if len(e.cancelled) > 0 {
-			if _, dead := e.cancelled[top.seq]; dead {
-				delete(e.cancelled, top.seq)
-				e.pop()
-				continue
-			}
+	for {
+		top, r := e.liveTop()
+		if top == nil {
+			break
 		}
 		if len(e.batch) == 0 {
 			if top.at > deadline {
@@ -465,8 +579,19 @@ func (e *Engine) takeBatch(deadline Time, clamp bool) int {
 		} else if top.at != at {
 			break
 		}
-		ev := e.pop()
-		e.batch = append(e.batch, batchEntry{seq: ev.seq, fire: ev.fire})
+		if r == nil {
+			e.batch = append(e.batch, batchEntry{seq: top.seq, fire: top.fire})
+			e.queued--
+		} else {
+			// A whole run for one sift: its members are already in seq order.
+			for _, m := range r.members[r.next:] {
+				if !e.reap(m.seq) {
+					e.batch = append(e.batch, batchEntry{seq: m.seq, fire: m.fire})
+					e.queued--
+				}
+			}
+		}
+		e.pop()
 	}
 	if len(e.batch) == 0 {
 		if clamp && e.now < deadline {
@@ -475,6 +600,8 @@ func (e *Engine) takeBatch(deadline Time, clamp bool) int {
 		return 0
 	}
 	e.now = at
+	// A population re-arming into runs leaves its old heap array near empty.
+	e.shrinkQueue()
 	return len(e.batch)
 }
 
@@ -518,7 +645,10 @@ func (e *Engine) fireBatch() bool {
 // Pending and Cancel see them as ordinarily queued again. Their timestamps
 // equal the current clock and their seqs are preserved, so dispatch order
 // on resume is unchanged. Already-fired and cancelled entries fail the
-// claim CAS and are simply dropped.
+// claim CAS and are simply dropped. The pushes must leave no tail: these
+// seqs are older than those of events the batch scheduled for this same
+// instant, so a later schedule joining a requeued entry would fire ahead
+// of them.
 func (e *Engine) requeueBatch() {
 	e.lock()
 	defer e.unlock()
@@ -526,10 +656,12 @@ func (e *Engine) requeueBatch() {
 		ent := &e.batch[i]
 		if atomic.CompareAndSwapUint32(&ent.dead, 0, 1) {
 			e.push(event{at: e.now, seq: ent.seq, fire: ent.fire})
+			e.queued++
 		}
 		ent.fire = nil
 	}
 	e.batch = e.batch[:0]
+	e.tail = -1
 }
 
 // Step executes the single earliest pending event. It reports false when the
@@ -584,7 +716,7 @@ func (e *Engine) cancel(seq uint64) {
 	if e.cancelInBatch(seq) {
 		return
 	}
-	if len(e.queue) == 0 {
+	if e.queued == 0 {
 		// Nothing is pending, so this seq (and any lingering tombstone)
 		// can only refer to already-fired events.
 		clear(e.cancelled)
@@ -600,29 +732,48 @@ func (e *Engine) cancel(seq uint64) {
 	// len(cancelled) is an upper bound on dead queue entries: a Cancel
 	// after the event fired (a documented no-op) still adds a tombstone,
 	// which the next compaction drops.
-	if len(e.cancelled) > 64 && len(e.cancelled)*2 > len(e.queue) {
+	if len(e.cancelled) > 64 && len(e.cancelled)*2 > e.queued {
 		e.compact()
 	}
 }
 
 // compact rebuilds the heap without cancelled events, releasing their
 // closures and — when the live set is much smaller than the backing array —
-// the slice capacity too.
+// the slice capacity too. Runs are filtered in place: a run keeps its heap
+// entry, keyed by its first seq, even when that member is gone (the key
+// still sorts it before every later entry of its instant); a run left
+// empty is dropped.
 func (e *Engine) compact() {
 	live := e.queue[:0]
+	e.queued = 0
 	for _, ev := range e.queue {
-		if _, dead := e.cancelled[ev.seq]; !dead {
-			live = append(live, ev)
+		if ev.fire != nil {
+			if _, dead := e.cancelled[ev.seq]; !dead {
+				live = append(live, ev)
+				e.queued++
+			}
+			continue
 		}
+		r := e.runs[ev.seq]
+		kept := r.members[:0]
+		for _, m := range r.members[r.next:] {
+			if _, dead := e.cancelled[m.seq]; !dead {
+				kept = append(kept, m)
+			}
+		}
+		clear(r.members[len(kept):])
+		r.members, r.next = kept, 0
+		if len(kept) == 0 {
+			e.dropRun(ev.seq, r)
+			continue
+		}
+		live = append(live, ev)
+		e.queued += len(kept)
 	}
 	// Zero the tail so the dropped closures are collectable.
-	for i := len(live); i < len(e.queue); i++ {
-		e.queue[i] = event{}
-	}
-	if cap(e.queue) > 1024 && cap(e.queue) > 4*len(live) {
-		live = append(make([]event, 0, len(live)), live...)
-	}
-	e.queue = live
+	clear(e.queue[len(live):])
+	e.queue, e.tail = live, -1
+	e.shrinkQueue()
 	// Every tombstone is now either removed from the queue or was stale
 	// (its event had already fired); either way the map is done with it.
 	clear(e.cancelled)
@@ -641,17 +792,29 @@ func (e *Engine) compact() {
 // against the run loop decides whether the cancel lands — losing the race
 // means the event is firing right now, which is the documented fired-event
 // no-op (and must not leave a tombstone behind). Caller holds the engine
-// lock, which serializes this scan against batch resizing in takeBatch and
-// requeueBatch; entry seqs are immutable once appended and the dead words
-// are atomic, so racing the unlocked run loop is safe.
+// lock, which serializes this search against batch resizing in takeBatch
+// and requeueBatch; entry seqs are immutable once appended and the dead
+// words are atomic, so racing the unlocked run loop is safe. The batch was
+// drained in (at, seq) order at a single instant, so it is sorted by seq
+// and a cancel — hit or miss — costs O(log n), not a scan of the tick.
 func (e *Engine) cancelInBatch(seq uint64) bool {
-	for i := range e.batch {
-		if e.batch[i].seq == seq {
-			atomic.CompareAndSwapUint32(&e.batch[i].dead, 0, 1)
-			return true
-		}
+	i := sort.Search(len(e.batch), func(i int) bool {
+		e.batchProbes++
+		return e.batch[i].seq >= seq
+	})
+	if i == len(e.batch) || e.batch[i].seq != seq {
+		return false
 	}
-	return false
+	atomic.CompareAndSwapUint32(&e.batch[i].dead, 0, 1)
+	return true
+}
+
+// shrinkQueue hands the heap's backing array back once the entries left
+// fill under a quarter of it.
+func (e *Engine) shrinkQueue() {
+	if cap(e.queue) > 1024 && cap(e.queue) > 4*len(e.queue) {
+		e.queue = append(make([]event, 0, len(e.queue)), e.queue...)
+	}
 }
 
 // --- 4-ary value heap, ordered by (at, seq) ---
@@ -663,13 +826,18 @@ func lessEv(a, b *event) bool {
 	return a.seq < b.seq
 }
 
+// push adds ev to the heap and makes it the tail.
 func (e *Engine) push(ev event) {
 	e.queue = append(e.queue, ev)
-	e.up(len(e.queue) - 1)
+	e.tail = e.up(len(e.queue) - 1)
 }
 
-func (e *Engine) pop() event {
-	top := e.queue[0]
+// pop removes the top entry — with its run, which the caller has emptied
+// or copied out — and, since entries move, invalidates the tail.
+func (e *Engine) pop() {
+	if top := e.queue[0]; top.fire == nil {
+		e.dropRun(top.seq, e.runs[top.seq])
+	}
 	n := len(e.queue) - 1
 	e.queue[0] = e.queue[n]
 	e.queue[n] = event{}
@@ -677,15 +845,16 @@ func (e *Engine) pop() event {
 	if n > 1 {
 		e.down(0)
 	}
-	return top
+	e.tail = -1
 }
 
 // up and down sift by hole insertion rather than pairwise swaps: the moving
 // event rides in a temporary while displaced entries shift into the hole,
 // writing each slot once instead of three times per level. The element
 // layout produced is identical to a swap-based sift, so heap order (and
-// with it trace determinism) is unchanged.
-func (e *Engine) up(i int) {
+// with it trace determinism) is unchanged. up returns where the event came
+// to rest.
+func (e *Engine) up(i int) int {
 	ev := e.queue[i]
 	for i > 0 {
 		parent := (i - 1) / 4
@@ -696,6 +865,7 @@ func (e *Engine) up(i int) {
 		i = parent
 	}
 	e.queue[i] = ev
+	return i
 }
 
 func (e *Engine) down(i int) {
