@@ -54,7 +54,6 @@ import (
 
 	"osdc/internal/cloudapi"
 	"osdc/internal/core"
-	"osdc/internal/datastore"
 	"osdc/internal/sim"
 )
 
@@ -84,9 +83,9 @@ type cloudSite struct {
 }
 
 // newCloudSite builds the world and starts serving. It does not block.
-// The site wiring (listener, server, clock-mode selection) is exactly
-// cloudapi.StartSiteWithOptions — this binary only adds the process
-// boundary and the pull-mode coordinator poller.
+// The site is exactly what core.StartSite builds for the console's per-site
+// topologies — this binary only adds the process boundary and the
+// pull-mode coordinator poller.
 func newCloudSite(opt options) (*cloudSite, error) {
 	if opt.scale < 1 {
 		opt.scale = 4
@@ -94,37 +93,25 @@ func newCloudSite(opt options) (*cloudSite, error) {
 	if opt.clockTick <= 0 {
 		opt.clockTick = 50 * time.Millisecond
 	}
-	set := sim.NewShardSet(opt.seed, opt.shards)
-	e := set.Anchor()
-	c := core.BuildCloud(e, opt.cloud, opt.scale)
-	// The site's dataset store: its own volume on the private engine,
-	// served on /cloudapi/datasets so a console-side replication
-	// coordinator can place replicas here over the wire.
-	vol, err := core.BuildDatasetVolume(e, opt.cloud)
-	if err != nil {
-		return nil, fmt.Errorf("cloud-site: %w", err)
-	}
-	store := datastore.NewStore(opt.cloud, core.SiteOf(opt.cloud), vol)
-
+	// The site serves its dataset store on /cloudapi/datasets so a
+	// console-side replication coordinator can place replicas here over
+	// the wire.
 	siteOpts := cloudapi.SiteOptions{
 		Clock: cloudapi.ClockFreeRun, Speedup: opt.speedup, Addr: opt.addr,
-		Datasets: store, OperatorSecret: opt.operatorSecret,
-	}
-	if set.K() > 1 {
-		siteOpts.Set = set
+		OperatorSecret: opt.operatorSecret,
 	}
 	if opt.clockFollow != "" {
 		// Follow mode: speedup 0 = jump to each published target; the
 		// 2 ms default tick stays well under any sane sync interval.
 		siteOpts.Clock, siteOpts.Speedup = cloudapi.ClockFollow, 0
 	}
-	site, err := cloudapi.StartSiteWithOptions(e, c, siteOpts)
+	site, err := core.StartSite(opt.cloud, opt.seed, opt.scale, opt.shards, siteOpts)
 	if err != nil {
 		return nil, fmt.Errorf("cloud-site: %w", err)
 	}
 	s := &cloudSite{
-		engine: e, site: site, url: site.URL,
-		name: c.Name, stack: c.Stack, follower: site.Follower(),
+		engine: site.Engine, site: site, url: site.URL,
+		name: site.Cloud.Name, stack: site.Cloud.Stack, follower: site.Follower(),
 	}
 	if opt.clockFollow != "" && opt.clockFollow != "push" {
 		poll, err := clockPollURL(opt.clockFollow)

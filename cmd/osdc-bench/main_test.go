@@ -217,8 +217,10 @@ func TestListShowsParams(t *testing.T) {
 	if err := run([]string{"-list"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "users=8") {
-		t.Fatalf("-list does not show console-load params:\n%s", out.String())
+	for _, want := range []string{"users=8", "topology=0"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("-list does not show console-load param %s:\n%s", want, out.String())
+		}
 	}
 }
 
@@ -270,24 +272,21 @@ func TestShardedGoldensPinnedAtK1(t *testing.T) {
 }
 
 // TestDeterministicAccountingPinnedAcrossTopologies is the federated clock
-// plane's acceptance invariant, checked at the golden layer: console-load,
-// console-load-remote and console-load-remote-sync must agree on every
-// deterministic metric (request accounting, launches, dataset hits, usage
-// visibility). Topology markers and live- measurements are the only
-// permitted differences.
+// plane's acceptance invariant, checked on live runs: console-load in the
+// per-site topology (topology=1) and with followed clocks (topology=2)
+// must match the single-process golden on every deterministic metric
+// (request accounting, launches, dataset hits, usage visibility).
+// Topology markers and live- measurements are the only permitted
+// differences.
 func TestDeterministicAccountingPinnedAcrossTopologies(t *testing.T) {
 	topologyKeys := map[string]bool{"remote-topology": true, "clock-follow": true}
-	load := func(name string) map[string]float64 {
+	deterministic := func(raw []byte) map[string]float64 {
 		t.Helper()
-		raw, err := os.ReadFile(filepath.Join("testdata", name+".json"))
-		if err != nil {
-			t.Fatal(err)
-		}
 		var entries []struct {
 			Metrics map[string]float64 `json:"metrics"`
 		}
 		if err := json.Unmarshal(raw, &entries); err != nil || len(entries) != 1 {
-			t.Fatalf("golden %s: %v", name, err)
+			t.Fatalf("console-load JSON (%d entries): %v\n%s", len(entries), err, raw)
 		}
 		det := map[string]float64{}
 		for k, v := range entries[0].Metrics {
@@ -297,18 +296,26 @@ func TestDeterministicAccountingPinnedAcrossTopologies(t *testing.T) {
 		}
 		return det
 	}
-	base := load("console-load")
+	raw, err := os.ReadFile(filepath.Join("testdata", "console-load.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := deterministic(raw)
 	if base["requests-total"] == 0 {
 		t.Fatal("baseline golden has no request accounting")
 	}
-	for _, name := range []string{"console-load-remote", "console-load-remote-sync"} {
-		got := load(name)
+	for _, topology := range []string{"topology=1", "topology=2"} {
+		var out bytes.Buffer
+		if err := run([]string{"-exp", "console-load", "-seed", "7", "-param", topology, "-json"}, &out); err != nil {
+			t.Fatalf("run -param %s: %v", topology, err)
+		}
+		got := deterministic(out.Bytes())
 		if len(got) != len(base) {
-			t.Errorf("%s deterministic keys %d != baseline %d", name, len(got), len(base))
+			t.Errorf("%s deterministic keys %d != golden %d", topology, len(got), len(base))
 		}
 		for k, v := range base {
 			if gv, ok := got[k]; !ok || gv != v {
-				t.Errorf("%s: metric %s = %v, baseline %v", name, k, gv, v)
+				t.Errorf("%s: metric %s = %v, golden %v", topology, k, gv, v)
 			}
 		}
 	}

@@ -66,19 +66,16 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"net/http"
 	"strings"
 	"time"
 
 	"osdc/internal/cloudapi"
 	"osdc/internal/core"
-	"osdc/internal/datastore"
 	"osdc/internal/iaas"
 	"osdc/internal/sim"
 	"osdc/internal/telemetry"
 	"osdc/internal/tukey"
-	"osdc/internal/tukeystate"
 )
 
 // sitePair is one -site flag value: an externally running cloud-site to
@@ -151,10 +148,10 @@ type options struct {
 	streamPeriod float64
 }
 
-// server is the assembled service: the federation, its console handler,
-// the clock drivers keeping the simulation(s) live, and every listener to
-// shut down.
+// server is the assembled service: the running federation, its console
+// handler, and the replication, telemetry and stream loops wired on top.
 type server struct {
+	dep       *core.Deployment
 	fed       *core.Federation
 	console   *tukey.Console
 	handler   http.Handler     // console plus the /clock coordinator endpoint
@@ -163,22 +160,50 @@ type server struct {
 	metrics   *telemetry.Registry
 	collector *telemetry.Collector // cross-site scraper; nil without -telemetry-scrape
 	stream    *telemetry.Streamer
-	close     func() // shuts the native-API listeners down
 }
 
 // newServer builds the federation in the requested topology, enrolls the
-// demo researcher, and starts the clock source(s) and coordinator.
+// demo researcher, and wires sessions, the data plane and the telemetry
+// plane onto the running console.
 func newServer(opt options) (*server, error) {
-	f, err := core.New(core.Options{Seed: opt.seed, Scale: 4, Shards: opt.shards})
+	if opt.stateURL != "" && opt.sessionFile != "" {
+		return nil, errors.New("-state-url and -session-file are mutually exclusive: the state plane owns the sessions")
+	}
+	// -remote-clouds makes every in-process cloud its own site; with
+	// -clock-sync those sites follow the console's coordinator.
+	topology := core.SingleProcess
+	if opt.remoteClouds {
+		topology = core.PerSite
+		if opt.clockSync > 0 {
+			topology = core.FollowedClocks
+		}
+	}
+	sites := make([]core.ExternalSite, len(opt.sites))
+	for i, p := range opt.sites {
+		sites[i] = core.ExternalSite{Name: p.name, URL: p.url}
+	}
+	d, err := core.StartConsole(core.ConsoleConfig{
+		Seed: opt.seed, Scale: 4, Shards: opt.shards, Topology: topology, Sites: sites,
+		Speedup: opt.speedup, SyncInterval: opt.clockSync, SiteTimeout: opt.siteTimeout,
+		StateURL: opt.stateURL, Replica: opt.replica,
+		RateLimit: opt.rateLimit, RateBurst: opt.rateBurst, OperatorSecret: opt.operatorSecret,
+	})
 	if err != nil {
 		return nil, err
 	}
+	f := d.Fed
+	s := &server{dep: d, fed: f, console: d.Console, driver: d.Driver, sites: d.Sites}
+	for _, m := range d.Members {
+		log.Printf("cloud %s attached at %s", m.Name, m.URL)
+	}
+
 	if opt.sessionTTL > 0 {
 		f.Tukey.SetSessionTTL(opt.sessionTTL)
 	}
 	if opt.sessionFile != "" {
 		store, err := tukey.NewFileSessionStore(opt.sessionFile)
 		if err != nil {
+			s.Close()
 			return nil, err
 		}
 		f.Tukey.SetSessionStore(store)
@@ -187,221 +212,39 @@ func newServer(opt options) (*server, error) {
 		}
 	}
 	if opt.stateURL != "" {
-		if opt.sessionFile != "" {
-			return nil, errors.New("-state-url and -session-file are mutually exclusive: the state plane owns the sessions")
-		}
-		if opt.replica == "" {
-			return nil, errors.New("-state-url needs -replica: replicas sharing a store must mint distinct tokens")
-		}
-		f.Tukey.SetSessionStore(tukeystate.NewRemoteSessionStore(opt.stateURL, nil))
-		f.Tukey.SetTokenPrefix(opt.replica + "-")
 		log.Printf("replica %s: sessions and admission served by state plane at %s", opt.replica, opt.stateURL)
 	}
-	siteClient := &http.Client{Timeout: cloudapi.DefaultTimeout}
-	if opt.siteTimeout > 0 {
-		siteClient = &http.Client{Timeout: opt.siteTimeout}
-		f.Tukey.SetHTTPTimeout(opt.siteTimeout)
-	}
-
-	s := &server{fed: f, close: func() {}}
-	// apis reach each cloud's operator plane for quota administration.
-	apis := make(map[string]cloudapi.CloudAPI)
-	// pollAPIs is what billing/monitoring watch when any cloud is remote.
-	var pollAPIs []cloudapi.CloudAPI
-	// syncTargets are the followed clock planes the coordinator pushes to.
-	var syncTargets []cloudapi.ClockSyncTarget
-	// dataSites are the dataset planes the replication coordinator
-	// places replicas across; OSDC-Root always anchors the master copies.
-	dataSites := []datastore.API{f.Stores[core.ClusterRoot]}
-	// cloudServers are the in-process per-cloud HTTP servers, kept so the
-	// console can read their usage-cache counters directly.
-	cloudServers := map[string]*cloudapi.Server{}
-	// usageRemotes are the delta-capable usage clients whose cache health
-	// the telemetry plane reports.
-	var usageRemotes []*cloudapi.Remote
-	// members are every attached cloud's /metrics endpoint — what the
-	// cross-site collector scrapes.
-	var members []telemetry.Member
-
-	external := map[string]string{}
-	for _, p := range opt.sites {
-		external[p.name] = p.url
-	}
-	inProcess := make([]string, 0, 2)
-	for _, name := range []string{core.ClusterAdler, core.ClusterSullivan} {
-		if _, ok := external[name]; !ok {
-			inProcess = append(inProcess, name)
-		}
-	}
-
-	clockMode := cloudapi.ClockFreeRun
-	if opt.clockSync > 0 {
-		clockMode = cloudapi.ClockFollow
-	}
-
-	if opt.remoteClouds {
-		// Every in-process cloud becomes a site: own engine (offset seeds
-		// keep the worlds distinct), own clock source, own listener. The
-		// console-side services are rewired onto Remote transports — after
-		// this, a cloud is an address. In follow mode the site clock only
-		// moves when the coordinator pushes (speedup caps nothing: 0 =
-		// jump to each target).
-		speedup := opt.speedup
-		if clockMode == cloudapi.ClockFollow {
-			speedup = 0
-		}
-		sites, err := f.StartRemoteSitesWithOptions(core.RemoteSiteOptions{
-			Seed: opt.seed, Scale: 4, Speedup: speedup,
-			Clock: clockMode, Client: siteClient, Clouds: inProcess,
-			Datasets: true, OperatorSecret: opt.operatorSecret,
-			Shards: opt.shards,
-		})
-		if err != nil {
-			s.Close()
-			return nil, err
-		}
-		s.sites = sites
-		for _, site := range sites {
-			remote := site.RemoteWithClient(siteClient)
-			apis[site.Cloud.Name] = remote
-			pollAPIs = append(pollAPIs, remote)
-			cloudServers[site.Cloud.Name] = site.Server()
-			usageRemotes = append(usageRemotes, remote)
-			members = append(members, telemetry.Member{Name: site.Cloud.Name, URL: site.URL})
-			if clockMode == cloudapi.ClockFollow {
-				syncTargets = append(syncTargets, remote)
-			}
-			dataSites = append(dataSites, site.DatasetsRemote(siteClient))
-			log.Printf("cloud site %s (%s) on %s, private engine (%s clock)",
-				site.Cloud.Name, site.Cloud.Stack, site.URL, site.Mode)
-		}
-	} else {
-		for _, name := range inProcess {
-			c := f.Adler
-			if name == core.ClusterSullivan {
-				c = f.Sullivan
-			}
-			srv := cloudapi.NewServer(c)
-			// The shared federation engine is readable on each cloud's
-			// clock plane even in the single-process topology, and the
-			// cloud's dataset store is served on its datasets plane.
-			srv.Clock = cloudapi.EngineClock{E: f.Engine}
-			srv.Datasets = f.Stores[name]
-			srv.OperatorSecret = opt.operatorSecret
-			dataSites = append(dataSites, f.Stores[name])
-			ln, url, err := serve(srv)
-			if err != nil {
-				s.Close()
-				return nil, err
-			}
-			prev := s.close
-			s.close = func() { prev(); ln.Close() }
-			cloudServers[name] = srv
-			members = append(members, telemetry.Member{Name: name, URL: url})
-			f.Tukey.AttachCloud(tukey.CloudConfig{Name: c.Name, Stack: c.Stack, Endpoint: url})
-			api := f.AdlerAPI
-			if name == core.ClusterSullivan {
-				api = f.SullivanAPI
-			}
-			apis[name] = api
-			pollAPIs = append(pollAPIs, api)
-			log.Printf("cloud %s (%s) on %s, shared engine", c.Name, c.Stack, url)
-		}
-	}
-
-	// Externally running cloud-sites: probe each URL's discovery document,
-	// attach the Remote to the console, and fold it into polling and —
-	// when it follows — clock sync.
-	for _, p := range opt.sites {
-		remote, err := cloudapi.ProbeRemote(p.url, siteClient)
-		if err != nil {
-			s.Close()
-			return nil, err
-		}
-		if remote.Name() != p.name {
-			s.Close()
-			return nil, fmt.Errorf("site %s reports cloud %q, not %q", p.url, remote.Name(), p.name)
-		}
-		remote.SetOperatorSecret(opt.operatorSecret)
-		f.Tukey.AttachCloud(tukey.CloudConfig{API: remote})
-		if ds, err := datastore.ProbeRemote(p.url, siteClient); err == nil {
-			ds.SetOperatorSecret(opt.operatorSecret)
-			dataSites = append(dataSites, ds)
-		} else if opt.replicationFactor > 0 {
-			// With replication requested, silently skipping a site's data
-			// plane would under-place every dataset; fail loudly instead.
-			s.Close()
-			return nil, fmt.Errorf("site %s at %s: datasets plane unreadable with -replication-factor on: %w", p.name, p.url, err)
-		}
-		apis[p.name] = remote
-		pollAPIs = append(pollAPIs, remote)
-		usageRemotes = append(usageRemotes, remote)
-		members = append(members, telemetry.Member{Name: p.name, URL: p.url})
-		mode := "unknown"
-		st, clockErr := remote.Clock()
-		if clockErr == nil {
-			mode = st.Mode
-			if st.Mode == cloudapi.ClockFollow.String() && opt.clockSync > 0 {
-				syncTargets = append(syncTargets, remote)
-			}
-		} else if opt.clockSync > 0 {
-			// With clock sync requested, silently excluding a site from
-			// the coordinator would freeze its virtual clock forever (a
-			// follower with no pushes holds still). Fail loudly instead:
-			// the operator retries once the site answers its clock plane.
-			s.Close()
-			return nil, fmt.Errorf("site %s at %s: clock plane unreadable with -clock-sync on: %w", p.name, p.url, clockErr)
-		}
-		log.Printf("external cloud site %s (%s) attached at %s (%s clock)", p.name, remote.Stack(), p.url, mode)
-	}
-
-	// Rewire billing/monitoring when any cloud sits behind a transport the
-	// default federation wiring does not watch. In pure -remote-clouds
-	// mode StartRemoteSitesWithOptions already did this rewire; only
-	// external sites extend the poll set beyond it.
-	if len(opt.sites) > 0 {
-		f.UseCloudAPIs(pollAPIs...)
-	}
-
-	f.EnrollResearcher("demo", "demo-pw")
-	for _, api := range apis {
-		if err := api.SetQuota("demo", iaas.Quota{MaxInstances: 10, MaxCores: 64}); err != nil {
-			s.Close()
-			return nil, err
-		}
+	if err := d.Enroll("demo", "demo-pw", iaas.Quota{MaxInstances: 10, MaxCores: 64}); err != nil {
+		s.Close()
+		return nil, err
 	}
 
 	// The data plane: keep every catalog dataset at the target factor
 	// across the attached site stores, and expose placement + staging on
-	// the console.
-	replicationInterval := opt.replicationInterval
-	if replicationInterval <= 0 {
-		replicationInterval = 200 * time.Millisecond
-	}
+	// the console. The round loop starts at once: StartConsole's driver has
+	// already shared the engine it reads.
 	if opt.replicationFactor > 0 {
-		// Built here because the console serves its placement; its wall
-		// loop starts below, once the driver has shared the engine.
-		f.StartReplication(core.ReplicationOptions{
-			Factor: opt.replicationFactor, Seed: opt.seed, Sites: dataSites,
+		placed := map[string]bool{}
+		for _, ds := range d.DataSites {
+			placed[ds.Name()] = true
+		}
+		for _, p := range opt.sites {
+			if !placed[p.name] {
+				// Silently skipping a site's data plane would under-place
+				// every dataset; fail loudly instead.
+				s.Close()
+				return nil, fmt.Errorf("site %s at %s: datasets plane unreadable with -replication-factor on", p.name, p.url)
+			}
+		}
+		interval := opt.replicationInterval
+		if interval <= 0 {
+			interval = 200 * time.Millisecond
+		}
+		s.console.Replication = f.StartReplication(core.ReplicationOptions{
+			Factor: opt.replicationFactor, Seed: opt.seed, Sites: d.DataSites, Interval: interval,
 		})
 		log.Printf("replication coordinator: factor %d over %d site stores, round every %v",
-			opt.replicationFactor, len(dataSites), replicationInterval)
-	}
-
-	s.console = &tukey.Console{MW: f.Tukey, Biller: f.Biller, Catalog: f.Catalog, UsageMon: f.UsageMon,
-		Replication: f.Replication}
-	switch {
-	case opt.stateURL != "":
-		if opt.rateLimit > 0 {
-			return nil, errors.New("-rate-limit is configured on tukey-state, not the replica, when -state-url is set")
-		}
-		s.console.Limiter = tukeystate.NewRemoteLimiter(opt.stateURL, nil)
-	case opt.rateLimit > 0:
-		burst := opt.rateBurst
-		if burst <= 0 {
-			burst = 2 * opt.rateLimit
-		}
-		s.console.Limiter = tukey.NewRateLimiter(opt.rateLimit, burst)
+			opt.replicationFactor, len(d.DataSites), interval)
 	}
 
 	// --- telemetry plane: one registry fed by every in-process source,
@@ -411,19 +254,12 @@ func newServer(opt options) (*server, error) {
 	s.metrics = reg
 	f.RegisterTelemetry(reg)
 	s.console.RegisterMetrics(reg)
-	cloudapi.RegisterUsageDeltaClients(reg, usageRemotes...)
-	s.console.UsageCacheHits = func() map[string]int64 {
-		out := make(map[string]int64, len(cloudServers))
-		for name, srv := range cloudServers {
-			out[name] = srv.UsageCacheHits.Load()
-		}
-		return out
-	}
-	if opt.telemetryScrape > 0 && len(members) > 0 {
-		s.collector = telemetry.NewCollector(opt.operatorSecret, siteClient, members...)
+	cloudapi.RegisterUsageDeltaClients(reg, d.Remotes...)
+	if opt.telemetryScrape > 0 && len(d.Members) > 0 {
+		s.collector = telemetry.NewCollector(opt.operatorSecret, d.SiteClient, d.Members...)
 		s.collector.RegisterMetrics(reg)
 		s.collector.Start(opt.telemetryScrape)
-		log.Printf("telemetry collector: scraping %d member(s) every %v", len(members), opt.telemetryScrape)
+		log.Printf("telemetry collector: scraping %d member(s) every %v", len(d.Members), opt.telemetryScrape)
 	}
 	col := s.collector
 	s.stream = telemetry.NewStreamer(func() map[string]float64 {
@@ -470,47 +306,20 @@ func newServer(opt options) (*server, error) {
 		telemetry.ServeMetrics(opt.operatorSecret, reg, w, r)
 	})
 	s.handler = mux
-
-	if opt.speedup > 0 {
-		// A sharded kernel must advance every shard in lockstep — driving
-		// only the anchor would strand instances homed on other shards with
-		// frozen boot and stop timers.
-		if f.Set.K() > 1 {
-			s.driver = sim.StartShardDriver(f.Set, opt.speedup, 5*time.Millisecond)
-		} else {
-			s.driver = sim.StartDriver(f.Engine, opt.speedup, 5*time.Millisecond)
-		}
-	}
-	if f.Replication != nil {
-		// The round loop reads the engine clock from its own goroutine, so
-		// it starts only after the driver's Share (sim.Engine.Share must
-		// precede every goroutine that reaches the engine).
-		f.Replication.Start(replicationInterval)
-	}
-	if opt.clockSync > 0 && len(syncTargets) > 0 {
-		f.StartClockSync(opt.clockSync, syncTargets...)
-		s.console.ClockSync = f.ClockSync
-	}
 	return s, nil
 }
 
-// Close stops the coordinators, every clock source and every listener.
+// Close stops the replication, telemetry and stream loops, then the
+// federation: coordinator, clocks, sites and listeners.
 func (s *server) Close() {
 	s.fed.StopReplication()
-	s.fed.StopClockSync()
 	if s.collector != nil {
 		s.collector.Stop()
 	}
 	if s.stream != nil {
 		s.stream.Close()
 	}
-	if s.driver != nil {
-		s.driver.Stop()
-	}
-	for _, site := range s.sites {
-		site.Close()
-	}
-	s.close()
+	s.dep.Close()
 }
 
 func main() {
@@ -557,19 +366,4 @@ func main() {
 	log.Printf("Tukey console on %s (%s topology) — login with demo/demo-pw (shibboleth); clock at %gx",
 		*addr, topology, *speedup)
 	log.Fatal(http.ListenAndServe(*addr, s.handler))
-}
-
-// serve mounts a handler on an ephemeral loopback port and returns the
-// listener (for shutdown) and its URL.
-func serve(h http.Handler) (net.Listener, string, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, "", err
-	}
-	go func() {
-		if err := http.Serve(ln, h); err != nil {
-			log.Printf("backend server: %v", err)
-		}
-	}()
-	return ln, fmt.Sprintf("http://%s", ln.Addr()), nil
 }

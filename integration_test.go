@@ -90,11 +90,24 @@ func TestAllScenariosRunAndRender(t *testing.T) {
 		},
 	}
 
+	// console-knee's default sweep stands up nine federations; one grid
+	// point shows it runs and renders. The osdc-bench -json golden keeps
+	// the full sweep.
+	points := map[string]map[string]float64{
+		"console-knee": {"users": 128, "replicas": 2},
+	}
+
 	if len(scenario.Names()) < 11 {
 		t.Fatalf("registry holds %v, want the nine paper scenarios plus the new ones", scenario.Names())
 	}
 	for _, s := range scenario.All() {
 		t.Run(s.Name(), func(t *testing.T) {
+			if p, ok := points[s.Name()]; ok {
+				var err error
+				if s, err = s.(scenario.Parametric).With(p); err != nil {
+					t.Fatal(err)
+				}
+			}
 			r, err := s.Run(5)
 			if err != nil {
 				t.Fatal(err)

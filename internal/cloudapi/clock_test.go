@@ -42,7 +42,7 @@ func TestClockPlaneFreeRunSite(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer site.Close()
-	r := site.Remote()
+	r := site.RemoteWithClient(nil)
 
 	st, err := r.Clock()
 	if err != nil {
@@ -70,7 +70,7 @@ func TestClockPlaneFollowSite(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer site.Close()
-	r := site.Remote()
+	r := site.RemoteWithClient(nil)
 
 	if err := r.ClockSync(sim.Time(5 * sim.Minute)); err != nil {
 		t.Fatal(err)
@@ -162,7 +162,7 @@ func TestCoordinatorBoundsSkew(t *testing.T) {
 		}
 		defer site.Close()
 		sites = append(sites, site)
-		targets = append(targets, site.Remote())
+		targets = append(targets, site.RemoteWithClient(nil))
 	}
 
 	driver := sim.StartDriver(console, speedup, time.Millisecond)

@@ -144,12 +144,6 @@ func StartSiteWithOptions(e *sim.Engine, c *iaas.Cloud, opt SiteOptions) (*Site,
 	return s, nil
 }
 
-// Remote returns a client for this site, carrying the site's operator
-// secret when one is set.
-func (s *Site) Remote() *Remote {
-	return s.RemoteWithClient(nil)
-}
-
 // RemoteWithClient returns a client for this site using the given HTTP
 // client (nil for a private client with DefaultTimeout).
 func (s *Site) RemoteWithClient(client *http.Client) *Remote {

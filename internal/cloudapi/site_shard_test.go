@@ -25,7 +25,7 @@ func TestShardedSiteFollowMode(t *testing.T) {
 	if site.Set != set {
 		t.Fatal("site does not expose its shard set")
 	}
-	r := site.Remote()
+	r := site.RemoteWithClient(nil)
 
 	var ids []string
 	for _, user := range []string{"alice", "bob", "carol", "dave"} {

@@ -17,7 +17,6 @@ package core
 
 import (
 	"fmt"
-	"net/http"
 	"sort"
 	"strings"
 	"time"
@@ -69,8 +68,8 @@ type Federation struct {
 
 	// AdlerAPI and SullivanAPI are the transports the science-cloud
 	// services use to reach the clouds: Local wrappers in this
-	// single-process assembly, swappable for Remotes via UseCloudAPIs in
-	// the per-site topology.
+	// single-process assembly; StartConsole polls Remotes instead in the
+	// per-site topologies.
 	AdlerAPI    cloudapi.CloudAPI
 	SullivanAPI cloudapi.CloudAPI
 
@@ -104,8 +103,8 @@ type Federation struct {
 	OpenIDIdP *tukey.OpenIDIdP
 
 	// ClockSync is the clock coordinator keeping followed per-site engines
-	// within a bounded skew of the console engine; nil until StartClockSync
-	// (free-running remote sites never need one).
+	// within a bounded skew of the console engine; StartConsole starts it
+	// when some site follows (free-running sites never need one).
 	ClockSync *cloudapi.ClockCoordinator
 
 	// Stores are the per-site dataset stores, keyed by cluster name:
@@ -249,9 +248,9 @@ func (f *Federation) RunFor(d sim.Duration) sim.Time { return f.Set.RunFor(d) }
 // BuildCloud constructs one of the federation's utility clouds — racks,
 // images, stack dialect per Table 2 — standalone on the given engine. It is
 // the per-site building block: core.New uses it for the single-process
-// assembly, and the remote topologies (tukey-server -remote-clouds, the
-// console-load remote scenario) call it once per private engine to stand
-// each cloud up behind its own cloudapi.Server.
+// assembly, and StartConsole's per-site topologies and cmd/cloud-site call
+// it once per private engine to stand each cloud up behind its own
+// cloudapi.Server.
 func BuildCloud(e *sim.Engine, name string, scale int) *iaas.Cloud {
 	if scale < 1 {
 		scale = 1
@@ -275,102 +274,6 @@ func BuildCloud(e *sim.Engine, name string, scale int) *iaas.Cloud {
 	return c
 }
 
-// RemoteSiteOptions tune StartRemoteSitesWithOptions.
-type RemoteSiteOptions struct {
-	Seed  uint64
-	Scale int
-	// Speedup is simulated seconds per wall second for free-running site
-	// clocks; in follow mode it caps the catch-up rate instead (0 =
-	// unbounded).
-	Speedup float64
-	// Clock picks every site's clock mode. With ClockFollow and a positive
-	// SyncInterval, a ClockCoordinator is started pushing the console
-	// engine's time to each site (f.ClockSync; stopped by StopClockSync or
-	// left to the caller).
-	Clock        cloudapi.ClockMode
-	SyncInterval time.Duration
-	// Client, when set, is the HTTP client every site Remote uses (the
-	// -site-timeout knob); nil means a private client with
-	// cloudapi.DefaultTimeout.
-	Client *http.Client
-	// Clouds names the utility clouds to stand up as sites; nil means both.
-	// tukey-server narrows this when -site attaches a cloud running in
-	// another process instead.
-	Clouds []string
-	// Datasets stands a per-site dataset store up on each site's engine
-	// (its own volume, sized per Table 2) and serves it on the site's
-	// /cloudapi/datasets plane.
-	Datasets bool
-	// OperatorSecret gates operator-plane writes on every site server;
-	// the Remotes built here carry it.
-	OperatorSecret string
-	// Shards is each site's kernel shard count (<= 1 means a single
-	// engine per site, the historic behavior). With K > 1 every site gets
-	// a ShardSet whose anchor carries the site's offset seed, so K=1
-	// remains bit-identical.
-	Shards int
-}
-
-// StartRemoteSites converts the federation to the per-site topology with
-// free-running site clocks — the historic behavior; see
-// StartRemoteSitesWithOptions for the clock-mode choice.
-func (f *Federation) StartRemoteSites(seed uint64, scale int, speedup float64) ([]*cloudapi.Site, error) {
-	return f.StartRemoteSitesWithOptions(RemoteSiteOptions{Seed: seed, Scale: scale, Speedup: speedup})
-}
-
-// StartRemoteSitesWithOptions converts the federation to the per-site
-// topology: each utility cloud is stood up as its own cloudapi.Site — a
-// private engine at an offset seed, its own clock source and its own HTTP
-// listener — then attached to Tukey and wired into billing/monitoring
-// through cloudapi.Remote transports only. With opt.Clock ==
-// cloudapi.ClockFollow the sites' engines advance only toward targets
-// pushed from the console engine (the coordinator starts when
-// opt.SyncInterval > 0). The returned sites are the caller's to Close.
-func (f *Federation) StartRemoteSitesWithOptions(opt RemoteSiteOptions) ([]*cloudapi.Site, error) {
-	names := opt.Clouds
-	if names == nil {
-		names = []string{ClusterAdler, ClusterSullivan}
-	}
-	var sites []*cloudapi.Site
-	var remotes []cloudapi.CloudAPI
-	var syncTargets []cloudapi.ClockSyncTarget
-	for i, name := range names {
-		set := sim.NewShardSet(opt.Seed+uint64(i+1)*1000, opt.Shards)
-		e := set.Anchor()
-		siteOpts := cloudapi.SiteOptions{Clock: opt.Clock, Speedup: opt.Speedup, OperatorSecret: opt.OperatorSecret}
-		if set.K() > 1 {
-			siteOpts.Set = set
-		}
-		if opt.Datasets {
-			vol, err := BuildDatasetVolume(e, name)
-			if err != nil {
-				for _, s := range sites {
-					s.Close()
-				}
-				return nil, err
-			}
-			siteOpts.Datasets = datastore.NewStore(name, SiteOf(name), vol)
-		}
-		site, err := cloudapi.StartSiteWithOptions(e, BuildCloud(e, name, opt.Scale), siteOpts)
-		if err != nil {
-			for _, s := range sites {
-				s.Close()
-			}
-			return nil, err
-		}
-		sites = append(sites, site)
-		remote := site.RemoteWithClient(opt.Client)
-		remotes = append(remotes, remote)
-		syncTargets = append(syncTargets, remote)
-		f.Tukey.AttachCloud(tukey.CloudConfig{API: remote})
-	}
-	f.UseCloudAPIs(remotes...)
-	if opt.Clock == cloudapi.ClockFollow && opt.SyncInterval > 0 {
-		f.StartClockSync(opt.SyncInterval, syncTargets...)
-	}
-	return sites, nil
-}
-
 // SiteOf maps a cluster name to the simnet site hosting it (Figure 3).
 func SiteOf(cluster string) string {
 	switch cluster {
@@ -384,10 +287,29 @@ func SiteOf(cluster string) string {
 	return simnet.SiteChicagoKenwood
 }
 
-// BuildDatasetVolume builds the storage volume backing a per-site dataset
-// store on the site's own engine — the remote-topology counterpart of the
+// StartSite stands cloud name up as its own world, the unit of the
+// per-site topologies and of cmd/cloud-site: a private kernel of shards
+// engines at seed, the cloud on it, and a dataset store on its own volume
+// (§7.1 sizes) served on the site's datasets plane, all behind a
+// cloudapi.Site started per opts.
+func StartSite(name string, seed uint64, scale, shards int, opts cloudapi.SiteOptions) (*cloudapi.Site, error) {
+	set := sim.NewShardSet(seed, shards)
+	e := set.Anchor()
+	vol, err := buildDatasetVolume(e, name)
+	if err != nil {
+		return nil, fmt.Errorf("core: site %s: %w", name, err)
+	}
+	opts.Datasets = datastore.NewStore(name, SiteOf(name), vol)
+	if set.K() > 1 {
+		opts.Set = set
+	}
+	return cloudapi.StartSiteWithOptions(e, BuildCloud(e, name, scale), opts)
+}
+
+// buildDatasetVolume builds the storage volume backing a per-site dataset
+// store on the site's own engine — the per-site counterpart of the
 // GlusterFS shares core.New builds (§7.1 sizes).
-func BuildDatasetVolume(e *sim.Engine, cluster string) (*dfs.Volume, error) {
+func buildDatasetVolume(e *sim.Engine, cluster string) (*dfs.Volume, error) {
 	switch cluster {
 	case ClusterAdler:
 		return buildVolume(e, "adler-gfs", simnet.SiteChicagoKenwood, 156*TB, 4)
@@ -444,31 +366,13 @@ func (f *Federation) StopReplication() {
 	}
 }
 
-// StartClockSync starts the coordinator goroutine pushing the console
-// engine's virtual time to every followed site each interval, replacing
-// any previous coordinator. The coordinator records observed skew per site
-// (f.ClockSync.Stats).
-func (f *Federation) StartClockSync(interval time.Duration, targets ...cloudapi.ClockSyncTarget) *cloudapi.ClockCoordinator {
-	f.StopClockSync()
-	f.ClockSync = cloudapi.StartClockCoordinator(f.Engine, interval, targets...)
-	return f.ClockSync
-}
-
-// StopClockSync halts the coordinator, if one is running. Followed sites
-// keep their clocks where the last push left them.
-func (f *Federation) StopClockSync() {
-	if f.ClockSync != nil {
-		f.ClockSync.Stop()
-	}
-}
-
-// UseCloudAPIs rewires the federation's metering and usage monitoring onto
+// useCloudAPIs rewires the federation's metering and usage monitoring onto
 // the given cloud transports — typically cloudapi.Remote clients for
 // per-site cloud servers — stopping the pollers that watched the
 // in-process clouds. The in-process Adler/Sullivan stay constructed (other
 // subsystems reference them) but are no longer what the services bill or
 // monitor.
-func (f *Federation) UseCloudAPIs(apis ...cloudapi.CloudAPI) {
+func (f *Federation) useCloudAPIs(apis ...cloudapi.CloudAPI) {
 	f.Biller.Stop()
 	f.UsageMon.Stop()
 	f.Biller = billing.New(f.Engine, billing.DefaultRates(), apis, nil)

@@ -11,11 +11,11 @@ import (
 // reg: kernel shards, biller sweeps, usage-monitor samples, the
 // replication coordinator's links, and clock-sync skew. Sources that
 // start later (replication, clock sync) are read through f at render
-// time, so registration order against StartReplication/StartClockSync
+// time, so registration order against StartReplication/StartConsole
 // does not matter — absent sources simply render no series.
 //
 // Per-cloud error families use SampleFunc because the polled cloud set
-// changes when UseCloudAPIs swaps transports.
+// changes when StartConsole swaps transports.
 func (f *Federation) RegisterTelemetry(reg *telemetry.Registry) {
 	cloudapi.RegisterKernel(reg, f.Set)
 

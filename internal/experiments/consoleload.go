@@ -8,18 +8,17 @@ package experiments
 // integration stress for the service-layer locking: run it under -race and
 // every console route races against every poller.
 //
-// The scenario is parametric (users, iters, think-ms) and runs in either
-// federation topology:
+// The scenario is parametric (users, iters, think-ms, shards, bg-instances,
+// topology). The topology param picks the federation shape core.StartConsole
+// builds — 0 single-process (both clouds on the federation engine behind
+// per-cloud servers), 1 per-site (every cloud on its own engine, driver and
+// listener, reached only through cloudapi.Remote), 2 per-site with followed
+// clocks (a coordinator pushes the console engine's time to every site).
+// Same workload, different deployment: the deterministic request
+// accounting must not move across them.
 //
-//   - console-load: the single-process topology — both clouds share the
-//     federation engine, served over loopback HTTP by per-cloud servers;
-//   - console-load-remote: the per-site topology — every cloud gets its
-//     own sim.Engine, wall-clock driver and HTTP listener (a
-//     cloudapi.Site), and Tukey/billing reach it only through
-//     cloudapi.Remote. Same workload, different deployment.
-//
-// console-knee sweeps the user axis (8/32/128) with a read-only request
-// mix and reports where console p95 latency knees.
+// console-knee sweeps the user axis (128/1024/4096) across replica counts
+// with a read-only request mix and reports where console p95 latency knees.
 //
 // Metric convention: keys with the "live-" prefix are measured wall-clock
 // quantities (latency percentiles, requests/sec, metered usage) and are
@@ -30,28 +29,23 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
-	"net/http/httptest"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
-	"osdc/internal/cloudapi"
 	"osdc/internal/core"
 	"osdc/internal/iaas"
-	"osdc/internal/lb"
 	"osdc/internal/scenario"
 	"osdc/internal/sim"
 	"osdc/internal/tukey"
-	"osdc/internal/tukeystate"
 )
 
 const (
-	consoleLoadDesc           = "Tukey console under N concurrent researchers with the sim clock live (requests/sec, p50/p95/p99)"
-	consoleLoadRemoteDesc     = "console-load in the per-site topology: every cloud behind its own engine, driver and HTTP listener"
-	consoleLoadRemoteSyncDesc = "console-load-remote with followed clocks: a coordinator pushes the console engine's time to every site"
-	consoleKneeDesc           = "console p95 latency across (users × replicas): stateless console replicas over a shared state plane behind tukey-lb, locating the knee per replica count (params: users, replicas, iters; 0 = sweep 128/1024/4096 × 1/2/4)"
+	consoleLoadDesc = "Tukey console under N concurrent researchers with the sim clock live (requests/sec, p50/p95/p99); topology 0 = single-process, 1 = per-site, 2 = per-site with followed clocks"
+	consoleKneeDesc = "console p95 latency across (users × replicas): stateless console replicas over a shared state plane behind tukey-lb, locating the knee per replica count (params: users, replicas, iters; 0 = sweep 128/1024/4096 × 1/2/4)"
 )
 
 // consoleLoadSpeedup is simulated seconds per wall second: fast enough
@@ -60,41 +54,24 @@ const (
 const consoleLoadSpeedup = 60_000
 
 // consoleGridSpeedup replaces consoleLoadSpeedup in grid mode: with 10⁵
-// background instances each heartbeating every gridHeartbeat, 60 000×
-// would ask the kernel for ~3×10⁶ events per wall second; 600× keeps the
-// live event rate in the 10⁴/s range while still packing 31 simulated
-// minutes of billing into a few wall seconds.
+// background instances each heartbeating every 30 simulated minutes,
+// 60 000× would ask the kernel for ~3×10⁶ events per wall second; 600×
+// keeps the live event rate in the 10⁴/s range while still packing 31
+// simulated minutes of billing into a few wall seconds.
 const consoleGridSpeedup = 600
 
-// Grid-mode background population shape: dense synthetic hypervisors (so
-// 10⁵ VMs need a few hundred host records rather than 10⁴ paper hosts),
-// every VM heartbeating usage on its owning shard.
-const (
-	gridHostCores = 512
-	gridHeartbeat = sim.Duration(30 * sim.Minute)
-	gridUser      = "grid"
-)
-
-// consoleLoadSyncInterval is the coordinator's wall push period in the
-// followed-clock topology: long enough that HTTP round trips stay a small
-// fraction of it, short enough for many sync rounds per run.
-const consoleLoadSyncInterval = 10 * time.Millisecond
+// gridUser owns the grid-mode background population.
+const gridUser = "grid"
 
 // ConsoleLoadOpts shape the console-load workload; the scenario registry
-// exposes them as parameters (users, iters, think-ms) plus the topology
-// choice baked into the scenario name.
+// exposes them as parameters.
 type ConsoleLoadOpts struct {
 	Users int           // concurrent researchers
 	Iters int           // op loops per researcher
 	Think time.Duration // wall-clock pause between op loops
-	// Remote selects the per-site topology: each cloud on its own engine
-	// behind its own cloudapi.Site, services federating over HTTP.
-	Remote bool
-	// ClockFollow (remote topology only) puts every site clock in follow
-	// mode behind a coordinator pushing the console engine's time — the
-	// federated clock plane under load. The deterministic request
-	// accounting must not change: only clocks move differently.
-	ClockFollow bool
+	// Topology is the federation shape. Only clocks and transports differ
+	// across topologies; the deterministic accounting must not.
+	Topology core.Topology
 	// RateLimit, when > 0, puts the per-user token bucket in front of the
 	// console (requests/second; RateBurst 0 means 2× RateLimit). 429s are
 	// counted separately from errors, and the throttle makes
@@ -116,169 +93,83 @@ type ConsoleLoadOpts struct {
 	BgInstances int
 }
 
-// DefaultConsoleLoadOpts is the historic 8×5 workload.
-func DefaultConsoleLoadOpts() ConsoleLoadOpts { return ConsoleLoadOpts{Users: 8, Iters: 5} }
-
 // consoleLoadOptsFrom maps scenario params onto opts.
-func consoleLoadOptsFrom(params map[string]float64, remote, clockFollow bool) ConsoleLoadOpts {
+func consoleLoadOptsFrom(params map[string]float64) ConsoleLoadOpts {
 	return ConsoleLoadOpts{
 		Users:       int(params["users"]),
 		Iters:       int(params["iters"]),
 		Think:       time.Duration(params["think-ms"]) * time.Millisecond,
-		Remote:      remote,
-		ClockFollow: clockFollow,
+		Topology:    core.Topology(params["topology"]),
 		Shards:      int(params["shards"]),
 		BgInstances: int(params["bg-instances"]),
 	}
 }
 
-// consoleRig is a live-HTTP federation in either topology: the console
-// server, the per-cloud admin transports (for quotas), and every running
-// clock driver and listener that teardown must stop.
-type consoleRig struct {
-	f       *core.Federation
-	console *httptest.Server
-	// admin reaches each cloud's operator plane: Local wrappers in the
-	// single-process topology, Remotes in the per-site one.
-	admin   map[string]cloudapi.CloudAPI
-	drivers []*sim.Driver
-	closers []func()
-}
-
-// startConsoleRig stands the federation up behind live HTTP. In the local
-// topology both clouds share the federation engine behind per-cloud
-// servers; in the remote topology each cloud gets a private engine +
-// clock source + listener (cloudapi.Site) and the console-side services
-// are rewired onto Remote transports — free-running by default, or
-// coordinator-followed with opts.ClockFollow.
-func startConsoleRig(seed uint64, opts ConsoleLoadOpts, speedup float64) (*consoleRig, error) {
-	f, err := core.New(core.Options{Seed: seed, Scale: 8, Shards: opts.Shards})
-	if err != nil {
-		return nil, err
-	}
-	rig := &consoleRig{f: f, admin: map[string]cloudapi.CloudAPI{}}
-
+// consoleLoadConfig is the federation console-load runs against.
+func consoleLoadConfig(seed uint64, opts ConsoleLoadOpts) core.ConsoleConfig {
+	speedup := float64(consoleLoadSpeedup)
 	if opts.BgInstances > 0 {
-		if opts.Remote {
-			rig.close()
-			return nil, fmt.Errorf("console-load: grid mode (bg-instances) requires the single-process topology")
-		}
-		// Hosts and the heartbeat setting must land before the clock goes
-		// live: AddHost is a setup-phase call (unlocked), and SetHeartbeat
-		// only arms instances launched after it.
-		for i := 0; i*gridHostCores < opts.BgInstances+gridHostCores; i++ {
-			f.Adler.AddHost(iaas.NewHost(fmt.Sprintf("grid-%03d", i),
-				gridHostCores, gridHostCores*4096, gridHostCores*100))
-		}
-		f.Adler.SetHeartbeat(gridHeartbeat)
+		speedup = consoleGridSpeedup
 	}
-
-	if opts.Remote {
-		// Per-site worlds: own engine, own cloud, own listener, own
-		// clock; billing and monitoring watch them over the wire.
-		clock := cloudapi.ClockFreeRun
-		siteSpeedup, syncEvery := speedup, time.Duration(0)
-		if opts.ClockFollow {
-			// Followed sites take their time from the coordinator, which
-			// StartRemoteSitesWithOptions starts against the console
-			// engine (f.ClockSync); speedup 0 = jump to each target.
-			clock, siteSpeedup, syncEvery = cloudapi.ClockFollow, 0, consoleLoadSyncInterval
-		}
-		sites, err := f.StartRemoteSitesWithOptions(core.RemoteSiteOptions{
-			Seed: seed, Scale: 8, Speedup: siteSpeedup,
-			Clock: clock, SyncInterval: syncEvery, Shards: opts.Shards,
-		})
-		if err != nil {
-			rig.close()
-			return nil, err
-		}
-		for _, site := range sites {
-			rig.closers = append(rig.closers, site.Close)
-			rig.admin[site.Cloud.Name] = site.Remote()
-		}
-	} else {
-		for _, c := range []*iaas.Cloud{f.Adler, f.Sullivan} {
-			srv := httptest.NewServer(cloudapi.NewServer(c))
-			rig.closers = append(rig.closers, srv.Close)
-			f.Tukey.AttachCloud(tukey.CloudConfig{Name: c.Name, Stack: c.Stack, Endpoint: srv.URL})
-		}
-		rig.admin[core.ClusterAdler] = f.AdlerAPI
-		rig.admin[core.ClusterSullivan] = f.SullivanAPI
-	}
-
-	console := &tukey.Console{MW: f.Tukey, Biller: f.Biller, Catalog: f.Catalog, UsageMon: f.UsageMon}
-	if opts.RateLimit > 0 {
-		burst := opts.RateBurst
-		if burst <= 0 {
-			burst = 2 * opts.RateLimit
-		}
-		console.Limiter = tukey.NewRateLimiter(opts.RateLimit, burst)
-	}
-	rig.console = httptest.NewServer(console)
-	rig.closers = append(rig.closers, rig.console.Close)
-
-	// The console-side engine goes live last: from here on handlers and
-	// pollers share it. A sharded kernel needs the shard driver — driving
-	// only the anchor would strand off-anchor boot and heartbeat timers.
-	if f.Set.K() > 1 {
-		rig.drivers = append(rig.drivers, sim.StartShardDriver(f.Set, speedup, 2*time.Millisecond))
-	} else {
-		rig.drivers = append(rig.drivers, sim.StartDriver(f.Engine, speedup, 2*time.Millisecond))
-	}
-	return rig, nil
-}
-
-// stopDrivers halts every clock (idempotent); close also stops listeners.
-func (rig *consoleRig) stopDrivers() {
-	for _, d := range rig.drivers {
-		d.Stop()
+	return core.ConsoleConfig{
+		Seed: seed, Scale: 8, Shards: opts.Shards, Topology: opts.Topology,
+		Speedup: speedup, GridInstances: opts.BgInstances,
+		RateLimit: opts.RateLimit, RateBurst: opts.RateBurst, Serve: true,
 	}
 }
 
-func (rig *consoleRig) close() {
-	rig.stopDrivers()
-	// The coordinator (if any) stops before its target sites go away.
-	rig.f.StopClockSync()
-	for _, c := range rig.closers {
-		c()
-	}
-}
-
-// enroll provisions n researchers with quotas on every cloud, returning
-// their usernames.
-func (rig *consoleRig) enroll(n int, quota iaas.Quota) ([]string, error) {
+// enroll provisions n researchers (load0000, load0001, …) with quota q on
+// every cloud, returning their usernames. Each one's password is "pw-"
+// plus the name, which consoleClient.login presents.
+func enroll(d *core.Deployment, n int, q iaas.Quota) ([]string, error) {
 	users := make([]string, n)
 	for i := range users {
-		users[i] = fmt.Sprintf("load%03d", i)
-		rig.f.EnrollResearcher(users[i], "pw-"+users[i])
-		for _, api := range rig.admin {
-			if err := api.SetQuota(users[i], quota); err != nil {
-				return nil, err
-			}
+		users[i] = fmt.Sprintf("load%04d", i)
+		if err := d.Enroll(users[i], "pw-"+users[i], q); err != nil {
+			return nil, err
 		}
 	}
 	return users, nil
 }
 
-// consoleLoadResult carries one researcher's measurements back to the
-// aggregator.
-type consoleLoadResult struct {
-	latencies []time.Duration
-	errors    int
-	limited   int // 429s from the admission-control bucket, not errors
-	launched  int
-	token     string
+// requestRecord is the outcome of one console request.
+type requestRecord struct {
+	user, method, path string
+	want, got          int   // got is 0 when the transport failed
+	err                error // transport error
+	latency            time.Duration
 }
 
-// consoleClient is one researcher's view of the console: it times every
-// request and counts unexpected statuses. A nil client means
-// http.DefaultClient; the knee sweep passes a shared pooled client so
-// thousands of researchers reuse one socket pool.
+// throttled reports a 429 from the admission-control bucket: counted
+// apart from errors.
+func (r requestRecord) throttled() bool {
+	return r.got == http.StatusTooManyRequests && r.want != http.StatusTooManyRequests
+}
+
+// failed reports a transport error or an unexpected, unthrottled status.
+func (r requestRecord) failed() bool {
+	return r.err != nil || (r.got != r.want && !r.throttled())
+}
+
+func (r requestRecord) String() string {
+	return fmt.Sprintf("%s %s %s: want %d, got %d, transport error %v, after %v",
+		r.user, r.method, r.path, r.want, r.got, r.err, r.latency.Round(time.Microsecond))
+}
+
+// consoleClient is one researcher's view of the console: every request
+// goes through the deployment's pooled client and leaves a record.
 type consoleClient struct {
-	base   string
-	tok    string
-	client *http.Client
-	res    *consoleLoadResult
+	base, user, tok string
+	client          *http.Client
+	records         []requestRecord
+}
+
+func newConsoleClients(d *core.Deployment, users []string) []*consoleClient {
+	out := make([]*consoleClient, len(users))
+	for i, u := range users {
+		out[i] = &consoleClient{base: d.URL, user: u, client: d.Client}
+	}
+	return out
 }
 
 func (c *consoleClient) do(method, path, body string, wantStatus int) (*http.Response, error) {
@@ -289,36 +180,41 @@ func (c *consoleClient) do(method, path, body string, wantStatus int) (*http.Res
 	if c.tok != "" {
 		req.Header.Set("X-Tukey-Session", c.tok)
 	}
-	hc := c.client
-	if hc == nil {
-		hc = http.DefaultClient
-	}
 	start := time.Now()
-	resp, err := hc.Do(req)
-	c.res.latencies = append(c.res.latencies, time.Since(start))
-	if err != nil {
-		c.res.errors++
-		return nil, err
+	resp, err := c.client.Do(req)
+	rec := requestRecord{user: c.user, method: method, path: path, want: wantStatus,
+		err: err, latency: time.Since(start)}
+	if resp != nil {
+		rec.got = resp.StatusCode
 	}
-	if resp.StatusCode == http.StatusTooManyRequests && wantStatus != http.StatusTooManyRequests {
-		c.res.limited++
-	} else if resp.StatusCode != wantStatus {
-		c.res.errors++
-	}
-	return resp, nil
+	c.records = append(c.records, rec)
+	return resp, err
 }
 
-// drain closes a response body after decoding is done with it.
-func drain(resp *http.Response) {
+// err returns this client's first failed request, if any, as an error.
+func (c *consoleClient) err() error {
+	for _, r := range c.records {
+		if r.failed() {
+			return fmt.Errorf("console request failed: %v", r)
+		}
+	}
+	return nil
+}
+
+// drain reads a response body to the end and closes it, so the connection
+// goes back to the pool. The ignored error lets it take do's results
+// directly: the request is already on record.
+func drain(resp *http.Response, _ ...error) {
 	if resp != nil {
+		_, _ = io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}
 }
 
-// login authenticates one researcher and records the token.
-func (c *consoleClient) login(user string) error {
+// login authenticates the researcher and keeps the token.
+func (c *consoleClient) login() error {
 	resp, err := c.do("POST", "/login", fmt.Sprintf(
-		`{"provider":"shibboleth","username":%q,"secret":%q}`, user, "pw-"+user), http.StatusOK)
+		`{"provider":"shibboleth","username":%q,"secret":%q}`, c.user, "pw-"+c.user), http.StatusOK)
 	if err != nil {
 		return err
 	}
@@ -328,15 +224,57 @@ func (c *consoleClient) login(user string) error {
 	_ = json.NewDecoder(resp.Body).Decode(&login)
 	drain(resp)
 	c.tok = login.Token
-	c.res.token = login.Token
 	return nil
+}
+
+// launch parks an m1.small VM named name on cloud, returning its ID (""
+// when the launch failed).
+func (c *consoleClient) launch(cloud, name string) string {
+	resp, _ := c.do("POST", "/console/launch", fmt.Sprintf(
+		`{"cloud":%q,"name":%q,"flavor":"m1.small"}`, cloud, name), http.StatusAccepted)
+	var out struct {
+		Server tukey.TaggedServer `json:"server"`
+	}
+	if resp != nil {
+		_ = json.NewDecoder(resp.Body).Decode(&out)
+	}
+	drain(resp)
+	return out.Server.ID
+}
+
+// tally is what a storm's records add up to.
+type tally struct {
+	reqs, errs, throttled, launched int
+	latencies                       []time.Duration // sorted
+	failures                        []requestRecord
+}
+
+func tallyRecords(clients []*consoleClient) tally {
+	var t tally
+	for _, c := range clients {
+		for _, r := range c.records {
+			t.reqs++
+			t.latencies = append(t.latencies, r.latency)
+			switch {
+			case r.throttled():
+				t.throttled++
+			case r.failed():
+				t.errs++
+				t.failures = append(t.failures, r)
+			case r.path == "/console/launch":
+				t.launched++
+			}
+		}
+	}
+	sort.Slice(t.latencies, func(a, b int) bool { return t.latencies[a] < t.latencies[b] })
+	return t
 }
 
 // ConsoleLoad runs opts.Users concurrent researchers through login →
 // launch → list → usage → datasets → status → terminate loops against the
 // live federation in the chosen topology. It reports throughput and
 // latency percentiles (live- metrics) alongside deterministic request
-// accounting.
+// accounting; the table lists any failed request.
 func ConsoleLoad(seed uint64, opts ConsoleLoadOpts) (scenario.Result, error) {
 	if opts.Users <= 0 {
 		opts.Users = 8
@@ -344,21 +282,17 @@ func ConsoleLoad(seed uint64, opts ConsoleLoadOpts) (scenario.Result, error) {
 	if opts.Iters <= 0 {
 		opts.Iters = 5
 	}
-	speedup := float64(consoleLoadSpeedup)
-	if opts.BgInstances > 0 {
-		speedup = consoleGridSpeedup
+	cfg := consoleLoadConfig(seed, opts)
+	d, err := core.StartConsole(cfg)
+	if err != nil {
+		return scenario.Result{}, fmt.Errorf("console-load: %w", err)
 	}
-	rig, err := startConsoleRig(seed, opts, speedup)
+	defer d.Close()
+	users, err := enroll(d, opts.Users, iaas.Quota{MaxInstances: 10, MaxCores: 16})
 	if err != nil {
 		return scenario.Result{}, err
 	}
-	defer rig.close()
-	users, err := rig.enroll(opts.Users, iaas.Quota{MaxInstances: 10, MaxCores: 16})
-	if err != nil {
-		return scenario.Result{}, err
-	}
-	console := rig.console
-	f := rig.f
+	f := d.Fed
 
 	// Grid mode: park the background population on Adler before the storm.
 	// Launches go straight through the iaas control plane — the point is a
@@ -384,7 +318,7 @@ func ConsoleLoad(seed uint64, opts ConsoleLoadOpts) (scenario.Result, error) {
 	wallStart := time.Now()
 	simStart := f.Engine.Now()
 
-	results := make([]consoleLoadResult, opts.Users)
+	clients := newConsoleClients(d, users)
 	var datasetHits int64
 	var datasetOnce sync.Once
 
@@ -392,22 +326,16 @@ func ConsoleLoad(seed uint64, opts ConsoleLoadOpts) (scenario.Result, error) {
 	// persistent VM on Adler. The barrier afterwards gives a sim timestamp
 	// at which all persistent VMs are provably running, which makes
 	// "usage becomes nonzero" deterministic rather than a timing accident.
+	homes := make([]string, len(clients))
 	var wg sync.WaitGroup
-	for i := range users {
-		i := i
+	for i, c := range clients {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c := &consoleClient{base: console.URL, res: &results[i]}
-			if err := c.login(users[i]); err != nil {
+			if err := c.login(); err != nil {
 				return
 			}
-			resp, _ := c.do("POST", "/console/launch", fmt.Sprintf(
-				`{"cloud":%q,"name":"%s-home","flavor":"m1.small"}`, core.ClusterAdler, users[i]), http.StatusAccepted)
-			if resp != nil && resp.StatusCode == http.StatusAccepted {
-				results[i].launched++
-			}
-			drain(resp)
+			homes[i] = c.launch(core.ClusterAdler, c.user+"-home")
 		}()
 	}
 	wg.Wait()
@@ -416,31 +344,15 @@ func ConsoleLoad(seed uint64, opts ConsoleLoadOpts) (scenario.Result, error) {
 	// Phase 2 (concurrent): the request storm. Each iteration launches a
 	// scratch VM on Sullivan, walks every read route, terminates it, and
 	// then thinks for opts.Think of wall time.
-	for i := range users {
-		i := i
+	for _, c := range clients {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c := &consoleClient{base: console.URL, tok: results[i].token, res: &results[i]}
 			for it := 0; it < opts.Iters; it++ {
-				resp, _ := c.do("POST", "/console/launch", fmt.Sprintf(
-					`{"cloud":%q,"name":"%s-it%d","flavor":"m1.small"}`, core.ClusterSullivan, users[i], it), http.StatusAccepted)
-				var launch struct {
-					Server tukey.TaggedServer `json:"server"`
-				}
-				if resp != nil {
-					_ = json.NewDecoder(resp.Body).Decode(&launch)
-					if resp.StatusCode == http.StatusAccepted {
-						results[i].launched++
-					}
-				}
-				drain(resp)
-
-				resp, _ = c.do("GET", "/console/instances", "", http.StatusOK)
-				drain(resp)
-				resp, _ = c.do("GET", "/console/usage", "", http.StatusOK)
-				drain(resp)
-				resp, _ = c.do("GET", "/console/datasets?q=genomics", "", http.StatusOK)
+				id := c.launch(core.ClusterSullivan, fmt.Sprintf("%s-it%d", c.user, it))
+				drain(c.do("GET", "/console/instances", "", http.StatusOK))
+				drain(c.do("GET", "/console/usage", "", http.StatusOK))
+				resp, _ := c.do("GET", "/console/datasets?q=genomics", "", http.StatusOK)
 				if resp != nil && resp.StatusCode == http.StatusOK {
 					var ds struct {
 						Datasets []json.RawMessage `json:"datasets"`
@@ -449,12 +361,9 @@ func ConsoleLoad(seed uint64, opts ConsoleLoadOpts) (scenario.Result, error) {
 					datasetOnce.Do(func() { datasetHits = int64(len(ds.Datasets)) })
 				}
 				drain(resp)
-				resp, _ = c.do("GET", "/console/status", "", http.StatusOK)
-				drain(resp)
-
-				resp, _ = c.do("POST", "/console/terminate", fmt.Sprintf(
-					`{"cloud":%q,"id":%q}`, core.ClusterSullivan, launch.Server.ID), http.StatusOK)
-				drain(resp)
+				drain(c.do("GET", "/console/status", "", http.StatusOK))
+				drain(c.do("POST", "/console/terminate", fmt.Sprintf(
+					`{"cloud":%q,"id":%q}`, core.ClusterSullivan, id), http.StatusOK))
 
 				if opts.Think > 0 {
 					time.Sleep(opts.Think)
@@ -467,7 +376,7 @@ func ConsoleLoad(seed uint64, opts ConsoleLoadOpts) (scenario.Result, error) {
 	// Phase 3: wait (wall-clock) until the persistent VMs have been up for
 	// 31 simulated minutes on the billing engine, so the per-minute poll
 	// has sampled them — then every researcher reads their usage and shuts
-	// down. In the remote topology the clouds' clocks tick elsewhere;
+	// down. In the per-site topologies the clouds' clocks tick elsewhere;
 	// billing samples whatever the sites report, so the console engine is
 	// still the right clock to wait on.
 	waitDeadline := time.Now().Add(10 * time.Second)
@@ -479,8 +388,7 @@ func ConsoleLoad(seed uint64, opts ConsoleLoadOpts) (scenario.Result, error) {
 		time.Sleep(time.Millisecond)
 	}
 	minCoreHours := -1.0
-	for i := range users {
-		c := &consoleClient{base: console.URL, tok: results[i].token, res: &results[i]}
+	for i, c := range clients {
 		resp, err := c.do("GET", "/console/usage", "", http.StatusOK)
 		if err != nil {
 			return scenario.Result{}, err
@@ -493,37 +401,24 @@ func ConsoleLoad(seed uint64, opts ConsoleLoadOpts) (scenario.Result, error) {
 		if minCoreHours < 0 || usage.CoreHours < minCoreHours {
 			minCoreHours = usage.CoreHours
 		}
-		resp, _ = c.do("POST", "/console/terminate", fmt.Sprintf(
-			`{"cloud":%q,"id":%q}`, core.ClusterAdler, firstInstanceID(console.URL, results[i].token, core.ClusterAdler)), http.StatusOK)
-		drain(resp)
+		drain(c.do("POST", "/console/terminate", fmt.Sprintf(
+			`{"cloud":%q,"id":%q}`, core.ClusterAdler, homes[i]), http.StatusOK))
 	}
 	wallElapsed := time.Since(wallStart)
-	rig.stopDrivers()
+	d.StopClock()
 	simElapsed := f.Engine.Now() - simStart
 
-	// Aggregate.
-	var all []time.Duration
-	totalReqs, totalErrs, totalLimited, totalLaunched := 0, 0, 0, 0
-	for i := range results {
-		all = append(all, results[i].latencies...)
-		totalReqs += len(results[i].latencies)
-		totalErrs += results[i].errors
-		totalLimited += results[i].limited
-		totalLaunched += results[i].launched
-	}
-	sort.Slice(all, func(a, b int) bool { return all[a] < all[b] })
+	t := tallyRecords(clients)
 	usageNonzero := 0.0
 	if minCoreHours > 0 {
 		usageNonzero = 1
 	}
 	topology, remoteFlag := "single-process", 0.0
-	if opts.Remote {
+	if opts.Topology != core.SingleProcess {
 		topology, remoteFlag = "per-site remote", 1
 	}
-	clockFlag := 0.0
-	if opts.ClockFollow {
+	if opts.Topology == core.FollowedClocks {
 		topology += " (followed clocks)"
-		clockFlag = 1
 	}
 	if opts.Shards > 1 {
 		topology += fmt.Sprintf(", %d-shard kernel", f.Set.K())
@@ -534,11 +429,11 @@ func ConsoleLoad(seed uint64, opts ConsoleLoadOpts) (scenario.Result, error) {
 		opts.Users, opts.Iters, topology)
 	fmt.Fprintln(&b, strings.Repeat("-", 72))
 	fmt.Fprintf(&b, "requests         : %d total, %d errors, %d throttled, %d launches\n",
-		totalReqs, totalErrs, totalLimited, totalLaunched)
-	fmt.Fprintf(&b, "throughput       : %.0f req/s over %v wall\n", float64(totalReqs)/wallElapsed.Seconds(), wallElapsed.Round(time.Millisecond))
+		t.reqs, t.errs, t.throttled, t.launched)
+	fmt.Fprintf(&b, "throughput       : %.0f req/s over %v wall\n", float64(t.reqs)/wallElapsed.Seconds(), wallElapsed.Round(time.Millisecond))
 	fmt.Fprintf(&b, "latency          : p50 %.2f ms, p95 %.2f ms, p99 %.2f ms\n",
-		quantileMs(all, 0.50), quantileMs(all, 0.95), quantileMs(all, 0.99))
-	fmt.Fprintf(&b, "sim clock        : advanced %v while serving (speedup %.0f×)\n", sim.Time(simElapsed), speedup)
+		quantileMs(t.latencies, 0.50), quantileMs(t.latencies, 0.95), quantileMs(t.latencies, 0.99))
+	fmt.Fprintf(&b, "sim clock        : advanced %v while serving (speedup %.0f×)\n", sim.Time(simElapsed), cfg.Speedup)
 	fmt.Fprintf(&b, "metered usage    : every researcher nonzero (min %.2f core-hours)\n", minCoreHours)
 	if opts.BgInstances > 0 {
 		fmt.Fprintf(&b, "grid background  : %d VMs across %d shard bucket(s), %d usage heartbeats, shard skew %.0f s at join\n",
@@ -550,16 +445,16 @@ func ConsoleLoad(seed uint64, opts ConsoleLoadOpts) (scenario.Result, error) {
 		"iterations":         float64(opts.Iters),
 		"think-ms":           float64(opts.Think) / float64(time.Millisecond),
 		"remote-topology":    remoteFlag,
-		"requests-total":     float64(totalReqs),
-		"request-errors":     float64(totalErrs),
-		"throttled-429":      float64(totalLimited),
-		"instances-launched": float64(totalLaunched),
+		"requests-total":     float64(t.reqs),
+		"request-errors":     float64(t.errs),
+		"throttled-429":      float64(t.throttled),
+		"instances-launched": float64(t.launched),
 		"datasets-hits":      float64(datasetHits),
 		"usage-nonzero":      usageNonzero,
-		"live-rps":           float64(totalReqs) / wallElapsed.Seconds(),
-		"live-p50-ms":        quantileMs(all, 0.50),
-		"live-p95-ms":        quantileMs(all, 0.95),
-		"live-p99-ms":        quantileMs(all, 0.99),
+		"live-rps":           float64(t.reqs) / wallElapsed.Seconds(),
+		"live-p50-ms":        quantileMs(t.latencies, 0.50),
+		"live-p95-ms":        quantileMs(t.latencies, 0.95),
+		"live-p99-ms":        quantileMs(t.latencies, 0.99),
 		"live-sim-minutes":   float64(simElapsed) / sim.Minute,
 		"live-core-hours":    minCoreHours,
 	}
@@ -574,8 +469,8 @@ func ConsoleLoad(seed uint64, opts ConsoleLoadOpts) (scenario.Result, error) {
 		metrics["live-bg-heartbeats"] = float64(f.Adler.Heartbeats())
 		metrics["live-shard-skew-s"] = float64(f.Set.Skew())
 	}
-	if opts.ClockFollow {
-		metrics["clock-follow"] = clockFlag
+	if opts.Topology == core.FollowedClocks {
+		metrics["clock-follow"] = 1
 		if coord := f.ClockSync; coord != nil {
 			metrics["live-clock-syncs"] = float64(coord.Syncs())
 			metrics["live-max-skew-s"] = coord.MaxSkew()
@@ -583,6 +478,9 @@ func ConsoleLoad(seed uint64, opts ConsoleLoadOpts) (scenario.Result, error) {
 			fmt.Fprintf(&b, "clock plane      : %d syncs, max skew %.0f sim s (excess over one interval %.0f s)\n",
 				coord.Syncs(), coord.MaxSkew(), coord.MaxExcess())
 		}
+	}
+	for _, r := range t.failures {
+		fmt.Fprintf(&b, "failed request   : %v\n", r)
 	}
 	return scenario.Result{Metrics: metrics, Table: b.String()}, nil
 }
@@ -624,93 +522,6 @@ func consoleKneeOptsFrom(params map[string]float64) ConsoleKneeOpts {
 	}
 }
 
-// kneeRig is one knee point's world: a federation whose console runs as K
-// stateless replicas — each a Middleware clone resolving sessions through
-// a shared tukeystate plane, each behind its own listener — fronted by an
-// lb.Pool with session affinity. No rate limiter anywhere: the knee
-// measures the console itself, and request accounting stays deterministic.
-type kneeRig struct {
-	f       *core.Federation
-	front   *httptest.Server // the balancer: what researchers talk to
-	pool    *lb.Pool
-	admin   map[string]cloudapi.CloudAPI
-	drivers []*sim.Driver
-	closers []func()
-}
-
-func startKneeRig(seed uint64, replicas int) (*kneeRig, error) {
-	f, err := core.New(core.Options{Seed: seed, Scale: 8})
-	if err != nil {
-		return nil, err
-	}
-	rig := &kneeRig{f: f, admin: map[string]cloudapi.CloudAPI{
-		core.ClusterAdler:    f.AdlerAPI,
-		core.ClusterSullivan: f.SullivanAPI,
-	}}
-	for _, c := range []*iaas.Cloud{f.Adler, f.Sullivan} {
-		srv := httptest.NewServer(cloudapi.NewServer(c))
-		rig.closers = append(rig.closers, srv.Close)
-		f.Tukey.AttachCloud(tukey.CloudConfig{Name: c.Name, Stack: c.Stack, Endpoint: srv.URL})
-	}
-
-	// The shared state plane. Sessions live here and only here; the
-	// replicas are wire clients. One pooled transport is shared by every
-	// replica's store client so state-plane sockets are reused, not
-	// re-dialed per request.
-	state := httptest.NewServer(tukeystate.NewServer(tukey.NewMemorySessionStore(), nil))
-	rig.closers = append(rig.closers, state.Close)
-	stateClient := &http.Client{Timeout: tukeystate.DefaultTimeout, Transport: &http.Transport{
-		MaxIdleConns: kneeMaxInFlight, MaxIdleConnsPerHost: kneeMaxInFlight,
-	}}
-
-	// K stateless console replicas: cloned middleware (clouds attached
-	// above come along), remote session store, distinct token prefix, own
-	// listener. Enrollment happens after this, so EnrollResearcher fans
-	// credentials across every replica.
-	urls := make([]string, 0, replicas)
-	for k := 0; k < replicas; k++ {
-		mw := f.AddTukeyReplica(tukeystate.NewRemoteSessionStore(state.URL, stateClient), fmt.Sprintf("r%d-", k))
-		console := &tukey.Console{MW: mw, Biller: f.Biller, Catalog: f.Catalog, UsageMon: f.UsageMon}
-		srv := httptest.NewServer(console)
-		rig.closers = append(rig.closers, srv.Close)
-		urls = append(urls, srv.URL)
-	}
-
-	lbClient := &http.Client{Timeout: 30 * time.Second, Transport: &http.Transport{
-		MaxIdleConns: kneeMaxInFlight, MaxIdleConnsPerHost: kneeMaxInFlight,
-	}}
-	rig.pool = lb.NewPool(urls, lbClient)
-	rig.front = httptest.NewServer(rig.pool)
-	rig.closers = append(rig.closers, rig.front.Close, lbClient.CloseIdleConnections, stateClient.CloseIdleConnections)
-
-	rig.drivers = append(rig.drivers, sim.StartDriver(f.Engine, consoleLoadSpeedup, 2*time.Millisecond))
-	return rig, nil
-}
-
-func (rig *kneeRig) close() {
-	for _, d := range rig.drivers {
-		d.Stop()
-	}
-	for _, c := range rig.closers {
-		c()
-	}
-}
-
-// enroll provisions n researchers with free-tier quotas on every cloud.
-func (rig *kneeRig) enroll(n int) ([]string, error) {
-	users := make([]string, n)
-	for i := range users {
-		users[i] = fmt.Sprintf("load%04d", i)
-		rig.f.EnrollResearcher(users[i], "pw-"+users[i])
-		for _, api := range rig.admin {
-			if err := api.SetQuota(users[i], iaas.FreeTierQuota()); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return users, nil
-}
-
 // kneePointResult is one (users, replicas) grid point's aggregate.
 type kneePointResult struct {
 	reqs, errs int
@@ -718,37 +529,35 @@ type kneePointResult struct {
 }
 
 // runKneePoint storms one grid point: U researchers (at most
-// kneeMaxInFlight active at once) each log in through the balancer and
-// walk the read routes iters times. All traffic shares one pooled client —
-// the fd budget must not scale with U.
+// kneeMaxInFlight active at once) each log in through the balancer
+// fronting K stateless console replicas over a shared state plane, and
+// walk the read routes iters times. No rate limiter anywhere: the knee
+// measures the console itself, and request accounting stays
+// deterministic. All traffic shares the deployment's pooled client — the
+// fd budget must not scale with U.
 func runKneePoint(seed uint64, users, replicas, iters int) (kneePointResult, error) {
-	rig, err := startKneeRig(seed, replicas)
+	d, err := core.StartConsole(core.ConsoleConfig{
+		Seed: seed, Scale: 8, Speedup: consoleLoadSpeedup, Replicas: replicas, Serve: true,
+	})
 	if err != nil {
 		return kneePointResult{}, err
 	}
-	defer rig.close()
-	names, err := rig.enroll(users)
+	defer d.Close()
+	names, err := enroll(d, users, iaas.FreeTierQuota())
 	if err != nil {
 		return kneePointResult{}, err
 	}
 
-	client := &http.Client{Timeout: 60 * time.Second, Transport: &http.Transport{
-		MaxIdleConns: kneeMaxInFlight, MaxIdleConnsPerHost: kneeMaxInFlight,
-	}}
-	defer client.CloseIdleConnections()
-
-	results := make([]consoleLoadResult, users)
+	clients := newConsoleClients(d, names)
 	sem := make(chan struct{}, kneeMaxInFlight)
 	var wg sync.WaitGroup
-	for i := range names {
-		i := i
+	for _, c := range clients {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			c := &consoleClient{base: rig.front.URL, client: client, res: &results[i]}
-			if err := c.login(names[i]); err != nil {
+			if err := c.login(); err != nil {
 				return
 			}
 			for it := 0; it < iters; it++ {
@@ -756,24 +565,16 @@ func runKneePoint(seed uint64, users, replicas, iters int) (kneePointResult, err
 					"/console/instances", "/console/usage",
 					"/console/datasets?q=genomics", "/console/status",
 				} {
-					resp, _ := c.do("GET", path, "", http.StatusOK)
-					drain(resp)
+					drain(c.do("GET", path, "", http.StatusOK))
 				}
 			}
 		}()
 	}
 	wg.Wait()
 
-	var all []time.Duration
-	out := kneePointResult{}
-	for i := range results {
-		all = append(all, results[i].latencies...)
-		out.reqs += len(results[i].latencies)
-		out.errs += results[i].errors
-	}
-	sort.Slice(all, func(a, b int) bool { return all[a] < all[b] })
-	out.p50, out.p95 = quantileMs(all, 0.50), quantileMs(all, 0.95)
-	return out, nil
+	t := tallyRecords(clients)
+	return kneePointResult{reqs: t.reqs, errs: t.errs,
+		p50: quantileMs(t.latencies, 0.50), p95: quantileMs(t.latencies, 0.95)}, nil
 }
 
 // ConsoleKnee probes console p95 latency across a (users × replicas) grid:
@@ -849,28 +650,6 @@ func ConsoleKnee(seed uint64, opts ConsoleKneeOpts) (scenario.Result, error) {
 			maxUsers, replicaPoints, topP95, improves)
 	}
 	return scenario.Result{Metrics: metrics, Table: b.String()}, nil
-}
-
-// firstInstanceID fetches the caller's first live instance ID on cloud via
-// the console listing (the persistent VM parked in phase 1).
-func firstInstanceID(base, token, cloud string) string {
-	req, _ := http.NewRequest("GET", base+"/console/instances", nil)
-	req.Header.Set("X-Tukey-Session", token)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return ""
-	}
-	defer resp.Body.Close()
-	var list struct {
-		Servers []tukey.TaggedServer `json:"servers"`
-	}
-	_ = json.NewDecoder(resp.Body).Decode(&list)
-	for _, s := range list.Servers {
-		if s.Cloud == cloud {
-			return s.ID
-		}
-	}
-	return ""
 }
 
 // quantileMs returns the q-quantile (nearest-rank) of sorted durations, in

@@ -7,7 +7,6 @@ package experiments
 // goroutines.
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
@@ -16,7 +15,6 @@ import (
 
 	"osdc/internal/core"
 	"osdc/internal/iaas"
-	"osdc/internal/tukey"
 )
 
 func TestShardedConsoleGridRaceStress(t *testing.T) {
@@ -24,13 +22,12 @@ func TestShardedConsoleGridRaceStress(t *testing.T) {
 		t.Skip("live-HTTP load scenario")
 	}
 	const bg = 1000
-	opts := ConsoleLoadOpts{Shards: 8, BgInstances: bg}
-	rig, err := startConsoleRig(7, opts, consoleGridSpeedup)
+	d, err := core.StartConsole(consoleLoadConfig(7, ConsoleLoadOpts{Shards: 8, BgInstances: bg}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rig.close()
-	f := rig.f
+	defer d.Close()
+	f := d.Fed
 	if f.Set.K() != 8 {
 		t.Fatalf("rig kernel K = %d, want 8", f.Set.K())
 	}
@@ -45,7 +42,7 @@ func TestShardedConsoleGridRaceStress(t *testing.T) {
 		}
 	}
 
-	users, err := rig.enroll(4, iaas.Quota{MaxInstances: 20, MaxCores: 40})
+	users, err := enroll(d, 4, iaas.Quota{MaxInstances: 20, MaxCores: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,60 +51,40 @@ func TestShardedConsoleGridRaceStress(t *testing.T) {
 	// terminate against Adler, so the full lifecycle (including the
 	// stop-path cancellation that must resolve the owning shard) races the
 	// background timers.
+	clients := newConsoleClients(d, users)
 	var wg sync.WaitGroup
-	errCh := make(chan error, len(users))
-	for _, u := range users {
-		u := u
+	for _, c := range clients {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res := &consoleLoadResult{}
-			c := &consoleClient{base: rig.console.URL, res: res}
-			if err := c.login(u); err != nil {
-				errCh <- err
+			if err := c.login(); err != nil {
 				return
 			}
 			for it := 0; it < 8; it++ {
-				resp, _ := c.do("POST", "/console/launch", fmt.Sprintf(
-					`{"cloud":%q,"name":"%s-it%d","flavor":"m1.small"}`, core.ClusterAdler, u, it), http.StatusAccepted)
-				var launch struct {
-					Server tukey.TaggedServer `json:"server"`
-				}
-				if resp != nil {
-					_ = json.NewDecoder(resp.Body).Decode(&launch)
-				}
-				drain(resp)
-				resp, _ = c.do("GET", "/console/instances", "", http.StatusOK)
-				drain(resp)
-				resp, _ = c.do("GET", "/console/usage", "", http.StatusOK)
-				drain(resp)
-				resp, _ = c.do("POST", "/console/stop", fmt.Sprintf(
-					`{"cloud":%q,"id":%q}`, core.ClusterAdler, launch.Server.ID), http.StatusOK)
-				drain(resp)
-				resp, _ = c.do("POST", "/console/terminate", fmt.Sprintf(
-					`{"cloud":%q,"id":%q}`, core.ClusterAdler, launch.Server.ID), http.StatusOK)
-				drain(resp)
-			}
-			if res.errors > 0 {
-				errCh <- fmt.Errorf("%s saw %d unexpected statuses", u, res.errors)
+				id := c.launch(core.ClusterAdler, fmt.Sprintf("%s-it%d", c.user, it))
+				drain(c.do("GET", "/console/instances", "", http.StatusOK))
+				drain(c.do("GET", "/console/usage", "", http.StatusOK))
+				drain(c.do("POST", "/console/stop", fmt.Sprintf(
+					`{"cloud":%q,"id":%q}`, core.ClusterAdler, id), http.StatusOK))
+				drain(c.do("POST", "/console/terminate", fmt.Sprintf(
+					`{"cloud":%q,"id":%q}`, core.ClusterAdler, id), http.StatusOK))
 			}
 		}()
 	}
 	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Error(err)
+	for _, r := range tallyRecords(clients).failures {
+		t.Errorf("failed request: %v", r)
 	}
 
 	// The storm is quick; let the live clock reach the first heartbeat
-	// window (gridHeartbeat sim seconds ≈ 3 s wall at this speedup) before
-	// stopping the drivers.
+	// window (30 sim minutes ≈ 3 s wall at this speedup) before stopping
+	// the drivers.
 	hbDeadline := time.Now().Add(10 * time.Second)
 	for f.Adler.Heartbeats() == 0 && time.Now().Before(hbDeadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	rig.stopDrivers()
+	d.StopClock()
 	if skew := f.Set.Skew(); skew != 0 {
 		t.Errorf("shard skew %v after driver join, want 0", skew)
 	}

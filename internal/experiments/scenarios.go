@@ -182,28 +182,17 @@ func init() {
 		}))
 	scenario.Register(scenario.New("wan-contention", wanContentionDesc, WANContention))
 
-	// console-load runs in both federation topologies and takes its
-	// workload shape from scenario params (osdc-bench -param users=32,...).
-	// shards > 1 puts the live path on the sharded kernel; bg-instances > 0
+	// console-load takes its workload shape and federation topology from
+	// scenario params (osdc-bench -param users=32,topology=2,...). shards > 1
+	// puts the live path on the sharded kernel; bg-instances > 0
 	// (single-process topology only) parks that many background VMs on
 	// Adler first — the 10⁵-entity grid the sharded p95 benchmarks sweep.
-	consoleLoadDefaults := map[string]float64{
-		"users": 8, "iters": 5, "think-ms": 0, "shards": 1, "bg-instances": 0}
-	scenario.Register(scenario.NewParametric("console-load", consoleLoadDesc, consoleLoadDefaults,
+	// Every topology must reproduce the same deterministic request
+	// accounting: only the clocks and transports differ.
+	scenario.Register(scenario.NewParametric("console-load", consoleLoadDesc,
+		map[string]float64{"users": 8, "iters": 5, "think-ms": 0, "shards": 1, "bg-instances": 0, "topology": 0},
 		func(seed uint64, params map[string]float64) (scenario.Result, error) {
-			return ConsoleLoad(seed, consoleLoadOptsFrom(params, false, false))
-		}))
-	scenario.Register(scenario.NewParametric("console-load-remote", consoleLoadRemoteDesc, consoleLoadDefaults,
-		func(seed uint64, params map[string]float64) (scenario.Result, error) {
-			return ConsoleLoad(seed, consoleLoadOptsFrom(params, true, false))
-		}))
-	// The followed-clock variant: same workload, same per-site topology,
-	// but every site engine takes its time from the console's coordinator.
-	// Its deterministic request accounting must match the free-running
-	// remote (and local) runs exactly — only the clocks move differently.
-	scenario.Register(scenario.NewParametric("console-load-remote-sync", consoleLoadRemoteSyncDesc, consoleLoadDefaults,
-		func(seed uint64, params map[string]float64) (scenario.Result, error) {
-			return ConsoleLoad(seed, consoleLoadOptsFrom(params, true, true))
+			return ConsoleLoad(seed, consoleLoadOptsFrom(params))
 		}))
 	// console-knee sweeps a (users × replicas) grid by default; fixing
 	// either param (e.g. -param users=1024,replicas=4) runs one point.

@@ -4,15 +4,17 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
+	"osdc/internal/core"
 	"osdc/internal/scenario"
 )
 
 func TestAllExperimentsRegistered(t *testing.T) {
 	want := []string{"table1", "table2", "table3", "fig1", "fig2", "fig3",
 		"cost", "provision", "ciphers", "mixed-workload", "wan-contention",
-		"console-load", "console-load-remote", "console-knee", "million-entity"}
+		"console-load", "console-knee", "million-entity"}
 	have := map[string]bool{}
 	for _, n := range scenario.Names() {
 		have[n] = true
@@ -84,7 +86,8 @@ func deterministicAggregates(sr scenario.SweepResult) map[string]scenario.Aggreg
 // TestConsoleLoadSweepDeterministic runs the console-load scenario over a
 // multi-seed sweep twice: the live latency metrics may differ run to run,
 // but the request accounting must be bit-identical — concurrency must not
-// leak into the deterministic surface.
+// leak into the deterministic surface. A failure prints every failed
+// request the runs recorded.
 func TestConsoleLoadSweepDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live-HTTP load scenario")
@@ -93,14 +96,30 @@ func TestConsoleLoadSweepDeterministic(t *testing.T) {
 	if !ok {
 		t.Fatal("console-load not registered")
 	}
+	// Keep the table of every run that saw a failed request: it lists the
+	// failures record by record.
+	var mu sync.Mutex
+	var failed []string
+	recorded := scenario.New(s.Name(), s.Describe(), func(seed uint64) (scenario.Result, error) {
+		r, err := s.Run(seed)
+		if r.Metrics["request-errors"] > 0 {
+			mu.Lock()
+			failed = append(failed, fmt.Sprintf("seed %d:\n%s", seed, r.Table))
+			mu.Unlock()
+		}
+		return r, err
+	})
 	seeds := scenario.Seeds(31, 2)
-	a, err := scenario.Sweep(s, seeds, 2)
+	a, err := scenario.Sweep(recorded, seeds, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := scenario.Sweep(s, seeds, 2)
+	b, err := scenario.Sweep(recorded, seeds, 2)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(failed) > 0 {
+		t.Fatalf("console requests failed under load:\n%s", strings.Join(failed, "\n"))
 	}
 	da, db := deterministicAggregates(a), deterministicAggregates(b)
 	if len(da) == 0 {
@@ -108,9 +127,6 @@ func TestConsoleLoadSweepDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(da, db) {
 		t.Fatalf("deterministic metrics diverged across identical sweeps:\n%v\nvs\n%v", da, db)
-	}
-	if agg := da["request-errors"]; agg.Max != 0 {
-		t.Fatalf("console requests failed under load: %+v", agg)
 	}
 	if agg := da["usage-nonzero"]; agg.Min != 1 {
 		t.Fatalf("a researcher saw zero usage despite the clock driver: %+v", agg)
@@ -131,36 +147,47 @@ func TestConsoleLoadSweepDeterministic(t *testing.T) {
 }
 
 // TestConsoleLoadRemoteTopology runs the same workload in the per-site
-// topology: every cloud behind its own engine and listener, billing
-// sampling over the wire. The deterministic surface must match the
-// single-process run: same request count, zero errors, usage metered.
+// topologies — every cloud behind its own engine and listener, billing
+// sampling over the wire, with free-running and then followed clocks. The
+// deterministic surface must match the single-process run: same request
+// count, zero errors, usage metered.
 func TestConsoleLoadRemoteTopology(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live-HTTP load scenario")
-	}
-	remote, err := ConsoleLoad(31, ConsoleLoadOpts{Users: 8, Iters: 5, Remote: true})
-	if err != nil {
-		t.Fatal(err)
 	}
 	local, err := ConsoleLoad(31, ConsoleLoadOpts{Users: 8, Iters: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"requests-total", "request-errors", "instances-launched", "usage-nonzero"} {
-		if remote.Metrics[key] != local.Metrics[key] {
-			t.Fatalf("%s diverged across topologies: remote=%v local=%v",
-				key, remote.Metrics[key], local.Metrics[key])
+	if local.Metrics["remote-topology"] != 0 {
+		t.Fatalf("single-process run flagged remote: %v", local.Metrics)
+	}
+	for _, topo := range []core.Topology{core.PerSite, core.FollowedClocks} {
+		remote, err := ConsoleLoad(31, ConsoleLoadOpts{Users: 8, Iters: 5, Topology: topo})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if remote.Metrics["request-errors"] != 0 {
-		t.Fatalf("remote topology saw request errors: %v", remote.Metrics)
-	}
-	if remote.Metrics["usage-nonzero"] != 1 {
-		t.Fatalf("remote topology metered no usage: %v", remote.Metrics)
-	}
-	if remote.Metrics["remote-topology"] != 1 || local.Metrics["remote-topology"] != 0 {
-		t.Fatalf("topology flags wrong: remote=%v local=%v",
-			remote.Metrics["remote-topology"], local.Metrics["remote-topology"])
+		for _, key := range []string{"requests-total", "request-errors", "instances-launched", "usage-nonzero"} {
+			if remote.Metrics[key] != local.Metrics[key] {
+				t.Fatalf("topology %d: %s diverged: remote=%v local=%v",
+					topo, key, remote.Metrics[key], local.Metrics[key])
+			}
+		}
+		if remote.Metrics["request-errors"] != 0 {
+			t.Fatalf("topology %d saw request errors:\n%s", topo, remote.Table)
+		}
+		if remote.Metrics["usage-nonzero"] != 1 {
+			t.Fatalf("topology %d metered no usage: %v", topo, remote.Metrics)
+		}
+		if remote.Metrics["remote-topology"] != 1 {
+			t.Fatalf("topology %d not flagged remote: %v", topo, remote.Metrics)
+		}
+		if follows := remote.Metrics["clock-follow"] == 1; follows != (topo == core.FollowedClocks) {
+			t.Fatalf("topology %d: clock-follow = %v", topo, remote.Metrics["clock-follow"])
+		}
+		if topo == core.FollowedClocks && remote.Metrics["live-clock-syncs"] == 0 {
+			t.Fatalf("followed clocks never synced: %v", remote.Metrics)
+		}
 	}
 }
 

@@ -14,21 +14,17 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 
-	"osdc/internal/cloudapi"
 	"osdc/internal/core"
 	"osdc/internal/iaas"
 	"osdc/internal/scenario"
 	"osdc/internal/sim"
 	"osdc/internal/telemetry"
-	"osdc/internal/tukey"
 )
 
 const telemetryStreamDesc = "federation telemetry plane: /metrics on every member, one collector sweep per frame, and a byte-identical /console/stream SSE transcript"
@@ -47,53 +43,27 @@ const telemetryQuantum = sim.Duration(1 * sim.Minute)
 // console traffic — asserting along the way and returning the complete
 // SSE transcript as the table.
 func TelemetryStream(seed uint64) (scenario.Result, error) {
-	f, err := core.New(core.Options{Seed: seed, Scale: 8})
+	// Per-cloud servers carry the metrics plane gated like every other
+	// operator surface; the collector scrapes them as named members. No
+	// wall driver anywhere (speedup 0): the engine advances only in RunFor
+	// quanta below, and StartConsole leaves it shared because handlers and
+	// stream ticks still touch it from several goroutines.
+	const secret = "telemetry-scenario"
+	d, err := core.StartConsole(core.ConsoleConfig{Seed: seed, Scale: 8, OperatorSecret: secret, Serve: true})
 	if err != nil {
 		return scenario.Result{}, err
 	}
-	// No wall driver anywhere: the engine advances only in RunFor quanta
-	// below. Handlers and stream ticks still touch it from several
-	// goroutines, so it runs shared.
-	f.Set.Share()
-
-	const secret = "telemetry-scenario"
-	var closers []func()
-	defer func() {
-		for _, c := range closers {
-			c()
-		}
-	}()
-
-	// Per-cloud servers with the metrics plane gated like every other
-	// operator surface; the collector scrapes them as named members.
-	var members []telemetry.Member
-	cloudServers := map[string]*cloudapi.Server{}
-	for _, c := range []*iaas.Cloud{f.Adler, f.Sullivan} {
-		api := cloudapi.NewServer(c)
-		api.OperatorSecret = secret
-		srv := httptest.NewServer(api)
-		closers = append(closers, srv.Close)
-		f.Tukey.AttachCloud(tukey.CloudConfig{Name: c.Name, Stack: c.Stack, Endpoint: srv.URL})
-		cloudServers[c.Name] = api
-		members = append(members, telemetry.Member{Name: c.Name, URL: srv.URL})
-	}
+	defer d.Close()
+	f, console := d.Fed, d.Console
 
 	reg := telemetry.NewRegistry()
 	f.RegisterTelemetry(reg)
-	console := &tukey.Console{MW: f.Tukey, Biller: f.Biller, Catalog: f.Catalog, UsageMon: f.UsageMon}
 	console.RegisterMetrics(reg)
-	console.UsageCacheHits = func() map[string]int64 {
-		out := make(map[string]int64, len(cloudServers))
-		for name, srv := range cloudServers {
-			out[name] = srv.UsageCacheHits.Load()
-		}
-		return out
-	}
 
 	// The collector never Start()s: one synchronous Round per stream frame
 	// instead, with the zero deadline (wait forever) — scrape completion
 	// is ordered with the frame, not raced against a wall timer.
-	col := telemetry.NewCollector(secret, nil, members...)
+	col := telemetry.NewCollector(secret, nil, d.Members...)
 	col.RegisterMetrics(reg)
 
 	stream := telemetry.NewStreamer(func() map[string]float64 {
@@ -113,17 +83,11 @@ func TelemetryStream(seed uint64) (scenario.Result, error) {
 	defer stream.Close()
 	frames, cancelSub := stream.Subscribe(1024)
 	defer cancelSub()
-
-	consoleSrv := httptest.NewServer(console)
 	console.Stream = stream
-	closers = append(closers, consoleSrv.Close)
 
 	const user = "tele"
-	f.EnrollResearcher(user, "pw-"+user)
-	for _, api := range []cloudapi.CloudAPI{f.AdlerAPI, f.SullivanAPI} {
-		if err := api.SetQuota(user, iaas.Quota{MaxInstances: 4, MaxCores: 16}); err != nil {
-			return scenario.Result{}, err
-		}
+	if err := d.Enroll(user, "pw-"+user, iaas.Quota{MaxInstances: 4, MaxCores: 16}); err != nil {
+		return scenario.Result{}, err
 	}
 
 	// Phase 1: idle baseline — the first frame carries the full series
@@ -133,48 +97,45 @@ func TelemetryStream(seed uint64) (scenario.Result, error) {
 	// Phase 2: one researcher logs in, parks a VM, and walks the read
 	// routes. Requests are sequential and the clock is parked, so the
 	// counters land between frames, not during them.
-	tok, err := telemetryLogin(consoleSrv.URL, user)
-	if err != nil {
-		return scenario.Result{}, err
-	}
-	serverID, err := telemetryLaunch(consoleSrv.URL, tok, core.ClusterAdler, user+"-vm")
-	if err != nil {
-		return scenario.Result{}, err
-	}
+	c := &consoleClient{base: d.URL, user: user, client: d.Client}
+	_ = c.login() // a failed login is on record: c.err reports it below
+	serverID := c.launch(core.ClusterAdler, user+"-vm")
 	for _, path := range []string{"/console/instances", "/console/status", "/console/usage"} {
-		if _, err := telemetryGet(consoleSrv.URL, tok, path); err != nil {
-			return scenario.Result{}, err
-		}
+		drain(c.do("GET", path, "", http.StatusOK))
+	}
+	if err := c.err(); err != nil {
+		return scenario.Result{}, err
 	}
 	f.RunFor(telemetryQuantum)
 
 	// Phase 3: exercise the per-cloud usage cache — two same-rev reads
 	// per cloud, the second always a hit.
-	for _, m := range members {
+	for _, m := range d.Members {
 		for i := 0; i < 2; i++ {
-			resp, err := http.Get(m.URL + "/cloudapi/usage")
+			resp, err := d.Client.Get(m.URL + "/cloudapi/usage")
 			if err != nil {
 				return scenario.Result{}, err
 			}
-			_, _ = io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
+			drain(resp)
 		}
 	}
 	f.RunFor(2 * telemetryQuantum)
 
 	// Phase 4: terminate and wind down.
-	if err := telemetryTerminate(consoleSrv.URL, tok, core.ClusterAdler, serverID); err != nil {
+	drain(c.do("POST", "/console/terminate", fmt.Sprintf(
+		`{"cloud":%q,"id":%q}`, core.ClusterAdler, serverID), http.StatusOK))
+	if err := c.err(); err != nil {
 		return scenario.Result{}, err
 	}
 	f.RunFor(telemetryQuantum)
 
 	// The gating contract, probed live on a member: 403 without the
 	// header, 200 with it, and the body parses as exposition text.
-	status, body, err := telemetryScrape(members[0].URL, "")
+	status, body, err := telemetryScrape(d.Client, d.Members[0].URL, "")
 	if err != nil || status != http.StatusForbidden {
 		return scenario.Result{}, fmt.Errorf("ungated scrape: status %d, err %v", status, err)
 	}
-	status, body, err = telemetryScrape(members[0].URL, secret)
+	status, body, err = telemetryScrape(d.Client, d.Members[0].URL, secret)
 	if err != nil || status != http.StatusOK {
 		return scenario.Result{}, fmt.Errorf("gated scrape: status %d, err %v", status, err)
 	}
@@ -190,7 +151,7 @@ func TelemetryStream(seed uint64) (scenario.Result, error) {
 	}
 
 	var cacheHits int64
-	for _, srv := range cloudServers {
+	for _, srv := range d.Servers {
 		cacheHits += srv.UsageCacheHits.Load()
 	}
 	scrapes := int64(0)
@@ -217,88 +178,14 @@ func TelemetryStream(seed uint64) (scenario.Result, error) {
 	return scenario.Result{Metrics: metrics, Table: transcript.String()}, nil
 }
 
-// telemetryLogin authenticates and returns the session token.
-func telemetryLogin(base, user string) (string, error) {
-	resp, err := http.Post(base+"/login", "application/json", strings.NewReader(fmt.Sprintf(
-		`{"provider":"shibboleth","username":%q,"secret":%q}`, user, "pw-"+user)))
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("login: status %d", resp.StatusCode)
-	}
-	var out struct {
-		Token string `json:"token"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return "", err
-	}
-	return out.Token, nil
-}
-
-// telemetryLaunch parks one VM and returns its instance ID.
-func telemetryLaunch(base, tok, cloud, name string) (string, error) {
-	req, _ := http.NewRequest("POST", base+"/console/launch", strings.NewReader(fmt.Sprintf(
-		`{"cloud":%q,"name":%q,"flavor":"m1.small"}`, cloud, name)))
-	req.Header.Set("X-Tukey-Session", tok)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		return "", fmt.Errorf("launch: status %d", resp.StatusCode)
-	}
-	var out struct {
-		Server tukey.TaggedServer `json:"server"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return "", err
-	}
-	return out.Server.ID, nil
-}
-
-// telemetryTerminate shuts the VM down through the console.
-func telemetryTerminate(base, tok, cloud, id string) error {
-	req, _ := http.NewRequest("POST", base+"/console/terminate", strings.NewReader(fmt.Sprintf(
-		`{"cloud":%q,"id":%q}`, cloud, id)))
-	req.Header.Set("X-Tukey-Session", tok)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("terminate: status %d", resp.StatusCode)
-	}
-	return nil
-}
-
-// telemetryGet walks one session read route.
-func telemetryGet(base, tok, path string) (int, error) {
-	req, _ := http.NewRequest("GET", base+path, nil)
-	req.Header.Set("X-Tukey-Session", tok)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	_, _ = io.Copy(io.Discard, resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return resp.StatusCode, fmt.Errorf("GET %s: status %d", path, resp.StatusCode)
-	}
-	return resp.StatusCode, nil
-}
-
 // telemetryScrape GETs a member's /metrics with (or without) the operator
 // header, returning status and body.
-func telemetryScrape(base, secret string) (int, []byte, error) {
+func telemetryScrape(client *http.Client, base, secret string) (int, []byte, error) {
 	req, _ := http.NewRequest("GET", base+"/metrics", nil)
 	if secret != "" {
 		req.Header.Set("X-OSDC-Operator", secret)
 	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := client.Do(req)
 	if err != nil {
 		return 0, nil, err
 	}
