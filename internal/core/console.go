@@ -227,9 +227,12 @@ func (d *Deployment) start(cfg ConsoleConfig) error {
 	var limiter tukey.Limiter
 	switch {
 	case cfg.StateURL != "":
-		f.Tukey.SetSessionStore(tukeystate.NewRemoteSessionStore(cfg.StateURL, nil))
+		// One pooled client for the plane, shared by the store and the
+		// limiter, as in the replicas mode below.
+		stateClient := d.pooledClient(tukeystate.DefaultTimeout)
+		f.Tukey.SetSessionStore(tukeystate.NewRemoteSessionStore(cfg.StateURL, stateClient))
 		f.Tukey.SetTokenPrefix(cfg.Replica + "-")
-		limiter = tukeystate.NewRemoteLimiter(cfg.StateURL, nil)
+		limiter = tukeystate.NewRemoteLimiter(cfg.StateURL, stateClient)
 	case cfg.RateLimit > 0:
 		burst := cfg.RateBurst
 		if burst <= 0 {

@@ -17,6 +17,8 @@
 package lb
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -217,15 +219,25 @@ func (p *Pool) PickBackend(token string) string {
 	return bs[0].url
 }
 
+// maxBodyBytes bounds the request body the balancer buffers for replay.
+// The largest console body, a login or launch, is under 1 KB.
+const maxBodyBytes = 1 << 20
+
 // ServeHTTP proxies one console request, retrying transport-level failures
 // on the next backend in session order. The body is buffered so a retry
-// can replay it.
+// can replay it; one over maxBodyBytes answers 413 before any backend is
+// contacted.
 func (p *Pool) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	var body []byte
 	if r.Body != nil {
 		var err error
-		body, err = io.ReadAll(r.Body)
+		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 		r.Body.Close()
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			http.Error(w, "request body too large", http.StatusRequestEntityTooLarge)
+			return
+		}
 		if err != nil {
 			http.Error(w, "reading request body: "+err.Error(), http.StatusBadRequest)
 			return
@@ -239,7 +251,7 @@ func (p *Pool) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if i > 0 {
 			atomic.AddInt64(&p.Retries, 1)
 		}
-		req, err := http.NewRequestWithContext(r.Context(), r.Method, b.url+r.URL.RequestURI(), strings.NewReader(string(body)))
+		req, err := http.NewRequestWithContext(r.Context(), r.Method, b.url+r.URL.RequestURI(), bytes.NewReader(body))
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return

@@ -269,3 +269,33 @@ func TestMetricsThroughReplicaDeath(t *testing.T) {
 		t.Fatalf("rejected = %v, want 0 (b absorbed everything)", snap["osdc_lb_rejected_total"])
 	}
 }
+
+// TestOversizedBodyRejected: a body over the replay buffer's bound answers
+// 413 without contacting any backend, and one at the bound still proxies.
+func TestOversizedBodyRejected(t *testing.T) {
+	a, hits := echoBackend(t, "a")
+	front := httptest.NewServer(NewPool([]string{a.URL}, nil))
+	defer front.Close()
+
+	post := func(n int) int {
+		t.Helper()
+		resp, err := http.Post(front.URL+"/console/launch", "application/json", strings.NewReader(strings.Repeat("x", n)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := post(maxBodyBytes + 1); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body status = %d, want 413", code)
+	}
+	if n := atomic.LoadInt64(hits); n != 0 {
+		t.Fatalf("backend saw %d requests for a rejected body, want 0", n)
+	}
+	if code := post(maxBodyBytes); code != http.StatusOK {
+		t.Fatalf("body at the bound status = %d, want 200", code)
+	}
+	if n := atomic.LoadInt64(hits); n != 1 {
+		t.Fatalf("backend saw %d requests, want 1", n)
+	}
+}

@@ -37,7 +37,7 @@ import (
 //	GET  /console/stream             SSE telemetry feed (when a Streamer is wired)
 //
 // Each route is served through an interceptor chain (interceptor.go):
-// auth/session resolution, then rate-limit admission, then the handler.
+// session resolution and rate-limit admission, then the handler.
 // The layers keep their state behind the SessionStore and Limiter seams,
 // which is what makes a Console replica stateless — point MW at a shared
 // (or remote) store and Limiter at a shared limiter and N replicas behave
@@ -108,6 +108,17 @@ func (c *Console) localUser(id Identity) string {
 // from any federated identifier.
 const invalidSessionKey = "\x00invalid-session"
 
+// AdmissionKey is the bucket a session-route request is charged to: the
+// identity of a session found and unexpired at now, else the shared
+// invalid-session bucket. The console's admit layer and the state plane's
+// /state/check both call it, so the rule has one home.
+func AdmissionKey(s Session, found bool, now time.Time) string {
+	if found && !s.expired(now) {
+		return s.Identity.Identifier
+	}
+	return invalidSessionKey
+}
+
 // routeCosts weights each route's rate-limit charge by what it costs the
 // federation: a launch provisions a VM across the transport layer, a
 // dataset stage schedules a WAN transfer, a status read is a map copy.
@@ -135,14 +146,13 @@ func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 }
 
 // buildRoutes assembles the routing table: every console route behind the
-// session chain (authenticate → rateLimit → enforceSession → handler),
-// /login behind its own (parseLogin → rateLimit → handler). Routing
-// happens before any chain runs, so an unknown path stays a bare 404 with
-// no session resolution and no bucket charge — exactly the monolith's
-// behavior.
+// session chain (admit → enforceSession → handler), /login behind its own
+// (parseLogin → rateLimit → handler). Routing happens before any chain
+// runs, so an unknown path stays a bare 404 with no session resolution
+// and no bucket charge — exactly the monolith's behavior.
 func (c *Console) buildRoutes() {
 	session := func(h http.HandlerFunc) http.Handler {
-		return Chain(h, c.authenticate, c.rateLimit, c.enforceSession)
+		return Chain(h, c.admit, c.enforceSession)
 	}
 	c.routes = map[string]http.Handler{
 		"POST /login":                    Chain(http.HandlerFunc(c.handleLogin), c.parseLogin, c.rateLimit),

@@ -5,15 +5,16 @@ import (
 	"encoding/json"
 	"net/http"
 	"sync/atomic"
+	"time"
 )
 
 // Interceptor wraps an http.Handler with one console concern. The console
 // used to be a monolithic switch doing auth, admission control and routing
 // in one body; decomposing it into chained interceptors (the conduit-bmc
-// gateway shape) makes each layer's state dependency explicit — the auth
-// layer touches only the SessionStore, the rate-limit layer only the
-// Limiter — which is what lets N stateless replicas share both through
-// the tukeystate plane.
+// gateway shape) makes each layer's state dependency explicit — only the
+// admit and rate-limit layers touch the SessionStore and the Limiter —
+// which is what lets N stateless replicas share both through the
+// tukeystate plane.
 type Interceptor func(http.Handler) http.Handler
 
 // Chain composes interceptors around h. The first interceptor is the
@@ -33,7 +34,7 @@ const (
 	loginCtxKey
 )
 
-// sessionInfo is what the auth layer learned about a request: the resolved
+// sessionInfo is what the admit layer learned about a request: the resolved
 // identity, or the fact that the token was missing/invalid/expired.
 type sessionInfo struct {
 	id Identity
@@ -49,7 +50,7 @@ type loginRequest struct {
 	Secret   string `json:"secret"`
 }
 
-// sessionFrom extracts the auth layer's verdict from the request context.
+// sessionFrom extracts the admit layer's verdict from the request context.
 func sessionFrom(r *http.Request) (sessionInfo, bool) {
 	si, ok := r.Context().Value(sessionCtxKey).(sessionInfo)
 	return si, ok
@@ -61,42 +62,64 @@ func loginFrom(r *http.Request) (*loginRequest, bool) {
 	return lr, ok
 }
 
-// authenticate resolves the X-Tukey-Session token into the request
-// context. It never writes a response itself: whether an unauthenticated
-// request is rejected (401) or throttled first (429) belongs to the layers
-// downstream — the rate-limit layer sees the failed auth and charges the
-// shared invalid-session bucket before enforceSession writes the 401, so
-// token guessing is throttled exactly as it was in the monolithic console.
-func (c *Console) authenticate(next http.Handler) http.Handler {
+// admit resolves the X-Tukey-Session token into the request context and
+// charges the route's weighted cost against the bucket AdmissionKey picks:
+// the identity of a live session, else the shared invalid-session bucket.
+// An exhausted bucket answers 429 and stops the chain. A request without
+// a live session is not rejected here: enforceSession writes its 401 after
+// the charge, so token guessing is throttled exactly as it was in the
+// monolithic console.
+//
+// When the Limiter is a SessionGate that can serve the middleware's store
+// (a replica's store and limiter on one state plane), lookup and charge
+// are one round trip; otherwise they are a Get and an AllowN. Either way
+// the session is settled (reaped or slid) at the same now the bucket was
+// chosen at.
+func (c *Console) admit(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id, ok := c.MW.identityFor(r.Header.Get("X-Tukey-Session"))
+		token := r.Header.Get("X-Tukey-Session")
+		cost := routeCost(r.Method, r.URL.Path)
+		store, ttl := c.MW.sessions()
+		now := c.MW.wallNow()
+		s, found, admitted := c.resolve(store, token, cost, now)
+		id, ok := settle(store, ttl, token, s, found, now)
+		if !admitted {
+			c.reject(w, AdmissionKey(s, found, now))
+			return
+		}
 		ctx := context.WithValue(r.Context(), sessionCtxKey, sessionInfo{id: id, ok: ok})
 		next.ServeHTTP(w, r.WithContext(ctx))
 	})
 }
 
-// rateLimit charges the route's weighted cost against the caller's bucket:
-// the resolved identity for authenticated requests, the attempted username
-// for /login, and the shared invalid-session bucket for everything else.
+// resolve looks token up in store and charges cost to its admission
+// bucket, through the Limiter's SessionGate when it handles this store.
+func (c *Console) resolve(store SessionStore, token string, cost float64, now time.Time) (s Session, found, admitted bool) {
+	if g, ok := c.Limiter.(SessionGate); ok {
+		if s, found, admitted, handled := g.Gate(store, token, cost, now); handled {
+			return s, found, admitted
+		}
+	}
+	s, found = store.Get(token)
+	admitted = c.Limiter == nil || c.Limiter.AllowN(AdmissionKey(s, found, now), cost)
+	return s, found, admitted
+}
+
+// rateLimit charges /login's cost against the attempted username's bucket.
 // An exhausted bucket answers 429 and stops the chain.
 func (c *Console) rateLimit(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		key := invalidSessionKey
-		if si, ok := sessionFrom(r); ok && si.ok {
-			key = si.id.Identifier
-		} else if lr, ok := loginFrom(r); ok {
-			key = lr.Username
-		}
-		if !c.allow(w, key, routeCost(r.Method, r.URL.Path)) {
+		lr, _ := loginFrom(r)
+		if !c.allow(w, lr.Username, routeCost(r.Method, r.URL.Path)) {
 			return
 		}
 		next.ServeHTTP(w, r)
 	})
 }
 
-// enforceSession rejects requests the auth layer could not resolve. It
-// runs after the rate-limit layer so a rejected request has already been
-// charged to the invalid-session bucket.
+// enforceSession rejects requests the admit layer could not resolve. It
+// runs after the charge so a rejected request has already been charged to
+// the invalid-session bucket.
 func (c *Console) enforceSession(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if si, ok := sessionFrom(r); !ok || !si.ok {
@@ -129,7 +152,12 @@ func (c *Console) allow(w http.ResponseWriter, key string, cost float64) bool {
 	if c.Limiter == nil || c.Limiter.AllowN(key, cost) {
 		return true
 	}
+	c.reject(w, key)
+	return false
+}
+
+// reject answers 429 for an exhausted bucket.
+func (c *Console) reject(w http.ResponseWriter, key string) {
 	atomic.AddInt64(&c.RateLimited, 1)
 	writeJSON(w, http.StatusTooManyRequests, map[string]string{"error": "rate limit exceeded for " + key})
-	return false
 }

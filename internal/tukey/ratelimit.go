@@ -15,6 +15,16 @@ type Limiter interface {
 	AllowN(key string, cost float64) bool
 }
 
+// SessionGate is an optional Limiter capability: resolve token in store
+// and charge cost against the bucket AdmissionKey picks at now, in one
+// step. The state plane's RemoteLimiter implements it so a replica admits
+// a request in one round trip instead of a Get plus an AllowN. handled is
+// false when the gate cannot serve this store; the console then takes the
+// two-step path.
+type SessionGate interface {
+	Gate(store SessionStore, token string, cost float64, now time.Time) (s Session, found, admitted, handled bool)
+}
+
 // limiterShards is the bucket map's shard count. The limiter is the one
 // lock every request on every replica funnels through once it moves to the
 // shared state plane; the console-knee mutex profile showed the single

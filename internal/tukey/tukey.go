@@ -223,11 +223,11 @@ func (m *Middleware) Replica(store SessionStore, tokenPrefix string) *Middleware
 	return r
 }
 
-// sessionStore returns the current store under the lock.
-func (m *Middleware) sessionStore() SessionStore {
+// sessions returns the current store and session TTL under the lock.
+func (m *Middleware) sessions() (SessionStore, time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.store
+	return m.store, m.ttl
 }
 
 // SetHTTPTimeout replaces the per-request deadline on the middleware's
@@ -380,14 +380,19 @@ func (m *Middleware) Login(p Provider, username, secret string) (string, error) 
 // identityFor resolves a session token, reaping it if it has expired and
 // sliding its expiry forward if it is active.
 func (m *Middleware) identityFor(token string) (Identity, bool) {
-	m.mu.Lock()
-	store, ttl := m.store, m.ttl
-	m.mu.Unlock()
-	s, ok := store.Get(token)
-	if !ok {
+	store, ttl := m.sessions()
+	s, found := store.Get(token)
+	return settle(store, ttl, token, s, found, m.wallNow())
+}
+
+// settle finishes resolving a session looked up at now: an expired one is
+// reaped, an active one has its expiry slid forward. Both the console's
+// admit layer and identityFor call it with the now the lookup was judged
+// at, so the session a bucket was chosen for is the one that is settled.
+func settle(store SessionStore, ttl time.Duration, token string, s Session, found bool, now time.Time) (Identity, bool) {
+	if !found {
 		return Identity{}, false
 	}
-	now := m.wallNow()
 	if s.expired(now) {
 		store.Delete(token)
 		return Identity{}, false
@@ -410,7 +415,7 @@ func (m *Middleware) identityFor(token string) (Identity, bool) {
 // SessionCount reports live (unexpired) sessions, reaping expired ones on
 // the way — the console's gauge of concurrent users.
 func (m *Middleware) SessionCount() int {
-	store := m.sessionStore()
+	store, _ := m.sessions()
 	store.ExpireBefore(m.wallNow())
 	return store.Count()
 }
@@ -442,9 +447,10 @@ type TaggedServer struct {
 // ListServers fans out to every cloud the user holds credentials for,
 // translating per dialect, and aggregates. Like the other token-taking
 // methods it resolves the session and hands the identity to the
-// unexported body; the console, whose auth layer has already resolved
+// unexported body; the console, whose admit layer has already resolved
 // the session for the request, calls the bodies directly so a request
-// costs one SessionStore.Get (on a replica, one state-plane round trip).
+// resolves its session once (on a replica, inside the one state-plane
+// round trip that also charges its bucket).
 func (m *Middleware) ListServers(token string) ([]TaggedServer, error) {
 	id, ok := m.identityFor(token)
 	if !ok {

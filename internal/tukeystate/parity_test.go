@@ -1,6 +1,7 @@
 package tukeystate
 
 import (
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"sync"
@@ -213,6 +214,10 @@ func TestRemoteFailureSemantics(t *testing.T) {
 	if err := store.Err(); err != nil {
 		t.Fatalf("Err while plane up: %v", err)
 	}
+	if s, found, admitted, handled := limiter.Gate(store, "tok", 1, time.Now()); !handled || !found ||
+		!admitted || s.Identity.Identifier != "a@x" {
+		t.Fatalf("Gate while plane up = (%+v, found %v, admitted %v, handled %v)", s, found, admitted, handled)
+	}
 
 	srv.Close() // the plane goes away
 
@@ -227,5 +232,71 @@ func TestRemoteFailureSemantics(t *testing.T) {
 	}
 	if limiter.Errors == 0 {
 		t.Fatal("limiter error counter not incremented")
+	}
+
+	// The combined trip keeps both halves' semantics: no session (closed),
+	// admitted (open), and the failure lands on both error counters.
+	fresh := NewRemoteSessionStore(srv.URL, nil)
+	errsBefore := limiter.Errors
+	_, found, admitted, handled := limiter.Gate(fresh, "tok", 1, time.Now())
+	if !handled || found || !admitted {
+		t.Fatalf("Gate against a dead plane = (found %v, admitted %v, handled %v), want (false, true, true)",
+			found, admitted, handled)
+	}
+	if fresh.Err() == nil {
+		t.Fatal("store Err nil after a failed Gate")
+	}
+	if d := limiter.Errors - errsBefore; d != 1 {
+		t.Fatalf("limiter errors rose by %d after a failed Gate, want 1", d)
+	}
+}
+
+// TestGateDeclinesOtherPlanes lists the pairings that must take the
+// console's two-step path: the gate declines (handled false) without a
+// trip, or the limiter is no gate at all, and a console request then makes
+// one trip per remote half.
+func TestGateDeclinesOtherPlanes(t *testing.T) {
+	planeA := NewServer(tukey.NewMemorySessionStore(), tukey.NewRateLimiter(0, 5))
+	planeB := NewServer(tukey.NewMemorySessionStore(), tukey.NewRateLimiter(0, 5))
+	srvA, srvB := httptest.NewServer(planeA), httptest.NewServer(planeB)
+	defer srvA.Close()
+	defer srvB.Close()
+	trips := func() int64 { return planeA.requests.Load() + planeB.requests.Load() }
+
+	cases := []struct {
+		name    string
+		store   tukey.SessionStore
+		limiter tukey.Limiter
+		trips   int64 // per console request: Get and AllowN, where remote
+	}{
+		{"store and limiter on different planes", NewRemoteSessionStore(srvA.URL, nil), NewRemoteLimiter(srvB.URL, nil), 2},
+		{"in-process limiter", NewRemoteSessionStore(srvA.URL, nil), tukey.NewRateLimiter(0, 5), 1},
+		{"non-remote store", tukey.NewMemorySessionStore(), NewRemoteLimiter(srvA.URL, nil), 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := trips()
+			if g, ok := tc.limiter.(tukey.SessionGate); ok {
+				if _, _, _, handled := g.Gate(tc.store, "tok", 1, time.Now()); handled {
+					t.Fatal("Gate handled a pairing it cannot serve in one trip")
+				}
+			}
+			if n := trips() - before; n != 0 {
+				t.Fatalf("a declined Gate made %d state-plane requests, want 0", n)
+			}
+
+			mw := tukey.NewMiddleware()
+			mw.SetSessionStore(tc.store)
+			rec := httptest.NewRecorder()
+			req := httptest.NewRequest("GET", "/console/status", nil)
+			req.Header.Set("X-Tukey-Session", "tukey-sess-guess")
+			(&tukey.Console{MW: mw, Limiter: tc.limiter}).ServeHTTP(rec, req)
+			if rec.Code != http.StatusUnauthorized {
+				t.Fatalf("bad-token status = %d, want 401", rec.Code)
+			}
+			if n := trips() - before; n != tc.trips {
+				t.Fatalf("console request made %d state-plane requests, want %d", n, tc.trips)
+			}
+		})
 	}
 }

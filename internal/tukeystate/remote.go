@@ -50,10 +50,15 @@ func NewRemoteSessionStore(base string, client *http.Client) *RemoteSessionStore
 func (s *RemoteSessionStore) post(path string, req sessionReq) (sessionResp, error) {
 	var resp sessionResp
 	err := postJSON(s.client, s.base+path, req, &resp)
+	s.record(err)
+	return resp, err
+}
+
+// record remembers the outcome of the latest state-plane call for Err.
+func (s *RemoteSessionStore) record(err error) {
 	s.mu.Lock()
 	s.lastErr = err
 	s.mu.Unlock()
-	return resp, err
 }
 
 // Err reports the most recent state-plane failure, nil when the last call
@@ -135,6 +140,31 @@ func (l *RemoteLimiter) AllowN(key string, cost float64) bool {
 		return true
 	}
 	return resp.OK
+}
+
+// Gate implements tukey.SessionGate. When store is a RemoteSessionStore on
+// this limiter's plane, one /state/check trip resolves the token and
+// charges the bucket tukey.AdmissionKey picks; any other store is left to
+// the console's Get-then-AllowN path (handled false). A failed trip keeps
+// both halves' failure semantics — no session (closed) but admitted
+// (open) — and is counted on both error counters: the store's Err and
+// this limiter's Errors.
+func (l *RemoteLimiter) Gate(store tukey.SessionStore, token string, cost float64, now time.Time) (s tukey.Session, found, admitted, handled bool) {
+	rs, ok := store.(*RemoteSessionStore)
+	if !ok || rs.base != l.base {
+		return tukey.Session{}, false, false, false
+	}
+	var resp checkResp
+	err := postJSON(l.client, l.base+"/state/check", checkReq{Token: token, Cost: cost, Now: now}, &resp)
+	rs.record(err)
+	if err != nil {
+		atomic.AddInt64(&l.Errors, 1)
+		return tukey.Session{}, false, true, true
+	}
+	if !resp.OK || resp.Session == nil {
+		return tukey.Session{}, false, resp.Admitted, true
+	}
+	return *resp.Session, true, resp.Admitted, true
 }
 
 // postJSON is one POST round trip with JSON bodies both ways.

@@ -48,6 +48,20 @@ type allowResp struct {
 	OK bool `json:"ok"`
 }
 
+// checkReq is one console request's admission: the token it bears, the
+// route's cost, and the replica's clock reading expiry is judged at.
+type checkReq struct {
+	Token string    `json:"token"`
+	Cost  float64   `json:"cost"`
+	Now   time.Time `json:"now"`
+}
+
+type checkResp struct {
+	Session  *tukey.Session `json:"session,omitempty"`
+	OK       bool           `json:"ok"`
+	Admitted bool           `json:"admitted"`
+}
+
 // Server serves a SessionStore and a Limiter over HTTP. The store carries
 // the sessions every replica shares; the limiter carries the per-user
 // admission budgets, so a user throttled on one replica is throttled on
@@ -69,13 +83,13 @@ type Server struct {
 }
 
 // NewServer wraps store and limiter (either may be nil: a nil limiter
-// answers every /state/ratelimit/allow with admit, a nil store 404s the
-// session routes).
+// answers every /state/ratelimit/allow and /state/check with admit, a nil
+// store 404s the session routes and /state/check).
 func NewServer(store tukey.SessionStore, limiter tukey.Limiter) *Server {
 	s := &Server{store: store, limiter: limiter, mux: http.NewServeMux()}
 	s.Metrics = telemetry.NewRegistry()
 	s.Metrics.CounterFunc("osdc_state_requests_total",
-		"State-plane requests served (sessions, rate limits, health).",
+		"State-plane requests served (sessions, rate limits, checks, health).",
 		func() float64 { return float64(s.requests.Load()) })
 	if store != nil {
 		s.mux.HandleFunc("/state/sessions/get", s.handleGet)
@@ -83,6 +97,7 @@ func NewServer(store tukey.SessionStore, limiter tukey.Limiter) *Server {
 		s.mux.HandleFunc("/state/sessions/delete", s.handleDelete)
 		s.mux.HandleFunc("/state/sessions/count", s.handleCount)
 		s.mux.HandleFunc("/state/sessions/expire", s.handleExpire)
+		s.mux.HandleFunc("/state/check", s.handleCheck)
 	}
 	s.mux.HandleFunc("/state/ratelimit/allow", s.handleAllow)
 	s.mux.HandleFunc("/state/health", func(w http.ResponseWriter, r *http.Request) {
@@ -180,4 +195,24 @@ func (s *Server) handleAllow(w http.ResponseWriter, r *http.Request) {
 		ok = s.limiter.AllowN(req.Key, req.Cost)
 	}
 	writeJSON(w, http.StatusOK, allowResp{OK: ok})
+}
+
+// handleCheck is a console request's whole admission in one trip: look
+// the token up, then charge the bucket tukey.AdmissionKey picks for what
+// was found — the same rule, and the same order, as the replica's own
+// Get followed by AllowN.
+func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
+	var req checkReq
+	if !decode(w, r, &req) {
+		return
+	}
+	sess, ok := s.store.Get(req.Token)
+	resp := checkResp{OK: ok, Admitted: true}
+	if ok {
+		resp.Session = &sess
+	}
+	if s.limiter != nil {
+		resp.Admitted = s.limiter.AllowN(tukey.AdmissionKey(sess, ok, req.Now), req.Cost)
+	}
+	writeJSON(w, http.StatusOK, resp)
 }
