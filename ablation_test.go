@@ -111,7 +111,11 @@ func BenchmarkAblationDFSReplication(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				overhead = float64(vol.RawBytes()) / float64(vol.UsedBytes())
+				var raw int64
+				for _, br := range vol.Bricks() {
+					raw += br.Disk.Used()
+				}
+				overhead = float64(raw) / (120 * 4096)
 				// Kill one brick; count surviving reads.
 				vol.Bricks()[0].SetOnline(false)
 				ok := 0

@@ -117,7 +117,7 @@ type Biller struct {
 	errByCloud map[string]*int64
 
 	// deadline bounds one cloud sample's wall time per poll; defaults to
-	// pollDeadline. Set during setup (SetPollDeadline).
+	// pollDeadline; the tests shorten it.
 	deadline time.Duration
 
 	// The delta-poll machinery, built once at construction and reused
@@ -204,10 +204,6 @@ func New(e *sim.Engine, rates Rates, clouds []cloudapi.CloudAPI, storage Storage
 	b.pollMon = e.Every(DaysPerCycle*sim.Day, b.closeCycle)
 	return b
 }
-
-// SetPollDeadline overrides the per-cloud sample deadline (0 = wait
-// forever). Call during setup, before the clock is driven.
-func (b *Biller) SetPollDeadline(d time.Duration) { b.deadline = d }
 
 // Stop halts all pollers.
 func (b *Biller) Stop() {

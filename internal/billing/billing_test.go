@@ -227,7 +227,7 @@ func TestAbandonedPollSurfacesAsPollError(t *testing.T) {
 		cloudapi.NewLocal(good),
 		hung,
 	}, nil)
-	b.SetPollDeadline(5 * time.Millisecond)
+	b.deadline = 5 * time.Millisecond
 	e.RunFor(5 * sim.Minute)
 	b.Stop()
 

@@ -123,16 +123,6 @@ func (c *Cloud) Fetch(user, name string) ([]byte, error) {
 	return f.Content, nil
 }
 
-// Datasets lists managed dataset names, sorted.
-func (c *Cloud) Datasets() []string {
-	out := make([]string, 0, len(c.datasets))
-	for n := range c.datasets {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // --- the analysis pipeline ---
 
 // Alignment is one read placed on the reference.

@@ -72,8 +72,8 @@ func TestOpenCloudSharing(t *testing.T) {
 	if err := open.Ingest("curator", d, []byte("track data")); err != nil {
 		t.Fatal(err)
 	}
-	if got := open.Datasets(); len(got) != 1 || got[0] != "modENCODE tracks" {
-		t.Fatalf("Datasets = %v", got)
+	if len(open.datasets) != 1 || open.datasets["modENCODE tracks"] == nil {
+		t.Fatalf("datasets = %v", open.datasets)
 	}
 	if _, err := open.Fetch("anyone", "modENCODE tracks"); err != nil {
 		t.Fatalf("open data not fetchable: %v", err)

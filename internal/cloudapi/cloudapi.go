@@ -132,16 +132,3 @@ type CloudAPI interface {
 	// backends.
 	UsageSince(since int64) (UsageDelta, error)
 }
-
-// IsQuota reports whether err is a quota rejection through either backend.
-func IsQuota(err error) bool {
-	var q iaas.ErrQuota
-	return errors.As(err, &q)
-}
-
-// IsCapacity reports whether err is a capacity rejection through either
-// backend.
-func IsCapacity(err error) bool {
-	var c iaas.ErrCapacity
-	return errors.As(err, &c)
-}

@@ -104,9 +104,6 @@ func StartClockCoordinator(e *sim.Engine, interval time.Duration, targets ...Clo
 	return c
 }
 
-// Interval returns the coordinator's wall sync period.
-func (c *ClockCoordinator) Interval() time.Duration { return c.interval }
-
 // syncWorkers bounds the per-round push pool.
 const syncWorkers = 8
 

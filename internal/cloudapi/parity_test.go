@@ -161,7 +161,8 @@ func TestLocalRemoteParity(t *testing.T) {
 			}
 			_, errL := local.Launch("alice", "over", "m1.small", "")
 			_, errR := remote.Launch("alice", "over", "m1.small", "")
-			if !IsQuota(errL) || !IsQuota(errR) {
+			var qL, qR iaas.ErrQuota
+			if !errors.As(errL, &qL) || !errors.As(errR, &qR) {
 				t.Fatalf("quota rejection classes diverged: local=%v remote=%v", errL, errR)
 			}
 

@@ -119,9 +119,6 @@ func (r *Remote) Name() string { return r.name }
 // Stack implements CloudAPI.
 func (r *Remote) Stack() string { return r.stack }
 
-// Endpoint returns the base URL the client speaks to.
-func (r *Remote) Endpoint() string { return r.endpoint }
-
 // ec2ToOpenStack maps EC2 state names to OpenStack statuses — one of the
 // §5.2 "rules of the configuration file".
 func ec2ToOpenStack(s string) string {

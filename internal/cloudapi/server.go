@@ -2,7 +2,6 @@ package cloudapi
 
 import (
 	"bytes"
-	"crypto/subtle"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -215,7 +214,7 @@ func ServePprof(secret string, w http.ResponseWriter, r *http.Request) {
 		serveError(w, http.StatusNotFound, "profiling plane requires an operator secret")
 		return
 	}
-	if subtle.ConstantTimeCompare([]byte(r.Header.Get("X-OSDC-Operator")), []byte(secret)) != 1 {
+	if !telemetry.OperatorOK(secret, r) {
 		serveError(w, http.StatusForbidden, "profiling plane requires X-OSDC-Operator")
 		return
 	}
@@ -240,8 +239,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// Operator-plane auth: mutating the planes (clock targets, quotas,
 	// dataset replicas) is an operator action; with a shared secret
 	// configured, unauthenticated writes get 403 before any route runs.
-	if s.OperatorSecret != "" && r.Method != http.MethodGet &&
-		subtle.ConstantTimeCompare([]byte(r.Header.Get("X-OSDC-Operator")), []byte(s.OperatorSecret)) != 1 {
+	if s.OperatorSecret != "" && r.Method != http.MethodGet && !telemetry.OperatorOK(s.OperatorSecret, r) {
 		serveError(w, http.StatusForbidden, "operator plane requires X-OSDC-Operator")
 		return
 	}

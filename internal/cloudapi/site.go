@@ -112,27 +112,21 @@ func StartSiteWithOptions(e *sim.Engine, c *iaas.Cloud, opt SiteOptions) (*Site,
 	s.srv = srv
 	// The site's kernel is its own: its engine series belong on the site's
 	// /metrics, where the federation collector picks them up per member.
+	var clock sim.Clock = e
 	if opt.Set != nil {
 		RegisterKernel(srv.Metrics, opt.Set)
+		clock = opt.Set
 	} else {
 		RegisterEngine(srv.Metrics, "0", e)
 	}
 	switch opt.Clock {
 	case ClockFollow:
-		if opt.Set != nil {
-			s.follower = sim.StartShardFollower(opt.Set, opt.Speedup, tick)
-		} else {
-			s.follower = sim.StartFollower(e, opt.Speedup, tick)
-		}
+		s.follower = sim.StartFollower(clock, opt.Speedup, tick)
 		s.clock = s.follower
 		srv.Clock = FollowerClock{F: s.follower}
 	default:
 		if opt.Speedup > 0 {
-			if opt.Set != nil {
-				s.clock = sim.StartShardDriver(opt.Set, opt.Speedup, tick)
-			} else {
-				s.clock = sim.StartDriver(e, opt.Speedup, tick)
-			}
+			s.clock = sim.StartDriver(clock, opt.Speedup, tick)
 		} else if opt.Set != nil {
 			// No clock source, but handlers may still schedule against any
 			// shard (instance boot timers), so the whole set goes shared.

@@ -277,15 +277,12 @@ func (d *Deployment) start(cfg ConsoleConfig) error {
 		}
 	}
 
-	// --- clocks: the console kernel goes live last. A sharded kernel needs
-	// the shard driver; driving only the anchor would strand off-anchor
+	// --- clocks: the console kernel goes live last. The driver advances
+	// the whole shard set; driving only the anchor would strand off-anchor
 	// boot and heartbeat timers. ---
-	switch {
-	case cfg.Speedup > 0 && f.Set.K() > 1:
-		d.Driver = sim.StartShardDriver(f.Set, cfg.Speedup, clockTick)
-	case cfg.Speedup > 0:
-		d.Driver = sim.StartDriver(f.Engine, cfg.Speedup, clockTick)
-	default:
+	if cfg.Speedup > 0 {
+		d.Driver = sim.StartDriver(f.Set, cfg.Speedup, clockTick)
+	} else {
 		f.Set.Share()
 	}
 	d.closers = append(d.closers, d.StopClock)

@@ -142,7 +142,7 @@ func New(opt Options) (*Federation, error) {
 	f := &Federation{Engine: e, Set: set}
 
 	// --- network: Figure 3's four data centers ---
-	f.Network = simnet.BuildOSDCTopology(e, simnet.DefaultWAN())
+	f.Network = simnet.BuildOSDCTopology(simnet.DefaultWAN())
 
 	// --- compute clouds ---
 	// OSDC-Adler & Sullivan together are 1248 cores (Table 2): 156 paper
@@ -233,11 +233,6 @@ func New(opt Options) (*Federation, error) {
 	}
 	return f, nil
 }
-
-// EngineFor returns the shard engine owning key (an instance ID, flow ID,
-// or any stable entity key). With the default single-shard kernel this is
-// always the console engine.
-func (f *Federation) EngineFor(key string) *sim.Engine { return f.Set.Shard(key) }
 
 // RunFor advances the whole kernel — every shard — by d virtual seconds
 // in lockstep. Scenarios running a sharded federation must use this (or

@@ -173,8 +173,8 @@ func TestDefaultKernelIsSingleShard(t *testing.T) {
 	if f.Set.Anchor() != f.Engine {
 		t.Fatal("console engine is not the kernel anchor")
 	}
-	if f.EngineFor("anything") != f.Engine {
-		t.Fatal("K=1 EngineFor routed off the anchor")
+	if f.Set.Shard("anything") != f.Engine {
+		t.Fatal("K=1 shard routing left the anchor")
 	}
 }
 

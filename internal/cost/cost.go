@@ -124,23 +124,3 @@ func Sweep(rack RackSpec, costs RackCosts, aws AWSPrices, utils []float64) []Com
 	}
 	return out
 }
-
-// DataEgressComparison quantifies the paper's third argument (§9.1): moving
-// large datasets out of a commercial cloud costs real money, while the
-// OSDC's research networks carry it at no marginal cost. Returns the AWS
-// egress dollars for moving the given TB out once.
-func DataEgressComparison(aws AWSPrices, terabytes float64) float64 {
-	return terabytes * 1024 * aws.EgressPerGB
-}
-
-// SustainabilityRules returns the OSDC working group's five operating rules
-// (§8), used by documentation and the console's about page.
-func SustainabilityRules() []string {
-	return []string{
-		"Provide some services without charge to any interested researcher.",
-		"For larger groups and activities that require more OSDC resources, charge for these resources on a cost recovery basis.",
-		"Partner with university partners to gain research funding to tackle new projects and to develop new technology.",
-		"Raise funding from donors and not-for-profits in order to provide more resources to more researchers.",
-		"Work to automate the operation of the OSDC as much as possible in order to reduce the costs of operations.",
-	}
-}

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"osdc/internal/ark"
 	"osdc/internal/dfs"
@@ -32,11 +31,11 @@ type Dataset struct {
 //
 // The console searches the catalog from concurrent HTTP handlers while
 // curators publish; mu covers the curator set and the entry table. The
-// download counter is atomic so Download stays a read-lock path — the
+// download counter is atomic so a download stays a read-lock path — the
 // datastore coordinator embeds the catalog and reads it from every
-// planning round, and a write-locked counter on the hot resolve path
-// would serialize those reads against every console search. A *Dataset
-// is immutable once published, so handing pointers out of Search/Get/All
+// planning round, and a write-locked counter on the resolve path would
+// serialize those reads against every console search. A *Dataset is
+// immutable once published, so handing pointers out of Search/All
 // without copying is safe.
 type Catalog struct {
 	ids *ark.Service
@@ -98,14 +97,6 @@ func (c *Catalog) Publish(curator string, d Dataset) (*Dataset, error) {
 	return &cp, nil
 }
 
-// Get looks a dataset up by exact name.
-func (c *Catalog) Get(name string) (*Dataset, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	d, ok := c.entries[name]
-	return d, ok
-}
-
 // Search returns datasets whose name, description, discipline or tags
 // contain the query (case-insensitive), sorted by name.
 func (c *Catalog) Search(query string) []*Dataset {
@@ -136,33 +127,6 @@ func (c *Catalog) TotalBytes() int64 {
 	}
 	return n
 }
-
-// ByDiscipline groups sizes per discipline for the §4 breakdown.
-func (c *Catalog) ByDiscipline() map[string]int64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make(map[string]int64)
-	for _, d := range c.entries {
-		out[d.Discipline] += d.SizeBytes
-	}
-	return out
-}
-
-// Download records an access (freely downloadable by anyone, §1) and
-// resolves the dataset's location.
-func (c *Catalog) Download(name string) (string, error) {
-	c.mu.RLock()
-	d, ok := c.entries[name]
-	c.mu.RUnlock()
-	if !ok {
-		return "", fmt.Errorf("datasets: no dataset %q", name)
-	}
-	atomic.AddInt64(&c.downloads, 1)
-	return c.ids.Resolve(d.ARK)
-}
-
-// DownloadCount reports how many downloads the catalog has recorded.
-func (c *Catalog) DownloadCount() int64 { return atomic.LoadInt64(&c.downloads) }
 
 const (
 	tb = int64(1) << 40

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -672,36 +671,6 @@ func (c *Coordinator) linkStat(link string) *LinkStats {
 	return ls
 }
 
-// Detach removes a site from the placement set: its replicas stop counting
-// toward every dataset's factor, transfers touching it are aborted, and
-// subsequent rounds repair the resulting under-replication on the
-// remaining sites. Stats for the site are retained.
-func (c *Coordinator) Detach(name string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	kept := c.sites[:0]
-	for _, s := range c.sites {
-		if s.Name() != name {
-			kept = append(kept, s)
-		}
-	}
-	c.sites = kept
-	for key, t := range c.inflight {
-		if t.From == name || t.To == name {
-			delete(c.inflight, key)
-			c.stats.Aborted++
-		}
-	}
-	delete(c.lastSeen, name)
-	delete(c.knownRev, name)
-	delete(c.missed, name)
-	for key := range c.pinned {
-		if strings.HasSuffix(key, "→"+name) {
-			delete(c.pinned, key)
-		}
-	}
-}
-
 // InFlight reports the number of transfers currently in flight.
 func (c *Coordinator) InFlight() int {
 	c.mu.Lock()
@@ -819,13 +788,6 @@ func (c *Coordinator) Stage(dataset, site string) (StageStatus, error) {
 	}
 	return StageStatus{Dataset: dataset, Site: site, State: "staging",
 		From: t.From, ETASecs: float64(t.ArriveAt - now)}, nil
-}
-
-// Poll installs any transfers whose arrival time has passed without
-// running a full planning round — what console reads call before
-// reporting placement. Returns how many arrived.
-func (c *Coordinator) Poll() int {
-	return c.completeArrived(c.engine.Now())
 }
 
 // PlacementRow is one dataset's placement as the console reports it.

@@ -28,7 +28,7 @@ type coordRig struct {
 func newCoordRig(t *testing.T, seed uint64) *coordRig {
 	t.Helper()
 	e := sim.NewEngine(seed)
-	nw := simnet.BuildOSDCTopology(e, simnet.DefaultWAN())
+	nw := simnet.BuildOSDCTopology(simnet.DefaultWAN())
 	catVol := testVolume(t, e, "cat", 1<<40)
 	cat := datasets.NewCatalog(ark.NewService(""), catVol)
 	cat.AddCurator("walt")
@@ -235,8 +235,8 @@ func TestCoordinatorStage(t *testing.T) {
 	}
 	at, _ := c.NextArrival()
 	rig.e.RunUntil(at)
-	if c.Poll() != 1 {
-		t.Fatal("Poll installed nothing after arrival")
+	if c.completeArrived(c.engine.Now()) != 1 {
+		t.Fatal("no install after arrival")
 	}
 	if _, err := rig.c.Get("Gamma Imagery"); err != nil {
 		t.Fatalf("staged replica missing: %v", err)
@@ -523,7 +523,7 @@ func TestArrivalInstallDoesNotHoldCoordinatorLock(t *testing.T) {
 	c := NewCoordinator(rig.e, rig.nw, rig.cat, Options{Factor: 2, Seed: 29}, rig.a, slow, rig.c)
 
 	// Plan the first transfers, then advance past every arrival so the
-	// next Poll has installs to do.
+	// next install pass has work to do.
 	c.Round()
 	at, ok := c.NextArrival()
 	if !ok {
@@ -532,7 +532,7 @@ func TestArrivalInstallDoesNotHoldCoordinatorLock(t *testing.T) {
 	rig.e.RunUntil(at + sim.Time(sim.Hour))
 
 	polled := make(chan int)
-	go func() { polled <- c.Poll() }()
+	go func() { polled <- c.completeArrived(c.engine.Now()) }()
 	<-slow.entered // an install is now parked inside the slow Put
 
 	// The coordinator lock must be free while the Put blocks.
@@ -551,7 +551,7 @@ func TestArrivalInstallDoesNotHoldCoordinatorLock(t *testing.T) {
 
 	close(slow.release)
 	if n := <-polled; n == 0 {
-		t.Fatal("Poll completed no arrivals")
+		t.Fatal("the install pass completed no arrivals")
 	}
 }
 

@@ -71,9 +71,6 @@ func (r *Remote) Name() string { return r.name }
 // Loc implements API.
 func (r *Remote) Loc() string { return r.loc }
 
-// Endpoint returns the base URL the client speaks to.
-func (r *Remote) Endpoint() string { return r.endpoint }
-
 // wireError carries a server-reported message verbatim while preserving
 // the error class the Local backend would have returned.
 type wireError struct {

@@ -196,14 +196,6 @@ func (s *Store) Delete(dataset string) error {
 	return nil
 }
 
-// Rev returns the store's current revision — what ListSince hands back so
-// the next call sees only newer changes.
-func (s *Store) Rev() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.rev
-}
-
 // ListSince returns everything that changed after revision since. A fresh
 // client passes 0 and gets a Reset snapshot; afterwards it passes the Rev
 // from each response and receives only the replicas put and the datasets
@@ -236,22 +228,4 @@ func (s *Store) ListSince(since int64) (Delta, error) {
 	}
 	sort.Strings(d.Removed)
 	return d, nil
-}
-
-// TotalBytes sums the stored replica sizes.
-func (s *Store) TotalBytes() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var n int64
-	for _, r := range s.replicas {
-		n += r.SizeBytes
-	}
-	return n
-}
-
-// Count reports how many replicas the store holds.
-func (s *Store) Count() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.replicas)
 }

@@ -28,6 +28,10 @@ func testVolume(t *testing.T, e *sim.Engine, name string, capacity int64) *dfs.V
 	return vol
 }
 
+// usedBytes is the logical bytes on a store's test volume: one replica
+// set of two bricks, so each brick's disk holds one full copy.
+func usedBytes(s *Store) int64 { return s.vol.Bricks()[0].Disk.Used() }
+
 func testStore(t *testing.T, e *sim.Engine, name string, capacity int64) *Store {
 	t.Helper()
 	return NewStore(name, simnet.SiteChicagoKenwood, testVolume(t, e, name, capacity))
@@ -67,13 +71,13 @@ func TestStorePutGetListDelete(t *testing.T) {
 	}
 
 	// Bytes are accounted on the volume (replica 2 doubles raw need).
-	if used := s.vol.UsedBytes(); used != 3<<30 {
+	if used := usedBytes(s); used != 3<<30 {
 		t.Fatalf("volume UsedBytes = %d, want %d", used, int64(3<<30))
 	}
 	if err := s.Delete("B Set"); err != nil {
 		t.Fatal(err)
 	}
-	if used := s.vol.UsedBytes(); used != 1<<30 {
+	if used := usedBytes(s); used != 1<<30 {
 		t.Fatalf("volume UsedBytes after delete = %d, want %d", used, int64(1<<30))
 	}
 	if err := s.Delete("B Set"); !errors.Is(err, ErrNoReplica) {
@@ -84,7 +88,7 @@ func TestStorePutGetListDelete(t *testing.T) {
 	if err := s.Put(Replica{Dataset: "A Set", SizeBytes: 4 << 30, Version: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if used := s.vol.UsedBytes(); used != 4<<30 {
+	if used := usedBytes(s); used != 4<<30 {
 		t.Fatalf("volume UsedBytes after replace = %d, want %d", used, int64(4<<30))
 	}
 }
@@ -128,14 +132,14 @@ func TestStoreFailedReplaceKeepsAccounting(t *testing.T) {
 	if err != nil || got.Version != 1 || got.SizeBytes != 2<<30 {
 		t.Fatalf("failed replace clobbered the replica: %+v, %v", got, err)
 	}
-	if used := s.vol.UsedBytes(); used != 2<<30 {
+	if used := usedBytes(s); used != 2<<30 {
 		t.Fatalf("volume UsedBytes after failed replace = %d, want %d", used, int64(2<<30))
 	}
 	// The delete releases exactly once; accounting returns to zero.
 	if err := s.Delete("Set"); err != nil {
 		t.Fatal(err)
 	}
-	if used := s.vol.UsedBytes(); used != 0 {
+	if used := usedBytes(s); used != 0 {
 		t.Fatalf("volume UsedBytes after delete = %d, want 0", used)
 	}
 }
@@ -146,7 +150,7 @@ func TestStoreAdoptSkipsVolumeAccounting(t *testing.T) {
 	if err := s.Adopt(Replica{Dataset: "Master", SizeBytes: 10 << 30, Version: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if used := s.vol.UsedBytes(); used != 0 {
+	if used := usedBytes(s); used != 0 {
 		t.Fatalf("Adopt wrote %d bytes to the volume", used)
 	}
 	if got, err := s.Get("Master"); err != nil || got.Checksum != Fingerprint("Master", 1) {

@@ -61,10 +61,10 @@ func PaperTable3() []Table3Row {
 }
 
 // ChicagoLVOCPath builds the measured path of §7.2: Chicago ↔ LVOC,
-// 104 ms RTT over 10G.
+// 104 ms RTT over 10G. The topology is static, so every seed gives the
+// same path.
 func ChicagoLVOCPath(seed uint64) transport.Path {
-	e := sim.NewEngine(seed)
-	nw := simnet.BuildOSDCTopology(e, simnet.DefaultWAN())
+	nw := simnet.BuildOSDCTopology(simnet.DefaultWAN())
 	simnet.AttachHost(nw, "adler-xfer", simnet.SiteChicagoKenwood)
 	simnet.AttachHost(nw, "lvoc-xfer", simnet.SiteLVOC)
 	return transport.PathBetween(nw, "adler-xfer", "lvoc-xfer")

@@ -55,7 +55,7 @@ func replicationPoint(seed uint64, factor int, backbone float64) (datastore.Stat
 	e := sim.NewEngine(seed)
 	wan := simnet.DefaultWAN()
 	wan.Backbone = backbone
-	nw := simnet.BuildOSDCTopology(e, wan)
+	nw := simnet.BuildOSDCTopology(wan)
 
 	catVol, err := sweepVolume(e, "cat")
 	if err != nil {

@@ -95,18 +95,6 @@ type Instance struct {
 	stopPending bool
 }
 
-// CoreSecondsUntil returns core-seconds consumed up to t (for billing).
-func (i *Instance) CoreSecondsUntil(t sim.Time) float64 {
-	end := t
-	if i.State == StateTerminated || i.State == StateShutoff {
-		end = i.Stopped
-	}
-	if end < i.Launched {
-		return 0
-	}
-	return float64(end-i.Launched) * float64(i.Flavor.VCPUs)
-}
-
 // Host is one hypervisor server. The paper's rack unit: 8 cores, 8 TB disk
 // per server (§9.1 footnote).
 type Host struct {
@@ -460,12 +448,6 @@ func (c *Cloud) quotaFor(user string) Quota {
 		return q
 	}
 	return FreeTierQuota()
-}
-
-// Flavor looks up a flavor by name.
-func (c *Cloud) Flavor(name string) (Flavor, bool) {
-	f, ok := c.flavors[name]
-	return f, ok
 }
 
 // Flavors lists flavors sorted by cores.

@@ -123,17 +123,6 @@ func hash32(s string) uint32 {
 	return x
 }
 
-// Backends returns the current backend URLs (healthy or not).
-func (p *Pool) Backends() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]string, len(p.backends))
-	for i, b := range p.backends {
-		out[i] = b.url
-	}
-	return out
-}
-
 // Healthy returns how many backends are currently up.
 func (p *Pool) Healthy() int {
 	p.mu.Lock()

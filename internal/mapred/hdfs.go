@@ -101,24 +101,6 @@ func (h *HDFS) Put(path string, content []byte) []Block {
 	return blocks
 }
 
-// PutMeta stores a size-only file (petabyte-scale accounting).
-func (h *HDFS) PutMeta(path string, size int64) []Block {
-	var blocks []Block
-	for off := int64(0); off < size; off += h.BlockSize {
-		n := h.BlockSize
-		if off+n > size {
-			n = size - off
-		}
-		h.nextBlock++
-		blocks = append(blocks, Block{
-			ID: fmt.Sprintf("blk_%06d", h.nextBlock), Seq: len(blocks),
-			Size: n, Nodes: h.place(),
-		})
-	}
-	h.files[path] = blocks
-	return blocks
-}
-
 // Blocks returns a file's blocks in order.
 func (h *HDFS) Blocks(path string) ([]Block, error) {
 	b, ok := h.files[path]
@@ -126,40 +108,4 @@ func (h *HDFS) Blocks(path string) ([]Block, error) {
 		return nil, fmt.Errorf("mapred: no such file %q", path)
 	}
 	return b, nil
-}
-
-// Size returns the file's total bytes.
-func (h *HDFS) Size(path string) (int64, error) {
-	blocks, err := h.Blocks(path)
-	if err != nil {
-		return 0, err
-	}
-	var n int64
-	for _, b := range blocks {
-		n += b.Size
-	}
-	return n, nil
-}
-
-// List returns paths with the prefix, sorted.
-func (h *HDFS) List(prefix string) []string {
-	var out []string
-	for p := range h.files {
-		if len(p) >= len(prefix) && p[:len(prefix)] == prefix {
-			out = append(out, p)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// UsedBytes returns logical bytes stored.
-func (h *HDFS) UsedBytes() int64 {
-	var n int64
-	for _, blocks := range h.files {
-		for _, b := range blocks {
-			n += b.Size
-		}
-	}
-	return n
 }

@@ -43,9 +43,13 @@ func TestHDFSBlockSplitting(t *testing.T) {
 	if blocks[2].Size != 50 {
 		t.Fatalf("tail block size = %d, want 50", blocks[2].Size)
 	}
-	size, err := fs.Size("/f")
+	stored, err := fs.Blocks("/f")
+	var size int64
+	for _, b := range stored {
+		size += b.Size
+	}
 	if err != nil || size != 250 {
-		t.Fatalf("Size = %d, %v", size, err)
+		t.Fatalf("size = %d, %v", size, err)
 	}
 }
 

@@ -153,7 +153,7 @@ type Master struct {
 	PollsAbandoned int64
 
 	// deadline bounds one agent sweep's wall time; defaults to
-	// pollDeadline. Set during setup (SetPollDeadline).
+	// pollDeadline; the tests shorten it.
 	deadline time.Duration
 }
 
@@ -169,19 +169,12 @@ func NewMaster(e *sim.Engine, interval sim.Duration, notify func(Alert)) *Master
 	return m
 }
 
-// SetPollDeadline overrides the per-sweep wall deadline (0 = wait
-// forever). Call during setup, before the clock is driven.
-func (m *Master) SetPollDeadline(d time.Duration) { m.deadline = d }
-
 // AddAgent registers a host's agent with the master.
 func (m *Master) AddAgent(a *Agent) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.agents[a.Host] = a
 }
-
-// Stop halts polling.
-func (m *Master) Stop() { m.ticker.Stop() }
 
 func (m *Master) pollAll() {
 	m.mu.Lock()
@@ -269,13 +262,6 @@ func (m *Master) Alerts() []Alert {
 	return append([]Alert(nil), m.alerts...)
 }
 
-// StateOf returns the last observed state of host/check.
-func (m *Master) StateOf(host, check string) State {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.last[host+"/"+check]
-}
-
 // --- the in-house cloud usage monitor ---
 
 // UsageSnapshot is the public high-level cloud summary (§7.4: "the high
@@ -309,7 +295,7 @@ type UsageMonitor struct {
 	errByCloud map[string]*int64
 
 	// deadline bounds one cloud sample's wall time; defaults to
-	// pollDeadline. Set during setup (SetPollDeadline).
+	// pollDeadline; the tests shorten it.
 	deadline time.Duration
 
 	// The reused delta-sampling machinery, mirroring billing.Biller: slots
@@ -387,10 +373,6 @@ func NewUsageMonitor(e *sim.Engine, clouds []cloudapi.CloudAPI, interval sim.Dur
 	um.ticker = e.Every(interval, um.sample)
 	return um
 }
-
-// SetPollDeadline overrides the per-sample wall deadline (0 = wait
-// forever). Call during setup, before the clock is driven.
-func (um *UsageMonitor) SetPollDeadline(d time.Duration) { um.deadline = d }
 
 // SampleErrorsByCloud returns each cloud's sample-failure count, zero
 // entries included.

@@ -154,7 +154,7 @@ func TestAbandonedSampleSurfacesPerCloud(t *testing.T) {
 	t.Cleanup(func() { close(hung.release) })
 
 	um := NewUsageMonitor(e, []cloudapi.CloudAPI{cloudapi.NewLocal(c), hung}, 300)
-	um.SetPollDeadline(5 * time.Millisecond)
+	um.deadline = 5 * time.Millisecond
 	e.RunFor(901)
 	um.Stop()
 
@@ -176,7 +176,7 @@ func TestAbandonedSampleSurfacesPerCloud(t *testing.T) {
 func TestMasterAbandonsHungAgent(t *testing.T) {
 	e := sim.NewEngine(9)
 	m := NewMaster(e, 60, nil)
-	m.SetPollDeadline(5 * time.Millisecond)
+	m.deadline = 5 * time.Millisecond
 
 	release := make(chan struct{})
 	t.Cleanup(func() { close(release) })
@@ -191,7 +191,7 @@ func TestMasterAbandonsHungAgent(t *testing.T) {
 	m.AddAgent(healthy)
 
 	e.RunFor(301) // 5 polls
-	m.Stop()
+	m.ticker.Stop()
 
 	if n := atomic.LoadInt64(&m.PollsAbandoned); n < 4 {
 		t.Fatalf("PollsAbandoned = %d, want ~5", n)

@@ -25,83 +25,95 @@ type ClockSource interface {
 	Stop()
 }
 
-// Driver is the free-running ClockSource: every interval of real time it
-// runs the clock forward by the elapsed wall time multiplied by speedup.
-// This is what turns the discrete-event federation into a live service —
-// billing pollers, monitoring sweeps and VM boot timers all fire while
-// HTTP handlers schedule against the same clock. The clock may be a
-// single Engine or a ShardSet, whose shards the driver advances to a
-// common target each tick.
-type Driver struct {
-	clock    Clock
-	anchor   *Engine
-	speedup  float64
-	interval time.Duration
+// source is the clock-driving goroutine Driver and Follower share: every
+// interval of wall time it asks its policy how far to run the clock, given
+// the wall seconds since the last tick, and runs it there.
+type source struct {
+	clock  Clock
+	anchor *Engine
 
 	stopOnce sync.Once
 	stop     chan struct{}
 	done     chan struct{}
 }
 
-// StartDriver switches e into shared mode and starts a goroutine advancing
+// attach switches c into shared mode and makes it the source's clock.
+func (s *source) attach(c Clock) {
+	c.Share()
+	s.clock = c
+	if set, ok := c.(*ShardSet); ok {
+		s.anchor = set.Anchor()
+	} else {
+		s.anchor = c.(*Engine)
+	}
+	s.stop, s.done = make(chan struct{}), make(chan struct{})
+}
+
+// loop is the goroutine: next returns the virtual time to run the clock
+// to, or false to leave it where it is.
+func (s *source) loop(interval time.Duration, next func(dt float64) (Time, bool)) {
+	defer close(s.done)
+	tick := time.NewTicker(interval)
+	defer tick.Stop()
+	last := time.Now()
+	for {
+		select {
+		case <-s.stop:
+			return
+		case now := <-tick.C:
+			dt := now.Sub(last).Seconds()
+			last = now
+			if to, ok := next(dt); ok {
+				s.clock.RunUntil(to)
+			}
+		}
+	}
+}
+
+// Engine implements ClockSource. Over a ShardSet it returns the anchor
+// shard.
+func (s *source) Engine() *Engine { return s.anchor }
+
+// Stop implements ClockSource. The engine is left at whatever virtual time
+// it reached; it remains in shared mode.
+func (s *source) Stop() {
+	s.stopOnce.Do(func() { close(s.stop) })
+	<-s.done
+}
+
+// Driver is the free-running ClockSource: every interval of real time it
+// runs the clock forward by the elapsed wall time multiplied by speedup.
+// This is what turns the discrete-event federation into a live service —
+// billing pollers, monitoring sweeps and VM boot timers all fire while
+// HTTP handlers schedule against the same clock. The clock may be a
+// single Engine or a ShardSet, whose shards the driver advances to a
+// common target each tick, so cross-shard skew stays bounded by one
+// tick's worth of virtual time.
+type Driver struct {
+	source
+	speedup float64
+}
+
+// StartDriver switches c into shared mode and starts a goroutine advancing
 // it: speedup is simulated seconds per wall second (<= 0 means 1, i.e.
 // real time), interval the wall period between advances (<= 0 means 5 ms).
 // Stop the driver before tearing the engine's world down.
-func StartDriver(e *Engine, speedup float64, interval time.Duration) *Driver {
-	return startDriver(e, e, speedup, interval)
-}
-
-// StartShardDriver is StartDriver over a sharded kernel: every tick
-// advances all shards to the same target, so cross-shard skew stays
-// bounded by one tick's worth of virtual time. Engine() reports the
-// set's anchor shard.
-func StartShardDriver(s *ShardSet, speedup float64, interval time.Duration) *Driver {
-	return startDriver(s, s.Anchor(), speedup, interval)
-}
-
-func startDriver(c Clock, anchor *Engine, speedup float64, interval time.Duration) *Driver {
+func StartDriver(c Clock, speedup float64, interval time.Duration) *Driver {
 	if speedup <= 0 {
 		speedup = 1
 	}
 	if interval <= 0 {
 		interval = 5 * time.Millisecond
 	}
-	c.Share()
-	d := &Driver{
-		clock: c, anchor: anchor, speedup: speedup, interval: interval,
-		stop: make(chan struct{}), done: make(chan struct{}),
-	}
-	go d.loop()
+	d := &Driver{speedup: speedup}
+	d.attach(c)
+	go d.loop(interval, d.next)
 	return d
 }
 
-func (d *Driver) loop() {
-	defer close(d.done)
-	tick := time.NewTicker(d.interval)
-	defer tick.Stop()
-	last := time.Now()
-	for {
-		select {
-		case <-d.stop:
-			return
-		case now := <-tick.C:
-			dt := now.Sub(last).Seconds()
-			last = now
-			if dt > 0 {
-				d.clock.RunUntil(d.clock.Now() + Time(dt*d.speedup))
-			}
-		}
+func (d *Driver) next(dt float64) (Time, bool) {
+	if dt <= 0 {
+		return 0, false
 	}
-}
-
-// Engine implements ClockSource. For a sharded driver it returns the
-// anchor shard.
-func (d *Driver) Engine() *Engine { return d.anchor }
-
-// Stop halts the driver and waits for its goroutine to exit. The engine is
-// left at whatever virtual time it reached; it remains in shared mode.
-// Stop is idempotent.
-func (d *Driver) Stop() {
-	d.stopOnce.Do(func() { close(d.stop) })
-	<-d.done
+	return d.clock.Now() + Time(dt*d.speedup), true
 }

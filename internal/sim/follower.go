@@ -21,50 +21,30 @@ import (
 // stop firing rather than drifting, and the engine resumes from where it
 // stopped on the next publication.
 type Follower struct {
-	clock    Clock
-	anchor   *Engine
-	interval time.Duration
+	source
 	// maxRate caps catch-up speed in virtual seconds per wall second;
 	// <= 0 means unbounded (jump to the target in one tick).
 	maxRate float64
 
 	mu     sync.Mutex
 	target Time
-
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
 }
 
-// StartFollower switches e into shared mode and starts the follower
-// goroutine: every interval of wall time (<= 0 means 2 ms) the engine is
+// StartFollower switches c into shared mode and starts the follower
+// goroutine: every interval of wall time (<= 0 means 2 ms) the clock is
 // advanced toward the newest published target, by at most maxRate virtual
 // seconds per wall second (<= 0 for unbounded catch-up). Until the first
-// SetTarget the clock holds still.
-func StartFollower(e *Engine, maxRate float64, interval time.Duration) *Follower {
-	return startFollower(e, e, maxRate, interval)
-}
-
-// StartShardFollower is StartFollower over a sharded kernel: each catch-up
-// tick advances all shards toward the same published target, so the
-// cross-shard skew bound composes with the cross-site one — no shard of
-// any site runs past the coordinator's clock. Engine() reports the set's
-// anchor shard.
-func StartShardFollower(s *ShardSet, maxRate float64, interval time.Duration) *Follower {
-	return startFollower(s, s.Anchor(), maxRate, interval)
-}
-
-func startFollower(c Clock, anchor *Engine, maxRate float64, interval time.Duration) *Follower {
+// SetTarget the clock holds still. Over a ShardSet each catch-up tick
+// advances all shards toward the same target, so the cross-shard skew
+// bound composes with the cross-site one.
+func StartFollower(c Clock, maxRate float64, interval time.Duration) *Follower {
 	if interval <= 0 {
 		interval = 2 * time.Millisecond
 	}
-	c.Share()
-	f := &Follower{
-		clock: c, anchor: anchor, maxRate: maxRate, interval: interval,
-		target: c.Now(),
-		stop:   make(chan struct{}), done: make(chan struct{}),
-	}
-	go f.loop()
+	f := &Follower{maxRate: maxRate}
+	f.attach(c)
+	f.target = c.Now()
+	go f.loop(interval, f.next)
 	return f
 }
 
@@ -86,50 +66,17 @@ func (f *Follower) Target() Time {
 	return f.target
 }
 
-// Lag returns how far the engine's clock trails the newest target, in
-// virtual seconds (never negative).
-func (f *Follower) Lag() Duration {
-	lag := float64(f.Target() - f.clock.Now())
-	if lag < 0 {
-		return 0
+func (f *Follower) next(dt float64) (Time, bool) {
+	target := f.Target()
+	at := f.clock.Now()
+	lag := float64(target - at)
+	if lag <= 0 {
+		return 0, false
 	}
-	return lag
-}
-
-// Engine implements ClockSource. For a sharded follower it returns the
-// anchor shard.
-func (f *Follower) Engine() *Engine { return f.anchor }
-
-// Stop implements ClockSource.
-func (f *Follower) Stop() {
-	f.stopOnce.Do(func() { close(f.stop) })
-	<-f.done
-}
-
-func (f *Follower) loop() {
-	defer close(f.done)
-	tick := time.NewTicker(f.interval)
-	defer tick.Stop()
-	last := time.Now()
-	for {
-		select {
-		case <-f.stop:
-			return
-		case now := <-tick.C:
-			dt := now.Sub(last).Seconds()
-			last = now
-			target := f.Target()
-			at := f.clock.Now()
-			lag := float64(target - at)
-			if lag <= 0 {
-				continue
-			}
-			if f.maxRate > 0 && dt > 0 {
-				if step := dt * f.maxRate; step < lag {
-					lag = step
-				}
-			}
-			f.clock.RunUntil(at + Time(lag))
+	if f.maxRate > 0 && dt > 0 {
+		if step := dt * f.maxRate; step < lag {
+			lag = step
 		}
 	}
+	return at + Time(lag), true
 }

@@ -144,7 +144,7 @@ func TestShardSetParallelDeterminism(t *testing.T) {
 
 func TestShardDriverAdvancesAllShards(t *testing.T) {
 	set := NewShardSet(1, 3)
-	d := StartShardDriver(set, 1e6, time.Millisecond)
+	d := StartDriver(set, 1e6, time.Millisecond)
 	defer d.Stop()
 	if d.Engine() != set.Anchor() {
 		t.Fatal("shard driver's Engine() is not the anchor")
@@ -164,7 +164,7 @@ func TestShardDriverAdvancesAllShards(t *testing.T) {
 
 func TestShardFollowerHoldsAndCatchesUp(t *testing.T) {
 	set := NewShardSet(1, 3)
-	f := StartShardFollower(set, 0, time.Millisecond)
+	f := StartFollower(set, 0, time.Millisecond)
 	defer f.Stop()
 	time.Sleep(20 * time.Millisecond)
 	if now := set.Now(); now != 0 {
@@ -183,7 +183,7 @@ func TestShardFollowerHoldsAndCatchesUp(t *testing.T) {
 	if set.Now() > 500 {
 		t.Fatalf("follower overshot target: %v", set.Now())
 	}
-	if f.Lag() != 0 {
-		t.Fatalf("Lag = %v at target", f.Lag())
+	if lag := f.Target() - set.Now(); lag != 0 {
+		t.Fatalf("lag = %v at target", lag)
 	}
 }

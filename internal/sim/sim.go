@@ -69,7 +69,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Time is a point in virtual time, measured in seconds from the start of the
@@ -109,9 +108,6 @@ func (t Time) String() string {
 	}
 }
 
-// AsWall converts virtual seconds to a time.Duration for reporting.
-func (t Time) AsWall() time.Duration { return time.Duration(float64(t) * float64(time.Second)) }
-
 // event is one heap entry, stored by value in the heap slice: a scheduled
 // callback, or — when fire is nil — the head of a run, whose events wait in
 // e.runs[seq] (see "Run coalescing").
@@ -146,12 +142,12 @@ type batchEntry struct {
 }
 
 // Handle identifies a scheduled event so it can be cancelled. The zero
-// Handle is inert: Cancel is a no-op and Cancelled reports false. The
-// cancelled bit lives in the Handle value itself, so copies of a Handle do
-// not observe each other's Cancel calls (the engine-side effect — the event
-// not firing — is shared regardless of which copy cancelled it). In shared
-// mode the bit is read and written under the engine lock, so goroutines
-// sharing one Handle may race Cancel against Cancel or Cancelled safely.
+// Handle is inert: Cancel is a no-op. The cancelled bit lives in the Handle
+// value itself, so copies of a Handle do not observe each other's Cancel
+// calls (the engine-side effect — the event not firing — is shared
+// regardless of which copy cancelled it). In shared mode the bit is read
+// and written under the engine lock, so goroutines sharing one Handle may
+// race Cancel against Cancel safely.
 type Handle struct {
 	e         *Engine
 	seq       uint64
@@ -173,16 +169,6 @@ func (h *Handle) Cancel() {
 	}
 	h.cancelled = true
 	h.e.cancel(h.seq)
-}
-
-// Cancelled reports whether Cancel was called on this Handle.
-func (h *Handle) Cancelled() bool {
-	if h.e == nil {
-		return false
-	}
-	h.e.lock()
-	defer h.e.unlock()
-	return h.cancelled
 }
 
 // Engine is the discrete-event scheduler. The zero value is not usable; use
@@ -215,7 +201,6 @@ type Engine struct {
 	cancelled map[uint64]struct{}
 	seq       uint64
 	rng       *RNG
-	trace     func(t Time, msg string)
 	halted    bool
 
 	// fired counts executed events. It is atomic because the batched run
@@ -270,8 +255,8 @@ func (e *Engine) Now() Time {
 // RNG returns the engine's deterministic random source. The RNG is NOT
 // protected by shared mode; only single-threaded scenario code that owns
 // the engine may use it directly. Concurrent callers — HTTP handlers,
-// callbacks racing a clock driver — must draw through the locked surface
-// (RandFloat64, RandIntn, RandUint64, RandExp) instead.
+// callbacks racing a clock driver — must draw through the locked
+// RandFloat64 instead.
 func (e *Engine) RNG() *RNG { return e.rng }
 
 // RandFloat64 draws a uniform value in [0, 1) from the engine RNG under
@@ -283,29 +268,6 @@ func (e *Engine) RandFloat64() float64 {
 	e.lock()
 	defer e.unlock()
 	return e.rng.Float64()
-}
-
-// RandIntn draws a uniform int in [0, n) under the engine lock. Panics if
-// n <= 0.
-func (e *Engine) RandIntn(n int) int {
-	e.lock()
-	defer e.unlock()
-	return e.rng.Intn(n)
-}
-
-// RandUint64 draws 64 random bits under the engine lock.
-func (e *Engine) RandUint64() uint64 {
-	e.lock()
-	defer e.unlock()
-	return e.rng.Uint64()
-}
-
-// RandExp draws an exponentially distributed value with the given mean
-// under the engine lock.
-func (e *Engine) RandExp(mean float64) float64 {
-	e.lock()
-	defer e.unlock()
-	return e.rng.Exp(mean)
 }
 
 // Fired returns the number of events executed so far.
@@ -330,24 +292,6 @@ func (e *Engine) Pending() int {
 		return 0
 	}
 	return n
-}
-
-// SetTrace installs a trace sink invoked by Tracef. A nil sink disables
-// tracing.
-func (e *Engine) SetTrace(fn func(t Time, msg string)) {
-	e.lock()
-	defer e.unlock()
-	e.trace = fn
-}
-
-// Tracef emits a trace line if tracing is enabled.
-func (e *Engine) Tracef(format string, args ...interface{}) {
-	e.lock()
-	trace, now := e.trace, e.now
-	e.unlock()
-	if trace != nil {
-		trace(now, fmt.Sprintf(format, args...))
-	}
 }
 
 // At schedules fire to run at absolute time t. Scheduling in the past (t <

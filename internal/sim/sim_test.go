@@ -81,8 +81,8 @@ func TestCancel(t *testing.T) {
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if !h.Cancelled() {
-		t.Fatal("Cancelled() = false after Cancel")
+	if !h.cancelled {
+		t.Fatal("cancelled = false after Cancel")
 	}
 }
 

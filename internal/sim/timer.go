@@ -74,10 +74,3 @@ func (t *Timer) Stop() bool {
 	t.pending = false
 	return true
 }
-
-// Pending reports whether an expiry is currently scheduled.
-func (t *Timer) Pending() bool {
-	t.e.lock()
-	defer t.e.unlock()
-	return t.pending
-}

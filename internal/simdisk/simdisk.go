@@ -54,16 +54,6 @@ func New(e *sim.Engine, name string, readBps, writeBps float64, capacity int64) 
 	return &Disk{Name: name, ReadBps: readBps, WriteBps: writeBps, Capacity: capacity, engine: e}
 }
 
-// PaperSource returns a disk with the paper's source-node speeds.
-func PaperSource(e *sim.Engine, name string, capacity int64) *Disk {
-	return New(e, name, PaperSourceReadBps, PaperTargetWriteBps*2, capacity)
-}
-
-// PaperTarget returns a disk with the paper's target-node speeds.
-func PaperTarget(e *sim.Engine, name string, capacity int64) *Disk {
-	return New(e, name, PaperSourceReadBps, PaperTargetWriteBps, capacity)
-}
-
 // Used returns the bytes currently allocated.
 func (d *Disk) Used() int64 { return atomic.LoadInt64(&d.used) }
 
@@ -72,12 +62,6 @@ func (d *Disk) Free() int64 { return d.Capacity - d.Used() }
 
 // Utilization returns used/capacity in [0,1].
 func (d *Disk) Utilization() float64 { return float64(d.Used()) / float64(d.Capacity) }
-
-// ReadTime returns the streaming time to read n bytes, ignoring queueing.
-func (d *Disk) ReadTime(n int64) sim.Duration { return float64(n*8) / d.ReadBps }
-
-// WriteTime returns the streaming time to write n bytes, ignoring queueing.
-func (d *Disk) WriteTime(n int64) sim.Duration { return float64(n*8) / d.WriteBps }
 
 // ErrFull is returned when an allocation exceeds the remaining capacity.
 type ErrFull struct {
@@ -116,42 +100,4 @@ func (d *Disk) Release(n int64) {
 	if used := atomic.AddInt64(&d.used, -n); used < 0 {
 		panic(fmt.Sprintf("simdisk: release of %d under-ran the allocation", n))
 	}
-}
-
-// Read schedules a streaming read of n bytes; done fires when it completes.
-// Concurrent reads serialize behind each other at ReadBps.
-func (d *Disk) Read(n int64, done func()) {
-	if n < 0 {
-		panic("simdisk: negative read")
-	}
-	now := d.engine.Now()
-	start := d.readFree
-	if start < now {
-		start = now
-	}
-	end := start + sim.Time(d.ReadTime(n))
-	d.readFree = end
-	d.ReadOps++
-	d.BytesRead += n
-	d.engine.At(end, done)
-}
-
-// Write schedules a streaming write of n bytes after reserving capacity;
-// done fires when it completes. Returns ErrFull without scheduling if the
-// disk lacks space.
-func (d *Disk) Write(n int64, done func()) error {
-	if err := d.Alloc(n); err != nil {
-		return err
-	}
-	now := d.engine.Now()
-	start := d.writeFree
-	if start < now {
-		start = now
-	}
-	end := start + sim.Time(d.WriteTime(n))
-	d.writeFree = end
-	d.WriteOps++
-	d.BytesWritten += n
-	d.engine.At(end, done)
-	return nil
 }

@@ -4,20 +4,15 @@
 // Valley Open Campus, and the AMPATH facility in Miami) connected by 10G
 // research networks. This package provides:
 //
-//   - a packet-level model (Link, Node, Packet) with serialization delay,
-//     propagation delay, drop-tail queues and random loss, used by the
-//     transfer-protocol state machines in internal/udt and internal/tcpmodel;
-//   - static shortest-path routing over arbitrary topologies;
-//   - a max-min fair fluid-flow model for coarse traffic studies (Table 1's
-//     commercial-vs-science flow characterization);
+//   - a static topology (Node, Link) whose links carry bandwidth,
+//     propagation delay and residual loss;
+//   - shortest-path routing and the path queries the transfer model
+//     prices flows from (PathRTT, PathBandwidth, PathLoss);
 //   - the canonical OSDC topology used throughout the benchmarks.
-//
-// All timing runs on a sim.Engine, so everything is deterministic.
 package simnet
 
 import (
 	"fmt"
-	"sort"
 
 	"osdc/internal/sim"
 )
@@ -29,72 +24,33 @@ const (
 	Gbit = 1e9
 )
 
-// Packet is the unit of packet-level transmission. Size is the on-wire size
-// in bytes. Payload carries protocol state (opaque to the network).
-type Packet struct {
-	Src, Dst string // node names
-	Proto    string // demultiplexing key, e.g. "udt", "tcp"
-	Size     int    // bytes on the wire
-	Seq      int64  // protocol sequence number (for traces)
-	Payload  interface{}
-}
-
-// Handler receives packets delivered to a node for a given protocol.
-type Handler func(pkt *Packet)
-
 // Node is a host or router attached to the network.
 type Node struct {
-	Name     string
-	Site     string // data center this node lives in
-	handlers map[string]Handler
-	net      *Network
+	Name string
+	Site string // data center this node lives in
 }
 
-// Handle registers the packet handler for a protocol on this node.
-// Registering twice for the same protocol replaces the handler.
-func (n *Node) Handle(proto string, h Handler) { n.handlers[proto] = h }
-
-// Network returns the network this node is attached to.
-func (n *Node) Network() *Network { return n.net }
-
 // Link is a unidirectional pipe between two nodes with finite bandwidth, a
-// fixed propagation delay, an optional random loss probability, and a
-// drop-tail queue bounded in bytes.
+// fixed propagation delay and an independent per-packet loss probability.
 type Link struct {
 	From, To  string
 	Bandwidth float64 // bits per second
 	Delay     sim.Duration
 	LossProb  float64 // per-packet independent drop probability
-	QueueCap  int     // bytes; 0 means a generous default
-
-	nextFree  sim.Time // when the transmitter finishes the current packet
-	queued    int      // bytes currently queued (committed, not yet serialized)
-	Delivered int64    // packets delivered
-	Dropped   int64    // packets dropped (loss or queue overflow)
-	Bytes     int64    // bytes delivered
 }
 
-// DefaultQueueCap is used when QueueCap is zero: 2 MB, a typical 2012-era
-// router buffer for a 10G port.
-const DefaultQueueCap = 2 << 20
-
-// Network holds the topology and delivers packets.
+// Network holds the topology and its routes.
 type Network struct {
-	Engine *sim.Engine
 	nodes  map[string]*Node
 	links  map[string]*Link             // keyed "from->to"
 	routes map[string]map[string]string // routes[src][dst] = next hop
-	rng    *sim.RNG
-	fluid  *fluidState
 }
 
-// New creates an empty network on the given engine.
-func New(e *sim.Engine) *Network {
+// New creates an empty network.
+func New() *Network {
 	return &Network{
-		Engine: e,
-		nodes:  make(map[string]*Node),
-		links:  make(map[string]*Link),
-		rng:    e.RNG().Fork(),
+		nodes: make(map[string]*Node),
+		links: make(map[string]*Link),
 	}
 }
 
@@ -104,23 +60,10 @@ func (nw *Network) AddNode(name, site string) *Node {
 	if _, ok := nw.nodes[name]; ok {
 		panic("simnet: duplicate node " + name)
 	}
-	n := &Node{Name: name, Site: site, handlers: make(map[string]Handler), net: nw}
+	n := &Node{Name: name, Site: site}
 	nw.nodes[name] = n
 	nw.routes = nil // invalidate routing
 	return n
-}
-
-// Node returns a node by name, or nil.
-func (nw *Network) Node(name string) *Node { return nw.nodes[name] }
-
-// Nodes returns all node names in sorted order.
-func (nw *Network) Nodes() []string {
-	out := make([]string, 0, len(nw.nodes))
-	for name := range nw.nodes {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func linkKey(from, to string) string { return from + "->" + to }
@@ -133,9 +76,6 @@ func (nw *Network) AddLink(l Link) *Link {
 	if l.Bandwidth <= 0 {
 		panic("simnet: link bandwidth must be positive")
 	}
-	if l.QueueCap == 0 {
-		l.QueueCap = DefaultQueueCap
-	}
 	cp := l
 	nw.links[linkKey(l.From, l.To)] = &cp
 	nw.routes = nil
@@ -147,74 +87,6 @@ func (nw *Network) AddDuplex(a, b string, bandwidth float64, delay sim.Duration,
 	f := nw.AddLink(Link{From: a, To: b, Bandwidth: bandwidth, Delay: delay, LossProb: loss})
 	r := nw.AddLink(Link{From: b, To: a, Bandwidth: bandwidth, Delay: delay, LossProb: loss})
 	return f, r
-}
-
-// LinkBetween returns the direct link from a to b, or nil.
-func (nw *Network) LinkBetween(a, b string) *Link { return nw.links[linkKey(a, b)] }
-
-// Send injects a packet at its source node and delivers it along the
-// shortest path. Delivery (or silent drop) is scheduled on the engine. Send
-// panics if no route exists — in a static topology that is a wiring bug.
-func (nw *Network) Send(pkt *Packet) {
-	if nw.nodes[pkt.Src] == nil || nw.nodes[pkt.Dst] == nil {
-		panic(fmt.Sprintf("simnet: send %s->%s references unknown node", pkt.Src, pkt.Dst))
-	}
-	nw.forward(pkt, pkt.Src)
-}
-
-func (nw *Network) forward(pkt *Packet, at string) {
-	if at == pkt.Dst {
-		nw.deliver(pkt)
-		return
-	}
-	next := nw.NextHop(at, pkt.Dst)
-	if next == "" {
-		panic(fmt.Sprintf("simnet: no route %s->%s", at, pkt.Dst))
-	}
-	link := nw.links[linkKey(at, next)]
-	nw.transmit(link, pkt, func() { nw.forward(pkt, next) })
-}
-
-// transmit models one link hop: queueing, serialization, propagation, loss.
-func (nw *Network) transmit(link *Link, pkt *Packet, arrive func()) {
-	e := nw.Engine
-	now := e.Now()
-	// Drop-tail queue admission: bytes awaiting serialization.
-	if link.queued+pkt.Size > link.QueueCap {
-		link.Dropped++
-		return
-	}
-	// Random loss.
-	if link.LossProb > 0 && nw.rng.Bernoulli(link.LossProb) {
-		link.Dropped++
-		return
-	}
-	link.queued += pkt.Size
-	start := link.nextFree
-	if start < now {
-		start = now
-	}
-	serialization := sim.Duration(float64(pkt.Size*8) / link.Bandwidth)
-	done := start + sim.Time(serialization)
-	link.nextFree = done
-	e.At(done, func() {
-		link.queued -= pkt.Size
-		e.At(done+sim.Time(link.Delay), func() {
-			link.Delivered++
-			link.Bytes += int64(pkt.Size)
-			arrive()
-		})
-	})
-}
-
-func (nw *Network) deliver(pkt *Packet) {
-	node := nw.nodes[pkt.Dst]
-	h := node.handlers[pkt.Proto]
-	if h == nil {
-		// Unhandled protocol: drop silently, like a closed port.
-		return
-	}
-	h(pkt)
 }
 
 // PathRTT returns the round-trip propagation delay between two nodes along

@@ -7,117 +7,20 @@ import (
 	"osdc/internal/sim"
 )
 
-func twoNodeNet(t *testing.T, bw float64, delay sim.Duration, loss float64) (*sim.Engine, *Network) {
-	t.Helper()
-	e := sim.NewEngine(1)
-	nw := New(e)
-	nw.AddNode("a", "s1")
-	nw.AddNode("b", "s2")
-	nw.AddDuplex("a", "b", bw, delay, loss)
-	return e, nw
-}
-
-func TestPacketDeliveryTiming(t *testing.T) {
-	e, nw := twoNodeNet(t, 8*Mbit, 10*sim.Millisecond, 0)
-	var arrival sim.Time
-	nw.Node("b").Handle("x", func(pkt *Packet) { arrival = e.Now() })
-	// 1000 bytes at 8 Mbit/s serializes in 1 ms, plus 10 ms propagation.
-	nw.Send(&Packet{Src: "a", Dst: "b", Proto: "x", Size: 1000})
-	e.Run()
-	want := sim.Time(0.011)
-	if math.Abs(float64(arrival-want)) > 1e-9 {
-		t.Fatalf("arrival = %v, want %v", arrival, want)
-	}
-}
-
-func TestSerializationQueuesBackToBack(t *testing.T) {
-	e, nw := twoNodeNet(t, 8*Mbit, 0, 0)
-	var arrivals []sim.Time
-	nw.Node("b").Handle("x", func(pkt *Packet) { arrivals = append(arrivals, e.Now()) })
-	for i := 0; i < 3; i++ {
-		nw.Send(&Packet{Src: "a", Dst: "b", Proto: "x", Size: 1000})
-	}
-	e.Run()
-	if len(arrivals) != 3 {
-		t.Fatalf("got %d arrivals, want 3", len(arrivals))
-	}
-	// Each packet serializes in 1 ms; they must arrive 1 ms apart.
-	for i, want := range []sim.Time{0.001, 0.002, 0.003} {
-		if math.Abs(float64(arrivals[i]-want)) > 1e-9 {
-			t.Fatalf("arrival[%d] = %v, want %v", i, arrivals[i], want)
-		}
-	}
-}
-
-func TestLossDropsPackets(t *testing.T) {
-	e, nw := twoNodeNet(t, 10*Gbit, 0, 0.5)
-	got := 0
-	nw.Node("b").Handle("x", func(pkt *Packet) { got++ })
-	const n = 10000
-	for i := 0; i < n; i++ {
-		nw.Send(&Packet{Src: "a", Dst: "b", Proto: "x", Size: 100})
-	}
-	e.Run()
-	if got < 4700 || got > 5300 {
-		t.Fatalf("delivered %d of %d at 50%% loss, want ~5000", got, n)
-	}
-	l := nw.LinkBetween("a", "b")
-	if l.Delivered+l.Dropped != n {
-		t.Fatalf("delivered(%d)+dropped(%d) != %d", l.Delivered, l.Dropped, n)
-	}
-}
-
-func TestQueueOverflowDrops(t *testing.T) {
-	e := sim.NewEngine(1)
-	nw := New(e)
-	nw.AddNode("a", "s")
-	nw.AddNode("b", "s")
-	nw.AddLink(Link{From: "a", To: "b", Bandwidth: 8 * Kbit, QueueCap: 2500})
-	got := 0
-	nw.Node("b").Handle("x", func(pkt *Packet) { got++ })
-	// 10 × 1000-byte packets into a 2500-byte queue on a slow link: only the
-	// first two fit at once; the rest are tail-dropped at injection.
-	for i := 0; i < 10; i++ {
-		nw.Send(&Packet{Src: "a", Dst: "b", Proto: "x", Size: 1000})
-	}
-	e.Run()
-	if got != 2 {
-		t.Fatalf("delivered %d, want 2 (tail drop)", got)
-	}
-	if d := nw.LinkBetween("a", "b").Dropped; d != 8 {
-		t.Fatalf("dropped = %d, want 8", d)
-	}
-}
-
-func TestUnhandledProtocolSilentlyDropped(t *testing.T) {
-	e, nw := twoNodeNet(t, Gbit, 0, 0)
-	nw.Send(&Packet{Src: "a", Dst: "b", Proto: "nobody", Size: 10})
-	e.Run() // must not panic
-}
-
 func TestMultiHopRouting(t *testing.T) {
-	e := sim.NewEngine(1)
-	nw := New(e)
+	nw := New()
 	for _, n := range []string{"a", "m", "b"} {
 		nw.AddNode(n, "s")
 	}
 	nw.AddDuplex("a", "m", Gbit, 5*sim.Millisecond, 0)
 	nw.AddDuplex("m", "b", Gbit, 7*sim.Millisecond, 0)
-	delivered := false
-	nw.Node("b").Handle("x", func(pkt *Packet) { delivered = true })
-	nw.Send(&Packet{Src: "a", Dst: "b", Proto: "x", Size: 100})
-	e.Run()
-	if !delivered {
-		t.Fatal("multi-hop packet not delivered")
-	}
 	if rtt := nw.PathRTT("a", "b"); math.Abs(rtt-0.024) > 1e-9 {
 		t.Fatalf("PathRTT = %v, want 24 ms", rtt)
 	}
 }
 
 func TestShortestPathPreferred(t *testing.T) {
-	e := sim.NewEngine(1)
-	nw := New(e)
+	nw := New()
 	for _, n := range []string{"a", "fast", "slow", "b"} {
 		nw.AddNode(n, "s")
 	}
@@ -135,8 +38,7 @@ func TestShortestPathPreferred(t *testing.T) {
 }
 
 func TestPathBandwidthBottleneck(t *testing.T) {
-	e := sim.NewEngine(1)
-	nw := New(e)
+	nw := New()
 	for _, n := range []string{"a", "m", "b"} {
 		nw.AddNode(n, "s")
 	}
@@ -148,8 +50,7 @@ func TestPathBandwidthBottleneck(t *testing.T) {
 }
 
 func TestPathLossCompounds(t *testing.T) {
-	e := sim.NewEngine(1)
-	nw := New(e)
+	nw := New()
 	for _, n := range []string{"a", "m", "b"} {
 		nw.AddNode(n, "s")
 	}
@@ -167,92 +68,13 @@ func TestDuplicateNodePanics(t *testing.T) {
 			t.Fatal("expected panic on duplicate node")
 		}
 	}()
-	e := sim.NewEngine(1)
-	nw := New(e)
+	nw := New()
 	nw.AddNode("a", "s")
 	nw.AddNode("a", "s")
-}
-
-func TestFluidSingleFlowRate(t *testing.T) {
-	e, nw := twoNodeNet(t, Gbit, 0, 0)
-	var done *Flow
-	nw.StartFlow("a", "b", 125_000_000, "test", func(f *Flow) { done = f }) // 1 Gbit of data
-	e.Run()
-	if done == nil {
-		t.Fatal("flow never completed")
-	}
-	// 125 MB over 1 Gbit/s = 1 s.
-	if math.Abs(done.Duration()-1.0) > 1e-6 {
-		t.Fatalf("duration = %v, want 1 s", done.Duration())
-	}
-	if math.Abs(done.ThroughputBps()-Gbit) > 1 {
-		t.Fatalf("throughput = %v, want 1 Gbit", done.ThroughputBps())
-	}
-}
-
-func TestFluidFairSharing(t *testing.T) {
-	e, nw := twoNodeNet(t, Gbit, 0, 0)
-	var durations []sim.Duration
-	for i := 0; i < 2; i++ {
-		nw.StartFlow("a", "b", 125_000_000, "test", func(f *Flow) {
-			durations = append(durations, f.Duration())
-		})
-	}
-	e.Run()
-	if len(durations) != 2 {
-		t.Fatalf("completed %d flows, want 2", len(durations))
-	}
-	// Two equal flows share the link: both take 2 s.
-	for _, d := range durations {
-		if math.Abs(d-2.0) > 1e-6 {
-			t.Fatalf("duration = %v, want 2 s", d)
-		}
-	}
-}
-
-func TestFluidLateArrivalSlowsFirst(t *testing.T) {
-	e, nw := twoNodeNet(t, Gbit, 0, 0)
-	var first, second *Flow
-	nw.StartFlow("a", "b", 125_000_000, "t", func(f *Flow) { first = f })
-	e.At(0.5, func() {
-		second = nw.StartFlow("a", "b", 125_000_000, "t", nil)
-	})
-	e.Run()
-	// First flow: 0.5 s alone (half done) + 1 s shared = 1.5 s total.
-	if math.Abs(first.Duration()-1.5) > 1e-6 {
-		t.Fatalf("first duration = %v, want 1.5 s", first.Duration())
-	}
-	// Second flow: 1 s shared (half) + 0.5 s alone = finishes at t=2.
-	if math.Abs(float64(second.Finished)-2.0) > 1e-6 {
-		t.Fatalf("second finished = %v, want 2 s", second.Finished)
-	}
-}
-
-func TestFluidMaxMinUnevenPaths(t *testing.T) {
-	// Flow X crosses a 100 Mbit link; flow Y shares only the 1 Gbit link
-	// with X. Max-min: X gets 100 Mbit, Y gets the remaining 900 Mbit.
-	e := sim.NewEngine(1)
-	nw := New(e)
-	for _, n := range []string{"a", "m", "b", "c"} {
-		nw.AddNode(n, "s")
-	}
-	nw.AddDuplex("a", "m", Gbit, 0, 0)
-	nw.AddDuplex("m", "b", 100*Mbit, 0, 0)
-	nw.AddDuplex("m", "c", 10*Gbit, 0, 0)
-	x := nw.StartFlow("a", "b", 12_500_000, "t", nil)  // 100 Mbit of data
-	y := nw.StartFlow("a", "c", 112_500_000, "t", nil) // 900 Mbit of data
-	e.Run()
-	if math.Abs(x.Duration()-1.0) > 1e-6 {
-		t.Fatalf("x duration = %v, want 1 s at 100 Mbit/s", x.Duration())
-	}
-	if math.Abs(y.Duration()-1.0) > 1e-6 {
-		t.Fatalf("y duration = %v, want 1 s at 900 Mbit/s", y.Duration())
-	}
 }
 
 func TestOSDCTopologyRTTs(t *testing.T) {
-	e := sim.NewEngine(1)
-	nw := BuildOSDCTopology(e, DefaultWAN())
+	nw := BuildOSDCTopology(DefaultWAN())
 	a := AttachHost(nw, "host-chi", SiteChicagoKenwood)
 	b := AttachHost(nw, "host-lvoc", SiteLVOC)
 	_ = a
@@ -268,8 +90,7 @@ func TestOSDCTopologyRTTs(t *testing.T) {
 }
 
 func TestOSDCTopologyAllSitesReachable(t *testing.T) {
-	e := sim.NewEngine(1)
-	nw := BuildOSDCTopology(e, DefaultWAN())
+	nw := BuildOSDCTopology(DefaultWAN())
 	sites := []string{SiteChicagoKenwood, SiteChicagoNU, SiteLVOC, SiteAMPATH}
 	for _, s := range sites {
 		AttachHost(nw, "h-"+s, s)
@@ -283,18 +104,5 @@ func TestOSDCTopologyAllSitesReachable(t *testing.T) {
 				t.Fatalf("no route %s -> %s", a, b)
 			}
 		}
-	}
-}
-
-func TestLinkByteAccounting(t *testing.T) {
-	e, nw := twoNodeNet(t, Gbit, 0, 0)
-	nw.Node("b").Handle("x", func(pkt *Packet) {})
-	for i := 0; i < 5; i++ {
-		nw.Send(&Packet{Src: "a", Dst: "b", Proto: "x", Size: 1500})
-	}
-	e.Run()
-	l := nw.LinkBetween("a", "b")
-	if l.Bytes != 7500 {
-		t.Fatalf("link bytes = %d, want 7500", l.Bytes)
 	}
 }

@@ -46,8 +46,8 @@ func DefaultWAN() WANParams {
 // BuildOSDCTopology wires the four-site OSDC WAN with one gateway node per
 // site joined through the StarLight exchange, and returns the network.
 // Additional hosts should be attached to site gateways with AttachHost.
-func BuildOSDCTopology(e *sim.Engine, p WANParams) *Network {
-	nw := New(e)
+func BuildOSDCTopology(p WANParams) *Network {
+	nw := New()
 	for _, site := range []string{SiteChicagoKenwood, SiteChicagoNU, SiteLVOC, SiteAMPATH, SiteStarLight} {
 		nw.AddNode("gw-"+site, site)
 	}

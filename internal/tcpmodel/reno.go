@@ -2,10 +2,8 @@
 // on the OSDC's high bandwidth-delay-product WAN paths (paper §7.2,
 // Table 3's baseline).
 //
-// Like internal/udt it provides both a macro congestion-control law
-// (transport.Controller) and a packet-level sliding-window socket over
-// simnet with cumulative ACKs, duplicate-ACK fast retransmit and a
-// retransmission timeout.
+// Like internal/udt it provides a macro congestion-control law
+// (transport.Controller) for the transport.Simulate driver.
 //
 // The key phenomenon Table 3 turns on: on a 104 ms RTT path, Reno's
 // one-packet-per-RTT additive increase and halve-on-loss multiplicative
@@ -29,7 +27,6 @@ type Reno struct {
 	cwnd     float64 // packets
 	ssthresh float64 // packets
 	capPkts  float64 // flow-control (receive/ssh-channel) cap; 0 = none
-	losses   int64
 }
 
 var _ transport.Controller = (*Reno)(nil)
@@ -69,12 +66,6 @@ func (r *Reno) Interval() sim.Duration { return r.rtt }
 // RatePps implements transport.Controller.
 func (r *Reno) RatePps() float64 { return r.window() / r.rtt }
 
-// Cwnd returns the current congestion window in packets (after caps).
-func (r *Reno) Cwnd() float64 { return r.window() }
-
-// Losses returns the number of loss events reacted to.
-func (r *Reno) Losses() int64 { return r.losses }
-
 func (r *Reno) window() float64 {
 	w := r.cwnd
 	if r.capPkts > 0 && w > r.capPkts {
@@ -92,7 +83,6 @@ func (r *Reno) OnInterval(lossEvent bool) {
 			r.ssthresh = 2
 		}
 		r.cwnd = r.ssthresh
-		r.losses++
 		return
 	}
 	if r.cwnd < r.ssthresh {

@@ -1,7 +1,6 @@
 package tcpmodel
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -21,9 +20,9 @@ func lvocPath() transport.Path {
 
 func TestRenoSlowStartDoubles(t *testing.T) {
 	r := NewReno(lvocPath(), 0)
-	w0 := r.Cwnd()
+	w0 := r.window()
 	r.OnInterval(false)
-	if got := r.Cwnd(); math.Abs(got-2*w0) > 1e-9 {
+	if got := r.window(); math.Abs(got-2*w0) > 1e-9 {
 		t.Fatalf("cwnd after one RTT = %v, want %v (doubling)", got, 2*w0)
 	}
 }
@@ -31,9 +30,9 @@ func TestRenoSlowStartDoubles(t *testing.T) {
 func TestRenoCongestionAvoidanceLinear(t *testing.T) {
 	r := NewReno(lvocPath(), 0)
 	r.OnInterval(true) // exit slow start
-	w := r.Cwnd()
+	w := r.window()
 	r.OnInterval(false)
-	if got := r.Cwnd(); math.Abs(got-(w+1)) > 1e-9 {
+	if got := r.window(); math.Abs(got-(w+1)) > 1e-9 {
 		t.Fatalf("CA growth = %v, want +1 packet/RTT", got-w)
 	}
 }
@@ -43,13 +42,10 @@ func TestRenoHalvesOnLoss(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		r.OnInterval(false)
 	}
-	w := r.Cwnd()
+	w := r.window()
 	r.OnInterval(true)
-	if got := r.Cwnd(); math.Abs(got-w/2) > 1e-9 {
+	if got := r.window(); math.Abs(got-w/2) > 1e-9 {
 		t.Fatalf("cwnd after loss = %v, want %v", got, w/2)
-	}
-	if r.Losses() != 1 {
-		t.Fatalf("losses = %d, want 1", r.Losses())
 	}
 }
 
@@ -75,8 +71,8 @@ func TestRenoFloorAtTwoSegments(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		r.OnInterval(true)
 	}
-	if r.Cwnd() < 2 {
-		t.Fatalf("cwnd = %v, must not fall below 2", r.Cwnd())
+	if r.window() < 2 {
+		t.Fatalf("cwnd = %v, must not fall below 2", r.window())
 	}
 }
 
@@ -101,103 +97,6 @@ func TestMacroRenoWindowCapDominates(t *testing.T) {
 	if mb < 230 || mb > 285 {
 		t.Fatalf("capped Reno = %.0f Mbit/s, want ~260–280", mb)
 	}
-}
-
-// --- packet-level socket tests ---
-
-func testNet(loss float64) (*sim.Engine, *simnet.Network) {
-	e := sim.NewEngine(42)
-	nw := simnet.New(e)
-	nw.AddNode("src", "chi")
-	nw.AddNode("dst", "lvoc")
-	nw.AddDuplex("src", "dst", simnet.Gbit, 10*sim.Millisecond, loss)
-	return e, nw
-}
-
-func payload(n int, seed byte) []byte {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = byte(i)*13 + seed
-	}
-	return b
-}
-
-func TestSockLosslessExactDelivery(t *testing.T) {
-	e, nw := testNet(0)
-	data := payload(1_000_000, 2)
-	var done bool
-	_, r := TransferSock(nw, "src", "dst", "t1", data, 0, func(*SockStats) { done = true })
-	e.RunUntil(120)
-	if !done || !r.Finished() {
-		t.Fatal("transfer did not complete")
-	}
-	if !bytes.Equal(r.Data(), data) {
-		t.Fatal("bytes differ")
-	}
-}
-
-func TestSockRecoversFromLoss(t *testing.T) {
-	e, nw := testNet(0.02)
-	data := payload(400_000, 8)
-	var st *SockStats
-	_, r := TransferSock(nw, "src", "dst", "t2", data, 0, func(s *SockStats) { st = s })
-	e.RunUntil(600)
-	if st == nil || !r.Finished() {
-		t.Fatal("transfer did not complete under loss")
-	}
-	if !bytes.Equal(r.Data(), data) {
-		t.Fatal("bytes corrupted under loss")
-	}
-	if st.Retransmits == 0 {
-		t.Fatal("expected retransmissions")
-	}
-}
-
-func TestSockWindowCapLimitsInFlight(t *testing.T) {
-	e, nw := testNet(0)
-	data := payload(3_000_000, 4)
-	capBytes := 64 << 10
-	s, r := TransferSock(nw, "src", "dst", "t3", data, capBytes, nil)
-	// Sample in-flight at several points.
-	maxInflight := int64(0)
-	for i := 0; i < 200; i++ {
-		e.RunFor(0.05)
-		if fl := s.sndNxt - s.sndUna; fl > maxInflight {
-			maxInflight = fl
-		}
-		if r.Finished() {
-			break
-		}
-	}
-	e.RunUntil(e.Now() + 600)
-	if !r.Finished() {
-		t.Fatal("capped transfer did not finish")
-	}
-	capPkts := int64(capBytes/(transport.DefaultMSS-tcpHeader)) + 1
-	if maxInflight > capPkts {
-		t.Fatalf("in-flight %d exceeds window cap %d pkts", maxInflight, capPkts)
-	}
-}
-
-func TestSockTinyTransfer(t *testing.T) {
-	e, nw := testNet(0)
-	data := []byte("x")
-	var done bool
-	_, r := TransferSock(nw, "src", "dst", "t4", data, 0, func(*SockStats) { done = true })
-	e.RunUntil(10)
-	if !done || !bytes.Equal(r.Data(), data) {
-		t.Fatal("1-byte transfer failed")
-	}
-}
-
-func TestSockEmptyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	_, nw := testNet(0)
-	TransferSock(nw, "src", "dst", "t5", nil, 0, nil)
 }
 
 func TestBufferLimitedRenoLeavesPathIdle(t *testing.T) {

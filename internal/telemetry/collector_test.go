@@ -25,7 +25,7 @@ func TestCollectorAggregatesMembers(t *testing.T) {
 	regA.Counter("osdc_things_total", "things").Add(5)
 	regB := NewRegistry()
 	regB.Counter("osdc_things_total", "things").Add(9)
-	regB.Gauge("osdc_depth", "depth", Label{"shard", "0"}).Set(3)
+	regB.GaugeFunc("osdc_depth", "depth", func() float64 { return 3 }, Label{"shard", "0"})
 	a := memberServer(t, secret, regA)
 	b := memberServer(t, secret, regB)
 

@@ -27,6 +27,7 @@ func fuzzRegistry(data []byte) *Registry {
 		return out
 	}
 	reg := NewRegistry()
+	gauges := map[string]*float64{} // a gauge series reads its last set value
 	for len(data) > 0 {
 		op := next()
 		var labels []Label
@@ -42,7 +43,14 @@ func fuzzRegistry(data []byte) *Registry {
 		case 0:
 			reg.Counter("fuzz_c"+n+"_total", "Fuzzed counter.", labels...).Add(int64(bits[0]))
 		case 1:
-			reg.Gauge("fuzz_g"+n, "Fuzzed gauge.", labels...).Set(v)
+			key := "fuzz_g" + n + labelBlock(labels, "")
+			g := gauges[key]
+			if g == nil {
+				g = new(float64)
+				gauges[key] = g
+				reg.GaugeFunc("fuzz_g"+n, "Fuzzed gauge.", func() float64 { return *g }, labels...)
+			}
+			*g = v
 		case 2:
 			reg.Histogram("fuzz_h"+n, "Fuzzed histogram.", []float64{0.5, 1, 2.5}, labels...).Observe(v)
 		}

@@ -54,26 +54,8 @@ type Counter struct {
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n (negative deltas are dropped: counters only go up).
-func (c *Counter) Add(n int64) {
-	if n > 0 {
-		c.v.Add(n)
-	}
-}
-
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a settable metric (float64 bits behind one atomic word).
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the last stored value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram is a fixed-bucket distribution. Observe is lock-free: a
 // linear scan over the (small, fixed) bound slice, one atomic add on the
@@ -119,7 +101,6 @@ var LatencyBuckets = []float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 
 type series struct {
 	labels string // rendered, sorted label block: "" or `{a="b",c="d"}`
 	ctr    *Counter
-	gauge  *Gauge
 	hist   *Histogram
 	fn     func() float64 // counterfunc / gaugefunc reading an external source
 }
@@ -128,8 +109,6 @@ func (s *series) value() float64 {
 	switch {
 	case s.ctr != nil:
 		return float64(s.ctr.Value())
-	case s.gauge != nil:
-		return s.gauge.Value()
 	case s.fn != nil:
 		return s.fn()
 	}
@@ -233,15 +212,6 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 		panic("telemetry: " + name + " is not a plain counter series")
 	}
 	return s.ctr
-}
-
-// Gauge registers (or finds) a gauge series and returns its handle.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	s, _ := r.register(name, help, "gauge", labels, func(s *series) { s.gauge = &Gauge{} })
-	if s.gauge == nil {
-		panic("telemetry: " + name + " is not a plain gauge series")
-	}
-	return s.gauge
 }
 
 // CounterFunc registers a counter series whose value is read from fn at
@@ -476,7 +446,7 @@ func ServeMetrics(secret string, reg *Registry, w http.ResponseWriter, r *http.R
 		serveError(w, http.StatusNotFound, "metrics plane requires an operator secret")
 		return
 	}
-	if subtle.ConstantTimeCompare([]byte(r.Header.Get("X-OSDC-Operator")), []byte(secret)) != 1 {
+	if !OperatorOK(secret, r) {
 		serveError(w, http.StatusForbidden, "metrics plane requires X-OSDC-Operator")
 		return
 	}
@@ -485,6 +455,14 @@ func ServeMetrics(secret string, reg *Registry, w http.ResponseWriter, r *http.R
 	if reg != nil {
 		_, _ = reg.WriteTo(w)
 	}
+}
+
+// OperatorOK reports whether r carries secret in its X-OSDC-Operator
+// header, compared in constant time. It is the one operator check: the
+// metrics plane here, and cloudapi's profiling plane and operator-plane
+// writes, each put their own 404/403 answers around it.
+func OperatorOK(secret string, r *http.Request) bool {
+	return subtle.ConstantTimeCompare([]byte(r.Header.Get("X-OSDC-Operator")), []byte(secret)) == 1
 }
 
 // serveError mirrors the cloudapi operator plane's JSON error shape

@@ -19,7 +19,7 @@ func buildRegistry() *Registry {
 	reg.Counter("osdc_requests_total", "Requests served.", Label{"route", "GET /x"}).Add(3)
 	reg.Counter("osdc_requests_total", "Requests served.", Label{"route", "POST /y"}).Inc()
 	reg.Counter("osdc_errors_total", "Errors.").Add(2)
-	reg.Gauge("osdc_backends", "Live backends.").Set(4)
+	reg.GaugeFunc("osdc_backends", "Live backends.", func() float64 { return 4 })
 	reg.GaugeFunc("osdc_pending", "Queued events.", func() float64 { return 17 })
 	reg.CounterFunc("osdc_fired_total", "Fired events.", func() float64 { return 99 }, Label{"shard", "0"})
 	h := reg.Histogram("osdc_latency_seconds", "Request latency.", []float64{0.01, 0.1, 1})
@@ -153,7 +153,7 @@ func TestTypeMismatchPanics(t *testing.T) {
 			t.Fatal("re-registering a counter as a gauge did not panic")
 		}
 	}()
-	reg.Gauge("x_total", "x")
+	reg.GaugeFunc("x_total", "x", func() float64 { return 0 })
 }
 
 func TestLabelEscaping(t *testing.T) {

@@ -1,0 +1,4 @@
+package transport
+
+// PacketsPerSec converts the path bandwidth to packets per second.
+func (p Path) PacketsPerSec() float64 { return p.BandwidthBps / float64(p.MSS*8) }

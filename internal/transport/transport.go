@@ -1,15 +1,10 @@
 // Package transport provides the shared machinery for simulating bulk data
 // transfers over the OSDC WAN (paper §7.2, Table 3).
 //
-// Two granularities are supported:
-//
-//   - Packet level: internal/udt and internal/tcpmodel implement full
-//     protocol state machines (sequence numbers, ACK/NAK, retransmission)
-//     over simnet packets. Used to validate protocol correctness.
-//   - Macro level: the same congestion-control laws advanced one control
-//     interval at a time against an analytic path model. Used for the
-//     terabyte-scale transfers of Table 3, where packet-level simulation
-//     would need ~10⁹ events.
+// Transfers are simulated at the macro level: a congestion-control law is
+// advanced one control interval at a time against an analytic path model,
+// which is what makes the terabyte-scale transfers of Table 3 tractable
+// (a packet-level simulation would need ~10⁹ events).
 //
 // The Controller interface is the bridge: both UDT's DAIMD rate control and
 // TCP Reno's AIMD window control implement it, so the macro driver and the
@@ -45,9 +40,6 @@ func PathBetween(nw *simnet.Network, a, b string) Path {
 		MSS:          DefaultMSS,
 	}
 }
-
-// PacketsPerSec converts the path bandwidth to packets per second.
-func (p Path) PacketsPerSec() float64 { return p.BandwidthBps / float64(p.MSS*8) }
 
 // BDP returns the bandwidth-delay product in bytes.
 func (p Path) BDP() float64 { return p.BandwidthBps / 8 * p.RTT }

@@ -97,8 +97,7 @@ func TestLLRUsesSlowerDisk(t *testing.T) {
 }
 
 func TestPathBetweenDerivesFromTopology(t *testing.T) {
-	e := sim.NewEngine(1)
-	nw := simnet.BuildOSDCTopology(e, simnet.DefaultWAN())
+	nw := simnet.BuildOSDCTopology(simnet.DefaultWAN())
 	simnet.AttachHost(nw, "a", simnet.SiteChicagoKenwood)
 	simnet.AttachHost(nw, "b", simnet.SiteLVOC)
 	p := PathBetween(nw, "a", "b")

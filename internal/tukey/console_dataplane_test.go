@@ -103,7 +103,7 @@ func TestRouteWeightedLimiting(t *testing.T) {
 func dataPlaneRig(t *testing.T) (*rig, *httptest.Server, *datastore.Coordinator, *datastore.Store) {
 	t.Helper()
 	r := newRig(t)
-	nw := simnet.BuildOSDCTopology(r.e, simnet.DefaultWAN())
+	nw := simnet.BuildOSDCTopology(simnet.DefaultWAN())
 
 	vol := func(name string) *dfs.Volume {
 		d1 := simdisk.New(r.e, name+"-d0", 3072e6, 1136e6, 1<<40)

@@ -262,17 +262,6 @@ func (s *FileSessionStore) openAppend() (*os.File, bool, error) {
 	return f, st.Size() == 0, nil
 }
 
-// Err reports the most recent persistence failure, nil when the last write
-// (if any) landed.
-func (s *FileSessionStore) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.saveErr
-}
-
-// Path returns the backing file's path.
-func (s *FileSessionStore) Path() string { return s.path }
-
 // Get implements SessionStore.
 func (s *FileSessionStore) Get(token string) (Session, bool) {
 	s.mu.Lock()

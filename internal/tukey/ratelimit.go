@@ -119,10 +119,6 @@ func (rl *RateLimiter) wallNow() time.Time {
 	return time.Now()
 }
 
-// Allow spends one token from key's bucket, reporting whether one was
-// available. New keys start with a full bucket.
-func (rl *RateLimiter) Allow(key string) bool { return rl.AllowN(key, 1) }
-
 // AllowN spends cost tokens from key's bucket — the route-weighted form: a
 // launch charges several tokens where a status read charges one, so the
 // same bucket throttles expensive operations harder (ROADMAP: per-route
@@ -167,17 +163,4 @@ func (rl *RateLimiter) AllowN(key string, cost float64) bool {
 		return true
 	}
 	return false
-}
-
-// Keys reports how many distinct keys hold buckets (a gauge for tests and
-// status pages).
-func (rl *RateLimiter) Keys() int {
-	n := 0
-	for i := range rl.shards {
-		sh := &rl.shards[i]
-		sh.mu.Lock()
-		n += len(sh.buckets)
-		sh.mu.Unlock()
-	}
-	return n
 }

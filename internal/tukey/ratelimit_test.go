@@ -16,31 +16,31 @@ func TestRateLimiterBurstThenRefill(t *testing.T) {
 	rl.now = func() time.Time { return clock }
 
 	for i := 0; i < 3; i++ {
-		if !rl.Allow("alice") {
+		if !rl.AllowN("alice", 1) {
 			t.Fatalf("request %d within burst denied", i)
 		}
 	}
-	if rl.Allow("alice") {
+	if rl.AllowN("alice", 1) {
 		t.Fatal("4th request allowed with empty bucket")
 	}
 
 	// Half a second refills one token at 2/s.
 	clock = clock.Add(500 * time.Millisecond)
-	if !rl.Allow("alice") {
+	if !rl.AllowN("alice", 1) {
 		t.Fatal("refilled token denied")
 	}
-	if rl.Allow("alice") {
+	if rl.AllowN("alice", 1) {
 		t.Fatal("second request allowed after a one-token refill")
 	}
 
 	// A long idle period caps at burst, not at elapsed × rate.
 	clock = clock.Add(time.Hour)
 	for i := 0; i < 3; i++ {
-		if !rl.Allow("alice") {
+		if !rl.AllowN("alice", 1) {
 			t.Fatalf("request %d after refill-to-burst denied", i)
 		}
 	}
-	if rl.Allow("alice") {
+	if rl.AllowN("alice", 1) {
 		t.Fatal("bucket exceeded burst after idling")
 	}
 }
@@ -49,14 +49,14 @@ func TestRateLimiterKeysAreIndependent(t *testing.T) {
 	clock := time.Unix(1_350_000_000, 0)
 	rl := NewRateLimiter(1, 1)
 	rl.now = func() time.Time { return clock }
-	if !rl.Allow("alice") {
+	if !rl.AllowN("alice", 1) {
 		t.Fatal("alice's first request denied")
 	}
-	if rl.Allow("alice") {
+	if rl.AllowN("alice", 1) {
 		t.Fatal("alice's second request allowed")
 	}
 	// Alice's exhaustion must not touch bob.
-	if !rl.Allow("bob") {
+	if !rl.AllowN("bob", 1) {
 		t.Fatal("bob denied because alice was hot")
 	}
 	if rl.Keys() != 2 {
@@ -66,7 +66,7 @@ func TestRateLimiterKeysAreIndependent(t *testing.T) {
 
 func TestRateLimiterMinimumBurst(t *testing.T) {
 	rl := NewRateLimiter(10, 0) // burst raised to 1
-	if !rl.Allow("x") {
+	if !rl.AllowN("x", 1) {
 		t.Fatal("burst<1 bucket admits nothing")
 	}
 }
@@ -82,7 +82,7 @@ func TestRateLimiterConcurrentAccounting(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				if rl.Allow("shared") {
+				if rl.AllowN("shared", 1) {
 					admitted <- struct{}{}
 				}
 			}
@@ -109,7 +109,7 @@ func TestRateLimiterBoundsKeySpace(t *testing.T) {
 	rl.now = func() time.Time { return clock }
 	rl.maxKeys = 64
 	for i := 0; i < 10_000; i++ {
-		if !rl.Allow(fmt.Sprintf("attacker-%06d", i)) {
+		if !rl.AllowN(fmt.Sprintf("attacker-%06d", i), 1) {
 			t.Fatalf("fresh key %d denied", i)
 		}
 		if rl.Keys() > 64 {
@@ -121,10 +121,10 @@ func TestRateLimiterBoundsKeySpace(t *testing.T) {
 	}
 	// A hot key that stays inside the window is still limited even while
 	// the sweep churns.
-	if !rl.Allow("hot") {
+	if !rl.AllowN("hot", 1) {
 		t.Fatal("hot key's first request denied")
 	}
-	if rl.Allow("hot") {
+	if rl.AllowN("hot", 1) {
 		t.Fatal("hot key's second immediate request allowed (burst 1)")
 	}
 }

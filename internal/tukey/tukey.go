@@ -90,9 +90,6 @@ func NewOpenID(realm string) *OpenIDIdP {
 	return &OpenIDIdP{Realm: realm, secrets: make(map[string]string)}
 }
 
-// Enroll registers an account.
-func (o *OpenIDIdP) Enroll(user, secret string) { o.secrets[user] = secret }
-
 // Name implements IdP.
 func (o *OpenIDIdP) Name() Provider { return OpenID }
 
@@ -539,15 +536,7 @@ func (m *Middleware) launchServer(id Identity, cloud, name, flavor string) (*Tag
 		Status: inst.Status, Flavor: native}, nil
 }
 
-// TerminateServer releases a VM on a named cloud.
-func (m *Middleware) TerminateServer(token, cloud, id string) error {
-	ident, ok := m.identityFor(token)
-	if !ok {
-		return fmt.Errorf("tukey: invalid session")
-	}
-	return m.terminateServer(ident, cloud, id)
-}
-
+// terminateServer releases a VM on a named cloud.
 func (m *Middleware) terminateServer(ident Identity, cloud, id string) error {
 	cfg, ok := m.cloudConfigByName(cloud)
 	if !ok {
@@ -564,18 +553,10 @@ func (m *Middleware) terminateServer(ident Identity, cloud, id string) error {
 	return nil
 }
 
-// StopServer shuts one of the user's servers down on the named cloud
+// stopServer shuts one of the user's servers down on the named cloud
 // (OpenStack os-stop / EC2 StopInstances through the native dialect): it
 // reaches SHUTOFF after the cloud's stop delay and stops accruing usage,
 // keeping its allocation.
-func (m *Middleware) StopServer(token, cloud, id string) error {
-	ident, ok := m.identityFor(token)
-	if !ok {
-		return fmt.Errorf("tukey: invalid session")
-	}
-	return m.stopServer(ident, cloud, id)
-}
-
 func (m *Middleware) stopServer(ident Identity, cloud, id string) error {
 	cfg, ok := m.cloudConfigByName(cloud)
 	if !ok {

@@ -134,10 +134,11 @@ func TestTerminateBothDialects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.mw.TerminateServer(tok, "adler", a.ID); err != nil {
+	ident, _ := r.mw.identityFor(tok)
+	if err := r.mw.terminateServer(ident, "adler", a.ID); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.mw.TerminateServer(tok, "sullivan", s.ID); err != nil {
+	if err := r.mw.terminateServer(ident, "sullivan", s.ID); err != nil {
 		t.Fatal(err)
 	}
 	servers, err := r.mw.ListServers(tok)

@@ -120,15 +120,6 @@ func (fs FileSet) Paths() []string {
 	return out
 }
 
-// TotalBytes sums all file sizes.
-func (fs FileSet) TotalBytes() int64 {
-	var n int64
-	for _, b := range fs {
-		n += int64(len(b))
-	}
-	return n
-}
-
 // SyncPlan describes what a sync must move: per-file wire bytes, computed
 // with the rsync delta algorithm against the destination's current state.
 type SyncPlan struct {

@@ -198,8 +198,7 @@ func TestPlanSyncMutatesDstToMatchSrc(t *testing.T) {
 // --- Table 3 behaviour ---
 
 func chicagoLVOC() transport.Path {
-	e := sim.NewEngine(1)
-	nw := simnet.BuildOSDCTopology(e, simnet.DefaultWAN())
+	nw := simnet.BuildOSDCTopology(simnet.DefaultWAN())
 	simnet.AttachHost(nw, "adler", simnet.SiteChicagoKenwood)
 	simnet.AttachHost(nw, "lvoc1", simnet.SiteLVOC)
 	return transport.PathBetween(nw, "adler", "lvoc1")

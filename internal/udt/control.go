@@ -3,14 +3,9 @@
 //
 // UDT (UDP-based Data Transfer) is a reliable, rate-based protocol designed
 // for high bandwidth-delay-product research networks, where TCP's AIMD
-// window control leaves most of a 10G path idle. This package provides:
-//
-//   - RateControl: UDT's DAIMD congestion control law (decreasing AIMD),
-//     usable with the transport.Simulate macro driver for terabyte-scale
-//     transfers;
-//   - Sender/Receiver: a packet-level implementation with sequence numbers,
-//     selective NAK-based loss reporting, periodic ACKs and pacing, running
-//     over simnet for protocol-correctness tests.
+// window control leaves most of a 10G path idle. This package provides
+// RateControl, UDT's DAIMD congestion control law (decreasing AIMD), which
+// the transport.Simulate macro driver runs for terabyte-scale transfers.
 //
 // The control law follows Gu & Grossman's UDT: every SYN interval (10 ms)
 // the sending rate increases by inc/SYN packets per second, where
@@ -45,8 +40,6 @@ type RateControl struct {
 	minIncPps   float64 // minInc/SYN: what the floor adds to the rate
 	capacityPps float64 // receiver's estimated link capacity, packets/s
 	ratePps     float64
-	decreases   int64
-	increases   int64
 }
 
 var _ transport.Controller = (*RateControl)(nil)
@@ -82,9 +75,6 @@ func (rc *RateControl) Interval() sim.Duration { return SYN }
 // RatePps implements transport.Controller.
 func (rc *RateControl) RatePps() float64 { return rc.ratePps }
 
-// Decreases returns the number of loss-triggered rate decreases.
-func (rc *RateControl) Decreases() int64 { return rc.decreases }
-
 // OnInterval advances one SYN.
 func (rc *RateControl) OnInterval(lossEvent bool) {
 	if lossEvent {
@@ -92,7 +82,6 @@ func (rc *RateControl) OnInterval(lossEvent bool) {
 		if rc.ratePps < 1/SYN {
 			rc.ratePps = 1 / SYN
 		}
-		rc.decreases++
 		return
 	}
 	if rc.capacityPps-rc.ratePps <= 0 {
@@ -102,7 +91,6 @@ func (rc *RateControl) OnInterval(lossEvent bool) {
 	} else {
 		rc.ratePps += rc.increment() / SYN
 	}
-	rc.increases++
 }
 
 // increment returns UDT's per-SYN additive increase in packets.
