@@ -41,7 +41,7 @@ func TestCloudSiteFreeRunServesNativeAndOperatorPlanes(t *testing.T) {
 	if _, err := r.Flavors(); err != nil {
 		t.Fatalf("native flavors route: %v", err)
 	}
-	if _, err := r.Usage(); err != nil {
+	if _, err := r.UsageSince(0); err != nil {
 		t.Fatalf("operator usage route: %v", err)
 	}
 	st, err := r.Clock()

@@ -254,7 +254,6 @@ func newServer(opt options) (*server, error) {
 	s.metrics = reg
 	f.RegisterTelemetry(reg)
 	s.console.RegisterMetrics(reg)
-	cloudapi.RegisterUsageDeltaClients(reg, d.Remotes...)
 	if opt.telemetryScrape > 0 && len(d.Members) > 0 {
 		s.collector = telemetry.NewCollector(opt.operatorSecret, d.SiteClient, d.Members...)
 		s.collector.RegisterMetrics(reg)

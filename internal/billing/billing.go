@@ -9,6 +9,10 @@
 // effective limiting bad behavior and providing incentives to properly
 // share resources" — is reproduced in the benchmarks by comparing resource
 // hoarding with and without metering.
+//
+// The per-minute VM poll samples the clouds through one
+// cloudapi.UsagePoller, the delta-maintained sampler the usage monitor
+// also owns; the biller keeps only its accumulators and invoices.
 package billing
 
 import (
@@ -20,7 +24,6 @@ import (
 	"time"
 
 	"osdc/internal/cloudapi"
-	"osdc/internal/fanout"
 	"osdc/internal/sim"
 )
 
@@ -92,7 +95,7 @@ type usageShard struct {
 type Biller struct {
 	engine  *sim.Engine
 	rates   Rates
-	clouds  []cloudapi.CloudAPI
+	usage   *cloudapi.UsagePoller
 	storage StorageFunc
 
 	shards [usageShards]usageShard
@@ -105,65 +108,13 @@ type Biller struct {
 	pollDay *sim.Ticker
 	pollMon *sim.Ticker
 
-	// Polls counts completed per-minute VM sweeps; PollErrors counts
-	// per-cloud sample failures (an unreachable remote site). Both are
-	// atomics — read them with atomic.LoadInt64 while pollers may fire.
-	Polls      int64
-	PollErrors int64
-
-	// errByCloud breaks PollErrors down per cloud, so an operator can see
-	// *which* site is unreachable, not just that one is. Keys are fixed at
-	// construction; values are atomics.
-	errByCloud map[string]*int64
+	// Polls counts completed per-minute VM sweeps; an atomic — read it
+	// with atomic.LoadInt64 while pollers may fire.
+	Polls int64
 
 	// deadline bounds one cloud sample's wall time per poll; defaults to
-	// pollDeadline; the tests shorten it.
+	// cloudapi.PollDeadline; the tests shorten it.
 	deadline time.Duration
-
-	// The delta-poll machinery, built once at construction and reused
-	// every minute-tick (the per-poll slot/task allocations used to be the
-	// poller's only steady-state garbage). slots carry results across the
-	// fanout boundary; prior holds each cloud's maintained usage snapshot
-	// plus the revision to ask for next — touched only on the
-	// clock-driving goroutine. gen stamps each poll so a task abandoned by
-	// an earlier deadline cannot write a stale result into a later poll's
-	// slot.
-	slots []pollSlot
-	tasks []func()
-	prior []cloudUsageState
-	gen   uint64
-}
-
-// pollSlot is one cloud's result cell, reused across polls. The mutex
-// exists because an abandoned task may try to write late; gen matching
-// makes that write a no-op.
-type pollSlot struct {
-	mu    sync.Mutex
-	gen   uint64 // poll generation the task was armed for
-	since int64  // revision the task should poll with
-	d     cloudapi.UsageDelta
-	err   error
-}
-
-// cloudUsageState is one cloud's maintained per-user snapshot: the delta
-// poller's accumulator. Only the clock-driving goroutine touches it.
-type cloudUsageState struct {
-	since  int64
-	byUser map[string]cloudapi.UserUsage
-}
-
-// apply folds a delta into the snapshot.
-func (st *cloudUsageState) apply(d cloudapi.UsageDelta) {
-	if d.Reset || st.byUser == nil {
-		st.byUser = make(map[string]cloudapi.UserUsage, len(d.Changed))
-	}
-	for user, v := range d.Changed {
-		st.byUser[user] = v
-	}
-	for _, user := range d.Removed {
-		delete(st.byUser, user)
-	}
-	st.since = d.Rev
 }
 
 // DaysPerCycle is the billing month (30 days).
@@ -172,32 +123,10 @@ const DaysPerCycle = 30
 // New starts a biller: per-minute VM polling, daily storage sampling, and a
 // 30-day invoice cycle, all on the simulation clock.
 func New(e *sim.Engine, rates Rates, clouds []cloudapi.CloudAPI, storage StorageFunc) *Biller {
-	b := &Biller{engine: e, rates: rates, clouds: clouds, storage: storage, cycle: 1,
-		deadline: pollDeadline}
+	b := &Biller{engine: e, rates: rates, usage: cloudapi.NewUsagePoller(clouds), storage: storage,
+		cycle: 1, deadline: cloudapi.PollDeadline}
 	for i := range b.shards {
 		b.shards[i].usage = make(map[string]*Usage)
-	}
-	b.errByCloud = make(map[string]*int64, len(clouds))
-	for _, c := range clouds {
-		b.errByCloud[c.Name()] = new(int64)
-	}
-	b.slots = make([]pollSlot, len(clouds))
-	b.prior = make([]cloudUsageState, len(clouds))
-	b.tasks = make([]func(), len(clouds))
-	for i, c := range clouds {
-		i, c := i, c
-		b.tasks[i] = func() {
-			s := &b.slots[i]
-			s.mu.Lock()
-			gen, since := s.gen, s.since
-			s.mu.Unlock()
-			d, err := c.UsageSince(since)
-			s.mu.Lock()
-			if s.gen == gen { // a later poll may have re-armed the slot
-				s.d, s.err = d, err
-			}
-			s.mu.Unlock()
-		}
 	}
 	b.pollMin = e.Every(sim.Minute, b.pollVMs)
 	b.pollDay = e.Every(sim.Day, b.pollStorage)
@@ -214,13 +143,7 @@ func (b *Biller) Stop() {
 
 // PollErrorsByCloud returns each polled cloud's sample-failure count —
 // zero entries included, so a healthy federation reports every site.
-func (b *Biller) PollErrorsByCloud() map[string]int64 {
-	out := make(map[string]int64, len(b.errByCloud))
-	for name, n := range b.errByCloud {
-		out[name] = atomic.LoadInt64(n)
-	}
-	return out
-}
+func (b *Biller) PollErrorsByCloud() map[string]int64 { return b.usage.ErrorsByCloud() }
 
 // shardFor hashes a user onto its accumulator shard.
 func (b *Biller) shardFor(user string) *usageShard {
@@ -257,73 +180,28 @@ func (sh *usageShard) user(u string) *Usage {
 	return x
 }
 
-// pollWorkers bounds the per-poll fan-out — the same worker count the
-// ClockCoordinator pushes with.
-const pollWorkers = 8
-
-// pollDeadline is the wall budget one cloud's Usage sample gets before the
-// poll abandons the wait (half the Remote client's own timeout, so the
-// poll surfaces a hung site well before the transport gives up). An
-// abandoned sample is counted as a poll error against that cloud; its
-// late result is discarded.
-const pollDeadline = cloudapi.DefaultTimeout / 2
-
 // pollVMs samples every cloud: one sample = one minute of the user's
 // currently allocated cores.
 //
-// The samples fan out over the bounded pool with a per-poll deadline —
-// pollVMs fires on the clock-driving goroutine, and serial sampling would
-// let one hung remote site (a network round trip) stall the simulation
-// clock for every site behind it. Accrual stays on this goroutine, in
-// cloud-attachment order, so the metered sums remain deterministic.
-//
-// Each cloud is polled incrementally: the task asks UsageSince(prior
-// rev), and the poll folds the returned churn into the cloud's maintained
-// snapshot before accruing from it — a steady-state tick over an
-// unchanged grid ships an empty delta instead of the full per-user map.
-// The first poll (since 0) and any rev reset arrive as full snapshots.
-// An errored or abandoned sample leaves the prior snapshot and rev
-// untouched and accrues nothing for that cloud, exactly as a failed full
-// fetch did: the missed churn is re-sent next poll because deltas carry
-// absolute values.
+// The samples fan out through the usage poller with a per-poll deadline,
+// so one hung remote site cannot stall the simulation clock for every
+// site behind it, and each cloud is polled incrementally (see
+// cloudapi.UsagePoller). Accrual stays on this goroutine, in
+// cloud-attachment order, so the metered sums remain deterministic; it
+// iterates each maintained snapshot every tick, so unchanged users keep
+// accruing. An errored or abandoned cloud accrues nothing this tick.
 func (b *Biller) pollVMs() {
-	b.gen++
-	for i := range b.slots {
-		s := &b.slots[i]
-		s.mu.Lock()
-		s.gen, s.since = b.gen, b.prior[i].since
-		s.err = errPollAbandoned
-		s.mu.Unlock()
-	}
-	completed := fanout.Each(pollWorkers, b.deadline, b.tasks)
+	snaps := b.usage.Poll(b.deadline)
 	atomic.AddInt64(&b.Polls, 1)
-	for i, c := range b.clouds {
-		if !completed[i] {
-			atomic.AddInt64(&b.PollErrors, 1)
-			atomic.AddInt64(b.errByCloud[c.Name()], 1)
+	for _, u := range snaps {
+		if u == nil {
 			continue
 		}
-		s := &b.slots[i]
-		s.mu.Lock()
-		d, err := s.d, s.err
-		s.mu.Unlock()
-		if err != nil {
-			atomic.AddInt64(&b.PollErrors, 1)
-			atomic.AddInt64(b.errByCloud[c.Name()], 1)
-			continue
-		}
-		st := &b.prior[i]
-		st.apply(d)
-		for user, v := range st.byUser {
+		for user, v := range u.ByUser {
 			b.accrueCores(user, v.Cores)
 		}
 	}
 }
-
-// errPollAbandoned pre-fills a slot each poll so a slot whose task never
-// ran (or wrote only in a previous generation) reads as a failure, never
-// as a stale success.
-var errPollAbandoned = fmt.Errorf("billing: poll abandoned before the sample returned")
 
 // pollStorage samples each user's stored GB once a day.
 func (b *Biller) pollStorage() {

@@ -174,8 +174,8 @@ func TestPollErrorsBrokenDownPerCloud(t *testing.T) {
 	if per["healthy"] != 0 {
 		t.Fatalf("healthy cloud charged %d poll errors", per["healthy"])
 	}
-	if per["down-site"] < 9 || per["down-site"] != b.PollErrors {
-		t.Fatalf("down-site errors = %d (total %d), want ~10 and equal", per["down-site"], b.PollErrors)
+	if per["down-site"] < 9 || per["down-site"] != b.Polls {
+		t.Fatalf("down-site errors = %d (polls %d), want ~10 and equal", per["down-site"], b.Polls)
 	}
 }
 
@@ -269,4 +269,29 @@ func TestTerminatedUserStopsAccruing(t *testing.T) {
 		t.Fatalf("bob's hour of 4 cores = %v core-hours, want ~4", after.CoreHours())
 	}
 	b.Stop()
+}
+
+// TestPollVMsSteadyStateAllocs pins the poller's reused buffers: a
+// steady-state minute poll over two unchanged clouds allocates only the
+// fan-out's per-run goroutine plumbing and the per-user accrual, never
+// per-poll result slices or snapshots.
+func TestPollVMsSteadyStateAllocs(t *testing.T) {
+	e := sim.NewEngine(4)
+	var clouds []cloudapi.CloudAPI
+	for _, name := range []string{"adler", "sullivan"} {
+		c := iaas.NewCloud(e, name, "openstack", "chicago")
+		c.AddRack("r", 4)
+		c.SetQuota("alice", iaas.Quota{MaxInstances: 4, MaxCores: 16})
+		if _, err := c.Launch("alice", "vm", "m1.large", ""); err != nil {
+			t.Fatal(err)
+		}
+		clouds = append(clouds, cloudapi.NewLocal(c))
+	}
+	b := New(e, DefaultRates(), clouds, nil)
+	e.RunFor(3 * sim.Minute) // boots settle; the first polls take the full snapshots
+	b.Stop()
+	const bound = 14
+	if allocs := testing.AllocsPerRun(200, b.pollVMs); allocs > bound {
+		t.Fatalf("steady-state pollVMs = %v allocs, want <= %d", allocs, bound)
+	}
 }

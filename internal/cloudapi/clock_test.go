@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -198,5 +199,49 @@ func TestCoordinatorBoundsSkew(t *testing.T) {
 	}
 	if coord.MaxSkew() <= 0 {
 		t.Fatal("coordinator observed no skew at all; measurement is broken")
+	}
+}
+
+// slowPushTarget answers clock reads at once and holds every push until
+// released: each round's push overruns the coordinator's deadline.
+type slowPushTarget struct {
+	release  chan struct{}
+	pushes   atomic.Int64 // pushes started
+	inFlight atomic.Int64
+}
+
+func (s *slowPushTarget) Name() string                { return "slow-push" }
+func (s *slowPushTarget) Clock() (ClockStatus, error) { return ClockStatus{Mode: "follow"}, nil }
+func (s *slowPushTarget) ClockSync(target sim.Time) error {
+	s.pushes.Add(1)
+	s.inFlight.Add(1)
+	defer s.inFlight.Add(-1)
+	<-s.release
+	return nil
+}
+
+// TestCoordinatorSettlesAbandonedPushOnce: a push abandoned at the round's
+// deadline is one error for that round and nothing else — when it lands
+// later it counts no sync and moves neither the skew statistics nor the
+// last-push time.
+func TestCoordinatorSettlesAbandonedPushOnce(t *testing.T) {
+	console := sim.NewEngine(12)
+	console.RunFor(100) // the site (at 0) trails by 100 virtual s
+	slow := &slowPushTarget{release: make(chan struct{})}
+	coord := StartClockCoordinator(console, 40*time.Millisecond, slow)
+	waitUntil(t, 10*time.Second, func() bool { return slow.pushes.Load() >= 3 },
+		"coordinator started too few pushes")
+	coord.Stop()
+	close(slow.release)
+	waitUntil(t, 5*time.Second, func() bool { return slow.inFlight.Load() == 0 },
+		"abandoned pushes never landed")
+
+	st := coord.Stats()[0]
+	if pushes := slow.pushes.Load(); st.Syncs != 0 || st.Errors != pushes {
+		t.Fatalf("%d abandoned pushes settled as Syncs %d, Errors %d; want 0 and %d",
+			pushes, st.Syncs, st.Errors, pushes)
+	}
+	if st.LastSkew != 0 || st.MaxSkew != 0 || st.MaxExcess != 0 {
+		t.Fatalf("abandoned rounds moved the skew statistics: %+v", st)
 	}
 }

@@ -7,7 +7,7 @@
 // science-cloud services reach them over the network (§5.2, §7). CloudAPI
 // captures the operations those services need — tenant-plane provisioning
 // (Launch, Terminate, Instances, Images) plus the operator plane the
-// billing and monitoring pollers use (Usage sampling, quotas, flavors) —
+// billing and monitoring pollers use (usage deltas, quotas, flavors) —
 // behind one interface with two backends:
 //
 //   - Local wraps an in-process *iaas.Cloud, preserving the single-process
@@ -58,9 +58,11 @@ type UserUsage struct {
 	Cores     int `json:"cores"`
 }
 
-// Usage is the sample the billing and monitoring pollers take: per-user
-// footprints plus cloud-wide core occupancy (§6.4: "we poll every minute to
-// see the number and types of virtual machine a user has provisioned").
+// Usage is one cloud's running footprint: per-user footprints plus
+// cloud-wide core occupancy (§6.4: "we poll every minute to see the number
+// and types of virtual machine a user has provisioned"). It is the body of
+// the full GET /cloudapi/usage sample and the snapshot a UsagePoller
+// maintains from deltas.
 //
 // Rev is the cloud's usage revision at (or just before) the moment the
 // sample was taken: feed it to UsageSince to receive only the churn after
@@ -123,11 +125,9 @@ type CloudAPI interface {
 	Flavors() ([]iaas.Flavor, error)
 	// SetQuota replaces user's free-tier quota.
 	SetQuota(user string, q iaas.Quota) error
-	// Usage samples the cloud's current running footprint.
-	Usage() (Usage, error)
 	// UsageSince returns the usage churn after revision since: pass a
-	// Usage's (or previous delta's) Rev and receive only the users whose
-	// footprint changed. since == 0 is a fresh caller and yields a Reset
+	// previous delta's Rev and receive only the users whose footprint
+	// changed. since == 0 is a fresh caller and yields a Reset
 	// snapshot; since < 0 is rejected with an error through both
 	// backends.
 	UsageSince(since int64) (UsageDelta, error)

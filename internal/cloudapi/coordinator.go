@@ -66,13 +66,14 @@ type SkewStats struct {
 // Pushes fan out concurrently over a bounded worker pool (ROADMAP:
 // coordinator fan-out): at dozens of sites a sequential round-robin would
 // eat the interval, so each round gives every site half the sync interval
-// and abandons (and counts as an error) any site still unanswered — the
-// push may still land late, which the follower tolerates by design.
+// and abandons any site still unanswered. Each site settles exactly once
+// per round, on the coordinator's goroutine: an abandoned push is one
+// error — it may still land late, which the follower tolerates by design,
+// but that landing counts as no sync and moves no statistic.
 type ClockCoordinator struct {
 	engine   *sim.Engine
 	interval time.Duration
 	targets  []ClockSyncTarget
-	workers  int
 
 	mu       sync.Mutex
 	stats    map[string]*SkewStats
@@ -92,7 +93,6 @@ func StartClockCoordinator(e *sim.Engine, interval time.Duration, targets ...Clo
 	}
 	c := &ClockCoordinator{
 		engine: e, interval: interval, targets: targets,
-		workers:  syncWorkers,
 		stats:    make(map[string]*SkewStats),
 		lastPush: make(map[string]sim.Time),
 		stop:     make(chan struct{}), done: make(chan struct{}),
@@ -104,18 +104,17 @@ func StartClockCoordinator(e *sim.Engine, interval time.Duration, targets ...Clo
 	return c
 }
 
-// syncWorkers bounds the per-round push pool.
-const syncWorkers = 8
+// siteWorkers bounds this package's per-round site fan-outs: clock pushes
+// and usage polls.
+const siteWorkers = 8
 
 func (c *ClockCoordinator) loop() {
 	defer close(c.done)
 	tick := time.NewTicker(c.interval)
 	defer tick.Stop()
-	tasks := make([]func(), len(c.targets))
-	for i, t := range c.targets {
-		t := t
-		tasks[i] = func() { c.syncOne(t) }
-	}
+	group := fanout.NewGroup(siteWorkers, len(c.targets), func(i int) syncOutcome {
+		return c.syncOne(c.targets[i])
+	})
 	// Per-site deadline: half the sync interval, floored at 100 ms. The
 	// deadline exists to keep a *hung* site from eating the round, not to
 	// penalize ordinary HTTP jitter — at the millisecond-scale intervals
@@ -130,66 +129,67 @@ func (c *ClockCoordinator) loop() {
 		case <-c.stop:
 			return
 		case <-tick.C:
-			completed := fanout.Each(c.workers, deadline, tasks)
-			for i, ok := range completed {
-				if !ok {
-					// The abandoned push may still land; the error marks
-					// that this round couldn't confirm it in time.
-					c.countError(c.targets[i].Name())
-				}
+			outcomes, completed := group.Run(deadline)
+			for i, t := range c.targets {
+				c.settle(t.Name(), outcomes[i], completed[i])
 			}
 		}
 	}
 }
 
+// syncOutcome is one site's result in one round.
+type syncOutcome struct {
+	read bool     // the clock read answered: skew and now are set
+	skew float64  // coordinator − site, virtual seconds, clamped at 0
+	now  sim.Time // the coordinator time observed and pushed
+	err  error    // the failed read or push
+}
+
 // syncOne observes one site's clock against the authoritative engine, then
 // pushes the engine's current time as the site's next target.
-func (c *ClockCoordinator) syncOne(t ClockSyncTarget) {
-	name := t.Name()
+func (c *ClockCoordinator) syncOne(t ClockSyncTarget) syncOutcome {
 	st, err := t.Clock()
 	if err != nil {
-		c.countError(name)
-		return
+		return syncOutcome{err: err}
 	}
 	// Sample the authoritative clock after the site answered: anything the
 	// console engine gained during the read round trip is charged to the
 	// observation, never credited to the site.
 	now := c.engine.Now()
-	c.record(name, float64(now)-st.Now, now)
-	if err := t.ClockSync(now); err != nil {
-		c.countError(name)
-		return
-	}
-	c.mu.Lock()
-	c.stats[name].Syncs++
-	c.lastPush[name] = now
-	c.mu.Unlock()
+	// A site can only appear ahead by measurement race (its clock was read
+	// before ours); clamp rather than report negative skew.
+	skew := max(float64(now)-st.Now, 0)
+	return syncOutcome{read: true, skew: skew, now: now, err: t.ClockSync(now)}
 }
 
-func (c *ClockCoordinator) countError(name string) {
-	c.mu.Lock()
-	c.stats[name].Errors++
-	c.mu.Unlock()
-}
-
-func (c *ClockCoordinator) record(name string, skew float64, now sim.Time) {
-	if skew < 0 {
-		// A site can only appear ahead by measurement race (its clock was
-		// read before ours); clamp rather than report negative skew.
-		skew = 0
-	}
+// settle records one site's round: an abandoned round is one error and
+// nothing else; a completed one records its skew observation (if the read
+// answered) and then either a sync or an error.
+func (c *ClockCoordinator) settle(name string, o syncOutcome, completed bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.stats[name]
-	s.LastSkew = skew
-	if skew > s.MaxSkew {
-		s.MaxSkew = skew
+	if !completed {
+		s.Errors++
+		return
 	}
-	if prev, ok := c.lastPush[name]; ok {
-		if excess := skew - float64(now-prev); excess > s.MaxExcess {
-			s.MaxExcess = excess
+	if o.read {
+		s.LastSkew = o.skew
+		if o.skew > s.MaxSkew {
+			s.MaxSkew = o.skew
+		}
+		if prev, ok := c.lastPush[name]; ok {
+			if excess := o.skew - float64(o.now-prev); excess > s.MaxExcess {
+				s.MaxExcess = excess
+			}
 		}
 	}
+	if o.err != nil {
+		s.Errors++
+		return
+	}
+	s.Syncs++
+	c.lastPush[name] = o.now
 }
 
 // Stats returns a copy of every site's skew statistics, sorted by site

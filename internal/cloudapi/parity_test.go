@@ -106,9 +106,9 @@ func TestLocalRemoteParity(t *testing.T) {
 			if len(list) != 2 {
 				t.Fatalf("alice lists %d instances, want 2", len(list))
 			}
-			both(t, "Usage",
-				func() (Usage, error) { return local.Usage() },
-				func() (Usage, error) { return remote.Usage() })
+			both(t, "UsageSince(0)",
+				func() (UsageDelta, error) { return local.UsageSince(0) },
+				func() (UsageDelta, error) { return remote.UsageSince(0) })
 
 			// Boot timers fire; ACTIVE must round-trip through both wire
 			// dialects (EC2 "running" must come back as ACTIVE).
@@ -221,7 +221,7 @@ func TestParityUnderConcurrency(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := api.Usage(); err != nil {
+				if _, err := api.UsageSince(0); err != nil {
 					t.Error(err)
 					return
 				}

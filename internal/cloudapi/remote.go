@@ -9,8 +9,6 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"osdc/internal/iaas"
@@ -34,29 +32,12 @@ type Remote struct {
 	endpoint string // base URL, no trailing slash
 	client   *http.Client
 	secret   string // X-OSDC-Operator header on operator-plane writes
-
-	// usageMu guards the delta-maintained usage snapshot: Usage() fetches
-	// the full sample once, then advances it with UsageSince(lastRev)
-	// round trips that carry only the churn — the wire-side half of the
-	// incremental accounting path. A Reset delta (site restarted) rebuilds
-	// the snapshot from the delta's full population.
-	usageMu   sync.Mutex
-	usageSnap map[string]UserUsage
-	usageRev  int64
-	haveUsage bool
-
-	// deltaHits counts Usage() calls advanced by a since-rev delta;
-	// deltaResets counts cache drops that forced a full resync — the
-	// client-side usage-delta health the telemetry plane surfaces.
-	deltaHits   atomic.Int64
-	deltaResets atomic.Int64
 }
 
 // DefaultTimeout bounds every round trip of a Remote built with a nil
-// client. The billing and monitoring pollers call Usage() from the
-// clock-driving goroutine: without a deadline, one hung site would block
-// the driver and freeze the entire simulation clock instead of surfacing
-// as a PollErrors increment.
+// client, so a hung site surfaces as an error to every caller instead of
+// holding a goroutine forever. The operator pollers give up waiting
+// sooner (PollDeadline).
 const DefaultTimeout = 10 * time.Second
 
 // NewRemote builds a client for the cloud name speaking stack ("openstack"
@@ -579,82 +560,6 @@ func (r *Remote) ClockSync(target sim.Time) error {
 		return fmt.Errorf("cloudapi: %s: %w", r.name, ErrFreeRunning)
 	}
 	return fmt.Errorf("cloudapi: %s clock sync returned %d", r.name, resp.StatusCode)
-}
-
-// Usage implements CloudAPI via the operator plane. The first call takes
-// a full snapshot; later calls advance it with ?since=rev deltas, so a
-// steady-state poll over an unchanged cloud ships an empty delta instead
-// of the whole per-user map. Any wire failure on the delta path falls
-// back to a fresh full fetch, so the result is always what a full GET
-// would have returned.
-func (r *Remote) Usage() (Usage, error) {
-	r.usageMu.Lock()
-	defer r.usageMu.Unlock()
-	if r.haveUsage {
-		if d, err := r.UsageSince(r.usageRev); err == nil {
-			r.deltaHits.Add(1)
-			r.applyDelta(d)
-			return r.snapshotUsage(d.UsedCores, d.TotalCores), nil
-		}
-		// The delta path failed (site unreachable, or it restarted with a
-		// rev behind ours and rejected the since) — drop the snapshot and
-		// resync in full below.
-		r.deltaResets.Add(1)
-		r.haveUsage = false
-		r.usageSnap = nil
-	}
-	var u Usage
-	status, err := r.operatorGet("/cloudapi/usage", &u)
-	if err != nil {
-		return Usage{}, err
-	}
-	if status != http.StatusOK {
-		return Usage{}, fmt.Errorf("cloudapi: %s usage returned %d", r.name, status)
-	}
-	r.usageRev = u.Rev
-	r.usageSnap = make(map[string]UserUsage, len(u.ByUser))
-	for user, v := range u.ByUser {
-		r.usageSnap[user] = v
-	}
-	r.haveUsage = true
-	return u, nil
-}
-
-// applyDelta folds one UsageSince result into the cached snapshot.
-// Callers hold usageMu.
-func (r *Remote) applyDelta(d UsageDelta) {
-	if d.Reset {
-		r.usageSnap = make(map[string]UserUsage, len(d.Changed))
-	}
-	for user, v := range d.Changed {
-		r.usageSnap[user] = v
-	}
-	for _, user := range d.Removed {
-		delete(r.usageSnap, user)
-	}
-	r.usageRev = d.Rev
-	r.haveUsage = true
-}
-
-// snapshotUsage copies the cached per-user map into a fresh Usage so
-// callers never alias the cache. Callers hold usageMu.
-func (r *Remote) snapshotUsage(usedCores, totalCores int) Usage {
-	u := Usage{
-		Rev:        r.usageRev,
-		ByUser:     make(map[string]UserUsage, len(r.usageSnap)),
-		UsedCores:  usedCores,
-		TotalCores: totalCores,
-	}
-	for user, v := range r.usageSnap {
-		u.ByUser[user] = v
-	}
-	return u
-}
-
-// UsageDeltaStats reports the delta-maintained usage cache's health:
-// polls advanced by a delta versus cache drops that forced a full resync.
-func (r *Remote) UsageDeltaStats() (hits, resets int64) {
-	return r.deltaHits.Load(), r.deltaResets.Load()
 }
 
 // UsageSince implements CloudAPI via the operator plane's ?since= form.

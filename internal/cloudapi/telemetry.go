@@ -81,20 +81,3 @@ type ClockSyncStatsRow struct {
 	Site  string
 	Stats SkewStats
 }
-
-// RegisterUsageDeltaClients contributes the wire-side half of the
-// incremental usage path: per-cloud counts of polls answered by applying
-// a delta to the cached snapshot versus cache drops that forced a full
-// resync.
-func RegisterUsageDeltaClients(reg *telemetry.Registry, remotes ...*Remote) {
-	for _, r := range remotes {
-		r := r
-		cloud := telemetry.Label{Key: "cloud", Value: r.Name()}
-		reg.CounterFunc("osdc_usage_delta_hits_total",
-			"Usage polls advanced by a since-rev delta instead of a full fetch.",
-			func() float64 { h, _ := r.UsageDeltaStats(); return float64(h) }, cloud)
-		reg.CounterFunc("osdc_usage_delta_resets_total",
-			"Usage polls that dropped the cached snapshot and resynced in full.",
-			func() float64 { _, rs := r.UsageDeltaStats(); return float64(rs) }, cloud)
-	}
-}

@@ -126,8 +126,6 @@ type Deployment struct {
 	Servers map[string]*cloudapi.Server
 	// Members are every attached cloud's /metrics endpoint.
 	Members []telemetry.Member
-	// Remotes are the usage-delta clients of clouds reached over the wire.
-	Remotes []*cloudapi.Remote
 	// DataSites are the dataset planes: OSDC-Root's masters first, then
 	// each cloud's store that answers.
 	DataSites []datastore.API
@@ -376,7 +374,6 @@ func (d *Deployment) attachExternal(s ExternalSite, secret string, sync bool) er
 func (d *Deployment) attachRemote(remote *cloudapi.Remote, url string, follows bool) {
 	d.Fed.Tukey.AttachCloud(tukey.CloudConfig{API: remote})
 	d.Members = append(d.Members, telemetry.Member{Name: remote.Name(), URL: url})
-	d.Remotes = append(d.Remotes, remote)
 	d.clouds = append(d.clouds, remote)
 	if follows {
 		d.syncTargets = append(d.syncTargets, remote)

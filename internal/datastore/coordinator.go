@@ -271,35 +271,34 @@ func (c *Coordinator) Round() (planned, arrived int) {
 	// passes the revision the coordinator's view already reflects and
 	// reads only the churn since. A plane that cannot serve the delta
 	// route falls back to a full List (treated as a Reset snapshot).
-	// Index i maps results to sites, so the fan-out stays deterministic.
+	// Index i maps results to sites, so the fan-out stays deterministic;
+	// the tasks read copies, since an abandoned one may outlive c.mu.
 	type listing struct {
 		delta Delta
 		err   error
 	}
-	listings := make([]listing, len(c.sites))
-	tasks := make([]func(), len(c.sites))
-	for i, s := range c.sites {
-		i, s := i, s
-		since := c.knownRev[s.Name()]
-		tasks[i] = func() {
-			listings[i].delta, listings[i].err = s.ListSince(since)
-			if listings[i].err == nil {
-				return
-			}
-			if reps, err := s.List(); err == nil {
-				listings[i].delta, listings[i].err = Delta{Changed: reps, Reset: true}, nil
+	sites := append([]API(nil), c.sites...)
+	since := make([]int64, len(sites))
+	for i, s := range sites {
+		since[i] = c.knownRev[s.Name()]
+	}
+	listings, completed := fanout.Each(c.workers, c.siteDeadline, len(sites), func(i int) listing {
+		d, err := sites[i].ListSince(since[i])
+		if err != nil {
+			if reps, lerr := sites[i].List(); lerr == nil {
+				d, err = Delta{Changed: reps, Reset: true}, nil
 			}
 		}
-	}
-	completed := fanout.Each(c.workers, c.siteDeadline, tasks)
+		return listing{d, err}
+	})
 
-	reachable := make([]API, 0, len(c.sites))
+	reachable := make([]API, 0, len(sites))
 	confirmedBy := make(map[string][]string) // dataset → sites observed holding it this round
 	countedBy := make(map[string]int)        // dataset → holders incl. grace-carried silent sites
 	bytesBy := make(map[string]int64)        // site → observed stored bytes
 	newSeen := make(map[string]map[string]Replica)
 	allObserved := true
-	for i, s := range c.sites {
+	for i, s := range sites {
 		name := s.Name()
 		if !completed[i] || listings[i].err != nil {
 			c.siteStats[name].Errors++
@@ -584,14 +583,11 @@ func (c *Coordinator) completeArrived(now sim.Time) int {
 		}
 		return due[i].To < due[j].To
 	})
-	// jobs[i].err is written by the pool and read back only when
-	// completed[i] — the fanout package's happens-before discipline.
 	type job struct {
 		t       *Transfer
 		corrupt bool
 		src     API // corrupt: holder of the bad copy to drop
 		dst     API // healthy: destination to install at
-		err     error
 	}
 	jobs := make([]job, len(due))
 	for i, t := range due {
@@ -610,25 +606,19 @@ func (c *Coordinator) completeArrived(now sim.Time) int {
 	workers, deadline := c.workers, c.siteDeadline
 	c.mu.Unlock()
 
-	tasks := make([]func(), len(jobs))
-	for i := range jobs {
-		i := i
+	putErrs, completed := fanout.Each(workers, deadline, len(jobs), func(i int) error {
+		j, t := jobs[i], jobs[i].t
 		switch {
-		case jobs[i].corrupt && jobs[i].src != nil:
-			tasks[i] = func() { _ = jobs[i].src.Delete(jobs[i].t.Dataset) }
-		case !jobs[i].corrupt && jobs[i].dst != nil:
-			tasks[i] = func() {
-				t := jobs[i].t
-				jobs[i].err = jobs[i].dst.Put(Replica{
-					Dataset: t.Dataset, SizeBytes: t.Bytes,
-					Checksum: t.Checksum, Version: t.Version,
-				})
-			}
-		default:
-			tasks[i] = func() {}
+		case j.corrupt && j.src != nil:
+			_ = j.src.Delete(t.Dataset)
+		case !j.corrupt && j.dst != nil:
+			return j.dst.Put(Replica{
+				Dataset: t.Dataset, SizeBytes: t.Bytes,
+				Checksum: t.Checksum, Version: t.Version,
+			})
 		}
-	}
-	completed := fanout.Each(workers, deadline, tasks)
+		return nil
+	})
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -648,7 +638,7 @@ func (c *Coordinator) completeArrived(now sim.Time) int {
 			}
 		case jobs[i].dst == nil:
 			c.stats.Aborted++
-		case !completed[i] || jobs[i].err != nil:
+		case !completed[i] || putErrs[i] != nil:
 			if st, ok := c.siteStats[t.To]; ok {
 				st.Errors++
 			}
@@ -752,22 +742,19 @@ func (c *Coordinator) Stage(dataset, site string) (StageStatus, error) {
 			r   Replica
 			err error
 		}
-		results := make([]lookup, len(c.sites))
-		tasks := make([]func(), len(c.sites))
-		for i, s := range c.sites {
-			i, s := i, s
-			if s.Name() == site {
-				tasks[i] = func() { results[i].err = ErrNoReplica }
+		sites := append([]API(nil), c.sites...) // an abandoned task may outlive c.mu
+		found, completed := fanout.Each(c.workers, c.siteDeadline, len(sites), func(i int) lookup {
+			if sites[i].Name() == site {
+				return lookup{err: ErrNoReplica}
+			}
+			r, err := sites[i].Get(dataset)
+			return lookup{r, err}
+		})
+		for i, s := range sites {
+			if !completed[i] || found[i].err != nil {
 				continue
 			}
-			tasks[i] = func() { results[i].r, results[i].err = s.Get(dataset) }
-		}
-		completed := fanout.Each(c.workers, c.siteDeadline, tasks)
-		for i, s := range c.sites {
-			if s.Name() == site || !completed[i] || results[i].err != nil {
-				continue
-			}
-			src, rep = s, results[i].r
+			src, rep = s, found[i].r
 			break
 		}
 	}

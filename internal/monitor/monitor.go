@@ -7,10 +7,16 @@
 //     alerts to the system administrators.
 //  2. An in-house cloud-usage monitor whose high-level summary is published
 //     on the OSDC website (instances per user, cloud status).
+//
+// Both poll on the simulation clock and fan out per host or per cloud with
+// a wall deadline: the master's agent sweeps through internal/fanout, the
+// usage monitor through its own cloudapi.UsagePoller (the sampler the
+// biller also uses, at the monitor's cadence). Results are folded on the
+// clock-driving goroutine in a fixed order, so alerts and snapshots stay
+// deterministic.
 package monitor
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -22,16 +28,9 @@ import (
 	"osdc/internal/sim"
 )
 
-// pollWorkers bounds the monitoring fan-out (master agent sweeps and
-// usage-monitor samples) — the same worker count the ClockCoordinator
-// pushes with.
-const pollWorkers = 8
-
-// pollDeadline is the wall budget one agent sweep or cloud sample gets
-// before the poll abandons the wait (half the Remote transport's own
-// timeout). Abandoned polls surface in the error counters; late results
-// are discarded.
-const pollDeadline = cloudapi.DefaultTimeout / 2
+// sweepWorkers bounds the master's agent-sweep fan-out — the same worker
+// count the cloudapi pollers use.
+const sweepWorkers = 8
 
 // State is a Nagios check state.
 type State int
@@ -153,7 +152,7 @@ type Master struct {
 	PollsAbandoned int64
 
 	// deadline bounds one agent sweep's wall time; defaults to
-	// pollDeadline; the tests shorten it.
+	// cloudapi.PollDeadline; the tests shorten it.
 	deadline time.Duration
 }
 
@@ -163,7 +162,7 @@ func NewMaster(e *sim.Engine, interval sim.Duration, notify func(Alert)) *Master
 	m := &Master{
 		engine: e, agents: make(map[string]*Agent),
 		last: make(map[string]State), notify: notify,
-		deadline: pollDeadline,
+		deadline: cloudapi.PollDeadline,
 	}
 	m.ticker = e.Every(interval, m.pollAll)
 	return m
@@ -178,69 +177,52 @@ func (m *Master) AddAgent(a *Agent) {
 
 func (m *Master) pollAll() {
 	m.mu.Lock()
-	hosts := make([]string, 0, len(m.agents))
-	for h := range m.agents {
-		hosts = append(hosts, h)
+	agents := make([]*Agent, 0, len(m.agents))
+	for _, a := range m.agents {
+		agents = append(agents, a)
 	}
 	m.mu.Unlock()
-	sort.Strings(hosts)
+	sort.Slice(agents, func(i, j int) bool { return agents[i].Host < agents[j].Host })
 	now := m.engine.Now()
 
 	// One task per agent host: the whole sweep runs outside m.mu (plugins
 	// reach into other subsystems — disk models, clouds — with locks of
 	// their own) and the hosts fan out over the bounded pool so one slow
-	// plugin does not serialize every other host's sweep. Results land in
-	// per-host slots; state transitions and alerts are then applied on
-	// this goroutine in sorted host order, so the alert log stays
-	// deterministic regardless of which host finished first.
+	// plugin does not serialize every other host's sweep. State
+	// transitions and alerts are then applied on this goroutine in sorted
+	// host order, so the alert log stays deterministic regardless of which
+	// host finished first.
 	type result struct {
 		name  string
 		state State
 		value float64
 	}
-	type slot struct {
-		mu  sync.Mutex // an abandoned sweep may write late
-		res []result
-	}
-	slots := make([]slot, len(hosts))
-	tasks := make([]func(), len(hosts))
-	for i, h := range hosts {
-		m.mu.Lock()
-		a := m.agents[h]
-		m.mu.Unlock()
-		i, a := i, a
-		tasks[i] = func() {
-			names := a.CheckNames()
-			res := make([]result, 0, len(names))
-			for _, name := range names {
-				st, v, err := a.RunCheck(name)
-				if err != nil {
-					st = StateUnknown
-				}
-				res = append(res, result{name: name, state: st, value: v})
+	sweeps, completed := fanout.Each(sweepWorkers, m.deadline, len(agents), func(i int) []result {
+		a := agents[i]
+		names := a.CheckNames()
+		res := make([]result, 0, len(names))
+		for _, name := range names {
+			st, v, err := a.RunCheck(name)
+			if err != nil {
+				st = StateUnknown
 			}
-			slots[i].mu.Lock()
-			slots[i].res = res
-			slots[i].mu.Unlock()
+			res = append(res, result{name: name, state: st, value: v})
 		}
-	}
-	completed := fanout.Each(pollWorkers, m.deadline, tasks)
+		return res
+	})
 
 	var fired []Alert
-	for i, h := range hosts {
+	for i, a := range agents {
 		if !completed[i] {
 			atomic.AddInt64(&m.PollsAbandoned, 1)
 			continue
 		}
-		slots[i].mu.Lock()
-		res := slots[i].res
-		slots[i].mu.Unlock()
-		for _, r := range res {
-			key := h + "/" + r.name
+		for _, r := range sweeps[i] {
+			key := a.Host + "/" + r.name
 			m.mu.Lock()
 			m.ChecksRun++
 			if r.state != m.last[key] && r.state != StateOK {
-				al := Alert{Host: h, Check: r.name, State: r.state, Value: r.value, At: now}
+				al := Alert{Host: a.Host, Check: r.name, State: r.state, Value: r.value, At: now}
 				m.alerts = append(m.alerts, al)
 				fired = append(fired, al)
 			}
@@ -282,155 +264,50 @@ type UsageSnapshot struct {
 type UsageMonitor struct {
 	engine *sim.Engine
 	clouds []cloudapi.CloudAPI
+	usage  *cloudapi.UsagePoller
 	ticker *sim.Ticker
 
 	mu     sync.Mutex
 	latest map[string]UsageSnapshot
 
-	// SampleErrors counts failed cloud samples (an unreachable remote
-	// site); read it with atomic.LoadInt64 while sampling may fire.
-	SampleErrors int64
-	// errByCloud breaks SampleErrors down per cloud; keys fixed at
-	// construction, values atomic.
-	errByCloud map[string]*int64
-
 	// deadline bounds one cloud sample's wall time; defaults to
-	// pollDeadline; the tests shorten it.
+	// cloudapi.PollDeadline; the tests shorten it.
 	deadline time.Duration
-
-	// The reused delta-sampling machinery, mirroring billing.Biller: slots
-	// and tasks are built once at construction (no per-tick allocation),
-	// prior holds each cloud's maintained per-user snapshot and next-poll
-	// revision (clock goroutine only), and gen stamps each sweep so an
-	// abandoned task cannot write a stale result into a later sweep.
-	slots []sampleSlot
-	tasks []func()
-	prior []cloudUsageState
-	gen   uint64
 }
-
-// sampleSlot is one cloud's reused result cell; the mutex guards against
-// a late write from an abandoned sample, the gen match discards it.
-type sampleSlot struct {
-	mu    sync.Mutex
-	gen   uint64
-	since int64
-	d     cloudapi.UsageDelta
-	err   error
-}
-
-// cloudUsageState is one cloud's maintained usage snapshot under delta
-// polling. Only the clock-driving goroutine touches it.
-type cloudUsageState struct {
-	since  int64
-	byUser map[string]cloudapi.UserUsage
-}
-
-// apply folds a delta into the snapshot.
-func (st *cloudUsageState) apply(d cloudapi.UsageDelta) {
-	if d.Reset || st.byUser == nil {
-		st.byUser = make(map[string]cloudapi.UserUsage, len(d.Changed))
-	}
-	for user, v := range d.Changed {
-		st.byUser[user] = v
-	}
-	for _, user := range d.Removed {
-		delete(st.byUser, user)
-	}
-	st.since = d.Rev
-}
-
-// errSampleAbandoned pre-fills a slot each sweep so a slot whose task
-// never ran reads as a failure, never as a stale success.
-var errSampleAbandoned = errors.New("monitor: sample abandoned before the cloud answered")
 
 // NewUsageMonitor starts sampling every interval.
 func NewUsageMonitor(e *sim.Engine, clouds []cloudapi.CloudAPI, interval sim.Duration) *UsageMonitor {
-	um := &UsageMonitor{engine: e, clouds: clouds, latest: make(map[string]UsageSnapshot),
-		deadline: pollDeadline}
-	um.errByCloud = make(map[string]*int64, len(clouds))
-	for _, c := range clouds {
-		um.errByCloud[c.Name()] = new(int64)
-	}
-	um.slots = make([]sampleSlot, len(clouds))
-	um.prior = make([]cloudUsageState, len(clouds))
-	um.tasks = make([]func(), len(clouds))
-	for i, c := range clouds {
-		i, c := i, c
-		um.tasks[i] = func() {
-			s := &um.slots[i]
-			s.mu.Lock()
-			gen, since := s.gen, s.since
-			s.mu.Unlock()
-			d, err := c.UsageSince(since)
-			s.mu.Lock()
-			if s.gen == gen { // a later sweep may have re-armed the slot
-				s.d, s.err = d, err
-			}
-			s.mu.Unlock()
-		}
-	}
+	um := &UsageMonitor{engine: e, clouds: clouds, usage: cloudapi.NewUsagePoller(clouds),
+		latest: make(map[string]UsageSnapshot), deadline: cloudapi.PollDeadline}
 	um.ticker = e.Every(interval, um.sample)
 	return um
 }
 
 // SampleErrorsByCloud returns each cloud's sample-failure count, zero
 // entries included.
-func (um *UsageMonitor) SampleErrorsByCloud() map[string]int64 {
-	out := make(map[string]int64, len(um.errByCloud))
-	for name, n := range um.errByCloud {
-		out[name] = atomic.LoadInt64(n)
-	}
-	return out
-}
+func (um *UsageMonitor) SampleErrorsByCloud() map[string]int64 { return um.usage.ErrorsByCloud() }
 
-// sample queries every cloud concurrently through the bounded pool —
-// sample fires on the clock-driving goroutine, and one hung remote site
-// polled serially would stall the clock for every site behind it. A
-// sample that misses the per-poll deadline counts against that cloud in
-// SampleErrorsByCloud; its late result is discarded.
-// The sweep polls incrementally: each task asks UsageSince(prior rev)
-// and the clock goroutine folds the churn into the cloud's maintained
-// snapshot before summarizing it — the same delta path the biller uses,
-// so a steady-state sweep ships empty deltas, not full per-user maps.
+// sample summarizes every cloud's maintained usage snapshot — the same
+// delta-polled path the biller uses (cloudapi.UsagePoller), with its own
+// poller and cadence. A cloud whose sample errored or missed the per-poll
+// deadline counts in SampleErrorsByCloud and keeps its previous summary.
 func (um *UsageMonitor) sample() {
 	now := um.engine.Now()
-	um.gen++
-	for i := range um.slots {
-		s := &um.slots[i]
-		s.mu.Lock()
-		s.gen, s.since = um.gen, um.prior[i].since
-		s.err = errSampleAbandoned
-		s.mu.Unlock()
-	}
-	completed := fanout.Each(pollWorkers, um.deadline, um.tasks)
-	for i, c := range um.clouds {
-		if !completed[i] {
-			atomic.AddInt64(&um.SampleErrors, 1)
-			atomic.AddInt64(um.errByCloud[c.Name()], 1)
+	for i, u := range um.usage.Poll(um.deadline) {
+		if u == nil {
 			continue
 		}
-		s := &um.slots[i]
-		s.mu.Lock()
-		d, err := s.d, s.err
-		s.mu.Unlock()
-		if err != nil {
-			atomic.AddInt64(&um.SampleErrors, 1)
-			atomic.AddInt64(um.errByCloud[c.Name()], 1)
-			continue
-		}
-		st := &um.prior[i]
-		st.apply(d)
+		name := um.clouds[i].Name()
 		snap := UsageSnapshot{
-			At: now, Cloud: c.Name(),
-			UsedCores: d.UsedCores, TotalCores: d.TotalCores,
-			ActiveUsers: len(st.byUser),
+			At: now, Cloud: name,
+			UsedCores: u.UsedCores, TotalCores: u.TotalCores,
+			ActiveUsers: len(u.ByUser),
 		}
-		for _, v := range st.byUser {
+		for _, v := range u.ByUser {
 			snap.RunningVMs += v.Instances
 		}
 		um.mu.Lock()
-		um.latest[c.Name()] = snap
+		um.latest[name] = snap
 		um.mu.Unlock()
 	}
 }

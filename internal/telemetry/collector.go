@@ -75,31 +75,37 @@ func NewCollector(secret string, client *http.Client, members ...Member) *Collec
 	return c
 }
 
-// Round runs one synchronous scrape sweep over every member. Each scrape
-// settles exactly once per round: a goroutine still running when the
-// fanout deadline passes is counted as an error here, and if it later
-// finishes anyway its result is discarded — never one error plus one
-// success for the same member in the same round. Both sides settle under
-// c.mu, so whichever gets there first wins.
+// Round runs one synchronous scrape sweep over every member. Each member
+// settles exactly once per round, here: a scrape still running when the
+// fanout deadline passes is counted as an error, and if it later finishes
+// anyway its result is dropped — never one error plus one success for the
+// same member in the same round.
 func (c *Collector) Round() {
 	c.mu.Lock()
 	deadline := c.deadline
 	c.mu.Unlock()
-	settled := make([]bool, len(c.members)) // guarded by c.mu
-	tasks := make([]func(), len(c.members))
-	for i, m := range c.members {
-		i, m := i, m
-		tasks[i] = func() { c.scrapeOne(m, &settled[i]) }
-	}
-	completed := fanout.Each(c.workers, deadline, tasks)
+	scrapes, completed := fanout.Each(c.workers, deadline, len(c.members), func(i int) scrape {
+		series, err := c.scrapeOne(c.members[i])
+		return scrape{series, err}
+	})
 	c.mu.Lock()
-	for i, ok := range completed {
-		if !ok && !settled[i] {
-			settled[i] = true
-			c.stats[c.members[i].Name].Errors++
+	defer c.mu.Unlock()
+	for i, m := range c.members {
+		st := c.stats[m.Name]
+		if !completed[i] || scrapes[i].err != nil {
+			st.Errors++
+			continue
 		}
+		c.data[m.Name] = scrapes[i].series
+		st.Scrapes++
+		st.Series = len(scrapes[i].series)
 	}
-	c.mu.Unlock()
+}
+
+// scrape is one member's parsed /metrics, or why it failed.
+type scrape struct {
+	series map[string]float64
+	err    error
 }
 
 // Start begins scraping every interval of wall time (<= 0 means 1 s)
@@ -150,60 +156,29 @@ func (c *Collector) Stop() {
 	}
 }
 
-// scrapeOne GETs one member's /metrics and folds the parse into the view.
-// settled is this scrape's per-round token (see Round); every outcome is
-// recorded through it so an abandoned scrape that limps in late is a
-// no-op rather than a second count.
-func (c *Collector) scrapeOne(m Member, settled *bool) {
+// scrapeOne GETs one member's /metrics and parses it.
+func (c *Collector) scrapeOne(m Member) (map[string]float64, error) {
 	req, err := http.NewRequest(http.MethodGet, m.URL+"/metrics", nil)
 	if err != nil {
-		c.countError(m.Name, settled)
-		return
+		return nil, err
 	}
 	if c.secret != "" {
 		req.Header.Set("X-OSDC-Operator", c.secret)
 	}
 	resp, err := c.client.Do(req)
 	if err != nil {
-		c.countError(m.Name, settled)
-		return
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		_, _ = io.Copy(io.Discard, resp.Body)
-		c.countError(m.Name, settled)
-		return
+		return nil, fmt.Errorf("telemetry: %s /metrics returned %d", m.Name, resp.StatusCode)
 	}
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
-		c.countError(m.Name, settled)
-		return
+		return nil, err
 	}
-	parsed, err := ParseText(body)
-	if err != nil {
-		c.countError(m.Name, settled)
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if *settled {
-		return
-	}
-	*settled = true
-	c.data[m.Name] = parsed
-	st := c.stats[m.Name]
-	st.Scrapes++
-	st.Series = len(parsed)
-}
-
-func (c *Collector) countError(name string, settled *bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if *settled {
-		return
-	}
-	*settled = true
-	c.stats[name].Errors++
+	return ParseText(body)
 }
 
 // Snapshot returns the aggregated federation view: every member's series
