@@ -8,19 +8,11 @@ package osdc_test
 // deleted; see the verify skill for how to read a failure.
 
 import (
-	"bytes"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"go/ast"
-	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
-	"io"
-	"os"
-	"os/exec"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -49,54 +41,18 @@ func TestEveryDeclarationIsReachable(t *testing.T) {
 	if len(reachabilityAllowlist) > maxAllowlist {
 		t.Fatalf("allowlist has %d entries, at most %d", len(reachabilityAllowlist), maxAllowlist)
 	}
-	var listed []listedPackage
-	seen := map[string]bool{}
-	for _, dir := range []string{".", "bench"} {
-		pkgs, err := goListDeps(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range pkgs {
-			if !p.Standard && !seen[p.ImportPath] {
-				seen[p.ImportPath] = true
-				listed = append(listed, p)
-			}
-		}
-	}
-
-	fset := token.NewFileSet()
-	imp := &sourceImporter{checked: map[string]*types.Package{}, std: importer.Default()}
-	info := &types.Info{
-		Defs:  map[*ast.Ident]types.Object{},
-		Uses:  map[*ast.Ident]types.Object{},
-		Types: map[ast.Expr]types.TypeAndValue{},
-	}
+	tree := loadTree(t)
+	fset, info := tree.fset, tree.info
 	type decl struct {
 		fn   *types.Func
 		node *ast.FuncDecl
 	}
 	var decls []decl
-	// listed is in dependency order, so every import is checked before
-	// the package that needs it.
-	for _, p := range listed {
-		var files []*ast.File
-		for _, name := range p.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			files = append(files, f)
-		}
-		conf := types.Config{Importer: imp}
-		pkg, err := conf.Check(p.ImportPath, fset, files, info)
-		if err != nil {
-			t.Fatalf("type-check %s: %v", p.ImportPath, err)
-		}
-		imp.checked[p.ImportPath] = pkg
+	for _, p := range tree.pkgs {
 		if !strings.HasPrefix(p.ImportPath, "osdc/internal/") {
 			continue
 		}
-		for _, f := range files {
+		for _, f := range p.files {
 			for _, d := range f.Decls {
 				fd, ok := d.(*ast.FuncDecl)
 				if !ok || (fd.Recv == nil && fd.Name.Name == "init") {
@@ -124,8 +80,7 @@ func TestEveryDeclarationIsReachable(t *testing.T) {
 		reached[fn] = true
 	}
 
-	ifaces := interfacesOf(imp.checked, info)
-	wd, _ := os.Getwd()
+	ifaces := interfacesOf(tree.checked, info)
 	var offenders []string
 	allowed := map[string]bool{}
 	for _, d := range decls {
@@ -138,11 +93,7 @@ func TestEveryDeclarationIsReachable(t *testing.T) {
 			continue
 		}
 		pos := fset.Position(d.node.Pos())
-		file := pos.Filename
-		if rel, err := filepath.Rel(wd, file); err == nil {
-			file = rel
-		}
-		offenders = append(offenders, fmt.Sprintf("%s:%d %s", file, pos.Line, name))
+		offenders = append(offenders, fmt.Sprintf("%s:%d %s", relPath(pos.Filename), pos.Line, name))
 	}
 	for name, test := range reachabilityAllowlist {
 		if !allowed[name] {
@@ -154,52 +105,6 @@ func TestEveryDeclarationIsReachable(t *testing.T) {
 		t.Errorf("%d declarations under internal/ are reached by no non-test code; delete them, move them into export_test.go, or (a seam another package's test needs) allowlist them with that test:\n\t%s",
 			len(offenders), strings.Join(offenders, "\n\t"))
 	}
-}
-
-type listedPackage struct {
-	ImportPath string
-	Dir        string
-	GoFiles    []string
-	Standard   bool
-}
-
-// goListDeps lists the packages matched by ./... in dir and everything
-// they import, dependencies first, with the build constraints applied.
-func goListDeps(dir string) ([]listedPackage, error) {
-	cmd := exec.Command("go", "list", "-deps", "-json", "./...")
-	cmd.Dir = dir
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return nil, fmt.Errorf("go list in %s: %v\n%s", dir, err, stderr.Bytes())
-	}
-	var pkgs []listedPackage
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var p listedPackage
-		if err := dec.Decode(&p); errors.Is(err, io.EOF) {
-			return pkgs, nil
-		} else if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, p)
-	}
-}
-
-// sourceImporter hands back the osdc packages the test has checked from
-// source and defers everything else (the standard library) to export
-// data. One instance serves every package, so a std type is one object.
-type sourceImporter struct {
-	checked map[string]*types.Package
-	std     types.Importer
-}
-
-func (s *sourceImporter) Import(path string) (*types.Package, error) {
-	if p, ok := s.checked[path]; ok {
-		return p, nil
-	}
-	return s.std.Import(path)
 }
 
 // interfacesOf gathers every interface a method could be called through:

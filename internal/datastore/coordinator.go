@@ -147,6 +147,7 @@ type Coordinator struct {
 	// a user parked that replica next to their compute on purpose.
 	pinned map[string]bool
 
+	started  bool // under mu: Start launched the loop that closes done
 	stopOnce sync.Once
 	stop     chan struct{}
 	done     chan struct{}
@@ -202,6 +203,7 @@ func (c *Coordinator) Start(interval time.Duration) {
 	}
 	c.mu.Lock()
 	c.siteDeadline = interval / 2
+	c.started = true
 	c.mu.Unlock()
 	go func() {
 		defer close(c.done)
@@ -218,9 +220,16 @@ func (c *Coordinator) Start(interval time.Duration) {
 	}()
 }
 
-// Stop halts the Start loop, if one is running. Idempotent.
+// Stop halts the Start loop, if one is running. Idempotent. Without a
+// loop there is nothing to wait for, so it returns at once.
 func (c *Coordinator) Stop() {
 	c.stopOnce.Do(func() { close(c.stop) })
+	c.mu.Lock()
+	started := c.started
+	c.mu.Unlock()
+	if !started {
+		return
+	}
 	select {
 	case <-c.done:
 	case <-time.After(5 * time.Second):

@@ -128,6 +128,29 @@ func TestCoordinatorReachesFactor(t *testing.T) {
 	}
 }
 
+// TestStopWithoutStartReturnsAtOnce: a coordinator driven by manual
+// rounds has no loop to wait for, so Stop must not sit out the timeout
+// that guards a hung loop. A started one still stops.
+func TestStopWithoutStartReturnsAtOnce(t *testing.T) {
+	rig := newCoordRig(t, 31)
+	manual := NewCoordinator(rig.e, rig.nw, rig.cat, Options{Factor: 1, Seed: 31}, rig.a, rig.b)
+	converge(t, rig.e, manual)
+	start := time.Now()
+	manual.Stop()
+	manual.Stop()
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("Stop without Start took %v", d)
+	}
+	looped := NewCoordinator(rig.e, rig.nw, rig.cat, Options{Factor: 1, Seed: 31}, rig.a, rig.b)
+	looped.Start(time.Millisecond)
+	looped.Stop()
+	select {
+	case <-looped.done:
+	default:
+		t.Fatal("Stop returned before the Start loop exited")
+	}
+}
+
 // TestCoordinatorRepairsDetachedSite is the kill-one-site acceptance test:
 // after convergence at factor 2, one site detaches; the coordinator must
 // restore the factor on the remaining sites moving only the lost copies.

@@ -60,6 +60,15 @@ type Controller interface {
 	OnInterval(lossEvent bool)
 }
 
+// quietController is a Controller whose loss-free intervals Simulate may
+// apply in one call. OnQuietIntervals(n) must be exactly n calls of
+// OnInterval(false), bit for bit, and RatePps must never decrease across a
+// loss-free interval, so a flow its caps hold stays held for a whole run.
+type quietController interface {
+	Controller
+	OnQuietIntervals(n int)
+}
+
 // Caps model the non-network stages of a transfer pipeline. A zero value
 // means "not limiting". The pipeline is assumed fully overlapped (UDR and
 // rsync both pipeline read→encrypt→send→decrypt→write), so the steady-state
@@ -158,12 +167,53 @@ func Simulate(rng *sim.RNG, path Path, ctrl Controller, totalBytes int64, caps C
 	// The largest interval delivery; bytes → bits/s is monotone, so it is
 	// converted once, after the loop.
 	var peak float64
+	// A held tick is one the caps bind below the bottleneck: no congestion
+	// drops, and the same Poisson mean every time. A controller that can
+	// take its loss-free intervals in bulk runs held ticks quietly.
+	quiet, _ := ctrl.(quietController)
+	heldSent := capPps * dt
+	heldMean := heldSent * path.Loss
+	if capPps > bottleneckPps || heldMean > 50 {
+		quiet = nil
+	}
+	heldBytes := heldSent * mss // arrived = sent - 0 is sent, bit for bit
+	heldExpNeg := math.Exp(-heldMean)
 	for delivered < total {
 		// Application-side caps throttle the send loop; that is not loss,
 		// the sender simply paces slower.
 		effPps := ctrl.RatePps()
 		if capBps < effPps*pktBits {
 			effPps = capPps
+			if quiet != nil {
+				// A quiet run: each loss-free held tick is one draw and two
+				// adds. It ends on a draw Knuth's loop would not stop at,
+				// which the general tick below then finishes as a loss.
+				n := 0
+				for {
+					if heldMean > 0 {
+						if u := rng.Float64(); u > heldExpNeg {
+							loss.first = u
+							break
+						}
+					}
+					delivered += heldBytes
+					t += dt
+					n++
+					if delivered >= total || t > 100*sim.Day {
+						break
+					}
+				}
+				quiet.OnQuietIntervals(n)
+				if n > 0 && heldBytes > peak {
+					peak = heldBytes
+				}
+				if t > 100*sim.Day {
+					panic(notConverged)
+				}
+				if delivered >= total {
+					break
+				}
+			}
 		}
 		// Pushing above the bottleneck overflows its queue: the excess is
 		// congestion loss the controller must react to.
@@ -195,7 +245,7 @@ func Simulate(rng *sim.RNG, path Path, ctrl Controller, totalBytes int64, caps C
 		ctrl.OnInterval(lossEvent)
 		t += dt
 		if t > 100*sim.Day {
-			panic("transport: transfer did not converge (rate stuck near zero?)")
+			panic(notConverged)
 		}
 	}
 	res.PeakBps = peak * 8 / dt
@@ -212,6 +262,8 @@ func Simulate(rng *sim.RNG, path Path, ctrl Controller, totalBytes int64, caps C
 	return res
 }
 
+const notConverged = "transport: transfer did not converge (rate stuck near zero?)"
+
 // lossSampler draws one flow's random tail loss per tick: Poisson(mean)
 // lost packets, the Poisson approximation of a binomial. Knuth's method
 // needs exp(-mean), and a flow pinned at its sender, cipher or window cap
@@ -219,8 +271,12 @@ func Simulate(rng *sim.RNG, path Path, ctrl Controller, totalBytes int64, caps C
 // small mean with its exponential and recomputes only when the mean
 // differs. The memo is keyed on exact float equality: a hit returns the
 // very bits math.Exp would, so results and RNG draws are unchanged.
+//
+// A quiet run that stops on a draw above exp(-mean) leaves that uniform in
+// first, and the next draw continues Knuth's loop from it.
 type lossSampler struct {
 	mean, expNeg float64 // last mean in (0, 50] and exp(-mean)
+	first        float64 // a uniform already drawn for this tick, or 0
 }
 
 // draw samples Poisson(mean). For large means it uses a normal
@@ -244,6 +300,9 @@ func (s *lossSampler) draw(rng *sim.RNG, mean float64) float64 {
 	// Knuth's method.
 	k := 0
 	p := 1.0
+	if s.first > 0 {
+		k, p, s.first = 1, s.first, 0
+	}
 	for {
 		p *= rng.Float64()
 		if p <= s.expNeg {

@@ -84,12 +84,20 @@ func (rc *RateControl) OnInterval(lossEvent bool) {
 		}
 		return
 	}
-	if rc.capacityPps-rc.ratePps <= 0 {
-		// At capacity, where a flow held below the link by a host-side cap
-		// spends nearly every SYN: increment() is the floor.
-		rc.ratePps += rc.minIncPps
-	} else {
+	rc.OnQuietIntervals(1)
+}
+
+// OnQuietIntervals advances n loss-free SYNs, bit for bit n calls of
+// OnInterval(false). The rate only grows without loss, so once it reaches
+// capacity it stays there.
+func (rc *RateControl) OnQuietIntervals(n int) {
+	for ; n > 0 && rc.capacityPps-rc.ratePps > 0; n-- {
 		rc.ratePps += rc.increment() / SYN
+	}
+	// At capacity, where a flow held below the link by a host-side cap
+	// spends nearly every SYN: increment() is the floor.
+	for ; n > 0; n-- {
+		rc.ratePps += rc.minIncPps
 	}
 }
 

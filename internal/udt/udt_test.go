@@ -104,25 +104,69 @@ func (rc *referenceRate) increment() float64 {
 // TestRateControlMatchesReferenceLaw walks both laws through the ramp, a
 // long stay above capacity and seeded loss at several rates, over Ethernet
 // and jumbo segments, and wants the same rate bits after every interval.
+// A third law takes each loss-free run in one OnQuietIntervals call and
+// must reach the same bits as the run's single steps. Each walk starts
+// twice: at UDT's initial rate, and already above capacity.
 func TestRateControlMatchesReferenceLaw(t *testing.T) {
+	seen := map[string]bool{}
 	for _, mss := range []int{transport.DefaultMSS, 8960} {
-		for _, lossEvery := range []int{0, 7, 400, 5000} {
+		for _, walk := range []struct {
+			lossEvery  int
+			aboveStart bool
+		}{{0, false}, {7, false}, {400, false}, {5000, false}, {0, true}, {5000, true}} {
+			lossEvery := walk.lossEvery
 			path := lvocPath()
 			path.MSS = mss
 			rc := NewRateControl(path)
+			if walk.aboveStart {
+				rc.ratePps = rc.capacityPps * 1.5
+			}
 			ref := &referenceRate{mss: mss, capacityPps: rc.capacityPps, ratePps: rc.ratePps}
+			bulk := *rc
+			run := 0
+			flush := func(i int) {
+				below := bulk.ratePps < bulk.capacityPps
+				bulk.OnQuietIntervals(run)
+				if bulk.ratePps != ref.ratePps {
+					t.Fatalf("mss %d, loss 1/%d, interval %d: %d quiet intervals reach %v, single steps %v", mss, lossEvery, i, run, bulk.ratePps, ref.ratePps)
+				}
+				above := bulk.ratePps >= bulk.capacityPps
+				switch {
+				case run == 0:
+					seen["empty"] = true
+				case below && above:
+					seen["across capacity"] = true
+				case below:
+					seen["below capacity"] = true
+				case run >= 1000:
+					seen["long at capacity"] = true
+				}
+				run = 0
+			}
 			rng := sim.NewRNG(uint64(mss + lossEvery))
 			for i := 0; i < 50_000; i++ {
 				loss := lossEvery > 0 && rng.Intn(lossEvery) == 0
+				if loss {
+					flush(i)
+					bulk.OnInterval(true)
+				} else {
+					run++
+				}
 				rc.OnInterval(loss)
 				ref.onInterval(loss)
 				if rc.ratePps != ref.ratePps {
 					t.Fatalf("mss %d, loss 1/%d, interval %d: rate %v, reference %v", mss, lossEvery, i, rc.ratePps, ref.ratePps)
 				}
 			}
+			flush(50_000)
 			if lossEvery == 0 && rc.ratePps <= rc.capacityPps {
 				t.Fatalf("mss %d: a lossless walk never reached the at-capacity branch", mss)
 			}
+		}
+	}
+	for _, kind := range []string{"empty", "below capacity", "across capacity", "long at capacity"} {
+		if !seen[kind] {
+			t.Errorf("no %s quiet run was checked", kind)
 		}
 	}
 }
