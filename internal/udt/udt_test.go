@@ -105,15 +105,17 @@ func (rc *referenceRate) increment() float64 {
 // long stay above capacity and seeded loss at several rates, over Ethernet
 // and jumbo segments, and wants the same rate bits after every interval.
 // A third law takes each loss-free run in one OnQuietIntervals call and
-// must reach the same bits as the run's single steps. Each walk starts
-// twice: at UDT's initial rate, and already above capacity.
+// must reach the same bits as the run's single steps. Each walk starts at
+// UDT's initial rate, already above capacity, or at a capacity a few
+// hundred floor increments below 2^20, so its run at capacity crosses a
+// power of two.
 func TestRateControlMatchesReferenceLaw(t *testing.T) {
 	seen := map[string]bool{}
 	for _, mss := range []int{transport.DefaultMSS, 8960} {
 		for _, walk := range []struct {
-			lossEvery  int
-			aboveStart bool
-		}{{0, false}, {7, false}, {400, false}, {5000, false}, {0, true}, {5000, true}} {
+			lossEvery            int
+			aboveStart, nearPow2 bool
+		}{{0, false, false}, {7, false, false}, {400, false, false}, {5000, false, false}, {0, true, false}, {5000, true, false}, {0, false, true}} {
 			lossEvery := walk.lossEvery
 			path := lvocPath()
 			path.MSS = mss
@@ -121,11 +123,16 @@ func TestRateControlMatchesReferenceLaw(t *testing.T) {
 			if walk.aboveStart {
 				rc.ratePps = rc.capacityPps * 1.5
 			}
+			if walk.nearPow2 {
+				rc.capacityPps = 1<<20 - 300*rc.minIncPps
+				rc.ratePps = rc.capacityPps
+			}
 			ref := &referenceRate{mss: mss, capacityPps: rc.capacityPps, ratePps: rc.ratePps}
 			bulk := *rc
 			run := 0
 			flush := func(i int) {
 				below := bulk.ratePps < bulk.capacityPps
+				binade := math.Float64bits(bulk.ratePps) >> 52
 				bulk.OnQuietIntervals(run)
 				if bulk.ratePps != ref.ratePps {
 					t.Fatalf("mss %d, loss 1/%d, interval %d: %d quiet intervals reach %v, single steps %v", mss, lossEvery, i, run, bulk.ratePps, ref.ratePps)
@@ -138,6 +145,8 @@ func TestRateControlMatchesReferenceLaw(t *testing.T) {
 					seen["across capacity"] = true
 				case below:
 					seen["below capacity"] = true
+				case run >= 1000 && binade != math.Float64bits(bulk.ratePps)>>52:
+					seen["long at capacity across a binade"] = true
 				case run >= 1000:
 					seen["long at capacity"] = true
 				}
@@ -164,7 +173,7 @@ func TestRateControlMatchesReferenceLaw(t *testing.T) {
 			}
 		}
 	}
-	for _, kind := range []string{"empty", "below capacity", "across capacity", "long at capacity"} {
+	for _, kind := range []string{"empty", "below capacity", "across capacity", "long at capacity", "long at capacity across a binade"} {
 		if !seen[kind] {
 			t.Errorf("no %s quiet run was checked", kind)
 		}
@@ -191,4 +200,49 @@ func TestMacroTransferRespectsCipherCap(t *testing.T) {
 	if mb < 370 || mb > 395 {
 		t.Fatalf("UDT with 394 Mbit cipher cap = %.0f Mbit/s, want ~390", mb)
 	}
+}
+
+// FuzzAddRepeatedMatchesLoop holds addRepeated to the loop it replaces:
+// the same bits after n sequential adds, NaN matching any NaN.
+func FuzzAddRepeatedMatchesLoop(f *testing.F) {
+	u := math.Ldexp(1, -52) // the spacing of [1, 2)
+	ethernet := NewRateControl(lvocPath())
+	jumbo := lvocPath()
+	jumbo.MSS = 8960
+	jumboRC := NewRateControl(jumbo)
+	for _, seed := range []struct {
+		x, c float64
+		n    int
+	}{
+		// Ties, whose rounding follows a's parity; k = 0 and below.
+		{1, 2.5 * u, 1000}, {1, 7.5 * u, 1000}, {1, 0.5 * u, 1000}, {1, 0.49 * u, 1000},
+		// A few steps below a power of two: f > 0 stops short of it, f < 0
+		// lands on it.
+		{2 - 3*u, 1.3 * u, 1000}, {2 - 3*u, 0.7 * u, 1000},
+		// Across several binades, and a c wider than the binade.
+		{1, 0.3, 100}, {1 << 19, 1 << 20, 100},
+		// n = 0, 1 and around the short-run bound.
+		{1, 3 * u, 0}, {1, 3 * u, 1},
+		{1, 3.3 * u, shortRun - 1}, {1, 3.3 * u, shortRun}, {1, 3.3 * u, shortRun + 1},
+		// Negative c or x, subnormal and zero x, Inf, NaN, and an overflow.
+		{1e6, -0.07, 1000}, {-1e6, 0.07, 1000}, {5e-324, 3e-323, 1000}, {0, 2.2e-308, 1000},
+		{math.Inf(1), 1, 100}, {math.Inf(-1), 1, 100}, {1, math.Inf(1), 100},
+		{math.NaN(), 1, 100}, {1, math.NaN(), 100}, {math.MaxFloat64 - 1e292, 1e292, 1000},
+		// UDT at capacity over Ethernet and jumbo segments.
+		{ethernet.capacityPps, ethernet.minIncPps, 100_000},
+		{jumboRC.capacityPps, jumboRC.minIncPps, 100_000},
+	} {
+		f.Add(seed.x, seed.c, seed.n)
+	}
+	f.Fuzz(func(t *testing.T, x, c float64, n int) {
+		n = int(uint64(n) % 100_001)
+		want := x
+		for i := 0; i < n; i++ {
+			want += c
+		}
+		got := addRepeated(x, c, n)
+		if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Fatalf("addRepeated(%v, %v, %d) = %v (%#x), loop %v (%#x)", x, c, n, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	})
 }
