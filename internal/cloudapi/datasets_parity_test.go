@@ -28,7 +28,7 @@ type datasetsRig struct {
 	remoteStore *datastore.Store
 }
 
-func datasetsVolume(t *testing.T, e *sim.Engine, name string, capacity int64) *dfs.Volume {
+func datasetsVolume(t testing.TB, e *sim.Engine, name string, capacity int64) *dfs.Volume {
 	t.Helper()
 	bricks := make([]*dfs.Brick, 2)
 	for i := range bricks {

@@ -62,11 +62,18 @@ type Server struct {
 
 	// usageMu serializes usage computation so concurrent same-rev readers
 	// coalesce: the second caller blocks until the first has encoded the
-	// response, then serves the cached bytes. usageCache maps the raw
-	// ?since value ("" for the full snapshot) to the encoded body, valid
-	// while the cloud's usage rev still equals the one it was computed at.
+	// response, then serves the cached bytes. usageCache maps a request's
+	// usageKey to the encoded body, valid while the cloud's usage rev
+	// still equals the one it was computed at.
 	usageMu    sync.Mutex
-	usageCache map[string]usageCacheEntry
+	usageCache map[usageKey]usageCacheEntry
+}
+
+// usageKey names one usage response: the full snapshot (no ?since), or
+// the delta since a parsed rev, so 5, 05 and +5 share one entry.
+type usageKey struct {
+	full  bool
+	since int64
 }
 
 // usageCacheEntry is one coalesced usage response: the encoded JSON body
@@ -129,7 +136,7 @@ func serveError(w http.ResponseWriter, code int, msg string) {
 }
 
 // serveUsage answers GET /cloudapi/usage[?since=R]. Responses are
-// coalesced: the encoded body is cached under the raw since value and
+// coalesced: the encoded body is cached under the parsed since value and
 // served verbatim while the cloud's usage rev is unchanged, so the biller
 // and the monitor hitting the same tick cost one snapshot walk and one
 // encode. The mutex is held across the compute deliberately — a
@@ -137,10 +144,10 @@ func serveError(w http.ResponseWriter, code int, msg string) {
 // recomputing.
 func (s *Server) serveUsage(w http.ResponseWriter, r *http.Request) {
 	raw := r.URL.Query().Get("since")
-	var since int64
-	if raw != "" {
+	key := usageKey{full: raw == ""}
+	if !key.full {
 		var err error
-		since, err = strconv.ParseInt(raw, 10, 64)
+		key.since, err = strconv.ParseInt(raw, 10, 64)
 		if err != nil {
 			serveError(w, http.StatusBadRequest, "cloudapi: bad usage since "+strconv.Quote(raw))
 			return
@@ -149,7 +156,7 @@ func (s *Server) serveUsage(w http.ResponseWriter, r *http.Request) {
 	s.usageMu.Lock()
 	defer s.usageMu.Unlock()
 	rev := s.local.C.UsageRev()
-	if e, ok := s.usageCache[raw]; ok && e.rev == rev {
+	if e, ok := s.usageCache[key]; ok && e.rev == rev {
 		s.UsageCacheHits.Add(1)
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusOK)
@@ -158,12 +165,12 @@ func (s *Server) serveUsage(w http.ResponseWriter, r *http.Request) {
 	}
 	var buf bytes.Buffer
 	var computedAt int64
-	if raw == "" {
+	if key.full {
 		u, _ := s.local.Usage()
 		computedAt = u.Rev
 		_ = json.NewEncoder(&buf).Encode(u)
 	} else {
-		d, err := s.local.UsageSince(since)
+		d, err := s.local.UsageSince(key.since)
 		if err != nil {
 			serveError(w, http.StatusBadRequest, err.Error())
 			return
@@ -172,7 +179,7 @@ func (s *Server) serveUsage(w http.ResponseWriter, r *http.Request) {
 		_ = json.NewEncoder(&buf).Encode(d)
 	}
 	if s.usageCache == nil {
-		s.usageCache = make(map[string]usageCacheEntry)
+		s.usageCache = make(map[usageKey]usageCacheEntry)
 	}
 	// Drop entries from older revs while we hold the lock: the cache only
 	// ever holds the handful of since values the current pollers use.
@@ -186,7 +193,7 @@ func (s *Server) serveUsage(w http.ResponseWriter, r *http.Request) {
 	if dropped {
 		s.UsageCacheResets.Add(1)
 	}
-	s.usageCache[raw] = usageCacheEntry{rev: computedAt, body: buf.Bytes()}
+	s.usageCache[key] = usageCacheEntry{rev: computedAt, body: buf.Bytes()}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(buf.Bytes())

@@ -81,7 +81,8 @@ func TestUsageDeltaParity(t *testing.T) {
 
 // TestUsagePlaneWire pins the raw wire contract: a non-integer since is a
 // 400, a negative since is a 400 carrying Local's error text, and
-// same-rev reads coalesce onto one computed snapshot.
+// same-rev reads of one since, however it is spelled, coalesce onto one
+// computed snapshot.
 func TestUsagePlaneWire(t *testing.T) {
 	engineRig := newParityRig(t, "openstack")
 	srv := NewServer(engineRig.cloud)
@@ -125,6 +126,19 @@ func TestUsagePlaneWire(t *testing.T) {
 	_, _ = get("/cloudapi/usage")
 	if srv.UsageCacheHits.Load() != h+1 {
 		t.Fatal("full-snapshot read did not coalesce")
+	}
+
+	// The cache is keyed by the parsed since: 5, 05 and +5 are one
+	// request and cost one compute.
+	_, five := get("/cloudapi/usage?since=5")
+	h = srv.UsageCacheHits.Load()
+	for _, spelling := range []string{"05", "%2B5"} {
+		if _, body := get("/cloudapi/usage?since=" + spelling); body != five {
+			t.Fatalf("since=%s answered %s, since=5 %s", spelling, body, five)
+		}
+	}
+	if got := srv.UsageCacheHits.Load(); got != h+2 {
+		t.Fatalf("05 and +5 after 5 hit the cache %d times, want 2", got-h)
 	}
 
 	if _, err := engineRig.cloud.Launch("alice", "a1", "m1.small", ""); err != nil {

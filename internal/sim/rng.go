@@ -46,6 +46,33 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / float64(1<<53)
 }
 
+// DrawsBelow draws up to n values and stops at the first whose top 53
+// bits exceed limit. It returns k, the number of draws at or below limit,
+// and, when k < n, the stopping draw as Float64 would have returned it.
+// Since Float64 is exactly (x>>11)·2^-53, a run of
+//
+//	Float64() > p
+//
+// tests is one DrawsBelow(uint64(p·2^53), n) for any p in [0, 1]: scaling
+// by 2^53 is exact and x>>11 is an integer, so x>>11 > p·2^53 holds
+// exactly when x>>11 > ⌊p·2^53⌋. The state lives in registers for the
+// whole scan and is stored once.
+func (r *RNG) DrawsBelow(limit uint64, n int) (k int, over float64) {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for ; k < n; k++ {
+		x := bits.RotateLeft64(s1*5, 7) * 9
+		s2 ^= s0
+		s3 ^= s1
+		s0, s1, s2, s3 = s0^s3, s1^s2, s2^s1<<17, bits.RotateLeft64(s3, 45)
+		if x>>11 > limit {
+			over = float64(x>>11) / float64(1<<53)
+			break
+		}
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+	return k, over
+}
+
 // Intn returns a uniform int in [0, n). Panics if n <= 0.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {

@@ -176,8 +176,12 @@ func Simulate(rng *sim.RNG, path Path, ctrl Controller, totalBytes int64, caps C
 	if capPps > bottleneckPps || heldMean > 50 {
 		quiet = nil
 	}
-	heldBytes := heldSent * mss // arrived = sent - 0 is sent, bit for bit
-	heldExpNeg := math.Exp(-heldMean)
+	held := heldTick{
+		bytes: heldSent * mss, // arrived = sent - 0 is sent, bit for bit
+		dt:    dt,
+		limit: uint64(math.Exp(-heldMean) * (1 << 53)),
+		draws: heldMean > 0,
+	}
 	for delivered < total {
 		// Application-side caps throttle the send loop; that is not loss,
 		// the sender simply paces slower.
@@ -185,27 +189,14 @@ func Simulate(rng *sim.RNG, path Path, ctrl Controller, totalBytes int64, caps C
 		if capBps < effPps*pktBits {
 			effPps = capPps
 			if quiet != nil {
-				// A quiet run: each loss-free held tick is one draw and two
-				// adds. It ends on a draw Knuth's loop would not stop at,
-				// which the general tick below then finishes as a loss.
-				n := 0
-				for {
-					if heldMean > 0 {
-						if u := rng.Float64(); u > heldExpNeg {
-							loss.first = u
-							break
-						}
-					}
-					delivered += heldBytes
-					t += dt
-					n++
-					if delivered >= total || t > 100*sim.Day {
-						break
-					}
-				}
+				// A quiet run: the loss-free held ticks in bulk. It ends on
+				// a draw Knuth's loop would not stop at, which the general
+				// tick below then finishes as a loss.
+				var n int
+				n, delivered, t, loss.first = held.quietRun(rng, delivered, total, t)
 				quiet.OnQuietIntervals(n)
-				if n > 0 && heldBytes > peak {
-					peak = heldBytes
+				if n > 0 && held.bytes > peak {
+					peak = held.bytes
 				}
 				if t > 100*sim.Day {
 					panic(notConverged)
@@ -260,6 +251,73 @@ func Simulate(rng *sim.RNG, path Path, ctrl Controller, totalBytes int64, caps C
 	res.Duration = t
 	res.Retransmit = int64(math.Round(retrans))
 	return res
+}
+
+// heldTick is a tick of a flow its caps hold below the bottleneck: it
+// delivers bytes in dt, and it is loss-free unless a draw exceeds
+// exp(-mean).
+type heldTick struct {
+	bytes float64
+	dt    sim.Duration
+	limit uint64 // ⌊exp(-mean)·2^53⌋, the same test in sim.RNG.DrawsBelow's terms
+	draws bool   // mean > 0: a lossless path draws nothing
+}
+
+// maxQuietChunk bounds one RNG scan: long enough that a chunk's fixed cost
+// vanishes per tick.
+const maxQuietChunk = 1 << 20
+
+// quietRun takes held ticks from delivered and t until one would lose a
+// packet or the transfer ends or runs out of time, exactly as a tick at a
+// time would. It returns how many ticks it took, delivered and t after
+// them, and the draw that stopped it on a loss, or 0.
+//
+// Ticks go in chunks: one register-resident scan for the draws and one
+// exact sim.AddRepeated each for delivered and t. A chunk's size is
+// estimated, with a margin, from the ticks left before delivered reaches
+// total or t passes 100 days, and verified afterwards: the partial sums
+// only grow, so when the k-th of a chunk's k ticks leaves delivered below
+// total and t within 100 days, none of them ended the transfer, and each
+// draw of the scan, the stopping one included, is one the per-tick loop
+// makes too. A chunk that fails the check is taken back (the RNG state
+// restored) and retried at half the size. Within sim.ShortRun ticks of
+// the end, ticks go one at a time.
+func (h heldTick) quietRun(rng *sim.RNG, delivered, total float64, t sim.Duration) (n int, _ float64, _ sim.Duration, first float64) {
+	for m := maxQuietChunk; ; {
+		room := math.Min((total-delivered)/h.bytes, (100*sim.Day-t)/h.dt)
+		if m = int(math.Min(float64(m), room*(1-1e-9)-2)); m < sim.ShortRun {
+			break
+		}
+		saved := *rng
+		k := m
+		if h.draws {
+			k, first = rng.DrawsBelow(h.limit, m)
+		}
+		next, nextT := sim.AddRepeated(delivered, h.bytes, k), sim.AddRepeated(t, h.dt, k)
+		if next >= total || nextT > 100*sim.Day {
+			*rng, first = saved, 0
+			m /= 2
+			continue
+		}
+		delivered, t, n = next, nextT, n+k
+		if k < m {
+			return n, delivered, t, first
+		}
+		m = maxQuietChunk
+	}
+	for {
+		if h.draws {
+			if k, u := rng.DrawsBelow(h.limit, 1); k == 0 {
+				return n, delivered, t, u
+			}
+		}
+		delivered += h.bytes
+		t += h.dt
+		n++
+		if delivered >= total || t > 100*sim.Day {
+			return n, delivered, t, 0
+		}
+	}
 }
 
 const notConverged = "transport: transfer did not converge (rate stuck near zero?)"

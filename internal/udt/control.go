@@ -91,58 +91,61 @@ func (rc *RateControl) OnInterval(lossEvent bool) {
 // OnInterval(false). The rate only grows without loss, so once it reaches
 // capacity it stays there.
 func (rc *RateControl) OnQuietIntervals(n int) {
-	for ; n > 0 && rc.capacityPps-rc.ratePps > 0; n-- {
-		rc.ratePps += rc.increment() / SYN
+	for n > 0 && rc.capacityPps-rc.ratePps > 0 {
+		var m int
+		rc.ratePps, m = rc.rampDecade(n)
+		n -= m
 	}
 	// At capacity, where a flow held below the link by a host-side cap
 	// spends nearly every SYN: increment() is the floor.
-	rc.ratePps = addRepeated(rc.ratePps, rc.minIncPps, n)
+	rc.ratePps = sim.AddRepeated(rc.ratePps, rc.minIncPps, n)
 }
 
-// shortRun is the run length below which addRepeated is a plain loop: a
-// single SYN (OnInterval, SimulateShared's every tick) costs one add.
-const shortRun = 16
+// decadeMargin is how far inside a decade, relatively, a residual must
+// sit for rampDecade to take it as that decade's: log10(1+δ) ≈ 4.3e-10,
+// far above math.Log10's error (≲ 1e-14).
+const decadeMargin = 1e-9
 
-// addRepeated returns x after n sequential x += c, bit for bit. Write a
-// positive normal x as a·u, with a an integer in [2^52, 2^53) and u the
-// spacing of x's binade. q = c/u is exact (u is a power of two), and while
-// the exact sum stays below 2^53·u every add rounds to x + k·u, k = round(q),
-// unless q is a tie, whose rounding follows a's parity. So the adds that
-// stay in the binade are one exact add of m·k·u; the add that leaves it is
-// an ordinary one, as is any add a tie, q ≥ 2^52 or an x that is not a
-// positive normal makes.
-func addRepeated(x, c float64, n int) float64 {
-	if n < shortRun || !(c > 0) {
-		for ; n > 0; n-- {
-			x += c
-		}
-		return x
+// floorDecade is the last decade whose increment is the 1/MSS floor:
+// 10^5·Beta < 1 ≤ 10^6·Beta, and the MSS divides both sides.
+const floorDecade = 5
+
+// rampDecade takes the next m ≥ 1 of n loss-free SYNs below capacity,
+// where each adds the same increment, and returns the rate after them.
+// increment() depends on the rate only through d = ⌈log10(residual
+// bits)⌉. The residual only falls as the rate grows, so when the residual
+// before the first and after the m-th add both lie in [10^(d-1)·(1+δ),
+// 10^d·(1-δ)], so does every residual in between, and Log10 of each
+// lands strictly inside (d-1, d): no monotonicity of math.Log10 is
+// needed, only an error far below δ. At the floor the window is (0,
+// 10^5·(1-δ)]. A residual within δ of a decade, and a run shorter than
+// sim.ShortRun (OnInterval's every SYN), takes a single step.
+func (rc *RateControl) rampDecade(n int) (rate float64, m int) {
+	step := rc.increment() / SYN
+	if n < sim.ShortRun {
+		return rc.ratePps + step, 1
 	}
-	for n > 0 {
-		bits := math.Float64bits(x)
-		exp := int(bits >> 52) // the sign bit makes a negative x ≥ 0x800
-		u := math.Ldexp(1, exp-1075)
-		q := c / u
-		k := math.Round(q)
-		if f := q - k; exp > 0 && exp < 0x7ff && q < 1<<52 && f != 0.5 && f != -0.5 {
-			if k == 0 {
-				return x // q < 1/2: x + c rounds back to x
-			}
-			// The exact sum a + k + f must stay below 2^53.
-			room := int64(1<<53) - int64(bits&(1<<52-1)|1<<52)
-			if f >= 0 {
-				room--
-			}
-			m := min(int64(n), room/int64(k))
-			x += float64(m*int64(k)) * u
-			if n -= int(m); n == 0 {
-				return x
+	pktBits := float64(rc.mss * 8)
+	bits := (rc.capacityPps - rc.ratePps) * pktBits
+	d := math.Ceil(math.Log10(bits))
+	lo, hi := math.Pow(10, d-1)*(1+decadeMargin), math.Pow(10, d)*(1-decadeMargin)
+	if d <= floorDecade {
+		lo, hi = 0, math.Pow(10, floorDecade)*(1-decadeMargin)
+	}
+	if bits >= lo && bits <= hi {
+		// Estimate the adds the decade has room for, then verify it.
+		m = n
+		if room := (bits - lo) / (step * pktBits); room < float64(n) {
+			m = int(room)
+		}
+		for ; m > 1; m /= 2 {
+			rate = sim.AddRepeated(rc.ratePps, step, m)
+			if r := (rc.capacityPps - rate) * pktBits; r >= lo && r > 0 {
+				return rate, m
 			}
 		}
-		x += c
-		n--
 	}
-	return x
+	return rc.ratePps + step, 1
 }
 
 // increment returns UDT's per-SYN additive increase in packets.

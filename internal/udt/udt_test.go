@@ -108,7 +108,8 @@ func (rc *referenceRate) increment() float64 {
 // must reach the same bits as the run's single steps. Each walk starts at
 // UDT's initial rate, already above capacity, or at a capacity a few
 // hundred floor increments below 2^20, so its run at capacity crosses a
-// power of two.
+// power of two. Loss-free ramps from just above, on and just below each
+// decade boundary of the residual check the decade stride.
 func TestRateControlMatchesReferenceLaw(t *testing.T) {
 	seen := map[string]bool{}
 	for _, mss := range []int{transport.DefaultMSS, 8960} {
@@ -173,6 +174,43 @@ func TestRateControlMatchesReferenceLaw(t *testing.T) {
 			}
 		}
 	}
+	// The ramp takes a decade of residual bits in one add, so start right
+	// at the decade boundaries: residuals 1e-12, 1e-9 and 1e-6 relative
+	// above and below 10^d (and on it), d = 5 (the floor's edge) to 10,
+	// on a 100 Gbit/s link so every start has a positive rate. Each run
+	// crosses at least three decades or reaches capacity, in loss-free
+	// chunks that start and end at arbitrary places in a decade.
+	for _, mss := range []int{transport.DefaultMSS, 8960} {
+		path := lvocPath()
+		path.MSS = mss
+		path.BandwidthBps = 100 * simnet.Gbit
+		pktBits := float64(mss * 8)
+		for d := 5; d <= 10; d++ {
+			for _, eps := range []float64{-1e-6, -1e-9, -1e-12, 0, 1e-12, 1e-9, 1e-6} {
+				rc := NewRateControl(path)
+				rc.ratePps = rc.capacityPps - math.Pow(10, float64(d))*(1+eps)/pktBits
+				ref := &referenceRate{mss: mss, capacityPps: rc.capacityPps, ratePps: rc.ratePps}
+				startDecade := math.Ceil(math.Log10((rc.capacityPps - rc.ratePps) * pktBits))
+				steps := 0
+				for _, run := range []int{4000, 1, 16, 17, 100, 749, 750, 2500} {
+					rc.OnQuietIntervals(run)
+					for i := 0; i < run; i++ {
+						ref.onInterval(false)
+					}
+					steps += run
+					if rc.ratePps != ref.ratePps {
+						t.Fatalf("mss %d, residual 10^%d·(1%+g): %d quiet intervals reach %v, single steps %v", mss, d, eps, steps, rc.ratePps, ref.ratePps)
+					}
+					if steps == 4000 {
+						residual := rc.capacityPps - rc.ratePps
+						if residual > 0 && startDecade-math.Ceil(math.Log10(residual*pktBits)) < 3 {
+							t.Fatalf("mss %d, residual 10^%d·(1%+g): the first run crossed fewer than three decades", mss, d, eps)
+						}
+					}
+				}
+			}
+		}
+	}
 	for _, kind := range []string{"empty", "below capacity", "across capacity", "long at capacity", "long at capacity across a binade"} {
 		if !seen[kind] {
 			t.Errorf("no %s quiet run was checked", kind)
@@ -202,8 +240,11 @@ func TestMacroTransferRespectsCipherCap(t *testing.T) {
 	}
 }
 
-// FuzzAddRepeatedMatchesLoop holds addRepeated to the loop it replaces:
-// the same bits after n sequential adds, NaN matching any NaN.
+// FuzzAddRepeatedMatchesLoop holds sim.AddRepeated, which RateControl
+// takes its at-capacity SYNs and its ramp's decades through, to the loop
+// it replaces: the same bits after n sequential adds, NaN matching any
+// NaN. sim's target of the same name is the general oracle; this corpus
+// adds the rates RateControl feeds it, which sim cannot build.
 func FuzzAddRepeatedMatchesLoop(f *testing.F) {
 	u := math.Ldexp(1, -52) // the spacing of [1, 2)
 	ethernet := NewRateControl(lvocPath())
@@ -223,7 +264,7 @@ func FuzzAddRepeatedMatchesLoop(f *testing.F) {
 		{1, 0.3, 100}, {1 << 19, 1 << 20, 100},
 		// n = 0, 1 and around the short-run bound.
 		{1, 3 * u, 0}, {1, 3 * u, 1},
-		{1, 3.3 * u, shortRun - 1}, {1, 3.3 * u, shortRun}, {1, 3.3 * u, shortRun + 1},
+		{1, 3.3 * u, sim.ShortRun - 1}, {1, 3.3 * u, sim.ShortRun}, {1, 3.3 * u, sim.ShortRun + 1},
 		// Negative c or x, subnormal and zero x, Inf, NaN, and an overflow.
 		{1e6, -0.07, 1000}, {-1e6, 0.07, 1000}, {5e-324, 3e-323, 1000}, {0, 2.2e-308, 1000},
 		{math.Inf(1), 1, 100}, {math.Inf(-1), 1, 100}, {1, math.Inf(1), 100},
@@ -240,9 +281,9 @@ func FuzzAddRepeatedMatchesLoop(f *testing.F) {
 		for i := 0; i < n; i++ {
 			want += c
 		}
-		got := addRepeated(x, c, n)
+		got := sim.AddRepeated(x, c, n)
 		if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
-			t.Fatalf("addRepeated(%v, %v, %d) = %v (%#x), loop %v (%#x)", x, c, n, got, math.Float64bits(got), want, math.Float64bits(want))
+			t.Fatalf("AddRepeated(%v, %v, %d) = %v (%#x), loop %v (%#x)", x, c, n, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
 	})
 }
