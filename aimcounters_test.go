@@ -31,7 +31,7 @@ var aimRules = []aimRule{
 	{name: "bare http.ListenAndServe/Serve", baseline: 4, match: func(n ast.Node, imp map[string]string) bool {
 		return isCall(n, imp, "net/http", "ListenAndServe", "ListenAndServeTLS", "Serve", "ServeTLS")
 	}},
-	{name: "&http.Client{…} literal", baseline: 13, match: func(n ast.Node, imp map[string]string) bool {
+	{name: "&http.Client{…} literal", baseline: 5, match: func(n ast.Node, imp map[string]string) bool {
 		u, ok := n.(*ast.UnaryExpr)
 		if !ok || u.Op != token.AND {
 			return false
@@ -39,7 +39,7 @@ var aimRules = []aimRule{
 		lit, ok := u.X.(*ast.CompositeLit)
 		return ok && isRef(lit.Type, imp, "net/http", "Client")
 	}},
-	{name: "unbounded io.ReadAll", baseline: 4, match: func(n ast.Node, imp map[string]string) bool {
+	{name: "unbounded io.ReadAll", baseline: 3, match: func(n ast.Node, imp map[string]string) bool {
 		if !isCall(n, imp, "io", "ReadAll") {
 			return false
 		}
@@ -52,8 +52,14 @@ var aimRules = []aimRule{
 	{name: "time.Sleep in tests", inTests: true, baseline: 32, match: func(n ast.Node, imp map[string]string) bool {
 		return isCall(n, imp, "time", "Sleep")
 	}},
-	{name: "http.DefaultClient", baseline: 3, match: func(n ast.Node, imp map[string]string) bool {
+	{name: "http.DefaultClient", baseline: 0, match: func(n ast.Node, imp map[string]string) bool {
 		return isRef(n, imp, "net/http", "DefaultClient")
+	}},
+	// Each kind of HTTP caller has one edge that builds its requests:
+	// wire.Call for the JSON planes, the native dialects' own helpers, the
+	// balancer's proxy, the /metrics scrapers and the console client.
+	{name: "hand-built HTTP request", baseline: 6, match: func(n ast.Node, imp map[string]string) bool {
+		return isCall(n, imp, "net/http", "NewRequest", "NewRequestWithContext", "Get", "Post", "Head", "PostForm")
 	}},
 	{name: "files importing context", floor: true, baseline: 1, match: func(n ast.Node, _ map[string]string) bool {
 		spec, ok := n.(*ast.ImportSpec)

@@ -61,7 +61,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -76,6 +75,7 @@ import (
 	"osdc/internal/sim"
 	"osdc/internal/telemetry"
 	"osdc/internal/tukey"
+	"osdc/internal/wire"
 )
 
 // sitePair is one -site flag value: an externally running cloud-site to
@@ -282,16 +282,14 @@ func newServer(opt options) (*server, error) {
 	// GET /healthz is what tukey-lb probes: 200 means this replica is
 	// taking traffic.
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(map[string]string{"status": "ok", "replica": opt.replica})
+		wire.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok", "replica": opt.replica})
 	})
 	// GET /clock is the coordinator's readable face: cloud-site processes
 	// started with -clock-follow <this server's URL> poll it. Same wire
 	// form as every site's /cloudapi/clock (cloudapi.ClockStatus).
 	consoleClock := cloudapi.EngineClock{E: f.Engine}
 	mux.HandleFunc("/clock", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(consoleClock.ClockStatus())
+		wire.WriteJSON(w, http.StatusOK, consoleClock.ClockStatus())
 	})
 	// /debug/pprof/ rides the same operator gate as the cloud servers:
 	// absent without -operator-secret, 403 without the matching

@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"osdc/internal/cloudapi"
 	"osdc/internal/core"
 	"osdc/internal/iaas"
 	"osdc/internal/sim"
@@ -33,8 +34,8 @@ func TestConsoleConcurrencyStress(t *testing.T) {
 	defer novaSrv.Close()
 	eucaSrv := httptest.NewServer(&iaas.EucaAPI{Cloud: f.Sullivan})
 	defer eucaSrv.Close()
-	f.Tukey.AttachCloud(tukey.CloudConfig{Name: core.ClusterAdler, Stack: "openstack", Endpoint: novaSrv.URL})
-	f.Tukey.AttachCloud(tukey.CloudConfig{Name: core.ClusterSullivan, Stack: "eucalyptus", Endpoint: eucaSrv.URL})
+	f.Tukey.AttachCloud(tukey.CloudConfig{API: cloudapi.NewRemote(core.ClusterAdler, "openstack", novaSrv.URL, nil)})
+	f.Tukey.AttachCloud(tukey.CloudConfig{API: cloudapi.NewRemote(core.ClusterSullivan, "eucalyptus", eucaSrv.URL, nil)})
 	consoleSrv := httptest.NewServer(&tukey.Console{MW: f.Tukey, Biller: f.Biller, Catalog: f.Catalog})
 	defer consoleSrv.Close()
 

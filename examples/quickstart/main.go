@@ -6,7 +6,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"net/http/httptest"
 
 	"osdc/internal/ark"
 	"osdc/internal/core"
@@ -16,24 +15,20 @@ import (
 )
 
 func main() {
-	// 1. The federation: four sites, five clusters, all services (Fig 3).
-	f, err := core.New(core.Options{Seed: 7, Scale: 8})
+	// 1. The federation: four sites, five clusters, all services (Fig 3),
+	// with both clouds serving their native APIs and wired into Tukey
+	// (Fig 1). No clock driver: the engine advances when we say so.
+	d, err := core.StartConsole(core.ConsoleConfig{Seed: 7, Scale: 8})
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer d.Close()
+	f := d.Fed
 	cores, disk := f.Totals()
 	fmt.Printf("OSDC up: %d cores, %.1f PB across %d clusters\n",
 		cores, float64(disk)/1024, len(f.Inventory()))
 
-	// 2. Mount both clouds' native APIs and wire Tukey (Fig 1).
-	nova := httptest.NewServer(&iaas.NovaAPI{Cloud: f.Adler})
-	defer nova.Close()
-	euca := httptest.NewServer(&iaas.EucaAPI{Cloud: f.Sullivan})
-	defer euca.Close()
-	f.Tukey.AttachCloud(tukey.CloudConfig{Name: core.ClusterAdler, Stack: "openstack", Endpoint: nova.URL})
-	f.Tukey.AttachCloud(tukey.CloudConfig{Name: core.ClusterSullivan, Stack: "eucalyptus", Endpoint: euca.URL})
-
-	// 3. Enroll a researcher and log in via the campus Shibboleth IdP.
+	// 2. Enroll a researcher and log in via the campus Shibboleth IdP.
 	f.EnrollResearcher("grace", "hopper")
 	f.Adler.SetQuota("grace", iaas.Quota{MaxInstances: 10, MaxCores: 64})
 	f.Sullivan.SetQuota("grace", iaas.Quota{MaxInstances: 10, MaxCores: 64})
@@ -43,7 +38,7 @@ func main() {
 	}
 	fmt.Println("logged in via shibboleth:", token)
 
-	// 4. One VM per stack through the same canonical API.
+	// 3. One VM per stack through the same canonical API.
 	for _, cloud := range []string{core.ClusterAdler, core.ClusterSullivan} {
 		srv, err := f.Tukey.LaunchServer(token, cloud, "analysis", "m1.large")
 		if err != nil {
@@ -57,7 +52,7 @@ func main() {
 	}
 	fmt.Printf("aggregated view: %d servers across %d stacks\n", len(servers), 2)
 
-	// 5. Share a result file with a collaborator group.
+	// 4. Share a result file with a collaborator group.
 	f.Sharing.AddUser("barbara")
 	f.DropDir.Drop("grace", "/share/grace/results.csv", []byte("gene,expr\nBRCA2,7.2\n"))
 	f.Engine.RunFor(15) // the drop-directory daemon's scan tick
@@ -74,7 +69,7 @@ func main() {
 	fmt.Println("shared results.csv with barbara:",
 		f.Sharing.CanRead("barbara", "/share/grace/results.csv"))
 
-	// 6. Mint a permanent ID for the dataset (§6.1).
+	// 5. Mint a permanent ID for the dataset (§6.1).
 	rec := f.IDs.Mint(ark.Metadata{
 		Who: "grace", What: "expression results", When: "2012-10",
 		Where: "/share/grace/results.csv",
@@ -82,12 +77,12 @@ func main() {
 	loc, _ := f.IDs.Resolve(rec.ARK)
 	fmt.Printf("minted %s → %s\n", rec.ARK, loc)
 
-	// 7. Browse public data (§6.3).
+	// 6. Browse public data (§6.3).
 	hits := f.Catalog.Search("genomes")
 	fmt.Printf("public catalog: %d datasets match 'genomes' (of %d, %.0f TB total)\n",
 		len(hits), len(f.Catalog.All()), float64(f.Catalog.TotalBytes())/float64(core.TB))
 
-	// 8. A month passes; the bill arrives (§6.4).
+	// 7. A month passes; the bill arrives (§6.4).
 	f.Engine.RunFor(31 * sim.Day)
 	for _, inv := range f.Biller.Invoices("grace") {
 		fmt.Printf("invoice cycle %d: %.0f core-hours → $%.2f\n",

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"osdc/internal/cloudapi"
 	"osdc/internal/core"
 	"osdc/internal/experiments"
 	"osdc/internal/iaas"
@@ -140,8 +141,8 @@ func TestFigure1TukeyEndToEnd(t *testing.T) {
 	defer novaSrv.Close()
 	eucaSrv := httptest.NewServer(&iaas.EucaAPI{Cloud: f.Sullivan})
 	defer eucaSrv.Close()
-	f.Tukey.AttachCloud(tukey.CloudConfig{Name: core.ClusterAdler, Stack: "openstack", Endpoint: novaSrv.URL})
-	f.Tukey.AttachCloud(tukey.CloudConfig{Name: core.ClusterSullivan, Stack: "eucalyptus", Endpoint: eucaSrv.URL})
+	f.Tukey.AttachCloud(tukey.CloudConfig{API: cloudapi.NewRemote(core.ClusterAdler, "openstack", novaSrv.URL, nil)})
+	f.Tukey.AttachCloud(tukey.CloudConfig{API: cloudapi.NewRemote(core.ClusterSullivan, "eucalyptus", eucaSrv.URL, nil)})
 
 	// Console on top of the middleware + biller + catalog.
 	consoleSrv := httptest.NewServer(&tukey.Console{MW: f.Tukey, Biller: f.Biller, Catalog: f.Catalog})

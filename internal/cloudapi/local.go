@@ -1,6 +1,7 @@
 package cloudapi
 
 import (
+	"errors"
 	"fmt"
 
 	"osdc/internal/iaas"
@@ -76,8 +77,11 @@ func (l *Local) Images(user string) ([]Image, error) {
 // Flavors implements CloudAPI.
 func (l *Local) Flavors() ([]iaas.Flavor, error) { return l.C.Flavors(), nil }
 
-// SetQuota implements CloudAPI.
+// SetQuota implements CloudAPI. A quota needs a user.
 func (l *Local) SetQuota(user string, q iaas.Quota) error {
+	if user == "" {
+		return errors.New("cloudapi: quota needs a user")
+	}
 	l.C.SetQuota(user, q)
 	return nil
 }

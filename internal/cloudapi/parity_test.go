@@ -165,6 +165,12 @@ func TestLocalRemoteParity(t *testing.T) {
 			if !errors.As(errL, &qL) || !errors.As(errR, &qR) {
 				t.Fatalf("quota rejection classes diverged: local=%v remote=%v", errL, errR)
 			}
+			// A quota for no user is refused by both, with Local's text.
+			errL = local.SetQuota("", iaas.Quota{MaxInstances: 1, MaxCores: 1})
+			errR = remote.SetQuota("", iaas.Quota{MaxInstances: 1, MaxCores: 1})
+			if errL == nil || errR == nil || errL.Error() != errR.Error() {
+				t.Fatalf("empty-user quota diverged: local=%v remote=%v", errL, errR)
+			}
 
 			// Terminate one through each backend; the listing agrees.
 			if err := remote.Terminate("alice", viaLocal.ID); err != nil {

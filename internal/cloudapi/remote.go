@@ -13,6 +13,7 @@ import (
 
 	"osdc/internal/iaas"
 	"osdc/internal/sim"
+	"osdc/internal/wire"
 )
 
 // Remote is the over-the-wire CloudAPI backend: an HTTP client that reaches
@@ -31,7 +32,7 @@ type Remote struct {
 	stack    string
 	endpoint string // base URL, no trailing slash
 	client   *http.Client
-	secret   string // X-OSDC-Operator header on operator-plane writes
+	secret   string // wire.OperatorHeader on operator-plane calls
 }
 
 // DefaultTimeout bounds every round trip of a Remote built with a nil
@@ -47,10 +48,8 @@ func NewRemote(name, stack, endpoint string, client *http.Client) *Remote {
 	if stack != "openstack" && stack != "eucalyptus" {
 		panic("cloudapi: unsupported stack " + stack)
 	}
-	if client == nil {
-		client = &http.Client{Timeout: DefaultTimeout}
-	}
-	return &Remote{name: name, stack: stack, endpoint: strings.TrimRight(endpoint, "/"), client: client}
+	return &Remote{name: name, stack: stack, endpoint: strings.TrimRight(endpoint, "/"),
+		client: wire.NewClient(client, DefaultTimeout)}
 }
 
 // ProbeRemote builds a client for whatever cloud serves endpoint by asking
@@ -58,17 +57,14 @@ func NewRemote(name, stack, endpoint string, client *http.Client) *Remote {
 // tukey-server attaches an externally running cloud-site process it knows
 // only by URL. client may be nil for a private client with DefaultTimeout.
 func ProbeRemote(endpoint string, client *http.Client) (*Remote, error) {
-	if client == nil {
-		client = &http.Client{Timeout: DefaultTimeout}
-	}
-	resp, err := client.Get(strings.TrimRight(endpoint, "/") + "/cloudapi/meta")
-	if err != nil {
+	client = wire.NewClient(client, DefaultTimeout)
+	var m meta
+	status, _, err := wire.Call(client, http.MethodGet, strings.TrimRight(endpoint, "/")+"/cloudapi/meta", "", nil, &m, http.StatusOK)
+	if status == 0 {
 		return nil, fmt.Errorf("cloudapi: probing %s: %w", endpoint, err)
 	}
-	defer resp.Body.Close()
-	var m meta
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil || resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("cloudapi: %s is not a cloud site (status %d, err %v)", endpoint, resp.StatusCode, err)
+	if err != nil || status != http.StatusOK {
+		return nil, fmt.Errorf("cloudapi: %s is not a cloud site (status %d, err %v)", endpoint, status, err)
 	}
 	if m.Name == "" || (m.Stack != "openstack" && m.Stack != "eucalyptus") {
 		return nil, fmt.Errorf("cloudapi: %s reported unusable meta %+v", endpoint, m)
@@ -76,23 +72,10 @@ func ProbeRemote(endpoint string, client *http.Client) (*Remote, error) {
 	return NewRemote(m.Name, m.Stack, endpoint, client), nil
 }
 
-// SetOperatorSecret makes every operator-plane write (quota updates, clock
-// targets) carry the shared secret in the X-OSDC-Operator header — the
-// client half of Server.OperatorSecret.
+// SetOperatorSecret makes every operator-plane call (quota updates, clock
+// targets) carry the shared secret in wire.OperatorHeader — the client
+// half of Server.OperatorSecret.
 func (r *Remote) SetOperatorSecret(secret string) { r.secret = secret }
-
-// operatorPost issues one operator-plane write with the secret header.
-func (r *Remote) operatorPost(path, payload string) (*http.Response, error) {
-	req, err := http.NewRequest(http.MethodPost, r.endpoint+path, strings.NewReader(payload))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if r.secret != "" {
-		req.Header.Set("X-OSDC-Operator", r.secret)
-	}
-	return r.client.Do(req)
-}
 
 // Name implements CloudAPI.
 func (r *Remote) Name() string { return r.name }
@@ -426,16 +409,19 @@ func (r *Remote) ec2Images(user string) ([]Image, error) {
 
 // --- the operator plane (JSON, stack-independent) ---
 
-func (r *Remote) operatorGet(path string, into interface{}) (int, error) {
-	resp, err := r.client.Get(r.endpoint + path)
-	if err != nil {
-		return 0, err
+// operator makes one operator-plane round trip through wire.Call.
+func (r *Remote) operator(method, path string, in, out interface{}, ok int) (status int, msg string, err error) {
+	return wire.Call(r.client, method, r.endpoint+path, r.secret, in, out, ok)
+}
+
+// refused words an operator-plane answer other than the one wanted: msg
+// verbatim when the caller passes the server's message and there is one,
+// else what failed and the status.
+func (r *Remote) refused(what string, status int, msg string) error {
+	if msg != "" {
+		return errors.New(msg)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return resp.StatusCode, nil
-	}
-	return resp.StatusCode, json.NewDecoder(resp.Body).Decode(into)
+	return fmt.Errorf("cloudapi: %s %s returned %d", r.name, what, status)
 }
 
 // --- CloudAPI ---
@@ -489,12 +475,12 @@ func (r *Remote) Flavors() ([]iaas.Flavor, error) {
 	var body struct {
 		Flavors []iaas.Flavor `json:"flavors"`
 	}
-	status, err := r.operatorGet("/cloudapi/flavors", &body)
+	status, _, err := r.operator(http.MethodGet, "/cloudapi/flavors", nil, &body, http.StatusOK)
 	if err != nil {
 		return nil, err
 	}
 	if status != http.StatusOK {
-		return nil, fmt.Errorf("cloudapi: %s flavors returned %d", r.name, status)
+		return nil, r.refused("flavors", status, "")
 	}
 	return body.Flavors, nil
 }
@@ -502,43 +488,39 @@ func (r *Remote) Flavors() ([]iaas.Flavor, error) {
 // Instance implements CloudAPI via the operator plane.
 func (r *Remote) Instance(id string) (Instance, error) {
 	var inst Instance
-	status, err := r.operatorGet("/cloudapi/instance?id="+url.QueryEscape(id), &inst)
-	if err != nil {
+	status, _, err := r.operator(http.MethodGet, "/cloudapi/instance?id="+url.QueryEscape(id), nil, &inst, http.StatusOK)
+	switch {
+	case err != nil:
 		return Instance{}, err
-	}
-	if status == http.StatusNotFound {
+	case status == http.StatusNotFound:
 		return Instance{}, ErrNotFound
-	}
-	if status != http.StatusOK {
-		return Instance{}, fmt.Errorf("cloudapi: %s instance lookup returned %d", r.name, status)
+	case status != http.StatusOK:
+		return Instance{}, r.refused("instance lookup", status, "")
 	}
 	return inst, nil
 }
 
-// SetQuota implements CloudAPI via the operator plane.
+// SetQuota implements CloudAPI via the operator plane. A rejection the
+// server words (an empty user) surfaces with the Local backend's text.
 func (r *Remote) SetQuota(user string, q iaas.Quota) error {
-	payload := fmt.Sprintf(`{"user":%q,"max_instances":%d,"max_cores":%d}`, user, q.MaxInstances, q.MaxCores)
-	resp, err := r.operatorPost("/cloudapi/quota", payload)
-	if err != nil {
+	req := quotaRequest{User: user, MaxInstances: q.MaxInstances, MaxCores: q.MaxCores}
+	status, msg, err := r.operator(http.MethodPost, "/cloudapi/quota", req, nil, http.StatusNoContent)
+	if err != nil || status == http.StatusNoContent {
 		return err
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		return fmt.Errorf("cloudapi: %s quota update returned %d", r.name, resp.StatusCode)
-	}
-	return nil
+	return r.refused("quota update", status, msg)
 }
 
 // Clock reads the site's clock plane: the site engine's current virtual
 // time, mode, and (follow mode) newest target.
 func (r *Remote) Clock() (ClockStatus, error) {
 	var st ClockStatus
-	status, err := r.operatorGet("/cloudapi/clock", &st)
+	status, _, err := r.operator(http.MethodGet, "/cloudapi/clock", nil, &st, http.StatusOK)
 	if err != nil {
 		return ClockStatus{}, err
 	}
 	if status != http.StatusOK {
-		return ClockStatus{}, fmt.Errorf("cloudapi: %s clock read returned %d", r.name, status)
+		return ClockStatus{}, r.refused("clock read", status, "")
 	}
 	return st, nil
 }
@@ -547,42 +529,27 @@ func (r *Remote) Clock() (ClockStatus, error) {
 // free-running site answers 409, surfaced as ErrFreeRunning so a
 // coordinator can tell "does not follow" from "unreachable".
 func (r *Remote) ClockSync(target sim.Time) error {
-	payload := fmt.Sprintf(`{"target":%g}`, float64(target))
-	resp, err := r.operatorPost("/cloudapi/clock", payload)
-	if err != nil {
+	status, _, err := r.operator(http.MethodPost, "/cloudapi/clock", clockSyncRequest{Target: float64(target)}, nil, http.StatusNoContent)
+	switch {
+	case err != nil || status == http.StatusNoContent:
 		return err
-	}
-	resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusNoContent:
-		return nil
-	case http.StatusConflict:
+	case status == http.StatusConflict:
 		return fmt.Errorf("cloudapi: %s: %w", r.name, ErrFreeRunning)
 	}
-	return fmt.Errorf("cloudapi: %s clock sync returned %d", r.name, resp.StatusCode)
+	return r.refused("clock sync", status, "")
 }
 
 // UsageSince implements CloudAPI via the operator plane's ?since= form.
 // Server-reported rejections (a negative since) surface with the Local
 // backend's error text, verbatim.
 func (r *Remote) UsageSince(since int64) (UsageDelta, error) {
-	resp, err := r.client.Get(fmt.Sprintf("%s/cloudapi/usage?since=%d", r.endpoint, since))
+	var d UsageDelta
+	status, msg, err := r.operator(http.MethodGet, fmt.Sprintf("/cloudapi/usage?since=%d", since), nil, &d, http.StatusOK)
 	if err != nil {
 		return UsageDelta{}, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var fail struct {
-			Error string `json:"error"`
-		}
-		if json.NewDecoder(resp.Body).Decode(&fail) == nil && fail.Error != "" {
-			return UsageDelta{}, errors.New(fail.Error)
-		}
-		return UsageDelta{}, fmt.Errorf("cloudapi: %s usage delta returned %d", r.name, resp.StatusCode)
-	}
-	var d UsageDelta
-	if err := json.NewDecoder(resp.Body).Decode(&d); err != nil {
-		return UsageDelta{}, err
+	if status != http.StatusOK {
+		return UsageDelta{}, r.refused("usage delta", status, msg)
 	}
 	return d, nil
 }

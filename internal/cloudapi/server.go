@@ -15,6 +15,7 @@ import (
 	"osdc/internal/iaas"
 	"osdc/internal/sim"
 	"osdc/internal/telemetry"
+	"osdc/internal/wire"
 )
 
 // Server exposes one cloud over HTTP the way a real OSDC site does: the
@@ -125,16 +126,6 @@ type clockSyncRequest struct {
 	Target float64 `json:"target"`
 }
 
-func serveJSON(w http.ResponseWriter, code int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func serveError(w http.ResponseWriter, code int, msg string) {
-	serveJSON(w, code, map[string]string{"error": msg})
-}
-
 // serveUsage answers GET /cloudapi/usage[?since=R]. Responses are
 // coalesced: the encoded body is cached under the parsed since value and
 // served verbatim while the cloud's usage rev is unchanged, so the biller
@@ -149,7 +140,7 @@ func (s *Server) serveUsage(w http.ResponseWriter, r *http.Request) {
 		var err error
 		key.since, err = strconv.ParseInt(raw, 10, 64)
 		if err != nil {
-			serveError(w, http.StatusBadRequest, "cloudapi: bad usage since "+strconv.Quote(raw))
+			wire.WriteError(w, http.StatusBadRequest, "cloudapi: bad usage since "+strconv.Quote(raw))
 			return
 		}
 	}
@@ -172,7 +163,7 @@ func (s *Server) serveUsage(w http.ResponseWriter, r *http.Request) {
 	} else {
 		d, err := s.local.UsageSince(key.since)
 		if err != nil {
-			serveError(w, http.StatusBadRequest, err.Error())
+			wire.WriteError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		computedAt = d.Rev
@@ -218,11 +209,11 @@ var pprofMux = func() *http.ServeMux {
 // profiling identically.
 func ServePprof(secret string, w http.ResponseWriter, r *http.Request) {
 	if secret == "" {
-		serveError(w, http.StatusNotFound, "profiling plane requires an operator secret")
+		wire.WriteError(w, http.StatusNotFound, "profiling plane requires an operator secret")
 		return
 	}
-	if !telemetry.OperatorOK(secret, r) {
-		serveError(w, http.StatusForbidden, "profiling plane requires X-OSDC-Operator")
+	if !wire.OperatorOK(secret, r) {
+		wire.WriteError(w, http.StatusForbidden, "profiling plane requires X-OSDC-Operator")
 		return
 	}
 	pprofMux.ServeHTTP(w, r)
@@ -246,13 +237,13 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// Operator-plane auth: mutating the planes (clock targets, quotas,
 	// dataset replicas) is an operator action; with a shared secret
 	// configured, unauthenticated writes get 403 before any route runs.
-	if s.OperatorSecret != "" && r.Method != http.MethodGet && !telemetry.OperatorOK(s.OperatorSecret, r) {
-		serveError(w, http.StatusForbidden, "operator plane requires X-OSDC-Operator")
+	if s.OperatorSecret != "" && r.Method != http.MethodGet && !wire.OperatorOK(s.OperatorSecret, r) {
+		wire.WriteError(w, http.StatusForbidden, "operator plane requires X-OSDC-Operator")
 		return
 	}
 	if strings.HasPrefix(r.URL.Path, "/cloudapi/datasets") {
 		if s.Datasets == nil {
-			serveError(w, http.StatusNotFound, "site exposes no datasets plane")
+			wire.WriteError(w, http.StatusNotFound, "site exposes no datasets plane")
 			return
 		}
 		datastore.ServePlane(s.Datasets, w, r)
@@ -260,49 +251,49 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	switch {
 	case r.URL.Path == "/cloudapi/meta" && r.Method == http.MethodGet:
-		serveJSON(w, http.StatusOK, meta{Name: s.local.C.Name, Stack: s.local.C.Stack, Site: s.local.C.Site})
+		wire.WriteJSON(w, http.StatusOK, meta{Name: s.local.C.Name, Stack: s.local.C.Stack, Site: s.local.C.Site})
 
 	case r.URL.Path == "/cloudapi/usage" && r.Method == http.MethodGet:
 		s.serveUsage(w, r)
 
 	case r.URL.Path == "/cloudapi/flavors" && r.Method == http.MethodGet:
 		fs, _ := s.local.Flavors()
-		serveJSON(w, http.StatusOK, map[string]interface{}{"flavors": fs})
+		wire.WriteJSON(w, http.StatusOK, map[string]interface{}{"flavors": fs})
 
 	case r.URL.Path == "/cloudapi/instance" && r.Method == http.MethodGet:
 		id := r.URL.Query().Get("id")
 		inst, err := s.local.Instance(id)
 		if errors.Is(err, ErrNotFound) {
-			serveError(w, http.StatusNotFound, "no instance "+id)
+			wire.WriteError(w, http.StatusNotFound, "no instance "+id)
 			return
 		}
-		serveJSON(w, http.StatusOK, inst)
+		wire.WriteJSON(w, http.StatusOK, inst)
 
 	case r.URL.Path == "/cloudapi/clock" && r.Method == http.MethodGet:
 		if s.Clock == nil {
-			serveError(w, http.StatusNotFound, "site exposes no clock plane")
+			wire.WriteError(w, http.StatusNotFound, "site exposes no clock plane")
 			return
 		}
-		serveJSON(w, http.StatusOK, s.Clock.ClockStatus())
+		wire.WriteJSON(w, http.StatusOK, s.Clock.ClockStatus())
 
 	case r.URL.Path == "/cloudapi/clock" && r.Method == http.MethodPost:
 		if s.Clock == nil {
-			serveError(w, http.StatusNotFound, "site exposes no clock plane")
+			wire.WriteError(w, http.StatusNotFound, "site exposes no clock plane")
 			return
 		}
 		var req clockSyncRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			serveError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+			wire.WriteError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
 			return
 		}
 		if req.Target < 0 {
-			serveError(w, http.StatusBadRequest, "negative clock target")
+			wire.WriteError(w, http.StatusBadRequest, "negative clock target")
 			return
 		}
 		if err := s.Clock.SyncTo(sim.Time(req.Target)); err != nil {
 			// A free-running site rejects targets; the coordinator treats
 			// the conflict as "this site does not follow".
-			serveError(w, http.StatusConflict, err.Error())
+			wire.WriteError(w, http.StatusConflict, err.Error())
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
@@ -310,17 +301,16 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case r.URL.Path == "/cloudapi/quota" && r.Method == http.MethodPost:
 		var req quotaRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			serveError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+			wire.WriteError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
 			return
 		}
-		if req.User == "" {
-			serveError(w, http.StatusBadRequest, "quota needs a user")
+		if err := s.local.SetQuota(req.User, iaas.Quota{MaxInstances: req.MaxInstances, MaxCores: req.MaxCores}); err != nil {
+			wire.WriteError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		_ = s.local.SetQuota(req.User, iaas.Quota{MaxInstances: req.MaxInstances, MaxCores: req.MaxCores})
 		w.WriteHeader(http.StatusNoContent)
 
 	default:
-		serveError(w, http.StatusNotFound, "no operator route "+r.Method+" "+r.URL.Path)
+		wire.WriteError(w, http.StatusNotFound, "no operator route "+r.Method+" "+r.URL.Path)
 	}
 }

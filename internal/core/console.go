@@ -190,7 +190,6 @@ func (d *Deployment) start(cfg ConsoleConfig) error {
 	if cfg.SiteTimeout > 0 {
 		d.SiteClient.Timeout = cfg.SiteTimeout
 	}
-	f.Tukey.SetHTTPTimeout(cfg.SiteTimeout)
 	d.Client = d.pooledClient(60 * time.Second)
 
 	// --- clouds: in-process first, then external sites ---
@@ -293,7 +292,7 @@ func (d *Deployment) start(cfg ConsoleConfig) error {
 }
 
 // serveCloud puts one in-process cloud behind its own loopback server on
-// the federation engine and attaches it by endpoint.
+// the federation engine and attaches it as a Remote on the site client.
 func (d *Deployment) serveCloud(cfg ConsoleConfig, name string) error {
 	f := d.Fed
 	c, api := f.Adler, f.AdlerAPI
@@ -310,7 +309,7 @@ func (d *Deployment) serveCloud(cfg ConsoleConfig, name string) error {
 	if err != nil {
 		return err
 	}
-	f.Tukey.AttachCloud(tukey.CloudConfig{Name: c.Name, Stack: c.Stack, Endpoint: url})
+	f.Tukey.AttachCloud(tukey.CloudConfig{API: cloudapi.NewRemote(c.Name, c.Stack, url, d.SiteClient)})
 	d.Servers[name] = srv
 	d.Members = append(d.Members, telemetry.Member{Name: name, URL: url})
 	d.DataSites = append(d.DataSites, f.Stores[name])

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"net/http"
 	"strconv"
+
+	"osdc/internal/wire"
 )
 
 // The /cloudapi/datasets wire protocol. The server side lives here (and is
@@ -37,16 +39,6 @@ type deltaResponse struct {
 	Delta
 }
 
-func planeJSON(w http.ResponseWriter, code int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func planeError(w http.ResponseWriter, code int, msg string) {
-	planeJSON(w, code, map[string]string{"error": msg})
-}
-
 // ServePlane handles one /cloudapi/datasets request against api.
 // cloudapi.Server routes the prefix here after its operator-auth check.
 func ServePlane(api API, w http.ResponseWriter, r *http.Request) {
@@ -55,36 +47,36 @@ func ServePlane(api API, w http.ResponseWriter, r *http.Request) {
 		if raw := r.URL.Query().Get("since"); raw != "" {
 			since, err := strconv.ParseInt(raw, 10, 64)
 			if err != nil {
-				planeError(w, http.StatusBadRequest, "datastore: bad since "+strconv.Quote(raw))
+				wire.WriteError(w, http.StatusBadRequest, "datastore: bad since "+strconv.Quote(raw))
 				return
 			}
 			d, err := api.ListSince(since)
 			if err != nil {
-				planeError(w, http.StatusBadGateway, err.Error())
+				wire.WriteError(w, http.StatusBadGateway, err.Error())
 				return
 			}
-			planeJSON(w, http.StatusOK, deltaResponse{Site: api.Name(), Loc: api.Loc(), Delta: d})
+			wire.WriteJSON(w, http.StatusOK, deltaResponse{Site: api.Name(), Loc: api.Loc(), Delta: d})
 			return
 		}
 		reps, err := api.List()
 		if err != nil {
-			planeError(w, http.StatusBadGateway, err.Error())
+			wire.WriteError(w, http.StatusBadGateway, err.Error())
 			return
 		}
-		planeJSON(w, http.StatusOK, listResponse{Site: api.Name(), Loc: api.Loc(), Replicas: reps})
+		wire.WriteJSON(w, http.StatusOK, listResponse{Site: api.Name(), Loc: api.Loc(), Replicas: reps})
 
 	case r.URL.Path == "/cloudapi/datasets/replica" && r.Method == http.MethodGet:
 		rep, err := api.Get(r.URL.Query().Get("dataset"))
 		if err != nil {
-			planeError(w, http.StatusNotFound, err.Error())
+			wire.WriteError(w, http.StatusNotFound, err.Error())
 			return
 		}
-		planeJSON(w, http.StatusOK, rep)
+		wire.WriteJSON(w, http.StatusOK, rep)
 
 	case r.URL.Path == "/cloudapi/datasets/replica" && r.Method == http.MethodPost:
 		var rep Replica
 		if err := json.NewDecoder(r.Body).Decode(&rep); err != nil {
-			planeError(w, http.StatusBadRequest, "datastore: bad JSON: "+err.Error())
+			wire.WriteError(w, http.StatusBadRequest, "datastore: bad JSON: "+err.Error())
 			return
 		}
 		if err := api.Put(rep); err != nil {
@@ -94,7 +86,7 @@ func ServePlane(api API, w http.ResponseWriter, r *http.Request) {
 			if validate(rep) != nil {
 				code = http.StatusBadRequest
 			}
-			planeError(w, code, err.Error())
+			wire.WriteError(w, code, err.Error())
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
@@ -105,12 +97,12 @@ func ServePlane(api API, w http.ResponseWriter, r *http.Request) {
 			if !errors.Is(err, ErrNoReplica) {
 				code = http.StatusBadGateway
 			}
-			planeError(w, code, err.Error())
+			wire.WriteError(w, code, err.Error())
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
 
 	default:
-		planeError(w, http.StatusNotFound, "datastore: no route "+r.Method+" "+r.URL.Path)
+		wire.WriteError(w, http.StatusNotFound, "datastore: no route "+r.Method+" "+r.URL.Path)
 	}
 }

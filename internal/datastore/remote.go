@@ -1,13 +1,13 @@
 package datastore
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strings"
 	"time"
+
+	"osdc/internal/wire"
 )
 
 // remoteTimeout bounds every round trip of a Remote built with a nil
@@ -26,16 +26,14 @@ type Remote struct {
 	loc      string
 	endpoint string // base URL, no trailing slash
 	client   *http.Client
-	secret   string // X-OSDC-Operator header on mutating calls, when set
+	secret   string // wire.OperatorHeader on every call, when set
 }
 
 // NewRemote builds a client for site name at loc served at endpoint.
 // client may be nil for a private client with a 10 s timeout.
 func NewRemote(name, loc, endpoint string, client *http.Client) *Remote {
-	if client == nil {
-		client = &http.Client{Timeout: remoteTimeout}
-	}
-	return &Remote{name: name, loc: loc, endpoint: strings.TrimRight(endpoint, "/"), client: client}
+	return &Remote{name: name, loc: loc, endpoint: strings.TrimRight(endpoint, "/"),
+		client: wire.NewClient(client, remoteTimeout)}
 }
 
 // ProbeRemote builds a client for whatever site serves endpoint by reading
@@ -43,17 +41,14 @@ func NewRemote(name, loc, endpoint string, client *http.Client) *Remote {
 // externally running cloud-site's store knowing only its URL. A site not
 // serving the plane errors.
 func ProbeRemote(endpoint string, client *http.Client) (*Remote, error) {
-	if client == nil {
-		client = &http.Client{Timeout: remoteTimeout}
-	}
-	resp, err := client.Get(strings.TrimRight(endpoint, "/") + "/cloudapi/datasets")
-	if err != nil {
+	client = wire.NewClient(client, remoteTimeout)
+	var list listResponse
+	status, _, err := wire.Call(client, http.MethodGet, strings.TrimRight(endpoint, "/")+"/cloudapi/datasets", "", nil, &list, http.StatusOK)
+	if status == 0 {
 		return nil, fmt.Errorf("datastore: probing %s: %w", endpoint, err)
 	}
-	defer resp.Body.Close()
-	var list listResponse
-	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil || resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("datastore: %s serves no datasets plane (status %d, err %v)", endpoint, resp.StatusCode, err)
+	if err != nil || status != http.StatusOK {
+		return nil, fmt.Errorf("datastore: %s serves no datasets plane (status %d, err %v)", endpoint, status, err)
 	}
 	if list.Site == "" || list.Loc == "" {
 		return nil, fmt.Errorf("datastore: %s reported unusable plane description %+v", endpoint, list)
@@ -61,8 +56,8 @@ func ProbeRemote(endpoint string, client *http.Client) (*Remote, error) {
 	return NewRemote(list.Site, list.Loc, endpoint, client), nil
 }
 
-// SetOperatorSecret makes every mutating call carry the shared operator
-// secret (the -operator-secret flag) in the X-OSDC-Operator header.
+// SetOperatorSecret makes every call carry the shared operator secret (the
+// -operator-secret flag) in wire.OperatorHeader.
 func (r *Remote) SetOperatorSecret(secret string) { r.secret = secret }
 
 // Name implements API.
@@ -81,45 +76,28 @@ type wireError struct {
 func (e wireError) Error() string { return e.msg }
 func (e wireError) Unwrap() error { return e.kind }
 
-// decodeError extracts the {"error": msg} body, falling back to a status
-// description.
-func decodeError(resp *http.Response, kind error) error {
-	var body struct {
-		Error string `json:"error"`
+// call makes one round trip through wire.Call. Any status but ok comes
+// back as the server's message (or, when it sent none, the status) in a
+// wireError; with miss set, a 404 keeps the ErrNoReplica class.
+func (r *Remote) call(method, path string, in, out interface{}, ok int, miss bool) error {
+	status, msg, err := wire.Call(r.client, method, r.endpoint+path, r.secret, in, out, ok)
+	if err != nil || status == ok {
+		return err
 	}
-	raw, _ := io.ReadAll(resp.Body)
-	if json.Unmarshal(raw, &body) == nil && body.Error != "" {
-		return wireError{msg: body.Error, kind: kind}
+	if msg == "" {
+		msg = fmt.Sprintf("datastore: remote returned %d", status)
 	}
-	return wireError{msg: fmt.Sprintf("datastore: remote returned %d", resp.StatusCode), kind: kind}
-}
-
-func (r *Remote) do(method, path string, body io.Reader) (*http.Response, error) {
-	req, err := http.NewRequest(method, r.endpoint+path, body)
-	if err != nil {
-		return nil, err
+	var kind error
+	if miss && status == http.StatusNotFound {
+		kind = ErrNoReplica
 	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	if r.secret != "" {
-		req.Header.Set("X-OSDC-Operator", r.secret)
-	}
-	return r.client.Do(req)
+	return wireError{msg: msg, kind: kind}
 }
 
 // List implements API.
 func (r *Remote) List() ([]Replica, error) {
-	resp, err := r.do(http.MethodGet, "/cloudapi/datasets", nil)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp, nil)
-	}
 	var list listResponse
-	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+	if err := r.call(http.MethodGet, "/cloudapi/datasets", nil, &list, http.StatusOK, false); err != nil {
 		return nil, err
 	}
 	return list.Replicas, nil
@@ -129,16 +107,8 @@ func (r *Remote) List() ([]Replica, error) {
 // server evaluates the delta against the Local semantics, so both backends
 // return identical Deltas for identical stores.
 func (r *Remote) ListSince(since int64) (Delta, error) {
-	resp, err := r.do(http.MethodGet, fmt.Sprintf("/cloudapi/datasets?since=%d", since), nil)
-	if err != nil {
-		return Delta{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return Delta{}, decodeError(resp, nil)
-	}
 	var d deltaResponse
-	if err := json.NewDecoder(resp.Body).Decode(&d); err != nil {
+	if err := r.call(http.MethodGet, fmt.Sprintf("/cloudapi/datasets?since=%d", since), nil, &d, http.StatusOK, false); err != nil {
 		return Delta{}, err
 	}
 	return d.Delta, nil
@@ -146,19 +116,8 @@ func (r *Remote) ListSince(since int64) (Delta, error) {
 
 // Get implements API.
 func (r *Remote) Get(dataset string) (Replica, error) {
-	resp, err := r.do(http.MethodGet, "/cloudapi/datasets/replica?dataset="+url.QueryEscape(dataset), nil)
-	if err != nil {
-		return Replica{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		return Replica{}, decodeError(resp, ErrNoReplica)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return Replica{}, decodeError(resp, nil)
-	}
 	var rep Replica
-	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
+	if err := r.call(http.MethodGet, "/cloudapi/datasets/replica?dataset="+url.QueryEscape(dataset), nil, &rep, http.StatusOK, true); err != nil {
 		return Replica{}, err
 	}
 	return rep, nil
@@ -166,35 +125,12 @@ func (r *Remote) Get(dataset string) (Replica, error) {
 
 // Put implements API.
 func (r *Remote) Put(rep Replica) error {
-	payload, err := json.Marshal(rep)
-	if err != nil {
-		return err
-	}
-	resp, err := r.do(http.MethodPost, "/cloudapi/datasets/replica", strings.NewReader(string(payload)))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		return decodeError(resp, nil)
-	}
-	return nil
+	return r.call(http.MethodPost, "/cloudapi/datasets/replica", rep, nil, http.StatusNoContent, false)
 }
 
 // Delete implements API.
 func (r *Remote) Delete(dataset string) error {
-	resp, err := r.do(http.MethodDelete, "/cloudapi/datasets/replica?dataset="+url.QueryEscape(dataset), nil)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusNoContent:
-		return nil
-	case http.StatusNotFound:
-		return decodeError(resp, ErrNoReplica)
-	}
-	return decodeError(resp, nil)
+	return r.call(http.MethodDelete, "/cloudapi/datasets/replica?dataset="+url.QueryEscape(dataset), nil, nil, http.StatusNoContent, true)
 }
 
 var _ API = (*Remote)(nil)

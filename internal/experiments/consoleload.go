@@ -191,6 +191,21 @@ func (c *consoleClient) do(method, path, body string, wantStatus int) (*http.Res
 	return resp, err
 }
 
+// call issues one request and decodes a response with the wanted status
+// into into (nil discards the body). A transport error or an unwanted
+// status comes back as that request's record.
+func (c *consoleClient) call(method, path, body string, want int, into interface{}) error {
+	resp, _ := c.do(method, path, body, want)
+	defer drain(resp)
+	if rec := c.records[len(c.records)-1]; rec.err != nil || rec.got != want {
+		return fmt.Errorf("console request failed: %v", rec)
+	}
+	if into == nil {
+		return nil
+	}
+	return json.NewDecoder(resp.Body).Decode(into)
+}
+
 // err returns this client's first failed request, if any, as an error.
 func (c *consoleClient) err() error {
 	for _, r := range c.records {

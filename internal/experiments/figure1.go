@@ -1,78 +1,51 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 
 	"osdc/internal/core"
 	"osdc/internal/iaas"
+	"osdc/internal/scenario"
 	"osdc/internal/sim"
 	"osdc/internal/tukey"
 )
 
-// Figure1Result captures the Figure 1 walk: every hop of user → Tukey
-// Console → middleware → {OpenStack Adler, Eucalyptus Sullivan} → billing,
-// performed over live HTTP servers.
-type Figure1Result struct {
-	Log       string  // the per-hop narration osdc-bench prints
-	Launched  int     // instances created through the console
-	Clouds    int     // distinct clouds visible in the aggregated listing
-	CoreHours float64 // metered usage after two simulated hours
-}
-
-// Figure1 performs the Figure 1 walk with live HTTP servers at every hop.
-// Unlike the other experiments it exercises real net/http round trips, so
-// one run is slower than a pure-simulation scenario but still headless and
-// safe to fan out across seeds.
-func Figure1(seed uint64) (Figure1Result, error) {
-	f, err := core.New(core.Options{Seed: seed, Scale: 8})
+// Figure1 performs the Figure 1 walk — every hop of user → Tukey Console
+// → middleware → {OpenStack Adler, Eucalyptus Sullivan} → billing — over
+// live HTTP servers. Unlike the other experiments it exercises real
+// net/http round trips, so one run is slower than a pure-simulation
+// scenario but still headless and safe to fan out across seeds: no clock
+// driver runs, so the engine advances only when the walk says so.
+func Figure1(seed uint64) (scenario.Result, error) {
+	d, err := core.StartConsole(core.ConsoleConfig{Seed: seed, Scale: 8, Serve: true})
 	if err != nil {
-		return Figure1Result{}, err
+		return scenario.Result{}, err
 	}
-	novaSrv := httptest.NewServer(&iaas.NovaAPI{Cloud: f.Adler})
-	defer novaSrv.Close()
-	eucaSrv := httptest.NewServer(&iaas.EucaAPI{Cloud: f.Sullivan})
-	defer eucaSrv.Close()
-	f.Tukey.AttachCloud(tukey.CloudConfig{Name: core.ClusterAdler, Stack: "openstack", Endpoint: novaSrv.URL})
-	f.Tukey.AttachCloud(tukey.CloudConfig{Name: core.ClusterSullivan, Stack: "eucalyptus", Endpoint: eucaSrv.URL})
-	console := httptest.NewServer(&tukey.Console{MW: f.Tukey, Biller: f.Biller, Catalog: f.Catalog})
-	defer console.Close()
+	defer d.Close()
+	if err := d.Enroll("demo", "pw-demo", iaas.Quota{MaxInstances: 10, MaxCores: 64}); err != nil {
+		return scenario.Result{}, err
+	}
 
-	f.EnrollResearcher("demo", "demo-pw")
-	f.Adler.SetQuota("demo", iaas.Quota{MaxInstances: 10, MaxCores: 64})
-	f.Sullivan.SetQuota("demo", iaas.Quota{MaxInstances: 10, MaxCores: 64})
-
-	var out Figure1Result
 	var b strings.Builder
-
-	resp, err := http.Post(console.URL+"/login", "application/json",
-		strings.NewReader(`{"provider":"shibboleth","username":"demo","secret":"demo-pw"}`))
-	if err != nil {
-		return out, err
+	c := &consoleClient{base: d.URL, user: "demo", client: d.Client}
+	_ = c.login() // a failed login is on record: c.err reports it
+	if err := c.err(); err != nil {
+		return scenario.Result{}, err
 	}
-	var login struct {
-		Token string `json:"token"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&login); err != nil {
-		return out, err
-	}
-	resp.Body.Close()
 	fmt.Fprintf(&b, "login: shibboleth demo@uchicago.edu → session granted\n")
 
+	launched := 0
 	for _, cloud := range []string{core.ClusterAdler, core.ClusterSullivan} {
-		req, _ := http.NewRequest("POST", console.URL+"/console/launch",
-			strings.NewReader(fmt.Sprintf(`{"cloud":%q,"name":"fig1","flavor":"m1.large"}`, cloud)))
-		req.Header.Set("X-Tukey-Session", login.Token)
-		resp, err := http.DefaultClient.Do(req)
+		resp, err := c.do("POST", "/console/launch",
+			fmt.Sprintf(`{"cloud":%q,"name":"fig1","flavor":"m1.large"}`, cloud), http.StatusAccepted)
 		if err != nil {
-			return out, err
+			return scenario.Result{}, err
 		}
-		resp.Body.Close()
+		drain(resp)
 		if resp.StatusCode == http.StatusAccepted {
-			out.Launched++
+			launched++
 		}
 		fmt.Fprintf(&b, "launch: m1.large on %-14s → HTTP %d (native dialect: %s)\n",
 			cloud, resp.StatusCode, map[string]string{
@@ -80,31 +53,28 @@ func Figure1(seed uint64) (Figure1Result, error) {
 			}[cloud])
 	}
 
-	req, _ := http.NewRequest("GET", console.URL+"/console/instances", nil)
-	req.Header.Set("X-Tukey-Session", login.Token)
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		return out, err
-	}
 	var list struct {
 		Servers []tukey.TaggedServer `json:"servers"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
-		return out, err
+	if err := c.call("GET", "/console/instances", "", http.StatusOK, &list); err != nil {
+		return scenario.Result{}, err
 	}
-	resp.Body.Close()
 	fmt.Fprintln(&b, "aggregated OpenStack-format response:")
 	clouds := map[string]bool{}
 	for _, s := range list.Servers {
 		clouds[s.Cloud] = true
 		fmt.Fprintf(&b, "  cloud=%-14s id=%-22s status=%-6s flavor=%s\n", s.Cloud, s.ID, s.Status, s.Flavor)
 	}
-	out.Clouds = len(clouds)
 
-	f.Engine.RunFor(2 * sim.Hour)
-	u := f.Biller.CurrentUsage("demo")
-	out.CoreHours = u.CoreHours()
-	fmt.Fprintf(&b, "billing after 2 simulated hours: %.1f core-hours (8 cores running)\n", out.CoreHours)
-	out.Log = b.String()
-	return out, nil
+	d.Fed.Engine.RunFor(2 * sim.Hour)
+	coreHours := d.Fed.Biller.CurrentUsage("demo").CoreHours()
+	fmt.Fprintf(&b, "billing after 2 simulated hours: %.1f core-hours (8 cores running)\n", coreHours)
+	return scenario.Result{
+		Metrics: map[string]float64{
+			"instances-launched": float64(launched),
+			"clouds-aggregated":  float64(len(clouds)),
+			"core-hours-2h":      coreHours,
+		},
+		Table: b.String(),
+	}, nil
 }

@@ -65,22 +65,7 @@ func init() {
 			return scenario.Result{Metrics: metrics, Table: table}, nil
 		}))
 
-	scenario.Register(scenario.New("fig1",
-		"Figure 1 — Tukey end to end over live HTTP",
-		func(seed uint64) (scenario.Result, error) {
-			r, err := Figure1(seed)
-			if err != nil {
-				return scenario.Result{}, err
-			}
-			return scenario.Result{
-				Metrics: map[string]float64{
-					"instances-launched": float64(r.Launched),
-					"clouds-aggregated":  float64(r.Clouds),
-					"core-hours-2h":      r.CoreHours,
-				},
-				Table: r.Log,
-			}, nil
-		}))
+	scenario.Register(scenario.New("fig1", "Figure 1 — Tukey end to end over live HTTP", Figure1))
 
 	scenario.Register(scenario.New("fig2",
 		"Figure 2 — Project Matsu flood detection on OCC-Matsu",

@@ -16,7 +16,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 
 	"osdc/internal/core"
@@ -24,7 +23,6 @@ import (
 	"osdc/internal/iaas"
 	"osdc/internal/scenario"
 	"osdc/internal/sim"
-	"osdc/internal/tukey"
 )
 
 const stageAndComputeDesc = "GRANDMA-style campaign: stage EO-1 imagery to a site over the console, launch there, accrue usage"
@@ -33,96 +31,46 @@ const stageAndComputeDesc = "GRANDMA-style campaign: stage EO-1 imagery to a sit
 // 30 TB of it, mastered on OSDC-Root.
 const stageDataset = "EO-1 ALI and Hyperion"
 
-// stageClient is a minimal sequential console client; requests issue one
-// at a time, so the federation engine only advances when the scenario
-// says so and the run stays deterministic.
-type stageClient struct {
-	base string
-	tok  string
-}
-
-func (c *stageClient) do(method, path, body string) (*http.Response, error) {
-	req, err := http.NewRequest(method, c.base+path, strings.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	if c.tok != "" {
-		req.Header.Set("X-Tukey-Session", c.tok)
-	}
-	return http.DefaultClient.Do(req)
-}
-
-func (c *stageClient) json(method, path, body string, wantStatus int, into interface{}) error {
-	resp, err := c.do(method, path, body)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != wantStatus {
-		return fmt.Errorf("%s %s: status %d, want %d", method, path, resp.StatusCode, wantStatus)
-	}
-	if into == nil {
-		return nil
-	}
-	return json.NewDecoder(resp.Body).Decode(into)
-}
-
 // StageAndCompute stages the EO-1 archive from OSDC-Root to OSDC-Sullivan
 // through the console, launches the campaign's instances on that cloud,
 // lets two hours of metering accrue, and reports the whole path.
 func StageAndCompute(seed uint64) (scenario.Result, error) {
-	f, err := core.New(core.Options{Seed: seed, Scale: 8})
+	// No clock driver: requests issue one at a time and the engine only
+	// advances when the scenario says so, so the run stays deterministic.
+	d, err := core.StartConsole(core.ConsoleConfig{Seed: seed, Scale: 8, Serve: true})
 	if err != nil {
 		return scenario.Result{}, err
 	}
+	defer d.Close()
+	f := d.Fed
 	// Manual rounds: the scenario owns the engine, so the coordinator
 	// runs with no background loop and stays deterministic.
-	coord := f.StartReplication(core.ReplicationOptions{Factor: 1, Seed: seed})
+	coord := f.StartReplication(core.ReplicationOptions{Factor: 1, Seed: seed, Sites: d.DataSites})
+	d.Console.Replication = coord
 	defer f.StopReplication()
 
-	// The campaign provisions through the in-process transports: same
-	// engine, no wall-clock anywhere.
-	f.Tukey.AttachCloud(tukey.CloudConfig{API: f.AdlerAPI})
-	f.Tukey.AttachCloud(tukey.CloudConfig{API: f.SullivanAPI})
-
-	console := &tukey.Console{MW: f.Tukey, Biller: f.Biller, Catalog: f.Catalog,
-		UsageMon: f.UsageMon, Replication: coord}
-	srv := httptest.NewServer(console)
-	defer srv.Close()
-
 	const user = "grandma"
-	f.EnrollResearcher(user, "pw-"+user)
-	for _, api := range []interface {
-		SetQuota(string, iaas.Quota) error
-	}{f.AdlerAPI, f.SullivanAPI} {
-		if err := api.SetQuota(user, iaas.Quota{MaxInstances: 8, MaxCores: 64}); err != nil {
-			return scenario.Result{}, err
-		}
-	}
-
-	c := &stageClient{base: srv.URL}
-	var login struct {
-		Token string `json:"token"`
-	}
-	if err := c.json("POST", "/login",
-		fmt.Sprintf(`{"provider":"shibboleth","username":%q,"secret":%q}`, user, "pw-"+user),
-		http.StatusOK, &login); err != nil {
+	if err := d.Enroll(user, "pw-"+user, iaas.Quota{MaxInstances: 8, MaxCores: 64}); err != nil {
 		return scenario.Result{}, err
 	}
-	c.tok = login.Token
+	c := &consoleClient{base: d.URL, user: user, client: d.Client}
+	_ = c.login() // a failed login is on record: c.err reports it
+	if err := c.err(); err != nil {
+		return scenario.Result{}, err
+	}
 
 	// 1. Find the imagery in the catalog (the Matsu tag marks it).
 	var search struct {
 		Datasets []json.RawMessage `json:"datasets"`
 	}
-	if err := c.json("GET", "/console/datasets?q=matsu", "", http.StatusOK, &search); err != nil {
+	if err := c.call("GET", "/console/datasets?q=matsu", "", http.StatusOK, &search); err != nil {
 		return scenario.Result{}, err
 	}
 
 	// 2. Stage it to the compute site: Root (Kenwood) → Sullivan (NU)
 	// crosses the metro WAN as one simulated UDT flow.
 	var st datastore.StageStatus
-	if err := c.json("POST", "/console/datasets/stage",
+	if err := c.call("POST", "/console/datasets/stage",
 		fmt.Sprintf(`{"dataset":%q,"cloud":%q}`, stageDataset, core.ClusterSullivan),
 		http.StatusAccepted, &st); err != nil {
 		return scenario.Result{}, err
@@ -132,7 +80,7 @@ func StageAndCompute(seed uint64) (scenario.Result, error) {
 	// 3. The transfer rides the virtual clock; once it lands, staging
 	// again reports the replica present.
 	f.Engine.RunFor(st.ETASecs + sim.Minute)
-	if err := c.json("POST", "/console/datasets/stage",
+	if err := c.call("POST", "/console/datasets/stage",
 		fmt.Sprintf(`{"dataset":%q,"cloud":%q}`, stageDataset, core.ClusterSullivan),
 		http.StatusOK, &st); err != nil {
 		return scenario.Result{}, err
@@ -144,7 +92,7 @@ func StageAndCompute(seed uint64) (scenario.Result, error) {
 	// 4. Launch the campaign next to the data.
 	launched := 0
 	for i := 0; i < 2; i++ {
-		if err := c.json("POST", "/console/launch",
+		if err := c.call("POST", "/console/launch",
 			fmt.Sprintf(`{"cloud":%q,"name":"grandma-%d","flavor":"m1.large"}`, core.ClusterSullivan, i),
 			http.StatusAccepted, nil); err != nil {
 			return scenario.Result{}, err
@@ -158,7 +106,7 @@ func StageAndCompute(seed uint64) (scenario.Result, error) {
 	var usage struct {
 		CoreHours float64 `json:"core_hours"`
 	}
-	if err := c.json("GET", "/console/usage", "", http.StatusOK, &usage); err != nil {
+	if err := c.call("GET", "/console/usage", "", http.StatusOK, &usage); err != nil {
 		return scenario.Result{}, err
 	}
 
@@ -167,7 +115,7 @@ func StageAndCompute(seed uint64) (scenario.Result, error) {
 		Placement []datastore.PlacementRow `json:"placement"`
 	}
 	coord.Round() // refresh the observed inventories
-	if err := c.json("GET", "/console/datasets/replicas?dataset=EO-1+ALI+and+Hyperion", "",
+	if err := c.call("GET", "/console/datasets/replicas?dataset=EO-1+ALI+and+Hyperion", "",
 		http.StatusOK, &view); err != nil {
 		return scenario.Result{}, err
 	}

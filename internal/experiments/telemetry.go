@@ -25,6 +25,7 @@ import (
 	"osdc/internal/scenario"
 	"osdc/internal/sim"
 	"osdc/internal/telemetry"
+	"osdc/internal/wire"
 )
 
 const telemetryStreamDesc = "federation telemetry plane: /metrics on every member, one collector sweep per frame, and a byte-identical /console/stream SSE transcript"
@@ -183,7 +184,7 @@ func TelemetryStream(seed uint64) (scenario.Result, error) {
 func telemetryScrape(client *http.Client, base, secret string) (int, []byte, error) {
 	req, _ := http.NewRequest("GET", base+"/metrics", nil)
 	if secret != "" {
-		req.Header.Set("X-OSDC-Operator", secret)
+		req.Header.Set(wire.OperatorHeader, secret)
 	}
 	resp, err := client.Do(req)
 	if err != nil {

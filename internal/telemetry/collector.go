@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"osdc/internal/fanout"
+	"osdc/internal/wire"
 )
 
 // Member is one federation endpoint the Collector scrapes: a name (the
@@ -59,11 +60,8 @@ const scrapeWorkers = 8
 // until Start (wall-clock loop) or Round (one synchronous sweep — what a
 // deterministic scenario drives off the sim clock).
 func NewCollector(secret string, client *http.Client, members ...Member) *Collector {
-	if client == nil {
-		client = &http.Client{Timeout: 10 * time.Second}
-	}
 	c := &Collector{
-		members: members, secret: secret, client: client,
+		members: members, secret: secret, client: wire.NewClient(client, 10*time.Second),
 		workers: scrapeWorkers,
 		stats:   make(map[string]*MemberStats),
 		data:    make(map[string]map[string]float64),
@@ -163,7 +161,7 @@ func (c *Collector) scrapeOne(m Member) (map[string]float64, error) {
 		return nil, err
 	}
 	if c.secret != "" {
-		req.Header.Set("X-OSDC-Operator", c.secret)
+		req.Header.Set(wire.OperatorHeader, c.secret)
 	}
 	resp, err := c.client.Do(req)
 	if err != nil {

@@ -18,7 +18,6 @@ package telemetry
 import (
 	"bufio"
 	"bytes"
-	"crypto/subtle"
 	"fmt"
 	"io"
 	"math"
@@ -28,6 +27,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"osdc/internal/wire"
 )
 
 // Label is one metric dimension, fixed at registration time.
@@ -443,11 +444,11 @@ func ParseText(b []byte) (map[string]float64, error) {
 // four gate metrics identically.
 func ServeMetrics(secret string, reg *Registry, w http.ResponseWriter, r *http.Request) {
 	if secret == "" {
-		serveError(w, http.StatusNotFound, "metrics plane requires an operator secret")
+		wire.WriteError(w, http.StatusNotFound, "metrics plane requires an operator secret")
 		return
 	}
-	if !OperatorOK(secret, r) {
-		serveError(w, http.StatusForbidden, "metrics plane requires X-OSDC-Operator")
+	if !wire.OperatorOK(secret, r) {
+		wire.WriteError(w, http.StatusForbidden, "metrics plane requires X-OSDC-Operator")
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -455,20 +456,4 @@ func ServeMetrics(secret string, reg *Registry, w http.ResponseWriter, r *http.R
 	if reg != nil {
 		_, _ = reg.WriteTo(w)
 	}
-}
-
-// OperatorOK reports whether r carries secret in its X-OSDC-Operator
-// header, compared in constant time. It is the one operator check: the
-// metrics plane here, and cloudapi's profiling plane and operator-plane
-// writes, each put their own 404/403 answers around it.
-func OperatorOK(secret string, r *http.Request) bool {
-	return subtle.ConstantTimeCompare([]byte(r.Header.Get("X-OSDC-Operator")), []byte(secret)) == 1
-}
-
-// serveError mirrors the cloudapi operator plane's JSON error shape
-// (telemetry sits below cloudapi, so it cannot import it).
-func serveError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_, _ = fmt.Fprintf(w, "{%q:%q}\n", "error", msg)
 }

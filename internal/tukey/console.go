@@ -14,6 +14,7 @@ import (
 	"osdc/internal/datastore"
 	"osdc/internal/monitor"
 	"osdc/internal/telemetry"
+	"osdc/internal/wire"
 )
 
 // Console is the Tukey Console web application (§5.1): "The core
@@ -139,12 +140,6 @@ func routeCost(method, path string) float64 {
 	return 1
 }
 
-func writeJSON(w http.ResponseWriter, code int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 // buildRoutes assembles the routing table: every console route behind the
 // session chain (admit → enforceSession → handler), /login behind its own
 // (parseLogin → rateLimit → handler). Routing happens before any chain
@@ -215,80 +210,80 @@ func (c *Console) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		h.ServeHTTP(w, r)
 		return
 	}
-	writeJSON(w, http.StatusNotFound, map[string]string{"error": "no route " + r.Method + " " + r.URL.Path})
+	wire.WriteError(w, http.StatusNotFound, "no route "+r.Method+" "+r.URL.Path)
 }
 
 func (c *Console) handleLogin(w http.ResponseWriter, r *http.Request) {
 	req, _ := loginFrom(r)
 	tok, err := c.MW.Login(Provider(req.Provider), req.Username, req.Secret)
 	if err != nil {
-		writeJSON(w, http.StatusUnauthorized, map[string]string{"error": err.Error()})
+		wire.WriteError(w, http.StatusUnauthorized, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"token": tok})
+	wire.WriteJSON(w, http.StatusOK, map[string]string{"token": tok})
 }
 
 func (c *Console) handleInstances(w http.ResponseWriter, r *http.Request) {
 	si, _ := sessionFrom(r)
 	servers, err := c.MW.listServers(si.id)
 	if err != nil {
-		writeJSON(w, http.StatusBadGateway, map[string]string{"error": err.Error()})
+		wire.WriteError(w, http.StatusBadGateway, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{"servers": servers})
+	wire.WriteJSON(w, http.StatusOK, map[string]interface{}{"servers": servers})
 }
 
 func (c *Console) handleLaunch(w http.ResponseWriter, r *http.Request) {
 	var req struct{ Cloud, Name, Flavor string }
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		wire.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	si, _ := sessionFrom(r)
 	srv, err := c.MW.launchServer(si.id, req.Cloud, req.Name, req.Flavor)
 	if err != nil {
-		writeJSON(w, http.StatusConflict, map[string]string{"error": err.Error()})
+		wire.WriteError(w, http.StatusConflict, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusAccepted, map[string]interface{}{"server": srv})
+	wire.WriteJSON(w, http.StatusAccepted, map[string]interface{}{"server": srv})
 }
 
 func (c *Console) handleTerminate(w http.ResponseWriter, r *http.Request) {
 	var req struct{ Cloud, ID string }
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		wire.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	si, _ := sessionFrom(r)
 	if err := c.MW.terminateServer(si.id, req.Cloud, req.ID); err != nil {
-		writeJSON(w, http.StatusConflict, map[string]string{"error": err.Error()})
+		wire.WriteError(w, http.StatusConflict, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "terminated"})
+	wire.WriteJSON(w, http.StatusOK, map[string]string{"status": "terminated"})
 }
 
 func (c *Console) handleStop(w http.ResponseWriter, r *http.Request) {
 	var req struct{ Cloud, ID string }
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		wire.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	si, _ := sessionFrom(r)
 	if err := c.MW.stopServer(si.id, req.Cloud, req.ID); err != nil {
-		writeJSON(w, http.StatusConflict, map[string]string{"error": err.Error()})
+		wire.WriteError(w, http.StatusConflict, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "stopping"})
+	wire.WriteJSON(w, http.StatusOK, map[string]string{"status": "stopping"})
 }
 
 func (c *Console) handleUsage(w http.ResponseWriter, r *http.Request) {
 	si, _ := sessionFrom(r)
 	if c.Biller == nil {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "billing not configured"})
+		wire.WriteError(w, http.StatusServiceUnavailable, "billing not configured")
 		return
 	}
 	u := c.Biller.CurrentUsage(c.localUser(si.id))
-	writeJSON(w, http.StatusOK, map[string]interface{}{
+	wire.WriteJSON(w, http.StatusOK, map[string]interface{}{
 		"user": u.User, "core_hours": u.CoreHours(), "gb_days": u.GBDays,
 		"cycle": c.Biller.Cycle(),
 	})
@@ -296,16 +291,16 @@ func (c *Console) handleUsage(w http.ResponseWriter, r *http.Request) {
 
 func (c *Console) handleDatasets(w http.ResponseWriter, r *http.Request) {
 	if c.Catalog == nil {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "catalog not configured"})
+		wire.WriteError(w, http.StatusServiceUnavailable, "catalog not configured")
 		return
 	}
 	q := r.URL.Query().Get("q")
-	writeJSON(w, http.StatusOK, map[string]interface{}{"datasets": c.Catalog.Search(q)})
+	wire.WriteJSON(w, http.StatusOK, map[string]interface{}{"datasets": c.Catalog.Search(q)})
 }
 
 func (c *Console) handleDatasetReplicas(w http.ResponseWriter, r *http.Request) {
 	if c.Replication == nil {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "replication not configured"})
+		wire.WriteError(w, http.StatusServiceUnavailable, "replication not configured")
 		return
 	}
 	rows := c.Replication.Placement()
@@ -318,7 +313,7 @@ func (c *Console) handleDatasetReplicas(w http.ResponseWriter, r *http.Request) 
 		}
 		rows = filtered
 	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{"placement": rows})
+	wire.WriteJSON(w, http.StatusOK, map[string]interface{}{"placement": rows})
 }
 
 // handleDatasetStage places a dataset replica on the site that will host
@@ -326,28 +321,28 @@ func (c *Console) handleDatasetReplicas(w http.ResponseWriter, r *http.Request) 
 // so the VM reads it over the LAN instead of the WAN.
 func (c *Console) handleDatasetStage(w http.ResponseWriter, r *http.Request) {
 	if c.Replication == nil {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "replication not configured"})
+		wire.WriteError(w, http.StatusServiceUnavailable, "replication not configured")
 		return
 	}
 	var req struct{ Dataset, Cloud string }
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		wire.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if req.Dataset == "" || req.Cloud == "" {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "stage needs a dataset and a cloud"})
+		wire.WriteError(w, http.StatusBadRequest, "stage needs a dataset and a cloud")
 		return
 	}
 	st, err := c.Replication.Stage(req.Dataset, req.Cloud)
 	if err != nil {
-		writeJSON(w, http.StatusConflict, map[string]string{"error": err.Error()})
+		wire.WriteError(w, http.StatusConflict, err.Error())
 		return
 	}
 	code := http.StatusOK
 	if st.State == "staging" {
 		code = http.StatusAccepted
 	}
-	writeJSON(w, code, st)
+	wire.WriteJSON(w, code, st)
 }
 
 // handleStatus reports cloud topology — operator data: like every other
@@ -375,14 +370,14 @@ func (c *Console) handleStatus(w http.ResponseWriter, r *http.Request) {
 			"syncs":    c.ClockSync.Syncs(),
 		}
 	}
-	writeJSON(w, http.StatusOK, status)
+	wire.WriteJSON(w, http.StatusOK, status)
 }
 
 // handleStream serves the SSE telemetry feed: aggregated metric deltas
 // framed by the streamer on its virtual-clock cadence.
 func (c *Console) handleStream(w http.ResponseWriter, r *http.Request) {
 	if c.Stream == nil {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "telemetry stream not configured"})
+		wire.WriteError(w, http.StatusServiceUnavailable, "telemetry stream not configured")
 		return
 	}
 	c.Stream.ServeStream(w, r)

@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"sync/atomic"
 	"time"
+
+	"osdc/internal/wire"
 )
 
 // Interceptor wraps an http.Handler with one console concern. The console
@@ -123,7 +125,7 @@ func (c *Console) rateLimit(next http.Handler) http.Handler {
 func (c *Console) enforceSession(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if si, ok := sessionFrom(r); !ok || !si.ok {
-			writeJSON(w, http.StatusUnauthorized, map[string]string{"error": "invalid or missing session"})
+			wire.WriteError(w, http.StatusUnauthorized, "invalid or missing session")
 			return
 		}
 		next.ServeHTTP(w, r)
@@ -137,7 +139,7 @@ func (c *Console) parseLogin(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var req loginRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+			wire.WriteError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		ctx := context.WithValue(r.Context(), loginCtxKey, &req)
@@ -159,5 +161,5 @@ func (c *Console) allow(w http.ResponseWriter, key string, cost float64) bool {
 // reject answers 429 for an exhausted bucket.
 func (c *Console) reject(w http.ResponseWriter, key string) {
 	atomic.AddInt64(&c.RateLimited, 1)
-	writeJSON(w, http.StatusTooManyRequests, map[string]string{"error": "rate limit exceeded for " + key})
+	wire.WriteError(w, http.StatusTooManyRequests, "rate limit exceeded for "+key)
 }

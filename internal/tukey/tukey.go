@@ -22,7 +22,6 @@ package tukey
 
 import (
 	"fmt"
-	"net/http"
 	"sort"
 	"sync"
 	"time"
@@ -112,16 +111,13 @@ type CloudCredential struct {
 // CloudConfig describes one attached cloud: its dialect and how to reach
 // it, the "configuration file" of §5.2.
 //
-// API is the transport to the cloud. Leave it nil and set Endpoint to have
-// AttachCloud build a cloudapi.Remote speaking the cloud's native dialect
-// over HTTP (the common case, and the historic behavior); or inject any
-// cloudapi.CloudAPI — a cloudapi.Local for an in-process cloud, a Remote
-// for a per-site server — to choose the topology explicitly.
+// API is the transport to the cloud: any cloudapi.CloudAPI, in every
+// deployment a cloudapi.Remote speaking the cloud's native dialect over
+// HTTP.
 type CloudConfig struct {
-	Name     string
-	Stack    string // "openstack" or "eucalyptus"
-	Endpoint string // base URL of the native API (used when API is nil)
-	API      cloudapi.CloudAPI
+	Name  string
+	Stack string // "openstack" or "eucalyptus"
+	API   cloudapi.CloudAPI
 	// FlavorMap translates canonical (OpenStack) flavor names to this
 	// cloud's native names; identity if nil or missing.
 	FlavorMap map[string]string
@@ -149,7 +145,6 @@ type Middleware struct {
 	tokenPrefix string
 	ttl         time.Duration    // session lifetime; 0 = sessions never expire
 	now         func() time.Time // test hook; time.Now when nil
-	client      *http.Client
 
 	Logins       int64
 	LoginFails   int64
@@ -163,9 +158,6 @@ func NewMiddleware() *Middleware {
 		idps:   make(map[Provider]IdP),
 		userDB: make(map[string][]CloudCredential),
 		store:  NewMemorySessionStore(),
-		// The timeout keeps a hung cloud from pinning console handler
-		// goroutines (and, via pollers, the clock driver) forever.
-		client: &http.Client{Timeout: cloudapi.DefaultTimeout},
 	}
 }
 
@@ -206,7 +198,6 @@ func (m *Middleware) Replica(store SessionStore, tokenPrefix string) *Middleware
 		tokenPrefix: tokenPrefix,
 		ttl:         m.ttl,
 		now:         m.now,
-		client:      m.client,
 	}
 	if store == nil {
 		r.store = m.store
@@ -225,20 +216,6 @@ func (m *Middleware) sessions() (SessionStore, time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.store, m.ttl
-}
-
-// SetHTTPTimeout replaces the per-request deadline on the middleware's
-// outbound HTTP client — the one AttachCloud hands to endpoint-built
-// Remotes (the -site-timeout knob; cloudapi.DefaultTimeout when never
-// called). Call before attaching clouds: already-built Remotes keep the
-// client they were constructed with.
-func (m *Middleware) SetHTTPTimeout(d time.Duration) {
-	if d <= 0 {
-		d = cloudapi.DefaultTimeout
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.client = &http.Client{Timeout: d}
 }
 
 // SetSessionTTL bounds session lifetime: tokens minted after the call
@@ -267,29 +244,14 @@ func (m *Middleware) RegisterIdP(p IdP) {
 	m.idps[p.Name()] = p
 }
 
-// AttachCloud registers a cloud stack. With cfg.API nil, an Endpoint is
-// required and the cloud is reached through a cloudapi.Remote speaking its
-// native dialect; with cfg.API set, Name and Stack default to what the API
-// reports.
+// AttachCloud registers a cloud reached through cfg.API; Name and Stack
+// default to what the API reports.
 func (m *Middleware) AttachCloud(cfg CloudConfig) {
-	if cfg.API == nil {
-		if cfg.Stack != "openstack" && cfg.Stack != "eucalyptus" {
-			panic("tukey: unsupported stack " + cfg.Stack)
-		}
-		if cfg.Endpoint == "" {
-			panic("tukey: AttachCloud needs an API or an Endpoint")
-		}
-		m.mu.Lock()
-		client := m.client
-		m.mu.Unlock()
-		cfg.API = cloudapi.NewRemote(cfg.Name, cfg.Stack, cfg.Endpoint, client)
-	} else {
-		if cfg.Name == "" {
-			cfg.Name = cfg.API.Name()
-		}
-		if cfg.Stack == "" {
-			cfg.Stack = cfg.API.Stack()
-		}
+	if cfg.Name == "" {
+		cfg.Name = cfg.API.Name()
+	}
+	if cfg.Stack == "" {
+		cfg.Stack = cfg.API.Stack()
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()

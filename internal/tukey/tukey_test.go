@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"osdc/internal/cloudapi"
 	"osdc/internal/iaas"
 	"osdc/internal/sim"
 )
@@ -45,8 +46,8 @@ func newRig(t *testing.T) *rig {
 	mw := NewMiddleware()
 	mw.RegisterIdP(shib)
 	mw.RegisterIdP(oid)
-	mw.AttachCloud(CloudConfig{Name: "adler", Stack: "openstack", Endpoint: novaSrv.URL})
-	mw.AttachCloud(CloudConfig{Name: "sullivan", Stack: "eucalyptus", Endpoint: eucaSrv.URL,
+	mw.AttachCloud(CloudConfig{API: cloudapi.NewRemote("adler", "openstack", novaSrv.URL, nil)})
+	mw.AttachCloud(CloudConfig{API: cloudapi.NewRemote("sullivan", "eucalyptus", eucaSrv.URL, nil),
 		FlavorMap: map[string]string{"m1.large": "m1.large"}})
 	mw.GrantCredentials("alice@uchicago.edu",
 		CloudCredential{Cloud: "adler", AuthUser: "alice-adler"},

@@ -1,8 +1,6 @@
 package tukeystate
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
@@ -10,6 +8,7 @@ import (
 	"time"
 
 	"osdc/internal/tukey"
+	"osdc/internal/wire"
 )
 
 // DefaultTimeout bounds each state-plane round trip. The state plane is on
@@ -40,10 +39,7 @@ type RemoteSessionStore struct {
 // NewRemoteSessionStore builds a client for the tukeystate server at base
 // (e.g. "http://state:9200"). A nil client gets a DefaultTimeout one.
 func NewRemoteSessionStore(base string, client *http.Client) *RemoteSessionStore {
-	if client == nil {
-		client = &http.Client{Timeout: DefaultTimeout}
-	}
-	return &RemoteSessionStore{base: base, client: client}
+	return &RemoteSessionStore{base: base, client: wire.NewClient(client, DefaultTimeout)}
 }
 
 // post sends one request/response pair, recording transport errors.
@@ -126,10 +122,7 @@ type RemoteLimiter struct {
 // NewRemoteLimiter builds a client for the tukeystate server at base. A
 // nil client gets a DefaultTimeout one.
 func NewRemoteLimiter(base string, client *http.Client) *RemoteLimiter {
-	if client == nil {
-		client = &http.Client{Timeout: DefaultTimeout}
-	}
-	return &RemoteLimiter{base: base, client: client}
+	return &RemoteLimiter{base: base, client: wire.NewClient(client, DefaultTimeout)}
 }
 
 // AllowN implements tukey.Limiter, failing open on transport errors.
@@ -169,17 +162,9 @@ func (l *RemoteLimiter) Gate(store tukey.SessionStore, token string, cost float6
 
 // postJSON is one POST round trip with JSON bodies both ways.
 func postJSON(client *http.Client, url string, req, resp interface{}) error {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return err
+	status, _, err := wire.Call(client, http.MethodPost, url, "", req, resp, http.StatusOK)
+	if err == nil && status != http.StatusOK {
+		err = fmt.Errorf("tukeystate: %s: status %d", url, status)
 	}
-	httpResp, err := client.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer httpResp.Body.Close()
-	if httpResp.StatusCode != http.StatusOK {
-		return fmt.Errorf("tukeystate: %s: status %d", url, httpResp.StatusCode)
-	}
-	return json.NewDecoder(httpResp.Body).Decode(resp)
+	return err
 }

@@ -20,6 +20,7 @@ import (
 
 	"osdc/internal/telemetry"
 	"osdc/internal/tukey"
+	"osdc/internal/wire"
 )
 
 // Wire types. Session expiry crosses as RFC3339; JSON round-trips drop
@@ -101,7 +102,7 @@ func NewServer(store tukey.SessionStore, limiter tukey.Limiter) *Server {
 	}
 	s.mux.HandleFunc("/state/ratelimit/allow", s.handleAllow)
 	s.mux.HandleFunc("/state/health", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		wire.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	s.mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		telemetry.ServeMetrics(s.OperatorSecret, s.Metrics, w, r)
@@ -116,19 +117,13 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-func writeJSON(w http.ResponseWriter, code int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 func decode(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "POST required"})
+		wire.WriteError(w, http.StatusMethodNotAllowed, "POST required")
 		return false
 	}
 	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		wire.WriteError(w, http.StatusBadRequest, err.Error())
 		return false
 	}
 	return true
@@ -144,7 +139,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	if ok {
 		resp.Session = &sess
 	}
-	writeJSON(w, http.StatusOK, resp)
+	wire.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
@@ -153,11 +148,11 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Session == nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "put needs a session"})
+		wire.WriteError(w, http.StatusBadRequest, "put needs a session")
 		return
 	}
 	s.store.Put(req.Token, *req.Session)
-	writeJSON(w, http.StatusOK, sessionResp{OK: true})
+	wire.WriteJSON(w, http.StatusOK, sessionResp{OK: true})
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
@@ -166,11 +161,11 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.store.Delete(req.Token)
-	writeJSON(w, http.StatusOK, sessionResp{OK: true})
+	wire.WriteJSON(w, http.StatusOK, sessionResp{OK: true})
 }
 
 func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, sessionResp{OK: true, Count: s.store.Count()})
+	wire.WriteJSON(w, http.StatusOK, sessionResp{OK: true, Count: s.store.Count()})
 }
 
 func (s *Server) handleExpire(w http.ResponseWriter, r *http.Request) {
@@ -179,10 +174,10 @@ func (s *Server) handleExpire(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Before == nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "expire needs a bound"})
+		wire.WriteError(w, http.StatusBadRequest, "expire needs a bound")
 		return
 	}
-	writeJSON(w, http.StatusOK, sessionResp{OK: true, Reaped: s.store.ExpireBefore(*req.Before)})
+	wire.WriteJSON(w, http.StatusOK, sessionResp{OK: true, Reaped: s.store.ExpireBefore(*req.Before)})
 }
 
 func (s *Server) handleAllow(w http.ResponseWriter, r *http.Request) {
@@ -194,7 +189,7 @@ func (s *Server) handleAllow(w http.ResponseWriter, r *http.Request) {
 	if s.limiter != nil {
 		ok = s.limiter.AllowN(req.Key, req.Cost)
 	}
-	writeJSON(w, http.StatusOK, allowResp{OK: ok})
+	wire.WriteJSON(w, http.StatusOK, allowResp{OK: ok})
 }
 
 // handleCheck is a console request's whole admission in one trip: look
@@ -214,5 +209,5 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	if s.limiter != nil {
 		resp.Admitted = s.limiter.AllowN(tukey.AdmissionKey(sess, ok, req.Now), req.Cost)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	wire.WriteJSON(w, http.StatusOK, resp)
 }

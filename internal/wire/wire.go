@@ -1,0 +1,96 @@
+// Package wire is the one HTTP edge of the JSON planes — the operator
+// plane (cloudapi), the data plane (datastore) and the state plane
+// (tukeystate) — and of every handler that answers JSON: the response
+// and {"error": msg} envelope writers, the operator header and its
+// check, and the one client round trip that checks the status before it
+// decodes. It imports only the standard library, so every layer,
+// telemetry included, can use it.
+package wire
+
+import (
+	"bytes"
+	"crypto/subtle"
+	"encoding/json"
+	"io"
+	"net/http"
+	"time"
+)
+
+// OperatorHeader carries the shared operator secret on operator calls.
+const OperatorHeader = "X-OSDC-Operator"
+
+// envelope is the error body every JSON plane answers with.
+type envelope struct {
+	Error string `json:"error"`
+}
+
+// WriteJSON answers code with v encoded as JSON.
+func WriteJSON(w http.ResponseWriter, code int, v interface{}) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+// WriteError answers code with the {"error": msg} envelope.
+func WriteError(w http.ResponseWriter, code int, msg string) {
+	WriteJSON(w, code, envelope{Error: msg})
+}
+
+// OperatorOK reports whether r carries secret in its OperatorHeader,
+// compared in constant time. It is the one operator check: each gated
+// surface puts its own 404/403 answers around it.
+func OperatorOK(secret string, r *http.Request) bool {
+	return subtle.ConstantTimeCompare([]byte(r.Header.Get(OperatorHeader)), []byte(secret)) == 1
+}
+
+// NewClient returns client, or when it is nil a private client whose
+// round trips give up after timeout — so a hung peer surfaces as an
+// error instead of holding a goroutine forever.
+func NewClient(client *http.Client, timeout time.Duration) *http.Client {
+	if client == nil {
+		client = &http.Client{Timeout: timeout}
+	}
+	return client
+}
+
+// Call makes one JSON round trip: in is encoded as the request body (nil
+// sends none), secret rides in the OperatorHeader when set, and the
+// response is decoded into out (nil discards it) only when the status is
+// ok. Any other status comes back with the server's envelope message, ""
+// when the body carries none, and a nil error: the caller words its own
+// error. err is set for a request that could not be made or a body that
+// did not decode; status is 0 when no response arrived.
+func Call(client *http.Client, method, url, secret string, in, out interface{}, ok int) (status int, msg string, err error) {
+	var body io.Reader
+	if in != nil {
+		raw, err := json.Marshal(in)
+		if err != nil {
+			return 0, "", err
+		}
+		body = bytes.NewReader(raw)
+	}
+	req, err := http.NewRequest(method, url, body)
+	if err != nil {
+		return 0, "", err
+	}
+	if in != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	if secret != "" {
+		req.Header.Set(OperatorHeader, secret)
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		return 0, "", err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != ok {
+		var fail envelope
+		_ = json.NewDecoder(resp.Body).Decode(&fail) // a body that is no envelope leaves msg ""
+		return resp.StatusCode, fail.Error, nil
+	}
+	if out != nil {
+		err = json.NewDecoder(resp.Body).Decode(out)
+	}
+	return resp.StatusCode, "", err
+}

@@ -1,0 +1,55 @@
+package wire
+
+import (
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+)
+
+// TestCallRoundTrip: the body goes out as JSON with the operator header,
+// the wanted status is decoded, and any other status hands back the
+// envelope's message without touching out — "" when there is none.
+func TestCallRoundTrip(t *testing.T) {
+	type msg struct {
+		N int `json:"n"`
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/echo":
+			if !OperatorOK("s3", r) || r.Header.Get("Content-Type") != "application/json" {
+				WriteError(w, http.StatusForbidden, "no secret")
+				return
+			}
+			body, _ := io.ReadAll(r.Body)
+			w.Header().Set("Content-Type", "application/json")
+			_, _ = w.Write(body)
+		case "/refuse":
+			WriteError(w, http.StatusConflict, `refused "x" <y>`)
+		default:
+			http.Error(w, "plain text", http.StatusBadGateway)
+		}
+	}))
+	defer srv.Close()
+	client := NewClient(nil, 0)
+
+	var out msg
+	status, text, err := Call(client, http.MethodPost, srv.URL+"/echo", "s3", msg{N: 7}, &out, http.StatusOK)
+	if status != http.StatusOK || text != "" || err != nil || out.N != 7 {
+		t.Fatalf("echo = %d %q %v, out %+v", status, text, err, out)
+	}
+	if status, text, err = Call(client, http.MethodPost, srv.URL+"/echo", "", msg{N: 1}, &out, http.StatusOK); status != http.StatusForbidden || text != "no secret" || err != nil {
+		t.Fatalf("echo without the secret = %d %q %v", status, text, err)
+	}
+	out = msg{}
+	if status, text, err = Call(client, http.MethodGet, srv.URL+"/refuse", "", nil, &out, http.StatusOK); status != http.StatusConflict || text != `refused "x" <y>` || err != nil || out.N != 0 {
+		t.Fatalf("refuse = %d %q %v, out %+v", status, text, err, out)
+	}
+	if status, text, err = Call(client, http.MethodGet, srv.URL+"/plain", "", nil, &out, http.StatusOK); status != http.StatusBadGateway || text != "" || err != nil {
+		t.Fatalf("plain = %d %q %v", status, text, err)
+	}
+	srv.Close()
+	if status, _, err = Call(client, http.MethodGet, srv.URL+"/echo", "", nil, nil, http.StatusOK); status != 0 || err == nil {
+		t.Fatalf("closed server = %d %v, want a transport error", status, err)
+	}
+}
