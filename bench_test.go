@@ -10,6 +10,7 @@ package osdc
 //	go test -bench=. -benchmem
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -21,7 +22,9 @@ import (
 	"osdc/internal/iaas"
 	"osdc/internal/scenario"
 	"osdc/internal/sim"
+	"osdc/internal/transport"
 	"osdc/internal/udr"
+	"osdc/internal/udt"
 )
 
 // BenchmarkScenarios regenerates every table and figure via the registry,
@@ -88,6 +91,31 @@ func BenchmarkTable3Transfers(b *testing.B) {
 			}
 			b.ReportMetric(mbit, "mbit/s")
 			b.ReportMetric(llr, "LLR")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/ticks, "ns/tick")
+		})
+	}
+}
+
+// BenchmarkSharedTransfers times the shared-bottleneck loop on
+// wan-contention's shape: 1, 2, 4 and 8 UDT flows of 4 GB each contending
+// for the Chicago↔LVOC path, reporting ns per shared SYN tick.
+func BenchmarkSharedTransfers(b *testing.B) {
+	path := experiments.ChicagoLVOCPath(2012)
+	for _, n := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("%d-flows", n), func(b *testing.B) {
+			var ticks float64
+			for i := 0; i < b.N; i++ {
+				ctrls := make([]transport.Controller, n)
+				sizes := make([]int64, n)
+				for j := range ctrls {
+					ctrls[j], sizes[j] = udt.NewRateControl(path), 4<<30
+				}
+				var end sim.Duration
+				for _, r := range transport.SimulateShared(sim.NewRNG(uint64(i)+7), path, ctrls, sizes, transport.Caps{}) {
+					end = max(end, r.Duration)
+				}
+				ticks += math.Ceil(end / udt.SYN)
+			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/ticks, "ns/tick")
 		})
 	}

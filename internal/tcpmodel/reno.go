@@ -97,3 +97,26 @@ func (r *Reno) OnInterval(lossEvent bool) {
 		r.cwnd = r.capPkts
 	}
 }
+
+// Steady reports whether loss-free intervals leave RatePps bit-identical:
+// the window sits at its flow-control cap, so any growth is clamped away.
+func (r *Reno) Steady() bool { return r.capPkts > 0 && r.cwnd >= r.capPkts }
+
+// OnQuietIntervals advances n loss-free RTTs, bit for bit n calls of
+// OnInterval(false). Slow start takes its doublings one at a time (at most
+// ~40 before ssthresh or the cap). Congestion avoidance is n adds of one
+// packet in one sim.AddRepeated, then the clamp: the partial sums never
+// decrease, so the last exceeds the cap exactly when some add did, and
+// from that add on every interval leaves the cap. At the cap the clamp
+// makes it a fixed point.
+func (r *Reno) OnQuietIntervals(n int) {
+	for ; n > 0 && r.cwnd < r.ssthresh && !r.Steady(); n-- {
+		r.OnInterval(false)
+	}
+	if n > 0 {
+		r.cwnd = sim.AddRepeated(r.cwnd, 1, n)
+		if r.capPkts > 0 && r.cwnd > r.capPkts {
+			r.cwnd = r.capPkts
+		}
+	}
+}

@@ -113,3 +113,58 @@ func TestBufferLimitedRenoLeavesPathIdle(t *testing.T) {
 		t.Fatalf("buffer-limited TCP = %.0f Mbit/s, want ~400", mb)
 	}
 }
+
+// TestRenoQuietMatchesIntervals holds OnQuietIntervals(n) to n calls of
+// OnInterval(false): the same cwnd, ssthresh and RatePps bits, from slow
+// start, just after a halving, one packet below the cap, a fractional
+// window crossing a binade, and at the cap, for short and long runs.
+// Along the single steps, a Steady window must leave RatePps unchanged.
+func TestRenoQuietMatchesIntervals(t *testing.T) {
+	path := lvocPath()
+	capped := func() *Reno { return NewReno(path, 5_270_000) }
+	starts := []struct {
+		name string
+		r    func() *Reno
+	}{
+		{"slow start", capped},
+		{"slow start uncapped", func() *Reno { return NewReno(path, 0) }},
+		{"slow start into ssthresh", func() *Reno { r := capped(); r.ssthresh = 100; return r }},
+		{"just after a halving", func() *Reno {
+			r := capped()
+			for i := 0; i < 8; i++ {
+				r.OnInterval(false)
+			}
+			r.OnInterval(true)
+			return r
+		}},
+		{"one below the cap", func() *Reno { r := capped(); r.cwnd, r.ssthresh = r.capPkts-1, 2; return r }},
+		{"fractional, across a binade", func() *Reno { r := NewReno(path, 0); r.cwnd, r.ssthresh = 4095.3, 2; return r }},
+		{"fractional, across a binade into the cap", func() *Reno {
+			r := NewReno(path, 4097*transport.DefaultMSS+700)
+			r.cwnd, r.ssthresh = 4093.7, 2
+			return r
+		}},
+		{"at the cap", func() *Reno { r := capped(); r.cwnd = r.capPkts; return r }},
+		{"at the cap in slow start", func() *Reno { r := capped(); r.cwnd, r.ssthresh = r.capPkts, 1e12; return r }},
+		{"above a tiny cap", func() *Reno { return NewReno(path, 2000) }},
+		// From 2^53 on, cwnd + 1 ties and rounds back: one add of n would not.
+		{"where +1 stops adding", func() *Reno { r := NewReno(path, 0); r.cwnd, r.ssthresh = 1<<53-3, 2; return r }},
+	}
+	for _, start := range starts {
+		for _, n := range []int{1, 2, 17, 1000, 1_000_000} {
+			bulk, ref := start.r(), start.r()
+			bulk.OnQuietIntervals(n)
+			for i := 0; i < n; i++ {
+				steady, rate := ref.Steady(), ref.RatePps()
+				ref.OnInterval(false)
+				if steady && ref.RatePps() != rate {
+					t.Fatalf("%s, interval %d: Steady, but the rate moved %v → %v", start.name, i, rate, ref.RatePps())
+				}
+			}
+			if bulk.cwnd != ref.cwnd || bulk.ssthresh != ref.ssthresh || bulk.RatePps() != ref.RatePps() {
+				t.Fatalf("%s, %d intervals: quiet cwnd %v ssthresh %v rate %v; single steps %v, %v, %v",
+					start.name, n, bulk.cwnd, bulk.ssthresh, bulk.RatePps(), ref.cwnd, ref.ssthresh, ref.RatePps())
+			}
+		}
+	}
+}

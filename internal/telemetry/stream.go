@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"sync"
 
@@ -39,6 +40,9 @@ type Streamer struct {
 	// full: a tick fires inside an engine callback and must never block
 	// on a slow reader.
 	Dropped int64
+	// Withheld counts series values left out of frames for being NaN or
+	// ±Inf, which JSON cannot carry.
+	Withheld int64
 }
 
 // NewStreamer builds a streamer over a snapshot source (typically
@@ -88,13 +92,23 @@ func (s *Streamer) tick() {
 	}
 	changed := make(map[string]float64)
 	for k, v := range snap {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			// Withheld, and dropped from prev, so it is sent again once
+			// finite; the frame still carries every other change.
+			delete(snap, k)
+			s.Withheld++
+			continue
+		}
 		if old, ok := s.prev[k]; !ok || old != v {
 			changed[k] = v
 		}
 	}
+	data, err := json.Marshal(event{T: float64(s.engine.Now()), Seq: s.seq + 1, Changed: changed})
+	if err != nil {
+		panic("telemetry: stream frame: " + err.Error()) // every value is finite
+	}
 	s.prev = snap
 	s.seq++
-	data, _ := json.Marshal(event{T: float64(s.engine.Now()), Seq: s.seq, Changed: changed})
 	frame := []byte(fmt.Sprintf("id: %d\nevent: telemetry\ndata: %s\n\n", s.seq, data))
 	for id, ch := range s.subs {
 		select {

@@ -221,6 +221,52 @@ func referenceSimulateShared(rng *sim.RNG, path transport.Path, ctrls []transpor
 	return results
 }
 
+// FuzzLossSamplerMatchesKnuth holds the sampler, memo, carried stopping
+// draw and first-uniform shortcut included, to referencePoisson: over
+// ticks whose mean alternates between two values, the same k every tick
+// and the RNG left at the same draw. With carry set, every third tick
+// starts the way a quiet run ends one: a uniform is drawn first and,
+// when Knuth would not stop at it, handed over.
+func FuzzLossSamplerMatchesKnuth(f *testing.F) {
+	for _, m := range []float64{1e-17, 3e-8, 1e-5, 0.25, 1, 49.9, 50} {
+		f.Add(uint64(2012), m, m, false, uint8(64))
+		f.Add(uint64(7), m, m, true, uint8(64))
+	}
+	f.Add(uint64(1), 0.25, 3.0, false, uint8(200)) // alternating: the memo misses every tick
+	f.Add(uint64(2), 1e-5, 0.7, true, uint8(200))
+	f.Add(uint64(3), 0.5, 0.5+0x1p-52, true, uint8(200)) // means one ulp apart
+	f.Add(uint64(4), 49.9, 200.0, false, uint8(50))      // Knuth and the normal branch
+	f.Fuzz(func(t *testing.T, seed uint64, m1, m2 float64, carry bool, ticks uint8) {
+		if math.IsNaN(m1) || math.IsNaN(m2) || math.IsInf(m1, 0) || math.IsInf(m2, 0) {
+			t.Skip("not a mean")
+		}
+		rng, ref := sim.NewRNG(seed), sim.NewRNG(seed)
+		var s transport.LossSampler
+		for i := 0; i < int(ticks); i++ {
+			m := m1
+			if i%2 == 1 {
+				m = m2
+			}
+			want := referencePoisson(ref, m)
+			var got float64
+			if carry && i%3 == 0 && m > 0 && m <= 50 {
+				if u := rng.Float64(); u > math.Exp(-m) {
+					s.Carry(u)
+					got = s.Draw(rng, m)
+				}
+			} else {
+				got = s.Draw(rng, m)
+			}
+			if got != want {
+				t.Fatalf("tick %d, mean %v: k = %v, reference %v", i, m, got, want)
+			}
+		}
+		if got, want := rng.Uint64(), ref.Uint64(); got != want {
+			t.Fatalf("RNG left at a different draw: next Uint64 %#x, reference %#x", got, want)
+		}
+	})
+}
+
 // sawtooth ramps its rate linearly from 0 to the path's packet rate in the
 // given number of control intervals and starts over, blind to loss: the
 // per-tick mean sweeps through the Knuth range, across the mean 50 switch
@@ -241,6 +287,29 @@ func (s *sawtooth) OnInterval(bool) {
 	}
 }
 
+// toggle is steady between losses, and each loss switches it between two
+// rates: the rate Simulate holds changes from one quiet run to the next.
+type toggle struct {
+	rates [2]float64
+	i     int
+}
+
+func newToggle(path transport.Path) *toggle {
+	max := path.PacketsPerSec()
+	return &toggle{rates: [2]float64{max / 2, max / 5}}
+}
+
+func (g *toggle) Name() string           { return "toggle" }
+func (g *toggle) Interval() sim.Duration { return udt.SYN }
+func (g *toggle) RatePps() float64       { return g.rates[g.i] }
+func (g *toggle) OnQuietIntervals(int)   {}
+func (g *toggle) Steady() bool           { return true }
+func (g *toggle) OnInterval(loss bool) {
+	if loss {
+		g.i ^= 1
+	}
+}
+
 // Controller kinds of the fuzz target.
 const (
 	kindUDT = iota
@@ -249,6 +318,7 @@ const (
 	kindRenoUnwindowed
 	kindSawtooth
 	kindSlowSawtooth
+	kindToggle
 	numKinds
 )
 
@@ -264,6 +334,8 @@ func newController(kind uint8, path transport.Path) transport.Controller {
 		return tcpmodel.NewReno(path, 0)
 	case kindSawtooth:
 		return newSawtooth(path, 512)
+	case kindToggle:
+		return newToggle(path)
 	default:
 		// Consecutive means differ by parts in 10⁵: near enough that a memo
 		// matching within a tolerance would reuse a stale exponential, and
@@ -277,7 +349,8 @@ func newController(kind uint8, path transport.Path) transport.Controller {
 // its reference then have to do on the same tick.
 type tickBudget struct {
 	transport.Controller
-	left int
+	left       int
+	longestRun int
 }
 
 const maxTicks = 3_000_000 // the 1.1 TB udr (blowfish) cell takes 2.44 M
@@ -292,24 +365,42 @@ func (b *tickBudget) OnInterval(loss bool) {
 }
 
 // quietBudget is tickBudget over a controller with quiet runs, whose
-// OnQuietIntervals tickBudget's embedded Controller would hide: it keeps
-// the method visible, so Simulate takes its quiet path, and charges the
+// OnQuietIntervals and Steady tickBudget's embedded Controller would hide:
+// it keeps them visible, so Simulate takes its quiet path, and charges the
 // budget one tick per interval. Simulate flushes a run only after drawing
 // for all of it, so a run that overspends panics later in the RNG stream
-// than the reference, with the same value.
+// than the reference, with the same value. longestRun is the most
+// intervals one call took.
 type quietBudget struct{ *tickBudget }
 
 func (b quietBudget) OnQuietIntervals(n int) {
+	b.longestRun = max(b.longestRun, n)
 	if b.left -= n; b.left < 0 {
 		panic(budgetSpent)
 	}
 	b.Controller.(transport.QuietController).OnQuietIntervals(n)
 }
 
-// hasQuietRuns reports whether Simulate may run kind's controller quietly.
-func hasQuietRuns(kind uint8, path transport.Path) bool {
-	_, ok := newController(kind, path).(transport.QuietController)
-	return ok
+func (b quietBudget) Steady() bool { return b.Controller.(transport.QuietController).Steady() }
+
+// quietLimitBps is the slowest rate, in bits/s, at which Simulate may hold
+// kind's flow in a quiet run: its caps, or the rate its controller is
+// steady at (a Reno window at its cap, the toggle's lower rate). It is
+// +Inf when the flow is never held.
+func quietLimitBps(kind uint8, path transport.Path, caps transport.Caps) float64 {
+	if _, ok := newController(kind, path).(transport.QuietController); !ok {
+		return math.Inf(1)
+	}
+	limit := caps.Min()
+	switch kind % numKinds {
+	case kindRenoSocketBuf:
+		limit = math.Min(limit, udr.RsyncSocketBufBytes*8/path.RTT)
+	case kindRenoSSH:
+		limit = math.Min(limit, udr.SSHWindowBytes*8/path.RTT)
+	case kindToggle:
+		limit = math.Min(limit, newToggle(path).rates[1]*float64(path.MSS*8))
+	}
+	return limit
 }
 
 // outcome is everything a transfer leaves behind: its result or its panic,
@@ -318,6 +409,35 @@ type outcome struct {
 	res      transport.Result
 	panicked any
 	nextDraw uint64
+}
+
+// TestRsyncRowsRunQuiet: the Table 3 rsync cells sit at their window cap,
+// so through the fuzz harness's budget wrapper they reach
+// OnQuietIntervals with runs longer than one interval, and still match the
+// reference.
+func TestRsyncRowsRunQuiet(t *testing.T) {
+	path := experiments.ChicagoLVOCPath(2012)
+	for _, cfg := range udr.Table3Configs() {
+		if cfg.Tool != udr.ToolRsync {
+			continue
+		}
+		kind := uint8(kindRenoSSH)
+		if cfg.Cipher == cipher.None {
+			kind = kindRenoSocketBuf
+		}
+		var longest int
+		simulate := func(rng *sim.RNG, p transport.Path, ctrl transport.Controller, n int64, caps transport.Caps) transport.Result {
+			defer func() { longest = ctrl.(quietBudget).longestRun }()
+			return transport.Simulate(rng, p, ctrl, n, caps)
+		}
+		got := runTransfer(simulate, 2012, path, kind, 108<<30, cfg.Caps())
+		if want := runTransfer(referenceSimulate, 2012, path, kind, 108<<30, cfg.Caps()); got != want {
+			t.Fatalf("%s diverged from the reference\n got  %+v\n want %+v", cfg, got, want)
+		}
+		if longest <= 1 {
+			t.Errorf("%s: longest quiet run %d intervals, want > 1", cfg, longest)
+		}
+	}
 }
 
 type simulateFunc func(*sim.RNG, transport.Path, transport.Controller, int64, transport.Caps) transport.Result
@@ -338,11 +458,12 @@ func runTransfer(simulate simulateFunc, seed uint64, path transport.Path, kind u
 }
 
 // FuzzSimulateMatchesReference holds Simulate to referenceSimulate over
-// UDT, Reno and a loss-blind sawtooth: every Result field equal as a
-// float (==, no tolerance), the same panic if any, and the RNG left at
-// the same draw. A UDT flow its cap holds below the link takes Simulate's
-// quiet runs; when such a transfer spends the tick budget, only the panic
-// is compared (see quietBudget).
+// UDT, Reno, a loss-blind sawtooth and a toggling steady rate: every
+// Result field equal as a float (==, no tolerance), the same panic if any,
+// and the RNG left at the same draw. A flow held below the link, by its
+// cap or at a steady rate, takes Simulate's quiet runs; when such a
+// transfer spends the tick budget, only the panic is compared (see
+// quietBudget).
 func FuzzSimulateMatchesReference(f *testing.F) {
 	// The ten Table 3 cells at seed 2012: five tool/cipher rows × two sizes.
 	table3 := experiments.ChicagoLVOCPath(2012)
@@ -375,6 +496,8 @@ func FuzzSimulateMatchesReference(f *testing.F) {
 	f.Add(uint64(13), 2.8, 100_000.0, 721.0, 1.0, uint8(kindUDT))                // mean ≈ 1 per held tick: runs end in losses of k ≥ 2
 	f.Add(uint64(14), 6.0, 10_000.0, 400.0, 5.0, uint8(kindUDT))                 // mean 3e-4: the transfer ends inside a run
 	f.Add(uint64(15), 7.5, 1_000.0, 990.0, 50.0, uint8(kindUDT))                 // cap 1 % under the link: runs reach capacity, and every loss drops the rate below the cap
+	f.Add(uint64(16), 6.0, 10_000.0, 0.0, 20.0, uint8(kindToggle))               // each loss changes the held rate
+	f.Add(uint64(17), 6.0, 10_000.0, 3_000.0, 20.0, uint8(kindToggle))           // held by the cap at one rate, steady at the other
 
 	f.Fuzz(func(t *testing.T, seed uint64, lossExp, bwMbit, capMbit, gigabytes float64, kind uint8) {
 		// Loss 10^-lossExp in (0, 0.5], or a lossless path for lossExp <= 0.
@@ -391,10 +514,12 @@ func FuzzSimulateMatchesReference(f *testing.F) {
 		if totalBytes < 1 {
 			totalBytes = 1
 		}
-		quiet := hasQuietRuns(kind, path)
+		limit := quietLimitBps(kind, path, caps)
+		quiet := !math.IsInf(limit, 1)
 		// A quiet run charges the budget only when it ends, so bound it by
-		// the ticks the cap-limited transfer needs.
-		if limit := math.Min(path.BandwidthBps, caps.Min()); quiet && float64(totalBytes)*8/limit/udt.SYN > maxTicks {
+		// the ticks the transfer needs at the slowest held rate.
+		interval := newController(kind, path).Interval()
+		if quiet && float64(totalBytes)*8/math.Min(path.BandwidthBps, limit)/interval > maxTicks {
 			t.Skip("a quiet run could outlast the tick budget")
 		}
 		want := runTransfer(referenceSimulate, seed, path, kind, totalBytes, caps)
@@ -462,5 +587,12 @@ func TestSimulateAllocatesNothing(t *testing.T) {
 		transport.Simulate(rng, path, ctrl, 1<<30, caps)
 	}); n != 0 {
 		t.Fatalf("Simulate allocated %v times per 1 GB transfer, want 0", n)
+	}
+	rsync := udr.Config{Tool: udr.ToolRsync}
+	reno, renoCaps := rsync.Controller(path), rsync.Caps()
+	if n := testing.AllocsPerRun(5, func() {
+		transport.Simulate(rng, path, reno, 1<<30, renoCaps)
+	}); n != 0 {
+		t.Fatalf("Simulate allocated %v times per 1 GB rsync transfer, want 0", n)
 	}
 }

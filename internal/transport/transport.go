@@ -64,9 +64,12 @@ type Controller interface {
 // apply in one call. OnQuietIntervals(n) must be exactly n calls of
 // OnInterval(false), bit for bit, and RatePps must never decrease across a
 // loss-free interval, so a flow its caps hold stays held for a whole run.
+// Steady reports that loss-free intervals leave RatePps bit-identical, so
+// the flow is held at its own rate.
 type quietController interface {
 	Controller
 	OnQuietIntervals(n int)
+	Steady() bool
 }
 
 // Caps model the non-network stages of a transfer pipeline. A zero value
@@ -167,28 +170,25 @@ func Simulate(rng *sim.RNG, path Path, ctrl Controller, totalBytes int64, caps C
 	// The largest interval delivery; bytes → bits/s is monotone, so it is
 	// converted once, after the loop.
 	var peak float64
-	// A held tick is one the caps bind below the bottleneck: no congestion
-	// drops, and the same Poisson mean every time. A controller that can
-	// take its loss-free intervals in bulk runs held ticks quietly.
+	// A flow is held when its caps bind or its controller is steady: its
+	// rate, and with it the tick, is the same until a loss. A controller
+	// that can take its loss-free intervals in bulk runs held ticks
+	// quietly.
 	quiet, _ := ctrl.(quietController)
-	heldSent := capPps * dt
-	heldMean := heldSent * path.Loss
-	if capPps > bottleneckPps || heldMean > 50 {
-		quiet = nil
-	}
-	held := heldTick{
-		bytes: heldSent * mss, // arrived = sent - 0 is sent, bit for bit
-		dt:    dt,
-		limit: uint64(math.Exp(-heldMean) * (1 << 53)),
-		draws: heldMean > 0,
-	}
+	held := heldTick{rate: math.NaN(), dt: dt}
 	for delivered < total {
 		// Application-side caps throttle the send loop; that is not loss,
 		// the sender simply paces slower.
 		effPps := ctrl.RatePps()
-		if capBps < effPps*pktBits {
+		capped := capBps < effPps*pktBits
+		if capped {
 			effPps = capPps
-			if quiet != nil {
+		}
+		if quiet != nil && (capped || quiet.Steady()) {
+			if effPps != held.rate {
+				held.hold(effPps, path, bottleneckPps)
+			}
+			if held.quiet {
 				// A quiet run: the loss-free held ticks in bulk. It ends on
 				// a draw Knuth's loop would not stop at, which the general
 				// tick below then finishes as a loss.
@@ -253,14 +253,32 @@ func Simulate(rng *sim.RNG, path Path, ctrl Controller, totalBytes int64, caps C
 	return res
 }
 
-// heldTick is a tick of a flow its caps hold below the bottleneck: it
-// delivers bytes in dt, and it is loss-free unless a draw exceeds
-// exp(-mean).
+// heldTick is a tick of a held flow: it delivers bytes in dt, and it is
+// loss-free unless a draw exceeds exp(-mean). Simulate keeps the last held
+// rate's tick, keyed on exact float equality, so a hit is the very tick
+// the rate gives.
 type heldTick struct {
+	rate  float64 // packets/s, the key; NaN before the first
+	quiet bool    // at or under the bottleneck and mean ≤ 50: no queue drops, Knuth's sampler
 	bytes float64
 	dt    sim.Duration
 	limit uint64 // ⌊exp(-mean)·2^53⌋, the same test in sim.RNG.DrawsBelow's terms
 	draws bool   // mean > 0: a lossless path draws nothing
+}
+
+// hold makes h the tick at pps, with the general tick's arithmetic: sent =
+// pps·dt packets, mean = sent·loss, and, none lost, sent·MSS bytes.
+func (h *heldTick) hold(pps float64, path Path, bottleneckPps float64) {
+	sent := pps * h.dt
+	mean := sent * path.Loss
+	*h = heldTick{
+		rate:  pps,
+		quiet: pps <= bottleneckPps && mean <= 50,
+		bytes: sent * float64(path.MSS), // arrived = sent - 0 is sent, bit for bit
+		dt:    h.dt,
+		limit: uint64(math.Exp(-mean) * (1 << 53)),
+		draws: mean > 0,
+	}
 }
 
 // maxQuietChunk bounds one RNG scan: long enough that a chunk's fixed cost
@@ -352,21 +370,25 @@ func (s *lossSampler) draw(rng *sim.RNG, mean float64) float64 {
 		}
 		return v
 	}
+	// Knuth's method: multiply uniforms until the product falls to
+	// exp(-mean). The first of a tick decides k = 0 without the exponential
+	// when u < 1-mean-2^-50: exp(-mean) ≥ 1-mean, and math.Exp and the two
+	// subtractions each err by under 2^-53 here, so u < exp(-mean) as
+	// computed.
+	var k int
+	p := s.first
+	if p > 0 {
+		k, s.first = 1, 0
+		p *= rng.Float64()
+	} else if p = rng.Float64(); p < 1-mean-0x1p-50 {
+		return 0
+	}
 	if mean != s.mean {
 		s.mean, s.expNeg = mean, math.Exp(-mean)
 	}
-	// Knuth's method.
-	k := 0
-	p := 1.0
-	if s.first > 0 {
-		k, p, s.first = 1, s.first, 0
-	}
-	for {
-		p *= rng.Float64()
-		if p <= s.expNeg {
-			break
-		}
+	for p > s.expNeg {
 		k++
+		p *= rng.Float64()
 	}
 	return float64(k)
 }

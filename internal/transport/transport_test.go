@@ -171,12 +171,20 @@ func TestPoissonMean(t *testing.T) {
 	}
 }
 
-// TestLossSamplerMemoEdges pins the two cases that must never reach the
+// TestLossSamplerMemoEdges pins the three cases that must never reach the
 // memo. The zero-value sampler holds mean 0 with expNeg 0: were mean <= 0
 // looked up there, it would hit, and Knuth's loop would draw until its
-// product underflowed (~1000 draws a tick). And mean > 50 takes the normal
+// product underflowed (~1000 draws a tick). Mean > 50 takes the normal
 // branch without evicting the small mean a capped flow will come back to.
+// And a first uniform below 1-mean-2^-50 decides k = 0 without exp(-mean).
+// The RNG is advanced to a draw that decides each case as named.
 func TestLossSamplerMemoEdges(t *testing.T) {
+	// skipTo advances rng until its next Float64 satisfies ok.
+	skipTo := func(rng *sim.RNG, ok func(u float64) bool) {
+		for peek := *rng; !ok(peek.Float64()); peek = *rng {
+			rng.Float64()
+		}
+	}
 	rng := sim.NewRNG(11)
 	ctrl := &fixedRate{pps: 1000, dt: 0.01}
 	Simulate(rng, Path{BandwidthBps: 1e9, RTT: 0.1, Loss: 0, MSS: 1000}, ctrl, 8_000_000, Caps{})
@@ -188,6 +196,7 @@ func TestLossSamplerMemoEdges(t *testing.T) {
 	if s.draw(rng, -1) != 0 || s != (lossSampler{}) {
 		t.Fatalf("negative mean touched the memo: %+v", s)
 	}
+	skipTo(rng, func(u float64) bool { return u >= 0.75 }) // past 1-0.25: Knuth needs exp(-0.25)
 	s.draw(rng, 0.25)
 	held := s
 	if held.mean != 0.25 || held.expNeg != math.Exp(-0.25) {
@@ -197,6 +206,15 @@ func TestLossSamplerMemoEdges(t *testing.T) {
 	s.draw(rng, 0)
 	if s != held {
 		t.Fatalf("memo moved off the small mean: %+v, want %+v", s, held)
+	}
+	skipTo(rng, func(u float64) bool { return u < 0.5 }) // under 1-0.5-2^-50: k = 0 at once
+	next := *rng
+	next.Float64()
+	if k := s.draw(rng, 0.5); k != 0 || s != held {
+		t.Fatalf("a first uniform under 1-mean drew k = %v and left the memo %+v, want 0 and %+v", k, s, held)
+	}
+	if got, want := rng.Uint64(), next.Uint64(); got != want {
+		t.Fatalf("the deciding draw took more than one uniform: next Uint64 %#x, want %#x", got, want)
 	}
 }
 

@@ -40,6 +40,9 @@ type RateControl struct {
 	minIncPps   float64 // minInc/SYN: what the floor adds to the rate
 	capacityPps float64 // receiver's estimated link capacity, packets/s
 	ratePps     float64
+	// The last decade a step was taken in: its window of residual bits,
+	// [lo, hi], and its rate increase per SYN, packets/s.
+	lo, hi, stepPps float64
 }
 
 var _ transport.Controller = (*RateControl)(nil)
@@ -87,6 +90,10 @@ func (rc *RateControl) OnInterval(lossEvent bool) {
 	rc.OnQuietIntervals(1)
 }
 
+// Steady implements the quiet-run contract: without loss the rate always
+// grows, by at least the floor.
+func (rc *RateControl) Steady() bool { return false }
+
 // OnQuietIntervals advances n loss-free SYNs, bit for bit n calls of
 // OnInterval(false). The rate only grows without loss, so once it reaches
 // capacity it stays there.
@@ -97,12 +104,12 @@ func (rc *RateControl) OnQuietIntervals(n int) {
 		n -= m
 	}
 	// At capacity, where a flow held below the link by a host-side cap
-	// spends nearly every SYN: increment() is the floor.
+	// spends nearly every SYN: the step is the floor.
 	rc.ratePps = sim.AddRepeated(rc.ratePps, rc.minIncPps, n)
 }
 
 // decadeMargin is how far inside a decade, relatively, a residual must
-// sit for rampDecade to take it as that decade's: log10(1+δ) ≈ 4.3e-10,
+// sit for the decade's window to hold it: log10(1+δ) ≈ 4.3e-10,
 // far above math.Log10's error (≲ 1e-14).
 const decadeMargin = 1e-9
 
@@ -111,36 +118,26 @@ const decadeMargin = 1e-9
 const floorDecade = 5
 
 // rampDecade takes the next m ≥ 1 of n loss-free SYNs below capacity,
-// where each adds the same increment, and returns the rate after them.
-// increment() depends on the rate only through d = ⌈log10(residual
-// bits)⌉. The residual only falls as the rate grows, so when the residual
-// before the first and after the m-th add both lie in [10^(d-1)·(1+δ),
-// 10^d·(1-δ)], so does every residual in between, and Log10 of each
-// lands strictly inside (d-1, d): no monotonicity of math.Log10 is
-// needed, only an error far below δ. At the floor the window is (0,
-// 10^5·(1-δ)]. A residual within δ of a decade, and a run shorter than
-// sim.ShortRun (OnInterval's every SYN), takes a single step.
+// where each adds the same step, and returns the rate after them. The
+// step depends on the rate only through its decade of residual bits (see
+// step). The residual only falls as the rate grows, so when the residual
+// before the first and after the m-th add both lie in the decade's
+// window, so does every residual in between. A residual within δ of a
+// decade boundary, and a run shorter than sim.ShortRun (OnInterval's
+// every SYN), takes a single step.
 func (rc *RateControl) rampDecade(n int) (rate float64, m int) {
-	step := rc.increment() / SYN
-	if n < sim.ShortRun {
-		return rc.ratePps + step, 1
-	}
 	pktBits := float64(rc.mss * 8)
 	bits := (rc.capacityPps - rc.ratePps) * pktBits
-	d := math.Ceil(math.Log10(bits))
-	lo, hi := math.Pow(10, d-1)*(1+decadeMargin), math.Pow(10, d)*(1-decadeMargin)
-	if d <= floorDecade {
-		lo, hi = 0, math.Pow(10, floorDecade)*(1-decadeMargin)
-	}
-	if bits >= lo && bits <= hi {
+	step := rc.step(bits)
+	if n >= sim.ShortRun && bits >= rc.lo && bits <= rc.hi {
 		// Estimate the adds the decade has room for, then verify it.
 		m = n
-		if room := (bits - lo) / (step * pktBits); room < float64(n) {
+		if room := (bits - rc.lo) / (step * pktBits); room < float64(n) {
 			m = int(room)
 		}
 		for ; m > 1; m /= 2 {
 			rate = sim.AddRepeated(rc.ratePps, step, m)
-			if r := (rc.capacityPps - rate) * pktBits; r >= lo && r > 0 {
+			if r := (rc.capacityPps - rate) * pktBits; r >= rc.lo && r > 0 {
 				return rate, m
 			}
 		}
@@ -148,16 +145,32 @@ func (rc *RateControl) rampDecade(n int) (rate float64, m int) {
 	return rc.ratePps + step, 1
 }
 
-// increment returns UDT's per-SYN additive increase in packets.
-func (rc *RateControl) increment() float64 {
-	residualPps := rc.capacityPps - rc.ratePps
-	if residualPps <= 0 {
-		return rc.minInc
+// step returns the rate increase of one loss-free SYN below capacity,
+// bits > 0 residual bits/s from it: the stored step when bits lies in
+// the last decade's window.
+func (rc *RateControl) step(bits float64) float64 {
+	if bits >= rc.lo && bits <= rc.hi {
+		return rc.stepPps
 	}
-	residualBits := residualPps * float64(rc.mss*8)
-	inc := math.Pow(10, math.Ceil(math.Log10(residualBits))) * Beta / float64(rc.mss)
+	return rc.enterDecade(bits)
+}
+
+// enterDecade computes UDT's step, inc/SYN in the package doc's law, for
+// d = ⌈log10(bits)⌉ and stores it with d's window, [10^(d-1)·(1+δ), 10^d·(1-δ)]: for any
+// residual there the true log10 lies at least log10(1+δ) inside (d-1, d),
+// so math.Log10's ceiling is d again, with no monotonicity of Log10
+// needed, only an error far below δ. At the floor the window is (0,
+// 10^5·(1-δ)], where every d gives the 1/MSS floor. A residual within δ
+// of a decade boundary lies in no window, and pays Log10 each SYN.
+func (rc *RateControl) enterDecade(bits float64) float64 {
+	d := math.Ceil(math.Log10(bits))
+	inc := math.Pow(10, d) * Beta / float64(rc.mss)
 	if inc < rc.minInc {
-		return rc.minInc
+		inc = rc.minInc
 	}
-	return inc
+	rc.lo, rc.hi, rc.stepPps = math.Pow(10, d-1)*(1+decadeMargin), math.Pow(10, d)*(1-decadeMargin), inc/SYN
+	if d <= floorDecade {
+		rc.lo, rc.hi = 0, math.Pow(10, floorDecade)*(1-decadeMargin)
+	}
+	return rc.stepPps
 }

@@ -55,16 +55,18 @@ func TestRateControlFloorsAtOnePacketPerSYN(t *testing.T) {
 
 func TestIncrementShrinksNearCapacity(t *testing.T) {
 	rc := NewRateControl(lvocPath())
-	farInc := rc.increment()
+	pktBits := float64(rc.mss * 8)
+	farInc := rc.step((rc.capacityPps-rc.ratePps)*pktBits) * SYN
 	rc.ratePps = rc.capacityPps * 0.999
-	nearInc := rc.increment()
+	nearInc := rc.step((rc.capacityPps-rc.ratePps)*pktBits) * SYN
 	if nearInc >= farInc {
 		t.Fatalf("increment near capacity (%v) not smaller than far (%v)", nearInc, farInc)
 	}
 	rc.ratePps = rc.capacityPps * 1.5
-	overInc := rc.increment()
-	if overInc != 1.0/float64(rc.mss) {
-		t.Fatalf("increment above capacity = %v, want minimum 1/MSS", overInc)
+	before := rc.ratePps
+	rc.OnInterval(false)
+	if rc.ratePps != before+rc.minIncPps {
+		t.Fatalf("increase above capacity = %v pps, want the minimum 1/MSS per SYN", rc.ratePps-before)
 	}
 }
 
@@ -208,6 +210,60 @@ func TestRateControlMatchesReferenceLaw(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+	// A loss sends the residual up across a decade boundary and the next
+	// SYN brings it back, so the stored step's window is left and
+	// re-entered: from 10^d·(1-0.5%) residual bits at a rate whose 1/9 is
+	// 1 % of 10^d, a loss lifts the residual 0.5 % past 10^d, and one step
+	// of the decade above takes off 1.2 % of 10^d. d = 0 starts at the
+	// floor, 5e4 bits from capacity at 300 packets/s, where the loss lifts
+	// the residual straight into decade 6 (7 over jumbo segments).
+	for _, mss := range []int{transport.DefaultMSS, 8960} {
+		path := lvocPath()
+		path.MSS = mss
+		pktBits := float64(mss * 8)
+		for _, d := range []int{0, 8, 9, 10} {
+			rc := NewRateControl(path)
+			rc.ratePps = 9 * 0.01 * math.Pow(10, float64(d)) / pktBits
+			rc.capacityPps = rc.ratePps + math.Pow(10, float64(d))*(1-0.005)/pktBits
+			if d == 0 {
+				rc.ratePps = 300
+				rc.capacityPps = rc.ratePps + 5e4/pktBits
+			}
+			ref := &referenceRate{mss: mss, capacityPps: rc.capacityPps, ratePps: rc.ratePps}
+			bulk := *rc
+			var his []float64 // the stored window's top, each time it changes
+			run := 0
+			for i, loss := range []bool{false, false, true, false, false, true, false, false, false} {
+				if loss {
+					bulk.OnQuietIntervals(run)
+					bulk.OnInterval(true)
+					run = 0
+				} else {
+					run++
+				}
+				rc.OnInterval(loss)
+				ref.onInterval(loss)
+				if rc.ratePps != ref.ratePps {
+					t.Fatalf("mss %d, decade %d, interval %d: rate %v, reference %v", mss, d, i, rc.ratePps, ref.ratePps)
+				}
+				if len(his) == 0 || his[len(his)-1] != rc.hi {
+					his = append(his, rc.hi)
+				}
+			}
+			if bulk.OnQuietIntervals(run); bulk.ratePps != ref.ratePps {
+				t.Fatalf("mss %d, decade %d: quiet intervals reach %v, single steps %v", mss, d, bulk.ratePps, ref.ratePps)
+			}
+			if d == 0 {
+				if len(his) != 2 {
+					t.Fatalf("mss %d: from the floor, the window went %v, want the floor's and decade 6's", mss, his)
+				}
+				continue
+			}
+			if len(his) < 5 || his[0] != his[2] || his[1] != his[3] || his[0] == his[1] {
+				t.Fatalf("mss %d, decade %d: the window went %v, want it left and re-entered twice", mss, d, his)
 			}
 		}
 	}
