@@ -25,6 +25,9 @@ package cloudapi
 
 import (
 	"errors"
+	"fmt"
+	"strings"
+	"unicode/utf8"
 
 	"osdc/internal/iaas"
 )
@@ -43,6 +46,41 @@ type Instance struct {
 	Flavor string `json:"flavor"`
 	Image  string `json:"image,omitempty"`
 	Status string `json:"status"` // OpenStack-style: BUILD, ACTIVE, ...
+}
+
+// checkWire refuses a user or instance name that one of the native
+// dialects could not hand back unchanged. JSON and XML carry only valid
+// UTF-8, and XML 1.0 no control character but tab, newline and carriage
+// return, nor U+FFFE or U+FFFF. The OpenStack dialect also sends the user
+// as an HTTP header value, which cannot be empty, hold a control character
+// or keep surrounding spaces.
+func checkWire(user, name string) error {
+	if user == "" || !wireText(user, true) || strings.Trim(user, " ") != user {
+		return fmt.Errorf("cloudapi: user %q cannot cross the native APIs", user)
+	}
+	if !wireText(name, false) {
+		return fmt.Errorf("cloudapi: instance name %q cannot cross the native APIs", name)
+	}
+	return nil
+}
+
+// wireText reports whether s is valid UTF-8 that XML 1.0 can carry; a
+// header value may not hold tab, newline, carriage return or DEL either.
+func wireText(s string, header bool) bool {
+	if !utf8.ValidString(s) {
+		return false
+	}
+	for _, r := range s {
+		switch {
+		case r == '\t' || r == '\n' || r == '\r' || r == 0x7f:
+			if header {
+				return false
+			}
+		case r < 0x20 || r == 0xfffe || r == 0xffff:
+			return false
+		}
+	}
+	return true
 }
 
 // Image is the federation-level view of a machine image.
@@ -105,7 +143,9 @@ type CloudAPI interface {
 	// Launch provisions a VM for user. flavor is the cloud's native flavor
 	// name (dialect translation happens in the Tukey middleware, per its
 	// configuration files). Quota and capacity rejections surface as
-	// iaas.ErrQuota / iaas.ErrCapacity through both backends.
+	// iaas.ErrQuota / iaas.ErrCapacity through both backends, and a user
+	// or name the native dialects could not hand back unchanged is refused
+	// by both alike (see checkWire).
 	Launch(user, name, flavor, image string) (Instance, error)
 	// Terminate releases user's instance id.
 	Terminate(user, id string) error

@@ -34,6 +34,9 @@ func view(i *iaas.Instance) Instance {
 
 // Launch implements CloudAPI.
 func (l *Local) Launch(user, name, flavor, image string) (Instance, error) {
+	if err := checkWire(user, name); err != nil {
+		return Instance{}, err
+	}
 	inst, err := l.C.Launch(user, name, flavor, image)
 	if err != nil {
 		return Instance{}, err

@@ -186,8 +186,16 @@ func (r *Remote) novaInstances(user string) ([]Instance, error) {
 }
 
 func (r *Remote) novaLaunch(user, name, flavor, image string) (Instance, error) {
-	payload := fmt.Sprintf(`{"server":{"name":%q,"flavorRef":%q,"imageRef":%q}}`, name, flavor, image)
-	resp, err := r.novaDo(http.MethodPost, "/v2/servers", payload, user)
+	var req struct {
+		Server struct {
+			Name   string `json:"name"`
+			Flavor string `json:"flavorRef"`
+			Image  string `json:"imageRef"`
+		} `json:"server"`
+	}
+	req.Server.Name, req.Server.Flavor, req.Server.Image = name, flavor, image
+	payload, _ := json.Marshal(req) // a struct of strings always marshals
+	resp, err := r.novaDo(http.MethodPost, "/v2/servers", string(payload), user)
 	if err != nil {
 		return Instance{}, err
 	}
@@ -428,6 +436,9 @@ func (r *Remote) refused(what string, status int, msg string) error {
 
 // Launch implements CloudAPI via the native dialect.
 func (r *Remote) Launch(user, name, flavor, image string) (Instance, error) {
+	if err := checkWire(user, name); err != nil {
+		return Instance{}, err
+	}
 	if r.stack == "eucalyptus" {
 		return r.ec2Launch(user, name, flavor, image)
 	}

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -65,8 +67,8 @@ func TestCancelWithinCurrentBatch(t *testing.T) {
 		t.Fatalf("Fired = %d, want 3", e.Fired())
 	}
 	// No stale tombstone: the cancel landed in the batch, not the queue.
-	if len(e.cancelled) != 0 {
-		t.Fatalf("cancelled map holds %d entries, want 0", len(e.cancelled))
+	if e.dead != 0 {
+		t.Fatalf("tombstone counter = %d, want 0", e.dead)
 	}
 	// And scheduling/draining afterwards stays exact.
 	e.After(1, func() {})
@@ -103,7 +105,7 @@ func TestPendingDuringBatchAndCompaction(t *testing.T) {
 	e := NewEngine(1)
 	const future = 1000
 	// A far-future population large enough to cross the compaction
-	// threshold (>64 tombstones, tombstones*2 > live).
+	// threshold (>64 tombstones, over a quarter of the queue).
 	futures := make([]Handle, future)
 	for i := range futures {
 		futures[i] = e.After(1e6+Duration(i), func() {})
@@ -202,8 +204,12 @@ func TestBatchRescheduleSameTime(t *testing.T) {
 
 // TestSharedCancelRacesBatch drives a shared engine with synchronized
 // ticks from one goroutine while others concurrently cancel handles from
-// the live tick. Run under -race this pins the batch CAS protocol: every
-// event either fires exactly once or is cancelled, never both, and the
+// the live tick and, on later passes, handles of ticks that already fired.
+// Every firing schedules a follow-up that nobody holds a handle to, so the
+// free list keeps handing the fired events' slots to new events while the
+// stale handles are cancelled. Run under -race this pins the batch CAS
+// protocol and the seq test: every event either fires exactly once or is
+// cancelled, never both, no stale Cancel reaches a follow-up, and the
 // engine counters stay consistent.
 func TestSharedCancelRacesBatch(t *testing.T) {
 	e := NewEngine(1)
@@ -211,6 +217,7 @@ func TestSharedCancelRacesBatch(t *testing.T) {
 
 	var mu sync.Mutex
 	firedBy := make(map[int]bool)
+	followUps, followUpsFired := 0, 0
 
 	const ticks = 50
 	const perTick = 40
@@ -222,35 +229,46 @@ func TestSharedCancelRacesBatch(t *testing.T) {
 			id++
 			handles = append(handles, e.At(Time(tk), func() {
 				mu.Lock()
+				defer mu.Unlock()
 				if firedBy[ev] {
-					mu.Unlock()
 					t.Errorf("event %d fired twice", ev)
 					return
 				}
 				firedBy[ev] = true
-				mu.Unlock()
+				followUps++
+				e.After(0.5, func() {
+					mu.Lock()
+					followUpsFired++
+					mu.Unlock()
+				})
 			}))
 		}
 	}
 
 	var wg sync.WaitGroup
+	var passes atomic.Int64
 	stop := make(chan struct{})
 	for w := 0; w < 4; w++ {
 		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := w; i < len(handles); i += 4 {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if i%3 == 0 {
-					handles[i].Cancel()
-				}
-				if i%16 == 0 {
-					e.Pending() // exercise the batch-aware counter concurrently
+			for pass := 0; ; pass, _ = pass+1, passes.Add(1) {
+				for i := w; i < len(handles); i += 4 {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					// The first pass cancels a third of the events; later
+					// passes cancel every handle again, most of them of
+					// events long fired whose slots now carry follow-ups.
+					if pass > 0 || i%3 == 0 {
+						handles[i].Cancel()
+					}
+					if i%16 == 0 {
+						e.Pending() // exercise the batch-aware counter concurrently
+					}
 				}
 			}
 		}()
@@ -258,7 +276,14 @@ func TestSharedCancelRacesBatch(t *testing.T) {
 
 	done := make(chan struct{})
 	go func() {
-		e.RunUntil(Time(ticks + 1))
+		// A tick at a time, and between ticks the cancellers sweep every
+		// handle once more, so stale cancels meet freshly recycled slots.
+		for tk := 1; tk <= ticks+1; tk++ {
+			e.RunUntil(Time(tk))
+			for want := passes.Load() + 4; passes.Load() < want; {
+				runtime.Gosched()
+			}
+		}
 		close(done)
 	}()
 	select {
@@ -270,17 +295,52 @@ func TestSharedCancelRacesBatch(t *testing.T) {
 	wg.Wait()
 
 	mu.Lock()
-	fired := len(firedBy)
+	fired, scheduled, followed := len(firedBy), followUps, followUpsFired
 	mu.Unlock()
-	if uint64(fired) != e.Fired() {
-		t.Fatalf("callbacks ran %d times but Fired() = %d", fired, e.Fired())
+	if followed != scheduled {
+		t.Fatalf("%d of %d follow-ups fired: a stale Cancel reached a recycled slot", followed, scheduled)
+	}
+	if uint64(fired+followed) != e.Fired() {
+		t.Fatalf("callbacks ran %d times but Fired() = %d", fired+followed, e.Fired())
 	}
 	if e.Pending() != 0 {
 		t.Fatalf("Pending after run = %d, want 0", e.Pending())
 	}
-	// Every cancelled handle that reports Cancelled must not have fired...
-	// except the documented race: Cancel landing after the batch claimed
-	// the event is a no-op. What must never happen is a fire after a
-	// cancel that won (checked by the fire-twice guard plus the counter
-	// equality above).
+	// A Cancel landing after the batch claimed the event is the documented
+	// no-op; what must never happen is a fire after a cancel that won
+	// (checked by the fire-twice guard plus the counter equality above).
+}
+
+// TestStaleHandleSparesRecycledSlot: once an event has fired or been
+// cancelled its slot goes back to the free list and the next At takes it.
+// Cancelling through the old Handle must fail the seq test and leave the
+// new event alone, unshared and shared.
+func TestStaleHandleSparesRecycledSlot(t *testing.T) {
+	for _, shared := range []bool{false, true} {
+		e := NewEngine(1)
+		if shared {
+			e.Share()
+		}
+		fired := e.After(1, func() {})
+		e.Run()
+		cancelled := e.After(1, func() { t.Error("cancelled event fired") })
+		if cancelled.s != fired.s {
+			t.Fatalf("shared=%v: the fired event's slot was not recycled", shared)
+		}
+		cancelled.Cancel()
+		ran := 0
+		h := e.After(1, func() { ran++ })
+		if h.s != cancelled.s {
+			t.Fatalf("shared=%v: the cancelled event's slot was not recycled", shared)
+		}
+		fired.Cancel()
+		cancelled.Cancel()
+		if got := e.Pending(); got != 1 {
+			t.Fatalf("shared=%v: Pending = %d after stale cancels, want 1", shared, got)
+		}
+		e.Run()
+		if ran != 1 || e.Fired() != 2 {
+			t.Fatalf("shared=%v: recycled event ran %d times, Fired = %d; want 1 and 2", shared, ran, e.Fired())
+		}
+	}
 }

@@ -5,9 +5,9 @@ import (
 	"unsafe"
 )
 
-// TestEventStays24Bytes: a run head is marked by a nil callback and finds
-// its members through a map, so coalescing adds no word to the heap entry
-// every sift copies.
+// TestEventStays24Bytes: a run head is marked by a nil slot and finds its
+// members through a map, so coalescing adds no word to the heap entry every
+// sift copies.
 func TestEventStays24Bytes(t *testing.T) {
 	if got := unsafe.Sizeof(event{}); got != 24 {
 		t.Fatalf("heap entry is %d bytes, want 24", got)
@@ -126,9 +126,8 @@ func TestAfterAllocsNothing(t *testing.T) {
 
 // TestCancelStormWithinBatch: a terminate storm landing on a wide tick —
 // every even event of the batch cancels its odd neighbour and one timeout
-// far in the future — looks each victim up in O(log width), hit or miss,
-// instead of scanning the batch. The cost is read from the engine's own
-// count of batch entries examined, not from a clock.
+// far in the future. Each cancel flips its victim's own slot, in the batch
+// or in the queue, so none of them fires and the counters stay exact.
 func TestCancelStormWithinBatch(t *testing.T) {
 	const width = 100000
 	e := NewEngine(1)
@@ -154,10 +153,5 @@ func TestCancelStormWithinBatch(t *testing.T) {
 	}
 	if got := e.Pending(); got != 0 {
 		t.Fatalf("Pending = %d after the storm, want 0", got)
-	}
-	// width cancels, each a binary search over at most width entries:
-	// ⌈log2 100000⌉ = 17 probes.
-	if bound := width * 17; e.batchProbes > bound {
-		t.Fatalf("the storm examined %d batch entries, want at most %d (a scan would be %d)", e.batchProbes, bound, width/2*width)
 	}
 }

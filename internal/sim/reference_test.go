@@ -63,11 +63,6 @@ type refKernel struct {
 	fired  uint64
 	halted bool
 	queue  []refEvent
-	// staleCancel records that a cancel named an event no longer queued.
-	// The Engine may keep a tombstone for it, which under-counts Pending
-	// until the next compaction (documented on Pending), so log lines from
-	// then on are marked and the oracle stops comparing that one figure.
-	staleCancel bool
 }
 
 type refEvent struct {
@@ -102,7 +97,6 @@ func (r *refKernel) cancel(seq uint64) {
 			return
 		}
 	}
-	r.staleCancel = true
 }
 
 func (r *refKernel) fireFirst() {
@@ -290,7 +284,6 @@ type logLine struct {
 	now     Time
 	fired   uint64
 	pending int
-	inexact bool // reference only: pending is no longer comparable
 }
 
 func (l logLine) String() string {
@@ -298,8 +291,7 @@ func (l logLine) String() string {
 }
 
 func (s *session) note(what string, n int, result bool) {
-	ref, _ := s.k.(*refKernel)
-	s.log = append(s.log, logLine{what, n, result, s.k.Now(), s.k.Fired(), s.k.Pending(), ref != nil && ref.staleCancel})
+	s.log = append(s.log, logLine{what, n, result, s.k.Now(), s.k.Fired(), s.k.Pending()})
 }
 
 // Opcodes. Those below opStep act on one shard and are legal inside a
@@ -487,12 +479,7 @@ func checkAgainstReference(t *testing.T, data []byte) {
 				t.Fatalf("%s shard %d: %d log lines, reference has %d", mode.name, i, len(got[i].log), len(want[i].log))
 			}
 			for j, wl := range want[i].log {
-				gl := got[i].log[j]
-				if wl.inexact {
-					gl.pending = wl.pending
-				}
-				gl.inexact = wl.inexact
-				if gl != wl {
+				if gl := got[i].log[j]; gl != wl {
 					t.Fatalf("%s shard %d line %d:\n got  %v\n want %v", mode.name, i, j, gl, wl)
 				}
 			}

@@ -10,11 +10,22 @@
 // The queue is a 4-ary heap over a value slice rather than a binary heap of
 // event pointers: scheduling allocates nothing beyond amortized slice
 // growth, the shallower tree halves the sift depth, and sift comparisons
-// stay within one or two cache lines of siblings. Cancellation is lazy with
-// compaction — cancelled events are tombstoned and physically reclaimed
-// either on pop or, once they outnumber live events, by an O(n) rebuild —
-// so a schedule-heavy workload that cancels most of its timers (retry
-// timers, timeouts that rarely fire) cannot grow the heap without bound.
+// stay within one or two cache lines of siblings.
+//
+// # Cancellation
+//
+// Every heap entry points at a small slot holding the callback, the seq of
+// the event the slot currently stands for, and a state: queued, batched or
+// idle. A Timer embeds its own slot; At and After draw one from a free list
+// the engine refills a block at a time, and get it back when the event
+// fires or is cancelled. An entry is live while its slot still holds its
+// seq and is queued, so Cancel only flips the slot's state: the entry left
+// behind is a tombstone, reclaimed when it reaches the top or, once
+// tombstones pass a quarter of the queue, by an O(n) rebuild — a workload
+// that cancels most of its timers (retry timers, timeouts that rarely fire)
+// cannot grow the heap without bound. A Handle names its event by slot and
+// seq, so a Cancel after the event fired fails the seq test on the
+// recycled slot and is a true no-op, and Pending is exact.
 //
 // # Batch dispatch
 //
@@ -32,10 +43,10 @@
 //
 // The schedule side batches too. The engine remembers the heap entry its
 // most recent schedule created (the tail); a schedule due at exactly that
-// entry's instant joins the entry's run — a pooled slice of {seq, callback}
+// entry's instant joins the entry's run — a pooled slice of {seq, slot}
 // found through one map lookup per run — instead of the heap. The entry
-// itself stays 24 bytes: a nil callback marks a run head, keyed by its
-// first seq. A tick of N timers re-arming back to back for one instant
+// itself stays 24 bytes: a nil slot marks a run head, keyed by its first
+// seq. A tick of N timers re-arming back to back for one instant
 // therefore costs one sift in and one out, not N. Dispatch order is still
 // exactly (at, seq): a run grows only while it is the tail, and seqs are
 // issued in schedule order under the same lock, so the seq ranges of two
@@ -46,8 +57,8 @@
 // schedule must not be appended to.
 //
 // For schedule/cancel-heavy hot paths, Timer (NewTimer/Reset) reschedules
-// a pre-allocated callback with zero steady-state allocations — the
-// pooled-payload discipline the churn benchmarks measure.
+// a pre-allocated callback on its own slot with zero steady-state
+// allocations — the pooled-payload discipline the churn benchmarks measure.
 //
 // # Shared mode
 //
@@ -66,7 +77,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -108,13 +118,37 @@ func (t Time) String() string {
 	}
 }
 
+// slot is what a schedule's heap entry points at: the callback, the seq of
+// the event the slot stands for now, and where that event is. An entry,
+// run member or Handle scheduled as seq sees its event pending only while
+// the slot still holds seq; once the slot moves on to a later event the
+// test fails for good.
+type slot struct {
+	fire   func()
+	seq    uint64
+	state  uint32 // slotIdle, slotQueued or slotBatched; atomic wherever fireBatch may race it
+	pooled bool   // drawn from the free list by At/After, not a Timer's own
+}
+
+const (
+	slotIdle    uint32 = iota // fired, cancelled or never scheduled
+	slotQueued                // in the heap or a run under seq
+	slotBatched               // drained into the dispatch batch, not yet fired
+)
+
+// slotBlock is how many slots the free list gains each time it runs dry.
+const slotBlock = 64
+
+// holds reports whether the entry scheduled as seq on s is still live.
+func (s *slot) holds(seq uint64) bool { return s.seq == seq && s.state == slotQueued }
+
 // event is one heap entry, stored by value in the heap slice: a scheduled
-// callback, or — when fire is nil — the head of a run, whose events wait in
-// e.runs[seq] (see "Run coalescing").
+// event's slot, or — when s is nil — the head of a run, whose events wait
+// in e.runs[seq] (see "Run coalescing").
 type event struct {
-	at   Time
-	seq  uint64 // tie-break: FIFO among equal timestamps; a run's first seq
-	fire func()
+	at  Time
+	seq uint64 // tie-break: FIFO among equal timestamps; a run's first seq
+	s   *slot
 }
 
 // run holds the events of one coalesced heap entry in seq order.
@@ -125,50 +159,32 @@ type run struct {
 }
 
 type runMember struct {
-	seq  uint64
-	fire func()
-}
-
-// batchEntry is one same-tick event drained from the queue but not yet
-// fired. The dead word is claimed by compare-and-swap from two sides: the
-// run loop (about to fire the entry) and Cancel (the event's Handle was
-// cancelled after the drain). Whoever wins decides — a cancelled entry
-// never fires, and cancelling an already-claimed entry is the documented
-// fired-event no-op.
-type batchEntry struct {
-	seq  uint64
-	fire func()
-	dead uint32 // accessed with sync/atomic
+	seq uint64
+	s   *slot
 }
 
 // Handle identifies a scheduled event so it can be cancelled. The zero
-// Handle is inert: Cancel is a no-op. The cancelled bit lives in the Handle
-// value itself, so copies of a Handle do not observe each other's Cancel
-// calls (the engine-side effect — the event not firing — is shared
-// regardless of which copy cancelled it). In shared mode the bit is read
-// and written under the engine lock, so goroutines sharing one Handle may
-// race Cancel against Cancel safely.
+// Handle is inert: Cancel is a no-op. A Handle names its event by slot and
+// seq, so every copy of it cancels the same event, and once that event has
+// fired or been cancelled no copy can reach the event that later takes the
+// recycled slot.
 type Handle struct {
-	e         *Engine
-	seq       uint64
-	cancelled bool
+	e   *Engine
+	s   *slot
+	seq uint64
 }
 
-// Cancel prevents the event from firing and releases its heap slot (at the
-// latest, when tombstones outnumber live events and trigger compaction).
-// Safe to call multiple times and after the event has fired (then it is a
-// no-op).
+// Cancel prevents the event from firing; its heap entry is reclaimed when
+// it reaches the top, or sooner by compaction. Safe to call multiple times,
+// from any goroutine in shared mode, and after the event has fired (then it
+// is a no-op).
 func (h *Handle) Cancel() {
 	if h.e == nil {
 		return
 	}
 	h.e.lock()
 	defer h.e.unlock()
-	if h.cancelled {
-		return
-	}
-	h.cancelled = true
-	h.e.cancel(h.seq)
+	h.e.cancel(h.s, h.seq)
 }
 
 // Engine is the discrete-event scheduler. The zero value is not usable; use
@@ -184,8 +200,11 @@ type Engine struct {
 	// queue is a 4-ary min-heap ordered by (at, seq): children of node i
 	// live at 4i+1..4i+4.
 	queue []event
-	// queued counts the events in queue and runs, tombstoned ones included.
-	queued int
+	// queued counts the events in queue and runs, tombstones included;
+	// dead counts the tombstones.
+	queued, dead int
+	// free holds the idle pooled slots At and After draw from.
+	free []*slot
 	// runs maps a run head's seq to its members; freeRuns pools emptied ones.
 	runs     map[uint64]*run
 	freeRuns []*run
@@ -194,30 +213,24 @@ type Engine struct {
 	// run while that entry is a run head.
 	tail    int
 	tailRun *run
-	// cancelled holds seqs awaiting reclaim; entries are deleted as their
-	// events are skipped on pop or swept by compaction, so the map stays
-	// bounded by the compaction threshold, not by cancel traffic. Its
-	// length is the (upper-bound) count of cancelled events still queued.
-	cancelled map[uint64]struct{}
-	seq       uint64
-	rng       *RNG
-	halted    bool
+	seq     uint64
+	rng     *RNG
+	halted  bool
 
 	// fired counts executed events. It is atomic because the batched run
 	// loop increments it with the lock released, right before each
 	// callback fires.
 	fired atomic.Uint64
 
-	// batch is the current same-tick dispatch batch: events popped from
-	// the queue in one lock acquisition, fired unlocked in seq order. The
-	// slice is owned and resized only by the clock-driving goroutine
-	// (always under the engine lock); entries claimed by firing or
-	// cancellation carry dead=1, so Pending can count the unfired
-	// remainder from any goroutine via the atomic dead words alone.
-	batch []batchEntry
-	// batchProbes counts the batch entries cancelInBatch has examined: what
-	// its cost gate in the tests reads in place of a wall clock.
-	batchProbes int
+	// batch is the current same-tick dispatch batch: the slots of events
+	// popped from the queue in one lock acquisition, fired unlocked in seq
+	// order. The slice is owned and resized only by the clock-driving
+	// goroutine (always under the engine lock); an entry is still to fire
+	// while its slot is slotBatched, so Pending can count the unfired
+	// remainder from any goroutine through the atomic state words alone.
+	// Its pooled slots return to the free list when the next batch is
+	// taken.
+	batch []*slot
 }
 
 // NewEngine returns an engine with its clock at zero and a deterministic RNG
@@ -276,20 +289,16 @@ func (e *Engine) Fired() uint64 { return e.fired.Load() }
 // Pending returns the number of live (non-cancelled) events still queued
 // — events, not heap entries: every member of a coalesced run counts —
 // including events drained into the current dispatch batch but not yet
-// fired. The count is exact except after Cancel calls on already-fired
-// events (a documented no-op): each leaves a stale tombstone that
-// under-counts Pending by one until the next compaction sweeps it away.
+// fired. The count is exact: a Cancel after the event fired leaves nothing
+// behind.
 func (e *Engine) Pending() int {
 	e.lock()
 	defer e.unlock()
-	n := e.queued - len(e.cancelled)
-	for i := range e.batch {
-		if atomic.LoadUint32(&e.batch[i].dead) == 0 {
+	n := e.queued - e.dead
+	for _, s := range e.batch {
+		if atomic.LoadUint32(&s.state) == slotBatched {
 			n++
 		}
-	}
-	if n < 0 {
-		return 0
 	}
 	return n
 }
@@ -302,24 +311,41 @@ func (e *Engine) At(t Time, fire func()) Handle {
 	return e.at(t, fire)
 }
 
-// at is At with the lock already held. A schedule due at exactly the
-// instant of the entry the previous schedule created joins that entry's
-// run instead of the heap.
+// at is At with the lock already held: it draws a slot from the free list
+// for fire.
 func (e *Engine) at(t Time, fire func()) Handle {
 	if fire == nil {
 		panic("sim: nil callback")
 	}
+	if len(e.free) == 0 {
+		block := make([]slot, slotBlock)
+		for i := range block {
+			block[i].pooled = true
+			e.free = append(e.free, &block[i])
+		}
+	}
+	s := e.free[len(e.free)-1]
+	e.free = e.free[:len(e.free)-1]
+	s.fire = fire
+	return Handle{e: e, s: s, seq: e.schedule(t, s)}
+}
+
+// schedule queues s for time t under a fresh seq and returns the seq. A
+// schedule due at exactly the instant of the entry the previous schedule
+// created joins that entry's run instead of the heap. Lock held.
+func (e *Engine) schedule(t Time, s *slot) uint64 {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling into the past: at=%v now=%v", t, e.now))
 	}
 	seq := e.seq
 	e.seq++
 	e.queued++
+	s.seq, s.state = seq, slotQueued
 	if e.tail < 0 || e.queue[e.tail].at != t {
-		e.push(event{at: t, seq: seq, fire: fire})
-		return Handle{e: e, seq: seq}
+		e.push(event{at: t, seq: seq, s: s})
+		return seq
 	}
-	if head := &e.queue[e.tail]; head.fire != nil {
+	if head := &e.queue[e.tail]; head.s != nil {
 		// Second event of the instant: the entry becomes a run head.
 		var r *run
 		if n := len(e.freeRuns); n > 0 {
@@ -327,19 +353,27 @@ func (e *Engine) at(t Time, fire func()) Handle {
 		} else {
 			r = &run{}
 		}
-		r.members = append(r.members, runMember{head.seq, head.fire})
+		r.members = append(r.members, runMember{head.seq, head.s})
 		if e.runs == nil {
 			e.runs = make(map[uint64]*run)
 		}
 		e.runs[head.seq] = r
-		head.fire, e.tailRun = nil, r
+		head.s, e.tailRun = nil, r
 	}
-	e.tailRun.members = append(e.tailRun.members, runMember{seq, fire})
-	return Handle{e: e, seq: seq}
+	e.tailRun.members = append(e.tailRun.members, runMember{seq, s})
+	return seq
+}
+
+// release returns a pooled slot to the free list, dropping its closure.
+func (e *Engine) release(s *slot) {
+	if s.pooled {
+		s.fire = nil
+		e.free = append(e.free, s)
+	}
 }
 
 // dropRun forgets the run of the heap entry keyed seq, releasing its
-// closures and pooling its slice.
+// slot pointers and pooling its slice.
 func (e *Engine) dropRun(seq uint64, r *run) {
 	delete(e.runs, seq)
 	clear(r.members)
@@ -439,32 +473,32 @@ func (e *Engine) takeNext(deadline Time, clamp bool) func() {
 		panic("sim: event queue time went backwards")
 	}
 	e.now = top.at
-	fire := top.fire
+	s := top.s
 	if r != nil {
 		// One event off the run; the rest stay, keyed by its first seq.
-		m := &r.members[r.next]
-		fire, m.fire = m.fire, nil
+		s = r.members[r.next].s
 		r.next++
 	}
 	if r == nil || r.next == len(r.members) {
 		e.pop()
 	}
 	e.queued--
+	fire := s.fire
+	s.state = slotIdle
+	e.release(s)
 	e.fired.Add(1)
 	return fire
 }
 
-// reap reports whether seq is tombstoned, consuming the tombstone.
-func (e *Engine) reap(seq uint64) bool {
-	if len(e.cancelled) == 0 {
+// reap reports whether the entry scheduled as seq on s is a tombstone,
+// consuming it.
+func (e *Engine) reap(seq uint64, s *slot) bool {
+	if s.holds(seq) {
 		return false
 	}
-	_, dead := e.cancelled[seq]
-	if dead {
-		delete(e.cancelled, seq)
-		e.queued--
-	}
-	return dead
+	e.dead--
+	e.queued--
+	return true
 }
 
 // liveTop discards tombstoned events from the front of the queue and
@@ -474,13 +508,13 @@ func (e *Engine) reap(seq uint64) bool {
 func (e *Engine) liveTop() (*event, *run) {
 	for len(e.queue) > 0 {
 		top := &e.queue[0]
-		if top.fire != nil {
-			if !e.reap(top.seq) {
+		if top.s != nil {
+			if !e.reap(top.seq, top.s) {
 				return top, nil
 			}
 		} else {
 			r := e.runs[top.seq]
-			for r.next < len(r.members) && e.reap(r.members[r.next].seq) {
+			for r.next < len(r.members) && e.reap(r.members[r.next].seq, r.members[r.next].s) {
 				r.next++
 			}
 			if r.next < len(r.members) {
@@ -501,10 +535,11 @@ func (e *Engine) liveTop() (*event, *run) {
 func (e *Engine) takeBatch(deadline Time, clamp bool) int {
 	e.lock()
 	defer e.unlock()
-	// Release the previous batch's closures before reusing the buffer.
-	for i := range e.batch {
-		e.batch[i].fire = nil
+	// The previous batch has fired or been cancelled to the last entry.
+	for _, s := range e.batch {
+		e.release(s)
 	}
+	clear(e.batch)
 	e.batch = e.batch[:0]
 	var at Time
 	for {
@@ -524,13 +559,15 @@ func (e *Engine) takeBatch(deadline Time, clamp bool) int {
 			break
 		}
 		if r == nil {
-			e.batch = append(e.batch, batchEntry{seq: top.seq, fire: top.fire})
+			top.s.state = slotBatched
+			e.batch = append(e.batch, top.s)
 			e.queued--
 		} else {
 			// A whole run for one sift: its members are already in seq order.
 			for _, m := range r.members[r.next:] {
-				if !e.reap(m.seq) {
-					e.batch = append(e.batch, batchEntry{seq: m.seq, fire: m.fire})
+				if !e.reap(m.seq, m.s) {
+					m.s.state = slotBatched
+					e.batch = append(e.batch, m.s)
 					e.queued--
 				}
 			}
@@ -555,31 +592,33 @@ func (e *Engine) takeBatch(deadline Time, clamp bool) int {
 // is then pushed back onto the queue.
 func (e *Engine) fireBatch() bool {
 	// Only this (clock-driving) goroutine resizes e.batch, so reading the
-	// header unlocked is safe; other goroutines touch entries only through
-	// the atomic dead words. In unshared mode nothing races the claim, so
-	// plain accesses replace the CAS on the hot path.
+	// header unlocked is safe. The state word of a batched slot is claimed
+	// by compare-and-swap from two sides: this loop, about to fire it, and
+	// Cancel (or a Timer's Reset or Stop), holding the lock. Whoever wins
+	// decides — a cancelled entry never fires, and cancelling an entry
+	// already claimed is the documented fired-event no-op. A pooled slot
+	// stays off the free list until the next batch is taken, and a Timer's
+	// callback never changes, so reading fire after the claim is safe. In
+	// unshared mode nothing races the claim, so plain accesses replace the
+	// CAS on the hot path.
 	shared := e.lockOn
 	for i := 0; i < len(e.batch); i++ {
 		if e.halted {
 			e.requeueBatch()
 			return false
 		}
-		ent := &e.batch[i]
+		s := e.batch[i]
 		if shared {
-			if !atomic.CompareAndSwapUint32(&ent.dead, 0, 1) {
-				ent.fire = nil // cancelled while waiting in the batch
-				continue
+			if !atomic.CompareAndSwapUint32(&s.state, slotBatched, slotIdle) {
+				continue // cancelled while waiting in the batch
 			}
-		} else if ent.dead != 0 {
-			ent.fire = nil
+		} else if s.state != slotBatched {
 			continue
 		} else {
-			ent.dead = 1
+			s.state = slotIdle
 		}
-		fire := ent.fire
-		ent.fire = nil
 		e.fired.Add(1)
-		fire()
+		s.fire()
 	}
 	return true
 }
@@ -588,22 +627,23 @@ func (e *Engine) fireBatch() bool {
 // (Halt interrupted the batch before they fired) and resets the batch, so
 // Pending and Cancel see them as ordinarily queued again. Their timestamps
 // equal the current clock and their seqs are preserved, so dispatch order
-// on resume is unchanged. Already-fired and cancelled entries fail the
-// claim CAS and are simply dropped. The pushes must leave no tail: these
-// seqs are older than those of events the batch scheduled for this same
-// instant, so a later schedule joining a requeued entry would fire ahead
-// of them.
+// on resume is unchanged. Already-fired and cancelled entries are
+// released. The pushes must leave no tail: these seqs are older than those
+// of events the batch scheduled for this same instant, so a later schedule
+// joining a requeued entry would fire ahead of them.
 func (e *Engine) requeueBatch() {
 	e.lock()
 	defer e.unlock()
-	for i := range e.batch {
-		ent := &e.batch[i]
-		if atomic.CompareAndSwapUint32(&ent.dead, 0, 1) {
-			e.push(event{at: e.now, seq: ent.seq, fire: ent.fire})
+	for _, s := range e.batch {
+		if s.state == slotBatched {
+			s.state = slotQueued
+			e.push(event{at: e.now, seq: s.seq, s: s})
 			e.queued++
+		} else {
+			e.release(s)
 		}
-		ent.fire = nil
 	}
+	clear(e.batch)
 	e.batch = e.batch[:0]
 	e.tail = -1
 }
@@ -654,54 +694,50 @@ func (e *Engine) RunUntil(deadline Time) Time {
 // RunFor advances the clock by d. See RunUntil.
 func (e *Engine) RunFor(d Duration) Time { return e.RunUntil(e.Now() + Time(d)) }
 
-// cancel tombstones seq and compacts the heap once tombstones outnumber
-// live events. Caller (Handle.Cancel) holds the lock in shared mode.
-func (e *Engine) cancel(seq uint64) {
-	if e.cancelInBatch(seq) {
-		return
+// cancel takes the event scheduled as seq on s out of the queue if it is
+// still pending, and reports whether it was. A queued event leaves its
+// entry behind as a tombstone, and the heap is compacted once tombstones
+// pass a quarter of it. A batched event is claimed from fireBatch by the
+// run loop's own CAS: losing means the event is firing right now, the
+// documented fired-event no-op. A slot that has moved on from seq belongs
+// to a later event, which this cancel must not touch. Lock held.
+func (e *Engine) cancel(s *slot, seq uint64) bool {
+	if s.seq != seq {
+		return false
 	}
-	if e.queued == 0 {
-		// Nothing is pending, so this seq (and any lingering tombstone)
-		// can only refer to already-fired events.
-		clear(e.cancelled)
-		return
+	switch atomic.LoadUint32(&s.state) {
+	case slotQueued:
+		atomic.StoreUint32(&s.state, slotIdle)
+		e.release(s)
+		e.dead++
+		if e.dead > 64 && e.dead*4 > e.queued {
+			e.compact()
+		}
+		return true
+	case slotBatched:
+		return atomic.CompareAndSwapUint32(&s.state, slotBatched, slotIdle)
 	}
-	if _, ok := e.cancelled[seq]; ok {
-		return
-	}
-	if e.cancelled == nil {
-		e.cancelled = make(map[uint64]struct{})
-	}
-	e.cancelled[seq] = struct{}{}
-	// len(cancelled) is an upper bound on dead queue entries: a Cancel
-	// after the event fired (a documented no-op) still adds a tombstone,
-	// which the next compaction drops.
-	if len(e.cancelled) > 64 && len(e.cancelled)*2 > e.queued {
-		e.compact()
-	}
+	return false
 }
 
-// compact rebuilds the heap without cancelled events, releasing their
-// closures and — when the live set is much smaller than the backing array —
-// the slice capacity too. Runs are filtered in place: a run keeps its heap
-// entry, keyed by its first seq, even when that member is gone (the key
-// still sorts it before every later entry of its instant); a run left
-// empty is dropped.
+// compact rebuilds the heap without tombstones, releasing — when the live
+// set is much smaller than the backing array — the slice capacity too.
+// Runs are filtered in place: a run keeps its heap entry, keyed by its
+// first seq, even when that member is gone (the key still sorts it before
+// every later entry of its instant); a run left empty is dropped.
 func (e *Engine) compact() {
 	live := e.queue[:0]
-	e.queued = 0
 	for _, ev := range e.queue {
-		if ev.fire != nil {
-			if _, dead := e.cancelled[ev.seq]; !dead {
+		if ev.s != nil {
+			if ev.s.holds(ev.seq) {
 				live = append(live, ev)
-				e.queued++
 			}
 			continue
 		}
 		r := e.runs[ev.seq]
 		kept := r.members[:0]
 		for _, m := range r.members[r.next:] {
-			if _, dead := e.cancelled[m.seq]; !dead {
+			if m.s.holds(m.seq) {
 				kept = append(kept, m)
 			}
 		}
@@ -712,15 +748,13 @@ func (e *Engine) compact() {
 			continue
 		}
 		live = append(live, ev)
-		e.queued += len(kept)
 	}
-	// Zero the tail so the dropped closures are collectable.
+	e.queued -= e.dead
+	e.dead = 0
+	// Zero the tail so the dropped slots are collectable.
 	clear(e.queue[len(live):])
 	e.queue, e.tail = live, -1
 	e.shrinkQueue()
-	// Every tombstone is now either removed from the queue or was stale
-	// (its event had already fired); either way the map is done with it.
-	clear(e.cancelled)
 	// Every queued event may have been cancelled; (0-2)/4 truncates to 0,
 	// so the loop below would sift slot 0 of an empty heap.
 	if len(e.queue) == 0 {
@@ -731,33 +765,16 @@ func (e *Engine) compact() {
 	}
 }
 
-// cancelInBatch handles cancellation of an event already drained into the
-// current dispatch batch. It reports whether seq was found there; the CAS
-// against the run loop decides whether the cancel lands — losing the race
-// means the event is firing right now, which is the documented fired-event
-// no-op (and must not leave a tombstone behind). Caller holds the engine
-// lock, which serializes this search against batch resizing in takeBatch
-// and requeueBatch; entry seqs are immutable once appended and the dead
-// words are atomic, so racing the unlocked run loop is safe. The batch was
-// drained in (at, seq) order at a single instant, so it is sorted by seq
-// and a cancel — hit or miss — costs O(log n), not a scan of the tick.
-func (e *Engine) cancelInBatch(seq uint64) bool {
-	i := sort.Search(len(e.batch), func(i int) bool {
-		e.batchProbes++
-		return e.batch[i].seq >= seq
-	})
-	if i == len(e.batch) || e.batch[i].seq != seq {
-		return false
-	}
-	atomic.CompareAndSwapUint32(&e.batch[i].dead, 0, 1)
-	return true
-}
-
 // shrinkQueue hands the heap's backing array back once the entries left
-// fill under a quarter of it.
+// fill under a quarter of it, and drops the free list once it holds four
+// times as many slots as there are queued events: the slots of a burst
+// that has fired or been cancelled are garbage from then on.
 func (e *Engine) shrinkQueue() {
 	if cap(e.queue) > 1024 && cap(e.queue) > 4*len(e.queue) {
 		e.queue = append(make([]event, 0, len(e.queue)), e.queue...)
+	}
+	if len(e.free) > 1024 && len(e.free) > 4*e.queued {
+		e.free = nil
 	}
 }
 
@@ -779,7 +796,7 @@ func (e *Engine) push(ev event) {
 // pop removes the top entry — with its run, which the caller has emptied
 // or copied out — and, since entries move, invalidates the tail.
 func (e *Engine) pop() {
-	if top := e.queue[0]; top.fire == nil {
+	if top := e.queue[0]; top.s == nil {
 		e.dropRun(top.seq, e.runs[top.seq])
 	}
 	n := len(e.queue) - 1

@@ -77,20 +77,35 @@ func TestCancel(t *testing.T) {
 	fired := false
 	h := e.After(1, func() { fired = true })
 	h.Cancel()
+	if got := e.Pending(); got != 0 {
+		t.Fatalf("Pending = %d after Cancel, want 0", got)
+	}
+	h.Cancel() // a second Cancel is a no-op
 	e.Run()
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if !h.cancelled {
-		t.Fatal("cancelled = false after Cancel")
+	if e.Fired() != 0 || e.Pending() != 0 {
+		t.Fatalf("after run: fired=%d pending=%d, want 0 and 0", e.Fired(), e.Pending())
 	}
 }
 
+// TestCancelAfterFireIsNoop: cancelling an event that has already fired
+// changes nothing, and Pending still counts what else is queued — the
+// boot timer Terminate cancels after the VM came up.
 func TestCancelAfterFireIsNoop(t *testing.T) {
 	e := NewEngine(1)
 	h := e.After(1, func() {})
+	e.After(5, func() {})
+	e.RunUntil(2)
+	h.Cancel()
+	if got := e.Pending(); got != 1 {
+		t.Fatalf("Pending = %d after cancelling a fired event, want 1", got)
+	}
 	e.Run()
-	h.Cancel() // must not panic
+	if e.Fired() != 2 {
+		t.Fatalf("Fired = %d, want 2", e.Fired())
+	}
 }
 
 func TestRunUntil(t *testing.T) {
@@ -362,6 +377,9 @@ func TestCancelReclaimsQueueSlots(t *testing.T) {
 	}
 	if got := cap(e.queue); got > 2048 {
 		t.Fatalf("heap capacity %d after mass cancel, want shrunk", got)
+	}
+	if got := len(e.free); got > 1024 {
+		t.Fatalf("free list holds %d slots after mass cancel, want them dropped", got)
 	}
 	if e.Now() != 0 {
 		t.Fatalf("clock moved to %v during cancellation", e.Now())

@@ -5,33 +5,26 @@ import "fmt"
 // Timer is a rescheduleable one-shot event with a pre-allocated callback:
 // the pooled-payload primitive for hot schedule/cancel paths. Where the
 // Handle pattern allocates a fresh closure per schedule (retry timers,
-// per-request timeouts), a Timer allocates once at NewTimer and then
-// Reset/Stop cycle it through the queue with zero steady-state allocations
-// — the heap stores the same func value every time.
+// per-request timeouts), a Timer holds its callback in its own slot and
+// Reset/Stop cycle that slot through the queue with zero steady-state
+// allocations.
 //
-// A Timer is owned by a single goroutine: scenario code driving the clock,
-// or callbacks firing on the clock-driving goroutine. Its pending state is
-// deliberately not shared-mode-safe — cancelling from a foreign goroutine
-// while the callback may be firing is inherently racy (the documented
-// fired-event no-op), and the per-schedule Handle already serves that
-// case. The race detector will flag cross-goroutine misuse.
+// Reset and Stop take the engine lock and settle a race with the batch
+// about to fire the timer by the same claim as Handle.Cancel. A Timer is
+// still owned by a single goroutine — scenario code driving the clock, or
+// callbacks firing on the clock-driving goroutine: re-arming it from a
+// foreign goroutine while its callback may be firing is inherently racy
+// (the documented fired-event no-op), and the per-schedule Handle already
+// serves that case. The race detector will flag cross-goroutine misuse.
 type Timer struct {
-	e    *Engine
-	fire func() // wrapper around the user callback; allocated once
-
-	seq     uint64
-	pending bool
+	e *Engine
+	s slot
 }
 
 // NewTimer returns a stopped Timer that will invoke fire each time it
 // expires. Arm it with Reset.
 func NewTimer(e *Engine, fire func()) *Timer {
-	t := &Timer{e: e}
-	t.fire = func() {
-		t.pending = false
-		fire()
-	}
-	return t
+	return &Timer{e: e, s: slot{fire: fire}}
 }
 
 // Reset arms the timer to fire d seconds from now, first cancelling any
@@ -44,22 +37,16 @@ func (t *Timer) Reset(d Duration) {
 	}
 	t.e.lock()
 	defer t.e.unlock()
-	if t.pending {
-		t.e.cancel(t.seq)
-	}
-	t.seq = t.e.at(t.e.now+Time(d), t.fire).seq
-	t.pending = true
+	t.e.cancel(&t.s, t.s.seq)
+	t.e.schedule(t.e.now+Time(d), &t.s)
 }
 
 // ResetAt arms the timer to fire at absolute time at. See Reset.
 func (t *Timer) ResetAt(at Time) {
 	t.e.lock()
 	defer t.e.unlock()
-	if t.pending {
-		t.e.cancel(t.seq)
-	}
-	t.seq = t.e.at(at, t.fire).seq
-	t.pending = true
+	t.e.cancel(&t.s, t.s.seq)
+	t.e.schedule(at, &t.s)
 }
 
 // Stop cancels the pending expiry, if any, and reports whether one was
@@ -67,10 +54,5 @@ func (t *Timer) ResetAt(at Time) {
 func (t *Timer) Stop() bool {
 	t.e.lock()
 	defer t.e.unlock()
-	if !t.pending {
-		return false
-	}
-	t.e.cancel(t.seq)
-	t.pending = false
-	return true
+	return t.e.cancel(&t.s, t.s.seq)
 }
