@@ -48,18 +48,20 @@ type Instance struct {
 	Status string `json:"status"` // OpenStack-style: BUILD, ACTIVE, ...
 }
 
-// checkWire refuses a user or instance name that one of the native
-// dialects could not hand back unchanged. JSON and XML carry only valid
-// UTF-8, and XML 1.0 no control character but tab, newline and carriage
-// return, nor U+FFFE or U+FFFF. The OpenStack dialect also sends the user
-// as an HTTP header value, which cannot be empty, hold a control character
-// or keep surrounding spaces.
-func checkWire(user, name string) error {
+// checkWire refuses a launch's user, instance name, flavor or image id
+// that one of the native dialects could not hand back unchanged. JSON and
+// XML carry only valid UTF-8, and XML 1.0 no control character but tab,
+// newline and carriage return, nor U+FFFE or U+FFFF. The OpenStack dialect
+// also sends the user as an HTTP header value, which cannot be empty, hold
+// a control character or keep surrounding spaces.
+func checkWire(user, name, flavor, image string) error {
 	if user == "" || !wireText(user, true) || strings.Trim(user, " ") != user {
 		return fmt.Errorf("cloudapi: user %q cannot cross the native APIs", user)
 	}
-	if !wireText(name, false) {
-		return fmt.Errorf("cloudapi: instance name %q cannot cross the native APIs", name)
+	for _, f := range [...]struct{ what, s string }{{"instance name", name}, {"flavor", flavor}, {"image", image}} {
+		if !wireText(f.s, false) {
+			return fmt.Errorf("cloudapi: %s %q cannot cross the native APIs", f.what, f.s)
+		}
 	}
 	return nil
 }
@@ -143,9 +145,9 @@ type CloudAPI interface {
 	// Launch provisions a VM for user. flavor is the cloud's native flavor
 	// name (dialect translation happens in the Tukey middleware, per its
 	// configuration files). Quota and capacity rejections surface as
-	// iaas.ErrQuota / iaas.ErrCapacity through both backends, and a user
-	// or name the native dialects could not hand back unchanged is refused
-	// by both alike (see checkWire).
+	// iaas.ErrQuota / iaas.ErrCapacity through both backends, and a user,
+	// name, flavor or image the native dialects could not hand back
+	// unchanged is refused by both alike (see checkWire).
 	Launch(user, name, flavor, image string) (Instance, error)
 	// Terminate releases user's instance id.
 	Terminate(user, id string) error

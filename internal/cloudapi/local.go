@@ -34,7 +34,7 @@ func view(i *iaas.Instance) Instance {
 
 // Launch implements CloudAPI.
 func (l *Local) Launch(user, name, flavor, image string) (Instance, error) {
-	if err := checkWire(user, name); err != nil {
+	if err := checkWire(user, name, flavor, image); err != nil {
 		return Instance{}, err
 	}
 	inst, err := l.C.Launch(user, name, flavor, image)

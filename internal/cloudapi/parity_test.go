@@ -165,6 +165,9 @@ func TestLocalRemoteParity(t *testing.T) {
 			if !errors.As(errL, &qL) || !errors.As(errR, &qR) {
 				t.Fatalf("quota rejection classes diverged: local=%v remote=%v", errL, errR)
 			}
+			if qL != qR {
+				t.Fatalf("quota rejection diverged: local %+v, remote %+v", qL, qR)
+			}
 			// A quota for no user is refused by both, with Local's text.
 			errL = local.SetQuota("", iaas.Quota{MaxInstances: 1, MaxCores: 1})
 			errR = remote.SetQuota("", iaas.Quota{MaxInstances: 1, MaxCores: 1})

@@ -101,11 +101,13 @@ func ec2ToOpenStack(s string) string {
 }
 
 // launchError classifies a rejected launch: quota and capacity rejections
-// keep their iaas error classes across the wire.
+// keep their iaas error classes across the wire. The site words a quota
+// rejection as iaas.ErrQuota does, so only its reason is kept.
 func (r *Remote) launchError(user, flavor string, status int, ecode, msg string) error {
 	switch {
 	case status == http.StatusForbidden || ecode == "InstanceLimitExceeded":
-		return fmt.Errorf("cloudapi: %s: %w", r.name, iaas.ErrQuota{User: user, Reason: msg})
+		reason := strings.TrimPrefix(msg, iaas.ErrQuota{User: user}.Error())
+		return fmt.Errorf("cloudapi: %s: %w", r.name, iaas.ErrQuota{User: user, Reason: reason})
 	case status == http.StatusConflict || ecode == "InsufficientInstanceCapacity":
 		return fmt.Errorf("cloudapi: %s: %w", r.name, iaas.ErrCapacity{Flavor: flavor})
 	}
@@ -436,7 +438,7 @@ func (r *Remote) refused(what string, status int, msg string) error {
 
 // Launch implements CloudAPI via the native dialect.
 func (r *Remote) Launch(user, name, flavor, image string) (Instance, error) {
-	if err := checkWire(user, name); err != nil {
+	if err := checkWire(user, name, flavor, image); err != nil {
 		return Instance{}, err
 	}
 	if r.stack == "eucalyptus" {

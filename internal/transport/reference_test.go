@@ -108,114 +108,106 @@ func referencePoisson(rng *sim.RNG, mean float64) float64 {
 	return float64(k)
 }
 
-// referenceSimulateShared is SimulateShared's body from the same commit,
-// drawing loss through referencePoisson.
+// referenceSimulateShared is the shared loop's rules written out one tick
+// at a time, with referencePoisson and without the memo or quiet runs.
+// Each tick every live flow offers its controller's rate, clamped by the
+// caps; above the bottleneck the excess is dropped in proportion to each
+// flow's share of the offered load; a controller is advanced once its own
+// interval has passed, on a flow's final tick too; and a finished flow's
+// final-tick overshoot is removed at its average rate.
 func referenceSimulateShared(rng *sim.RNG, path transport.Path, ctrls []transport.Controller, totalBytes []int64, caps transport.Caps) []transport.Result {
 	if len(ctrls) == 0 || len(ctrls) != len(totalBytes) {
 		panic(fmt.Sprintf("transport: %d controllers for %d transfer sizes", len(ctrls), len(totalBytes)))
 	}
-	if path.MSS <= 0 {
-		path.MSS = transport.DefaultMSS
-	}
-	pktBits := float64(path.MSS * 8)
-	bottleneckPps := path.BandwidthBps / pktBits
-	capPps := math.Inf(1)
-	if c := caps.Min(); !math.IsInf(c, 1) {
-		capPps = c / pktBits
-	}
 	tick := math.Inf(1)
 	for i, c := range ctrls {
-		if c.Interval() <= 0 {
-			panic(fmt.Sprintf("transport: controller %d has non-positive interval", i))
-		}
-		tick = math.Min(tick, c.Interval())
-	}
-	type flowState struct {
-		remaining float64
-		retrans   float64
-		sinceCtrl sim.Duration
-		lossInWin bool
-		done      bool
-	}
-	flows := make([]flowState, len(ctrls))
-	results := make([]transport.Result, len(ctrls))
-	active := len(ctrls)
-	for i := range ctrls {
 		if totalBytes[i] <= 0 {
 			panic("transport: totalBytes must be positive")
 		}
-		flows[i].remaining = float64(totalBytes[i])
-		results[i] = transport.Result{Protocol: ctrls[i].Name(), Bytes: totalBytes[i]}
+		if c.Interval() <= 0 {
+			panic("transport: controller has non-positive interval")
+		}
+		tick = math.Min(tick, c.Interval())
 	}
-	offered := make([]float64, len(ctrls))
+	if path.MSS <= 0 {
+		path.MSS = transport.DefaultMSS
+	}
+	capBps := caps.Min()
+	pktBits := float64(path.MSS * 8)
+	bottleneckPps := path.BandwidthBps / pktBits
+	type flowState struct {
+		pps, delivered, retrans float64
+		sinceCtrl               sim.Duration
+		lossInWin, done         bool
+	}
+	flows := make([]flowState, len(ctrls))
+	results := make([]transport.Result, len(ctrls))
+	for i, c := range ctrls {
+		results[i] = transport.Result{Protocol: c.Name(), Bytes: totalBytes[i]}
+	}
 	var t sim.Duration
-	for active > 0 {
-		var total float64
+	for active := len(ctrls); active > 0; {
+		var offered float64
 		for i := range flows {
-			offered[i] = 0
 			if flows[i].done {
 				continue
 			}
-			pps := math.Min(ctrls[i].RatePps(), capPps)
-			offered[i] = pps
-			total += pps
+			pps := ctrls[i].RatePps()
+			if capBps < pps*pktBits {
+				pps = capBps / pktBits
+			}
+			flows[i].pps = pps
+			offered += pps
 		}
-		overload := total > bottleneckPps
 		for i := range flows {
-			if flows[i].done || offered[i] == 0 {
+			f := &flows[i]
+			if f.done {
 				continue
 			}
-			eff := offered[i]
-			congDrops := 0.0
-			if overload {
-				keep := bottleneckPps / total
-				congDrops = eff * (1 - keep) * tick
-				eff *= keep
+			eff, congDrops := f.pps, 0.0
+			if offered > bottleneckPps {
+				share := f.pps / offered
+				congDrops = (offered - bottleneckPps) * share * tick
+				eff = bottleneckPps * share
 			}
 			sent := eff * tick
 			lost := referencePoisson(rng, sent*path.Loss)
 			if lost > sent {
 				lost = sent
 			}
-			arrived := sent - lost
-			flows[i].retrans += lost + congDrops
 			if lost > 0 || congDrops >= 1 {
-				flows[i].lossInWin = true
+				f.lossInWin = true
 			}
-			deliveredNow := arrived * float64(path.MSS)
-			flows[i].remaining -= deliveredNow
+			f.retrans += lost + congDrops
+			deliveredNow := (sent - lost) * float64(path.MSS)
+			f.delivered += deliveredNow
 			if bps := deliveredNow * 8 / tick; bps > results[i].PeakBps {
 				results[i].PeakBps = bps
 			}
-			if flows[i].remaining <= 0 {
-				over := -flows[i].remaining
-				dt := tick
-				if deliveredNow > 0 {
-					dt -= over / deliveredNow * tick
-				}
-				results[i].Duration = t + dt
-				results[i].Retransmit = int64(math.Round(flows[i].retrans))
-				flows[i].done = true
-				active--
-			}
-		}
-		for i := range flows {
-			if flows[i].done {
-				continue
-			}
-			flows[i].sinceCtrl += tick
-			if flows[i].sinceCtrl >= ctrls[i].Interval()-1e-12 {
-				if flows[i].lossInWin {
+			f.sinceCtrl += tick
+			if f.sinceCtrl >= ctrls[i].Interval()-1e-12 {
+				if f.lossInWin {
 					results[i].LossEvents++
 				}
-				ctrls[i].OnInterval(flows[i].lossInWin)
-				flows[i].sinceCtrl = 0
-				flows[i].lossInWin = false
+				ctrls[i].OnInterval(f.lossInWin)
+				f.sinceCtrl, f.lossInWin = 0, false
+			}
+			if total := float64(totalBytes[i]); f.delivered >= total {
+				end := t + tick
+				if over := f.delivered - total; over > 0 {
+					if rate := f.delivered / end; rate > 0 {
+						end -= over / rate
+					}
+				}
+				results[i].Duration = end
+				results[i].Retransmit = int64(math.Round(f.retrans))
+				f.done = true
+				active--
 			}
 		}
 		t += tick
 		if t > 100*sim.Day {
-			panic("transport: shared transfer did not converge")
+			panic("transport: transfer did not converge (rate stuck near zero?)")
 		}
 	}
 	return results
@@ -421,10 +413,7 @@ func TestRsyncRowsRunQuiet(t *testing.T) {
 		if cfg.Tool != udr.ToolRsync {
 			continue
 		}
-		kind := uint8(kindRenoSSH)
-		if cfg.Cipher == cipher.None {
-			kind = kindRenoSocketBuf
-		}
+		kind := table3Kind(cfg)
 		var longest int
 		simulate := func(rng *sim.RNG, p transport.Path, ctrl transport.Controller, n int64, caps transport.Caps) transport.Result {
 			defer func() { longest = ctrl.(quietBudget).longestRun }()
@@ -448,14 +437,33 @@ func runTransfer(simulate simulateFunc, seed uint64, path transport.Path, kind u
 		o.panicked = recover()
 		o.nextDraw = rng.Uint64()
 	}()
-	budget := &tickBudget{Controller: newController(kind, path), left: maxTicks}
-	var ctrl transport.Controller = budget
-	if _, ok := budget.Controller.(transport.QuietController); ok {
-		ctrl = quietBudget{budget}
-	}
-	o.res = simulate(rng, path, ctrl, totalBytes, caps)
+	o.res = simulate(rng, path, budgeted(kind, path, maxTicks), totalBytes, caps)
 	return o
 }
+
+// budgeted is kind's controller on a budget of ticks, its quiet runs kept
+// visible.
+func budgeted(kind uint8, path transport.Path, ticks int) transport.Controller {
+	budget := &tickBudget{Controller: newController(kind, path), left: ticks}
+	if _, ok := budget.Controller.(transport.QuietController); ok {
+		return quietBudget{budget}
+	}
+	return budget
+}
+
+// table3Kind is the controller kind of a Table 3 row.
+func table3Kind(cfg udr.Config) uint8 {
+	switch {
+	case cfg.Tool == udr.ToolRsync && cfg.Cipher == cipher.None:
+		return kindRenoSocketBuf
+	case cfg.Tool == udr.ToolRsync:
+		return kindRenoSSH
+	}
+	return kindUDT
+}
+
+// table3Sizes are Table 3's two transfer sizes: 108 GB and 1.1 TB.
+var table3Sizes = []int64{108 << 30, int64(11) << 40 / 10}
 
 // FuzzSimulateMatchesReference holds Simulate to referenceSimulate over
 // UDT, Reno, a loss-blind sawtooth and a toggling steady rate: every
@@ -468,15 +476,8 @@ func FuzzSimulateMatchesReference(f *testing.F) {
 	// The ten Table 3 cells at seed 2012: five tool/cipher rows × two sizes.
 	table3 := experiments.ChicagoLVOCPath(2012)
 	for _, cfg := range udr.Table3Configs() {
-		kind := uint8(kindUDT)
-		switch {
-		case cfg.Tool == udr.ToolRsync && cfg.Cipher == cipher.None:
-			kind = kindRenoSocketBuf
-		case cfg.Tool == udr.ToolRsync:
-			kind = kindRenoSSH
-		}
-		for _, gigabytes := range []float64{float64(108<<30) / 1e9, float64(int64(11)<<40/10) / 1e9} {
-			f.Add(uint64(2012), -math.Log10(table3.Loss), 10_000.0, cfg.Caps().Min()/1e6, gigabytes, kind)
+		for _, size := range table3Sizes {
+			f.Add(uint64(2012), -math.Log10(table3.Loss), 10_000.0, cfg.Caps().Min()/1e6, float64(size)/1e9, table3Kind(cfg))
 		}
 	}
 	f.Add(uint64(1), 0.0, 10_000.0, 753.0, 20.0, uint8(kindUDT))           // lossless: no draw at all
@@ -533,46 +534,145 @@ func FuzzSimulateMatchesReference(f *testing.F) {
 	})
 }
 
-// TestSimulateSharedMatchesReference is the same bit-for-bit, draw-for-draw
-// check for the shared loop, which now draws through one lossSampler per
-// flow: a single flow, and four with mixed control intervals and sizes
-// under proportional overflow.
-func TestSimulateSharedMatchesReference(t *testing.T) {
+// maxSharedFlows bounds FuzzSimulateSharedMatchesReference's flow count,
+// and maxSharedTicks its ticks, summed over the flows.
+const (
+	maxSharedFlows = 8
+	maxSharedTicks = 1 << 20
+)
+
+// sharedOutcome is outcome for a set of up to maxSharedFlows flows.
+type sharedOutcome struct {
+	res      [maxSharedFlows]transport.Result
+	panicked any
+	nextDraw uint64
+}
+
+type sharedFunc func(*sim.RNG, transport.Path, []transport.Controller, []int64, transport.Caps) []transport.Result
+
+// runShared runs one flow of each kind, each on an even share of
+// maxSharedTicks shared ticks: a flow whose interval is m ticks may take
+// 1/m as many intervals.
+func runShared(shared sharedFunc, seed uint64, path transport.Path, kinds []uint8, sizes []int64, caps transport.Caps) (o sharedOutcome) {
+	rng := sim.NewRNG(seed)
+	defer func() {
+		o.panicked = recover()
+		o.nextDraw = rng.Uint64()
+	}()
+	tick := math.Inf(1)
+	for _, k := range kinds {
+		tick = math.Min(tick, newController(k, path).Interval())
+	}
+	ctrls := make([]transport.Controller, len(kinds))
+	for i, k := range kinds {
+		intervals := float64(maxSharedTicks/len(kinds)) * tick / newController(k, path).Interval()
+		ctrls[i] = budgeted(k, path, max(int(intervals), 1))
+	}
+	copy(o.res[:], shared(rng, path, ctrls, sizes, caps))
+	return o
+}
+
+// FuzzSimulateSharedMatchesReference holds SimulateShared to
+// referenceSimulateShared over 1 to 8 flows of mixed controllers (UDT,
+// Reno, the sawtooths and the toggle), and so mixed control intervals
+// whenever the RTT is not UDT's SYN, with a size per flow and caps shared
+// by all: every Result field equal as a float, the same panic if any, and
+// the RNG left at the same draw. A lone flow must also match
+// referenceSimulate. spec holds two bytes a flow, its kind and its size in
+// units of unitMiB less one. As in FuzzSimulateMatchesReference, the last
+// live flow may take quiet runs, and a quiet transfer that spends its tick
+// budget compares only the panic.
+func FuzzSimulateSharedMatchesReference(f *testing.F) {
+	table3 := experiments.ChicagoLVOCPath(2012)
+	lossExp, rtt := -math.Log10(table3.Loss), table3.RTT
+	// One UDT flow capped, and one uncapped on a lossy path; four UDT
+	// flows overflowing the link; four of mixed intervals under a cap.
+	f.Add(uint64(2012), lossExp, 10_000.0, 753.0, rtt, 1024.0, []byte{kindUDT, 19})
+	f.Add(uint64(2012), 5.0, 10_000.0, 0.0, rtt, 1024.0, []byte{kindUDT, 19})
+	f.Add(uint64(2012), 5.0, 10_000.0, 0.0, rtt, 1024.0, []byte{kindUDT, 7, kindUDT, 3, kindUDT, 1, kindUDT, 0})
+	f.Add(uint64(2012), 5.0, 10_000.0, 4_000.0, rtt, 1024.0, []byte{kindUDT, 3, kindRenoSocketBuf, 0, kindSawtooth, 1, kindRenoSSH, 0})
+	// Two flows under the link, held by the cap: the survivor runs quiet.
+	f.Add(uint64(5), 6.0, 10_000.0, 3_000.0, rtt, 512.0, []byte{kindUDT, 0, kindUDT, 9})
+	// The toggle outlives a UDT flow and runs quiet at each of its rates.
+	f.Add(uint64(6), 6.0, 10_000.0, 3_000.0, rtt, 512.0, []byte{kindToggle, 9, kindUDT, 0})
+	// RTT under the SYN: Reno sets the tick.
+	f.Add(uint64(2), 4.0, 1_000.0, 0.0, 0.004, 64.0, []byte{kindRenoUnwindowed, 3, kindUDT, 3})
+	// Lossless: congestion drops only.
+	f.Add(uint64(3), 0.0, 10_000.0, 0.0, 0.025, 256.0, []byte{kindUDT, 0, kindUDT, 1, kindUDT, 2, kindUDT, 3, kindUDT, 4, kindUDT, 5, kindUDT, 6, kindUDT, 7})
+	f.Add(uint64(4), 3.0, 10_000.0, 0.0, rtt, 128.0, []byte{kindSlowSawtooth, 2, kindSawtooth, 0})
+	// Flows held together, by a cap or at their windows: only the last
+	// may run quiet.
+	f.Add(uint64(7), 6.0, 10_000.0, 200.0, rtt, 64.0, []byte{kindUDT, 1, kindUDT, 2})
+	f.Add(uint64(9), 6.0, 10_000.0, 0.0, rtt, 512.0, []byte{kindRenoSSH, 1, kindRenoSocketBuf, 2})
+	f.Fuzz(func(t *testing.T, seed uint64, lossExp, bwMbit, capMbit float64, rtt sim.Duration, unitMiB float64, spec []byte) {
+		loss := 0.0
+		if lossExp > 0 {
+			loss = math.Min(math.Pow(10, -lossExp), 0.5)
+		}
+		n := min(len(spec)/2, maxSharedFlows)
+		if n == 0 || !(bwMbit >= 1 && bwMbit <= 1e6) || !(capMbit >= 0 && capMbit <= 1e6) ||
+			!(rtt >= 1e-3 && rtt <= 1) || !(unitMiB > 0 && unitMiB <= 1024) {
+			t.Skip("outside the modelled range")
+		}
+		path := transport.Path{BandwidthBps: bwMbit * 1e6, RTT: rtt, Loss: loss, MSS: transport.DefaultMSS}
+		caps := transport.Caps{SenderBps: capMbit * 1e6}
+		kinds, sizes := make([]uint8, n), make([]int64, n)
+		quiet := false
+		for i := range kinds {
+			kinds[i] = spec[2*i] % numKinds
+			sizes[i] = max(int64(float64(spec[2*i+1])+1)*int64(unitMiB*(1<<20)), 1)
+			limit := quietLimitBps(kinds[i], path, caps)
+			if math.IsInf(limit, 1) {
+				continue
+			}
+			quiet = true
+			interval := newController(kinds[i], path).Interval()
+			if float64(sizes[i])*8/math.Min(path.BandwidthBps, limit)/interval > float64(maxSharedTicks/n) {
+				t.Skip("a quiet run could outlast the tick budget")
+			}
+		}
+		want := runShared(referenceSimulateShared, seed, path, kinds, sizes, caps)
+		got := runShared(transport.SimulateShared, seed, path, kinds, sizes, caps)
+		if quiet && want.panicked == budgetSpent {
+			got.nextDraw, want.nextDraw = 0, 0
+		}
+		if got != want {
+			t.Fatalf("SimulateShared diverged from the reference\n got  %+v\n want %+v", got, want)
+		}
+		if n > 1 {
+			return
+		}
+		single := runShared(func(rng *sim.RNG, path transport.Path, ctrls []transport.Controller, sizes []int64, caps transport.Caps) []transport.Result {
+			return []transport.Result{referenceSimulate(rng, path, ctrls[0], sizes[0], caps)}
+		}, seed, path, kinds, sizes, caps)
+		if quiet && single.panicked == budgetSpent {
+			single.nextDraw = 0
+		}
+		if got != single {
+			t.Fatalf("one shared flow diverged from referenceSimulate\n got  %+v\n want %+v", got, single)
+		}
+	})
+}
+
+// TestSharedSingleFlowMatchesDedicated: over Table 3's ten cells, a
+// one-flow SimulateShared is Simulate, every Result field equal as a float
+// and the RNG left at the same draw.
+func TestSharedSingleFlowMatchesDedicated(t *testing.T) {
 	path := experiments.ChicagoLVOCPath(2012)
-	lossy := path
-	lossy.Loss = 1e-5
-	for _, tc := range []struct {
-		name  string
-		path  transport.Path
-		kinds []uint8
-		sizes []int64
-		caps  transport.Caps
-	}{
-		{"n1-capped", path, []uint8{kindUDT}, []int64{20 << 30}, transport.Caps{SenderBps: 753e6}},
-		{"n1-uncapped-lossy", lossy, []uint8{kindUDT}, []int64{20 << 30}, transport.Caps{}},
-		{"n4-udt-overflow", lossy, []uint8{kindUDT, kindUDT, kindUDT, kindUDT}, []int64{8 << 30, 4 << 30, 2 << 30, 1 << 30}, transport.Caps{}},
-		{"n4-mixed-intervals", lossy, []uint8{kindUDT, kindRenoSocketBuf, kindSawtooth, kindRenoSSH}, []int64{4 << 30, 1 << 30, 2 << 30, 1 << 30}, transport.Caps{SenderBps: 4e9}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			run := func(shared func(*sim.RNG, transport.Path, []transport.Controller, []int64, transport.Caps) []transport.Result) ([]transport.Result, uint64) {
-				rng := sim.NewRNG(2012)
-				ctrls := make([]transport.Controller, len(tc.kinds))
-				for i, k := range tc.kinds {
-					ctrls[i] = newController(k, tc.path)
-				}
-				return shared(rng, tc.path, ctrls, tc.sizes, tc.caps), rng.Uint64()
+	for _, cfg := range udr.Table3Configs() {
+		for _, size := range table3Sizes {
+			rng := sim.NewRNG(2012)
+			want := transport.Simulate(rng, path, cfg.Controller(path), size, cfg.Caps())
+			wantDraw := rng.Uint64()
+			rng = sim.NewRNG(2012)
+			got := transport.SimulateShared(rng, path, []transport.Controller{cfg.Controller(path)}, []int64{size}, cfg.Caps())
+			if got[0] != want {
+				t.Errorf("%s, %d bytes: shared %+v, dedicated %+v", cfg, size, got[0], want)
 			}
-			want, wantDraw := run(referenceSimulateShared)
-			got, gotDraw := run(transport.SimulateShared)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Errorf("flow %d diverged from the reference\n got  %+v\n want %+v", i, got[i], want[i])
-				}
+			if gotDraw := rng.Uint64(); gotDraw != wantDraw {
+				t.Errorf("%s, %d bytes: RNG left at next draw %#x, dedicated %#x", cfg, size, gotDraw, wantDraw)
 			}
-			if gotDraw != wantDraw {
-				t.Errorf("RNG left at a different draw: next Uint64 %#x, reference %#x", gotDraw, wantDraw)
-			}
-		})
+		}
 	}
 }
 
@@ -594,5 +694,21 @@ func TestSimulateAllocatesNothing(t *testing.T) {
 		transport.Simulate(rng, path, reno, 1<<30, renoCaps)
 	}); n != 0 {
 		t.Fatalf("Simulate allocated %v times per 1 GB rsync transfer, want 0", n)
+	}
+}
+
+// TestSimulateSharedAllocationsFlat: SimulateShared allocates its flow
+// set and its results per call, and nothing per tick, so a transfer 16
+// times larger allocates no more.
+func TestSimulateSharedAllocationsFlat(t *testing.T) {
+	path := experiments.ChicagoLVOCPath(2012)
+	rng := sim.NewRNG(2012)
+	ctrls := []transport.Controller{udt.NewRateControl(path), udt.NewRateControl(path)}
+	small, large := []int64{1 << 30, 1 << 29}, []int64{16 << 30, 8 << 30}
+	allocs := func(sizes []int64) float64 {
+		return testing.AllocsPerRun(5, func() { transport.SimulateShared(rng, path, ctrls, sizes, transport.Caps{}) })
+	}
+	if a, b := allocs(small), allocs(large); a != b {
+		t.Fatalf("SimulateShared allocated %v times per call at 1.5 GB, %v at 24 GB", a, b)
 	}
 }

@@ -21,133 +21,201 @@ import (
 // returned Results are per flow, with Duration the virtual time at which
 // that flow completed.
 //
-// Random tail loss is drawn through the same lossSampler as Simulate, one
-// per flow. The cap clamp, overflow and final-tick overshoot steps are
-// this loop's own; TestSharedSingleFlowMatchesDedicated pins the
-// single-flow case to the dedicated model within 10%.
+// Simulate is this loop over one flow, so a one-flow SimulateShared is
+// Simulate bit for bit, RNG draws included.
 func SimulateShared(rng *sim.RNG, path Path, ctrls []Controller, totalBytes []int64, caps Caps) []Result {
 	if len(ctrls) == 0 || len(ctrls) != len(totalBytes) {
 		panic(fmt.Sprintf("transport: %d controllers for %d transfer sizes", len(ctrls), len(totalBytes)))
 	}
+	flows := make([]flow, len(ctrls))
+	for i, c := range ctrls {
+		flows[i] = newFlow(c, totalBytes[i])
+	}
+	simulate(rng, path, flows, caps)
+	results := make([]Result, len(flows))
+	for i := range flows {
+		results[i] = flows[i].res
+	}
+	return results
+}
+
+// flow is one transfer in the tick loop.
+type flow struct {
+	ctrl     Controller
+	quiet    quietController // ctrl, if it can take loss-free intervals in bulk
+	interval sim.Duration
+	res      Result
+	total    float64
+	// delivered counts up to total; the final tick's overshoot is removed
+	// from the duration at completion.
+	delivered float64
+	// Fractional lost packets accumulate across ticks and are rounded once,
+	// at completion; truncating per tick undercounts slow flows whose
+	// per-tick loss is < 1 packet.
+	retrans float64
+	// The largest tick delivery; bytes → bits/s is monotone, so it is
+	// converted once, at completion.
+	peak      float64
+	pps       float64 // this tick's offered rate, packets/s
+	sinceCtrl sim.Duration
+	loss      lossSampler
+	capped    bool // pps is the caps' rate, not the controller's
+	lossInWin bool
+	done      bool
+}
+
+func newFlow(ctrl Controller, totalBytes int64) flow {
+	if totalBytes <= 0 {
+		panic("transport: totalBytes must be positive")
+	}
+	dt := ctrl.Interval()
+	if dt <= 0 {
+		// Nothing would be sent and t would never advance: the loop would
+		// never end.
+		panic("transport: controller has non-positive interval")
+	}
+	quiet, _ := ctrl.(quietController)
+	return flow{
+		ctrl:     ctrl,
+		quiet:    quiet,
+		interval: dt,
+		res:      Result{Protocol: ctrl.Name(), Bytes: totalBytes},
+		total:    float64(totalBytes),
+	}
+}
+
+// simulate is the tick loop. The tick is the fastest control interval; a
+// slower controller is advanced once its own interval has passed. Each
+// tick, every live flow offers min(controller rate, caps), drawn in index
+// order; flows finish at the tick that delivers their last byte.
+func simulate(rng *sim.RNG, path Path, flows []flow, caps Caps) {
 	if path.MSS <= 0 {
 		path.MSS = DefaultMSS
 	}
+	capBps := caps.Min()
 	pktBits := float64(path.MSS * 8)
 	bottleneckPps := path.BandwidthBps / pktBits
-	capPps := math.Inf(1)
-	if c := caps.Min(); !math.IsInf(c, 1) {
-		capPps = c / pktBits
-	}
-
-	// The global tick is the fastest control interval; slower controllers
-	// accumulate ticks and are advanced once per own interval.
+	capPps := capBps / pktBits
+	mss := float64(path.MSS)
 	tick := math.Inf(1)
-	for i, c := range ctrls {
-		if c.Interval() <= 0 {
-			panic(fmt.Sprintf("transport: controller %d has non-positive interval", i))
-		}
-		tick = math.Min(tick, c.Interval())
+	for i := range flows {
+		tick = math.Min(tick, flows[i].interval)
 	}
-
-	type flowState struct {
-		loss      lossSampler
-		remaining float64
-		// retrans accumulates fractional lost packets across ticks; the
-		// per-tick losses of a slow flow are routinely < 1 packet, so
-		// truncating every tick would systematically undercount. Rounded
-		// into Result.Retransmit once, at flow completion.
-		retrans   float64
-		sinceCtrl sim.Duration
-		lossInWin bool
-		done      bool
-	}
-	flows := make([]flowState, len(ctrls))
-	results := make([]Result, len(ctrls))
-	active := len(ctrls)
-	for i := range ctrls {
-		if totalBytes[i] <= 0 {
-			panic("transport: totalBytes must be positive")
-		}
-		flows[i].remaining = float64(totalBytes[i])
-		results[i] = Result{Protocol: ctrls[i].Name(), Bytes: totalBytes[i]}
-	}
-
-	offered := make([]float64, len(ctrls))
+	active := len(flows)
+	// Only a lone flow runs quiet, and once alone it stays alone: one held
+	// tick serves the whole loop.
+	held := heldTick{rate: math.NaN()}
 	var t sim.Duration
 	for active > 0 {
-		// Offered load this tick.
-		var total float64
+		var offered float64
+		var last *flow
 		for i := range flows {
-			offered[i] = 0
-			if flows[i].done {
+			f := &flows[i]
+			if f.done {
 				continue
 			}
-			pps := math.Min(ctrls[i].RatePps(), capPps)
-			offered[i] = pps
-			total += pps
+			// Application-side caps throttle the send loop; that is not
+			// loss, the sender simply paces slower.
+			f.pps = f.ctrl.RatePps()
+			if f.capped = capBps < f.pps*pktBits; f.capped {
+				f.pps = capPps
+			}
+			offered += f.pps
+			last = f
 		}
-		// Proportional overflow at the shared bottleneck.
-		overload := total > bottleneckPps
+		// A flow is held when its caps bind or its controller is steady:
+		// its rate, and with it the tick, is the same until a loss. A lone
+		// flow advanced every tick whose controller can take its loss-free
+		// intervals in bulk runs held ticks quietly.
+		if f := last; active == 1 && f.quiet != nil && f.interval == tick && (f.capped || f.quiet.Steady()) {
+			if f.pps != held.rate {
+				held.hold(f.pps, tick, path, bottleneckPps)
+			}
+			if held.quiet {
+				// A quiet run: the loss-free held ticks in bulk. It ends on
+				// a draw Knuth's loop would not stop at, which the general
+				// tick below then finishes as a loss.
+				var n int
+				n, f.delivered, t, f.loss.first = held.quietRun(rng, f.delivered, f.total, t)
+				f.quiet.OnQuietIntervals(n)
+				if n > 0 && held.bytes > f.peak {
+					f.peak = held.bytes
+				}
+				if t > 100*sim.Day {
+					panic(notConverged)
+				}
+				if f.delivered >= f.total {
+					f.finish(t, tick)
+					break
+				}
+			}
+		}
 		for i := range flows {
-			if flows[i].done || offered[i] == 0 {
+			f := &flows[i]
+			if f.done {
 				continue
 			}
-			eff := offered[i]
-			congDrops := 0.0
-			if overload {
-				keep := bottleneckPps / total
-				congDrops = eff * (1 - keep) * tick
-				eff *= keep
+			// Pushing above the bottleneck overflows its queue: the excess
+			// is congestion loss, dropped in proportion to each flow's
+			// share of the offered load, that its controller must react to.
+			// A lone flow's share is x/x = 1 exactly.
+			eff, congDrops := f.pps, 0.0
+			if offered > bottleneckPps {
+				share := f.pps / offered
+				congDrops = (offered - bottleneckPps) * share * tick
+				eff = bottleneckPps * share
 			}
-			sent := eff * tick
-			lost := flows[i].loss.draw(rng, sent*path.Loss)
+			sent := eff * tick // packets that actually traverse the bottleneck
+			lost := f.loss.draw(rng, sent*path.Loss)
 			if lost > sent {
 				lost = sent
 			}
-			arrived := sent - lost
-			flows[i].retrans += lost + congDrops
 			if lost > 0 || congDrops >= 1 {
-				flows[i].lossInWin = true
+				f.lossInWin = true
 			}
-			deliveredNow := arrived * float64(path.MSS)
-			flows[i].remaining -= deliveredNow
-			if bps := deliveredNow * 8 / tick; bps > results[i].PeakBps {
-				results[i].PeakBps = bps
+			// Every packet that arrives delivers a unique useful chunk:
+			// dropped chunks are simply re-sent from future sending budget,
+			// so counting arrivals as goodput and drops as retransmissions
+			// is exact in the steady state (duplicates are rare enough to
+			// ignore).
+			f.retrans += lost + congDrops
+			deliveredNow := (sent - lost) * mss
+			f.delivered += deliveredNow
+			if deliveredNow > f.peak {
+				f.peak = deliveredNow
 			}
-			if flows[i].remaining <= 0 {
-				// Credit back the final-tick overshoot for a fair duration.
-				over := -flows[i].remaining
-				dt := tick
-				if deliveredNow > 0 {
-					dt -= over / deliveredNow * tick
+			if f.sinceCtrl += tick; f.sinceCtrl >= f.interval-1e-12 {
+				if f.lossInWin {
+					f.res.LossEvents++
 				}
-				results[i].Duration = t + dt
-				results[i].Retransmit = int64(math.Round(flows[i].retrans))
-				flows[i].done = true
+				f.ctrl.OnInterval(f.lossInWin)
+				f.sinceCtrl, f.lossInWin = 0, false
+			}
+			if f.delivered >= f.total {
+				f.finish(t+tick, tick)
 				active--
-			}
-		}
-		// Advance each live controller at its own cadence.
-		for i := range flows {
-			if flows[i].done {
-				continue
-			}
-			flows[i].sinceCtrl += tick
-			if flows[i].sinceCtrl >= ctrls[i].Interval()-1e-12 {
-				if flows[i].lossInWin {
-					results[i].LossEvents++
-				}
-				ctrls[i].OnInterval(flows[i].lossInWin)
-				flows[i].sinceCtrl = 0
-				flows[i].lossInWin = false
 			}
 		}
 		t += tick
 		if t > 100*sim.Day {
-			panic("transport: shared transfer did not converge")
+			panic(notConverged)
 		}
 	}
-	return results
+}
+
+// finish completes f at t, the end of the tick that delivered its last
+// byte. The overshoot of that tick is removed at the flow's average rate,
+// for a fair duration.
+func (f *flow) finish(t, tick sim.Duration) {
+	if over := f.delivered - f.total; over > 0 {
+		if rate := f.delivered / t; rate > 0 {
+			t -= over / rate
+		}
+	}
+	f.res.Duration = t
+	f.res.PeakBps = f.peak * 8 / tick
+	f.res.Retransmit = int64(math.Round(f.retrans))
+	f.done = true
 }
 
 // JainFairness computes Jain's fairness index over per-flow throughputs:

@@ -31,21 +31,6 @@ func testPath() Path {
 	return Path{BandwidthBps: 1e9, RTT: 0.1, Loss: 0, MSS: DefaultMSS}
 }
 
-func TestSharedSingleFlowMatchesDedicated(t *testing.T) {
-	path := testPath()
-	const bytes = 1 << 30
-	mk := func() Controller { return &stubCtrl{name: "stub", interval: 0.01, pps: path.PacketsPerSec() * 2} }
-	solo := Simulate(sim.NewRNG(1), path, mk(), bytes, Caps{})
-	shared := SimulateShared(sim.NewRNG(1), path, []Controller{mk()}, []int64{bytes}, Caps{})
-	if len(shared) != 1 {
-		t.Fatalf("results = %d", len(shared))
-	}
-	a, b := solo.ThroughputMbit(), shared[0].ThroughputMbit()
-	if ratio := a / b; ratio < 0.9 || ratio > 1.1 {
-		t.Fatalf("single shared flow %.0f mbit/s vs dedicated %.0f mbit/s", b, a)
-	}
-}
-
 func TestSharedFlowsSplitBottleneckFairly(t *testing.T) {
 	path := testPath()
 	const n = 4

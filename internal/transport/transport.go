@@ -60,8 +60,8 @@ type Controller interface {
 	OnInterval(lossEvent bool)
 }
 
-// quietController is a Controller whose loss-free intervals Simulate may
-// apply in one call. OnQuietIntervals(n) must be exactly n calls of
+// quietController is a Controller whose loss-free intervals the tick loop
+// may apply in one call. OnQuietIntervals(n) must be exactly n calls of
 // OnInterval(false), bit for bit, and RatePps must never decrease across a
 // loss-free interval, so a flow its caps hold stays held for a whole run.
 // Steady reports that loss-free intervals leave RatePps bit-identical, so
@@ -140,121 +140,16 @@ func (r Result) String() string {
 // bandwidth, the excess fraction is dropped at the bottleneck queue
 // (congestion loss). Lost packets are retransmitted (they consume sending
 // budget but do not count toward goodput).
+//
+// It is SimulateShared's loop over a one-flow set, held on the stack.
 func Simulate(rng *sim.RNG, path Path, ctrl Controller, totalBytes int64, caps Caps) Result {
-	if totalBytes <= 0 {
-		panic("transport: totalBytes must be positive")
-	}
-	if path.MSS <= 0 {
-		path.MSS = DefaultMSS
-	}
-	dt := ctrl.Interval()
-	if dt <= 0 {
-		// sent and t would both stay 0 and the loop below never ends.
-		panic("transport: controller has non-positive interval")
-	}
-	res := Result{Protocol: ctrl.Name(), Bytes: totalBytes}
-	capBps := caps.Min()
-	pktBits := float64(path.MSS * 8)
-	bottleneckPps := path.BandwidthBps / pktBits
-	capPps := capBps / pktBits
-	mss := float64(path.MSS)
-	total := float64(totalBytes)
-
-	var loss lossSampler
-	var delivered float64
-	var t sim.Duration
-	// Fractional lost packets accumulate across intervals and are rounded
-	// once at the end; truncating per interval undercounts slow flows
-	// whose per-interval loss is < 1 packet.
-	var retrans float64
-	// The largest interval delivery; bytes → bits/s is monotone, so it is
-	// converted once, after the loop.
-	var peak float64
-	// A flow is held when its caps bind or its controller is steady: its
-	// rate, and with it the tick, is the same until a loss. A controller
-	// that can take its loss-free intervals in bulk runs held ticks
-	// quietly.
-	quiet, _ := ctrl.(quietController)
-	held := heldTick{rate: math.NaN(), dt: dt}
-	for delivered < total {
-		// Application-side caps throttle the send loop; that is not loss,
-		// the sender simply paces slower.
-		effPps := ctrl.RatePps()
-		capped := capBps < effPps*pktBits
-		if capped {
-			effPps = capPps
-		}
-		if quiet != nil && (capped || quiet.Steady()) {
-			if effPps != held.rate {
-				held.hold(effPps, path, bottleneckPps)
-			}
-			if held.quiet {
-				// A quiet run: the loss-free held ticks in bulk. It ends on
-				// a draw Knuth's loop would not stop at, which the general
-				// tick below then finishes as a loss.
-				var n int
-				n, delivered, t, loss.first = held.quietRun(rng, delivered, total, t)
-				quiet.OnQuietIntervals(n)
-				if n > 0 && held.bytes > peak {
-					peak = held.bytes
-				}
-				if t > 100*sim.Day {
-					panic(notConverged)
-				}
-				if delivered >= total {
-					break
-				}
-			}
-		}
-		// Pushing above the bottleneck overflows its queue: the excess is
-		// congestion loss the controller must react to.
-		congDrops := 0.0
-		if effPps > bottleneckPps {
-			congDrops = (effPps - bottleneckPps) * dt
-			effPps = bottleneckPps
-		}
-		sent := effPps * dt // packets that actually traverse the bottleneck
-		lost := loss.draw(rng, sent*path.Loss)
-		if lost > sent {
-			lost = sent
-		}
-		lossEvent := lost > 0 || congDrops >= 1
-		// Every packet that arrives delivers a unique useful chunk: dropped
-		// chunks are simply re-sent from future sending budget, so counting
-		// arrivals as goodput and drops as retransmissions is exact in the
-		// steady state (duplicates are rare enough to ignore).
-		arrived := sent - lost
-		retrans += lost + congDrops
-		deliveredNow := arrived * mss
-		delivered += deliveredNow
-		if deliveredNow > peak {
-			peak = deliveredNow
-		}
-		if lossEvent {
-			res.LossEvents++
-		}
-		ctrl.OnInterval(lossEvent)
-		t += dt
-		if t > 100*sim.Day {
-			panic(notConverged)
-		}
-	}
-	res.PeakBps = peak * 8 / dt
-	// Remove the overshoot of the final interval for a fair duration.
-	over := delivered - total
-	if over > 0 {
-		lastRate := delivered / t
-		if lastRate > 0 {
-			t -= over / lastRate
-		}
-	}
-	res.Duration = t
-	res.Retransmit = int64(math.Round(retrans))
-	return res
+	flows := [1]flow{newFlow(ctrl, totalBytes)}
+	simulate(rng, path, flows[:], caps)
+	return flows[0].res
 }
 
 // heldTick is a tick of a held flow: it delivers bytes in dt, and it is
-// loss-free unless a draw exceeds exp(-mean). Simulate keeps the last held
+// loss-free unless a draw exceeds exp(-mean). A flow keeps its last held
 // rate's tick, keyed on exact float equality, so a hit is the very tick
 // the rate gives.
 type heldTick struct {
@@ -268,14 +163,14 @@ type heldTick struct {
 
 // hold makes h the tick at pps, with the general tick's arithmetic: sent =
 // pps·dt packets, mean = sent·loss, and, none lost, sent·MSS bytes.
-func (h *heldTick) hold(pps float64, path Path, bottleneckPps float64) {
-	sent := pps * h.dt
+func (h *heldTick) hold(pps float64, dt sim.Duration, path Path, bottleneckPps float64) {
+	sent := pps * dt
 	mean := sent * path.Loss
 	*h = heldTick{
 		rate:  pps,
 		quiet: pps <= bottleneckPps && mean <= 50,
 		bytes: sent * float64(path.MSS), // arrived = sent - 0 is sent, bit for bit
-		dt:    h.dt,
+		dt:    dt,
 		limit: uint64(math.Exp(-mean) * (1 << 53)),
 		draws: mean > 0,
 	}
