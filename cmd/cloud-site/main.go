@@ -40,11 +40,11 @@
 //
 // The line "cloud-site <name> (<stack>) listening on <url>" is printed to
 // stdout once the listener is up, so a spawning process can scrape the
-// ephemeral address.
+// ephemeral address. SIGINT or SIGTERM drains in-flight requests, stops
+// the clock and exits with status 0.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -55,6 +55,7 @@ import (
 	"osdc/internal/cloudapi"
 	"osdc/internal/core"
 	"osdc/internal/sim"
+	"osdc/internal/wire"
 )
 
 // options bundle the site knobs so tests can drive newCloudSite directly.
@@ -73,12 +74,7 @@ type options struct {
 // cloudSite is the assembled process: one cloudapi.Site (engine, clock
 // source, listener) plus the optional coordinator poller.
 type cloudSite struct {
-	engine   *sim.Engine
-	site     *cloudapi.Site
-	url      string
-	name     string
-	stack    string
-	follower *sim.Follower
+	*cloudapi.Site
 	stopPoll chan struct{}
 }
 
@@ -109,10 +105,7 @@ func newCloudSite(opt options) (*cloudSite, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cloud-site: %w", err)
 	}
-	s := &cloudSite{
-		engine: site.Engine, site: site, url: site.URL,
-		name: site.Cloud.Name, stack: site.Cloud.Stack, follower: site.Follower(),
-	}
+	s := &cloudSite{Site: site}
 	if opt.clockFollow != "" && opt.clockFollow != "push" {
 		poll, err := clockPollURL(opt.clockFollow)
 		if err != nil {
@@ -142,7 +135,7 @@ func clockPollURL(raw string) (string, error) {
 // feeds it to the follower. Errors are logged and retried: a site that
 // misses syncs holds its clock still rather than drifting.
 func (s *cloudSite) pollCoordinator(pollURL string, every time.Duration) {
-	client := &http.Client{Timeout: cloudapi.DefaultTimeout}
+	client := wire.NewClient(nil, cloudapi.DefaultTimeout)
 	tick := time.NewTicker(every)
 	defer tick.Stop()
 	fails := 0
@@ -151,34 +144,26 @@ func (s *cloudSite) pollCoordinator(pollURL string, every time.Duration) {
 		case <-s.stopPoll:
 			return
 		case <-tick.C:
-			resp, err := client.Get(pollURL)
-			if err != nil {
-				if fails++; fails%20 == 1 {
-					log.Printf("clock poll %s: %v", pollURL, err)
-				}
-				continue
-			}
 			var body cloudapi.ClockStatus
-			err = json.NewDecoder(resp.Body).Decode(&body)
-			resp.Body.Close()
-			if err != nil || resp.StatusCode != http.StatusOK {
+			status, _, err := wire.Call(client, http.MethodGet, pollURL, "", nil, &body, http.StatusOK)
+			if err != nil || status != http.StatusOK {
 				if fails++; fails%20 == 1 {
-					log.Printf("clock poll %s: status %d, err %v", pollURL, resp.StatusCode, err)
+					log.Printf("clock poll %s: status %d, err %v", pollURL, status, err)
 				}
 				continue
 			}
 			fails = 0
-			s.follower.SetTarget(sim.Time(body.Now))
+			s.Follower().SetTarget(sim.Time(body.Now))
 		}
 	}
 }
 
-// Close stops the poller, then the site's clock source and listener.
+// Close stops the poller, then the site's listener and clock source.
 func (s *cloudSite) Close() {
 	if s.stopPoll != nil {
 		close(s.stopPoll)
 	}
-	s.site.Close()
+	s.Site.Close()
 }
 
 func main() {
@@ -195,6 +180,7 @@ func main() {
 	shards := flag.Int("shards", 1, "kernel shard count: K engines advanced in lockstep, per-instance timers spread by entity hash")
 	flag.Parse()
 
+	stop := wire.NotifyShutdown()
 	s, err := newCloudSite(options{
 		cloud: *cloud, addr: *addr, seed: *seed, scale: *scale,
 		speedup: *speedup, clockFollow: *clockFollow, clockTick: *clockTick,
@@ -203,14 +189,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer s.Close()
 	// The stdout line is the spawn contract: parents scrape the ephemeral
 	// address from it.
-	fmt.Printf("cloud-site %s (%s) listening on %s\n", s.name, s.stack, s.url)
-	mode := "free-run"
-	if s.follower != nil {
-		mode = "follow"
-	}
-	log.Printf("clock mode %s; operator plane at %s/cloudapi/, native %s dialect at /", mode, s.url, s.stack)
-	select {} // serve until killed
+	fmt.Printf("cloud-site %s (%s) listening on %s\n", s.Cloud.Name, s.Cloud.Stack, s.URL)
+	log.Printf("clock mode %s; operator plane at %s/cloudapi/, native %s dialect at /", s.Mode, s.URL, s.Cloud.Stack)
+	<-stop
+	s.Close()
 }

@@ -34,9 +34,9 @@ func TestCloudSiteFreeRunServesNativeAndOperatorPlanes(t *testing.T) {
 	}
 	defer s.Close()
 
-	r := cloudapi.NewRemote(s.name, s.stack, s.url, nil)
-	if s.stack != "openstack" {
-		t.Fatalf("Adler stack = %s", s.stack)
+	r := cloudapi.NewRemote(s.Cloud.Name, s.Cloud.Stack, s.URL, nil)
+	if s.Cloud.Stack != "openstack" {
+		t.Fatalf("Adler stack = %s", s.Cloud.Stack)
 	}
 	if _, err := r.Flavors(); err != nil {
 		t.Fatalf("native flavors route: %v", err)
@@ -52,7 +52,7 @@ func TestCloudSiteFreeRunServesNativeAndOperatorPlanes(t *testing.T) {
 		t.Fatalf("clock mode = %s, want free-run", st.Mode)
 	}
 	// The free-running driver advances the private engine.
-	waitUntil(t, 5*time.Second, func() bool { return s.engine.Now() > 0 },
+	waitUntil(t, 5*time.Second, func() bool { return s.Engine.Now() > 0 },
 		"free-run clock never advanced")
 }
 
@@ -65,13 +65,13 @@ func TestCloudSitePushFollow(t *testing.T) {
 	}
 	defer s.Close()
 
-	r := cloudapi.NewRemote(s.name, s.stack, s.url, nil)
+	r := cloudapi.NewRemote(s.Cloud.Name, s.Cloud.Stack, s.URL, nil)
 	if err := r.ClockSync(sim.Time(2 * sim.Minute)); err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(t, 5*time.Second, func() bool { return s.engine.Now() >= sim.Time(2*sim.Minute) },
+	waitUntil(t, 5*time.Second, func() bool { return s.Engine.Now() >= sim.Time(2*sim.Minute) },
 		"pushed target never reached")
-	if now := s.engine.Now(); now != sim.Time(2*sim.Minute) {
+	if now := s.Engine.Now(); now != sim.Time(2*sim.Minute) {
 		t.Fatalf("engine overshot the pushed target: %v", now)
 	}
 }
@@ -100,11 +100,11 @@ func TestCloudSitePollsCoordinator(t *testing.T) {
 	defer s.Close()
 
 	now.Store(120.0)
-	waitUntil(t, 5*time.Second, func() bool { return s.engine.Now() >= 120 },
+	waitUntil(t, 5*time.Second, func() bool { return s.Engine.Now() >= 120 },
 		"site never caught the coordinator's clock")
 	// The coordinator holding still holds the site still.
 	time.Sleep(20 * time.Millisecond)
-	if got := s.engine.Now(); got != 120 {
+	if got := s.Engine.Now(); got != 120 {
 		t.Fatalf("site clock = %v with the coordinator parked at 120", got)
 	}
 }

@@ -12,7 +12,8 @@
 //
 // With -operator-secret the balancer serves its own health accounting —
 // retries, mark-downs, evictions, live backend counts — at GET /metrics
-// behind the federation's operator gate.
+// behind the federation's operator gate. SIGINT or SIGTERM stops the
+// probes, drains in-flight requests and exits.
 //
 // Usage:
 //
@@ -29,6 +30,7 @@ import (
 
 	"osdc/internal/lb"
 	"osdc/internal/telemetry"
+	"osdc/internal/wire"
 )
 
 // backendList collects repeated -backend flags.
@@ -54,8 +56,10 @@ func main() {
 	}
 
 	pool := lb.NewPool(backends, nil)
+	stopProbes := make(chan struct{})
+	defer close(stopProbes)
 	if *probe > 0 {
-		go pool.ProbeLoop(*probe, *evictAfter, make(chan struct{}))
+		go pool.ProbeLoop(*probe, *evictAfter, stopProbes)
 	}
 	reg := telemetry.NewRegistry()
 	pool.RegisterMetrics(reg)
@@ -66,5 +70,7 @@ func main() {
 	mux.Handle("/", pool)
 	log.Printf("tukey-lb on %s over %d replicas (probe %v, evict after %d)",
 		*addr, len(backends), *probe, *evictAfter)
-	log.Fatal(http.ListenAndServe(*addr, mux))
+	if err := wire.Serve(*addr, mux); err != nil {
+		log.Fatal(err)
+	}
 }

@@ -8,11 +8,13 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
 	"osdc/internal/cloudapi"
 	"osdc/internal/core"
+	"osdc/internal/wire"
 )
 
 // TestFollowedClockRemoteTopology: with -remote-clouds and -clock-sync the
@@ -220,7 +222,7 @@ func TestStatusReportsPerSitePollErrors(t *testing.T) {
 // coordinator pushes the console's time into it, and the full console flow
 // — login → status → launch → list → usage accrual → terminate — crosses
 // the process boundary. Bounded skew is asserted from the coordinator's
-// observations.
+// observations, and SIGTERM ends the site with exit status 0.
 func TestCloudSiteSubprocess(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns a subprocess and builds a binary")
@@ -241,9 +243,14 @@ func TestCloudSiteSubprocess(t *testing.T) {
 	if err := site.Start(); err != nil {
 		t.Fatal(err)
 	}
+	exited, waiting := make(chan error, 1), false
 	defer func() {
 		_ = site.Process.Kill()
-		_ = site.Wait()
+		if waiting {
+			<-exited
+		} else {
+			_ = site.Wait()
+		}
 	}()
 
 	// The spawn contract: the site prints its ephemeral URL on stdout.
@@ -259,6 +266,9 @@ func TestCloudSiteSubprocess(t *testing.T) {
 	if siteURL == "" {
 		t.Fatalf("cloud-site never printed its address (scan err %v)", scanner.Err())
 	}
+	// The site prints nothing more on stdout, so Wait may run from here on.
+	waiting = true
+	go func() { exited <- site.Wait() }()
 
 	const speedup = 86_400
 	syncEvery := 10 * time.Millisecond
@@ -363,4 +373,18 @@ func TestCloudSiteSubprocess(t *testing.T) {
 		t.Fatalf("terminate across processes: status %d", resp.StatusCode)
 	}
 	resp.Body.Close()
+
+	// SIGTERM drains the site and it exits cleanly within the grace.
+	if err := site.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-exited:
+		exited <- err // for the deferred cleanup
+		if err != nil {
+			t.Fatalf("cloud-site after SIGTERM: %v, want exit status 0", err)
+		}
+	case <-time.After(wire.ShutdownGrace + 5*time.Second):
+		t.Fatal("cloud-site did not exit within the grace after SIGTERM")
+	}
 }

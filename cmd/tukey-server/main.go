@@ -53,6 +53,9 @@
 // as one console: kill a replica and its users' sessions keep working on
 // the survivors. GET /healthz is the balancer's probe endpoint.
 //
+// SIGINT or SIGTERM drains in-flight requests, stops every loop and
+// exits.
+//
 // Then:
 //
 //	curl -s -X POST localhost:8080/login \
@@ -352,7 +355,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer s.Close()
 	topology := "single-process"
 	if *remote {
 		topology = "per-site remote"
@@ -362,5 +364,9 @@ func main() {
 	}
 	log.Printf("Tukey console on %s (%s topology) — login with demo/demo-pw (shibboleth); clock at %gx",
 		*addr, topology, *speedup)
-	log.Fatal(http.ListenAndServe(*addr, s.handler))
+	err = wire.Serve(*addr, s.handler)
+	s.Close()
+	if err != nil {
+		log.Fatal(err)
+	}
 }

@@ -32,12 +32,12 @@ func TestMultiReplicaSmoke(t *testing.T) {
 	e := sim.NewEngine(21)
 	adler := core.BuildCloud(e, core.ClusterAdler, 8)
 	sullivan := core.BuildCloud(e, core.ClusterSullivan, 8)
-	siteA, err := cloudapi.StartSite(e, adler, 0)
+	siteA, err := cloudapi.StartSite(e, adler, cloudapi.SiteOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer siteA.Close()
-	siteS, err := cloudapi.StartSite(e, sullivan, 0)
+	siteS, err := cloudapi.StartSite(e, sullivan, cloudapi.SiteOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,16 +14,17 @@
 //	            [-rate-limit N] [-rate-burst M] [-operator-secret S]
 //
 // With -operator-secret the state plane serves GET /metrics behind the
-// federation's operator gate.
+// federation's operator gate. SIGINT or SIGTERM drains in-flight requests
+// and exits.
 package main
 
 import (
 	"flag"
 	"log"
-	"net/http"
 
 	"osdc/internal/tukey"
 	"osdc/internal/tukeystate"
+	"osdc/internal/wire"
 )
 
 func main() {
@@ -57,5 +58,7 @@ func main() {
 	srv := tukeystate.NewServer(store, limiter)
 	srv.OperatorSecret = *operatorSecret
 	log.Printf("tukey-state on %s", *addr)
-	log.Fatal(http.ListenAndServe(*addr, srv))
+	if err := wire.Serve(*addr, srv); err != nil {
+		log.Fatal(err)
+	}
 }

@@ -23,7 +23,6 @@ import (
 // An entry is a reason to keep a declaration alive, so it must stay
 // short: observe through a live API where one exists.
 var reachabilityAllowlist = map[string]string{
-	"cloudapi.StartSite":                "cmd/tukey-server/multireplica_test.go",
 	"lb.Pool.PickBackend":               "cmd/tukey-server/multireplica_test.go",
 	"dfs.Brick.SetOnline":               "ablation_test.go",
 	"dfs.Volume.List":                   "internal/gateway/gateway_test.go (via export_test.go's List)",

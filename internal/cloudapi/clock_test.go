@@ -38,7 +38,7 @@ func waitUntil(t *testing.T, d time.Duration, cond func() bool, msg string) {
 // wire but rejects sync targets with the free-running conflict.
 func TestClockPlaneFreeRunSite(t *testing.T) {
 	e := sim.NewEngine(1)
-	site, err := StartSite(e, testCloud(e, "clock-test", "openstack"), 0) // frozen free-run clock
+	site, err := StartSite(e, testCloud(e, "clock-test", "openstack"), SiteOptions{}) // frozen free-run clock
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,12 +60,31 @@ func TestClockPlaneFreeRunSite(t *testing.T) {
 	}
 }
 
+// TestClosedSiteRefusesKeptAliveRemote: a Remote that spoke to a site
+// before Close holds a kept-alive connection; after Close the site
+// answers nothing on it or on a new one.
+func TestClosedSiteRefusesKeptAliveRemote(t *testing.T) {
+	e := sim.NewEngine(1)
+	site, err := StartSite(e, testCloud(e, "close-test", "openstack"), SiteOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := site.RemoteWithClient(nil)
+	if _, err := r.Flavors(); err != nil {
+		t.Fatal(err)
+	}
+	site.Close()
+	if _, err := r.Flavors(); err == nil {
+		t.Fatal("a closed site answered a Remote over its kept-alive connection")
+	}
+}
+
 // TestClockPlaneFollowSite: pushed targets advance a followed site's engine
 // to the target and never past it, visible both in-process and over the
 // wire.
 func TestClockPlaneFollowSite(t *testing.T) {
 	e := sim.NewEngine(2)
-	site, err := StartSiteWithOptions(e, testCloud(e, "clock-test", "eucalyptus"),
+	site, err := StartSite(e, testCloud(e, "clock-test", "eucalyptus"),
 		SiteOptions{Clock: ClockFollow, Tick: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +138,7 @@ func TestClockPlaneNoClock(t *testing.T) {
 // not clock movements.
 func TestClockSyncRejectsBadTargets(t *testing.T) {
 	e := sim.NewEngine(4)
-	site, err := StartSiteWithOptions(e, testCloud(e, "clock-test", "openstack"),
+	site, err := StartSite(e, testCloud(e, "clock-test", "openstack"),
 		SiteOptions{Clock: ClockFollow, Tick: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +175,7 @@ func TestCoordinatorBoundsSkew(t *testing.T) {
 	var targets []ClockSyncTarget
 	for i, stack := range []string{"openstack", "eucalyptus"} {
 		e := sim.NewEngine(uint64(20 + i))
-		site, err := StartSiteWithOptions(e, testCloud(e, fmt.Sprintf("clock-site-%d", i), stack),
+		site, err := StartSite(e, testCloud(e, fmt.Sprintf("clock-site-%d", i), stack),
 			SiteOptions{Clock: ClockFollow, Tick: time.Millisecond})
 		if err != nil {
 			t.Fatal(err)

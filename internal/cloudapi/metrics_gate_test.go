@@ -84,7 +84,7 @@ func TestMetricsGate(t *testing.T) {
 // kernel's per-shard series — the collector's raw material.
 func TestSiteMetricsCarryEngineSeries(t *testing.T) {
 	rig := newParityRig(t, "openstack")
-	site, err := StartSiteWithOptions(rig.engine, rig.cloud, SiteOptions{OperatorSecret: "s3cret"})
+	site, err := StartSite(rig.engine, rig.cloud, SiteOptions{OperatorSecret: "s3cret"})
 	if err != nil {
 		t.Fatal(err)
 	}

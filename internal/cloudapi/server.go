@@ -202,21 +202,13 @@ var pprofMux = func() *http.ServeMux {
 	return mux
 }()
 
-// ServePprof serves /debug/pprof/* behind the operator secret: with no
-// secret configured the profiling plane does not exist (404), and a
-// request without the matching X-OSDC-Operator header is refused (403).
-// Shared by cloudapi.Server and tukey-server so both binaries gate
-// profiling identically.
+// ServePprof serves /debug/pprof/* behind wire.OperatorGate. Shared by
+// cloudapi.Server and tukey-server so both binaries gate profiling
+// identically.
 func ServePprof(secret string, w http.ResponseWriter, r *http.Request) {
-	if secret == "" {
-		wire.WriteError(w, http.StatusNotFound, "profiling plane requires an operator secret")
-		return
+	if wire.OperatorGate(secret, "profiling", w, r) {
+		pprofMux.ServeHTTP(w, r)
 	}
-	if !wire.OperatorOK(secret, r) {
-		wire.WriteError(w, http.StatusForbidden, "profiling plane requires X-OSDC-Operator")
-		return
-	}
-	pprofMux.ServeHTTP(w, r)
 }
 
 // ServeHTTP implements http.Handler: /cloudapi/* is the operator plane,

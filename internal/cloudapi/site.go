@@ -2,18 +2,18 @@ package cloudapi
 
 import (
 	"fmt"
-	"net"
 	"net/http"
 	"time"
 
 	"osdc/internal/datastore"
 	"osdc/internal/iaas"
 	"osdc/internal/sim"
+	"osdc/internal/wire"
 )
 
 // Site is one cloud running as its own miniature process: a private engine
-// (and a clock source advancing it), the cloud it hosts, and a loopback
-// HTTP listener serving the cloud's Server. This is the remote-topology
+// (and a clock source advancing it), the cloud it hosts, and a wire.Server
+// listener serving the cloud's Server. This is the remote-topology
 // building block — every service reaches a Site only through a Remote
 // pointed at its URL.
 //
@@ -38,11 +38,11 @@ type Site struct {
 	clock    sim.ClockSource
 	follower *sim.Follower // non-nil in follow mode
 	secret   string
-	ln       net.Listener
+	edge     *wire.Server
 	srv      *Server
 }
 
-// SiteOptions tune how StartSiteWithOptions stands a site up.
+// SiteOptions tune how StartSite stands a site up.
 type SiteOptions struct {
 	// Clock picks the engine's clock source; see Site's doc comment.
 	Clock ClockMode
@@ -62,7 +62,7 @@ type SiteOptions struct {
 	// site's server; Remote()s built from the site carry it.
 	OperatorSecret string
 	// Set, when non-nil, is the site's sharded kernel: its anchor must be
-	// the engine passed to StartSiteWithOptions. The clock source then
+	// the engine passed to StartSite. The clock source then
 	// advances all shards to a common target each tick and the cloud's
 	// per-instance timers land on their owning shards. The clock plane is
 	// unchanged — it publishes and follows the anchor's time, which bounds
@@ -70,38 +70,24 @@ type SiteOptions struct {
 	Set *sim.ShardSet
 }
 
-// StartSite serves c's per-cloud Server on an ephemeral loopback port with
-// a free-running clock: when speedup > 0, a wall-clock driver advances e
-// (speedup simulated seconds per wall second). It is the historic
-// constructor; StartSiteWithOptions adds the clock mode choice.
-func StartSite(e *sim.Engine, c *iaas.Cloud, speedup float64) (*Site, error) {
-	return StartSiteWithOptions(e, c, SiteOptions{Clock: ClockFreeRun, Speedup: speedup})
-}
-
-// StartSiteWithOptions serves c's per-cloud Server on an ephemeral loopback
-// port, with the engine driven per opt. The site's Server always exposes
-// the clock plane: readable in both modes, sync-able only in follow mode.
-func StartSiteWithOptions(e *sim.Engine, c *iaas.Cloud, opt SiteOptions) (*Site, error) {
+// StartSite serves c's per-cloud Server on opt.Addr, with the engine
+// driven per opt. The site's Server always exposes the clock plane:
+// readable in both modes, sync-able only in follow mode.
+func StartSite(e *sim.Engine, c *iaas.Cloud, opt SiteOptions) (*Site, error) {
 	addr := opt.Addr
 	if addr == "" {
 		addr = "127.0.0.1:0"
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("cloudapi: site %s: %w", c.Name, err)
 	}
 	tick := opt.Tick
 	if tick <= 0 {
 		tick = 2 * time.Millisecond
 	}
 	if opt.Set != nil && opt.Set.Anchor() != e {
-		_ = ln.Close()
 		return nil, fmt.Errorf("cloudapi: site %s: shard set's anchor is not the site engine", c.Name)
 	}
 	s := &Site{
 		Engine: e, Cloud: c, Mode: opt.Clock, Datasets: opt.Datasets,
-		Set: opt.Set,
-		URL: "http://" + ln.Addr().String(), ln: ln, secret: opt.OperatorSecret,
+		Set: opt.Set, secret: opt.OperatorSecret,
 	}
 	if opt.Set != nil {
 		c.SetShards(opt.Set)
@@ -134,7 +120,14 @@ func StartSiteWithOptions(e *sim.Engine, c *iaas.Cloud, opt SiteOptions) (*Site,
 		}
 		srv.Clock = EngineClock{E: e}
 	}
-	go func() { _ = http.Serve(ln, srv) }()
+	edge, err := wire.Listen(addr, srv)
+	if err != nil {
+		if s.clock != nil {
+			s.clock.Stop()
+		}
+		return nil, fmt.Errorf("cloudapi: site %s: %w", c.Name, err)
+	}
+	s.edge, s.URL = edge, edge.URL
 	return s, nil
 }
 
@@ -166,10 +159,11 @@ func (s *Site) Follower() *sim.Follower { return s.follower }
 // reach its telemetry registry or usage-cache counters in-process.
 func (s *Site) Server() *Server { return s.srv }
 
-// Close stops the clock source (if any) and the listener.
+// Close stops serving, so a client holding a kept-alive connection is
+// refused too, and then stops the clock source (if any).
 func (s *Site) Close() {
+	s.edge.Close()
 	if s.clock != nil {
 		s.clock.Stop()
 	}
-	_ = s.ln.Close()
 }

@@ -16,7 +16,7 @@ import (
 func TestShardedSiteFollowMode(t *testing.T) {
 	set := sim.NewShardSet(9, 4)
 	e := set.Anchor()
-	site, err := StartSiteWithOptions(e, testCloud(e, "shard-test", "openstack"),
+	site, err := StartSite(e, testCloud(e, "shard-test", "openstack"),
 		SiteOptions{Clock: ClockFollow, Tick: time.Millisecond, Set: set})
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +62,7 @@ func TestShardedSiteFollowMode(t *testing.T) {
 func TestShardedSiteAnchorMismatch(t *testing.T) {
 	set := sim.NewShardSet(9, 2)
 	other := sim.NewEngine(10)
-	_, err := StartSiteWithOptions(other, testCloud(other, "shard-mismatch", "openstack"),
+	_, err := StartSite(other, testCloud(other, "shard-mismatch", "openstack"),
 		SiteOptions{Set: set})
 	if err == nil {
 		t.Fatal("mismatched shard set accepted")

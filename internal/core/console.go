@@ -3,9 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
-	"net/http/httptest"
 	"time"
 
 	"osdc/internal/cloudapi"
@@ -16,6 +14,7 @@ import (
 	"osdc/internal/telemetry"
 	"osdc/internal/tukey"
 	"osdc/internal/tukeystate"
+	"osdc/internal/wire"
 )
 
 // Topology picks where the utility clouds run relative to the console.
@@ -379,15 +378,13 @@ func (d *Deployment) attachRemote(remote *cloudapi.Remote, url string, follows b
 	}
 }
 
-// serve puts h on an ephemeral loopback listener; Close shuts it down once
-// its in-flight requests finish.
+// serve puts h on an ephemeral loopback wire.Server; Close shuts it down
+// once its in-flight requests finish.
 func (d *Deployment) serve(h http.Handler) (string, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	srv, err := wire.Listen("127.0.0.1:0", h)
 	if err != nil {
 		return "", fmt.Errorf("core: loopback listener: %w", err)
 	}
-	srv := &httptest.Server{Listener: ln, Config: &http.Server{Handler: h}}
-	srv.Start()
 	d.closers = append(d.closers, srv.Close)
 	return srv.URL, nil
 }

@@ -298,7 +298,7 @@ func StartSite(name string, seed uint64, scale, shards int, opts cloudapi.SiteOp
 	if set.K() > 1 {
 		opts.Set = set
 	}
-	return cloudapi.StartSiteWithOptions(e, BuildCloud(e, name, scale), opts)
+	return cloudapi.StartSite(e, BuildCloud(e, name, scale), opts)
 }
 
 // buildDatasetVolume builds the storage volume backing a per-site dataset

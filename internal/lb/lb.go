@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"osdc/internal/telemetry"
+	"osdc/internal/wire"
 )
 
 // vnodes is how many ring points each backend gets. 64 points per backend
@@ -208,19 +209,15 @@ func (p *Pool) PickBackend(token string) string {
 	return bs[0].url
 }
 
-// maxBodyBytes bounds the request body the balancer buffers for replay.
-// The largest console body, a login or launch, is under 1 KB.
-const maxBodyBytes = 1 << 20
-
 // ServeHTTP proxies one console request, retrying transport-level failures
 // on the next backend in session order. The body is buffered so a retry
-// can replay it; one over maxBodyBytes answers 413 before any backend is
-// contacted.
+// can replay it; one over wire.MaxBodyBytes answers 413 before any backend
+// is contacted.
 func (p *Pool) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	var body []byte
 	if r.Body != nil {
 		var err error
-		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes))
 		r.Body.Close()
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"osdc/internal/telemetry"
+	"osdc/internal/wire"
 )
 
 // echoBackend is a fake console replica that reports its own name, so
@@ -286,13 +287,13 @@ func TestOversizedBodyRejected(t *testing.T) {
 		resp.Body.Close()
 		return resp.StatusCode
 	}
-	if code := post(maxBodyBytes + 1); code != http.StatusRequestEntityTooLarge {
+	if code := post(wire.MaxBodyBytes + 1); code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body status = %d, want 413", code)
 	}
 	if n := atomic.LoadInt64(hits); n != 0 {
 		t.Fatalf("backend saw %d requests for a rejected body, want 0", n)
 	}
-	if code := post(maxBodyBytes); code != http.StatusOK {
+	if code := post(wire.MaxBodyBytes); code != http.StatusOK {
 		t.Fatalf("body at the bound status = %d, want 200", code)
 	}
 	if n := atomic.LoadInt64(hits); n != 1 {

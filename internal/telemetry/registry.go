@@ -437,18 +437,10 @@ func ParseText(b []byte) (map[string]float64, error) {
 	return out, nil
 }
 
-// ServeMetrics serves GET /metrics behind the operator secret, gated
-// exactly like cloudapi.ServePprof: with no secret configured the metrics
-// plane does not exist (404), and a request without the matching
-// X-OSDC-Operator header is refused (403). Shared by every binary so all
-// four gate metrics identically.
+// ServeMetrics serves GET /metrics behind wire.OperatorGate. Shared by
+// every binary so all four gate metrics identically.
 func ServeMetrics(secret string, reg *Registry, w http.ResponseWriter, r *http.Request) {
-	if secret == "" {
-		wire.WriteError(w, http.StatusNotFound, "metrics plane requires an operator secret")
-		return
-	}
-	if !wire.OperatorOK(secret, r) {
-		wire.WriteError(w, http.StatusForbidden, "metrics plane requires X-OSDC-Operator")
+	if !wire.OperatorGate(secret, "metrics", w, r) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

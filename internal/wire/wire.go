@@ -1,10 +1,10 @@
 // Package wire is the one HTTP edge of the JSON planes — the operator
 // plane (cloudapi), the data plane (datastore) and the state plane
-// (tukeystate) — and of every handler that answers JSON: the response
-// and {"error": msg} envelope writers, the operator header and its
-// check, and the one client round trip that checks the status before it
-// decodes. It imports only the standard library, so every layer,
-// telemetry included, can use it.
+// (tukeystate) — and of every listener: the response and {"error": msg}
+// envelope writers, the operator header, its check and its gate, the one
+// client round trip that checks the status before it decodes, and the
+// one Server every listener in the deployment runs on. It imports only
+// the standard library, so every layer, telemetry included, can use it.
 package wire
 
 import (
@@ -37,10 +37,25 @@ func WriteError(w http.ResponseWriter, code int, msg string) {
 }
 
 // OperatorOK reports whether r carries secret in its OperatorHeader,
-// compared in constant time. It is the one operator check: each gated
-// surface puts its own 404/403 answers around it.
+// compared in constant time. It is the one operator check.
 func OperatorOK(secret string, r *http.Request) bool {
 	return subtle.ConstantTimeCompare([]byte(r.Header.Get(OperatorHeader)), []byte(secret)) == 1
+}
+
+// OperatorGate is the one gate in front of an operator-only plane (metrics,
+// profiling): with no secret configured the plane does not exist (404), and
+// a request without the matching OperatorHeader is refused (403). It
+// reports whether r may go on; when not, the answer is written.
+func OperatorGate(secret, plane string, w http.ResponseWriter, r *http.Request) bool {
+	if secret != "" && OperatorOK(secret, r) {
+		return true
+	}
+	code, need := http.StatusNotFound, "an operator secret"
+	if secret != "" {
+		code, need = http.StatusForbidden, OperatorHeader
+	}
+	WriteError(w, code, plane+" plane requires "+need)
+	return false
 }
 
 // NewClient returns client, or when it is nil a private client whose
