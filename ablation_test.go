@@ -99,7 +99,7 @@ func BenchmarkAblationDFSReplication(b *testing.B) {
 				e := sim.NewEngine(uint64(i) + 1)
 				bricks := make([]*dfs.Brick, 6)
 				for j := range bricks {
-					d := simdisk.New(e, fmt.Sprintf("d%d", j), 3072e6, 1136e6, 1<<40)
+					d := simdisk.New(fmt.Sprintf("d%d", j), 1<<40)
 					bricks[j] = dfs.NewBrick(fmt.Sprintf("b%d", j), "n", d)
 				}
 				vol, err := dfs.NewVolume(e, "v", replica, dfs.Version33, bricks)

@@ -180,7 +180,8 @@ func main() {
 	shards := flag.Int("shards", 1, "kernel shard count: K engines advanced in lockstep, per-instance timers spread by entity hash")
 	flag.Parse()
 
-	stop := wire.NotifyShutdown()
+	ctx, stop := wire.NotifyShutdown()
+	defer stop()
 	s, err := newCloudSite(options{
 		cloud: *cloud, addr: *addr, seed: *seed, scale: *scale,
 		speedup: *speedup, clockFollow: *clockFollow, clockTick: *clockTick,
@@ -193,6 +194,6 @@ func main() {
 	// address from it.
 	fmt.Printf("cloud-site %s (%s) listening on %s\n", s.Cloud.Name, s.Cloud.Stack, s.URL)
 	log.Printf("clock mode %s; operator plane at %s/cloudapi/, native %s dialect at /", s.Mode, s.URL, s.Cloud.Stack)
-	<-stop
+	<-ctx.Done()
 	s.Close()
 }

@@ -70,7 +70,9 @@ func main() {
 	mux.Handle("/", pool)
 	log.Printf("tukey-lb on %s over %d replicas (probe %v, evict after %d)",
 		*addr, len(backends), *probe, *evictAfter)
-	if err := wire.Serve(*addr, mux); err != nil {
+	ctx, stop := wire.NotifyShutdown()
+	defer stop()
+	if err := wire.Serve(ctx, *addr, mux); err != nil {
 		log.Fatal(err)
 	}
 }

@@ -53,8 +53,8 @@
 // as one console: kill a replica and its users' sessions keep working on
 // the survivors. GET /healthz is the balancer's probe endpoint.
 //
-// SIGINT or SIGTERM drains in-flight requests, stops every loop and
-// exits.
+// SIGINT or SIGTERM ends open /console/stream responses, drains
+// in-flight requests, stops every loop and exits.
 //
 // Then:
 //
@@ -64,6 +64,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -309,6 +310,15 @@ func newServer(opt options) (*server, error) {
 	return s, nil
 }
 
+// serve runs the console on addr until ctx ends, then closes s. Open
+// /console/stream responses end as soon as ctx does: left open, they
+// would hold the listener's drain for all of wire.ShutdownGrace.
+func (s *server) serve(ctx context.Context, addr string) error {
+	context.AfterFunc(ctx, s.stream.Close)
+	defer s.Close()
+	return wire.Serve(ctx, addr, s.handler)
+}
+
 // Close stops the replication, telemetry and stream loops, then the
 // federation: coordinator, clocks, sites and listeners.
 func (s *server) Close() {
@@ -364,9 +374,9 @@ func main() {
 	}
 	log.Printf("Tukey console on %s (%s topology) — login with demo/demo-pw (shibboleth); clock at %gx",
 		*addr, topology, *speedup)
-	err = wire.Serve(*addr, s.handler)
-	s.Close()
-	if err != nil {
+	ctx, stop := wire.NotifyShutdown()
+	defer stop()
+	if err := s.serve(ctx, *addr); err != nil {
 		log.Fatal(err)
 	}
 }

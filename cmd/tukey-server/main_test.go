@@ -1,10 +1,13 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +15,7 @@ import (
 	"osdc/internal/core"
 	"osdc/internal/telemetry"
 	"osdc/internal/tukey"
+	"osdc/internal/wire"
 )
 
 // consoleDo issues one authenticated console request.
@@ -117,6 +121,64 @@ func TestFrozenClockStaysAtZero(t *testing.T) {
 	}
 	if s.fed.Engine.Now() != 0 {
 		t.Fatalf("clock = %v, want 0", s.fed.Engine.Now())
+	}
+}
+
+// TestShutdownEndsOpenStream: when the serving context ends, an open
+// /console/stream response ends with it, so shutdown does not wait out
+// wire.ShutdownGrace and the client reads a clean EOF.
+func TestShutdownEndsOpenStream(t *testing.T) {
+	s, err := newServer(options{seed: 10, speedup: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	served := make(chan error, 1)
+	go func() { served <- s.serve(ctx, addr) }()
+	for deadline := time.Now().Add(5 * time.Second); ; runtime.Gosched() {
+		c, err := net.Dial("tcp", addr)
+		if err == nil {
+			c.Close()
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("console never listened on %s: %v", addr, err)
+		}
+	}
+	base := "http://" + addr
+	resp := consoleDo(t, base, "GET", "/console/stream", login(t, base), "")
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stream status %d", resp.StatusCode)
+	}
+
+	start := time.Now()
+	cancel()
+	read := make(chan error, 1)
+	go func() {
+		_, err := io.Copy(io.Discard, resp.Body)
+		read <- err
+	}()
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(wire.ShutdownGrace + time.Second):
+		t.Fatal("serve did not return")
+	}
+	if took := time.Since(start); took >= time.Second {
+		t.Fatalf("shutdown with an open stream took %v, want under 1 s", took)
+	}
+	if err := <-read; err != nil {
+		t.Fatalf("stream ended with %v, want EOF", err)
 	}
 }
 

@@ -58,7 +58,9 @@ func main() {
 	srv := tukeystate.NewServer(store, limiter)
 	srv.OperatorSecret = *operatorSecret
 	log.Printf("tukey-state on %s", *addr)
-	if err := wire.Serve(*addr, srv); err != nil {
+	ctx, stop := wire.NotifyShutdown()
+	defer stop()
+	if err := wire.Serve(ctx, *addr, srv); err != nil {
 		log.Fatal(err)
 	}
 }

@@ -86,7 +86,7 @@ func main() {
 func smallVolume(e *sim.Engine) *dfs.Volume {
 	var bricks []*dfs.Brick
 	for i := 0; i < 2; i++ {
-		d := simdisk.New(e, fmt.Sprintf("pdc-d%d", i), 3072e6, 1136e6, 1<<40)
+		d := simdisk.New(fmt.Sprintf("pdc-d%d", i), 1<<40)
 		bricks = append(bricks, dfs.NewBrick(fmt.Sprintf("pdc-b%d", i), "pdc-node", d))
 	}
 	v, err := dfs.NewVolume(e, "pdc", 2, dfs.Version33, bricks)

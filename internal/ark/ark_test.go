@@ -109,21 +109,6 @@ func TestValidRejectsForeignNAAN(t *testing.T) {
 	}
 }
 
-func TestUpdateRebindsLocation(t *testing.T) {
-	s := NewService("")
-	r := s.Mint(Metadata{Where: "/old"})
-	if err := s.Update(r.ARK, Metadata{Where: "/new/volume"}); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := s.Resolve(r.ARK)
-	if got != "/new/volume" {
-		t.Fatalf("after update Resolve = %q", got)
-	}
-	if err := s.Update("ark:/31807/osdcnope", Metadata{}); err == nil {
-		t.Fatal("update of unknown ARK must fail")
-	}
-}
-
 func TestMintedARKsAlwaysValidate(t *testing.T) {
 	s := NewService("")
 	if err := quick.Check(func(n uint8) bool {
@@ -131,21 +116,5 @@ func TestMintedARKsAlwaysValidate(t *testing.T) {
 		return s.Valid(r.ARK) && s.Valid(r.ARK+"?") && s.Valid(r.ARK+"??")
 	}, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestAllSorted(t *testing.T) {
-	s := NewService("")
-	for i := 0; i < 10; i++ {
-		s.Mint(Metadata{})
-	}
-	all := s.All()
-	if len(all) != 10 {
-		t.Fatalf("All = %d records", len(all))
-	}
-	for i := 1; i < len(all); i++ {
-		if all[i-1].ARK >= all[i].ARK {
-			t.Fatal("All not sorted")
-		}
 	}
 }

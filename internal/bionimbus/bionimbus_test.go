@@ -18,7 +18,7 @@ func newClouds(t *testing.T) (*Cloud, *Cloud) {
 	mk := func(name string) *dfs.Volume {
 		var bricks []*dfs.Brick
 		for i := 0; i < 2; i++ {
-			d := simdisk.New(e, fmt.Sprintf("%s-d%d", name, i), 3072e6, 1136e6, 1<<40)
+			d := simdisk.New(fmt.Sprintf("%s-d%d", name, i), 1<<40)
 			bricks = append(bricks, dfs.NewBrick(fmt.Sprintf("%s-b%d", name, i), "n", d))
 		}
 		v, err := dfs.NewVolume(e, name, 2, dfs.Version33, bricks)

@@ -32,7 +32,7 @@ func datasetsVolume(t testing.TB, e *sim.Engine, name string, capacity int64) *d
 	t.Helper()
 	bricks := make([]*dfs.Brick, 2)
 	for i := range bricks {
-		d := simdisk.New(e, fmt.Sprintf("%s-d%d", name, i), 3072e6, 1136e6, capacity)
+		d := simdisk.New(fmt.Sprintf("%s-d%d", name, i), capacity)
 		bricks[i] = dfs.NewBrick(fmt.Sprintf("%s-b%d", name, i), fmt.Sprintf("%s-n%d", name, i), d)
 	}
 	vol, err := dfs.NewVolume(e, name, 2, dfs.Version33, bricks)

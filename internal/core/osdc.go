@@ -388,7 +388,7 @@ func buildVolume(e *sim.Engine, name, site string, capacity int64, bricks int) (
 	per := capacity / int64(bricks) * 2 // replica 2 doubles raw need
 	bs := make([]*dfs.Brick, bricks)
 	for i := range bs {
-		d := simdisk.New(e, fmt.Sprintf("%s-disk%d", name, i), 3072e6, 1136e6, per)
+		d := simdisk.New(fmt.Sprintf("%s-disk%d", name, i), per)
 		bs[i] = dfs.NewBrick(fmt.Sprintf("%s-brick%d", name, i), fmt.Sprintf("%s-node%d", name, i), d)
 	}
 	return dfs.NewVolume(e, name, 2, dfs.Version33, bs)

@@ -30,13 +30,10 @@ type Dataset struct {
 // Catalog is the curated dataset registry.
 //
 // The console searches the catalog from concurrent HTTP handlers while
-// curators publish; mu covers the curator set and the entry table. The
-// download counter is atomic so a download stays a read-lock path — the
-// datastore coordinator embeds the catalog and reads it from every
-// planning round, and a write-locked counter on the resolve path would
-// serialize those reads against every console search. A *Dataset is
-// immutable once published, so handing pointers out of Search/All
-// without copying is safe.
+// curators publish, and the datastore coordinator embeds the catalog and
+// reads it from every planning round; mu covers the curator set and the
+// entry table. A *Dataset is immutable once published, so handing
+// pointers out of Search/All without copying is safe.
 type Catalog struct {
 	ids *ark.Service
 	vol *dfs.Volume
@@ -44,8 +41,6 @@ type Catalog struct {
 	mu       sync.RWMutex
 	curators map[string]bool
 	entries  map[string]*Dataset
-
-	downloads int64 // atomic
 }
 
 // NewCatalog builds a catalog that publishes onto vol and mints IDs from

@@ -1,6 +1,7 @@
 package datasets
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -16,7 +17,7 @@ func newCatalog(t *testing.T) *Catalog {
 	e := sim.NewEngine(3)
 	var bricks []*dfs.Brick
 	for i := 0; i < 2; i++ {
-		d := simdisk.New(e, "d", 3072e6, 1136e6, 2<<50)
+		d := simdisk.New("d", 2<<50)
 		bricks = append(bricks, dfs.NewBrick("b", "n", d))
 	}
 	// unique names required per volume; adjust
@@ -39,53 +40,74 @@ func TestPublishMintsARKAndStores(t *testing.T) {
 	if !strings.HasPrefix(d.ARK, "ark:/") {
 		t.Fatalf("no ARK minted: %q", d.ARK)
 	}
-	loc, err := c.Download("Test Set")
+	loc, err := c.ids.Resolve(d.ARK)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if loc != d.Path {
-		t.Fatalf("download resolves to %q, want %q", loc, d.Path)
-	}
-	if c.DownloadCount() != 1 {
-		t.Fatal("download not counted")
+		t.Fatalf("ARK resolves to %q, want %q", loc, d.Path)
 	}
 }
 
 // TestCatalogConcurrentDownloadAndSearch is the -race stress for the
-// catalog's locking: Download used to mutate the counter under the same
-// lock handlers read with, and the datastore coordinator now embeds the
-// catalog, reading it from planning rounds while the console searches and
-// downloads. Exact counting is asserted so lost atomic updates surface
-// even without -race.
+// catalog's locking: the datastore coordinator embeds the catalog, reading
+// it from planning rounds while the console searches and curators publish.
+// Exact counts are asserted so a lost publish surfaces even without -race.
 func TestCatalogConcurrentDownloadAndSearch(t *testing.T) {
 	c := newCatalog(t)
-	if _, err := c.Publish("walt", Dataset{Name: "Stress Set", SizeBytes: 1 << 30, Discipline: "biology"}); err != nil {
-		t.Fatal(err)
-	}
-	const workers, iters = 8, 200
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+	const publishers, perPublisher, size = 4, 50, int64(1) << 30
+	var readers, pubs sync.WaitGroup
+	done := make(chan struct{})
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
 		go func() {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				if _, err := c.Download("Stress Set"); err != nil {
-					t.Error(err)
+			defer readers.Done()
+			last := 0
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				n := len(c.Search("stress"))
+				if n < last {
+					t.Errorf("search saw %d datasets after %d", n, last)
 					return
 				}
-				if got := c.Search("biology"); len(got) == 0 {
-					t.Error("search lost the published dataset")
+				last = n
+				if got := c.TotalBytes(); got < int64(n)*size {
+					t.Errorf("TotalBytes = %d behind %d searched datasets", got, n)
 					return
 				}
 				c.All()
-				c.TotalBytes()
-				c.DownloadCount()
 			}
 		}()
 	}
-	wg.Wait()
-	if got := c.DownloadCount(); got != workers*iters {
-		t.Fatalf("DownloadCount = %d, want %d", got, workers*iters)
+	for p := 0; p < publishers; p++ {
+		pubs.Add(1)
+		go func() {
+			defer pubs.Done()
+			for i := 0; i < perPublisher; i++ {
+				name := fmt.Sprintf("Stress %d-%d", p, i)
+				if _, err := c.Publish("walt", Dataset{Name: name, SizeBytes: size, Discipline: "biology"}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	pubs.Wait()
+	close(done)
+	readers.Wait()
+	const want = publishers * perPublisher
+	if got := len(c.Search("stress")); got != want {
+		t.Fatalf("Search found %d datasets, want %d", got, want)
+	}
+	if got := c.TotalBytes(); got != want*size {
+		t.Fatalf("TotalBytes = %d, want %d", got, want*size)
+	}
+	if got := c.ids.Minted; got != want {
+		t.Fatalf("minted %d ARKs, want %d", got, want)
 	}
 }
 
@@ -168,12 +190,5 @@ func TestPaperAggregates(t *testing.T) {
 	// §4.2: ~30 TB of EO-1 data.
 	if eo1 != 30*tb {
 		t.Fatal("EO-1 dataset wrong")
-	}
-}
-
-func TestDownloadUnknown(t *testing.T) {
-	c := newCatalog(t)
-	if _, err := c.Download("nope"); err == nil {
-		t.Fatal("unknown dataset downloadable")
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"strings"
 
 	"osdc/internal/sim"
@@ -222,7 +221,6 @@ func (v *Volume) Read(path string) (*File, error) {
 	v.Reads++
 	var stale []*Brick
 	var good *File
-	var goodBrick *Brick
 	for _, b := range set {
 		if !b.online {
 			continue
@@ -246,13 +244,12 @@ func (v *Volume) Read(path string) (*File, error) {
 			continue
 		}
 		if good == nil {
-			good, goodBrick = f, b
+			good = f
 		}
 	}
 	if good == nil {
 		return nil, ErrNotFound{Path: path}
 	}
-	_ = goodBrick
 	// Self-heal stale/corrupt replicas from the good copy (3.3 behaviour).
 	if v.Version == Version33 {
 		for _, b := range stale {
@@ -278,26 +275,6 @@ func (v *Volume) Delete(path string) error {
 		return ErrNotFound{Path: path}
 	}
 	return nil
-}
-
-// List returns all paths with the given prefix, sorted.
-func (v *Volume) List(prefix string) []string {
-	seen := make(map[string]bool)
-	for _, s := range v.sets {
-		for _, b := range s {
-			for p := range b.files {
-				if strings.HasPrefix(p, prefix) {
-					seen[p] = true
-				}
-			}
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for p := range seen {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // ErrNotFound reports a missing file.

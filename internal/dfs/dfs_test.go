@@ -15,7 +15,7 @@ func newVolume(t *testing.T, bricks, replica int, ver Version) (*sim.Engine, *Vo
 	e := sim.NewEngine(99)
 	bs := make([]*Brick, bricks)
 	for i := range bs {
-		d := simdisk.New(e, fmt.Sprintf("disk%d", i), 3072e6, 1136e6, 1<<50)
+		d := simdisk.New(fmt.Sprintf("disk%d", i), 1<<50)
 		bs[i] = NewBrick(fmt.Sprintf("brick%d", i), fmt.Sprintf("node%d", i), d)
 	}
 	v, err := NewVolume(e, "vol", replica, ver, bs)
@@ -250,7 +250,7 @@ func TestOverwriteReplacesNotDuplicates(t *testing.T) {
 
 func TestBadVolumeConfigs(t *testing.T) {
 	e := sim.NewEngine(1)
-	d := simdisk.New(e, "d", 1e9, 1e9, 1<<30)
+	d := simdisk.New("d", 1<<30)
 	b := NewBrick("b", "n", d)
 	if _, err := NewVolume(e, "v", 2, Version33, []*Brick{b}); err == nil {
 		t.Fatal("1 brick with replica 2 must fail")
@@ -260,24 +260,5 @@ func TestBadVolumeConfigs(t *testing.T) {
 	}
 	if _, err := NewVolume(e, "v", 1, Version33, nil); err == nil {
 		t.Fatal("no bricks must fail")
-	}
-}
-
-func TestHealAllSweep(t *testing.T) {
-	_, v := newVolume(t, 2, 2, Version33)
-	b1 := v.Bricks()[1]
-	b1.SetOnline(false)
-	for i := 0; i < 10; i++ {
-		if err := v.Write(fmt.Sprintf("/h/%d", i), []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	b1.SetOnline(true)
-	healed := v.HealAll()
-	if healed != 10 {
-		t.Fatalf("healed %d, want 10", healed)
-	}
-	if b1.FileCount() != 10 {
-		t.Fatalf("brick1 has %d files after heal, want 10", b1.FileCount())
 	}
 }

@@ -1,7 +1,12 @@
 package dfs
 
-// Test-only surface: the accounting and repair sweeps the tests assert
-// through. Product code reads capacity from the bricks' disks.
+import (
+	"sort"
+	"strings"
+)
+
+// Test-only surface: the accounting and listing the tests assert through.
+// Product code reads capacity from the bricks' disks.
 
 // FileCount returns the number of files stored on this brick.
 func (b *Brick) FileCount() int { return len(b.files) }
@@ -46,19 +51,22 @@ func (v *Volume) RawBytes() int64 {
 	return total
 }
 
-// HealAll sweeps every file and repairs stale or corrupt replicas from a
-// clean copy (the gluster self-heal daemon's full crawl). Returns the
-// number of replica repairs.
-func (v *Volume) HealAll() int64 {
-	if v.Version != Version33 {
-		return 0
-	}
-	var healed int64
-	for _, path := range v.List("") {
-		before := v.HealedFiles
-		if _, err := v.Read(path); err == nil {
-			healed += v.HealedFiles - before
+// List returns all paths with the given prefix, sorted.
+func (v *Volume) List(prefix string) []string {
+	seen := make(map[string]bool)
+	for _, s := range v.sets {
+		for _, b := range s {
+			for p := range b.files {
+				if strings.HasPrefix(p, prefix) {
+					seen[p] = true
+				}
+			}
 		}
 	}
-	return healed
+	out := make([]string, 0, len(seen))
+	for p := range seen {
+		out = append(out, p)
+	}
+	sort.Strings(out)
+	return out
 }

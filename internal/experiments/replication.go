@@ -43,7 +43,7 @@ func replicationSweepDatasets() []datasets.Dataset {
 func sweepVolume(e *sim.Engine, name string) (*dfs.Volume, error) {
 	bricks := make([]*dfs.Brick, 2)
 	for i := range bricks {
-		d := simdisk.New(e, fmt.Sprintf("%s-d%d", name, i), 3072e6, 1136e6, 1<<40)
+		d := simdisk.New(fmt.Sprintf("%s-d%d", name, i), 1<<40)
 		bricks[i] = dfs.NewBrick(fmt.Sprintf("%s-b%d", name, i), fmt.Sprintf("%s-n%d", name, i), d)
 	}
 	return dfs.NewVolume(e, name, 2, dfs.Version33, bricks)

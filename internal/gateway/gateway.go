@@ -28,8 +28,7 @@ const (
 // ACE is one access-control entry: who may do what under a path prefix.
 type ACE struct {
 	Prefix string // path prefix this entry governs
-	User   string // exact user, or "" if group-scoped
-	Group  string // group name, or "" if user-scoped
+	User   string // exact user, or "" for a world entry
 	Mode   Mode
 }
 
@@ -38,7 +37,6 @@ type Export struct {
 	Name   string
 	volume *dfs.Volume
 	acl    []ACE
-	groups map[string]map[string]bool // group -> members
 
 	Grants  int64 // permitted operations
 	Denials int64 // rejected operations
@@ -46,7 +44,7 @@ type Export struct {
 
 // New creates an export over a volume.
 func New(name string, vol *dfs.Volume) *Export {
-	return &Export{Name: name, volume: vol, groups: make(map[string]map[string]bool)}
+	return &Export{Name: name, volume: vol}
 }
 
 // Allow appends an ACE. Longest-prefix entries win over shorter ones; among
@@ -74,27 +72,15 @@ func (e ErrDenied) Error() string {
 }
 
 // check resolves the effective mode for user on path: among the ACEs that
-// match the user (directly, via a group, or as a world entry), the ones at
-// the longest matching prefix decide, and their modes combine. A matching
+// match the user (by name or as a world entry), the ones at the longest
+// matching prefix decide, and their modes combine. A matching
 // longest-prefix entry with Mode 0 is therefore an explicit deny that
 // shorter prefixes cannot override.
 func (e *Export) check(user, path string, want Mode) error {
 	bestLen := -1
 	var mode Mode
 	for _, ace := range e.acl {
-		if !strings.HasPrefix(path, ace.Prefix) {
-			continue
-		}
-		match := false
-		switch {
-		case ace.User != "" && ace.User == user:
-			match = true
-		case ace.Group != "" && e.groups[ace.Group][user]:
-			match = true
-		case ace.User == "" && ace.Group == "":
-			match = true // world entry
-		}
-		if !match {
+		if !strings.HasPrefix(path, ace.Prefix) || (ace.User != "" && ace.User != user) {
 			continue
 		}
 		switch {

@@ -29,7 +29,7 @@ type Block struct {
 	Seq     int
 	Size    int64
 	Nodes   []string // datanodes holding replicas
-	Content []byte   // nil for size-only files
+	Content []byte
 }
 
 // HDFS is the block store.

@@ -203,16 +203,3 @@ func TestOutputDeterministicOrder(t *testing.T) {
 		}
 	}
 }
-
-func TestPutMetaAccountsBytes(t *testing.T) {
-	e := sim.NewEngine(1)
-	fs := NewHDFS(e, []string{"a", "b"}, 64<<20, 2)
-	fs.PutMeta("/pub/commoncrawl.warc", 300<<30) // 300 GB
-	if got := fs.UsedBytes(); got != 300<<30 {
-		t.Fatalf("used = %d", got)
-	}
-	blocks, _ := fs.Blocks("/pub/commoncrawl.warc")
-	if len(blocks) != 4800 {
-		t.Fatalf("blocks = %d, want 4800", len(blocks))
-	}
-}

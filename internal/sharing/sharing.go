@@ -1,13 +1,15 @@
 // Package sharing implements the OSDC's distributed file sharing prototype
-// (paper §6.2): access control based on users, groups, and hierarchical
-// file-collection objects; a designated drop directory monitored by a
-// daemon that propagates file information into a database; and a WebDAV
-// service that serves shared files against that database, so collaborators
-// mount shares with their own credentials.
+// (paper §6.2): access control based on users and file-collection
+// objects; a designated drop directory monitored by a daemon that
+// propagates file information into a database; and a WebDAV service that
+// serves shared files against that database, so collaborators mount shares
+// with their own credentials. The paper's user-managed groups and
+// collections of collections are not modelled.
 package sharing
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -35,20 +37,18 @@ type FileInfo struct {
 }
 
 // Collection is a file-collection object: "a file, a collection of files,
-// or a collection of collections" (§6.2).
+// or a collection of collections" (§6.2); here, a collection of files.
 type Collection struct {
-	ID       string
-	Name     string
-	Owner    string
-	Files    []string // member file paths
-	Children []string // member collection IDs
+	ID    string
+	Name  string
+	Owner string
+	Files []string // member file paths
 }
 
 // Store is the sharing database.
 type Store struct {
 	engine *sim.Engine
 	users  map[string]bool
-	groups map[string]map[string]bool // group -> members (managed by users)
 	files  map[string]*FileInfo
 	colls  map[string]*Collection
 	grants map[string]map[string]Perm // collection -> principal -> perm
@@ -60,7 +60,6 @@ func NewStore(e *sim.Engine) *Store {
 	return &Store{
 		engine: e,
 		users:  make(map[string]bool),
-		groups: make(map[string]map[string]bool),
 		files:  make(map[string]*FileInfo),
 		colls:  make(map[string]*Collection),
 		grants: make(map[string]map[string]Perm),
@@ -103,8 +102,8 @@ func (s *Store) AddFileToCollection(actor, collID, path string) error {
 	return nil
 }
 
-// Grant gives a user or group permission on a collection (owner only).
-// Principals are "user:name" or "group:name".
+// Grant gives a user permission on a collection (owner only). Principals
+// are "user:name".
 func (s *Store) Grant(actor, collID, principal string, p Perm) error {
 	c, ok := s.colls[collID]
 	if !ok {
@@ -113,8 +112,8 @@ func (s *Store) Grant(actor, collID, principal string, p Perm) error {
 	if c.Owner != actor {
 		return fmt.Errorf("sharing: %s does not own %s", actor, collID)
 	}
-	if !strings.HasPrefix(principal, "user:") && !strings.HasPrefix(principal, "group:") {
-		return fmt.Errorf("sharing: principal must be user: or group:, got %q", principal)
+	if !strings.HasPrefix(principal, "user:") {
+		return fmt.Errorf("sharing: principal must be user:, got %q", principal)
 	}
 	g, ok := s.grants[collID]
 	if !ok {
@@ -125,35 +124,16 @@ func (s *Store) Grant(actor, collID, principal string, p Perm) error {
 	return nil
 }
 
-// permOn resolves user's permission on a single collection (not counting
-// parents).
-func (s *Store) permOn(user, collID string) Perm {
-	c, ok := s.colls[collID]
-	if !ok {
-		return PermNone
-	}
+// permOn resolves user's permission on a collection.
+func (s *Store) permOn(user string, c *Collection) Perm {
 	if c.Owner == user {
 		return PermWrite
 	}
-	best := PermNone
-	for principal, p := range s.grants[collID] {
-		if p <= best {
-			continue
-		}
-		switch {
-		case principal == "user:"+user:
-			best = p
-		case strings.HasPrefix(principal, "group:"):
-			if s.groups[strings.TrimPrefix(principal, "group:")][user] {
-				best = p
-			}
-		}
-	}
-	return best
+	return s.grants[c.ID]["user:"+user]
 }
 
 // CanRead reports whether user may read a file through any collection
-// containing it (directly or via nesting) — or owns it.
+// containing it — or owns it.
 func (s *Store) CanRead(user, path string) bool {
 	f, ok := s.files[path]
 	if !ok {
@@ -162,30 +142,8 @@ func (s *Store) CanRead(user, path string) bool {
 	if f.Owner == user {
 		return true
 	}
-	for id := range s.colls {
-		if s.permOn(user, id) >= PermRead && s.collContains(id, path, map[string]bool{}) {
-			return true
-		}
-	}
-	return false
-}
-
-func (s *Store) collContains(collID, path string, seen map[string]bool) bool {
-	if seen[collID] {
-		return false
-	}
-	seen[collID] = true
-	c, ok := s.colls[collID]
-	if !ok {
-		return false
-	}
-	for _, p := range c.Files {
-		if p == path {
-			return true
-		}
-	}
-	for _, ch := range c.Children {
-		if s.collContains(ch, path, seen) {
+	for _, c := range s.colls {
+		if s.permOn(user, c) >= PermRead && slices.Contains(c.Files, path) {
 			return true
 		}
 	}
@@ -220,7 +178,6 @@ type DropDir struct {
 	engine  *sim.Engine
 	store   *Store
 	pending []*FileInfo
-	ticker  *sim.Ticker
 
 	Propagated int64
 }
@@ -228,7 +185,7 @@ type DropDir struct {
 // NewDropDir starts the monitoring daemon with the given scan interval.
 func NewDropDir(e *sim.Engine, store *Store, scanEvery sim.Duration) *DropDir {
 	d := &DropDir{engine: e, store: store}
-	d.ticker = e.Every(scanEvery, d.scan)
+	e.Every(scanEvery, d.scan)
 	return d
 }
 

@@ -25,9 +25,10 @@ type ClockSource interface {
 	Stop()
 }
 
-// source is the clock-driving goroutine Driver and Follower share: every
-// interval of wall time it asks its policy how far to run the clock, given
-// the wall seconds since the last tick, and runs it there.
+// source is the clock-driving goroutine Driver and Follower share: on
+// every tick it asks its policy how far to run the clock, given the wall
+// seconds since the last tick, and runs it there. StartDriver and
+// StartFollower feed it a real ticker; tests feed it by hand.
 type source struct {
 	clock  Clock
 	anchor *Engine
@@ -37,8 +38,23 @@ type source struct {
 	done     chan struct{}
 }
 
-// attach switches c into shared mode and makes it the source's clock.
-func (s *source) attach(c Clock) {
+// tickFeed is what a source runs on: a channel of wall times, the first
+// measured from from.
+type tickFeed struct {
+	from time.Time
+	c    <-chan time.Time
+}
+
+// wallTicks feeds a source from a real ticker. A ticker needs no Stop:
+// once its source's loop exits nothing references it, and the runtime
+// collects it.
+func wallTicks(interval time.Duration) tickFeed {
+	return tickFeed{from: time.Now(), c: time.NewTicker(interval).C}
+}
+
+// start switches c into shared mode, makes it the source's clock and
+// starts the loop on feed.
+func (s *source) start(c Clock, feed tickFeed, next func(dt float64) (Time, bool)) {
 	c.Share()
 	s.clock = c
 	if set, ok := c.(*ShardSet); ok {
@@ -47,21 +63,24 @@ func (s *source) attach(c Clock) {
 		s.anchor = c.(*Engine)
 	}
 	s.stop, s.done = make(chan struct{}), make(chan struct{})
+	go s.loop(feed, next)
 }
 
 // loop is the goroutine: next returns the virtual time to run the clock
-// to, or false to leave it where it is.
-func (s *source) loop(interval time.Duration, next func(dt float64) (Time, bool)) {
+// to, or false to leave it where it is. A tick that is not after the last
+// one runs nothing.
+func (s *source) loop(feed tickFeed, next func(dt float64) (Time, bool)) {
 	defer close(s.done)
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	last := time.Now()
+	last := feed.from
 	for {
 		select {
 		case <-s.stop:
 			return
-		case now := <-tick.C:
+		case now := <-feed.c:
 			dt := now.Sub(last).Seconds()
+			if dt <= 0 {
+				continue
+			}
 			last = now
 			if to, ok := next(dt); ok {
 				s.clock.RunUntil(to)
@@ -105,15 +124,15 @@ func StartDriver(c Clock, speedup float64, interval time.Duration) *Driver {
 	if interval <= 0 {
 		interval = 5 * time.Millisecond
 	}
+	return newDriver(c, speedup, wallTicks(interval))
+}
+
+func newDriver(c Clock, speedup float64, feed tickFeed) *Driver {
 	d := &Driver{speedup: speedup}
-	d.attach(c)
-	go d.loop(interval, d.next)
+	d.start(c, feed, d.next)
 	return d
 }
 
 func (d *Driver) next(dt float64) (Time, bool) {
-	if dt <= 0 {
-		return 0, false
-	}
 	return d.clock.Now() + Time(dt*d.speedup), true
 }

@@ -15,10 +15,9 @@ func TestSharedEngineConcurrentScheduling(t *testing.T) {
 
 	var fired sync.Map
 	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(1)
+	stop, driven := make(chan struct{}), make(chan struct{})
 	go func() { // the clock driver
-		defer wg.Done()
+		defer close(driven)
 		for {
 			select {
 			case <-stop:
@@ -45,15 +44,9 @@ func TestSharedEngineConcurrentScheduling(t *testing.T) {
 			}
 		}()
 	}
-	// Let the writers finish, then give the driver time to drain.
-	done := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(done)
-	}()
-	time.Sleep(50 * time.Millisecond)
+	wg.Wait()
 	close(stop)
-	<-done
+	<-driven
 
 	e.Run() // drain whatever is left, single-threaded again
 	kept := 0
@@ -90,42 +83,81 @@ func TestSharedModeMatchesUnsharedTrace(t *testing.T) {
 	}
 }
 
-func TestDriverAdvancesClock(t *testing.T) {
-	e := NewEngine(3)
-	var mu sync.Mutex
-	ticks := 0
-	e.Every(Minute, func() { mu.Lock(); ticks++; mu.Unlock() })
+// handTicks feeds a clock source by hand, from a fixed wall epoch.
+type handTicks struct {
+	t   *testing.T
+	c   chan time.Time
+	now time.Time
+}
 
-	// 1 wall ms ≈ 1 simulated minute.
-	d := StartDriver(e, 60_000, time.Millisecond)
-	deadline := time.After(5 * time.Second)
-	for {
-		if e.Now() >= Time(10*Minute) {
-			break
-		}
+func newHandTicks(t *testing.T) *handTicks {
+	return &handTicks{t: t, c: make(chan time.Time), now: time.Unix(1_000_000, 0)}
+}
+
+// tick moves the wall clock the source sees forward by d and returns once
+// the source has acted on it: the time is sent twice, and the loop takes
+// the repeat, which runs nothing, only after the first tick's run is done.
+func (h *handTicks) tick(d time.Duration) {
+	h.t.Helper()
+	h.now = h.now.Add(d)
+	for i := 0; i < 2; i++ {
 		select {
-		case <-deadline:
-			t.Fatalf("driver advanced the clock only to %v in 5 s wall", e.Now())
-		default:
-			time.Sleep(time.Millisecond)
+		case h.c <- h.now:
+		case <-time.After(5 * time.Second):
+			h.t.Fatal("clock source stopped taking ticks")
 		}
 	}
-	d.Stop()
-	mu.Lock()
-	defer mu.Unlock()
-	if ticks < 10 {
-		t.Fatalf("minute ticker fired %d times by %v, want >= 10", ticks, e.Now())
+}
+
+func (h *handTicks) feed() tickFeed { return tickFeed{from: h.now, c: h.c} }
+
+// taken reports whether a loop still takes ticks. Ask it only after Stop.
+func (h *handTicks) taken() bool {
+	select {
+	case h.c <- h.now.Add(time.Hour):
+		return true
+	default:
+		return false
+	}
+}
+
+func TestDriverAdvancesClock(t *testing.T) {
+	e := NewEngine(3)
+	ticks := 0
+	e.Every(Minute, func() { ticks++ })
+
+	// 1 wall second = 1 simulated minute.
+	h := newHandTicks(t)
+	d := newDriver(e, 60, h.feed())
+	defer d.Stop()
+	for i := 1; i <= 10; i++ {
+		h.tick(time.Second)
+		if now := e.Now(); now != Time(Duration(i)*Minute) {
+			t.Fatalf("after %d wall seconds the clock is at %v, want %v", i, now, Time(Duration(i)*Minute))
+		}
+	}
+	if ticks != 10 {
+		t.Fatalf("minute ticker fired %d times by %v, want 10", ticks, e.Now())
+	}
+	h.tick(0) // a tick that is not after the last runs nothing
+	if now := e.Now(); now != Time(10*Minute) {
+		t.Fatalf("a repeated tick moved the clock to %v", now)
 	}
 }
 
 func TestDriverStopHaltsAdvance(t *testing.T) {
 	e := NewEngine(4)
-	d := StartDriver(e, 1000, time.Millisecond)
-	time.Sleep(10 * time.Millisecond)
+	h := newHandTicks(t)
+	d := newDriver(e, 1000, h.feed())
+	h.tick(250 * time.Millisecond)
+	if now := e.Now(); now != 250 {
+		t.Fatalf("clock at %v after a quarter second at 1000x, want 250", now)
+	}
 	d.Stop()
-	at := e.Now()
-	time.Sleep(20 * time.Millisecond)
-	if e.Now() != at {
-		t.Fatalf("clock moved after Stop: %v -> %v", at, e.Now())
+	if h.taken() {
+		t.Fatal("driver took a tick after Stop")
+	}
+	if now := e.Now(); now != 250 {
+		t.Fatalf("clock moved after Stop: 250 -> %v", now)
 	}
 }

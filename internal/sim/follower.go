@@ -41,10 +41,12 @@ func StartFollower(c Clock, maxRate float64, interval time.Duration) *Follower {
 	if interval <= 0 {
 		interval = 2 * time.Millisecond
 	}
-	f := &Follower{maxRate: maxRate}
-	f.attach(c)
-	f.target = c.Now()
-	go f.loop(interval, f.next)
+	return newFollower(c, maxRate, wallTicks(interval))
+}
+
+func newFollower(c Clock, maxRate float64, feed tickFeed) *Follower {
+	f := &Follower{maxRate: maxRate, target: c.Now()}
+	f.start(c, feed, f.next)
 	return f
 }
 
@@ -73,7 +75,7 @@ func (f *Follower) next(dt float64) (Time, bool) {
 	if lag <= 0 {
 		return 0, false
 	}
-	if f.maxRate > 0 && dt > 0 {
+	if f.maxRate > 0 {
 		if step := dt * f.maxRate; step < lag {
 			lag = step
 		}

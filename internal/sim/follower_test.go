@@ -1,57 +1,39 @@
 package sim
 
 import (
-	"sync"
 	"testing"
 	"time"
 )
-
-// waitFor polls until cond holds or the wall deadline passes.
-func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
-	t.Helper()
-	deadline := time.Now().Add(d)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatal(msg)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
 
 // TestFollowerTracksTargets: the follower advances exactly to each
 // published target and never past it.
 func TestFollowerTracksTargets(t *testing.T) {
 	e := NewEngine(11)
-	var mu sync.Mutex
 	ticks := 0
-	e.Every(Minute, func() { mu.Lock(); ticks++; mu.Unlock() })
+	e.Every(Minute, func() { ticks++ })
 
-	f := StartFollower(e, 0, time.Millisecond)
+	h := newHandTicks(t)
+	f := newFollower(e, 0, h.feed())
 	defer f.Stop()
 
 	f.SetTarget(Time(5 * Minute))
-	waitFor(t, 5*time.Second, func() bool { return e.Now() >= Time(5*Minute) },
-		"follower never reached the first target")
+	h.tick(time.Millisecond)
 	if now := e.Now(); now != Time(5*Minute) {
-		t.Fatalf("follower overshot the target: %v", now)
+		t.Fatalf("follower at %v after one tick, want the target %v", now, Time(5*Minute))
 	}
 	// The clock holds still with no fresh target.
-	time.Sleep(10 * time.Millisecond)
+	h.tick(time.Millisecond)
 	if now := e.Now(); now != Time(5*Minute) {
 		t.Fatalf("clock moved without a new target: %v", now)
 	}
-	mu.Lock()
-	got := ticks
-	mu.Unlock()
-	if got != 5 {
-		t.Fatalf("minute ticker fired %d times by %v, want 5", got, e.Now())
+	if ticks != 5 {
+		t.Fatalf("minute ticker fired %d times by %v, want 5", ticks, e.Now())
 	}
 
 	f.SetTarget(Time(7 * Minute))
-	waitFor(t, 5*time.Second, func() bool { return e.Now() >= Time(7*Minute) },
-		"follower never reached the second target")
+	h.tick(time.Millisecond)
 	if now := e.Now(); now != Time(7*Minute) {
-		t.Fatalf("follower overshot the second target: %v", now)
+		t.Fatalf("follower at %v after one tick, want the second target %v", now, Time(7*Minute))
 	}
 }
 
@@ -59,16 +41,16 @@ func TestFollowerTracksTargets(t *testing.T) {
 // dropped — virtual time never runs backwards.
 func TestFollowerIgnoresStaleTargets(t *testing.T) {
 	e := NewEngine(12)
-	f := StartFollower(e, 0, time.Millisecond)
+	h := newHandTicks(t)
+	f := newFollower(e, 0, h.feed())
 	defer f.Stop()
 
 	f.SetTarget(100)
-	waitFor(t, 5*time.Second, func() bool { return e.Now() >= 100 },
-		"follower never reached 100")
+	h.tick(time.Millisecond)
 	f.SetTarget(40) // stale
-	time.Sleep(10 * time.Millisecond)
+	h.tick(time.Millisecond)
 	if now := e.Now(); now != 100 {
-		t.Fatalf("stale target moved the clock: %v", now)
+		t.Fatalf("clock at %v after a stale target, want 100", now)
 	}
 	if f.Target() != 100 {
 		t.Fatalf("stale target replaced the newest one: %v", f.Target())
@@ -79,19 +61,22 @@ func TestFollowerIgnoresStaleTargets(t *testing.T) {
 // large lag gradually instead of jumping.
 func TestFollowerCatchUpRateCap(t *testing.T) {
 	e := NewEngine(13)
-	// 1000 virtual seconds per wall second: a 10 000 s lag takes ~10 s to
-	// close, so shortly after the target lands the clock must still be far
-	// from it.
-	f := StartFollower(e, 1000, time.Millisecond)
+	// 1000 virtual seconds per wall second: a 10 000 s lag takes 10 wall
+	// seconds to close.
+	h := newHandTicks(t)
+	f := newFollower(e, 1000, h.feed())
 	defer f.Stop()
 
 	f.SetTarget(10_000)
-	time.Sleep(50 * time.Millisecond)
-	if now := e.Now(); now == 0 || now >= 10_000 {
-		t.Fatalf("rate-capped follower at %v after 50 ms; want 0 < now < 10000", now)
+	for i := 1; i <= 10; i++ {
+		h.tick(time.Second)
+		if now := e.Now(); now != Time(i*1000) {
+			t.Fatalf("rate-capped follower at %v after %d s, want %d", now, i, i*1000)
+		}
 	}
-	if f.Target()-e.Now() <= 0 {
-		t.Fatal("lag reported zero while still catching up")
+	h.tick(time.Second)
+	if now := e.Now(); now != 10_000 {
+		t.Fatalf("follower ran past its target to %v", now)
 	}
 }
 
@@ -99,15 +84,17 @@ func TestFollowerCatchUpRateCap(t *testing.T) {
 // clock no longer moves even with a pending target.
 func TestFollowerStopHaltsAdvance(t *testing.T) {
 	e := NewEngine(14)
-	f := StartFollower(e, 0, time.Millisecond)
+	h := newHandTicks(t)
+	f := newFollower(e, 0, h.feed())
 	f.SetTarget(50)
-	waitFor(t, 5*time.Second, func() bool { return e.Now() >= 50 }, "never reached 50")
+	h.tick(time.Millisecond)
 	f.Stop()
 	f.SetTarget(500)
-	at := e.Now()
-	time.Sleep(20 * time.Millisecond)
-	if e.Now() != at {
-		t.Fatalf("clock moved after Stop: %v -> %v", at, e.Now())
+	if h.taken() {
+		t.Fatal("follower took a tick after Stop")
+	}
+	if now := e.Now(); now != 50 {
+		t.Fatalf("clock at %v after Stop, want 50", now)
 	}
 }
 

@@ -144,44 +144,36 @@ func TestShardSetParallelDeterminism(t *testing.T) {
 
 func TestShardDriverAdvancesAllShards(t *testing.T) {
 	set := NewShardSet(1, 3)
-	d := StartDriver(set, 1e6, time.Millisecond)
+	h := newHandTicks(t)
+	d := newDriver(set, 1000, h.feed())
 	defer d.Stop()
 	if d.Engine() != set.Anchor() {
 		t.Fatal("shard driver's Engine() is not the anchor")
 	}
-	deadline := time.After(10 * time.Second)
-	for set.Now() < 1000 {
-		select {
-		case <-deadline:
-			t.Fatalf("set clock stuck at %v", set.Now())
-		default:
-			time.Sleep(time.Millisecond)
+	h.tick(time.Second)
+	// Every shard runs to the tick's common target.
+	for i := 0; i < set.K(); i++ {
+		if now := set.ShardAt(i).Now(); now != 1000 {
+			t.Fatalf("shard %d at %v after one tick, want 1000", i, now)
 		}
 	}
-	// Now() is the min across shards, so every shard passed 1000 and the
-	// common-target loop kept them within one tick of each other.
 }
 
 func TestShardFollowerHoldsAndCatchesUp(t *testing.T) {
 	set := NewShardSet(1, 3)
-	f := StartFollower(set, 0, time.Millisecond)
+	h := newHandTicks(t)
+	f := newFollower(set, 0, h.feed())
 	defer f.Stop()
-	time.Sleep(20 * time.Millisecond)
+	h.tick(time.Millisecond)
 	if now := set.Now(); now != 0 {
 		t.Fatalf("follower moved to %v with no target", now)
 	}
 	f.SetTarget(500)
-	deadline := time.After(10 * time.Second)
-	for set.Now() < 500 {
-		select {
-		case <-deadline:
-			t.Fatalf("set clock stuck at %v short of target", set.Now())
-		default:
-			time.Sleep(time.Millisecond)
+	h.tick(time.Millisecond)
+	for i := 0; i < set.K(); i++ {
+		if now := set.ShardAt(i).Now(); now != 500 {
+			t.Fatalf("shard %d at %v after one tick, want the target 500", i, now)
 		}
-	}
-	if set.Now() > 500 {
-		t.Fatalf("follower overshot target: %v", set.Now())
 	}
 	if lag := f.Target() - set.Now(); lag != 0 {
 		t.Fatalf("lag = %v at target", lag)

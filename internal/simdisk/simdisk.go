@@ -3,16 +3,14 @@
 // The paper's Table 3 defines the "long distance to local ratio" (LLR)
 // against measured local disk speeds: 3072 mbit/s streaming read at the
 // source and 1136 mbit/s streaming write at the target. This package
-// provides a bandwidth-capped streaming disk with capacity accounting; the
-// distributed filesystem (internal/dfs) and the transfer benchmarks build
-// on it.
+// holds those constants, which the transfer model prices disk time from,
+// and a disk with capacity accounting that the distributed filesystem
+// (internal/dfs) books its bricks on.
 package simdisk
 
 import (
 	"fmt"
 	"sync/atomic"
-
-	"osdc/internal/sim"
 )
 
 // Paper §7.2 calibration constants, bits per second.
@@ -21,37 +19,21 @@ const (
 	PaperTargetWriteBps = 1136e6
 )
 
-// Disk is a streaming disk with independent read and write channels, each
-// serialized at its bandwidth. Operations on the same channel queue behind
-// each other; reads and writes do not contend (a simplification that
-// matches streaming transfer workloads, where one side only reads and the
-// other only writes).
+// Disk is a disk's capacity: bytes are booked with Alloc and returned
+// with Release.
 type Disk struct {
 	Name     string
-	ReadBps  float64 // streaming read bandwidth, bits/s
-	WriteBps float64 // streaming write bandwidth, bits/s
-	Capacity int64   // bytes
+	Capacity int64 // bytes
 
-	engine    *sim.Engine
-	used      int64
-	readFree  sim.Time // when the read head finishes its current op
-	writeFree sim.Time
-
-	BytesRead    int64
-	BytesWritten int64
-	ReadOps      int64
-	WriteOps     int64
+	used int64
 }
 
-// New creates a disk on the engine. Bandwidths must be positive.
-func New(e *sim.Engine, name string, readBps, writeBps float64, capacity int64) *Disk {
-	if readBps <= 0 || writeBps <= 0 {
-		panic("simdisk: bandwidths must be positive")
-	}
+// New creates a disk. Capacity must be positive.
+func New(name string, capacity int64) *Disk {
 	if capacity <= 0 {
 		panic("simdisk: capacity must be positive")
 	}
-	return &Disk{Name: name, ReadBps: readBps, WriteBps: writeBps, Capacity: capacity, engine: e}
+	return &Disk{Name: name, Capacity: capacity}
 }
 
 // Used returns the bytes currently allocated.

@@ -3,45 +3,15 @@ package simdisk
 import (
 	"math"
 	"testing"
-
-	"osdc/internal/sim"
 )
 
-func TestReadTiming(t *testing.T) {
-	e := sim.NewEngine(1)
-	d := New(e, "d", 8e6, 8e6, 1<<30) // 1 MB/s both ways
-	var doneAt sim.Time
-	d.Read(1_000_000, func() { doneAt = e.Now() })
-	e.Run()
-	if math.Abs(float64(doneAt)-1.0) > 1e-9 {
-		t.Fatalf("1 MB read at 1 MB/s finished at %v, want 1 s", doneAt)
-	}
-}
-
-func TestReadsSerialize(t *testing.T) {
-	e := sim.NewEngine(1)
-	d := New(e, "d", 8e6, 8e6, 1<<30)
-	var times []sim.Time
-	for i := 0; i < 3; i++ {
-		d.Read(500_000, func() { times = append(times, e.Now()) })
-	}
-	e.Run()
-	want := []sim.Time{0.5, 1.0, 1.5}
-	for i := range want {
-		if math.Abs(float64(times[i]-want[i])) > 1e-9 {
-			t.Fatalf("read %d finished at %v, want %v", i, times[i], want[i])
-		}
-	}
-}
-
 func TestWriteReservesCapacity(t *testing.T) {
-	e := sim.NewEngine(1)
-	d := New(e, "d", 8e6, 8e6, 1000)
-	if err := d.Write(600, func() {}); err != nil {
+	d := New("d", 1000)
+	if err := d.Alloc(600); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Write(600, func() {}); err == nil {
-		t.Fatal("expected ErrFull on second write")
+	if err := d.Alloc(600); err == nil {
+		t.Fatal("expected ErrFull on second alloc")
 	} else if _, ok := err.(ErrFull); !ok {
 		t.Fatalf("error type %T, want ErrFull", err)
 	}
@@ -54,40 +24,21 @@ func TestWriteReservesCapacity(t *testing.T) {
 	}
 }
 
-func TestReadWriteIndependentChannels(t *testing.T) {
-	e := sim.NewEngine(1)
-	d := New(e, "d", 8e6, 8e6, 1<<30)
-	var readDone, writeDone sim.Time
-	d.Read(1_000_000, func() { readDone = e.Now() })
-	if err := d.Write(1_000_000, func() { writeDone = e.Now() }); err != nil {
-		t.Fatal(err)
-	}
-	e.Run()
-	// Both finish at 1 s: no cross-channel contention.
-	if math.Abs(float64(readDone)-1.0) > 1e-9 || math.Abs(float64(writeDone)-1.0) > 1e-9 {
-		t.Fatalf("read at %v write at %v, want both 1 s", readDone, writeDone)
-	}
-}
-
 func TestPaperConstants(t *testing.T) {
-	e := sim.NewEngine(1)
-	src := PaperSource(e, "src", 1<<40)
-	dst := PaperTarget(e, "dst", 1<<40)
-	if src.ReadBps != 3072e6 {
-		t.Fatalf("source read = %v, want 3072 mbit/s", src.ReadBps)
+	if PaperSourceReadBps != 3072e6 {
+		t.Fatalf("source read = %v, want 3072 mbit/s", float64(PaperSourceReadBps))
 	}
-	if dst.WriteBps != 1136e6 {
-		t.Fatalf("target write = %v, want 1136 mbit/s", dst.WriteBps)
+	if PaperTargetWriteBps != 1136e6 {
+		t.Fatalf("target write = %v, want 1136 mbit/s", float64(PaperTargetWriteBps))
 	}
 	// LLR denominator from the paper: min(3072, 1136) = 1136.
-	if m := math.Min(src.ReadBps, dst.WriteBps); m != 1136e6 {
+	if m := math.Min(PaperSourceReadBps, PaperTargetWriteBps); m != 1136e6 {
 		t.Fatalf("LLR denominator = %v, want 1136e6", m)
 	}
 }
 
 func TestUtilization(t *testing.T) {
-	e := sim.NewEngine(1)
-	d := New(e, "d", 1e9, 1e9, 1000)
+	d := New("d", 1000)
 	if err := d.Alloc(250); err != nil {
 		t.Fatal(err)
 	}
@@ -102,24 +53,5 @@ func TestBadReleasePanics(t *testing.T) {
 			t.Fatal("expected panic on over-release")
 		}
 	}()
-	e := sim.NewEngine(1)
-	d := New(e, "d", 1e9, 1e9, 1000)
-	d.Release(1)
-}
-
-func TestCounters(t *testing.T) {
-	e := sim.NewEngine(1)
-	d := New(e, "d", 1e9, 1e9, 1<<30)
-	d.Read(100, func() {})
-	d.Read(100, func() {})
-	if err := d.Write(50, func() {}); err != nil {
-		t.Fatal(err)
-	}
-	e.Run()
-	if d.ReadOps != 2 || d.BytesRead != 200 {
-		t.Fatalf("read counters = %d ops / %d bytes", d.ReadOps, d.BytesRead)
-	}
-	if d.WriteOps != 1 || d.BytesWritten != 50 {
-		t.Fatalf("write counters = %d ops / %d bytes", d.WriteOps, d.BytesWritten)
-	}
+	New("d", 1000).Release(1)
 }

@@ -106,8 +106,8 @@ func dataPlaneRig(t *testing.T) (*rig, *httptest.Server, *datastore.Coordinator,
 	nw := simnet.BuildOSDCTopology(simnet.DefaultWAN())
 
 	vol := func(name string) *dfs.Volume {
-		d1 := simdisk.New(r.e, name+"-d0", 3072e6, 1136e6, 1<<40)
-		d2 := simdisk.New(r.e, name+"-d1", 3072e6, 1136e6, 1<<40)
+		d1 := simdisk.New(name+"-d0", 1<<40)
+		d2 := simdisk.New(name+"-d1", 1<<40)
 		v, err := dfs.NewVolume(r.e, name, 2, dfs.Version33,
 			[]*dfs.Brick{dfs.NewBrick(name+"-b0", name+"-n0", d1), dfs.NewBrick(name+"-b1", name+"-n1", d2)})
 		if err != nil {

@@ -105,27 +105,24 @@ func (s *Server) Close() {
 	<-s.done
 }
 
-// NotifyShutdown relays the signals that end a binary's serving life,
-// SIGINT and SIGTERM, to the returned channel.
-func NotifyShutdown() chan os.Signal {
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	return sig
+// NotifyShutdown returns a context that ends when one of the signals that
+// end a binary's serving life, SIGINT and SIGTERM, arrives; stop releases
+// them.
+func NotifyShutdown() (ctx context.Context, stop context.CancelFunc) {
+	return signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 }
 
 // Serve is a binary's whole serving life: it listens on addr, serves h
-// until SIGINT or SIGTERM, then closes. A listener that fails, at once or
-// later, comes back as the error.
-func Serve(addr string, h http.Handler) error {
-	sig := NotifyShutdown()
-	defer signal.Stop(sig)
+// until ctx ends, then closes. A listener that fails, at once or later,
+// comes back as the error.
+func Serve(ctx context.Context, addr string, h http.Handler) error {
 	s, err := Listen(addr, h)
 	if err != nil {
 		return err
 	}
 	defer s.Close()
 	select {
-	case <-sig:
+	case <-ctx.Done():
 		return nil
 	case <-s.done:
 		return s.err

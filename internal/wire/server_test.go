@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"context"
 	"io"
 	"net"
 	"net/http"
@@ -121,7 +122,7 @@ func TestBodyOverMaxBodyBytes(t *testing.T) {
 // comes back from Serve at once.
 func TestServeReturnsListenerError(t *testing.T) {
 	s := listen(t, http.NotFoundHandler())
-	if err := Serve(strings.TrimPrefix(s.URL, "http://"), http.NotFoundHandler()); err == nil {
+	if err := Serve(context.Background(), strings.TrimPrefix(s.URL, "http://"), http.NotFoundHandler()); err == nil {
 		t.Fatal("Serve on a taken address returned nil")
 	}
 }

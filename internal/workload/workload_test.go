@@ -92,35 +92,6 @@ func TestGenomeReads(t *testing.T) {
 	}
 }
 
-func TestCensusTableShape(t *testing.T) {
-	rng := sim.NewRNG(6)
-	rows := CensusTable(rng, 500)
-	if len(rows) != 500 {
-		t.Fatal("row count")
-	}
-	for _, r := range rows {
-		if r.Population < 500 || r.Households <= 0 || r.MedianAge < 20 || r.MedianAge > 65 {
-			t.Fatalf("implausible row %+v", r)
-		}
-	}
-}
-
-func TestNGramZipfHead(t *testing.T) {
-	rng := sim.NewRNG(7)
-	vocab := []string{"the", "of", "science", "cloud", "petabyte", "hyperion"}
-	counts := NGramCounts(rng, vocab, 50000)
-	if counts["the"] <= counts["hyperion"] {
-		t.Fatalf("head word not dominant: the=%d hyperion=%d", counts["the"], counts["hyperion"])
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != 50000 {
-		t.Fatalf("total = %d", total)
-	}
-}
-
 func TestHumanFormatter(t *testing.T) {
 	cases := map[int64]string{
 		500:     "500B",
