@@ -37,7 +37,7 @@ var aimRules = []aimRule{
 		spec, ok := n.(*ast.ImportSpec)
 		return ok && spec.Path.Value == `"net/http/httptest"`
 	}},
-	{name: "&http.Client{…} literal", baseline: 4, match: func(n ast.Node, imp map[string]string) bool {
+	{name: "&http.Client{…} literal", baseline: 3, match: func(n ast.Node, imp map[string]string) bool {
 		u, ok := n.(*ast.UnaryExpr)
 		if !ok || u.Op != token.AND {
 			return false

@@ -1,16 +1,30 @@
 package osdc_test
 
-// The dead-surface gate. Every func and method declared in a non-test
-// file under internal/ must be reached from non-test code somewhere: a
-// binary under cmd/, a program under examples/, the benchmark module
-// under bench/, or another internal/ package those reach. Code only a
-// test runs is either moved into its package's export_test.go or
-// deleted; see the verify skill for how to read a failure.
+// The dead-surface gate: rapid type analysis (Bacon & Sweeney, OOPSLA
+// 1996) over the shared source tree. The roots are the mains of cmd/,
+// examples/ and bench/, every package initialiser, and the seams on
+// reachabilityAllowlist. A function is live once live code names it; a
+// method that satisfies an interface is live once live code also builds or
+// names its receiver type, since a call through the interface reaches it
+// unnamed. The field rules (deadfields_test.go) judge what live code reads
+// and writes, wire-format structs aside. A failure lists `kind file:line
+// name` per finding:
+//
+//   - unreached: a func or method under internal/ that no live code
+//     reaches. Delete it with any test that checks only it, or move it into
+//     export_test.go if its own package's tests need it; a seam another
+//     package's test needs, that no live API can observe, is allowlisted
+//     with that test. A deletion can orphan callees: re-run until green.
+//   - unread: an unexported field no live code reads. It is kept for
+//     nothing: delete it, its writes, and a parameter that only fed it.
+//   - unset: an exported field no live code writes, so every caller runs on
+//     its zero value or its package's default (a write under `if x.F == c`,
+//     `<= c` or `< c` in the field's own package does not count). The knob
+//     becomes the constant its one value already is.
 
 import (
 	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
 	"go/types"
 	"sort"
@@ -18,10 +32,8 @@ import (
 	"testing"
 )
 
-// reachabilityAllowlist names the seams that another package's test
-// needs and no non-test code calls, each with the test that needs it.
-// An entry is a reason to keep a declaration alive, so it must stay
-// short: observe through a live API where one exists.
+// reachabilityAllowlist names the seams another package's test needs, each
+// with that test. Keep it short: observe through a live API where one can.
 var reachabilityAllowlist = map[string]string{
 	"lb.Pool.PickBackend":               "cmd/tukey-server/multireplica_test.go",
 	"dfs.Brick.SetOnline":               "ablation_test.go",
@@ -33,182 +45,177 @@ var reachabilityAllowlist = map[string]string{
 	"tukey.Middleware.SessionCount":     "concurrency_test.go",
 }
 
-const maxAllowlist = 8
-
 func TestEveryDeclarationIsReachable(t *testing.T) {
-	if len(reachabilityAllowlist) > maxAllowlist {
-		t.Fatalf("allowlist has %d entries, at most %d", len(reachabilityAllowlist), maxAllowlist)
+	if len(reachabilityAllowlist) > 8 {
+		t.Fatalf("allowlist has %d entries, at most 8", len(reachabilityAllowlist))
 	}
 	tree := loadTree(t)
-	fset, info := tree.fset, tree.info
-	type decl struct {
-		fn   *types.Func
-		node *ast.FuncDecl
-	}
-	var decls []decl
+	files := map[*types.Package][]*ast.File{}
 	for _, p := range tree.pkgs {
-		if !strings.HasPrefix(p.ImportPath, "osdc/internal/") {
-			continue
-		}
-		for _, f := range p.files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || (fd.Recv == nil && fd.Name.Name == "init") {
-					continue
-				}
-				decls = append(decls, decl{info.Defs[fd.Name].(*types.Func), fd})
-			}
-		}
+		files[tree.checked[p.ImportPath]] = p.files
 	}
-
-	declOf := map[*types.Func]*ast.FuncDecl{}
-	for _, d := range decls {
-		declOf[d.fn] = d.node
+	main := func(fn *types.Func) bool {
+		return fn.Pkg().Name() == "main" && fn.Name() == "main" && fn.Signature().Recv() == nil
 	}
-	reached := map[*types.Func]bool{}
-	for id, obj := range info.Uses {
-		fn, ok := obj.(*types.Func)
-		if !ok {
-			continue
-		}
-		fn = fn.Origin()
-		if node := declOf[fn]; node != nil && node.Pos() <= id.Pos() && id.Pos() < node.End() {
-			continue // recursion keeps nothing alive
-		}
-		reached[fn] = true
-	}
-
-	ifaces := interfacesOf(tree.checked, info)
-	var offenders []string
-	allowed := map[string]bool{}
-	for _, d := range decls {
-		if reached[d.fn] || satisfiesInterface(d.fn, ifaces) {
-			continue
-		}
-		name := qualifiedName(d.fn)
-		if _, ok := reachabilityAllowlist[name]; ok {
-			allowed[name] = true
-			continue
-		}
-		pos := fset.Position(d.node.Pos())
-		offenders = append(offenders, fmt.Sprintf("%s:%d %s", relPath(pos.Filename), pos.Line, name))
-	}
+	seam := func(fn *types.Func) bool { _, ok := reachabilityAllowlist[qualifiedName(fn)]; return ok }
+	judged := func(p *types.Package) bool { return strings.HasPrefix(p.Path(), "osdc/internal/") }
+	dead := deadSurface(tree.info, files, main, judged)
 	for name, test := range reachabilityAllowlist {
-		if !allowed[name] {
+		if _, ok := dead["unreached "+name]; !ok {
 			t.Errorf("allowlist entry %s (for %s) is reached by non-test code or no longer declared; drop it", name, test)
 		}
 	}
-	if len(offenders) > 0 {
-		sort.Strings(offenders)
-		t.Errorf("%d declarations under internal/ are reached by no non-test code; delete them, move them into export_test.go, or (a seam another package's test needs) allowlist them with that test:\n\t%s",
-			len(offenders), strings.Join(offenders, "\n\t"))
+	var lines []string
+	for finding, pos := range deadSurface(tree.info, files, func(fn *types.Func) bool { return main(fn) || seam(fn) }, judged) {
+		kind, name, _ := strings.Cut(finding, " ")
+		p := tree.fset.Position(pos)
+		lines = append(lines, fmt.Sprintf("%-9s %s:%d %s", kind, relPath(p.Filename), p.Line, name))
+	}
+	if sort.Strings(lines); len(lines) > 0 {
+		t.Errorf("%d findings (the verdicts are in deadcode_test.go's header):\n\t%s", len(lines), strings.Join(lines, "\n\t"))
 	}
 }
 
-// interfacesOf gathers every interface a method could be called through:
-// the named interfaces of every loaded package, std included, and the
-// interface literals written in the checked code.
-func interfacesOf(checked map[string]*types.Package, info *types.Info) []*types.Interface {
-	var out []*types.Interface
-	add := func(t types.Type) {
-		if it, ok := t.Underlying().(*types.Interface); ok && it.NumMethods() > 0 && it.IsMethodSet() {
-			out = append(out, it)
-		}
-	}
-	visited := map[*types.Package]bool{}
-	var walk func(*types.Package)
-	walk = func(p *types.Package) {
-		if visited[p] {
-			return
-		}
-		visited[p] = true
-		scope := p.Scope()
-		for _, name := range scope.Names() {
-			if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
-				if n, ok := tn.Type().(*types.Named); !ok || n.TypeParams().Len() == 0 {
-					add(tn.Type())
+// deadSurface runs the analysis over one types.Info: files holds each
+// package's non-test syntax, root picks the funcs the walk starts from,
+// and judged the packages whose funcs and fields are reported. It maps
+// each finding, "kind name", to its declaration.
+func deadSurface(info *types.Info, files map[*types.Package][]*ast.File, root func(*types.Func) bool, judged func(*types.Package) bool) map[string]token.Pos {
+	a := &rta{fieldRules: newFieldRules(info, files), ifaces: map[string][]*types.Interface{},
+		decls: map[*types.Func]*ast.FuncDecl{}, live: map[*types.Func]bool{}, built: map[*types.Named]bool{}}
+	var starts []func() // the roots and every package initialiser
+	for pkg, fs := range files {
+		for _, f := range fs {
+			for _, d := range f.Decls {
+				fd, isFunc := d.(*ast.FuncDecl)
+				gd, isGen := d.(*ast.GenDecl)
+				switch {
+				case isFunc && (fd.Recv != nil || fd.Name.Name != "init"):
+					fn := info.Defs[fd.Name].(*types.Func)
+					if a.decls[fn] = fd; root(fn) {
+						starts = append(starts, func() { a.reach(fn) })
+					}
+				case isFunc || isGen && gd.Tok == token.VAR: // an init func or var initialisers
+					starts = append(starts, func() { a.walk(d, pkg) })
 				}
 			}
 		}
-		for _, q := range p.Imports() {
-			walk(q)
-		}
 	}
-	for _, p := range checked {
-		walk(p)
-	}
+	// A method can be called through an interface literal, a shape the
+	// errors package asserts in bodies export data lacks, or a named
+	// interface of any loaded package, std included. build consults them
+	// all, so each is indexed before the walk starts.
 	for _, tv := range info.Types {
 		if tv.IsType() {
-			add(tv.Type)
+			a.index(tv.Type)
 		}
 	}
-	for _, t := range stdAssertedInterfaces() {
-		add(t)
+	for _, src := range []string{"interface{ Unwrap() error }", "interface{ Unwrap() []error }", "interface{ Is(error) bool }", "interface{ As(any) bool }"} {
+		tv, _ := types.Eval(token.NewFileSet(), nil, token.NoPos, src)
+		a.index(tv.Type)
+	}
+	seen := map[*types.Package]bool{}
+	var load func(*types.Package)
+	load = func(p *types.Package) {
+		if seen[p] {
+			return
+		}
+		seen[p] = true
+		for _, name := range p.Scope().Names() {
+			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok {
+				a.index(tn.Type())
+			}
+		}
+		for _, q := range p.Imports() {
+			load(q)
+		}
+	}
+	for p := range files {
+		load(p)
+	}
+	for _, start := range starts {
+		start()
+	}
+
+	out := a.findings(judged)
+	for fn, d := range a.decls {
+		if judged(fn.Pkg()) && !a.live[fn] {
+			out["unreached "+qualifiedName(fn)] = d.Name.Pos()
+		}
 	}
 	return out
 }
 
-// stdAssertedInterfaces are the interfaces the errors package asserts
-// inside function bodies (errors.Is, errors.As, errors.Unwrap). Export
-// data carries no function bodies, so they are written out here.
-func stdAssertedInterfaces() []types.Type {
-	const src = `package std
-type (
-	unwrapper      interface{ Unwrap() error }
-	multiUnwrapper interface{ Unwrap() []error }
-	iser           interface{ Is(error) bool }
-	aser           interface{ As(any) bool }
-)`
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "std.go", src, 0)
-	if err != nil {
-		panic(err)
-	}
-	pkg, err := new(types.Config).Check("std", fset, []*ast.File{f}, nil)
-	if err != nil {
-		panic(err)
-	}
-	var out []types.Type
-	for _, name := range pkg.Scope().Names() {
-		out = append(out, pkg.Scope().Lookup(name).Type())
-	}
-	return out
+// rta is the walk's state: the live funcs and the types live code builds
+// or names.
+type rta struct {
+	*fieldRules
+	ifaces map[string][]*types.Interface // by method name
+	decls  map[*types.Func]*ast.FuncDecl
+	live   map[*types.Func]bool
+	built  map[*types.Named]bool
 }
 
-// satisfiesInterface reports whether fn is a method whose receiver type
-// implements some interface that has a method of fn's name: a call
-// through that interface reaches it without naming it.
-func satisfiesInterface(fn *types.Func, ifaces []*types.Interface) bool {
-	recv := fn.Signature().Recv()
-	if recv == nil {
-		return false
+func (a *rta) index(t types.Type) {
+	if it, ok := t.Underlying().(*types.Interface); ok && it.IsMethodSet() {
+		for i := 0; i < it.NumMethods(); i++ {
+			a.ifaces[it.Method(i).Name()] = append(a.ifaces[it.Method(i).Name()], it)
+		}
 	}
-	t := recv.Type()
+}
+
+func (a *rta) reach(fn *types.Func) {
+	if d := a.decls[fn]; d != nil && !a.live[fn] {
+		a.live[fn] = true
+		a.walk(d, fn.Pkg())
+	}
+}
+
+// build marks t's named type built and reaches each of its methods,
+// promoted ones included, that satisfies some interface.
+func (a *rta) build(t types.Type) {
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
-	ptr := types.NewPointer(t)
-	for _, it := range ifaces {
-		for i := 0; i < it.NumMethods(); i++ {
-			if it.Method(i).Name() == fn.Name() && (types.Implements(t, it) || types.Implements(ptr, it)) {
-				return true
+	n, ok := t.(*types.Named)
+	if !ok || a.built[n.Origin()] || a.files[n.Obj().Pkg()] == nil {
+		return
+	}
+	a.built[n.Origin()] = true
+	ptr := types.NewPointer(n)
+	ms := types.NewMethodSet(ptr)
+	for i := 0; i < ms.Len(); i++ {
+		m := ms.At(i).Obj().(*types.Func).Origin()
+		for _, it := range a.ifaces[m.Name()] {
+			if types.Implements(ptr, it) {
+				a.reach(m)
 			}
 		}
 	}
-	return false
+}
+
+// walk visits one live declaration: it reaches each func the code names,
+// builds each type the code names or handles values of, and hands every
+// node to the field rules.
+func (a *rta) walk(node ast.Node, pkg *types.Package) {
+	fields := a.visitor(pkg)
+	ast.Inspect(node, func(n ast.Node) bool {
+		id, _ := n.(*ast.Ident)
+		if fn, ok := a.info.Uses[id].(*types.Func); ok {
+			a.reach(fn.Origin())
+		}
+		if e, ok := n.(ast.Expr); ok && a.info.TypeOf(e) != nil {
+			a.build(a.info.TypeOf(e))
+		}
+		fields(n)
+		return true
+	})
 }
 
 // qualifiedName renders fn as pkg.Name or pkg.Recv.Name.
 func qualifiedName(fn *types.Func) string {
-	name := fn.Pkg().Name() + "." + fn.Name()
 	if recv := fn.Signature().Recv(); recv != nil {
-		t := recv.Type()
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		if n, ok := t.(*types.Named); ok {
-			name = fn.Pkg().Name() + "." + n.Obj().Name() + "." + fn.Name()
-		}
+		return strings.TrimPrefix(types.TypeString(recv.Type(), (*types.Package).Name), "*") + "." + fn.Name()
 	}
-	return name
+	return fn.Pkg().Name() + "." + fn.Name()
 }

@@ -93,7 +93,6 @@ type usageShard struct {
 // single-process topology they are Local wrappers sharing the engine, in
 // the remote topology they are HTTP clients — metering does not care.
 type Biller struct {
-	engine  *sim.Engine
 	rates   Rates
 	usage   *cloudapi.UsagePoller
 	storage StorageFunc
@@ -123,7 +122,7 @@ const DaysPerCycle = 30
 // New starts a biller: per-minute VM polling, daily storage sampling, and a
 // 30-day invoice cycle, all on the simulation clock.
 func New(e *sim.Engine, rates Rates, clouds []cloudapi.CloudAPI, storage StorageFunc) *Biller {
-	b := &Biller{engine: e, rates: rates, usage: cloudapi.NewUsagePoller(clouds), storage: storage,
+	b := &Biller{rates: rates, usage: cloudapi.NewUsagePoller(clouds), storage: storage,
 		cycle: 1, deadline: cloudapi.PollDeadline}
 	for i := range b.shards {
 		b.shards[i].usage = make(map[string]*Usage)

@@ -36,7 +36,11 @@ type GenomicDataset struct {
 	Name    string
 	Project string // e.g. "modENCODE", "T2D-Genes"
 	Class   AccessClass
-	Path    string
+}
+
+// path is where d lives on a cloud's volume.
+func (d GenomicDataset) path() string {
+	return "/genomics/" + strings.ToLower(d.Project) + "/" + strings.ToLower(strings.ReplaceAll(d.Name, " ", "-"))
 }
 
 // Cloud is a Bionimbus deployment: storage plus compute plus the curated
@@ -47,7 +51,6 @@ type Cloud struct {
 	Secure   bool
 	volume   *dfs.Volume
 	export   *gateway.Export
-	compute  *iaas.Cloud
 	enrolled map[string]bool
 	datasets map[string]*GenomicDataset
 	images   []*iaas.Image
@@ -56,7 +59,7 @@ type Cloud struct {
 // New creates a Bionimbus cloud over a DFS volume and an IaaS cloud.
 func New(name string, secure bool, vol *dfs.Volume, compute *iaas.Cloud) *Cloud {
 	c := &Cloud{
-		Name: name, Secure: secure, volume: vol, compute: compute,
+		Name: name, Secure: secure, volume: vol,
 		export:   gateway.New(name+"-export", vol),
 		enrolled: make(map[string]bool),
 		datasets: make(map[string]*GenomicDataset),
@@ -95,10 +98,7 @@ func (c *Cloud) Ingest(user string, d GenomicDataset, content []byte) error {
 	if c.Secure && !c.enrolled[user] {
 		return fmt.Errorf("bionimbus: %s is not enrolled in secure cloud %s", user, c.Name)
 	}
-	if d.Path == "" {
-		d.Path = "/genomics/" + strings.ToLower(d.Project) + "/" + strings.ToLower(strings.ReplaceAll(d.Name, " ", "-"))
-	}
-	if err := c.volume.Write(d.Path, content); err != nil {
+	if err := c.volume.Write(d.path(), content); err != nil {
 		return err
 	}
 	cp := d
@@ -116,7 +116,7 @@ func (c *Cloud) Fetch(user, name string) ([]byte, error) {
 	if c.Secure && !c.enrolled[user] {
 		return nil, fmt.Errorf("bionimbus: %s not enrolled in %s", user, c.Name)
 	}
-	f, err := c.volume.Read(d.Path)
+	f, err := c.volume.Read(d.path())
 	if err != nil {
 		return nil, err
 	}

@@ -85,7 +85,7 @@ func TestClosedSiteRefusesKeptAliveRemote(t *testing.T) {
 func TestClockPlaneFollowSite(t *testing.T) {
 	e := sim.NewEngine(2)
 	site, err := StartSite(e, testCloud(e, "clock-test", "eucalyptus"),
-		SiteOptions{Clock: ClockFollow, Tick: time.Millisecond})
+		SiteOptions{Clock: ClockFollow})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestClockPlaneNoClock(t *testing.T) {
 func TestClockSyncRejectsBadTargets(t *testing.T) {
 	e := sim.NewEngine(4)
 	site, err := StartSite(e, testCloud(e, "clock-test", "openstack"),
-		SiteOptions{Clock: ClockFollow, Tick: time.Millisecond})
+		SiteOptions{Clock: ClockFollow})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestCoordinatorBoundsSkew(t *testing.T) {
 	for i, stack := range []string{"openstack", "eucalyptus"} {
 		e := sim.NewEngine(uint64(20 + i))
 		site, err := StartSite(e, testCloud(e, fmt.Sprintf("clock-site-%d", i), stack),
-			SiteOptions{Clock: ClockFollow, Tick: time.Millisecond})
+			SiteOptions{Clock: ClockFollow})
 		if err != nil {
 			t.Fatal(err)
 		}

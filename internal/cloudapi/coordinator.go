@@ -21,17 +21,6 @@ type ClockSyncTarget interface {
 	ClockSync(target sim.Time) error
 }
 
-// SkewSample is one coordinator observation of one site's clock.
-type SkewSample struct {
-	// Skew is how far the site's virtual clock trailed the coordinator
-	// engine at observation time, in virtual seconds (coordinator − site).
-	Skew float64
-	// Interval is how much the coordinator engine advanced since this
-	// site's previous sync — the actual sync interval in virtual seconds.
-	// Zero on a site's first observation.
-	Interval float64
-}
-
 // SkewStats aggregates a site's samples over the coordinator's lifetime.
 type SkewStats struct {
 	Site   string

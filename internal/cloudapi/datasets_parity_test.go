@@ -185,7 +185,9 @@ func TestOperatorPlaneAuth(t *testing.T) {
 
 	srv := NewServer(c)
 	srv.Datasets = store
-	srv.Clock = FollowerClock{F: sim.StartFollower(e, 0, 0)}
+	follower := sim.StartFollower(e, 0, 0)
+	t.Cleanup(follower.Stop)
+	srv.Clock = FollowerClock{F: follower}
 	srv.OperatorSecret = "hunter2"
 	hs := httptest.NewServer(srv)
 	t.Cleanup(hs.Close)

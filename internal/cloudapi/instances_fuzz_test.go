@@ -62,7 +62,8 @@ type dialectRig struct {
 func newDialectRig(e *sim.Engine, stack string) dialectRig {
 	c := iaas.NewCloud(e, "fuzz", stack, "chicago")
 	c.AddRack("r", 2)
-	c.RegisterImage(iaas.Image{ID: "img-pub", Name: "ubuntu", Public: true})
+	c.RegisterImage(iaas.Image{Name: "ubuntu", Public: true}) // img-fuzz-1
+	c.RegisterImage(iaas.Image{Name: "private"})              // img-fuzz-2
 	client := &http.Client{Transport: handlerTransport{NewServer(c)}}
 	return dialectRig{NewLocal(c), NewRemote(c.Name, stack, "http://site.test", client)}
 }
@@ -105,7 +106,7 @@ func FuzzRemoteInstancesMatchLocal(f *testing.F) {
 					if viaRemote {
 						api = rig.remote
 					}
-					_, err := api.Launch(user, name, "m1.small", "img-pub")
+					_, err := api.Launch(user, name, "m1.small", "img-fuzz-1")
 					if err == nil {
 						users[user] = true
 						continue
@@ -114,7 +115,7 @@ func FuzzRemoteInstancesMatchLocal(f *testing.F) {
 					if !viaRemote {
 						continue
 					}
-					if _, err := rig.local.Launch(user, name, "m1.small", "img-pub"); err == nil {
+					if _, err := rig.local.Launch(user, name, "m1.small", "img-fuzz-1"); err == nil {
 						t.Fatalf("%s: Launch(%q, %q) through the Remote refused what Local accepts: %s", rig.remote.Stack(), user, name, errs[i])
 					}
 				}

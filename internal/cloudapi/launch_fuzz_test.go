@@ -34,13 +34,13 @@ func launchClass(err error) any {
 // image before the one compared. Local launches on one cloud and the
 // Remote on a twin built alike, once per dialect.
 func FuzzRemoteLaunchErrorsMatchLocal(f *testing.F) {
-	f.Add("m1.small", "img-pub", uint8(1), uint8(100), uint8(1)) // over the instance limit
-	f.Add("m1.large", "", uint8(0), uint8(0), uint8(1))          // over the free tier's cores
-	f.Add("m1.xlarge", "img-pub", uint8(9), uint8(99), uint8(2)) // no host left
-	f.Add("m1.tiny", "img-pub", uint8(9), uint8(99), uint8(0))
-	f.Add("m1.small", "img-bob", uint8(9), uint8(99), uint8(0))
+	f.Add("m1.small", "img-fuzz-1", uint8(1), uint8(100), uint8(1)) // over the instance limit
+	f.Add("m1.large", "", uint8(0), uint8(0), uint8(1))             // over the free tier's cores
+	f.Add("m1.xlarge", "img-fuzz-1", uint8(9), uint8(99), uint8(2)) // no host left
+	f.Add("m1.tiny", "img-fuzz-1", uint8(9), uint8(99), uint8(0))
+	f.Add("m1.small", "img-fuzz-2", uint8(9), uint8(99), uint8(0)) // a private image
 	f.Add("m1.small", "img-none", uint8(9), uint8(99), uint8(0))
-	f.Add("a\xffb", "img-pub", uint8(9), uint8(99), uint8(0)) // JSON would carry U+FFFD instead
+	f.Add("a\xffb", "img-fuzz-1", uint8(9), uint8(99), uint8(0)) // JSON would carry U+FFFD instead
 	f.Fuzz(func(t *testing.T, flavor, image string, maxInstances, maxCores, held uint8) {
 		if len(flavor) > 64 || len(image) > 64 {
 			t.Skip("longer than any flavor or image id")

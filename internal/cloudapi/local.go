@@ -71,7 +71,7 @@ func (l *Local) Instance(id string) (Instance, error) {
 // Images implements CloudAPI.
 func (l *Local) Images(user string) ([]Image, error) {
 	var out []Image
-	for _, img := range l.C.Images(user) {
+	for _, img := range l.C.Images() {
 		out = append(out, Image{ID: img.ID, Name: img.Name, Public: img.Public})
 	}
 	return out, nil

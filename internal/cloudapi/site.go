@@ -42,6 +42,9 @@ type Site struct {
 	srv      *Server
 }
 
+// siteTick is a site clock source's wall interval.
+const siteTick = 2 * time.Millisecond
+
 // SiteOptions tune how StartSite stands a site up.
 type SiteOptions struct {
 	// Clock picks the engine's clock source; see Site's doc comment.
@@ -50,8 +53,6 @@ type SiteOptions struct {
 	// (<= 0 leaves the clock frozen). In follow mode it caps the catch-up
 	// rate instead (<= 0 means unbounded: jump to each target).
 	Speedup float64
-	// Tick is the clock source's wall interval; <= 0 means 2 ms.
-	Tick time.Duration
 	// Addr is the listen address; "" means an ephemeral loopback port
 	// (the in-process default — cmd/cloud-site passes its -addr flag).
 	Addr string
@@ -78,10 +79,6 @@ func StartSite(e *sim.Engine, c *iaas.Cloud, opt SiteOptions) (*Site, error) {
 	if addr == "" {
 		addr = "127.0.0.1:0"
 	}
-	tick := opt.Tick
-	if tick <= 0 {
-		tick = 2 * time.Millisecond
-	}
 	if opt.Set != nil && opt.Set.Anchor() != e {
 		return nil, fmt.Errorf("cloudapi: site %s: shard set's anchor is not the site engine", c.Name)
 	}
@@ -107,12 +104,12 @@ func StartSite(e *sim.Engine, c *iaas.Cloud, opt SiteOptions) (*Site, error) {
 	}
 	switch opt.Clock {
 	case ClockFollow:
-		s.follower = sim.StartFollower(clock, opt.Speedup, tick)
+		s.follower = sim.StartFollower(clock, opt.Speedup, siteTick)
 		s.clock = s.follower
 		srv.Clock = FollowerClock{F: s.follower}
 	default:
 		if opt.Speedup > 0 {
-			s.clock = sim.StartDriver(clock, opt.Speedup, tick)
+			s.clock = sim.StartDriver(clock, opt.Speedup, siteTick)
 		} else if opt.Set != nil {
 			// No clock source, but handlers may still schedule against any
 			// shard (instance boot timers), so the whole set goes shared.

@@ -17,7 +17,7 @@ func TestShardedSiteFollowMode(t *testing.T) {
 	set := sim.NewShardSet(9, 4)
 	e := set.Anchor()
 	site, err := StartSite(e, testCloud(e, "shard-test", "openstack"),
-		SiteOptions{Clock: ClockFollow, Tick: time.Millisecond, Set: set})
+		SiteOptions{Clock: ClockFollow, Set: set})
 	if err != nil {
 		t.Fatal(err)
 	}

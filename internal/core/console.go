@@ -185,10 +185,11 @@ func (d *Deployment) start(cfg ConsoleConfig) error {
 	if cfg.Topology == FollowedClocks && syncEvery <= 0 {
 		syncEvery = defaultSyncInterval
 	}
-	d.SiteClient = &http.Client{Timeout: cloudapi.DefaultTimeout}
+	siteTimeout := cloudapi.DefaultTimeout
 	if cfg.SiteTimeout > 0 {
-		d.SiteClient.Timeout = cfg.SiteTimeout
+		siteTimeout = cfg.SiteTimeout
 	}
+	d.SiteClient = d.pooledClient(siteTimeout)
 	d.Client = d.pooledClient(60 * time.Second)
 
 	// --- clouds: in-process first, then external sites ---

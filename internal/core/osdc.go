@@ -203,7 +203,7 @@ func New(opt Options) (*Federation, error) {
 		}
 	}
 
-	f.Sharing = sharing.NewStore(e)
+	f.Sharing = sharing.NewStore()
 	f.DropDir = sharing.NewDropDir(e, f.Sharing, 10)
 	f.Biller = billing.New(e, billing.DefaultRates(), []cloudapi.CloudAPI{f.AdlerAPI, f.SullivanAPI}, nil)
 	f.UsageMon = monitor.NewUsageMonitor(e, []cloudapi.CloudAPI{f.AdlerAPI, f.SullivanAPI}, 5*sim.Minute)
@@ -318,10 +318,9 @@ func buildDatasetVolume(e *sim.Engine, cluster string) (*dfs.Volume, error) {
 
 // ReplicationOptions tune StartReplication.
 type ReplicationOptions struct {
-	// Factor is the target replication factor per dataset (< 1 means 1).
+	// Factor is the target replication factor of every dataset (< 1
+	// means 1).
 	Factor int
-	// Factors overrides the target per dataset name.
-	Factors map[string]int
 	// Interval starts the coordinator's background loop when > 0; with 0
 	// the caller drives Rounds directly (the deterministic scenario
 	// shape).
@@ -345,7 +344,7 @@ func (f *Federation) StartReplication(opt ReplicationOptions) *datastore.Coordin
 		}
 	}
 	f.Replication = datastore.NewCoordinator(f.Engine, f.Network, f.Catalog,
-		datastore.Options{Factor: opt.Factor, Factors: opt.Factors, Seed: opt.Seed,
+		datastore.Options{Factor: opt.Factor, Seed: opt.Seed,
 			Shards: f.Set}, sites...)
 	if opt.Interval > 0 {
 		f.Replication.Start(opt.Interval)

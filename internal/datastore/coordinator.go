@@ -11,7 +11,6 @@ import (
 	"osdc/internal/fanout"
 	"osdc/internal/sim"
 	"osdc/internal/simnet"
-	"osdc/internal/tcpmodel"
 	"osdc/internal/transport"
 	"osdc/internal/udt"
 )
@@ -72,21 +71,14 @@ type Stats struct {
 // datasets are repaired elsewhere.
 const observeGrace = 2
 
+// coordinatorWorkers bounds the coordinator's site fan-out pools.
+const coordinatorWorkers = 8
+
 // Options tune a Coordinator.
 type Options struct {
-	// Factor is the default target replication factor (< 1 means 1).
+	// Factor is the target replication factor of every dataset (< 1
+	// means 1).
 	Factor int
-	// Factors overrides the target per dataset name.
-	Factors map[string]int
-	// Protocol picks the simulated transfer flow: "udt" (default) or
-	// "tcp" (Reno with a BDP-sized window).
-	Protocol string
-	// Workers bounds the site fan-out pool (default 8).
-	Workers int
-	// SiteDeadline is the per-site wall budget for one List during a
-	// round; a site answering slower is counted unreachable for the
-	// round. Start() tightens it to half the round interval. 0 = 10 s.
-	SiteDeadline time.Duration
 	// Seed feeds the coordinator's private RNG (flow loss sampling).
 	Seed uint64
 	// Shards, when set with K > 1, homes each round's flow groups by link
@@ -117,16 +109,16 @@ type Coordinator struct {
 	nw      *simnet.Network
 	catalog *datasets.Catalog
 	factor  int
-	factors map[string]int
-	proto   string
-	workers int
 
 	shards  *sim.ShardSet
 	rngSeed uint64
 
-	mu           sync.Mutex
-	rng          *sim.RNG
-	sites        []API
+	mu    sync.Mutex
+	rng   *sim.RNG
+	sites []API
+	// siteDeadline is the per-site wall budget for one List during a
+	// round; a site answering slower is counted unreachable for the
+	// round. Start tightens it to half the round interval.
 	siteDeadline time.Duration
 	inflight     map[string]*Transfer // key dataset + "→" + destination site
 	stats        Stats
@@ -161,23 +153,13 @@ func NewCoordinator(e *sim.Engine, nw *simnet.Network, cat *datasets.Catalog, op
 	if opt.Factor < 1 {
 		opt.Factor = 1
 	}
-	if opt.Workers < 1 {
-		opt.Workers = 8
-	}
-	if opt.SiteDeadline <= 0 {
-		opt.SiteDeadline = 10 * time.Second
-	}
-	if opt.Protocol == "" {
-		opt.Protocol = "udt"
-	}
 	c := &Coordinator{
 		engine: e, nw: nw, catalog: cat,
-		factor: opt.Factor, factors: opt.Factors,
-		proto: opt.Protocol, workers: opt.Workers,
+		factor: opt.Factor,
 		shards: opt.Shards, rngSeed: opt.Seed ^ 0xda7a,
 		rng:          sim.NewRNG(opt.Seed ^ 0xda7a),
 		sites:        append([]API(nil), sites...),
-		siteDeadline: opt.SiteDeadline,
+		siteDeadline: 10 * time.Second,
 		inflight:     make(map[string]*Transfer),
 		siteStats:    make(map[string]*SiteStats),
 		linkStats:    make(map[string]*LinkStats),
@@ -236,14 +218,6 @@ func (c *Coordinator) Stop() {
 	}
 }
 
-// targetFor is the replication factor a dataset must reach.
-func (c *Coordinator) targetFor(dataset string) int {
-	if n, ok := c.factors[dataset]; ok && n >= 1 {
-		return n
-	}
-	return c.factor
-}
-
 // pathBetween derives the flow path for a transfer between two simnet
 // sites; co-located sites move over the LAN.
 func (c *Coordinator) pathBetween(fromLoc, toLoc string) transport.Path {
@@ -251,18 +225,6 @@ func (c *Coordinator) pathBetween(fromLoc, toLoc string) transport.Path {
 		return transport.Path{BandwidthBps: 10 * simnet.Gbit, RTT: 100 * sim.Microsecond, MSS: transport.DefaultMSS}
 	}
 	return transport.PathBetween(c.nw, simnet.Gateway(fromLoc), simnet.Gateway(toLoc))
-}
-
-// controller builds one flow's congestion-control law.
-func (c *Coordinator) controller(path transport.Path) transport.Controller {
-	if c.proto == "tcp" {
-		win := int(path.BDP())
-		if win < 64<<10 {
-			win = 64 << 10
-		}
-		return tcpmodel.NewReno(path, win)
-	}
-	return udt.NewRateControl(path)
 }
 
 // Round advances the coordinator one planning cycle. It returns how many
@@ -291,7 +253,7 @@ func (c *Coordinator) Round() (planned, arrived int) {
 	for i, s := range sites {
 		since[i] = c.knownRev[s.Name()]
 	}
-	listings, completed := fanout.Each(c.workers, c.siteDeadline, len(sites), func(i int) listing {
+	listings, completed := fanout.Each(coordinatorWorkers, c.siteDeadline, len(sites), func(i int) listing {
 		d, err := sites[i].ListSince(since[i])
 		if err != nil {
 			if reps, lerr := sites[i].List(); lerr == nil {
@@ -375,14 +337,13 @@ func (c *Coordinator) Round() (planned, arrived int) {
 				pendingTo[t.To] = true
 			}
 		}
-		target := c.targetFor(d.Name)
-		deficit := target - countedBy[d.Name] - pending
+		deficit := c.factor - countedBy[d.Name] - pending
 		if deficit <= 0 {
 			// Over-replication (a site that outlived its grace window
 			// coming back, say) drains back to the target — but only on
 			// full information, and never from the anchor site (the
 			// first-listed store, which holds the masters).
-			if excess := len(holders) - target; excess > 0 && pending == 0 && allObserved {
+			if excess := len(holders) - c.factor; excess > 0 && pending == 0 && allObserved {
 				c.drainLocked(d.Name, holders, excess, bytesBy)
 			}
 			continue
@@ -522,7 +483,7 @@ func (c *Coordinator) priceLocked(now sim.Time, plans []*Transfer) {
 		ctrls := make([]transport.Controller, len(group))
 		sizes := make([]int64, len(group))
 		for i, t := range group {
-			ctrls[i] = c.controller(path)
+			ctrls[i] = udt.NewRateControl(path)
 			sizes[i] = t.Bytes
 		}
 		results := transport.SimulateShared(c.rng, path, ctrls, sizes, transport.Caps{})
@@ -549,7 +510,7 @@ func (c *Coordinator) priceShardedLocked(now sim.Time, links []string, byLink ma
 		ctrls := make([]transport.Controller, len(group))
 		sizes := make([]int64, len(group))
 		for i, t := range group {
-			ctrls[i] = c.controller(path)
+			ctrls[i] = udt.NewRateControl(path)
 			sizes[i] = t.Bytes
 		}
 		groups[gi] = transport.FlowGroup{Name: link, Path: path, Ctrls: ctrls, Sizes: sizes}
@@ -612,10 +573,10 @@ func (c *Coordinator) completeArrived(now sim.Time) int {
 		}
 		jobs[i] = j
 	}
-	workers, deadline := c.workers, c.siteDeadline
+	deadline := c.siteDeadline
 	c.mu.Unlock()
 
-	putErrs, completed := fanout.Each(workers, deadline, len(jobs), func(i int) error {
+	putErrs, completed := fanout.Each(coordinatorWorkers, deadline, len(jobs), func(i int) error {
 		j, t := jobs[i], jobs[i].t
 		switch {
 		case j.corrupt && j.src != nil:
@@ -752,7 +713,7 @@ func (c *Coordinator) Stage(dataset, site string) (StageStatus, error) {
 			err error
 		}
 		sites := append([]API(nil), c.sites...) // an abandoned task may outlive c.mu
-		found, completed := fanout.Each(c.workers, c.siteDeadline, len(sites), func(i int) lookup {
+		found, completed := fanout.Each(coordinatorWorkers, c.siteDeadline, len(sites), func(i int) lookup {
 			if sites[i].Name() == site {
 				return lookup{err: ErrNoReplica}
 			}
@@ -802,7 +763,7 @@ func (c *Coordinator) Placement() []PlacementRow {
 	defer c.mu.Unlock()
 	rows := make([]PlacementRow, 0)
 	for _, d := range c.catalog.All() {
-		row := PlacementRow{Dataset: d.Name, Target: c.targetFor(d.Name)}
+		row := PlacementRow{Dataset: d.Name, Target: c.factor}
 		for site, seen := range c.lastSeen {
 			if _, ok := seen[d.Name]; ok {
 				row.Sites = append(row.Sites, site)

@@ -73,8 +73,6 @@ type Store struct {
 	rev    int64
 	revs   map[string]int64
 	graves map[string]int64
-
-	puts, deletes int64
 }
 
 // NewStore builds a store for the named federation site, located at the
@@ -127,7 +125,6 @@ func (s *Store) Put(r Replica) error {
 	}
 	s.replicas[r.Dataset] = r
 	s.bumpLocked(r.Dataset)
-	s.puts++
 	return nil
 }
 
@@ -192,7 +189,6 @@ func (s *Store) Delete(dataset string) error {
 	s.rev++
 	s.graves[dataset] = s.rev
 	delete(s.revs, dataset)
-	s.deletes++
 	return nil
 }
 

@@ -103,7 +103,6 @@ type Volume struct {
 	ReplicaCount int
 	Version      Version
 	sets         [][]*Brick
-	engine       *sim.Engine
 	rng          *sim.RNG
 
 	// Counters for reports and tests.
@@ -125,7 +124,7 @@ func NewVolume(e *sim.Engine, name string, replicaCount int, version Version, br
 	}
 	v := &Volume{
 		Name: name, ReplicaCount: replicaCount, Version: version,
-		engine: e, rng: e.RNG().Fork(),
+		rng: e.RNG().Fork(),
 	}
 	for i := 0; i < len(bricks); i += replicaCount {
 		v.sets = append(v.sets, bricks[i:i+replicaCount])

@@ -166,7 +166,7 @@ func (a *EucaAPI) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	case "DescribeImages":
 		var imgs []ec2Image
-		for _, im := range a.Cloud.Images(user) {
+		for _, im := range a.Cloud.Images() {
 			imgs = append(imgs, ec2Image{ImageID: im.ID, Name: im.Name, Public: im.Public})
 		}
 		writeXML(w, http.StatusOK, DescribeImagesResponse{Images: imgs})

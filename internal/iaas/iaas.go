@@ -47,12 +47,10 @@ func DefaultFlavors() []Flavor {
 // Image is a bootable machine image. The OSDC curates images that "contain
 // the software tools and applications commonly used by a community" (§3.2).
 type Image struct {
-	ID     string
+	ID     string // assigned by RegisterImage
 	Name   string
-	SizeGB int
 	Tools  []string // preinstalled community pipelines
 	Public bool
-	Owner  string
 	// Portable marks images built to also run on AWS (§9: "OSDC machine
 	// images can also run on AWS"), the paper's anti-lock-in stance.
 	Portable bool
@@ -408,27 +406,25 @@ func (c *Cloud) UsedCores() int {
 	return total
 }
 
-// RegisterImage adds a machine image.
+// RegisterImage adds a machine image under a fresh ID.
 func (c *Cloud) RegisterImage(img Image) *Image {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cp := img
-	if cp.ID == "" {
-		c.nextID++
-		cp.ID = fmt.Sprintf("img-%s-%d", c.Name, c.nextID)
-	}
+	c.nextID++
+	cp.ID = fmt.Sprintf("img-%s-%d", c.Name, c.nextID)
 	c.images[cp.ID] = &cp
 	return &cp
 }
 
-// Images lists images visible to user, sorted by ID. Images are immutable
-// once registered, so the pointers are safe to share.
-func (c *Cloud) Images(user string) []*Image {
+// Images lists the public images, sorted by ID. Images are immutable once
+// registered, so the pointers are safe to share.
+func (c *Cloud) Images() []*Image {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var out []*Image
 	for _, img := range c.images {
-		if img.Public || img.Owner == user {
+		if img.Public {
 			out = append(out, img)
 		}
 	}
@@ -497,7 +493,7 @@ func (c *Cloud) Launch(user, name, flavorName, imageID string) (*Instance, error
 		if !ok {
 			return nil, fmt.Errorf("iaas: unknown image %q", imageID)
 		}
-		if !img.Public && img.Owner != user {
+		if !img.Public {
 			return nil, fmt.Errorf("iaas: image %q not accessible to %s", imageID, user)
 		}
 	}

@@ -120,24 +120,18 @@ func TestSchedulerSpreadsLoad(t *testing.T) {
 
 func TestImageVisibility(t *testing.T) {
 	_, c := testCloud(1)
-	c.RegisterImage(Image{Name: "ubuntu-12.04", Public: true, Portable: true})
-	c.RegisterImage(Image{Name: "private-pipeline", Owner: "alice"})
-	if n := len(c.Images("alice")); n != 2 {
-		t.Fatalf("alice sees %d images, want 2", n)
-	}
-	if n := len(c.Images("bob")); n != 1 {
-		t.Fatalf("bob sees %d images, want 1", n)
+	pub := c.RegisterImage(Image{Name: "ubuntu-12.04", Public: true, Portable: true})
+	c.RegisterImage(Image{Name: "private-pipeline"})
+	if imgs := c.Images(); len(imgs) != 1 || imgs[0] != pub {
+		t.Fatalf("listed %v, want the public image alone", imgs)
 	}
 }
 
 func TestLaunchPrivateImageDenied(t *testing.T) {
 	_, c := testCloud(1)
-	img := c.RegisterImage(Image{Name: "secret", Owner: "alice"})
-	if _, err := c.Launch("bob", "vm", "m1.small", img.ID); err == nil {
-		t.Fatal("bob launched alice's private image")
-	}
-	if _, err := c.Launch("alice", "vm", "m1.small", img.ID); err != nil {
-		t.Fatal(err)
+	img := c.RegisterImage(Image{Name: "secret"})
+	if _, err := c.Launch("alice", "vm", "m1.small", img.ID); err == nil {
+		t.Fatal("alice launched a private image")
 	}
 }
 

@@ -145,7 +145,7 @@ func (a *NovaAPI) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	case r.URL.Path == "/v2/images" && r.Method == http.MethodGet:
 		var out []NovaImage
-		for _, img := range a.Cloud.Images(user) {
+		for _, img := range a.Cloud.Images() {
 			out = append(out, NovaImage{ID: img.ID, Name: img.Name, Public: img.Public, Tools: img.Tools})
 		}
 		writeJSON(w, http.StatusOK, map[string]interface{}{"images": out})

@@ -138,7 +138,6 @@ type Alert struct {
 type Master struct {
 	engine *sim.Engine
 	notify func(Alert)
-	ticker *sim.Ticker
 
 	mu     sync.Mutex
 	agents map[string]*Agent
@@ -164,7 +163,7 @@ func NewMaster(e *sim.Engine, interval sim.Duration, notify func(Alert)) *Master
 		last: make(map[string]State), notify: notify,
 		deadline: cloudapi.PollDeadline,
 	}
-	m.ticker = e.Every(interval, m.pollAll)
+	e.Every(interval, m.pollAll)
 	return m
 }
 

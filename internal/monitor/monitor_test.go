@@ -191,7 +191,6 @@ func TestMasterAbandonsHungAgent(t *testing.T) {
 	m.AddAgent(healthy)
 
 	e.RunFor(301) // 5 polls
-	m.ticker.Stop()
 
 	if n := atomic.LoadInt64(&m.PollsAbandoned); n < 4 {
 		t.Fatalf("PollsAbandoned = %d, want ~5", n)

@@ -1,16 +1,14 @@
 // Package sharing implements the OSDC's distributed file sharing prototype
 // (paper §6.2): access control based on users and file-collection
-// objects; a designated drop directory monitored by a daemon that
-// propagates file information into a database; and a WebDAV service that
-// serves shared files against that database, so collaborators mount shares
-// with their own credentials. The paper's user-managed groups and
-// collections of collections are not modelled.
+// objects, and a designated drop directory monitored by a daemon that
+// propagates file information into a database. The paper's WebDAV front
+// end, user-managed groups and collections of collections are not
+// modelled.
 package sharing
 
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"osdc/internal/sim"
@@ -47,7 +45,6 @@ type Collection struct {
 
 // Store is the sharing database.
 type Store struct {
-	engine *sim.Engine
 	users  map[string]bool
 	files  map[string]*FileInfo
 	colls  map[string]*Collection
@@ -56,9 +53,8 @@ type Store struct {
 }
 
 // NewStore creates an empty sharing database.
-func NewStore(e *sim.Engine) *Store {
+func NewStore() *Store {
 	return &Store{
-		engine: e,
 		users:  make(map[string]bool),
 		files:  make(map[string]*FileInfo),
 		colls:  make(map[string]*Collection),
@@ -148,24 +144,6 @@ func (s *Store) CanRead(user, path string) bool {
 		}
 	}
 	return false
-}
-
-// File returns the database record for path.
-func (s *Store) File(path string) (*FileInfo, bool) {
-	f, ok := s.files[path]
-	return f, ok
-}
-
-// ReadableFiles lists paths user may read, sorted.
-func (s *Store) ReadableFiles(user string) []string {
-	var out []string
-	for p := range s.files {
-		if s.CanRead(user, p) {
-			out = append(out, p)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // registerFile inserts or updates the database record (daemon path).

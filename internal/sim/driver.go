@@ -39,17 +39,19 @@ type source struct {
 }
 
 // tickFeed is what a source runs on: a channel of wall times, the first
-// measured from from.
+// measured from from, and (when set) what stops the channel's ticker once
+// the loop exits.
 type tickFeed struct {
 	from time.Time
 	c    <-chan time.Time
+	stop func()
 }
 
-// wallTicks feeds a source from a real ticker. A ticker needs no Stop:
-// once its source's loop exits nothing references it, and the runtime
-// collects it.
+// wallTicks feeds a source from a real ticker. The loop stops it on exit:
+// a live ticker keeps a testing/synctest bubble's fake clock running.
 func wallTicks(interval time.Duration) tickFeed {
-	return tickFeed{from: time.Now(), c: time.NewTicker(interval).C}
+	t := time.NewTicker(interval)
+	return tickFeed{from: time.Now(), c: t.C, stop: t.Stop}
 }
 
 // start switches c into shared mode, makes it the source's clock and
@@ -71,6 +73,9 @@ func (s *source) start(c Clock, feed tickFeed, next func(dt float64) (Time, bool
 // one runs nothing.
 func (s *source) loop(feed tickFeed, next func(dt float64) (Time, bool)) {
 	defer close(s.done)
+	if feed.stop != nil {
+		defer feed.stop()
+	}
 	last := feed.from
 	for {
 		select {

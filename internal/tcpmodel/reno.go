@@ -22,7 +22,6 @@ import (
 // Reno is TCP Reno's AIMD law at one-RTT granularity. It implements
 // transport.Controller.
 type Reno struct {
-	mss      int
 	rtt      sim.Duration
 	cwnd     float64 // packets
 	ssthresh float64 // packets
@@ -43,7 +42,6 @@ func NewReno(path transport.Path, windowCapBytes int) *Reno {
 		mss = transport.DefaultMSS
 	}
 	r := &Reno{
-		mss:      mss,
 		rtt:      path.RTT,
 		cwnd:     InitialWindow,
 		ssthresh: 1e12, // slow start until the first loss

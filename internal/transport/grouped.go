@@ -14,7 +14,6 @@ type FlowGroup struct {
 	Path  Path
 	Ctrls []Controller
 	Sizes []int64
-	Caps  Caps
 }
 
 // GroupHome returns the home index a group name hashes to (FNV-1a mod k)
@@ -69,7 +68,7 @@ func SimulateGrouped(seed uint64, k int, groups []FlowGroup) [][]Result {
 			defer wg.Done()
 			for _, i := range idxs {
 				g := groups[i]
-				out[i] = SimulateShared(sim.NewRNG(seed^fnv64(g.Name)), g.Path, g.Ctrls, g.Sizes, g.Caps)
+				out[i] = SimulateShared(sim.NewRNG(seed^fnv64(g.Name)), g.Path, g.Ctrls, g.Sizes, Caps{})
 			}
 		}()
 	}

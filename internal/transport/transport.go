@@ -41,9 +41,6 @@ func PathBetween(nw *simnet.Network, a, b string) Path {
 	}
 }
 
-// BDP returns the bandwidth-delay product in bytes.
-func (p Path) BDP() float64 { return p.BandwidthBps / 8 * p.RTT }
-
 // Controller is a congestion-control law advanced in fixed control
 // intervals. Implementations must be deterministic given the same feedback
 // sequence.
@@ -78,7 +75,6 @@ type quietController interface {
 // goodput is the minimum of all stage rates.
 type Caps struct {
 	SenderBps    float64 // sender CPU / cipher throughput, bits/s
-	ReceiverBps  float64 // receiver CPU / cipher throughput, bits/s
 	DiskReadBps  float64 // source disk streaming read, bits/s
 	DiskWriteBps float64 // target disk streaming write, bits/s
 }
@@ -86,7 +82,7 @@ type Caps struct {
 // Min returns the binding cap in bits/s, or +Inf if none is set.
 func (c Caps) Min() float64 {
 	m := math.Inf(1)
-	for _, v := range []float64{c.SenderBps, c.ReceiverBps, c.DiskReadBps, c.DiskWriteBps} {
+	for _, v := range []float64{c.SenderBps, c.DiskReadBps, c.DiskWriteBps} {
 		if v > 0 && v < m {
 			m = v
 		}

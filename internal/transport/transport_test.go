@@ -110,9 +110,6 @@ func TestPathBetweenDerivesFromTopology(t *testing.T) {
 	if p.Loss <= 0 {
 		t.Fatal("path loss should be positive on the WAN")
 	}
-	if p.BDP() < 100e6 {
-		t.Fatalf("BDP = %v bytes, expected >100 MB on 10G×104ms", p.BDP())
-	}
 }
 
 func TestSimulatePanicsOnZeroBytes(t *testing.T) {

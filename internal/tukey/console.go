@@ -59,9 +59,6 @@ type Console struct {
 	// the bucket is empty. An in-process *RateLimiter and the state
 	// plane's RemoteLimiter both satisfy it.
 	Limiter Limiter
-	// UserFor maps a federated identity to the local username the biller
-	// and catalog know. Defaults to the identifier's local part.
-	UserFor func(Identity) string
 	// ClockSync, when set, contributes federation clock-skew health to
 	// /console/status.
 	ClockSync *cloudapi.ClockCoordinator
@@ -87,10 +84,9 @@ type Console struct {
 	routes     map[string]http.Handler
 }
 
+// localUser maps a federated identity to the local username the biller
+// and catalog know: the identifier's local part.
 func (c *Console) localUser(id Identity) string {
-	if c.UserFor != nil {
-		return c.UserFor(id)
-	}
 	local := id.Identifier
 	if i := strings.IndexAny(local, "@"); i >= 0 {
 		local = local[:i]

@@ -103,9 +103,8 @@ func (o *OpenIDIdP) Assert(username, secret string) (Identity, error) {
 // CloudCredential is one cloud's credential for a user, stored in the user
 // database keyed by federated identifier.
 type CloudCredential struct {
-	Cloud     string
-	AuthUser  string // the identity the cloud's native API expects
-	AuthToken string // opaque secret (unused by the simulated stacks)
+	Cloud    string
+	AuthUser string // the identity the cloud's native API expects
 }
 
 // CloudConfig describes one attached cloud: its dialect and how to reach
@@ -118,9 +117,6 @@ type CloudConfig struct {
 	Name  string
 	Stack string // "openstack" or "eucalyptus"
 	API   cloudapi.CloudAPI
-	// FlavorMap translates canonical (OpenStack) flavor names to this
-	// cloud's native names; identity if nil or missing.
-	FlavorMap map[string]string
 }
 
 // Middleware is the Tukey middleware: user DB + auth proxy + translation
@@ -483,19 +479,13 @@ func (m *Middleware) launchServer(id Identity, cloud, name, flavor string) (*Tag
 	if !ok {
 		return nil, fmt.Errorf("tukey: no credentials on %s for %s", cloud, id.Identifier)
 	}
-	native := flavor
-	if cfg.FlavorMap != nil {
-		if f, ok := cfg.FlavorMap[flavor]; ok {
-			native = f
-		}
-	}
 	m.countTranslation()
-	inst, err := cfg.API.Launch(cred.AuthUser, name, native, "")
+	inst, err := cfg.API.Launch(cred.AuthUser, name, flavor, "")
 	if err != nil {
 		return nil, fmt.Errorf("tukey: %s: %w", cloud, err)
 	}
 	return &TaggedServer{Cloud: cloud, ID: inst.ID, Name: name,
-		Status: inst.Status, Flavor: native}, nil
+		Status: inst.Status, Flavor: flavor}, nil
 }
 
 // terminateServer releases a VM on a named cloud.

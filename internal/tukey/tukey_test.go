@@ -47,8 +47,7 @@ func newRig(t *testing.T) *rig {
 	mw.RegisterIdP(shib)
 	mw.RegisterIdP(oid)
 	mw.AttachCloud(CloudConfig{API: cloudapi.NewRemote("adler", "openstack", novaSrv.URL, nil)})
-	mw.AttachCloud(CloudConfig{API: cloudapi.NewRemote("sullivan", "eucalyptus", eucaSrv.URL, nil),
-		FlavorMap: map[string]string{"m1.large": "m1.large"}})
+	mw.AttachCloud(CloudConfig{API: cloudapi.NewRemote("sullivan", "eucalyptus", eucaSrv.URL, nil)})
 	mw.GrantCredentials("alice@uchicago.edu",
 		CloudCredential{Cloud: "adler", AuthUser: "alice-adler"},
 		CloudCredential{Cloud: "sullivan", AuthUser: "alice-euca"},
