@@ -52,7 +52,7 @@ var aimRules = []aimRule{
 		arg := n.(*ast.CallExpr).Args[0]
 		return !isCall(arg, imp, "io", "LimitReader") && !isCall(arg, imp, "net/http", "MaxBytesReader")
 	}},
-	{name: "log.Print*/Fatal*", baseline: 34, match: func(n ast.Node, imp map[string]string) bool {
+	{name: "log.Print*/Fatal*", baseline: 12, match: func(n ast.Node, imp map[string]string) bool {
 		return isCall(n, imp, "log", "Print", "Printf", "Println", "Fatal", "Fatalf", "Fatalln")
 	}},
 	{name: "time.Sleep in tests", inTests: true, baseline: 20, match: func(n ast.Node, imp map[string]string) bool {
@@ -67,7 +67,7 @@ var aimRules = []aimRule{
 	{name: "hand-built HTTP request", baseline: 6, match: func(n ast.Node, imp map[string]string) bool {
 		return isCall(n, imp, "net/http", "NewRequest", "NewRequestWithContext", "Get", "Post", "Head", "PostForm")
 	}},
-	{name: "files importing context", floor: true, baseline: 3, match: func(n ast.Node, _ map[string]string) bool {
+	{name: "files importing context", floor: true, baseline: 5, match: func(n ast.Node, _ map[string]string) bool {
 		spec, ok := n.(*ast.ImportSpec)
 		return ok && spec.Path.Value == `"context"`
 	}},

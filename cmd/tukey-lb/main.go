@@ -22,9 +22,13 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
-	"log"
+	"fmt"
+	"io"
 	"net/http"
+	"os"
 	"strings"
 	"time"
 
@@ -44,15 +48,34 @@ func (b *backendList) Set(v string) error {
 }
 
 func main() {
-	addr := flag.String("addr", ":8000", "balancer listen address")
-	probe := flag.Duration("probe", 2*time.Second, "health-probe interval (0 = passive mark-down only)")
-	evictAfter := flag.Int("evict-after", 5, "evict a backend after this many consecutive failed probes (0 = never)")
-	operatorSecret := flag.String("operator-secret", "", "serve GET /metrics behind this operator secret (\"\" = no metrics plane)")
+	ctx, stop := wire.NotifyShutdown()
+	err := run(ctx, os.Args[1:], os.Stderr)
+	stop()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tukey-lb:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the balancer's whole life: it parses args, serves until ctx ends
+// and returns nil, or returns why it could not.
+func run(ctx context.Context, args []string, stderr io.Writer) error {
+	flags := flag.NewFlagSet("tukey-lb", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	addr := flags.String("addr", ":8000", "balancer listen address")
+	probe := flags.Duration("probe", 2*time.Second, "health-probe interval (0 = passive mark-down only)")
+	evictAfter := flags.Int("evict-after", 5, "evict a backend after this many consecutive failed probes (0 = never)")
+	operatorSecret := flags.String("operator-secret", "", "serve GET /metrics behind this operator secret (\"\" = no metrics plane)")
 	var backends backendList
-	flag.Var(&backends, "backend", "console replica base URL (repeatable)")
-	flag.Parse()
+	flags.Var(&backends, "backend", "console replica base URL (repeatable)")
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
 	if len(backends) == 0 {
-		log.Fatal("tukey-lb: at least one -backend is required")
+		return errors.New("at least one -backend is required")
 	}
 
 	pool := lb.NewPool(backends, nil)
@@ -68,11 +91,7 @@ func main() {
 		telemetry.ServeMetrics(*operatorSecret, reg, w, r)
 	})
 	mux.Handle("/", pool)
-	log.Printf("tukey-lb on %s over %d replicas (probe %v, evict after %d)",
+	fmt.Fprintf(stderr, "tukey-lb on %s over %d replicas (probe %v, evict after %d)\n",
 		*addr, len(backends), *probe, *evictAfter)
-	ctx, stop := wire.NotifyShutdown()
-	defer stop()
-	if err := wire.Serve(ctx, *addr, mux); err != nil {
-		log.Fatal(err)
-	}
+	return wire.Serve(ctx, *addr, mux)
 }

@@ -19,8 +19,12 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
-	"log"
+	"fmt"
+	"io"
+	"os"
 
 	"osdc/internal/tukey"
 	"osdc/internal/tukeystate"
@@ -28,21 +32,40 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", ":9200", "state plane listen address")
-	sessionFile := flag.String("session-file", "", "persist sessions to this append-only log (\"\" = in-memory)")
-	rateLimit := flag.Float64("rate-limit", 0, "per-user console requests/second shared across replicas (0 = unlimited)")
-	rateBurst := flag.Float64("rate-burst", 0, "per-user burst size (0 = 2× -rate-limit)")
-	operatorSecret := flag.String("operator-secret", "", "serve GET /metrics behind this operator secret (\"\" = metrics plane absent)")
-	flag.Parse()
+	ctx, stop := wire.NotifyShutdown()
+	err := run(ctx, os.Args[1:], os.Stderr)
+	stop()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tukey-state:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the state plane's whole life: it parses args, serves until ctx
+// ends and returns nil, or returns why it could not.
+func run(ctx context.Context, args []string, stderr io.Writer) error {
+	flags := flag.NewFlagSet("tukey-state", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	addr := flags.String("addr", ":9200", "state plane listen address")
+	sessionFile := flags.String("session-file", "", "persist sessions to this append-only log (\"\" = in-memory)")
+	rateLimit := flags.Float64("rate-limit", 0, "per-user console requests/second shared across replicas (0 = unlimited)")
+	rateBurst := flags.Float64("rate-burst", 0, "per-user burst size (0 = 2× -rate-limit)")
+	operatorSecret := flags.String("operator-secret", "", "serve GET /metrics behind this operator secret (\"\" = metrics plane absent)")
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
 
 	var store tukey.SessionStore = tukey.NewMemorySessionStore()
 	if *sessionFile != "" {
 		fs, err := tukey.NewFileSessionStore(*sessionFile)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if n := fs.Count(); n > 0 {
-			log.Printf("session log %s: %d sessions survive the restart", *sessionFile, n)
+			fmt.Fprintf(stderr, "session log %s: %d sessions survive the restart\n", *sessionFile, n)
 		}
 		store = fs
 	}
@@ -53,14 +76,10 @@ func main() {
 			burst = 2 * *rateLimit
 		}
 		limiter = tukey.NewRateLimiter(*rateLimit, burst)
-		log.Printf("shared rate limiter: %g req/s per user, burst %g", *rateLimit, burst)
+		fmt.Fprintf(stderr, "shared rate limiter: %g req/s per user, burst %g\n", *rateLimit, burst)
 	}
 	srv := tukeystate.NewServer(store, limiter)
 	srv.OperatorSecret = *operatorSecret
-	log.Printf("tukey-state on %s", *addr)
-	ctx, stop := wire.NotifyShutdown()
-	defer stop()
-	if err := wire.Serve(ctx, *addr, srv); err != nil {
-		log.Fatal(err)
-	}
+	fmt.Fprintf(stderr, "tukey-state on %s\n", *addr)
+	return wire.Serve(ctx, *addr, srv)
 }

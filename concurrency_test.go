@@ -112,7 +112,7 @@ func TestConsoleConcurrencyStress(t *testing.T) {
 			case <-stopReads:
 				return
 			default:
-				_ = f.Biller.Invoices("")
+				_ = f.Biller.CurrentUsage("stress0")
 				_ = f.Biller.Cycle()
 				_ = f.UsageMon.PublicStatus()
 				_ = f.Nagios.Alerts()

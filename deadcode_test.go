@@ -1,8 +1,8 @@
 package osdc_test
 
 // The dead-surface gate: rapid type analysis (Bacon & Sweeney, OOPSLA
-// 1996) over the shared source tree. The roots are the mains of cmd/,
-// examples/ and bench/, every package initialiser, and the seams on
+// 1996) over the shared source tree. The roots are the mains of cmd/ and
+// bench/, every package initialiser, and the seams on
 // reachabilityAllowlist. A function is live once live code names it; a
 // method that satisfies an interface is live once live code also builds or
 // names its receiver type, since a call through the interface reaches it

@@ -8,11 +8,11 @@ import (
 
 func TestMintShape(t *testing.T) {
 	s := NewService("")
-	r := s.Mint(Metadata{Who: "modENCODE DCC", What: "modENCODE tracks", When: "2012", Where: "/glusterfs/pub/modencode"})
-	if !strings.HasPrefix(r.ARK, "ark:/31807/osdc") {
-		t.Fatalf("ARK = %q", r.ARK)
+	id := s.Mint()
+	if !strings.HasPrefix(id, "ark:/31807/osdc") {
+		t.Fatalf("ARK = %q", id)
 	}
-	if !s.Valid(r.ARK) {
+	if !s.Valid(id) {
 		t.Fatal("minted ARK not valid")
 	}
 }
@@ -21,7 +21,7 @@ func TestMintUnique(t *testing.T) {
 	s := NewService("99999")
 	seen := map[string]bool{}
 	for i := 0; i < 1000; i++ {
-		id := s.Mint(Metadata{}).ARK
+		id := s.Mint()
 		if seen[id] {
 			t.Fatalf("duplicate ARK %s", id)
 		}
@@ -32,62 +32,9 @@ func TestMintUnique(t *testing.T) {
 	}
 }
 
-func TestResolvePlain(t *testing.T) {
-	s := NewService("")
-	r := s.Mint(Metadata{Where: "/glusterfs/pub/1000genomes"})
-	got, err := s.Resolve(r.ARK)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != "/glusterfs/pub/1000genomes" {
-		t.Fatalf("Resolve = %q", got)
-	}
-	if r.Resolves != 1 {
-		t.Fatalf("Resolves = %d", r.Resolves)
-	}
-}
-
-func TestInflectionBrief(t *testing.T) {
-	s := NewService("")
-	r := s.Mint(Metadata{Who: "NASA EO-1", What: "Hyperion L1", When: "2012-06", Where: "/matsu"})
-	got, err := s.Resolve(r.ARK + "?")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"who: NASA EO-1", "what: Hyperion L1", "when: 2012-06"} {
-		if !strings.Contains(got, want) {
-			t.Fatalf("brief metadata missing %q in %q", want, got)
-		}
-	}
-}
-
-func TestInflectionFullIncludesExtrasAndPolicy(t *testing.T) {
-	s := NewService("")
-	r := s.Mint(Metadata{What: "ENCODE", Extra: map[string]string{"size": "500TB", "license": "open"}})
-	got, err := s.Resolve(r.ARK + "??")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"size: 500TB", "license: open", "policy:"} {
-		if !strings.Contains(got, want) {
-			t.Fatalf("full metadata missing %q", want)
-		}
-	}
-}
-
-func TestResolveUnknown(t *testing.T) {
-	s := NewService("")
-	if _, err := s.Resolve("ark:/31807/osdc000000b"); err == nil {
-		t.Fatal("expected ErrUnknown")
-	} else if _, ok := err.(ErrUnknown); !ok {
-		t.Fatalf("got %T", err)
-	}
-}
-
 func TestValidRejectsTamperedCheckChar(t *testing.T) {
 	s := NewService("")
-	r := s.Mint(Metadata{})
-	id := r.ARK
+	id := s.Mint()
 	// Flip the final (check) character to a different betanumeric.
 	last := id[len(id)-1]
 	var repl byte = '0'
@@ -103,8 +50,7 @@ func TestValidRejectsTamperedCheckChar(t *testing.T) {
 func TestValidRejectsForeignNAAN(t *testing.T) {
 	s := NewService("31807")
 	other := NewService("12345")
-	r := other.Mint(Metadata{})
-	if s.Valid(r.ARK) {
+	if s.Valid(other.Mint()) {
 		t.Fatal("foreign NAAN accepted")
 	}
 }
@@ -112,8 +58,7 @@ func TestValidRejectsForeignNAAN(t *testing.T) {
 func TestMintedARKsAlwaysValidate(t *testing.T) {
 	s := NewService("")
 	if err := quick.Check(func(n uint8) bool {
-		r := s.Mint(Metadata{})
-		return s.Valid(r.ARK) && s.Valid(r.ARK+"?") && s.Valid(r.ARK+"??")
+		return s.Valid(s.Mint())
 	}, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,7 @@ import "strings"
 // Valid reports whether an ARK parses, belongs to this NAAN, and has a
 // correct check character.
 func (s *Service) Valid(id string) bool {
-	base, _ := splitInflection(id)
-	rest, ok := strings.CutPrefix(base, "ark:/"+s.NAAN+"/osdc")
+	rest, ok := strings.CutPrefix(id, "ark:/"+s.NAAN+"/osdc")
 	if !ok || len(rest) != 7 {
 		return false
 	}

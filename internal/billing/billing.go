@@ -12,13 +12,12 @@
 //
 // The per-minute VM poll samples the clouds through one
 // cloudapi.UsagePoller, the delta-maintained sampler the usage monitor
-// also owns; the biller keeps only its accumulators and invoices.
+// also owns; the biller keeps only its accumulators and the cycle count.
 package billing
 
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,22 +26,7 @@ import (
 	"osdc/internal/sim"
 )
 
-// Rates are the cost-recovery prices (§8 rule 2: "charge for these
-// resources on a cost recovery basis").
-type Rates struct {
-	PerCoreHour   float64 // dollars
-	PerGBMonth    float64 // dollars per gigabyte-month of storage
-	FreeCoreHours float64 // monthly free tier per user
-}
-
-// DefaultRates reflect 2012 cost-recovery pricing (about half of AWS
-// on-demand; see internal/cost).
-func DefaultRates() Rates {
-	return Rates{PerCoreHour: 0.04, PerGBMonth: 0.05, FreeCoreHours: 100}
-}
-
-// StorageFunc reports each user's current stored bytes; wired to the DFS
-// volumes / sharing database.
+// StorageFunc reports each user's current stored bytes.
 type StorageFunc func() map[string]int64
 
 // Usage accumulates one user's metered consumption in the current cycle.
@@ -56,18 +40,6 @@ type Usage struct {
 // CoreHours converts the per-minute samples to core-hours.
 func (u Usage) CoreHours() float64 { return u.CoreMinutes / 60 }
 
-// Invoice is one user's bill for one monthly cycle.
-type Invoice struct {
-	User       string
-	Cycle      int // 1-based month index
-	CoreHours  float64
-	GBMonths   float64
-	Storage    float64 // dollars
-	Compute    float64 // dollars
-	Total      float64
-	FreeCredit float64
-}
-
 // usageShards is the accumulator shard count. At millions of users one
 // mutex over every accumulator serializes the pollers against every
 // console usage read; sharding by user hash (the same trick as sim's heap
@@ -80,27 +52,24 @@ type usageShard struct {
 	usage map[string]*Usage
 }
 
-// Biller polls clouds and storage and cuts monthly invoices.
+// Biller polls clouds and storage and closes a monthly cycle.
 //
 // The pollers fire on the clock-driving goroutine while the Tukey console
-// reads CurrentUsage/Invoices/Cycle from HTTP handlers. Per-user
-// accumulators live in 16 user-hash shards, each behind its own mutex, so
-// one hot reader no longer serializes every other user; the invoice
-// history and cycle counter have their own lock, and the poll counters are
-// atomics.
+// reads CurrentUsage/Cycle from HTTP handlers. Per-user accumulators live
+// in 16 user-hash shards, each behind its own mutex, so one hot reader no
+// longer serializes every other user; the cycle counter has its own lock,
+// and the poll counters are atomics.
 //
 // The clouds are reached only through cloudapi.CloudAPI: in the
 // single-process topology they are Local wrappers sharing the engine, in
 // the remote topology they are HTTP clients — metering does not care.
 type Biller struct {
-	rates   Rates
 	usage   *cloudapi.UsagePoller
 	storage StorageFunc
 
 	shards [usageShards]usageShard
 
-	histMu  sync.Mutex
-	history []Invoice
+	cycleMu sync.Mutex
 	cycle   int
 
 	pollMin *sim.Ticker
@@ -120,9 +89,9 @@ type Biller struct {
 const DaysPerCycle = 30
 
 // New starts a biller: per-minute VM polling, daily storage sampling, and a
-// 30-day invoice cycle, all on the simulation clock.
-func New(e *sim.Engine, rates Rates, clouds []cloudapi.CloudAPI, storage StorageFunc) *Biller {
-	b := &Biller{rates: rates, usage: cloudapi.NewUsagePoller(clouds), storage: storage,
+// 30-day billing cycle, all on the simulation clock.
+func New(e *sim.Engine, clouds []cloudapi.CloudAPI, storage StorageFunc) *Biller {
+	b := &Biller{usage: cloudapi.NewUsagePoller(clouds), storage: storage,
 		cycle: 1, deadline: cloudapi.PollDeadline}
 	for i := range b.shards {
 		b.shards[i].usage = make(map[string]*Usage)
@@ -212,51 +181,22 @@ func (b *Biller) pollStorage() {
 	}
 }
 
-// closeCycle cuts invoices and resets the accumulators.
+// closeCycle resets the accumulators and opens the next cycle.
 func (b *Biller) closeCycle() {
-	// histMu is taken for the whole close, before any shard is drained:
-	// a console handler that reads a freshly reset accumulator (zero
-	// usage) then asks Cycle()/Invoices() blocks here and observes the
-	// *new* cycle with the old cycle's invoices cut — never "no usage" in
-	// a cycle it accrued in. Lock order histMu → shard is safe because no
-	// other path holds a shard lock while taking histMu.
-	b.histMu.Lock()
-	defer b.histMu.Unlock()
-
-	// Drain every shard. Pollers interleaving mid-drain would split a
-	// user's sample between two cycles, but both tickers fire on the
-	// clock-driving goroutine, so drain and accrual never overlap.
-	all := make(map[string]*Usage)
+	// cycleMu is taken for the whole close, before any shard is reset: a
+	// console handler that reads a freshly reset accumulator (zero usage)
+	// then asks Cycle() blocks here and observes the *new* cycle — never
+	// "no usage" in a cycle it accrued in. Lock order cycleMu → shard is
+	// safe because no other path holds a shard lock while taking cycleMu.
+	b.cycleMu.Lock()
+	defer b.cycleMu.Unlock()
+	// The pollers fire on the clock-driving goroutine, as this does, so a
+	// reset never splits one poll's samples between two cycles.
 	for i := range b.shards {
 		sh := &b.shards[i]
 		sh.mu.Lock()
-		for name, u := range sh.usage {
-			all[name] = u
-		}
 		sh.usage = make(map[string]*Usage)
 		sh.mu.Unlock()
-	}
-	users := make([]string, 0, len(all))
-	for u := range all {
-		users = append(users, u)
-	}
-	sort.Strings(users)
-	for _, name := range users {
-		u := all[name]
-		inv := Invoice{User: name, Cycle: b.cycle}
-		inv.CoreHours = u.CoreHours()
-		billable := inv.CoreHours - b.rates.FreeCoreHours
-		if billable < 0 {
-			inv.FreeCredit = inv.CoreHours
-			billable = 0
-		} else {
-			inv.FreeCredit = b.rates.FreeCoreHours
-		}
-		inv.Compute = billable * b.rates.PerCoreHour
-		inv.GBMonths = u.GBDays / DaysPerCycle
-		inv.Storage = inv.GBMonths * b.rates.PerGBMonth
-		inv.Total = inv.Compute + inv.Storage
-		b.history = append(b.history, inv)
 	}
 	b.cycle++
 }
@@ -273,23 +213,10 @@ func (b *Biller) CurrentUsage(user string) Usage {
 	return Usage{User: user}
 }
 
-// Invoices returns cut invoices, optionally filtered by user ("" = all).
-func (b *Biller) Invoices(user string) []Invoice {
-	b.histMu.Lock()
-	defer b.histMu.Unlock()
-	var out []Invoice
-	for _, inv := range b.history {
-		if user == "" || inv.User == user {
-			out = append(out, inv)
-		}
-	}
-	return out
-}
-
 // Cycle returns the current (open) cycle number.
 func (b *Biller) Cycle() int {
-	b.histMu.Lock()
-	defer b.histMu.Unlock()
+	b.cycleMu.Lock()
+	defer b.cycleMu.Unlock()
 	return b.cycle
 }
 

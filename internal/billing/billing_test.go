@@ -17,7 +17,7 @@ func setup(t *testing.T) (*sim.Engine, *iaas.Cloud, *Biller) {
 	c := iaas.NewCloud(e, "adler", "openstack", "chicago")
 	c.AddRack("r", 8)
 	c.SetQuota("alice", iaas.Quota{MaxInstances: 50, MaxCores: 400})
-	b := New(e, DefaultRates(), []cloudapi.CloudAPI{cloudapi.NewLocal(c)}, nil)
+	b := New(e, []cloudapi.CloudAPI{cloudapi.NewLocal(c)}, nil)
 	return e, c, b
 }
 
@@ -45,7 +45,7 @@ func TestCoreHourAccumulation(t *testing.T) {
 func TestStorageDailySampling(t *testing.T) {
 	e := sim.NewEngine(2)
 	stored := int64(10) << 30 // 10 GB constant
-	b := New(e, DefaultRates(), nil, func() map[string]int64 {
+	b := New(e, nil, func() map[string]int64 {
 		return map[string]int64{"bob": stored}
 	})
 	e.RunFor(10 * sim.Day)
@@ -55,58 +55,33 @@ func TestStorageDailySampling(t *testing.T) {
 	}
 }
 
-func TestMonthlyInvoiceCut(t *testing.T) {
+func TestMonthlyCycleResetsUsage(t *testing.T) {
 	e, c, b := setup(t)
 	if _, err := c.Launch("alice", "vm", "m1.xlarge", ""); err != nil { // 8 cores
 		t.Fatal(err)
 	}
-	e.RunFor(31 * sim.Day)
-	invs := b.Invoices("alice")
-	if len(invs) != 1 {
-		t.Fatalf("invoices = %d, want 1 after a 30-day cycle", len(invs))
+	e.RunFor(DaysPerCycle*sim.Day - sim.Hour)
+	// 8 cores × 24 h × 30 d = 5760 core-hours, less the final hour.
+	if got := b.CurrentUsage("alice").CoreHours(); math.Abs(got-5752) > 20 {
+		t.Fatalf("core-hours before the cycle closes = %v, want ~5752", got)
 	}
-	inv := invs[0]
-	// 8 cores × 24 h × 30 d = 5760 core-hours.
-	if math.Abs(inv.CoreHours-5760) > 20 {
-		t.Fatalf("invoice core-hours = %v, want ~5760", inv.CoreHours)
+	if b.Cycle() != 1 {
+		t.Fatalf("cycle = %d, want 1", b.Cycle())
 	}
-	wantCompute := (inv.CoreHours - 100) * DefaultRates().PerCoreHour
-	if math.Abs(inv.Compute-wantCompute) > 0.01 {
-		t.Fatalf("compute charge = %v, want %v", inv.Compute, wantCompute)
-	}
+	e.RunFor(sim.Day + sim.Hour)
 	// Accumulators reset for the new cycle.
 	if b.CurrentUsage("alice").CoreHours() > 200 {
-		t.Fatal("usage not reset after invoice")
+		t.Fatal("usage not reset after the cycle closed")
 	}
 	if b.Cycle() != 2 {
 		t.Fatalf("cycle = %d, want 2", b.Cycle())
 	}
 }
 
-func TestFreeTierCoversSmallUsage(t *testing.T) {
-	e, c, b := setup(t)
-	inst, err := c.Launch("alice", "vm", "m1.small", "") // 1 core
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.RunFor(50 * sim.Hour) // 50 core-hours < 100 free
-	if err := c.Terminate("alice", inst.ID); err != nil {
-		t.Fatal(err)
-	}
-	e.RunFor(31*sim.Day - 50*sim.Hour)
-	inv := b.Invoices("alice")[0]
-	if inv.Compute != 0 {
-		t.Fatalf("small usage billed %v, want 0 (free tier)", inv.Compute)
-	}
-	if inv.FreeCredit <= 0 {
-		t.Fatal("free credit not recorded")
-	}
-}
-
 func TestBillingCreatesIncentiveToRelease(t *testing.T) {
 	// The paper's lesson: metering discourages holding idle VMs. A hoarder
-	// who keeps an 8-core VM all month pays ~12× a user who releases after
-	// two days of work.
+	// who keeps an 8-core VM all month is metered ~15× a user who releases
+	// after two days of work.
 	e, c, b := setup(t)
 	c.SetQuota("hoarder", iaas.Quota{MaxInstances: 10, MaxCores: 100})
 	c.SetQuota("sharer", iaas.Quota{MaxInstances: 10, MaxCores: 100})
@@ -121,18 +96,10 @@ func TestBillingCreatesIncentiveToRelease(t *testing.T) {
 	if err := c.Terminate("sharer", sh.ID); err != nil {
 		t.Fatal(err)
 	}
-	e.RunFor(29 * sim.Day)
-	var hoarder, sharer Invoice
-	for _, inv := range b.Invoices("") {
-		switch inv.User {
-		case "hoarder":
-			hoarder = inv
-		case "sharer":
-			sharer = inv
-		}
-	}
-	if hoarder.Total < 10*sharer.Total {
-		t.Fatalf("hoarder pays %v vs sharer %v; metering not incentivizing", hoarder.Total, sharer.Total)
+	e.RunFor(27 * sim.Day) // the cycle is still open
+	hoarder, sharer := b.CurrentUsage("hoarder").CoreHours(), b.CurrentUsage("sharer").CoreHours()
+	if hoarder < 10*sharer {
+		t.Fatalf("hoarder metered %v core-hours vs sharer %v; metering not incentivizing", hoarder, sharer)
 	}
 }
 
@@ -163,7 +130,7 @@ func TestPollErrorsBrokenDownPerCloud(t *testing.T) {
 	e := sim.NewEngine(3)
 	good := iaas.NewCloud(e, "healthy", "openstack", "chicago")
 	good.AddRack("r", 2)
-	b := New(e, DefaultRates(), []cloudapi.CloudAPI{
+	b := New(e, []cloudapi.CloudAPI{
 		cloudapi.NewLocal(good),
 		failingCloud{name: "down-site"},
 	}, nil)
@@ -223,7 +190,7 @@ func TestAbandonedPollSurfacesAsPollError(t *testing.T) {
 	hung := &hangingCloud{name: "hung-site", release: make(chan struct{})}
 	t.Cleanup(func() { close(hung.release) }) // drain the abandoned tasks
 
-	b := New(e, DefaultRates(), []cloudapi.CloudAPI{
+	b := New(e, []cloudapi.CloudAPI{
 		cloudapi.NewLocal(good),
 		hung,
 	}, nil)
@@ -287,7 +254,7 @@ func TestPollVMsSteadyStateAllocs(t *testing.T) {
 		}
 		clouds = append(clouds, cloudapi.NewLocal(c))
 	}
-	b := New(e, DefaultRates(), clouds, nil)
+	b := New(e, clouds, nil)
 	e.RunFor(3 * sim.Minute) // boots settle; the first polls take the full snapshots
 	b.Stop()
 	const bound = 14

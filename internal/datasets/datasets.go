@@ -62,7 +62,7 @@ func (c *Catalog) AddCurator(name string) {
 }
 
 // Publish registers a dataset: only curators may publish; the bytes are
-// accounted on the storage volume and an ARK is minted and bound.
+// accounted on the storage volume and an ARK is minted.
 func (c *Catalog) Publish(curator string, d Dataset) (*Dataset, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -83,11 +83,7 @@ func (c *Catalog) Publish(curator string, d Dataset) (*Dataset, error) {
 	if err := c.vol.WriteMeta(cp.Path, cp.SizeBytes); err != nil {
 		return nil, fmt.Errorf("datasets: storing %s: %w", d.Name, err)
 	}
-	rec := c.ids.Mint(ark.Metadata{
-		Who: curator, What: d.Name, When: "2012", Where: cp.Path,
-		Extra: map[string]string{"discipline": d.Discipline, "size": fmt.Sprint(d.SizeBytes)},
-	})
-	cp.ARK = rec.ARK
+	cp.ARK = c.ids.Mint()
 	c.entries[cp.Name] = &cp
 	return &cp, nil
 }
@@ -111,17 +107,6 @@ func (c *Catalog) Search(query string) []*Dataset {
 
 // All returns every entry sorted by name.
 func (c *Catalog) All() []*Dataset { return c.Search("") }
-
-// TotalBytes sums the published dataset sizes.
-func (c *Catalog) TotalBytes() int64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var n int64
-	for _, d := range c.entries {
-		n += d.SizeBytes
-	}
-	return n
-}
 
 const (
 	tb = int64(1) << 40

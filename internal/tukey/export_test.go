@@ -24,3 +24,12 @@ func (rl *RateLimiter) Keys() int {
 	}
 	return n
 }
+
+// identityFor resolves a session token the way the console's admit layer
+// does, reaping it if it has expired and sliding its expiry forward if it
+// is active.
+func (m *Middleware) identityFor(token string) (Identity, bool) {
+	store, ttl := m.sessions()
+	s, found := store.Get(token)
+	return settle(store, ttl, token, s, found, m.wallNow())
+}

@@ -332,18 +332,10 @@ func (m *Middleware) Login(p Provider, username, secret string) (string, error) 
 	return tok, nil
 }
 
-// identityFor resolves a session token, reaping it if it has expired and
-// sliding its expiry forward if it is active.
-func (m *Middleware) identityFor(token string) (Identity, bool) {
-	store, ttl := m.sessions()
-	s, found := store.Get(token)
-	return settle(store, ttl, token, s, found, m.wallNow())
-}
-
 // settle finishes resolving a session looked up at now: an expired one is
-// reaped, an active one has its expiry slid forward. Both the console's
-// admit layer and identityFor call it with the now the lookup was judged
-// at, so the session a bucket was chosen for is the one that is settled.
+// reaped, an active one has its expiry slid forward. The console's admit
+// layer calls it with the now the lookup was judged at, so the session a
+// bucket was chosen for is the one that is settled.
 func settle(store SessionStore, ttl time.Duration, token string, s Session, found bool, now time.Time) (Identity, bool) {
 	if !found {
 		return Identity{}, false
@@ -399,21 +391,8 @@ type TaggedServer struct {
 	Flavor string `json:"flavorRef"`
 }
 
-// ListServers fans out to every cloud the user holds credentials for,
-// translating per dialect, and aggregates. Like the other token-taking
-// methods it resolves the session and hands the identity to the
-// unexported body; the console, whose admit layer has already resolved
-// the session for the request, calls the bodies directly so a request
-// resolves its session once (on a replica, inside the one state-plane
-// round trip that also charges its bucket).
-func (m *Middleware) ListServers(token string) ([]TaggedServer, error) {
-	id, ok := m.identityFor(token)
-	if !ok {
-		return nil, fmt.Errorf("tukey: invalid session")
-	}
-	return m.listServers(id)
-}
-
+// listServers fans out to every cloud the user holds credentials for,
+// translating per dialect, and aggregates.
 func (m *Middleware) listServers(id Identity) ([]TaggedServer, error) {
 	var out []TaggedServer
 	for _, cfg := range m.cloudConfigs() {
@@ -460,16 +439,8 @@ func (m *Middleware) listOne(cfg CloudConfig, cred CloudCredential) ([]TaggedSer
 	return out, nil
 }
 
-// LaunchServer provisions a VM on a named cloud via the appropriate dialect
-// and returns the tagged server.
-func (m *Middleware) LaunchServer(token, cloud, name, flavor string) (*TaggedServer, error) {
-	id, ok := m.identityFor(token)
-	if !ok {
-		return nil, fmt.Errorf("tukey: invalid session")
-	}
-	return m.launchServer(id, cloud, name, flavor)
-}
-
+// launchServer provisions a VM on a named cloud via the appropriate
+// dialect and returns the tagged server.
 func (m *Middleware) launchServer(id Identity, cloud, name, flavor string) (*TaggedServer, error) {
 	cfg, ok := m.cloudConfigByName(cloud)
 	if !ok {

@@ -93,14 +93,15 @@ func TestLaunchAndAggregateAcrossDialects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ident, _ := r.mw.identityFor(tok)
 	// Launch one VM on each cloud through the canonical API.
-	if _, err := r.mw.LaunchServer(tok, "adler", "vm-os", "m1.large"); err != nil {
+	if _, err := r.mw.launchServer(ident, "adler", "vm-os", "m1.large"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.mw.LaunchServer(tok, "sullivan", "vm-euca", "m1.large"); err != nil {
+	if _, err := r.mw.launchServer(ident, "sullivan", "vm-euca", "m1.large"); err != nil {
 		t.Fatal(err)
 	}
-	servers, err := r.mw.ListServers(tok)
+	servers, err := r.mw.listServers(ident)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,22 +127,22 @@ func TestLaunchAndAggregateAcrossDialects(t *testing.T) {
 func TestTerminateBothDialects(t *testing.T) {
 	r := newRig(t)
 	tok, _ := r.mw.Login(Shibboleth, "alice", "pw1")
-	a, err := r.mw.LaunchServer(tok, "adler", "x", "m1.small")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := r.mw.LaunchServer(tok, "sullivan", "y", "m1.small")
-	if err != nil {
-		t.Fatal(err)
-	}
 	ident, _ := r.mw.identityFor(tok)
+	a, err := r.mw.launchServer(ident, "adler", "x", "m1.small")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := r.mw.launchServer(ident, "sullivan", "y", "m1.small")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := r.mw.terminateServer(ident, "adler", a.ID); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.mw.terminateServer(ident, "sullivan", s.ID); err != nil {
 		t.Fatal(err)
 	}
-	servers, err := r.mw.ListServers(tok)
+	servers, err := r.mw.listServers(ident)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,17 +155,18 @@ func TestQuotaErrorsSurfaceThroughMiddleware(t *testing.T) {
 	r := newRig(t)
 	r.adler.SetQuota("alice-adler", iaas.Quota{MaxInstances: 1, MaxCores: 8})
 	tok, _ := r.mw.Login(Shibboleth, "alice", "pw1")
-	if _, err := r.mw.LaunchServer(tok, "adler", "a", "m1.small"); err != nil {
+	ident, _ := r.mw.identityFor(tok)
+	if _, err := r.mw.launchServer(ident, "adler", "a", "m1.small"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.mw.LaunchServer(tok, "adler", "b", "m1.small"); err == nil {
+	if _, err := r.mw.launchServer(ident, "adler", "b", "m1.small"); err == nil {
 		t.Fatal("quota violation not surfaced")
 	}
 }
 
 func TestInvalidSessionRejected(t *testing.T) {
 	r := newRig(t)
-	if _, err := r.mw.ListServers("bogus"); err == nil {
+	if _, ok := r.mw.identityFor("bogus"); ok {
 		t.Fatal("bogus session accepted")
 	}
 }
@@ -172,7 +174,8 @@ func TestInvalidSessionRejected(t *testing.T) {
 func TestUnknownCloudRejected(t *testing.T) {
 	r := newRig(t)
 	tok, _ := r.mw.Login(Shibboleth, "alice", "pw1")
-	if _, err := r.mw.LaunchServer(tok, "nimbus", "x", "m1.small"); err == nil {
+	ident, _ := r.mw.identityFor(tok)
+	if _, err := r.mw.launchServer(ident, "nimbus", "x", "m1.small"); err == nil {
 		t.Fatal("unknown cloud accepted")
 	}
 }

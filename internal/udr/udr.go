@@ -1,8 +1,12 @@
+// Package udr implements UDR, the OSDC's high-speed transfer tool (paper
+// §7.2): "a tool that provides the familiar interface of rsync while
+// utilizing the high performance UDT protocol". It holds the tool
+// configurations of Table 3 (udr vs rsync × none/blowfish/3des), their
+// host-side caps, and the simulated end-to-end transfers over the OSDC WAN.
 package udr
 
 import (
 	"fmt"
-	"sort"
 
 	"osdc/internal/cipher"
 	"osdc/internal/sim"
@@ -103,83 +107,4 @@ func Transfer(rng *sim.RNG, cfg Config, path transport.Path, totalBytes int64) (
 	res := transport.Simulate(rng, path, ctrl, totalBytes, caps)
 	res.Protocol = cfg.String()
 	return res, caps
-}
-
-// --- rsync-interface file synchronization ---
-
-// FileSet is an in-memory file tree: path → contents.
-type FileSet map[string][]byte
-
-// Paths returns the sorted paths.
-func (fs FileSet) Paths() []string {
-	out := make([]string, 0, len(fs))
-	for p := range fs {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// SyncPlan describes what a sync must move: per-file wire bytes, computed
-// with the rsync delta algorithm against the destination's current state.
-type SyncPlan struct {
-	Files     []FileSync
-	WireBytes int64
-}
-
-// FileSync is the plan for one file.
-type FileSync struct {
-	Path      string
-	Wire      int64 // bytes on the wire
-	Delta     bool  // true if delta-encoded against an existing copy
-	Unchanged bool  // true if already identical (only a signature exchange)
-}
-
-// PlanSync computes the rsync transfer plan from src to dst and mutates dst
-// to match src (the actual sync). Files present only in dst are left alone,
-// as with rsync without --delete.
-func PlanSync(src, dst FileSet, blockSize int) (SyncPlan, error) {
-	if blockSize <= 0 {
-		blockSize = DefaultBlockSize
-	}
-	var plan SyncPlan
-	for _, path := range src.Paths() {
-		data := src[path]
-		old, exists := dst[path]
-		fsync := FileSync{Path: path}
-		switch {
-		case !exists:
-			// Whole file travels.
-			fsync.Wire = int64(len(data))
-			dst[path] = append([]byte(nil), data...)
-		default:
-			sigs := Signatures(old, blockSize)
-			delta := ComputeDelta(sigs, blockSize, data)
-			rebuilt, err := Apply(old, delta)
-			if err != nil {
-				return SyncPlan{}, fmt.Errorf("sync %s: %w", path, err)
-			}
-			dst[path] = rebuilt
-			fsync.Delta = true
-			fsync.Wire = delta.WireSize() + int64(len(sigs))*20 // sigs travel dst→src
-			fsync.Unchanged = delta.LiteralBytes() == 0
-		}
-		plan.WireBytes += fsync.Wire
-		plan.Files = append(plan.Files, fsync)
-	}
-	return plan, nil
-}
-
-// SyncOver plans a sync and simulates moving its wire bytes with cfg over
-// path. dst is mutated to match src.
-func SyncOver(rng *sim.RNG, cfg Config, path transport.Path, src, dst FileSet) (SyncPlan, transport.Result, error) {
-	plan, err := PlanSync(src, dst, DefaultBlockSize)
-	if err != nil {
-		return plan, transport.Result{}, err
-	}
-	if plan.WireBytes == 0 {
-		return plan, transport.Result{Protocol: cfg.String()}, nil
-	}
-	res, _ := Transfer(rng, cfg, path, plan.WireBytes)
-	return plan, res, nil
 }

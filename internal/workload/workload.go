@@ -1,12 +1,11 @@
-// Package workload generates the synthetic traffic and datasets that stand
+// Package workload generates the synthetic traffic that stands
 // in for the OSDC's production workloads (see DESIGN.md "Substitutions").
 //
 // Table 1 of the paper contrasts commercial and science cloud service
 // providers: commercial CSPs see "lots of small web flows" while science
 // CSPs "also [see] large incoming and outgoing data flows". FlowGen
 // produces both traffic classes with the appropriate size distributions so
-// the benchmark can measure the contrast; the dataset synthesizers feed the
-// Matsu and Bionimbus pipelines.
+// the benchmark can measure the contrast.
 package workload
 
 import (
@@ -157,30 +156,4 @@ func human(b int64) string {
 	default:
 		return fmt.Sprintf("%dB", b)
 	}
-}
-
-// --- dataset synthesizers ---
-
-// GenomeReads synthesizes n short reads of readLen bases with a given
-// per-base mutation rate relative to a reference, returning reference and
-// reads. Bionimbus's variant-calling example consumes these.
-func GenomeReads(rng *sim.RNG, refLen, n, readLen int, mutRate float64) (ref []byte, reads [][]byte) {
-	const bases = "ACGT"
-	ref = make([]byte, refLen)
-	for i := range ref {
-		ref[i] = bases[rng.Intn(4)]
-	}
-	reads = make([][]byte, n)
-	for i := range reads {
-		start := rng.Intn(refLen - readLen)
-		read := make([]byte, readLen)
-		copy(read, ref[start:start+readLen])
-		for j := range read {
-			if rng.Bernoulli(mutRate) {
-				read[j] = bases[rng.Intn(4)]
-			}
-		}
-		reads[i] = read
-	}
-	return ref, reads
 }

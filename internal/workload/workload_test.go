@@ -72,26 +72,6 @@ func TestCharacterizeEmpty(t *testing.T) {
 	}
 }
 
-func TestGenomeReads(t *testing.T) {
-	rng := sim.NewRNG(5)
-	ref, reads := GenomeReads(rng, 10000, 200, 100, 0.01)
-	if len(ref) != 10000 || len(reads) != 200 {
-		t.Fatalf("sizes: ref=%d reads=%d", len(ref), len(reads))
-	}
-	for _, b := range ref[:100] {
-		switch b {
-		case 'A', 'C', 'G', 'T':
-		default:
-			t.Fatalf("bad base %c", b)
-		}
-	}
-	for _, r := range reads {
-		if len(r) != 100 {
-			t.Fatalf("read length %d", len(r))
-		}
-	}
-}
-
 func TestHumanFormatter(t *testing.T) {
 	cases := map[int64]string{
 		500:     "500B",
