@@ -52,7 +52,7 @@ var aimRules = []aimRule{
 		arg := n.(*ast.CallExpr).Args[0]
 		return !isCall(arg, imp, "io", "LimitReader") && !isCall(arg, imp, "net/http", "MaxBytesReader")
 	}},
-	{name: "log.Print*/Fatal*", baseline: 12, match: func(n ast.Node, imp map[string]string) bool {
+	{name: "log.Print*/Fatal*", baseline: 1, match: func(n ast.Node, imp map[string]string) bool {
 		return isCall(n, imp, "log", "Print", "Printf", "Println", "Fatal", "Fatalf", "Fatalln")
 	}},
 	{name: "time.Sleep in tests", inTests: true, baseline: 20, match: func(n ast.Node, imp map[string]string) bool {
@@ -67,9 +67,14 @@ var aimRules = []aimRule{
 	{name: "hand-built HTTP request", baseline: 6, match: func(n ast.Node, imp map[string]string) bool {
 		return isCall(n, imp, "net/http", "NewRequest", "NewRequestWithContext", "Get", "Post", "Head", "PostForm")
 	}},
-	{name: "files importing context", floor: true, baseline: 5, match: func(n ast.Node, _ map[string]string) bool {
+	{name: "files importing context", floor: true, baseline: 6, match: func(n ast.Node, _ map[string]string) bool {
 		spec, ok := n.(*ast.ImportSpec)
 		return ok && spec.Path.Value == `"context"`
+	}},
+	// A job on wall time runs on fanout.Every; sim's wallTicks feeds the
+	// clock sources.
+	{name: "wall ticker or timer (time.NewTicker/Tick/After)", baseline: 2, match: func(n ast.Node, imp map[string]string) bool {
+		return isCall(n, imp, "time", "NewTicker", "Tick", "After")
 	}},
 	// The deterministic surface runs on virtual time; sim's wallTicks is its
 	// one bridge to the wall clock.

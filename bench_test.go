@@ -148,7 +148,7 @@ func BenchmarkSection64Billing(b *testing.B) {
 		c := iaas.NewCloud(e, "adler", "openstack", "chicago")
 		c.AddRack("r", 10)
 		c.SetQuota("u", iaas.Quota{MaxInstances: 100, MaxCores: 1000})
-		biller := billing.New(e, []cloudapi.CloudAPI{cloudapi.NewLocal(c)}, nil)
+		biller := billing.New(e, []cloudapi.CloudAPI{cloudapi.NewLocal(c)})
 		for v := 0; v < 8; v++ {
 			if _, err := c.Launch("u", "vm", "m1.large", ""); err != nil {
 				b.Fatal(err)

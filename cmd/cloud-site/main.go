@@ -40,20 +40,24 @@
 //
 // The line "cloud-site <name> (<stack>) listening on <url>" is printed to
 // stdout once the listener is up, so a spawning process can scrape the
-// ephemeral address. SIGINT or SIGTERM drains in-flight requests, stops
-// the clock and exits with status 0.
+// ephemeral address; log lines go to stderr. SIGINT or SIGTERM drains
+// in-flight requests, stops the clock and exits with status 0.
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"net/http"
 	"net/url"
+	"os"
 	"time"
 
 	"osdc/internal/cloudapi"
 	"osdc/internal/core"
+	"osdc/internal/fanout"
 	"osdc/internal/sim"
 	"osdc/internal/wire"
 )
@@ -66,7 +70,7 @@ type options struct {
 	scale          int
 	speedup        float64
 	clockFollow    string        // "" = free-run, "push" = follow, else coordinator URL
-	clockTick      time.Duration // follower tick / coordinator poll period
+	clockTick      time.Duration // coordinator poll period
 	operatorSecret string        // gates operator-plane writes when set
 	shards         int           // kernel shard count (<= 1 = single engine)
 }
@@ -75,19 +79,16 @@ type options struct {
 // source, listener) plus the optional coordinator poller.
 type cloudSite struct {
 	*cloudapi.Site
-	stopPoll chan struct{}
+	poll *fanout.Loop // nil unless -clock-follow is a URL
 }
 
 // newCloudSite builds the world and starts serving. It does not block.
 // The site is exactly what core.StartSite builds for the console's per-site
 // topologies — this binary only adds the process boundary and the
-// pull-mode coordinator poller.
-func newCloudSite(opt options) (*cloudSite, error) {
+// pull-mode coordinator poller, which logs to stderr.
+func newCloudSite(opt options, stderr io.Writer) (*cloudSite, error) {
 	if opt.scale < 1 {
 		opt.scale = 4
-	}
-	if opt.clockTick <= 0 {
-		opt.clockTick = 50 * time.Millisecond
 	}
 	// The site serves its dataset store on /cloudapi/datasets so a
 	// console-side replication coordinator can place replicas here over
@@ -101,19 +102,23 @@ func newCloudSite(opt options) (*cloudSite, error) {
 		// 2 ms default tick stays well under any sane sync interval.
 		siteOpts.Clock, siteOpts.Speedup = cloudapi.ClockFollow, 0
 	}
-	site, err := core.StartSite(opt.cloud, opt.seed, opt.scale, opt.shards, siteOpts)
-	if err != nil {
-		return nil, fmt.Errorf("cloud-site: %w", err)
-	}
-	s := &cloudSite{Site: site}
+	var poll string
 	if opt.clockFollow != "" && opt.clockFollow != "push" {
-		poll, err := clockPollURL(opt.clockFollow)
-		if err != nil {
-			s.Close()
+		var err error
+		if poll, err = clockPollURL(opt.clockFollow); err != nil {
 			return nil, err
 		}
-		s.stopPoll = make(chan struct{})
-		go s.pollCoordinator(poll, opt.clockTick)
+		if opt.clockTick <= 0 {
+			return nil, fmt.Errorf("-clock-interval must be positive, got %v", opt.clockTick)
+		}
+	}
+	site, err := core.StartSite(opt.cloud, opt.seed, opt.scale, opt.shards, siteOpts)
+	if err != nil {
+		return nil, err
+	}
+	s := &cloudSite{Site: site}
+	if poll != "" {
+		s.poll = fanout.Every(opt.clockTick, s.pollCoordinator(poll, opt.clockTick, stderr))
 	}
 	return s, nil
 }
@@ -123,7 +128,7 @@ func newCloudSite(opt options) (*cloudSite, error) {
 func clockPollURL(raw string) (string, error) {
 	u, err := url.Parse(raw)
 	if err != nil || u.Scheme == "" || u.Host == "" {
-		return "", fmt.Errorf("cloud-site: -clock-follow wants 'push' or a coordinator URL, got %q", raw)
+		return "", fmt.Errorf("-clock-follow wants 'push' or a coordinator URL, got %q", raw)
 	}
 	if u.Path == "" || u.Path == "/" {
 		u.Path = "/clock"
@@ -131,69 +136,81 @@ func clockPollURL(raw string) (string, error) {
 	return u.String(), nil
 }
 
-// pollCoordinator pulls the coordinator's virtual time every tick and
-// feeds it to the follower. Errors are logged and retried: a site that
-// misses syncs holds its clock still rather than drifting.
-func (s *cloudSite) pollCoordinator(pollURL string, every time.Duration) {
-	client := wire.NewClient(nil, cloudapi.DefaultTimeout)
-	tick := time.NewTicker(every)
-	defer tick.Stop()
+// pollCoordinator returns the poll round: pull the coordinator's virtual
+// time and feed it to the follower, waiting fanout.RoundDeadline(every)
+// for the answer, as the coordinator waits for a site it pushes to.
+// Errors are logged (the first of every 20 in a row) and retried: a site
+// that misses syncs holds its clock still rather than drifting.
+func (s *cloudSite) pollCoordinator(pollURL string, every time.Duration, stderr io.Writer) func() {
+	client := wire.NewClient(nil, fanout.RoundDeadline(every))
 	fails := 0
-	for {
-		select {
-		case <-s.stopPoll:
-			return
-		case <-tick.C:
-			var body cloudapi.ClockStatus
-			status, _, err := wire.Call(client, http.MethodGet, pollURL, "", nil, &body, http.StatusOK)
-			if err != nil || status != http.StatusOK {
-				if fails++; fails%20 == 1 {
-					log.Printf("clock poll %s: status %d, err %v", pollURL, status, err)
-				}
-				continue
+	return func() {
+		var body cloudapi.ClockStatus
+		status, _, err := wire.Call(client, http.MethodGet, pollURL, "", nil, &body, http.StatusOK)
+		if err != nil || status != http.StatusOK {
+			if fails++; fails%20 == 1 {
+				fmt.Fprintf(stderr, "clock poll %s: status %d, err %v\n", pollURL, status, err)
 			}
-			fails = 0
-			s.Follower().SetTarget(sim.Time(body.Now))
+			return
 		}
+		fails = 0
+		s.Follower().SetTarget(sim.Time(body.Now))
 	}
 }
 
 // Close stops the poller, then the site's listener and clock source.
 func (s *cloudSite) Close() {
-	if s.stopPoll != nil {
-		close(s.stopPoll)
-	}
+	s.poll.Stop()
 	s.Site.Close()
 }
 
 func main() {
-	cloud := flag.String("cloud", core.ClusterAdler,
-		fmt.Sprintf("which cloud this site hosts (%s or %s)", core.ClusterAdler, core.ClusterSullivan))
-	addr := flag.String("addr", "127.0.0.1:0", "listen address (port 0 picks an ephemeral port)")
-	seed := flag.Uint64("seed", 1, "simulation seed for this site's private engine")
-	scale := flag.Int("scale", 4, "server-count divisor (1 = paper scale)")
-	speedup := flag.Float64("speedup", 60, "free-run simulated seconds per wall second (0 freezes; ignored when following)")
-	clockFollow := flag.String("clock-follow", "",
-		"clock mode: empty free-runs; 'push' follows POSTed targets; a coordinator URL also polls it for time")
-	clockTick := flag.Duration("clock-interval", 50*time.Millisecond, "coordinator poll period when -clock-follow is a URL")
-	operatorSecret := flag.String("operator-secret", "", "shared secret gating operator-plane writes (clock, quota, dataset replicas)")
-	shards := flag.Int("shards", 1, "kernel shard count: K engines advanced in lockstep, per-instance timers spread by entity hash")
-	flag.Parse()
-
 	ctx, stop := wire.NotifyShutdown()
-	defer stop()
+	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "cloud-site:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the site's whole life: it parses args, prints the spawn line to
+// stdout, serves until ctx ends and returns nil, or returns why it could
+// not.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	flags := flag.NewFlagSet("cloud-site", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	cloud := flags.String("cloud", core.ClusterAdler,
+		fmt.Sprintf("which cloud this site hosts (%s or %s)", core.ClusterAdler, core.ClusterSullivan))
+	addr := flags.String("addr", "127.0.0.1:0", "listen address (port 0 picks an ephemeral port)")
+	seed := flags.Uint64("seed", 1, "simulation seed for this site's private engine")
+	scale := flags.Int("scale", 4, "server-count divisor (1 = paper scale)")
+	speedup := flags.Float64("speedup", 60, "free-run simulated seconds per wall second (0 freezes; ignored when following)")
+	clockFollow := flags.String("clock-follow", "",
+		"clock mode: empty free-runs; 'push' follows POSTed targets; a coordinator URL also polls it for time")
+	clockTick := flags.Duration("clock-interval", 50*time.Millisecond, "coordinator poll period when -clock-follow is a URL")
+	operatorSecret := flags.String("operator-secret", "", "shared secret gating operator-plane writes (clock, quota, dataset replicas)")
+	shards := flags.Int("shards", 1, "kernel shard count: K engines advanced in lockstep, per-instance timers spread by entity hash")
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
+
 	s, err := newCloudSite(options{
 		cloud: *cloud, addr: *addr, seed: *seed, scale: *scale,
 		speedup: *speedup, clockFollow: *clockFollow, clockTick: *clockTick,
 		operatorSecret: *operatorSecret, shards: *shards,
-	})
+	}, stderr)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
+	defer s.Close()
 	// The stdout line is the spawn contract: parents scrape the ephemeral
 	// address from it.
-	fmt.Printf("cloud-site %s (%s) listening on %s\n", s.Cloud.Name, s.Cloud.Stack, s.URL)
-	log.Printf("clock mode %s; operator plane at %s/cloudapi/, native %s dialect at /", s.Mode, s.URL, s.Cloud.Stack)
+	fmt.Fprintf(stdout, "cloud-site %s (%s) listening on %s\n", s.Cloud.Name, s.Cloud.Stack, s.URL)
+	fmt.Fprintf(stderr, "clock mode %s; operator plane at %s/cloudapi/, native %s dialect at /\n", s.Mode, s.URL, s.Cloud.Stack)
 	<-ctx.Done()
-	s.Close()
+	return nil
 }

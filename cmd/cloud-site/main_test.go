@@ -1,9 +1,14 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -28,7 +33,7 @@ func waitUntil(t *testing.T, d time.Duration, cond func() bool, msg string) {
 // TestCloudSiteFreeRunServesNativeAndOperatorPlanes: the default mode is a
 // self-contained site — native dialect, operator plane, readable clock.
 func TestCloudSiteFreeRunServesNativeAndOperatorPlanes(t *testing.T) {
-	s, err := newCloudSite(options{cloud: core.ClusterAdler, addr: "127.0.0.1:0", seed: 7, scale: 8, speedup: 60_000})
+	s, err := newCloudSite(options{cloud: core.ClusterAdler, addr: "127.0.0.1:0", seed: 7, scale: 8, speedup: 60_000}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +64,7 @@ func TestCloudSiteFreeRunServesNativeAndOperatorPlanes(t *testing.T) {
 // TestCloudSitePushFollow: -clock-follow push makes the site's engine track
 // POSTed targets exactly.
 func TestCloudSitePushFollow(t *testing.T) {
-	s, err := newCloudSite(options{cloud: core.ClusterSullivan, addr: "127.0.0.1:0", seed: 8, scale: 8, clockFollow: "push"})
+	s, err := newCloudSite(options{cloud: core.ClusterSullivan, addr: "127.0.0.1:0", seed: 8, scale: 8, clockFollow: "push"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +98,7 @@ func TestCloudSitePollsCoordinator(t *testing.T) {
 	s, err := newCloudSite(options{
 		cloud: core.ClusterAdler, addr: "127.0.0.1:0", seed: 9, scale: 8,
 		clockFollow: coord.URL, clockTick: 2 * time.Millisecond,
-	})
+	}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,5 +128,45 @@ func TestClockPollURL(t *testing.T) {
 	}
 	if _, err := clockPollURL("not-a-url"); err == nil {
 		t.Error("clockPollURL accepted a bare word")
+	}
+}
+
+// TestRunRejectsBadFlag: an unknown flag, or a poll period no ticker can
+// run at, is an error before anything starts.
+func TestRunRejectsBadFlag(t *testing.T) {
+	for _, args := range [][]string{
+		{"-no-such-flag"},
+		{"-clock-follow", "http://127.0.0.1:1", "-clock-interval", "0"},
+	} {
+		if err := run(context.Background(), args, io.Discard, io.Discard); err == nil {
+			t.Errorf("run %q returned nil", args)
+		}
+	}
+}
+
+// TestRunReturnsListenError: an address already taken comes back as the
+// error instead of ending the process.
+func TestRunReturnsListenError(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	if err := run(context.Background(), []string{"-addr", ln.Addr().String(), "-scale", "8"}, io.Discard, io.Discard); err == nil {
+		t.Fatalf("run on the taken address %s returned nil", ln.Addr())
+	}
+}
+
+// TestRunReturnsNilWhenContextEnds: a shutdown signal (here, a context
+// already cancelled) is a clean exit, after the spawn line is printed.
+func TestRunReturnsNilWhenContextEnds(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var stdout bytes.Buffer
+	if err := run(ctx, []string{"-addr", "127.0.0.1:0", "-scale", "8"}, &stdout, io.Discard); err != nil {
+		t.Fatalf("run with a cancelled context = %v, want nil", err)
+	}
+	if line := stdout.String(); !strings.HasPrefix(line, "cloud-site "+core.ClusterAdler+" (openstack) listening on http://127.0.0.1:") {
+		t.Fatalf("spawn line = %q", line)
 	}
 }

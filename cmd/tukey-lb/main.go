@@ -32,6 +32,7 @@ import (
 	"strings"
 	"time"
 
+	"osdc/internal/fanout"
 	"osdc/internal/lb"
 	"osdc/internal/telemetry"
 	"osdc/internal/wire"
@@ -79,10 +80,10 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	}
 
 	pool := lb.NewPool(backends, nil)
-	stopProbes := make(chan struct{})
-	defer close(stopProbes)
 	if *probe > 0 {
-		go pool.ProbeLoop(*probe, *evictAfter, stopProbes)
+		deadline := fanout.RoundDeadline(*probe)
+		probes := fanout.Every(*probe, func() { pool.Probe(*evictAfter, deadline) })
+		defer probes.Stop()
 	}
 	reg := telemetry.NewRegistry()
 	pool.RegisterMetrics(reg)

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os/exec"
@@ -24,7 +25,7 @@ import (
 func TestFollowedClockRemoteTopology(t *testing.T) {
 	const speedup = 86_400
 	syncEvery := 10 * time.Millisecond
-	s, err := newServer(options{seed: 11, speedup: speedup, remoteClouds: true, clockSync: syncEvery})
+	s, err := newServer(options{seed: 11, speedup: speedup, remoteClouds: true, clockSync: syncEvery}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestFollowedClockRemoteTopology(t *testing.T) {
 // TestClockEndpointServesConsoleTime: GET /clock exposes the console
 // engine's virtual time for polling cloud-site processes.
 func TestClockEndpointServesConsoleTime(t *testing.T) {
-	s, err := newServer(options{seed: 12, speedup: 86_400})
+	s, err := newServer(options{seed: 12, speedup: 86_400}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestClockEndpointServesConsoleTime(t *testing.T) {
 // minted before a console "restart" still authenticates after it.
 func TestSessionFileSurvivesRestart(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sessions.json")
-	s1, err := newServer(options{seed: 13, sessionFile: path})
+	s1, err := newServer(options{seed: 13, sessionFile: path}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestSessionFileSurvivesRestart(t *testing.T) {
 	srv1.Close()
 	s1.Close()
 
-	s2, err := newServer(options{seed: 13, sessionFile: path})
+	s2, err := newServer(options{seed: 13, sessionFile: path}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +186,7 @@ func TestSessionFileSurvivesRestart(t *testing.T) {
 // TestStatusReportsPerSitePollErrors: the console status view carries the
 // per-cloud poller health maps (zero for healthy sites).
 func TestStatusReportsPerSitePollErrors(t *testing.T) {
-	s, err := newServer(options{seed: 14, remoteClouds: true, speedup: 86_400})
+	s, err := newServer(options{seed: 14, remoteClouds: true, speedup: 86_400}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +276,7 @@ func TestCloudSiteSubprocess(t *testing.T) {
 	s, err := newServer(options{
 		seed: 15, speedup: speedup, clockSync: syncEvery,
 		sites: siteList{{name: core.ClusterSullivan, url: siteURL}},
-	})
+	}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}

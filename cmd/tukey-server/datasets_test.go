@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -30,7 +31,7 @@ func TestReplicationAndStagingInProcess(t *testing.T) {
 	s, err := newServer(options{
 		seed: 21, speedup: 86_400,
 		replicationFactor: 1, replicationInterval: 20 * time.Millisecond,
-	})
+	}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestStageAcrossSubprocessSite(t *testing.T) {
 		sites:             siteList{{name: core.ClusterSullivan, url: siteURL}},
 		replicationFactor: 1, replicationInterval: 20 * time.Millisecond,
 		operatorSecret: secret,
-	})
+	}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}

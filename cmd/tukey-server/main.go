@@ -68,8 +68,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"net/http"
+	"os"
 	"strings"
 	"time"
 
@@ -132,7 +133,7 @@ type options struct {
 	// the site stores; 0 leaves the data plane passive (stores served,
 	// no coordinator).
 	replicationFactor   int
-	replicationInterval time.Duration // coordinator round period; 0 = 200ms
+	replicationInterval time.Duration // coordinator round period
 	operatorSecret      string        // gates operator-plane writes when set
 	// stateURL points at a tukey-state service; when set this replica holds
 	// no session or rate-limit state of its own — sessions resolve through
@@ -168,8 +169,8 @@ type server struct {
 
 // newServer builds the federation in the requested topology, enrolls the
 // demo researcher, and wires sessions, the data plane and the telemetry
-// plane onto the running console.
-func newServer(opt options) (*server, error) {
+// plane onto the running console. What it starts is logged to stderr.
+func newServer(opt options, stderr io.Writer) (*server, error) {
 	if opt.stateURL != "" && opt.sessionFile != "" {
 		return nil, errors.New("-state-url and -session-file are mutually exclusive: the state plane owns the sessions")
 	}
@@ -198,7 +199,7 @@ func newServer(opt options) (*server, error) {
 	f := d.Fed
 	s := &server{dep: d, fed: f, console: d.Console, driver: d.Driver, sites: d.Sites}
 	for _, m := range d.Members {
-		log.Printf("cloud %s attached at %s", m.Name, m.URL)
+		fmt.Fprintf(stderr, "cloud %s attached at %s\n", m.Name, m.URL)
 	}
 
 	if opt.sessionTTL > 0 {
@@ -212,11 +213,11 @@ func newServer(opt options) (*server, error) {
 		}
 		f.Tukey.SetSessionStore(store)
 		if n := store.Count(); n > 0 {
-			log.Printf("session store %s: %d sessions survive the restart", opt.sessionFile, n)
+			fmt.Fprintf(stderr, "session store %s: %d sessions survive the restart\n", opt.sessionFile, n)
 		}
 	}
 	if opt.stateURL != "" {
-		log.Printf("replica %s: sessions and admission served by state plane at %s", opt.replica, opt.stateURL)
+		fmt.Fprintf(stderr, "replica %s: sessions and admission served by state plane at %s\n", opt.replica, opt.stateURL)
 	}
 	if err := d.Enroll("demo", "demo-pw", iaas.Quota{MaxInstances: 10, MaxCores: 64}); err != nil {
 		s.Close()
@@ -240,15 +241,11 @@ func newServer(opt options) (*server, error) {
 				return nil, fmt.Errorf("site %s at %s: datasets plane unreadable with -replication-factor on", p.name, p.url)
 			}
 		}
-		interval := opt.replicationInterval
-		if interval <= 0 {
-			interval = 200 * time.Millisecond
-		}
 		s.console.Replication = f.StartReplication(core.ReplicationOptions{
-			Factor: opt.replicationFactor, Seed: opt.seed, Sites: d.DataSites, Interval: interval,
+			Factor: opt.replicationFactor, Seed: opt.seed, Sites: d.DataSites, Interval: opt.replicationInterval,
 		})
-		log.Printf("replication coordinator: factor %d over %d site stores, round every %v",
-			opt.replicationFactor, len(d.DataSites), interval)
+		fmt.Fprintf(stderr, "replication coordinator: factor %d over %d site stores, round every %v\n",
+			opt.replicationFactor, len(d.DataSites), opt.replicationInterval)
 	}
 
 	// --- telemetry plane: one registry fed by every in-process source,
@@ -262,7 +259,7 @@ func newServer(opt options) (*server, error) {
 		s.collector = telemetry.NewCollector(opt.operatorSecret, d.SiteClient, d.Members...)
 		s.collector.RegisterMetrics(reg)
 		s.collector.Start(opt.telemetryScrape)
-		log.Printf("telemetry collector: scraping %d member(s) every %v", len(d.Members), opt.telemetryScrape)
+		fmt.Fprintf(stderr, "telemetry collector: scraping %d member(s) every %v\n", len(d.Members), opt.telemetryScrape)
 	}
 	col := s.collector
 	s.stream = telemetry.NewStreamer(func() map[string]float64 {
@@ -333,26 +330,45 @@ func (s *server) Close() {
 }
 
 func main() {
-	addr := flag.String("addr", ":8080", "console listen address")
-	speedup := flag.Float64("speedup", 60, "simulated seconds advanced per wall second (0 freezes the clock)")
-	shards := flag.Int("shards", 1, "simulation kernel shards on the live path (1 = single engine, bit-identical to the historic behavior)")
-	sessionTTL := flag.Duration("session-ttl", 12*time.Hour, "wall-clock session lifetime (0 = never expire)")
-	sessionFile := flag.String("session-file", "", "persist sessions to this JSON file so restarts keep users logged in")
-	remote := flag.Bool("remote-clouds", false, "run each cloud behind its own HTTP listener with its own engine and clock")
-	siteTimeout := flag.Duration("site-timeout", cloudapi.DefaultTimeout, "per-request deadline for reaching cloud sites")
-	clockSync := flag.Duration("clock-sync", 0, "sync followed site clocks to the console engine this often (0 = free-run)")
-	rateLimit := flag.Float64("rate-limit", 0, "per-user console requests/second (0 = unlimited)")
-	rateBurst := flag.Float64("rate-burst", 0, "per-user burst size (0 = 2× -rate-limit)")
-	replicationFactor := flag.Int("replication-factor", 0, "keep every catalog dataset at N site replicas (0 = no coordinator)")
-	replicationInterval := flag.Duration("replication-interval", 200*time.Millisecond, "replication coordinator round period")
-	operatorSecret := flag.String("operator-secret", "", "shared secret gating operator-plane writes on cloud servers")
-	stateURL := flag.String("state-url", "", "tukey-state service URL; makes this a stateless replica (requires -replica)")
-	replica := flag.String("replica", "", "replica name; prefixes session tokens so replicas sharing a state plane never collide")
-	telemetryScrape := flag.Duration("telemetry-scrape", 0, "scrape every attached cloud's /metrics this often into the console plane (0 = off)")
-	streamPeriod := flag.Float64("stream-period", 1, "/console/stream frame cadence in simulated seconds")
+	ctx, stop := wire.NotifyShutdown()
+	err := run(ctx, os.Args[1:], os.Stderr)
+	stop()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tukey-server:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the console's whole life: it parses args, builds and serves the
+// federation until ctx ends and returns nil, or returns why it could not.
+func run(ctx context.Context, args []string, stderr io.Writer) error {
+	flags := flag.NewFlagSet("tukey-server", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	addr := flags.String("addr", ":8080", "console listen address")
+	speedup := flags.Float64("speedup", 60, "simulated seconds advanced per wall second (0 freezes the clock)")
+	shards := flags.Int("shards", 1, "simulation kernel shards on the live path (1 = single engine, bit-identical to the historic behavior)")
+	sessionTTL := flags.Duration("session-ttl", 12*time.Hour, "wall-clock session lifetime (0 = never expire)")
+	sessionFile := flags.String("session-file", "", "persist sessions to this JSON file so restarts keep users logged in")
+	remote := flags.Bool("remote-clouds", false, "run each cloud behind its own HTTP listener with its own engine and clock")
+	siteTimeout := flags.Duration("site-timeout", cloudapi.DefaultTimeout, "per-request deadline for reaching cloud sites")
+	clockSync := flags.Duration("clock-sync", 0, "sync followed site clocks to the console engine this often (0 = free-run)")
+	rateLimit := flags.Float64("rate-limit", 0, "per-user console requests/second (0 = unlimited)")
+	rateBurst := flags.Float64("rate-burst", 0, "per-user burst size (0 = 2× -rate-limit)")
+	replicationFactor := flags.Int("replication-factor", 0, "keep every catalog dataset at N site replicas (0 = no coordinator)")
+	replicationInterval := flags.Duration("replication-interval", 200*time.Millisecond, "replication coordinator round period")
+	operatorSecret := flags.String("operator-secret", "", "shared secret gating operator-plane writes on cloud servers")
+	stateURL := flags.String("state-url", "", "tukey-state service URL; makes this a stateless replica (requires -replica)")
+	replica := flags.String("replica", "", "replica name; prefixes session tokens so replicas sharing a state plane never collide")
+	telemetryScrape := flags.Duration("telemetry-scrape", 0, "scrape every attached cloud's /metrics this often into the console plane (0 = off)")
+	streamPeriod := flags.Float64("stream-period", 1, "/console/stream frame cadence in simulated seconds")
 	var sites siteList
-	flag.Var(&sites, "site", "attach an externally running cloud-site as name=url (repeatable)")
-	flag.Parse()
+	flags.Var(&sites, "site", "attach an externally running cloud-site as name=url (repeatable)")
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
 
 	s, err := newServer(options{
 		seed: 1, shards: *shards, speedup: *speedup, sessionTTL: *sessionTTL, sessionFile: *sessionFile,
@@ -361,9 +377,9 @@ func main() {
 		replicationFactor: *replicationFactor, replicationInterval: *replicationInterval,
 		operatorSecret: *operatorSecret, stateURL: *stateURL, replica: *replica,
 		telemetryScrape: *telemetryScrape, streamPeriod: *streamPeriod,
-	})
+	}, stderr)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	topology := "single-process"
 	if *remote {
@@ -372,11 +388,7 @@ func main() {
 	if len(sites) > 0 {
 		topology += fmt.Sprintf(" + %d external site(s)", len(sites))
 	}
-	log.Printf("Tukey console on %s (%s topology) — login with demo/demo-pw (shibboleth); clock at %gx",
+	fmt.Fprintf(stderr, "Tukey console on %s (%s topology) — login with demo/demo-pw (shibboleth); clock at %gx\n",
 		*addr, topology, *speedup)
-	ctx, stop := wire.NotifyShutdown()
-	defer stop()
-	if err := s.serve(ctx, *addr); err != nil {
-		log.Fatal(err)
-	}
+	return s.serve(ctx, *addr)
 }

@@ -63,7 +63,7 @@ func login(t *testing.T, base string) string {
 // through the HTTP route within wall seconds.
 func TestUsageAccruesThroughHTTP(t *testing.T) {
 	// 1 wall second ≈ 1 simulated day: minute polls land immediately.
-	s, err := newServer(options{seed: 7, speedup: 86_400})
+	s, err := newServer(options{seed: 7, speedup: 86_400}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestUsageAccruesThroughHTTP(t *testing.T) {
 // TestFrozenClockStaysAtZero pins the opt-out: with speedup 0 the engine
 // never advances, which is what the old tukey-server did unconditionally.
 func TestFrozenClockStaysAtZero(t *testing.T) {
-	s, err := newServer(options{seed: 8})
+	s, err := newServer(options{seed: 8}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestFrozenClockStaysAtZero(t *testing.T) {
 // /console/stream response ends with it, so shutdown does not wait out
 // wire.ShutdownGrace and the client reads a clean EOF.
 func TestShutdownEndsOpenStream(t *testing.T) {
-	s, err := newServer(options{seed: 10, speedup: 60})
+	s, err := newServer(options{seed: 10, speedup: 60}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestShutdownEndsOpenStream(t *testing.T) {
 // and the whole console flow — login → status → launch → list → usage →
 // terminate — working over Remote transports only.
 func TestRemoteCloudsFullConsoleFlow(t *testing.T) {
-	s, err := newServer(options{seed: 9, speedup: 86_400, remoteClouds: true})
+	s, err := newServer(options{seed: 9, speedup: 86_400, remoteClouds: true}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestRemoteCloudsFullConsoleFlow(t *testing.T) {
 // requests from one user exhausts their bucket while the next user still
 // gets through.
 func TestRateLimitFlag(t *testing.T) {
-	s, err := newServer(options{seed: 10, rateLimit: 1, rateBurst: 3})
+	s, err := newServer(options{seed: 10, rateLimit: 1, rateBurst: 3}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestRateLimitFlag(t *testing.T) {
 // usage accruing while every shard advances in lockstep (an instance homed
 // off the anchor shard would otherwise never boot or meter).
 func TestShardedLiveConsoleFlow(t *testing.T) {
-	s, err := newServer(options{seed: 11, shards: 4, speedup: 86_400})
+	s, err := newServer(options{seed: 11, shards: 4, speedup: 86_400}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +445,7 @@ func TestShardedLiveConsoleFlow(t *testing.T) {
 // against a gated server is 403, and the right X-OSDC-Operator header
 // serves the pprof index.
 func TestPprofBehindOperatorGate(t *testing.T) {
-	open, err := newServer(options{seed: 31})
+	open, err := newServer(options{seed: 31}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +461,7 @@ func TestPprofBehindOperatorGate(t *testing.T) {
 		t.Fatalf("pprof without a secret = %d, want 404", resp.StatusCode)
 	}
 
-	gated, err := newServer(options{seed: 32, operatorSecret: "op-secret"})
+	gated, err := newServer(options{seed: 32, operatorSecret: "op-secret"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,7 +495,7 @@ func TestPprofBehindOperatorGate(t *testing.T) {
 // wrong) X-OSDC-Operator header, exposition text with it — and the
 // console-side registry carries the kernel, billing, and console series.
 func TestMetricsBehindOperatorGate(t *testing.T) {
-	open, err := newServer(options{seed: 41})
+	open, err := newServer(options{seed: 41}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,7 +511,7 @@ func TestMetricsBehindOperatorGate(t *testing.T) {
 		t.Fatalf("metrics without a secret = %d, want 404", resp.StatusCode)
 	}
 
-	gated, err := newServer(options{seed: 42, operatorSecret: "op-secret"})
+	gated, err := newServer(options{seed: 42, operatorSecret: "op-secret"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}

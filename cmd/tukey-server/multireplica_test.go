@@ -61,7 +61,7 @@ func TestMultiReplicaSmoke(t *testing.T) {
 	}
 	mkReplica := func(name string, seed uint64) (*httptest.Server, func()) {
 		s, err := newServer(options{seed: seed, stateURL: stateSrv.URL, replica: name,
-			sites: shared, operatorSecret: opSecret})
+			sites: shared, operatorSecret: opSecret}, io.Discard)
 		if err != nil {
 			t.Fatal(err)
 		}

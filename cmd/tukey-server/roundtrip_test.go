@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -34,7 +35,7 @@ func TestOneStateRoundTripPerSessionRequest(t *testing.T) {
 
 	var urls []string
 	for k, seed := range []uint64{31, 32} {
-		s, err := newServer(options{seed: seed, stateURL: stateSrv.URL, replica: fmt.Sprintf("r%d", k+1)})
+		s, err := newServer(options{seed: seed, stateURL: stateSrv.URL, replica: fmt.Sprintf("r%d", k+1)}, io.Discard)
 		if err != nil {
 			t.Fatal(err)
 		}

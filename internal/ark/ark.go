@@ -10,26 +10,19 @@ import (
 	"sync"
 )
 
-// OSDCNAAN is the OSDC's registered Name Assigning Authority Number. (The
-// real OSDC NAAN; any 5-digit NAAN works with the service.)
+// OSDCNAAN is the OSDC's registered Name Assigning Authority Number (the
+// real OSDC NAAN).
 const OSDCNAAN = "31807"
 
-// Service mints ARKs for one NAAN.
+// Service mints ARKs under the OSDC's NAAN.
 type Service struct {
-	NAAN string
-	mu   sync.Mutex
+	mu sync.Mutex
 
 	Minted int64
 }
 
-// NewService creates an ID service for a NAAN. An empty NAAN uses the
-// OSDC's.
-func NewService(naan string) *Service {
-	if naan == "" {
-		naan = OSDCNAAN
-	}
-	return &Service{NAAN: naan}
-}
+// NewService creates the OSDC's ID service.
+func NewService() *Service { return &Service{} }
 
 // checkChar reports whether c is legal in an ARK blade (betanumeric:
 // digits plus consonants, avoiding vowels to prevent words).
@@ -42,7 +35,7 @@ func (s *Service) Mint() string {
 	defer s.mu.Unlock()
 	s.Minted++
 	blade := encodeBlade(int(s.Minted))
-	return fmt.Sprintf("ark:/%s/osdc%s%c", s.NAAN, blade, checkChar(blade))
+	return fmt.Sprintf("ark:/%s/osdc%s%c", OSDCNAAN, blade, checkChar(blade))
 }
 
 // encodeBlade renders n in base-29 betanumeric, fixed width 6.

@@ -5,10 +5,10 @@ import "strings"
 // Test-only surface: the check-character validator the tests hold Mint
 // to.
 
-// Valid reports whether an ARK parses, belongs to this NAAN, and has a
-// correct check character.
+// Valid reports whether an ARK parses, belongs to the OSDC's NAAN, and
+// has a correct check character.
 func (s *Service) Valid(id string) bool {
-	rest, ok := strings.CutPrefix(id, "ark:/"+s.NAAN+"/osdc")
+	rest, ok := strings.CutPrefix(id, "ark:/"+OSDCNAAN+"/osdc")
 	if !ok || len(rest) != 7 {
 		return false
 	}

@@ -13,7 +13,7 @@ import (
 // from many goroutines and checks no sample is lost: the sharded
 // accumulators must behave exactly like the old single-mutex map.
 func TestShardedAccrualConcurrent(t *testing.T) {
-	b := New(sim.NewEngine(1), nil, nil)
+	b := New(sim.NewEngine(1), nil)
 	const users, perUser = 64, 200
 	var wg sync.WaitGroup
 	for u := 0; u < users; u++ {
@@ -41,7 +41,7 @@ func TestShardedAccrualConcurrent(t *testing.T) {
 // TestShardsSpreadUsers pins that the FNV hash actually spreads a user
 // population across shards instead of collapsing onto a few locks.
 func TestShardsSpreadUsers(t *testing.T) {
-	b := New(sim.NewEngine(1), nil, nil)
+	b := New(sim.NewEngine(1), nil)
 	for u := 0; u < 1024; u++ {
 		b.accrueCores(fmt.Sprintf("user%04d", u), 1)
 	}
@@ -63,7 +63,7 @@ func TestShardsSpreadUsers(t *testing.T) {
 // own slice of a large user population, the access pattern of pollers
 // racing console reads. Compare -cpu 1,4,16 to see the shards scale.
 func BenchmarkBillerParallelAccrual(b *testing.B) {
-	biller := New(sim.NewEngine(1), nil, nil)
+	biller := New(sim.NewEngine(1), nil)
 	const users = 1024
 	names := make([]string, users)
 	for i := range names {

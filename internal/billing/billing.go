@@ -13,6 +13,8 @@
 // The per-minute VM poll samples the clouds through one
 // cloudapi.UsagePoller, the delta-maintained sampler the usage monitor
 // also owns; the biller keeps only its accumulators and the cycle count.
+// The daily storage check is not modelled: nothing in the federation
+// reports per-user stored bytes.
 package billing
 
 import (
@@ -26,14 +28,10 @@ import (
 	"osdc/internal/sim"
 )
 
-// StorageFunc reports each user's current stored bytes.
-type StorageFunc func() map[string]int64
-
 // Usage accumulates one user's metered consumption in the current cycle.
 type Usage struct {
 	User        string
 	CoreMinutes float64 // Σ per-minute samples of allocated cores
-	GBDays      float64 // Σ daily samples of stored GB
 	Samples     int64
 }
 
@@ -52,7 +50,7 @@ type usageShard struct {
 	usage map[string]*Usage
 }
 
-// Biller polls clouds and storage and closes a monthly cycle.
+// Biller polls clouds and closes a monthly cycle.
 //
 // The pollers fire on the clock-driving goroutine while the Tukey console
 // reads CurrentUsage/Cycle from HTTP handlers. Per-user accumulators live
@@ -64,8 +62,7 @@ type usageShard struct {
 // single-process topology they are Local wrappers sharing the engine, in
 // the remote topology they are HTTP clients — metering does not care.
 type Biller struct {
-	usage   *cloudapi.UsagePoller
-	storage StorageFunc
+	usage *cloudapi.UsagePoller
 
 	shards [usageShards]usageShard
 
@@ -73,7 +70,6 @@ type Biller struct {
 	cycle   int
 
 	pollMin *sim.Ticker
-	pollDay *sim.Ticker
 	pollMon *sim.Ticker
 
 	// Polls counts completed per-minute VM sweeps; an atomic — read it
@@ -88,16 +84,14 @@ type Biller struct {
 // DaysPerCycle is the billing month (30 days).
 const DaysPerCycle = 30
 
-// New starts a biller: per-minute VM polling, daily storage sampling, and a
-// 30-day billing cycle, all on the simulation clock.
-func New(e *sim.Engine, clouds []cloudapi.CloudAPI, storage StorageFunc) *Biller {
-	b := &Biller{usage: cloudapi.NewUsagePoller(clouds), storage: storage,
-		cycle: 1, deadline: cloudapi.PollDeadline}
+// New starts a biller: per-minute VM polling and a 30-day billing cycle,
+// both on the simulation clock.
+func New(e *sim.Engine, clouds []cloudapi.CloudAPI) *Biller {
+	b := &Biller{usage: cloudapi.NewUsagePoller(clouds), cycle: 1, deadline: cloudapi.PollDeadline}
 	for i := range b.shards {
 		b.shards[i].usage = make(map[string]*Usage)
 	}
 	b.pollMin = e.Every(sim.Minute, b.pollVMs)
-	b.pollDay = e.Every(sim.Day, b.pollStorage)
 	b.pollMon = e.Every(DaysPerCycle*sim.Day, b.closeCycle)
 	return b
 }
@@ -105,7 +99,6 @@ func New(e *sim.Engine, clouds []cloudapi.CloudAPI, storage StorageFunc) *Biller
 // Stop halts all pollers.
 func (b *Biller) Stop() {
 	b.pollMin.Stop()
-	b.pollDay.Stop()
 	b.pollMon.Stop()
 }
 
@@ -128,14 +121,6 @@ func (b *Biller) accrueCores(user string, cores int) {
 	u := sh.user(user)
 	u.CoreMinutes += float64(cores)
 	u.Samples++
-}
-
-// accrueGB credits a daily storage sample to user.
-func (b *Biller) accrueGB(user string, bytes int64) {
-	sh := b.shardFor(user)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.user(user).GBDays += float64(bytes) / float64(1<<30)
 }
 
 // user returns the accumulator for u, creating it; callers hold sh.mu.
@@ -168,16 +153,6 @@ func (b *Biller) pollVMs() {
 		for user, v := range u.ByUser {
 			b.accrueCores(user, v.Cores)
 		}
-	}
-}
-
-// pollStorage samples each user's stored GB once a day.
-func (b *Biller) pollStorage() {
-	if b.storage == nil {
-		return
-	}
-	for user, bytes := range b.storage() {
-		b.accrueGB(user, bytes)
 	}
 }
 
@@ -221,5 +196,5 @@ func (b *Biller) Cycle() int {
 }
 
 func (u Usage) String() string {
-	return fmt.Sprintf("%s: %.1f core-hours, %.1f GB-days", u.User, u.CoreHours(), u.GBDays)
+	return fmt.Sprintf("%s: %.1f core-hours", u.User, u.CoreHours())
 }

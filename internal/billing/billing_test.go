@@ -17,7 +17,7 @@ func setup(t *testing.T) (*sim.Engine, *iaas.Cloud, *Biller) {
 	c := iaas.NewCloud(e, "adler", "openstack", "chicago")
 	c.AddRack("r", 8)
 	c.SetQuota("alice", iaas.Quota{MaxInstances: 50, MaxCores: 400})
-	b := New(e, []cloudapi.CloudAPI{cloudapi.NewLocal(c)}, nil)
+	b := New(e, []cloudapi.CloudAPI{cloudapi.NewLocal(c)})
 	return e, c, b
 }
 
@@ -39,19 +39,6 @@ func TestCoreHourAccumulation(t *testing.T) {
 	}
 	if u.Samples < 590 || u.Samples > 610 {
 		t.Fatalf("samples = %d, want ~600 (per-minute polling)", u.Samples)
-	}
-}
-
-func TestStorageDailySampling(t *testing.T) {
-	e := sim.NewEngine(2)
-	stored := int64(10) << 30 // 10 GB constant
-	b := New(e, nil, func() map[string]int64 {
-		return map[string]int64{"bob": stored}
-	})
-	e.RunFor(10 * sim.Day)
-	u := b.CurrentUsage("bob")
-	if math.Abs(u.GBDays-100) > 1 {
-		t.Fatalf("GB-days = %v, want ~100", u.GBDays)
 	}
 }
 
@@ -133,7 +120,7 @@ func TestPollErrorsBrokenDownPerCloud(t *testing.T) {
 	b := New(e, []cloudapi.CloudAPI{
 		cloudapi.NewLocal(good),
 		failingCloud{name: "down-site"},
-	}, nil)
+	})
 	e.RunFor(10 * sim.Minute)
 	b.Stop()
 
@@ -193,7 +180,7 @@ func TestAbandonedPollSurfacesAsPollError(t *testing.T) {
 	b := New(e, []cloudapi.CloudAPI{
 		cloudapi.NewLocal(good),
 		hung,
-	}, nil)
+	})
 	b.deadline = 5 * time.Millisecond
 	e.RunFor(5 * sim.Minute)
 	b.Stop()
@@ -254,7 +241,7 @@ func TestPollVMsSteadyStateAllocs(t *testing.T) {
 		}
 		clouds = append(clouds, cloudapi.NewLocal(c))
 	}
-	b := New(e, clouds, nil)
+	b := New(e, clouds)
 	e.RunFor(3 * sim.Minute) // boots settle; the first polls take the full snapshots
 	b.Stop()
 	const bound = 14

@@ -54,77 +54,50 @@ type SkewStats struct {
 //
 // Pushes fan out concurrently over a bounded worker pool (ROADMAP:
 // coordinator fan-out): at dozens of sites a sequential round-robin would
-// eat the interval, so each round gives every site half the sync interval
-// and abandons any site still unanswered. Each site settles exactly once
-// per round, on the coordinator's goroutine: an abandoned push is one
-// error — it may still land late, which the follower tolerates by design,
-// but that landing counts as no sync and moves no statistic.
+// eat the interval, so each round gives every site the loop's round
+// deadline and abandons any site still unanswered. Each site settles
+// exactly once per round, on the coordinator's goroutine: an abandoned
+// push is one error — it may still land late, which the follower
+// tolerates by design, but that landing counts as no sync and moves no
+// statistic.
 type ClockCoordinator struct {
-	engine   *sim.Engine
-	interval time.Duration
-	targets  []ClockSyncTarget
+	engine *sim.Engine
 
 	mu       sync.Mutex
 	stats    map[string]*SkewStats
 	lastPush map[string]sim.Time // console time at a site's previous push
 
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
+	loop *fanout.Loop
 }
 
 // StartClockCoordinator begins pushing e's virtual time to every target
-// each interval of wall time (<= 0 means 25 ms). Stop it before tearing
-// the sites down.
+// each interval of wall time, each round waiting fanout.RoundDeadline for
+// a site. Stop it before tearing the sites down.
 func StartClockCoordinator(e *sim.Engine, interval time.Duration, targets ...ClockSyncTarget) *ClockCoordinator {
-	if interval <= 0 {
-		interval = 25 * time.Millisecond
-	}
 	c := &ClockCoordinator{
-		engine: e, interval: interval, targets: targets,
+		engine:   e,
 		stats:    make(map[string]*SkewStats),
 		lastPush: make(map[string]sim.Time),
-		stop:     make(chan struct{}), done: make(chan struct{}),
 	}
 	for _, t := range targets {
 		c.stats[t.Name()] = &SkewStats{Site: t.Name()}
 	}
-	go c.loop()
+	group := fanout.NewGroup(siteWorkers, len(targets), func(i int) syncOutcome {
+		return c.syncOne(targets[i])
+	})
+	deadline := fanout.RoundDeadline(interval)
+	c.loop = fanout.Every(interval, func() {
+		outcomes, completed := group.Run(deadline)
+		for i, t := range targets {
+			c.settle(t.Name(), outcomes[i], completed[i])
+		}
+	})
 	return c
 }
 
 // siteWorkers bounds this package's per-round site fan-outs: clock pushes
 // and usage polls.
 const siteWorkers = 8
-
-func (c *ClockCoordinator) loop() {
-	defer close(c.done)
-	tick := time.NewTicker(c.interval)
-	defer tick.Stop()
-	group := fanout.NewGroup(siteWorkers, len(c.targets), func(i int) syncOutcome {
-		return c.syncOne(c.targets[i])
-	})
-	// Per-site deadline: half the sync interval, floored at 100 ms. The
-	// deadline exists to keep a *hung* site from eating the round, not to
-	// penalize ordinary HTTP jitter — at the millisecond-scale intervals
-	// tests use, half an interval is inside normal round-trip variance
-	// and would count healthy pushes as errors.
-	deadline := c.interval / 2
-	if deadline < 100*time.Millisecond {
-		deadline = 100 * time.Millisecond
-	}
-	for {
-		select {
-		case <-c.stop:
-			return
-		case <-tick.C:
-			outcomes, completed := group.Run(deadline)
-			for i, t := range c.targets {
-				c.settle(t.Name(), outcomes[i], completed[i])
-			}
-		}
-	}
-}
 
 // syncOutcome is one site's result in one round.
 type syncOutcome struct {
@@ -227,9 +200,6 @@ func (c *ClockCoordinator) Syncs() int64 {
 	return n
 }
 
-// Stop halts the coordinator goroutine and waits for it to exit.
+// Stop halts the coordinator once its round in flight has settled.
 // Idempotent.
-func (c *ClockCoordinator) Stop() {
-	c.stopOnce.Do(func() { close(c.stop) })
-	<-c.done
-}
+func (c *ClockCoordinator) Stop() { c.loop.Stop() }

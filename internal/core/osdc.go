@@ -177,7 +177,7 @@ func New(opt Options) (*Federation, error) {
 	f.Matsu = buildHadoop(e, ClusterMatsu, 15/opt.Scale, 8) // 120 cores
 
 	// --- science cloud services ---
-	f.IDs = ark.NewService("")
+	f.IDs = ark.NewService()
 	f.Catalog = datasets.NewCatalog(f.IDs, f.RootGFS)
 	f.Catalog.AddCurator("curator")
 	for _, d := range datasets.PaperDatasets() {
@@ -199,7 +199,7 @@ func New(opt Options) (*Federation, error) {
 		}
 	}
 
-	f.Biller = billing.New(e, []cloudapi.CloudAPI{f.AdlerAPI, f.SullivanAPI}, nil)
+	f.Biller = billing.New(e, []cloudapi.CloudAPI{f.AdlerAPI, f.SullivanAPI})
 	f.UsageMon = monitor.NewUsageMonitor(e, []cloudapi.CloudAPI{f.AdlerAPI, f.SullivanAPI}, 5*sim.Minute)
 
 	// --- Tukey middleware with both IdPs ---
@@ -209,7 +209,7 @@ func New(opt Options) (*Federation, error) {
 	f.Tukey.RegisterIdP(tukey.NewOpenID("https://id.opensciencedatacloud.org"))
 
 	// --- Nagios over every cluster's nodes ---
-	f.Nagios = monitor.NewMaster(e, 5*sim.Minute, nil)
+	f.Nagios = monitor.NewMaster(e, 5*sim.Minute)
 	for _, vol := range []*dfs.Volume{f.AdlerGFS, f.SullivanGFS, f.RootGFS} {
 		vol := vol
 		for _, b := range vol.Bricks() {
@@ -361,7 +361,7 @@ func (f *Federation) StopReplication() {
 func (f *Federation) useCloudAPIs(apis ...cloudapi.CloudAPI) {
 	f.Biller.Stop()
 	f.UsageMon.Stop()
-	f.Biller = billing.New(f.Engine, apis, nil)
+	f.Biller = billing.New(f.Engine, apis)
 	f.UsageMon = monitor.NewUsageMonitor(f.Engine, apis, 5*sim.Minute)
 }
 

@@ -26,7 +26,7 @@ func newCatalog(t *testing.T) *Catalog {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCatalog(ark.NewService(""), vol)
+	c := NewCatalog(ark.NewService(), vol)
 	c.AddCurator("walt")
 	return c
 }

@@ -118,7 +118,7 @@ type Coordinator struct {
 	sites []API
 	// siteDeadline is the per-site wall budget for one List during a
 	// round; a site answering slower is counted unreachable for the
-	// round. Start tightens it to half the round interval.
+	// round. Start tightens it to the loop's round deadline.
 	siteDeadline time.Duration
 	inflight     map[string]*Transfer // key dataset + "→" + destination site
 	stats        Stats
@@ -139,10 +139,7 @@ type Coordinator struct {
 	// a user parked that replica next to their compute on purpose.
 	pinned map[string]bool
 
-	started  bool // under mu: Start launched the loop that closes done
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
+	loop *fanout.Loop // Start's; nil for a coordinator driven by Round
 }
 
 // NewCoordinator builds a coordinator over the engine's virtual clock, the
@@ -167,8 +164,6 @@ func NewCoordinator(e *sim.Engine, nw *simnet.Network, cat *datasets.Catalog, op
 		knownRev:     make(map[string]int64),
 		missed:       make(map[string]int),
 		pinned:       make(map[string]bool),
-		stop:         make(chan struct{}),
-		done:         make(chan struct{}),
 	}
 	for _, s := range sites {
 		c.siteStats[s.Name()] = &SiteStats{Site: s.Name()}
@@ -177,46 +172,18 @@ func NewCoordinator(e *sim.Engine, nw *simnet.Network, cat *datasets.Catalog, op
 }
 
 // Start runs Round every interval of wall time until Stop. The per-site
-// read deadline becomes half the interval, so a hung site cannot eat the
-// round (ROADMAP: coordinator fan-out).
+// read deadline becomes fanout.RoundDeadline(interval), so a hung site
+// cannot eat the round (ROADMAP: coordinator fan-out).
 func (c *Coordinator) Start(interval time.Duration) {
-	if interval <= 0 {
-		interval = 100 * time.Millisecond
-	}
 	c.mu.Lock()
-	c.siteDeadline = interval / 2
-	c.started = true
+	c.siteDeadline = fanout.RoundDeadline(interval)
 	c.mu.Unlock()
-	go func() {
-		defer close(c.done)
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-c.stop:
-				return
-			case <-tick.C:
-				c.Round()
-			}
-		}
-	}()
+	c.loop = fanout.Every(interval, func() { c.Round() })
 }
 
-// Stop halts the Start loop, if one is running. Idempotent. Without a
-// loop there is nothing to wait for, so it returns at once.
-func (c *Coordinator) Stop() {
-	c.stopOnce.Do(func() { close(c.stop) })
-	c.mu.Lock()
-	started := c.started
-	c.mu.Unlock()
-	if !started {
-		return
-	}
-	select {
-	case <-c.done:
-	case <-time.After(5 * time.Second):
-	}
-}
+// Stop halts the Start loop once its round in flight has finished, and
+// returns at once if Start never ran. Idempotent.
+func (c *Coordinator) Stop() { c.loop.Stop() }
 
 // pathBetween derives the flow path for a transfer between two simnet
 // sites; co-located sites move over the LAN.

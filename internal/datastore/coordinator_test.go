@@ -3,6 +3,7 @@ package datastore
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -30,7 +31,7 @@ func newCoordRig(t *testing.T, seed uint64) *coordRig {
 	e := sim.NewEngine(seed)
 	nw := simnet.BuildOSDCTopology(simnet.DefaultWAN())
 	catVol := testVolume(t, e, "cat", 1<<40)
-	cat := datasets.NewCatalog(ark.NewService(""), catVol)
+	cat := datasets.NewCatalog(ark.NewService(), catVol)
 	cat.AddCurator("walt")
 
 	rig := &coordRig{
@@ -129,8 +130,8 @@ func TestCoordinatorReachesFactor(t *testing.T) {
 }
 
 // TestStopWithoutStartReturnsAtOnce: a coordinator driven by manual
-// rounds has no loop to wait for, so Stop must not sit out the timeout
-// that guards a hung loop. A started one still stops.
+// rounds has no loop to wait for, so Stop returns at once. A started one
+// runs rounds and still stops.
 func TestStopWithoutStartReturnsAtOnce(t *testing.T) {
 	rig := newCoordRig(t, 31)
 	manual := NewCoordinator(rig.e, rig.nw, rig.cat, Options{Factor: 1, Seed: 31}, rig.a, rig.b)
@@ -143,12 +144,11 @@ func TestStopWithoutStartReturnsAtOnce(t *testing.T) {
 	}
 	looped := NewCoordinator(rig.e, rig.nw, rig.cat, Options{Factor: 1, Seed: 31}, rig.a, rig.b)
 	looped.Start(time.Millisecond)
-	looped.Stop()
-	select {
-	case <-looped.done:
-	default:
-		t.Fatal("Stop returned before the Start loop exited")
+	for looped.Stats().Rounds == 0 {
+		runtime.Gosched()
 	}
+	looped.Stop()
+	looped.Stop()
 }
 
 // TestCoordinatorRepairsDetachedSite is the kill-one-site acceptance test:

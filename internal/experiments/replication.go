@@ -61,7 +61,7 @@ func replicationPoint(seed uint64, factor int, backbone float64) (datastore.Stat
 	if err != nil {
 		return datastore.Stats{}, 0, err
 	}
-	cat := datasets.NewCatalog(ark.NewService(""), catVol)
+	cat := datasets.NewCatalog(ark.NewService(), catVol)
 	cat.AddCurator("curator")
 
 	stores := make([]datastore.API, 0, 4)

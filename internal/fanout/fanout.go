@@ -12,6 +12,9 @@
 // advances the stamp before it returns. A caller therefore folds only the
 // tasks reported complete, on its own goroutine, and needs no guard of its
 // own against a late writer.
+//
+// Every is the one loop those rounds run on in wall time, and
+// RoundDeadline the one rule for each round's per-task deadline.
 package fanout
 
 import (

@@ -29,6 +29,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"osdc/internal/fanout"
 	"osdc/internal/telemetry"
 	"osdc/internal/wire"
 )
@@ -272,25 +273,32 @@ func copyResponse(w http.ResponseWriter, resp *http.Response) {
 	_, _ = io.Copy(w, resp.Body)
 }
 
-// Probe runs one health sweep: GET /healthz on every backend. A backend
-// that answers 200 is marked up (and its failure streak cleared); one that
-// does not gets a strike, and evictAfter consecutive strikes removes it
-// from the pool entirely (0 = never evict). Returns how many backends were
-// evicted this sweep.
-func (p *Pool) Probe(evictAfter int) int {
+// probeWorkers bounds one sweep's concurrent /healthz probes.
+const probeWorkers = 8
+
+// Probe runs one health sweep: GET /healthz on every backend, waiting up
+// to deadline for each (<= 0 waits for every answer). A backend that
+// answers 200 is marked up (and its failure streak cleared); one that
+// does not, or misses the deadline, gets a strike, and evictAfter
+// consecutive strikes removes it from the pool entirely (0 = never
+// evict). Returns how many backends were evicted this sweep.
+func (p *Pool) Probe(evictAfter int, deadline time.Duration) int {
 	p.mu.Lock()
 	backends := append([]*backend(nil), p.backends...)
 	p.mu.Unlock()
-	evicted := 0
-	for _, b := range backends {
-		resp, err := p.client.Get(b.url + "/healthz")
-		ok := err == nil && resp.StatusCode == http.StatusOK
-		if resp != nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
+	healthy, answered := fanout.Each(probeWorkers, deadline, len(backends), func(i int) bool {
+		resp, err := p.client.Get(backends[i].url + "/healthz")
+		if err != nil {
+			return false
 		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode == http.StatusOK
+	})
+	evicted := 0
+	for i, b := range backends {
 		p.mu.Lock()
-		if ok {
+		if answered[i] && healthy[i] {
 			b.fails = 0
 			b.down.Store(false)
 		} else {
@@ -332,18 +340,4 @@ func (p *Pool) RegisterMetrics(reg *telemetry.Registry) {
 		})
 	reg.GaugeFunc("osdc_lb_backends_healthy", "Backends currently marked up.",
 		func() float64 { return float64(p.Healthy()) })
-}
-
-// ProbeLoop runs Probe every interval until stop is closed.
-func (p *Pool) ProbeLoop(interval time.Duration, evictAfter int, stop <-chan struct{}) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			p.Probe(evictAfter)
-		}
-	}
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"osdc/internal/telemetry"
 	"osdc/internal/wire"
@@ -144,7 +145,7 @@ func TestProbeEviction(t *testing.T) {
 	b, _ := echoBackend(t, "b")
 	pool := NewPool([]string{a.URL, b.URL}, nil)
 
-	if pool.Probe(2) != 0 {
+	if pool.Probe(2, 0) != 0 {
 		t.Fatal("healthy sweep evicted something")
 	}
 	if h := pool.Healthy(); h != 2 {
@@ -152,13 +153,13 @@ func TestProbeEviction(t *testing.T) {
 	}
 
 	a.Close()
-	if pool.Probe(2) != 0 {
+	if pool.Probe(2, 0) != 0 {
 		t.Fatal("evicted after one strike, want two")
 	}
 	if h := pool.Healthy(); h != 1 {
 		t.Fatalf("healthy after first strike = %d, want 1", h)
 	}
-	if pool.Probe(2) != 1 {
+	if pool.Probe(2, 0) != 1 {
 		t.Fatal("second strike did not evict")
 	}
 	if got := pool.Backends(); len(got) != 1 || got[0] != b.URL {
@@ -190,14 +191,38 @@ func TestProbeRecovery(t *testing.T) {
 	pool := NewPool([]string{srv.URL}, nil)
 
 	down.Store(true)
-	pool.Probe(0) // evictAfter 0: never evict
+	pool.Probe(0, 0) // evictAfter 0: never evict
 	if pool.Healthy() != 0 {
 		t.Fatal("dead backend still healthy")
 	}
 	down.Store(false)
-	pool.Probe(0)
+	pool.Probe(0, 0)
 	if pool.Healthy() != 1 {
 		t.Fatal("recovered backend not marked up")
+	}
+}
+
+// TestProbeAbandonsHungBackend: a backend whose /healthz never answers
+// costs a sweep its deadline, not the client's timeout, and takes the
+// strike a refused probe would.
+func TestProbeAbandonsHungBackend(t *testing.T) {
+	release := make(chan struct{})
+	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { <-release }))
+	defer hung.Close()
+	defer close(release)
+	live, _ := echoBackend(t, "live")
+	pool := NewPool([]string{hung.URL, live.URL}, nil)
+
+	start := time.Now()
+	pool.Probe(0, 20*time.Millisecond)
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("sweep took %v with a hung backend, want about its 20ms deadline", took)
+	}
+	if h := pool.Healthy(); h != 1 {
+		t.Fatalf("healthy = %d, want 1: the hung backend is still up", h)
+	}
+	if n := atomic.LoadInt64(&pool.ProbeFails); n != 1 {
+		t.Fatalf("probe failures = %d, want 1", n)
 	}
 }
 
@@ -256,8 +281,8 @@ func TestMetricsThroughReplicaDeath(t *testing.T) {
 	}
 
 	// Two failed probes evict the corpse for good.
-	pool.Probe(2)
-	pool.Probe(2)
+	pool.Probe(2, 0)
+	pool.Probe(2, 0)
 	snap = reg.Snapshot()
 	if snap["osdc_lb_probe_failures_total"] != 2 {
 		t.Fatalf("probe failures = %v, want 2", snap["osdc_lb_probe_failures_total"])

@@ -133,11 +133,9 @@ type Alert struct {
 //
 // pollAll fires on the clock-driving goroutine while status pages read
 // Alerts/StateOf; mu covers the agent table, the state map, the alert log
-// and the ChecksRun counter. The notify callback is invoked without the
-// lock held.
+// and the ChecksRun counter.
 type Master struct {
 	engine *sim.Engine
-	notify func(Alert)
 
 	mu     sync.Mutex
 	agents map[string]*Agent
@@ -156,11 +154,10 @@ type Master struct {
 }
 
 // NewMaster starts a master polling all registered agents every interval.
-// notify (may be nil) receives alerts as they fire.
-func NewMaster(e *sim.Engine, interval sim.Duration, notify func(Alert)) *Master {
+// Fired alerts are logged, in order, for Alerts.
+func NewMaster(e *sim.Engine, interval sim.Duration) *Master {
 	m := &Master{
-		engine: e, agents: make(map[string]*Agent),
-		last: make(map[string]State), notify: notify,
+		engine: e, agents: make(map[string]*Agent), last: make(map[string]State),
 		deadline: cloudapi.PollDeadline,
 	}
 	e.Every(interval, m.pollAll)
@@ -210,7 +207,6 @@ func (m *Master) pollAll() {
 		return res
 	})
 
-	var fired []Alert
 	for i, a := range agents {
 		if !completed[i] {
 			atomic.AddInt64(&m.PollsAbandoned, 1)
@@ -221,17 +217,10 @@ func (m *Master) pollAll() {
 			m.mu.Lock()
 			m.ChecksRun++
 			if r.state != m.last[key] && r.state != StateOK {
-				al := Alert{Host: a.Host, Check: r.name, State: r.state, Value: r.value, At: now}
-				m.alerts = append(m.alerts, al)
-				fired = append(fired, al)
+				m.alerts = append(m.alerts, Alert{Host: a.Host, Check: r.name, State: r.state, Value: r.value, At: now})
 			}
 			m.last[key] = r.state
 			m.mu.Unlock()
-		}
-	}
-	if m.notify != nil {
-		for _, al := range fired {
-			m.notify(al)
 		}
 	}
 }

@@ -47,30 +47,29 @@ func TestAgentRunsNamedChecks(t *testing.T) {
 
 func TestMasterAlertsOnTransitionOnly(t *testing.T) {
 	e := sim.NewEngine(9)
-	var notified []Alert
-	m := NewMaster(e, 60, func(a Alert) { notified = append(notified, a) })
+	m := NewMaster(e, 60)
 	diskUse := 50.0
 	agent := NewAgent("node1")
 	agent.Register(Check{Name: "disk", Plugin: func() (float64, error) { return diskUse, nil }, Warn: 80, Crit: 95})
 	m.AddAgent(agent)
 
 	e.RunFor(300) // 5 polls, all OK
-	if len(notified) != 0 {
+	if notified := m.Alerts(); len(notified) != 0 {
 		t.Fatalf("alerts while OK: %d", len(notified))
 	}
 	diskUse = 85
 	e.RunFor(180) // crosses into WARNING once
-	if len(notified) != 1 || notified[0].State != StateWarning {
+	if notified := m.Alerts(); len(notified) != 1 || notified[0].State != StateWarning {
 		t.Fatalf("alerts = %+v, want single WARNING", notified)
 	}
 	diskUse = 97
 	e.RunFor(120)
-	if len(notified) != 2 || notified[1].State != StateCritical {
+	if notified := m.Alerts(); len(notified) != 2 || notified[1].State != StateCritical {
 		t.Fatalf("no escalation to CRITICAL: %+v", notified)
 	}
 	// Staying critical does not re-alert.
 	e.RunFor(600)
-	if len(notified) != 2 {
+	if notified := m.Alerts(); len(notified) != 2 {
 		t.Fatalf("re-alerted on steady state: %d", len(notified))
 	}
 	if m.StateOf("node1", "disk") != StateCritical {
@@ -83,8 +82,7 @@ func TestMasterAlertsOnTransitionOnly(t *testing.T) {
 
 func TestMasterRecoveryThenReAlert(t *testing.T) {
 	e := sim.NewEngine(9)
-	var notified []Alert
-	m := NewMaster(e, 60, func(a Alert) { notified = append(notified, a) })
+	m := NewMaster(e, 60)
 	bad := false
 	agent := NewAgent("n")
 	agent.Register(Check{Name: "svc", Plugin: func() (float64, error) {
@@ -100,7 +98,7 @@ func TestMasterRecoveryThenReAlert(t *testing.T) {
 	e.RunFor(90) // recovers (no alert for OK)
 	bad = true
 	e.RunFor(90) // fails again -> second alert
-	if len(notified) != 2 {
+	if notified := m.Alerts(); len(notified) != 2 {
 		t.Fatalf("alerts = %d, want 2 (re-alert after recovery)", len(notified))
 	}
 }
@@ -175,7 +173,7 @@ func TestAbandonedSampleSurfacesPerCloud(t *testing.T) {
 // abandoned (PollsAbandoned) while the other host's checks keep running.
 func TestMasterAbandonsHungAgent(t *testing.T) {
 	e := sim.NewEngine(9)
-	m := NewMaster(e, 60, nil)
+	m := NewMaster(e, 60)
 	m.deadline = 5 * time.Millisecond
 
 	release := make(chan struct{})

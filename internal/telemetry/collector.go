@@ -46,10 +46,7 @@ type Collector struct {
 	stats    map[string]*MemberStats
 	data     map[string]map[string]float64 // member → series → value
 
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
-	started  bool
+	loop *fanout.Loop // Start's; nil for a collector driven by Round
 }
 
 // scrapeWorkers bounds the per-round scrape pool.
@@ -65,7 +62,6 @@ func NewCollector(secret string, client *http.Client, members ...Member) *Collec
 		workers: scrapeWorkers,
 		stats:   make(map[string]*MemberStats),
 		data:    make(map[string]map[string]float64),
-		stop:    make(chan struct{}), done: make(chan struct{}),
 	}
 	for _, m := range members {
 		c.stats[m.Name] = &MemberStats{Member: m.Name}
@@ -106,53 +102,18 @@ type scrape struct {
 	err    error
 }
 
-// Start begins scraping every interval of wall time (<= 0 means 1 s)
-// until Stop. Each member's per-scrape deadline is half the interval,
-// floored at 100 ms — the coordinator convention: tight enough that a
-// hung member cannot eat the round, loose enough that HTTP jitter at
-// test-scale intervals does not count healthy members as errors.
+// Start begins scraping every interval of wall time until Stop, each
+// member's scrape waiting fanout.RoundDeadline(interval).
 func (c *Collector) Start(interval time.Duration) {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	deadline := interval / 2
-	if deadline < 100*time.Millisecond {
-		deadline = 100 * time.Millisecond
-	}
 	c.mu.Lock()
-	if c.started {
-		c.mu.Unlock()
-		return
-	}
-	c.started = true
-	c.deadline = deadline
+	c.deadline = fanout.RoundDeadline(interval)
 	c.mu.Unlock()
-	go func() {
-		defer close(c.done)
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-c.stop:
-				return
-			case <-tick.C:
-				c.Round()
-			}
-		}
-	}()
+	c.loop = fanout.Every(interval, c.Round)
 }
 
-// Stop halts the scrape loop (if Start ran) and waits for it to exit.
+// Stop halts the scrape loop once its round in flight has finished.
 // Idempotent; safe on a collector only ever driven by Round.
-func (c *Collector) Stop() {
-	c.stopOnce.Do(func() { close(c.stop) })
-	c.mu.Lock()
-	started := c.started
-	c.mu.Unlock()
-	if started {
-		<-c.done
-	}
-}
+func (c *Collector) Stop() { c.loop.Stop() }
 
 // scrapeOne GETs one member's /metrics and parses it.
 func (c *Collector) scrapeOne(m Member) (map[string]float64, error) {

@@ -30,7 +30,7 @@ import (
 //	POST /console/launch             {cloud, name, flavor} → server
 //	POST /console/terminate          {cloud, id}
 //	POST /console/stop               {cloud, id}: shut down, keep allocation
-//	GET  /console/usage              current-cycle usage (core-hours, GB-days)
+//	GET  /console/usage              current-cycle usage (core-hours)
 //	GET  /console/datasets           public dataset catalog (?q= to search)
 //	GET  /console/datasets/replicas  per-site dataset placement (?dataset= to filter)
 //	POST /console/datasets/stage     {dataset, cloud}: place a replica on a cloud's site
@@ -280,7 +280,7 @@ func (c *Console) handleUsage(w http.ResponseWriter, r *http.Request) {
 	}
 	u := c.Biller.CurrentUsage(c.localUser(si.id))
 	wire.WriteJSON(w, http.StatusOK, map[string]interface{}{
-		"user": u.User, "core_hours": u.CoreHours(), "gb_days": u.GBDays,
+		"user": u.User, "core_hours": u.CoreHours(),
 		"cycle": c.Biller.Cycle(),
 	})
 }

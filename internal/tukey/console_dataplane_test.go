@@ -115,7 +115,7 @@ func dataPlaneRig(t *testing.T) (*rig, *httptest.Server, *datastore.Coordinator,
 		}
 		return v
 	}
-	cat := datasets.NewCatalog(ark.NewService(""), vol("cat"))
+	cat := datasets.NewCatalog(ark.NewService(), vol("cat"))
 	cat.AddCurator("walt")
 	if _, err := cat.Publish("walt", datasets.Dataset{Name: "EO-1 Scenes", SizeBytes: 2 << 30, Discipline: "earth science"}); err != nil {
 		t.Fatal(err)
