@@ -45,7 +45,7 @@ var aimRules = []aimRule{
 		lit, ok := u.X.(*ast.CompositeLit)
 		return ok && isRef(lit.Type, imp, "net/http", "Client")
 	}},
-	{name: "unbounded io.ReadAll", baseline: 3, match: func(n ast.Node, imp map[string]string) bool {
+	{name: "unbounded io.ReadAll", baseline: 2, match: func(n ast.Node, imp map[string]string) bool {
 		if !isCall(n, imp, "io", "ReadAll") {
 			return false
 		}
@@ -55,7 +55,7 @@ var aimRules = []aimRule{
 	{name: "log.Print*/Fatal*", baseline: 1, match: func(n ast.Node, imp map[string]string) bool {
 		return isCall(n, imp, "log", "Print", "Printf", "Println", "Fatal", "Fatalf", "Fatalln")
 	}},
-	{name: "time.Sleep in tests", inTests: true, baseline: 20, match: func(n ast.Node, imp map[string]string) bool {
+	{name: "time.Sleep in tests", inTests: true, baseline: 19, match: func(n ast.Node, imp map[string]string) bool {
 		return isCall(n, imp, "time", "Sleep")
 	}},
 	{name: "http.DefaultClient", baseline: 0, match: func(n ast.Node, imp map[string]string) bool {

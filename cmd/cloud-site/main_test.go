@@ -85,12 +85,14 @@ func TestCloudSitePushFollow(t *testing.T) {
 // coordinator's /clock endpoint and follows what it reports.
 func TestCloudSitePollsCoordinator(t *testing.T) {
 	var now atomic.Value
+	var polls atomic.Int64
 	now.Store(0.0)
 	coord := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if req.URL.Path != "/clock" {
 			http.NotFound(w, req)
 			return
 		}
+		polls.Add(1)
 		fmt.Fprintf(w, `{"now":%g}`, now.Load().(float64))
 	}))
 	defer coord.Close()
@@ -107,8 +109,11 @@ func TestCloudSitePollsCoordinator(t *testing.T) {
 	now.Store(120.0)
 	waitUntil(t, 5*time.Second, func() bool { return s.Engine.Now() >= 120 },
 		"site never caught the coordinator's clock")
-	// The coordinator holding still holds the site still.
-	time.Sleep(20 * time.Millisecond)
+	// The coordinator holding still holds the site still, for ten more
+	// polls: as many as the 2 ms tick makes in 20 ms.
+	from := polls.Load()
+	waitUntil(t, 5*time.Second, func() bool { return polls.Load() >= from+10 },
+		"site stopped polling the coordinator")
 	if got := s.Engine.Now(); got != 120 {
 		t.Fatalf("site clock = %v with the coordinator parked at 120", got)
 	}

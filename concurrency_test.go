@@ -30,9 +30,9 @@ func TestConsoleConcurrencyStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	novaSrv := httptest.NewServer(&iaas.NovaAPI{Cloud: f.Adler})
+	novaSrv := httptest.NewServer(cloudapi.NewServer(f.Adler))
 	defer novaSrv.Close()
-	eucaSrv := httptest.NewServer(&iaas.EucaAPI{Cloud: f.Sullivan})
+	eucaSrv := httptest.NewServer(cloudapi.NewServer(f.Sullivan))
 	defer eucaSrv.Close()
 	f.Tukey.AttachCloud(tukey.CloudConfig{API: cloudapi.NewRemote(core.ClusterAdler, "openstack", novaSrv.URL, nil)})
 	f.Tukey.AttachCloud(tukey.CloudConfig{API: cloudapi.NewRemote(core.ClusterSullivan, "eucalyptus", eucaSrv.URL, nil)})

@@ -137,9 +137,9 @@ func TestFigure1TukeyEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Expose both clouds' native APIs over live HTTP.
-	novaSrv := httptest.NewServer(&iaas.NovaAPI{Cloud: f.Adler})
+	novaSrv := httptest.NewServer(cloudapi.NewServer(f.Adler))
 	defer novaSrv.Close()
-	eucaSrv := httptest.NewServer(&iaas.EucaAPI{Cloud: f.Sullivan})
+	eucaSrv := httptest.NewServer(cloudapi.NewServer(f.Sullivan))
 	defer eucaSrv.Close()
 	f.Tukey.AttachCloud(tukey.CloudConfig{API: cloudapi.NewRemote(core.ClusterAdler, "openstack", novaSrv.URL, nil)})
 	f.Tukey.AttachCloud(tukey.CloudConfig{API: cloudapi.NewRemote(core.ClusterSullivan, "eucalyptus", eucaSrv.URL, nil)})

@@ -26,6 +26,7 @@ package cloudapi
 import (
 	"errors"
 	"fmt"
+	"net/http"
 	"strings"
 	"unicode/utf8"
 
@@ -83,6 +84,43 @@ func wireText(s string, header bool) bool {
 		}
 	}
 	return true
+}
+
+// launch is every launch a site takes, in process or over a native
+// dialect: what the dialects could not hand back is refused before the
+// cloud sees it.
+func launch(c *iaas.Cloud, user, name, flavor, image string) (*iaas.Instance, error) {
+	if err := checkWire(user, name, flavor, image); err != nil {
+		return nil, err
+	}
+	return c.Launch(user, name, flavor, image)
+}
+
+// launchStatus is the status both dialects refuse a launch with: quota
+// and capacity rejections keep their own, so a Remote can rebuild their
+// iaas classes from it.
+func launchStatus(err error) int {
+	switch err.(type) {
+	case iaas.ErrQuota:
+		return http.StatusForbidden
+	case iaas.ErrCapacity:
+		return http.StatusConflict
+	}
+	return http.StatusBadRequest
+}
+
+// launchError classifies a refused launch by its launchStatus. The site
+// words a quota rejection as iaas.ErrQuota does, so only its reason is
+// kept.
+func (r *Remote) launchError(user, flavor string, status int, msg string) error {
+	switch status {
+	case http.StatusForbidden:
+		reason := strings.TrimPrefix(msg, iaas.ErrQuota{User: user}.Error())
+		return fmt.Errorf("cloudapi: %s: %w", r.name, iaas.ErrQuota{User: user, Reason: reason})
+	case http.StatusConflict:
+		return fmt.Errorf("cloudapi: %s: %w", r.name, iaas.ErrCapacity{Flavor: flavor})
+	}
+	return fmt.Errorf("cloudapi: %s rejected launch (%d): %s", r.name, status, msg)
 }
 
 // Image is the federation-level view of a machine image.

@@ -34,10 +34,7 @@ func view(i *iaas.Instance) Instance {
 
 // Launch implements CloudAPI.
 func (l *Local) Launch(user, name, flavor, image string) (Instance, error) {
-	if err := checkWire(user, name, flavor, image); err != nil {
-		return Instance{}, err
-	}
-	inst, err := l.C.Launch(user, name, flavor, image)
+	inst, err := launch(l.C, user, name, flavor, image)
 	if err != nil {
 		return Instance{}, err
 	}

@@ -2,10 +2,13 @@ package cloudapi
 
 import (
 	"bytes"
+	"encoding/xml"
 	"flag"
 	"fmt"
+	"html"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -142,5 +145,36 @@ func TestNativeDialectBytes(t *testing.T) {
 	}
 	if got := log.String(); got != string(want) {
 		t.Errorf("the native dialects' bytes moved; diff %s against the output of -update:\n%s", golden, got)
+	}
+}
+
+// TestNativeRefusesWhatItCannotHandBack: a raw client's launch whose name
+// one of the dialects could not hand back unchanged is refused before the
+// cloud sees it, with checkWire's text, in both dialects.
+func TestNativeRefusesWhatItCannotHandBack(t *testing.T) {
+	const name = "a\x01b"
+	want := checkWire("alice", name, "m1.small", "").Error()
+	for _, row := range []struct {
+		stack string
+		req   *http.Request
+		body  string
+	}{
+		{"openstack", httptest.NewRequest(http.MethodPost, "/v2/servers", strings.NewReader(`{"server":{"name":"a\u0001b","flavorRef":"m1.small"}}`)),
+			fmt.Sprintf("{\"error\":{\"message\":%q}}\n", want)},
+		{"eucalyptus", httptest.NewRequest(http.MethodGet, "/?Action=RunInstances&AWSAccessKeyId=alice&InstanceType=m1.small&KeyName=a%01b", nil),
+			xml.Header + "<Response><Errors><Error><Code>InvalidParameterValue</Code><Message>" + html.EscapeString(want) + "</Message></Error></Errors></Response>"},
+	} {
+		c := iaas.NewCloud(sim.NewEngine(1), "site", row.stack, "chicago")
+		c.AddRack("r", 1)
+		c.SetQuota("alice", iaas.Quota{MaxInstances: 2, MaxCores: 100})
+		row.req.Header.Set("X-Auth-User", "alice")
+		rec := httptest.NewRecorder()
+		NewServer(c).ServeHTTP(rec, row.req)
+		if rec.Code != http.StatusBadRequest || rec.Body.String() != row.body {
+			t.Errorf("%s: %d %q, want 400 %q", row.stack, rec.Code, rec.Body, row.body)
+		}
+		if n := len(c.Instances("alice")); n != 0 {
+			t.Errorf("%s: the cloud launched %d instances", row.stack, n)
+		}
 	}
 }

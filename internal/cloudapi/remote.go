@@ -1,11 +1,8 @@
 package cloudapi
 
 import (
-	"encoding/json"
-	"encoding/xml"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strings"
@@ -83,338 +80,10 @@ func (r *Remote) Name() string { return r.name }
 // Stack implements CloudAPI.
 func (r *Remote) Stack() string { return r.stack }
 
-// ec2ToOpenStack maps EC2 state names to OpenStack statuses — one of the
-// §5.2 "rules of the configuration file".
-func ec2ToOpenStack(s string) string {
-	switch s {
-	case "pending":
-		return "BUILD"
-	case "running":
-		return "ACTIVE"
-	case "stopped":
-		return "SHUTOFF"
-	case "terminated":
-		return "TERMINATED"
-	default:
-		return strings.ToUpper(s)
-	}
-}
-
-// launchError classifies a rejected launch: quota and capacity rejections
-// keep their iaas error classes across the wire. The site words a quota
-// rejection as iaas.ErrQuota does, so only its reason is kept.
-func (r *Remote) launchError(user, flavor string, status int, ecode, msg string) error {
-	switch {
-	case status == http.StatusForbidden || ecode == "InstanceLimitExceeded":
-		reason := strings.TrimPrefix(msg, iaas.ErrQuota{User: user}.Error())
-		return fmt.Errorf("cloudapi: %s: %w", r.name, iaas.ErrQuota{User: user, Reason: reason})
-	case status == http.StatusConflict || ecode == "InsufficientInstanceCapacity":
-		return fmt.Errorf("cloudapi: %s: %w", r.name, iaas.ErrCapacity{Flavor: flavor})
-	}
-	return fmt.Errorf("cloudapi: %s rejected launch (%d): %s", r.name, status, msg)
-}
-
-// --- the OpenStack JSON dialect ---
-
-// novaWire is the wire form NovaAPI serves for one server.
-type novaWire struct {
-	ID     string `json:"id"`
-	Name   string `json:"name"`
-	Status string `json:"status"`
-	Flavor string `json:"flavorRef"`
-	Image  string `json:"imageRef"`
-	UserID string `json:"user_id"`
-}
-
-func (w novaWire) instance(user string) Instance {
-	if w.UserID != "" {
-		user = w.UserID
-	}
-	return Instance{ID: w.ID, Name: w.Name, User: user, Flavor: w.Flavor, Image: w.Image, Status: w.Status}
-}
-
-func (r *Remote) novaDo(method, path, body, user string) (*http.Response, error) {
-	var rd io.Reader
-	if body != "" {
-		rd = strings.NewReader(body)
-	}
-	req, err := http.NewRequest(method, r.endpoint+path, rd)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("X-Auth-User", user)
-	return r.client.Do(req)
-}
-
-// novaFailMessage extracts the message from a Nova error envelope.
-func novaFailMessage(body io.Reader) string {
-	var fail struct {
-		Error struct {
-			Message string `json:"message"`
-		} `json:"error"`
-	}
-	_ = json.NewDecoder(body).Decode(&fail)
-	return fail.Error.Message
-}
-
-// novaRead issues one GET on the OpenStack dialect and decodes a 200 body
-// into `into`. Any other status surfaces the site's error message in the
-// shape the EC2 readers use, instead of decoding the error envelope into
-// an empty listing.
-func (r *Remote) novaRead(path, user string, into interface{}) error {
-	resp, err := r.novaDo(http.MethodGet, path, "", user)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("cloudapi: %s GET %s (%d): %s", r.name, path, resp.StatusCode, novaFailMessage(resp.Body))
-	}
-	return json.NewDecoder(resp.Body).Decode(into)
-}
-
-func (r *Remote) novaInstances(user string) ([]Instance, error) {
-	var body struct {
-		Servers []novaWire `json:"servers"`
-	}
-	if err := r.novaRead("/v2/servers", user, &body); err != nil {
-		return nil, err
-	}
-	var out []Instance
-	for _, s := range body.Servers {
-		out = append(out, s.instance(user))
-	}
-	return out, nil
-}
-
-func (r *Remote) novaLaunch(user, name, flavor, image string) (Instance, error) {
-	var req struct {
-		Server struct {
-			Name   string `json:"name"`
-			Flavor string `json:"flavorRef"`
-			Image  string `json:"imageRef"`
-		} `json:"server"`
-	}
-	req.Server.Name, req.Server.Flavor, req.Server.Image = name, flavor, image
-	payload, _ := json.Marshal(req) // a struct of strings always marshals
-	resp, err := r.novaDo(http.MethodPost, "/v2/servers", string(payload), user)
-	if err != nil {
-		return Instance{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		return Instance{}, r.launchError(user, flavor, resp.StatusCode, "", novaFailMessage(resp.Body))
-	}
-	var body struct {
-		Server novaWire `json:"server"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		return Instance{}, err
-	}
-	return body.Server.instance(user), nil
-}
-
-func (r *Remote) novaTerminate(user, id string) error {
-	resp, err := r.novaDo(http.MethodDelete, "/v2/servers/"+id, "", user)
-	if err != nil {
-		return err
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		return fmt.Errorf("cloudapi: terminate on %s returned %d", r.name, resp.StatusCode)
-	}
-	return nil
-}
-
-func (r *Remote) novaStop(user, id string) error {
-	resp, err := r.novaDo(http.MethodPost, "/v2/servers/"+id+"/action", `{"os-stop": null}`, user)
-	if err != nil {
-		return err
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		return fmt.Errorf("cloudapi: stop on %s returned %d", r.name, resp.StatusCode)
-	}
-	return nil
-}
-
-func (r *Remote) novaImages(user string) ([]Image, error) {
-	var body struct {
-		Images []Image `json:"images"`
-	}
-	if err := r.novaRead("/v2/images", user, &body); err != nil {
-		return nil, err
-	}
-	return body.Images, nil
-}
-
-func (r *Remote) novaFlavors() ([]iaas.Flavor, error) {
-	var body struct {
-		Flavors []struct {
-			Name   string `json:"name"`
-			VCPUs  int    `json:"vcpus"`
-			RAMMB  int    `json:"ram"`
-			DiskGB int    `json:"disk"`
-		} `json:"flavors"`
-	}
-	if err := r.novaRead("/v2/flavors", "flavor-reader", &body); err != nil {
-		return nil, err
-	}
-	var out []iaas.Flavor
-	for _, f := range body.Flavors {
-		out = append(out, iaas.Flavor{Name: f.Name, VCPUs: f.VCPUs, RAMMB: f.RAMMB, DiskGB: f.DiskGB})
-	}
-	return out, nil
-}
-
-// --- the EC2 query/XML dialect ---
-
-func (r *Remote) ec2Get(q url.Values) (int, []byte, error) {
-	resp, err := r.client.Get(r.endpoint + "/?" + q.Encode())
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	return resp.StatusCode, raw, err
-}
-
-// ec2FailBody extracts the error code and message from an EC2 error
-// response.
-func ec2FailBody(raw []byte) (code, msg string) {
-	var fail struct {
-		Code    string `xml:"Errors>Error>Code"`
-		Message string `xml:"Errors>Error>Message"`
-	}
-	_ = xml.Unmarshal(raw, &fail)
-	return fail.Code, fail.Message
-}
-
-func (r *Remote) ec2Instances(user string) ([]Instance, error) {
-	q := url.Values{"Action": {"DescribeInstances"}, "AWSAccessKeyId": {user}}
-	status, raw, err := r.ec2Get(q)
-	if err != nil {
-		return nil, err
-	}
-	if status != http.StatusOK {
-		_, msg := ec2FailBody(raw)
-		return nil, fmt.Errorf("cloudapi: %s DescribeInstances (%d): %s", r.name, status, msg)
-	}
-	var body struct {
-		Reservations []struct {
-			Items []struct {
-				InstanceID   string `xml:"instanceId"`
-				ImageID      string `xml:"imageId"`
-				InstanceType string `xml:"instanceType"`
-				StateName    string `xml:"instanceState>name"`
-				KeyName      string `xml:"keyName"`
-			} `xml:"instancesSet>item"`
-		} `xml:"reservationSet>item"`
-	}
-	if err := xml.Unmarshal(raw, &body); err != nil {
-		return nil, err
-	}
-	var out []Instance
-	for _, res := range body.Reservations {
-		for _, it := range res.Items {
-			out = append(out, Instance{
-				ID: it.InstanceID, Name: it.KeyName, User: user,
-				Flavor: it.InstanceType, Image: it.ImageID, Status: ec2ToOpenStack(it.StateName),
-			})
-		}
-	}
-	return out, nil
-}
-
-func (r *Remote) ec2Launch(user, name, flavor, image string) (Instance, error) {
-	q := url.Values{
-		"Action": {"RunInstances"}, "AWSAccessKeyId": {user},
-		"InstanceType": {flavor}, "KeyName": {name},
-	}
-	if image != "" {
-		q.Set("ImageId", image)
-	}
-	status, raw, err := r.ec2Get(q)
-	if err != nil {
-		return Instance{}, err
-	}
-	if status != http.StatusOK {
-		code, msg := ec2FailBody(raw)
-		return Instance{}, r.launchError(user, flavor, status, code, msg)
-	}
-	var body struct {
-		Items []struct {
-			InstanceID string `xml:"instanceId"`
-			ImageID    string `xml:"imageId"`
-			Type       string `xml:"instanceType"`
-			StateName  string `xml:"instanceState>name"`
-			KeyName    string `xml:"keyName"`
-		} `xml:"instancesSet>item"`
-	}
-	if err := xml.Unmarshal(raw, &body); err != nil {
-		return Instance{}, err
-	}
-	if len(body.Items) == 0 {
-		return Instance{}, fmt.Errorf("cloudapi: empty RunInstances response from %s", r.name)
-	}
-	it := body.Items[0]
-	return Instance{
-		ID: it.InstanceID, Name: it.KeyName, User: user,
-		Flavor: it.Type, Image: it.ImageID, Status: ec2ToOpenStack(it.StateName),
-	}, nil
-}
-
-func (r *Remote) ec2Terminate(user, id string) error {
-	q := url.Values{"Action": {"TerminateInstances"}, "AWSAccessKeyId": {user}, "InstanceId.1": {id}}
-	status, raw, err := r.ec2Get(q)
-	if err != nil {
-		return err
-	}
-	if status != http.StatusOK {
-		_, msg := ec2FailBody(raw)
-		return fmt.Errorf("cloudapi: terminate on %s returned %d: %s", r.name, status, msg)
-	}
-	return nil
-}
-
-func (r *Remote) ec2Stop(user, id string) error {
-	q := url.Values{"Action": {"StopInstances"}, "AWSAccessKeyId": {user}, "InstanceId.1": {id}}
-	status, raw, err := r.ec2Get(q)
-	if err != nil {
-		return err
-	}
-	if status != http.StatusOK {
-		_, msg := ec2FailBody(raw)
-		return fmt.Errorf("cloudapi: stop on %s returned %d: %s", r.name, status, msg)
-	}
-	return nil
-}
-
-func (r *Remote) ec2Images(user string) ([]Image, error) {
-	q := url.Values{"Action": {"DescribeImages"}, "AWSAccessKeyId": {user}}
-	status, raw, err := r.ec2Get(q)
-	if err != nil {
-		return nil, err
-	}
-	if status != http.StatusOK {
-		_, msg := ec2FailBody(raw)
-		return nil, fmt.Errorf("cloudapi: %s DescribeImages (%d): %s", r.name, status, msg)
-	}
-	var body struct {
-		Images []struct {
-			ImageID string `xml:"imageId"`
-			Name    string `xml:"name"`
-			Public  bool   `xml:"isPublic"`
-		} `xml:"imagesSet>item"`
-	}
-	if err := xml.Unmarshal(raw, &body); err != nil {
-		return nil, err
-	}
-	var out []Image
-	for _, im := range body.Images {
-		out = append(out, Image{ID: im.ImageID, Name: im.Name, Public: im.Public})
-	}
-	return out, nil
+// refusedCall words a native-dialect answer other than the one wanted:
+// the call, the status and the site's message.
+func (r *Remote) refusedCall(call string, status int, msg string) error {
+	return fmt.Errorf("cloudapi: %s %s (%d): %s", r.name, call, status, msg)
 }
 
 // --- the operator plane (JSON, stack-independent) ---
@@ -449,18 +118,24 @@ func (r *Remote) Launch(user, name, flavor, image string) (Instance, error) {
 
 // Terminate implements CloudAPI via the native dialect.
 func (r *Remote) Terminate(user, id string) error {
+	var err error
 	if r.stack == "eucalyptus" {
-		return r.ec2Terminate(user, id)
+		_, _, err = r.ec2(url.Values{"Action": {"TerminateInstances"}, "AWSAccessKeyId": {user}, "InstanceId.1": {id}}, nil)
+	} else {
+		_, _, err = r.nova(http.MethodDelete, "/v2/servers/"+id, user, "", http.StatusNoContent, nil)
 	}
-	return r.novaTerminate(user, id)
+	return err
 }
 
 // Stop implements CloudAPI via the native dialect.
 func (r *Remote) Stop(user, id string) error {
+	var err error
 	if r.stack == "eucalyptus" {
-		return r.ec2Stop(user, id)
+		_, _, err = r.ec2(url.Values{"Action": {"StopInstances"}, "AWSAccessKeyId": {user}, "InstanceId.1": {id}}, nil)
+	} else {
+		_, _, err = r.nova(http.MethodPost, "/v2/servers/"+id+"/action", user, novaStop, http.StatusAccepted, nil)
 	}
-	return r.novaStop(user, id)
+	return err
 }
 
 // Instances implements CloudAPI via the native dialect.

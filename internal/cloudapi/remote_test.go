@@ -11,10 +11,11 @@ import (
 	"osdc/internal/iaas"
 )
 
-// TestRemoteReadsSurfaceSiteErrors: a site that answers a listing with an
-// error status must come back as an error carrying the site's message, in
-// both dialects — never as an empty listing with a nil error (which is
-// what decoding the Nova error envelope as a listing used to produce).
+// TestRemoteReadsSurfaceSiteErrors: a site that answers a listing, a
+// terminate or a stop with an error status must come back as an error
+// carrying the status and the site's message, in both dialects — never as
+// an empty listing with a nil error (which is what decoding the Nova error
+// envelope as a listing used to produce), nor as a bare status.
 func TestRemoteReadsSurfaceSiteErrors(t *testing.T) {
 	envelopes := map[string]string{
 		"openstack":  `{"error":{"message":%q}}`,
@@ -35,6 +36,8 @@ func TestRemoteReadsSurfaceSiteErrors(t *testing.T) {
 					"Instances": func() (int, error) { l, err := remote.Instances("alice"); return len(l), err },
 					"Images":    func() (int, error) { l, err := remote.Images("alice"); return len(l), err },
 					"Flavors":   func() (int, error) { l, err := remote.Flavors(); return len(l), err },
+					"Terminate": func() (int, error) { return 0, remote.Terminate("alice", "i-1") },
+					"Stop":      func() (int, error) { return 0, remote.Stop("alice", "i-1") },
 				}
 				for name, read := range reads {
 					n, err := read()

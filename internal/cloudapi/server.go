@@ -30,7 +30,7 @@ import (
 // service reaches it only through Remote.
 type Server struct {
 	local  *Local
-	native http.Handler
+	native http.HandlerFunc // serveNova or serveEC2, per the cloud's stack
 	// Clock, when set, serves the clock plane under /cloudapi/clock: GET
 	// reads the site engine's virtual time, POST publishes a sync target
 	// (follow mode only). Nil means the site exposes no clock (the routes
@@ -90,9 +90,9 @@ func NewServer(c *iaas.Cloud) *Server {
 	s := &Server{local: NewLocal(c), Metrics: telemetry.NewRegistry()}
 	switch c.Stack {
 	case "openstack":
-		s.native = &iaas.NovaAPI{Cloud: c}
+		s.native = s.serveNova
 	case "eucalyptus":
-		s.native = &iaas.EucaAPI{Cloud: c}
+		s.native = s.serveEC2
 	default:
 		panic("cloudapi: unsupported stack " + c.Stack)
 	}
@@ -223,7 +223,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !strings.HasPrefix(r.URL.Path, "/cloudapi/") {
-		s.native.ServeHTTP(w, r)
+		s.native(w, r)
 		return
 	}
 	// Operator-plane auth: mutating the planes (clock targets, quotas,

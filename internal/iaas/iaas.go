@@ -2,18 +2,14 @@
 // substrate (paper §3.2, §7): the Eucalyptus- and OpenStack-based utility
 // clouds (OSDC-Adler, OSDC-Sullivan) that Tukey provisions VMs on.
 //
-// The package has a neutral core — hosts, flavors, images, instances, a
-// capacity scheduler, per-user quotas and usage counters — plus two real
-// HTTP API dialects over that core:
-//
-//   - NovaAPI (nova_api.go): an OpenStack-compute-style JSON API;
-//   - EucaAPI (euca_api.go): a Eucalyptus/EC2-style query API with XML
-//     responses.
-//
-// The two dialects exist so that the Tukey middleware (internal/tukey) has
-// real API translation work to do, exactly as the paper describes: "The
-// translation proxies take in requests based on the OpenStack API and then
-// issue commands to each cloud based on mappings outlined in configuration
+// It is the cloud model only — hosts, flavors, images, instances, a
+// capacity scheduler, per-user quotas and usage counters — and speaks no
+// HTTP. A cloud's Stack names the native API its site serves it through:
+// internal/cloudapi holds both dialects, the OpenStack JSON one and the
+// Eucalyptus/EC2 query/XML one, so the Tukey middleware has real
+// translation work to do, as the paper describes: "The translation
+// proxies take in requests based on the OpenStack API and then issue
+// commands to each cloud based on mappings outlined in configuration
 // files" (§5.2).
 package iaas
 

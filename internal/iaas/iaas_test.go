@@ -1,12 +1,6 @@
 package iaas
 
 import (
-	"bytes"
-	"encoding/json"
-	"encoding/xml"
-	"net/http"
-	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"osdc/internal/sim"
@@ -147,192 +141,5 @@ func TestRunningByUserPollShape(t *testing.T) {
 	poll := c.RunningByUser()
 	if v := poll["u1"]; v[0] != 2 || v[1] != 5 {
 		t.Fatalf("poll = %v, want {2 instances, 5 cores}", v)
-	}
-}
-
-// --- Nova API ---
-
-func novaServerFor(t *testing.T) (*httptest.Server, *Cloud, *sim.Engine) {
-	t.Helper()
-	e, c := testCloud(4)
-	c.SetQuota("alice", Quota{MaxInstances: 10, MaxCores: 100})
-	srv := httptest.NewServer(&NovaAPI{Cloud: c})
-	t.Cleanup(srv.Close)
-	return srv, c, e
-}
-
-func novaDo(t *testing.T, method, url, user string, body string) *http.Response {
-	t.Helper()
-	req, err := http.NewRequest(method, url, strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if user != "" {
-		req.Header.Set("X-Auth-User", user)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp
-}
-
-func TestNovaCreateListDelete(t *testing.T) {
-	srv, _, _ := novaServerFor(t)
-	resp := novaDo(t, "POST", srv.URL+"/v2/servers", "alice",
-		`{"server":{"name":"vm1","flavorRef":"m1.small"}}`)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("create status = %d", resp.StatusCode)
-	}
-	var created struct {
-		Server NovaServer `json:"server"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&created); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if created.Server.ID == "" {
-		t.Fatal("no server id")
-	}
-
-	resp = novaDo(t, "GET", srv.URL+"/v2/servers", "alice", "")
-	var list struct {
-		Servers []NovaServer `json:"servers"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(list.Servers) != 1 || list.Servers[0].Name != "vm1" {
-		t.Fatalf("list = %+v", list.Servers)
-	}
-
-	resp = novaDo(t, "DELETE", srv.URL+"/v2/servers/"+created.Server.ID, "alice", "")
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("delete status = %d", resp.StatusCode)
-	}
-	resp.Body.Close()
-}
-
-func TestNovaAuthRequired(t *testing.T) {
-	srv, _, _ := novaServerFor(t)
-	resp := novaDo(t, "GET", srv.URL+"/v2/servers", "", "")
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusUnauthorized {
-		t.Fatalf("status = %d, want 401", resp.StatusCode)
-	}
-}
-
-func TestNovaQuotaMapsTo403(t *testing.T) {
-	srv, _, _ := novaServerFor(t)
-	for i := 0; i < 2; i++ {
-		novaDo(t, "POST", srv.URL+"/v2/servers", "bob", `{"server":{"name":"x","flavorRef":"m1.medium"}}`).Body.Close()
-	}
-	resp := novaDo(t, "POST", srv.URL+"/v2/servers", "bob", `{"server":{"name":"x","flavorRef":"m1.small"}}`)
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusForbidden {
-		t.Fatalf("status = %d, want 403", resp.StatusCode)
-	}
-}
-
-func TestNovaFlavorsEndpoint(t *testing.T) {
-	srv, _, _ := novaServerFor(t)
-	resp := novaDo(t, "GET", srv.URL+"/v2/flavors", "alice", "")
-	defer resp.Body.Close()
-	var out struct {
-		Flavors []NovaFlavor `json:"flavors"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Flavors) != 4 {
-		t.Fatalf("flavors = %d, want 4", len(out.Flavors))
-	}
-}
-
-// --- Eucalyptus API ---
-
-func TestEucaRunDescribeTerminate(t *testing.T) {
-	e := sim.NewEngine(6)
-	c := NewCloud(e, "sullivan", "eucalyptus", "chicago-nu")
-	c.AddRack("r", 2)
-	c.SetQuota("alice", Quota{MaxInstances: 10, MaxCores: 100})
-	srv := httptest.NewServer(&EucaAPI{Cloud: c})
-	defer srv.Close()
-
-	resp, err := http.Get(srv.URL + "/?Action=RunInstances&AWSAccessKeyId=alice&InstanceType=m1.small&KeyName=myvm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var run RunInstancesResponse
-	if err := xml.NewDecoder(resp.Body).Decode(&run); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(run.Items) != 1 || run.Items[0].StateName != "pending" {
-		t.Fatalf("run = %+v", run)
-	}
-	id := run.Items[0].InstanceID
-
-	resp, err = http.Get(srv.URL + "/?Action=DescribeInstances&AWSAccessKeyId=alice")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var desc DescribeInstancesResponse
-	if err := xml.NewDecoder(resp.Body).Decode(&desc); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(desc.Reservations) != 1 || len(desc.Reservations[0].Items) != 1 {
-		t.Fatalf("describe = %+v", desc)
-	}
-
-	resp, err = http.Get(srv.URL + "/?Action=TerminateInstances&AWSAccessKeyId=alice&InstanceId.1=" + id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var term TerminateInstancesResponse
-	if err := xml.NewDecoder(resp.Body).Decode(&term); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if term.State != "terminated" {
-		t.Fatalf("terminate state = %s", term.State)
-	}
-}
-
-func TestEucaResponsesAreXML(t *testing.T) {
-	e := sim.NewEngine(6)
-	c := NewCloud(e, "s", "eucalyptus", "x")
-	c.AddRack("r", 1)
-	srv := httptest.NewServer(&EucaAPI{Cloud: c})
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/?Action=DescribeImages&AWSAccessKeyId=u")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/xml" {
-		t.Fatalf("content type = %s, want text/xml", ct)
-	}
-	var buf bytes.Buffer
-	buf.ReadFrom(resp.Body)
-	if !strings.Contains(buf.String(), "<?xml") {
-		t.Fatal("no XML header in response")
-	}
-}
-
-func TestEucaUnknownAction(t *testing.T) {
-	e := sim.NewEngine(6)
-	c := NewCloud(e, "s", "eucalyptus", "x")
-	srv := httptest.NewServer(&EucaAPI{Cloud: c})
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/?Action=Nonsense&AWSAccessKeyId=u")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status = %d, want 400", resp.StatusCode)
 	}
 }

@@ -33,9 +33,9 @@ func newRig(t *testing.T) *rig {
 	sullivan.AddRack("s", 4)
 	sullivan.SetQuota("alice-euca", iaas.Quota{MaxInstances: 10, MaxCores: 100})
 
-	novaSrv := httptest.NewServer(&iaas.NovaAPI{Cloud: adler})
+	novaSrv := httptest.NewServer(cloudapi.NewServer(adler))
 	t.Cleanup(novaSrv.Close)
-	eucaSrv := httptest.NewServer(&iaas.EucaAPI{Cloud: sullivan})
+	eucaSrv := httptest.NewServer(cloudapi.NewServer(sullivan))
 	t.Cleanup(eucaSrv.Close)
 
 	shib := NewShibboleth("uchicago.edu")
