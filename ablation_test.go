@@ -100,9 +100,9 @@ func BenchmarkAblationDFSReplication(b *testing.B) {
 				bricks := make([]*dfs.Brick, 6)
 				for j := range bricks {
 					d := simdisk.New(fmt.Sprintf("d%d", j), 1<<40)
-					bricks[j] = dfs.NewBrick(fmt.Sprintf("b%d", j), "n", d)
+					bricks[j] = dfs.NewBrick(fmt.Sprintf("b%d", j), d)
 				}
-				vol, err := dfs.NewVolume(e, "v", replica, dfs.Version33, bricks)
+				vol, err := dfs.NewVolume(e, replica, dfs.Version33, bricks)
 				if err != nil {
 					b.Fatal(err)
 				}

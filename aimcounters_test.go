@@ -45,7 +45,7 @@ var aimRules = []aimRule{
 		lit, ok := u.X.(*ast.CompositeLit)
 		return ok && isRef(lit.Type, imp, "net/http", "Client")
 	}},
-	{name: "unbounded io.ReadAll", baseline: 2, match: func(n ast.Node, imp map[string]string) bool {
+	{name: "unbounded io.ReadAll", baseline: 0, match: func(n ast.Node, imp map[string]string) bool {
 		if !isCall(n, imp, "io", "ReadAll") {
 			return false
 		}

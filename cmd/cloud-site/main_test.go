@@ -43,8 +43,8 @@ func TestCloudSiteFreeRunServesNativeAndOperatorPlanes(t *testing.T) {
 	if s.Cloud.Stack != "openstack" {
 		t.Fatalf("Adler stack = %s", s.Cloud.Stack)
 	}
-	if _, err := r.Flavors(); err != nil {
-		t.Fatalf("native flavors route: %v", err)
+	if _, err := r.Instances("alice"); err != nil {
+		t.Fatalf("native listing route: %v", err)
 	}
 	if _, err := r.UsageSince(0); err != nil {
 		t.Fatalf("operator usage route: %v", err)
@@ -57,7 +57,7 @@ func TestCloudSiteFreeRunServesNativeAndOperatorPlanes(t *testing.T) {
 		t.Fatalf("clock mode = %s, want free-run", st.Mode)
 	}
 	// The free-running driver advances the private engine.
-	waitUntil(t, 5*time.Second, func() bool { return s.Engine.Now() > 0 },
+	waitUntil(t, 5*time.Second, func() bool { return sim.Time(s.Server().Clock.ClockStatus().Now) > 0 },
 		"free-run clock never advanced")
 }
 
@@ -74,9 +74,9 @@ func TestCloudSitePushFollow(t *testing.T) {
 	if err := r.ClockSync(sim.Time(2 * sim.Minute)); err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(t, 5*time.Second, func() bool { return s.Engine.Now() >= sim.Time(2*sim.Minute) },
+	waitUntil(t, 5*time.Second, func() bool { return sim.Time(s.Server().Clock.ClockStatus().Now) >= sim.Time(2*sim.Minute) },
 		"pushed target never reached")
-	if now := s.Engine.Now(); now != sim.Time(2*sim.Minute) {
+	if now := sim.Time(s.Server().Clock.ClockStatus().Now); now != sim.Time(2*sim.Minute) {
 		t.Fatalf("engine overshot the pushed target: %v", now)
 	}
 }
@@ -107,14 +107,14 @@ func TestCloudSitePollsCoordinator(t *testing.T) {
 	defer s.Close()
 
 	now.Store(120.0)
-	waitUntil(t, 5*time.Second, func() bool { return s.Engine.Now() >= 120 },
+	waitUntil(t, 5*time.Second, func() bool { return sim.Time(s.Server().Clock.ClockStatus().Now) >= 120 },
 		"site never caught the coordinator's clock")
 	// The coordinator holding still holds the site still, for ten more
 	// polls: as many as the 2 ms tick makes in 20 ms.
 	from := polls.Load()
 	waitUntil(t, 5*time.Second, func() bool { return polls.Load() >= from+10 },
 		"site stopped polling the coordinator")
-	if got := s.Engine.Now(); got != 120 {
+	if got := sim.Time(s.Server().Clock.ClockStatus().Now); got != 120 {
 		t.Fatalf("site clock = %v with the coordinator parked at 120", got)
 	}
 }

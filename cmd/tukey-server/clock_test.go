@@ -15,6 +15,7 @@ import (
 
 	"osdc/internal/cloudapi"
 	"osdc/internal/core"
+	"osdc/internal/sim"
 	"osdc/internal/wire"
 )
 
@@ -87,7 +88,7 @@ func TestFollowedClockRemoteTopology(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	for _, site := range s.sites {
-		if site.Engine.Now() == 0 {
+		if sim.Time(site.Server().Clock.ClockStatus().Now) == 0 {
 			t.Errorf("site %s engine never advanced despite syncs", site.Cloud.Name)
 		}
 	}
@@ -115,7 +116,7 @@ func TestFollowedClockRemoteTopology(t *testing.T) {
 	// The console also never sees a site clock ahead of its own.
 	consoleNow := s.fed.Engine.Now()
 	for _, site := range s.sites {
-		if siteNow := site.Engine.Now(); siteNow > consoleNow {
+		if siteNow := sim.Time(site.Server().Clock.ClockStatus().Now); siteNow > consoleNow {
 			t.Errorf("site %s ran past the console: %v > %v", site.Cloud.Name, siteNow, consoleNow)
 		}
 	}

@@ -16,28 +16,45 @@ import (
 // rotting into an analysis that finds nothing.
 const deadFixture = `package p
 
-type namer interface{ Name() string }
+type namer interface {
+	Name() string
+	Kind() string // nothing calls it
+}
 
 type shown struct{ label, unused string } // unused is written, never read
 
 func (s shown) Name() string { return s.label }
+func (s shown) Kind() string { return "shown" }
 
 type ghost struct{} // satisfies namer, but nothing builds one
 
 func (ghost) Name() string { return "ghost" }
+func (ghost) Kind() string { return "ghost" }
 
 type Options struct{ Size, Unset int } // no caller sets Unset
 
 type Reply struct{ Note string } // wire format: its values reach emit
+
+type Row struct{ Cell int } // wire format: appended to a []any for emit
+
+type Counter struct{ Hits, Bumps int } // Bumps is written, never read
+
+type Stats struct{ Calls int } // only the seam's test reads it
 
 func emit(v any) {}
 
 func Main() {
 	var n namer = shown{label: "x", unused: "y"}
 	emit(Reply{})
+	emit(append([]any{}, Row{}))
 	emit(n.Name())
 	emit(open(Options{Size: 1}))
+	c := Counter{Hits: 1}
+	c.Bumps++
+	emit(c.Hits)
 }
+
+func Seam() Stats { return Stats{Calls: 1} } // a root, as an allowlisted seam is
 
 func open(o Options) int {
 	if o.Unset == 0 {
@@ -62,10 +79,11 @@ func TestDeadSurfaceFlagsEachRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	root := func(fn *types.Func) bool { return fn.Name() == "Main" }
+	root := func(fn *types.Func) bool { return fn.Name() == "Main" || fn.Name() == "Seam" }
 	all := func(*types.Package) bool { return true }
 	got := slices.Sorted(maps.Keys(deadSurface(info, map[*types.Package][]*ast.File{pkg: {f}}, root, all)))
-	want := []string{"unreached p.dead1", "unreached p.dead2", "unreached p.dead3", "unreached p.ghost.Name", "unread p.shown.unused", "unset p.Options.Unset"}
+	want := []string{"unreached p.dead1", "unreached p.dead2", "unreached p.dead3", "unreached p.ghost.Kind", "unreached p.ghost.Name",
+		"unreached p.shown.Kind", "unread p.Counter.Bumps", "unread p.shown.unused", "unset p.Options.Unset"}
 	if !slices.Equal(got, want) {
 		t.Errorf("findings:\n\t%s\nwant:\n\t%s", strings.Join(got, "\n\t"), strings.Join(want, "\n\t"))
 	}

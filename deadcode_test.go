@@ -3,24 +3,27 @@ package osdc_test
 // The dead-surface gate: rapid type analysis (Bacon & Sweeney, OOPSLA
 // 1996) over the shared source tree. The roots are the mains of cmd/ and
 // bench/, every package initialiser, and the seams on
-// reachabilityAllowlist. A function is live once live code names it; a
-// method that satisfies an interface is live once live code also builds or
-// names its receiver type, since a call through the interface reaches it
-// unnamed. The field rules (deadfields_test.go) judge what live code reads
-// and writes, wire-format structs aside. A failure lists `kind file:line
-// name` per finding:
+// reachabilityAllowlist. A function is live once live code names it. A
+// method that satisfies an interface is live once live code also builds
+// or names its receiver type, since a call through the interface reaches
+// it unnamed; for an interface the tree declares, live code must select
+// that interface method too. The field rules (deadfields_test.go) judge
+// what live code reads and writes, wire-format structs aside, and what a
+// root returns counts as read: the seam's test reads it. A failure lists
+// `kind file:line name` per finding:
 //
 //   - unreached: a func or method under internal/ that no live code
 //     reaches. Delete it with any test that checks only it, or move it into
 //     export_test.go if its own package's tests need it; a seam another
 //     package's test needs, that no live API can observe, is allowlisted
 //     with that test. A deletion can orphan callees: re-run until green.
-//   - unread: an unexported field no live code reads. It is kept for
-//     nothing: delete it, its writes, and a parameter that only fed it.
-//   - unset: an exported field no live code writes, so every caller runs on
-//     its zero value or its package's default (a write under `if x.F == c`,
-//     `<= c` or `< c` in the field's own package does not count). The knob
-//     becomes the constant its one value already is.
+//   - unread: a field, exported or not, that no live code reads. It is
+//     kept for nothing: delete it, its writes, the computation and any
+//     parameter that only fed it, keeping an RNG draw in place.
+//   - unset: an exported field that no live code writes, so every caller
+//     runs on its zero value or its package's default (a write under
+//     `if x.F == c`, `<= c` or `< c` in the field's own package does not
+//     count). The knob becomes the constant its one value already is.
 
 import (
 	"fmt"
@@ -81,8 +84,9 @@ func TestEveryDeclarationIsReachable(t *testing.T) {
 // and judged the packages whose funcs and fields are reported. It maps
 // each finding, "kind name", to its declaration.
 func deadSurface(info *types.Info, files map[*types.Package][]*ast.File, root func(*types.Func) bool, judged func(*types.Package) bool) map[string]token.Pos {
-	a := &rta{fieldRules: newFieldRules(info, files), ifaces: map[string][]*types.Interface{},
-		decls: map[*types.Func]*ast.FuncDecl{}, live: map[*types.Func]bool{}, built: map[*types.Named]bool{}}
+	a := &rta{fieldRules: newFieldRules(info, files), ifaces: map[string][]*types.Interface{}, ours: map[*types.Interface]bool{},
+		decls: map[*types.Func]*ast.FuncDecl{}, live: map[*types.Func]bool{}, built: map[*types.Named]bool{},
+		called: map[*types.Func]bool{}, waiting: map[*types.Func][]*types.Func{}}
 	var starts []func() // the roots and every package initialiser
 	for pkg, fs := range files {
 		for _, f := range fs {
@@ -93,7 +97,7 @@ func deadSurface(info *types.Info, files map[*types.Package][]*ast.File, root fu
 				case isFunc && (fd.Recv != nil || fd.Name.Name != "init"):
 					fn := info.Defs[fd.Name].(*types.Func)
 					if a.decls[fn] = fd; root(fn) {
-						starts = append(starts, func() { a.reach(fn) })
+						starts = append(starts, func() { a.reach(fn); a.readAll(fn.Signature().Results()) })
 					}
 				case isFunc || isGen && gd.Tok == token.VAR: // an init func or var initialisers
 					starts = append(starts, func() { a.walk(d, pkg) })
@@ -124,6 +128,9 @@ func deadSurface(info *types.Info, files map[*types.Package][]*ast.File, root fu
 		for _, name := range p.Scope().Names() {
 			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok {
 				a.index(tn.Type())
+				if it, ok := tn.Type().Underlying().(*types.Interface); ok && files[p] != nil && !tn.IsAlias() {
+					a.ours[it] = true
+				}
 			}
 		}
 		for _, q := range p.Imports() {
@@ -146,14 +153,17 @@ func deadSurface(info *types.Info, files map[*types.Package][]*ast.File, root fu
 	return out
 }
 
-// rta is the walk's state: the live funcs and the types live code builds
-// or names.
+// rta is the walk's state: the live funcs, the types live code builds or
+// names, and the methods of this tree's interfaces that live code selects.
 type rta struct {
 	*fieldRules
-	ifaces map[string][]*types.Interface // by method name
-	decls  map[*types.Func]*ast.FuncDecl
-	live   map[*types.Func]bool
-	built  map[*types.Named]bool
+	ifaces  map[string][]*types.Interface // by method name
+	ours    map[*types.Interface]bool     // declared by a named type of the tree
+	decls   map[*types.Func]*ast.FuncDecl
+	live    map[*types.Func]bool
+	built   map[*types.Named]bool
+	called  map[*types.Func]bool          // interface methods live code selects
+	waiting map[*types.Func][]*types.Func // built methods, by the uncalled one of ours they satisfy
 }
 
 func (a *rta) index(t types.Type) {
@@ -172,7 +182,9 @@ func (a *rta) reach(fn *types.Func) {
 }
 
 // build marks t's named type built and reaches each of its methods,
-// promoted ones included, that satisfies some interface.
+// promoted ones included, that satisfies some interface: at once for a
+// std interface or an interface literal, and for one of the tree's own
+// interfaces once live code selects that interface method.
 func (a *rta) build(t types.Type) {
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
@@ -187,11 +199,37 @@ func (a *rta) build(t types.Type) {
 	for i := 0; i < ms.Len(); i++ {
 		m := ms.At(i).Obj().(*types.Func).Origin()
 		for _, it := range a.ifaces[m.Name()] {
-			if types.Implements(ptr, it) {
+			if !types.Implements(ptr, it) {
+				continue
+			}
+			if im := method(it, m.Name()); !a.ours[it] || a.called[im] {
 				a.reach(m)
+			} else {
+				a.waiting[im] = append(a.waiting[im], m)
 			}
 		}
 	}
+}
+
+// call records that live code selects the interface method im, and
+// reaches every built method that was waiting on it.
+func (a *rta) call(im *types.Func) {
+	if !a.called[im] {
+		a.called[im] = true
+		for _, m := range a.waiting[im] {
+			a.reach(m)
+		}
+		delete(a.waiting, im)
+	}
+}
+
+func method(it *types.Interface, name string) *types.Func {
+	for i := 0; i < it.NumMethods(); i++ {
+		if it.Method(i).Name() == name {
+			return it.Method(i).Origin()
+		}
+	}
+	return nil
 }
 
 // walk visits one live declaration: it reaches each func the code names,
@@ -202,6 +240,9 @@ func (a *rta) walk(node ast.Node, pkg *types.Package) {
 	ast.Inspect(node, func(n ast.Node) bool {
 		id, _ := n.(*ast.Ident)
 		if fn, ok := a.info.Uses[id].(*types.Func); ok {
+			if recv := fn.Signature().Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				a.call(fn.Origin())
+			}
 			a.reach(fn.Origin())
 		}
 		if e, ok := n.(ast.Expr); ok && a.info.TypeOf(e) != nil {

@@ -1,12 +1,14 @@
 package osdc_test
 
 // The dead-surface gate's two field rules, recorded over the live code the
-// reachability walk visits (deadcode_test.go). A field selection is a
-// read unless it is assigned, incremented or a composite literal's key;
-// &x.F and x.F.M() on a pointer receiver are both. A struct whose values
-// fill an empty-interface slot (an encoder's argument, an `any` map
-// element) is wire format: encoding/json and encoding/xml read and write
-// its fields by name, so neither rule judges them.
+// reachability walk visits (deadcode_test.go): every field is read, and
+// every exported field is written. A field selection is a read unless it
+// is assigned, incremented or a composite literal's key; &x.F and x.F.M()
+// on a pointer receiver are both. The fields of a root's results are read
+// (readAll). A struct whose values fill an empty-interface slot (an
+// encoder's argument, an `any` map element, a value appended to a []any)
+// is wire format: encoding/json and encoding/xml read and write its fields
+// by name, so neither rule judges them.
 
 import (
 	"go/ast"
@@ -76,12 +78,16 @@ func (r *fieldRules) visitor(pkg *types.Package) func(ast.Node) {
 }
 
 // encoder reports whether fun is a function of encoding/json, encoding/xml
-// or the tree, whose interface{} parameters are its encode helpers'. A
-// std function such as sort.Slice also takes any, but reads no field.
+// or the tree, whose interface{} parameters are its encode helpers', or
+// append, which can collect values for an encoder in a []any. A std
+// function such as sort.Slice also takes any, but reads no field.
 func (r *fieldRules) encoder(fun ast.Expr) bool {
 	id, _ := ast.Unparen(fun).(*ast.Ident)
 	if sel := selOf(fun); sel != nil {
 		id = sel
+	}
+	if b, ok := r.info.Uses[id].(*types.Builtin); ok {
+		return b.Name() == "append"
 	}
 	fn, ok := r.info.Uses[id].(*types.Func)
 	return ok && fn.Pkg() != nil && (r.files[fn.Pkg()] != nil || fn.Pkg().Path() == "encoding/json" || fn.Pkg().Path() == "encoding/xml")
@@ -153,26 +159,52 @@ func (r *fieldRules) toAny(slot types.Type, e ast.Expr) {
 }
 
 func (r *fieldRules) markWire(t types.Type) {
-	if t == nil || r.wire[t] {
-		return
-	}
-	r.wire[t] = true
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			r.markWire(u.Field(i).Type())
-		}
-	case *types.Map:
-		r.markWire(u.Key())
-		r.markWire(u.Elem())
-	case interface{ Elem() types.Type }: // pointer, slice, array, chan
-		r.markWire(u.Elem())
+	if t != nil && !r.wire[t] {
+		r.wire[t] = true
+		carried(t, r.markWire)
 	}
 }
 
-// findings maps "unread name" to each unexported field of the judged
-// packages that no live code reads, and "unset name" to each exported
-// field no live code writes.
+// readAll marks every field of a root's results, and of the values they
+// carry, as read: the test that needs the seam reads them.
+func (r *fieldRules) readAll(results *types.Tuple) {
+	seen := map[types.Type]bool{}
+	var read func(types.Type)
+	read = func(t types.Type) {
+		if !seen[t] {
+			seen[t] = true
+			if st, ok := t.Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					r.read[st.Field(i).Origin()] = true
+				}
+			}
+			carried(t, read)
+		}
+	}
+	for i := 0; i < results.Len(); i++ {
+		read(results.At(i).Type())
+	}
+}
+
+// carried calls visit with each type whose values a value of t holds: a
+// struct's fields, a map's key and element, a container's element.
+func carried(t types.Type, visit func(types.Type)) {
+	switch u := t.Underlying().(type) {
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			visit(u.Field(i).Type())
+		}
+	case *types.Map:
+		visit(u.Key())
+		visit(u.Elem())
+	case interface{ Elem() types.Type }: // pointer, slice, array, chan
+		visit(u.Elem())
+	}
+}
+
+// findings maps "unread name" to each field of the judged packages that
+// no live code reads, and "unset name" to each exported field that live
+// code reads but never writes.
 func (r *fieldRules) findings(judged func(*types.Package) bool) map[string]token.Pos {
 	out := map[string]token.Pos{}
 	for pkg := range r.files {
@@ -186,7 +218,7 @@ func (r *fieldRules) findings(judged func(*types.Package) bool) map[string]token
 				f, kind := st.Field(i), ""
 				switch {
 				case f.Embedded() || f.Name() == "_":
-				case !f.Exported() && !r.read[f]:
+				case !r.read[f]:
 					kind = "unread"
 				case f.Exported() && !r.written[f]:
 					kind = "unset"

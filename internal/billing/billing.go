@@ -32,7 +32,6 @@ import (
 type Usage struct {
 	User        string
 	CoreMinutes float64 // Σ per-minute samples of allocated cores
-	Samples     int64
 }
 
 // CoreHours converts the per-minute samples to core-hours.
@@ -120,7 +119,6 @@ func (b *Biller) accrueCores(user string, cores int) {
 	defer sh.mu.Unlock()
 	u := sh.user(user)
 	u.CoreMinutes += float64(cores)
-	u.Samples++
 }
 
 // user returns the accumulator for u, creating it; callers hold sh.mu.

@@ -37,9 +37,6 @@ func TestCoreHourAccumulation(t *testing.T) {
 	if math.Abs(u.CoreHours()-40) > 0.5 {
 		t.Fatalf("core-hours = %v, want ~40", u.CoreHours())
 	}
-	if u.Samples < 590 || u.Samples > 610 {
-		t.Fatalf("samples = %d, want ~600 (per-minute polling)", u.Samples)
-	}
 }
 
 func TestMonthlyCycleResetsUsage(t *testing.T) {
@@ -192,8 +189,8 @@ func TestAbandonedPollSurfacesAsPollError(t *testing.T) {
 	if per["hung-site"] < 4 {
 		t.Fatalf("hung-site abandoned polls = %d, want ~5", per["hung-site"])
 	}
-	if u := b.CurrentUsage("alice"); u.Samples < 4 {
-		t.Fatalf("healthy accrual stalled behind the hung site: %d samples", u.Samples)
+	if u := b.CurrentUsage("alice"); u.CoreMinutes < 4 { // one core, sampled each minute
+		t.Fatalf("healthy accrual stalled behind the hung site: %v core-minutes", u.CoreMinutes)
 	}
 }
 

@@ -35,8 +35,6 @@ const (
 // Stream encrypts or decrypts a byte stream in place-compatible fashion
 // (CTR mode: the same transform both directions).
 type Stream interface {
-	// Name returns the cipher's configured name.
-	Name() Name
 	// Process applies the keystream: dst[i] = src[i] XOR ks[i]. dst and src
 	// may alias. len(dst) must be >= len(src).
 	Process(dst, src []byte)
@@ -53,13 +51,13 @@ func NewStream(name Name, key, iv []byte) (Stream, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &ctrStream{name: Blowfish, ctr: stdcipher.NewCTR(b, stretch(iv, b.BlockSize()))}, nil
+		return &ctrStream{ctr: stdcipher.NewCTR(b, stretch(iv, b.BlockSize()))}, nil
 	case TripleDES:
 		b, err := des.NewTripleDESCipher(stretch(key, 24))
 		if err != nil {
 			return nil, err
 		}
-		return &ctrStream{name: TripleDES, ctr: stdcipher.NewCTR(b, stretch(iv, b.BlockSize()))}, nil
+		return &ctrStream{ctr: stdcipher.NewCTR(b, stretch(iv, b.BlockSize()))}, nil
 	default:
 		return nil, fmt.Errorf("cipher: unknown cipher %q", name)
 	}
@@ -79,7 +77,6 @@ func stretch(b []byte, n int) []byte {
 
 type noneStream struct{}
 
-func (noneStream) Name() Name { return None }
 func (noneStream) Process(dst, src []byte) {
 	if &dst[0] != &src[0] {
 		copy(dst, src)
@@ -87,11 +84,9 @@ func (noneStream) Process(dst, src []byte) {
 }
 
 type ctrStream struct {
-	name Name
-	ctr  stdcipher.Stream
+	ctr stdcipher.Stream
 }
 
-func (c *ctrStream) Name() Name { return c.name }
 func (c *ctrStream) Process(dst, src []byte) {
 	c.ctr.XORKeyStream(dst, src)
 }

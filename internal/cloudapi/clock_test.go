@@ -70,11 +70,11 @@ func TestClosedSiteRefusesKeptAliveRemote(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := site.RemoteWithClient(nil)
-	if _, err := r.Flavors(); err != nil {
+	if _, err := r.Instances("alice"); err != nil {
 		t.Fatal(err)
 	}
 	site.Close()
-	if _, err := r.Flavors(); err == nil {
+	if _, err := r.Instances("alice"); err == nil {
 		t.Fatal("a closed site answered a Remote over its kept-alive connection")
 	}
 }
@@ -204,7 +204,7 @@ func TestCoordinatorBoundsSkew(t *testing.T) {
 		if st.Errors > 0 {
 			t.Errorf("site %s saw %d sync errors", st.Site, st.Errors)
 		}
-		if siteNow := sites[i].Engine.Now(); siteNow > consoleNow {
+		if siteNow := sim.Time(sites[i].Server().Clock.ClockStatus().Now); siteNow > consoleNow {
 			t.Errorf("site %s ran past the console: %v > %v", st.Site, siteNow, consoleNow)
 		}
 	}

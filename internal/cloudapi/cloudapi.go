@@ -6,9 +6,9 @@
 // clouds run at different sites behind their own native APIs, and the
 // science-cloud services reach them over the network (§5.2, §7). CloudAPI
 // captures the operations those services need — tenant-plane provisioning
-// (Launch, Terminate, Instances, Images) plus the operator plane the
-// billing and monitoring pollers use (usage deltas, quotas, flavors) —
-// behind one interface with two backends:
+// (Launch, Stop, Terminate, Instances) plus the operator plane the billing
+// and monitoring pollers use (usage deltas, quotas) — behind one interface
+// with two backends:
 //
 //   - Local wraps an in-process *iaas.Cloud, preserving the single-process
 //     deterministic topology every simulation scenario runs in;
@@ -24,7 +24,6 @@
 package cloudapi
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -33,20 +32,15 @@ import (
 	"osdc/internal/iaas"
 )
 
-// ErrNotFound reports an instance ID unknown to the cloud.
-var ErrNotFound = errors.New("cloudapi: instance not found")
-
 // Instance is the federation-level view of one VM: the fields every native
-// dialect can carry. Site-local details (hypervisor host, launch
-// timestamps) deliberately do not cross this boundary — the EC2 dialect
-// never exposes them, and no mediating service needs them.
+// dialect can carry. Site-local details (the hypervisor host)
+// deliberately do not cross this boundary — the EC2 dialect never exposes
+// them, and no mediating service needs them.
 type Instance struct {
-	ID     string `json:"id"`
-	Name   string `json:"name"`
-	User   string `json:"user"`
-	Flavor string `json:"flavor"`
-	Image  string `json:"image,omitempty"`
-	Status string `json:"status"` // OpenStack-style: BUILD, ACTIVE, ...
+	ID     string
+	Name   string
+	Flavor string
+	Status string // OpenStack-style: BUILD, ACTIVE, ...
 }
 
 // checkWire refuses a launch's user, instance name, flavor or image id
@@ -123,13 +117,6 @@ func (r *Remote) launchError(user, flavor string, status int, msg string) error 
 	return fmt.Errorf("cloudapi: %s rejected launch (%d): %s", r.name, status, msg)
 }
 
-// Image is the federation-level view of a machine image.
-type Image struct {
-	ID     string `json:"id"`
-	Name   string `json:"name"`
-	Public bool   `json:"public"`
-}
-
 // UserUsage is one user's running footprint on one cloud.
 type UserUsage struct {
 	Instances int `json:"instances"`
@@ -196,13 +183,6 @@ type CloudAPI interface {
 	Stop(user, id string) error
 	// Instances lists user's non-terminated instances, sorted by ID.
 	Instances(user string) ([]Instance, error)
-	// Instance looks one instance up by ID (any state, any owner);
-	// ErrNotFound if the cloud has never heard of it.
-	Instance(id string) (Instance, error)
-	// Images lists the images visible to user, sorted by ID.
-	Images(user string) ([]Image, error)
-	// Flavors lists offered instance sizes, sorted by cores.
-	Flavors() ([]iaas.Flavor, error)
 	// SetQuota replaces user's free-tier quota.
 	SetQuota(user string, q iaas.Quota) error
 	// UsageSince returns the usage churn after revision since: pass a

@@ -3,7 +3,6 @@ package cloudapi
 import (
 	"encoding/xml"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strings"
@@ -17,9 +16,8 @@ import (
 // parameters on a GET, responses are XML, listings come wrapped in
 // reservations, and the caller arrives as AWSAccessKeyId. The site serves
 // RunInstances, DescribeInstances, StopInstances, TerminateInstances and
-// DescribeImages with serveEC2; Remote reads them with ec2, through the
-// declarations below. EC2 never listed flavors: Remote asks the operator
-// plane.
+// DescribeImages with serveEC2; Remote reads all but DescribeImages, which
+// is served for raw clients, with ec2, through the declarations below.
 
 // ec2Instance is the wire form of one instance.
 type ec2Instance struct {
@@ -37,11 +35,8 @@ func toEC2Instance(i *iaas.Instance) ec2Instance {
 	}
 }
 
-func (it ec2Instance) instance(user string) Instance {
-	return Instance{
-		ID: it.InstanceID, Name: it.KeyName, User: user,
-		Flavor: it.InstanceType, Image: it.ImageID, Status: openStackStatus(it.StateName),
-	}
+func (it ec2Instance) instance() Instance {
+	return Instance{ID: it.InstanceID, Name: it.KeyName, Flavor: it.InstanceType, Status: openStackStatus(it.StateName)}
 }
 
 type ec2Reservation struct {
@@ -191,7 +186,7 @@ func (s *Server) serveEC2(w http.ResponseWriter, r *http.Request) {
 }
 
 // ec2 makes one round trip on the dialect: q names the action and the
-// caller, the answer is read no further than wire.MaxBodyBytes, and a 200
+// caller, an answer over wire.MaxBodyBytes is an error, and a 200
 // answer decodes into out (nil discards it). Any other answer is an error
 // naming the action, the status and the site's message; status and msg
 // come back too, so a launch can rebuild the refusal's class.
@@ -203,7 +198,7 @@ func (r *Remote) ec2(q url.Values, out any) (status int, msg string, err error) 
 	defer resp.Body.Close()
 	// Read whole, then unmarshalled: an xml.Decoder on the stream would
 	// allocate a 4 KB buffer for a body a tenth of that.
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, wire.MaxBodyBytes))
+	raw, err := wire.ReadBody(resp.Body)
 	switch {
 	case err != nil:
 		return 0, "", err
@@ -225,7 +220,7 @@ func (r *Remote) ec2Instances(user string) ([]Instance, error) {
 	var out []Instance
 	for _, res := range body.Reservations {
 		for _, it := range res.Items {
-			out = append(out, it.instance(user))
+			out = append(out, it.instance())
 		}
 	}
 	return out, nil
@@ -250,17 +245,5 @@ func (r *Remote) ec2Launch(user, name, flavor, image string) (Instance, error) {
 	if len(body.Items) == 0 {
 		return Instance{}, fmt.Errorf("cloudapi: empty RunInstances response from %s", r.name)
 	}
-	return body.Items[0].instance(user), nil
-}
-
-func (r *Remote) ec2Images(user string) ([]Image, error) {
-	var body ec2DescribeImages
-	if _, _, err := r.ec2(url.Values{"Action": {"DescribeImages"}, "AWSAccessKeyId": {user}}, &body); err != nil {
-		return nil, err
-	}
-	var out []Image
-	for _, im := range body.Images {
-		out = append(out, Image{ID: im.ImageID, Name: im.Name, Public: im.Public})
-	}
-	return out, nil
+	return body.Items[0].instance(), nil
 }

@@ -26,10 +26,7 @@ func (l *Local) Stack() string { return l.C.Stack }
 
 // view projects an iaas snapshot copy onto the federation-level record.
 func view(i *iaas.Instance) Instance {
-	return Instance{
-		ID: i.ID, Name: i.Name, User: i.User,
-		Flavor: i.Flavor.Name, Image: i.ImageID, Status: string(i.State),
-	}
+	return Instance{ID: i.ID, Name: i.Name, Flavor: i.Flavor.Name, Status: string(i.State)}
 }
 
 // Launch implements CloudAPI.
@@ -55,27 +52,6 @@ func (l *Local) Instances(user string) ([]Instance, error) {
 	}
 	return out, nil
 }
-
-// Instance implements CloudAPI.
-func (l *Local) Instance(id string) (Instance, error) {
-	i, ok := l.C.Instance(id)
-	if !ok {
-		return Instance{}, ErrNotFound
-	}
-	return view(i), nil
-}
-
-// Images implements CloudAPI.
-func (l *Local) Images(user string) ([]Image, error) {
-	var out []Image
-	for _, img := range l.C.Images() {
-		out = append(out, Image{ID: img.ID, Name: img.Name, Public: img.Public})
-	}
-	return out, nil
-}
-
-// Flavors implements CloudAPI.
-func (l *Local) Flavors() ([]iaas.Flavor, error) { return l.C.Flavors(), nil }
 
 // SetQuota implements CloudAPI. A quota needs a user.
 func (l *Local) SetQuota(user string, q iaas.Quota) error {

@@ -49,9 +49,10 @@ func (t recordingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 // TestNativeDialectBytes pins both native dialects byte for byte: every
 // Nova route and every EC2 action, each answered once and refused once,
 // against a small seeded cloud. The calls go through a Remote where it can
-// make them; the refusals a Remote never sends (no caller, an unknown
-// route or action, a malformed body) go as raw requests. Run with -update
-// to rewrite the golden.
+// make them; the flavor and image listings, which only raw clients read,
+// and the refusals a Remote never sends (no caller, an unknown route or
+// action, a malformed body) go as raw requests. Run with -update to
+// rewrite the golden.
 func TestNativeDialectBytes(t *testing.T) {
 	var log bytes.Buffer
 	for _, stack := range []string{"openstack", "eucalyptus"} {
@@ -68,8 +69,7 @@ func TestNativeDialectBytes(t *testing.T) {
 		step := func(what string, err error) {
 			fmt.Fprintf(&log, "= %s %s: refused %v\n", stack, what, err != nil)
 		}
-		raw := func(what, method, path, user, body string) {
-			fmt.Fprintf(&log, "= %s %s\n", stack, what)
+		send := func(method, path, user, body string) int {
 			req, err := http.NewRequest(method, "http://site.test"+path, strings.NewReader(body))
 			if err != nil {
 				t.Fatal(err)
@@ -82,6 +82,14 @@ func TestNativeDialectBytes(t *testing.T) {
 				t.Fatal(err)
 			}
 			resp.Body.Close()
+			return resp.StatusCode
+		}
+		raw := func(what, method, path, user, body string) {
+			fmt.Fprintf(&log, "= %s %s\n", stack, what)
+			send(method, path, user, body)
+		}
+		get := func(what, path, user string) {
+			fmt.Fprintf(&log, "= %s %s: refused %v\n", stack, what, send(http.MethodGet, path, user, "") != http.StatusOK)
 		}
 
 		var ids []string
@@ -105,12 +113,14 @@ func TestNativeDialectBytes(t *testing.T) {
 		step("Instances", err)
 		_, err = remote.Instances("")
 		step("Instances without a user", err)
-		_, err = remote.Images("alice")
-		step("Images", err)
-		_, err = remote.Images("")
-		step("Images without a user", err)
-		_, err = remote.Flavors()
-		step("Flavors", err)
+		if stack == "openstack" {
+			get("Images", "/v2/images", "alice")
+			get("Images without a user", "/v2/images", "")
+			get("Flavors", "/v2/flavors", "flavor-reader")
+		} else {
+			get("Images", "/?AWSAccessKeyId=alice&Action=DescribeImages", "")
+			get("Images without a user", "/?AWSAccessKeyId=&Action=DescribeImages", "")
+		}
 		step("Stop", remote.Stop("alice", ids[0]))
 		step("Stop an unknown instance", remote.Stop("alice", "site-inst-99"))
 		e.RunFor(100)

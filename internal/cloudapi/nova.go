@@ -14,7 +14,8 @@ import (
 // requests are "based on the OpenStack API"): REST routes with JSON bodies,
 // the caller in an X-Auth-User header the middleware injects after mapping
 // the federated identity to per-cloud credentials. The site serves it with
-// serveNova and Remote reads it with nova, through the declarations below.
+// serveNova and Remote reads it with nova, through the declarations below;
+// the flavor and image listings are served for raw clients.
 //
 //	GET    /v2/servers             list the caller's servers
 //	POST   /v2/servers             create a server
@@ -42,7 +43,7 @@ func toNovaServer(i *iaas.Instance) novaServer {
 }
 
 func (s novaServer) instance() Instance {
-	return Instance{ID: s.ID, Name: s.Name, User: s.UserID, Flavor: s.Flavor, Image: s.Image, Status: s.Status}
+	return Instance{ID: s.ID, Name: s.Name, Flavor: s.Flavor, Status: s.Status}
 }
 
 // novaCreate is the POST /v2/servers request.
@@ -228,28 +229,4 @@ func (r *Remote) novaLaunch(user, name, flavor, image string) (Instance, error) 
 		return Instance{}, err
 	}
 	return body.Server.instance(), nil
-}
-
-func (r *Remote) novaImages(user string) ([]Image, error) {
-	var body novaImages
-	if _, _, err := r.nova(http.MethodGet, "/v2/images", user, "", http.StatusOK, &body); err != nil {
-		return nil, err
-	}
-	var out []Image
-	for _, im := range body.Images {
-		out = append(out, Image{ID: im.ID, Name: im.Name, Public: im.Public})
-	}
-	return out, nil
-}
-
-func (r *Remote) novaFlavors() ([]iaas.Flavor, error) {
-	var body novaFlavors
-	if _, _, err := r.nova(http.MethodGet, "/v2/flavors", "flavor-reader", "", http.StatusOK, &body); err != nil {
-		return nil, err
-	}
-	var out []iaas.Flavor
-	for _, f := range body.Flavors {
-		out = append(out, iaas.Flavor{Name: f.Name, VCPUs: f.VCPUs, RAMMB: f.RAMMB, DiskGB: f.DiskGB})
-	}
-	return out, nil
 }

@@ -18,8 +18,8 @@ import (
 // — OpenStack JSON for "openstack" stacks, EC2 query calls with XML
 // responses for "eucalyptus" — exactly the translation work the Tukey
 // middleware's proxies did in-process before this layer existed (§5.2);
-// operator operations (usage, quotas, EC2 flavor listings, ID lookup) use
-// the Server's JSON plane.
+// operator operations (usage, quotas, the clock) use the Server's JSON
+// plane.
 //
 // Quota and capacity rejections are mapped back onto iaas.ErrQuota /
 // iaas.ErrCapacity so callers see the same error classes through both
@@ -144,48 +144,6 @@ func (r *Remote) Instances(user string) ([]Instance, error) {
 		return r.ec2Instances(user)
 	}
 	return r.novaInstances(user)
-}
-
-// Images implements CloudAPI via the native dialect.
-func (r *Remote) Images(user string) ([]Image, error) {
-	if r.stack == "eucalyptus" {
-		return r.ec2Images(user)
-	}
-	return r.novaImages(user)
-}
-
-// Flavors implements CloudAPI: the OpenStack dialect lists flavors
-// natively; EC2 never did, so the eucalyptus path uses the operator plane.
-func (r *Remote) Flavors() ([]iaas.Flavor, error) {
-	if r.stack == "openstack" {
-		return r.novaFlavors()
-	}
-	var body struct {
-		Flavors []iaas.Flavor `json:"flavors"`
-	}
-	status, _, err := r.operator(http.MethodGet, "/cloudapi/flavors", nil, &body, http.StatusOK)
-	if err != nil {
-		return nil, err
-	}
-	if status != http.StatusOK {
-		return nil, r.refused("flavors", status, "")
-	}
-	return body.Flavors, nil
-}
-
-// Instance implements CloudAPI via the operator plane.
-func (r *Remote) Instance(id string) (Instance, error) {
-	var inst Instance
-	status, _, err := r.operator(http.MethodGet, "/cloudapi/instance?id="+url.QueryEscape(id), nil, &inst, http.StatusOK)
-	switch {
-	case err != nil:
-		return Instance{}, err
-	case status == http.StatusNotFound:
-		return Instance{}, ErrNotFound
-	case status != http.StatusOK:
-		return Instance{}, r.refused("instance lookup", status, "")
-	}
-	return inst, nil
 }
 
 // SetQuota implements CloudAPI via the operator plane. A rejection the

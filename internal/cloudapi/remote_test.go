@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"osdc/internal/iaas"
+	"osdc/internal/wire"
 )
 
 // TestRemoteReadsSurfaceSiteErrors: a site that answers a listing, a
@@ -34,8 +35,6 @@ func TestRemoteReadsSurfaceSiteErrors(t *testing.T) {
 
 				reads := map[string]func() (int, error){
 					"Instances": func() (int, error) { l, err := remote.Instances("alice"); return len(l), err },
-					"Images":    func() (int, error) { l, err := remote.Images("alice"); return len(l), err },
-					"Flavors":   func() (int, error) { l, err := remote.Flavors(); return len(l), err },
 					"Terminate": func() (int, error) { return 0, remote.Terminate("alice", "i-1") },
 					"Stop":      func() (int, error) { return 0, remote.Stop("alice", "i-1") },
 				}
@@ -48,9 +47,7 @@ func TestRemoteReadsSurfaceSiteErrors(t *testing.T) {
 					if !strings.HasPrefix(text, "cloudapi: broken ") || !strings.Contains(text, fmt.Sprint(status)) {
 						t.Errorf("%s error %q does not name the cloud and status %d", name, text, status)
 					}
-					// EC2 never listed flavors: that read rides the operator
-					// plane, which reports the status without a dialect body.
-					if !(stack == "eucalyptus" && name == "Flavors") && !strings.HasSuffix(text, fmt.Sprintf("(%d): %s", status, msg)) {
+					if !strings.HasSuffix(text, fmt.Sprintf("(%d): %s", status, msg)) {
 						t.Errorf("%s error %q does not carry the site's message", name, text)
 					}
 				}
@@ -123,19 +120,6 @@ func operatorPlaneErrorTable(t *testing.T) {
 		call func(r *Remote, url string) error
 		want func(status int, msg, url string) wantErr
 	}{
-		{"Flavors(EC2)",
-			func(r *Remote, _ string) error { _, err := r.Flavors(); return err },
-			func(status int, _, _ string) wantErr {
-				return wantErr{text: fmt.Sprintf("cloudapi: broken flavors returned %d", status)}
-			}},
-		{"Instance",
-			func(r *Remote, _ string) error { _, err := r.Instance("i-1"); return err },
-			func(status int, _, _ string) wantErr {
-				if status == http.StatusNotFound {
-					return wantErr{text: ErrNotFound.Error(), class: ErrNotFound}
-				}
-				return wantErr{text: fmt.Sprintf("cloudapi: broken instance lookup returned %d", status)}
-			}},
 		{"SetQuota",
 			func(r *Remote, _ string) error { return r.SetQuota("alice", iaas.Quota{MaxInstances: 1, MaxCores: 1}) },
 			func(status int, msg, _ string) wantErr {
@@ -189,9 +173,23 @@ func operatorPlaneErrorTable(t *testing.T) {
 				url := failingSite(t, status, envelope)
 				remote := NewRemote("broken", "eucalyptus", url, nil)
 				for _, row := range rows {
-					checkErr(t, row.name, row.call(remote, url), row.want(status, msg, url), ErrNotFound, ErrFreeRunning)
+					checkErr(t, row.name, row.call(remote, url), row.want(status, msg, url), ErrFreeRunning)
 				}
 			})
 		}
+	}
+}
+
+// TestEC2BodyOverMaxIsRefused: an EC2 answer over wire.MaxBodyBytes is an
+// error, even when the document it starts with would decode on its own.
+func TestEC2BodyOverMaxIsRefused(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/xml")
+		fmt.Fprint(w, "<DescribeInstancesResponse></DescribeInstancesResponse>")
+		fmt.Fprint(w, strings.Repeat(" ", wire.MaxBodyBytes))
+	}))
+	defer srv.Close()
+	if _, err := NewRemote("big", "eucalyptus", srv.URL, nil).Instances("alice"); err == nil {
+		t.Fatal("an EC2 answer over wire.MaxBodyBytes was read as a listing")
 	}
 }

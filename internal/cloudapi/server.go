@@ -3,7 +3,6 @@ package cloudapi
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -22,8 +21,7 @@ import (
 // cloud's *native* API (OpenStack JSON or EC2 query/XML, per its stack) for
 // tenant operations, plus a small JSON operator plane under /cloudapi/ for
 // the pieces the native dialects never carried — usage sampling for the
-// billing and monitoring pollers, quota administration, flavor listings for
-// the EC2 dialect, and instance lookup by ID.
+// billing and monitoring pollers, quota administration and the clock.
 //
 // One Server per cloud is the unit of federation: tukey-server's
 // -remote-clouds mode gives each its own listener and engine, and every
@@ -247,19 +245,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	case r.URL.Path == "/cloudapi/usage" && r.Method == http.MethodGet:
 		s.serveUsage(w, r)
-
-	case r.URL.Path == "/cloudapi/flavors" && r.Method == http.MethodGet:
-		fs, _ := s.local.Flavors()
-		wire.WriteJSON(w, http.StatusOK, map[string]interface{}{"flavors": fs})
-
-	case r.URL.Path == "/cloudapi/instance" && r.Method == http.MethodGet:
-		id := r.URL.Query().Get("id")
-		inst, err := s.local.Instance(id)
-		if errors.Is(err, ErrNotFound) {
-			wire.WriteError(w, http.StatusNotFound, "no instance "+id)
-			return
-		}
-		wire.WriteJSON(w, http.StatusOK, inst)
 
 	case r.URL.Path == "/cloudapi/clock" && r.Method == http.MethodGet:
 		if s.Clock == nil {

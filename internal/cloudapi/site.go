@@ -23,17 +23,12 @@ import (
 // the site's /cloudapi/clock plane, which is how a ClockCoordinator keeps
 // the federation's engines within a bounded skew of the console.
 type Site struct {
-	Engine *sim.Engine
-	Cloud  *iaas.Cloud
-	URL    string
-	Mode   ClockMode
+	Cloud *iaas.Cloud
+	URL   string
+	Mode  ClockMode
 	// Datasets is the site's dataset store, when the site serves the data
 	// plane (SiteOptions.Datasets); nil otherwise.
 	Datasets datastore.API
-	// Set is the site's sharded kernel when one was passed in
-	// (SiteOptions.Set); Engine is then its anchor shard. Nil for a
-	// single-engine site.
-	Set *sim.ShardSet
 
 	clock    sim.ClockSource
 	follower *sim.Follower // non-nil in follow mode
@@ -83,8 +78,8 @@ func StartSite(e *sim.Engine, c *iaas.Cloud, opt SiteOptions) (*Site, error) {
 		return nil, fmt.Errorf("cloudapi: site %s: shard set's anchor is not the site engine", c.Name)
 	}
 	s := &Site{
-		Engine: e, Cloud: c, Mode: opt.Clock, Datasets: opt.Datasets,
-		Set: opt.Set, secret: opt.OperatorSecret,
+		Cloud: c, Mode: opt.Clock, Datasets: opt.Datasets,
+		secret: opt.OperatorSecret,
 	}
 	if opt.Set != nil {
 		c.SetShards(opt.Set)

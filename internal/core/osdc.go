@@ -78,7 +78,6 @@ type Federation struct {
 
 	RootExport *gateway.Export
 
-	OCCY  *mapred.Cluster // 928 cores, 1.0 PB (Table 2)
 	Matsu *mapred.Cluster // ~120 cores, 100 TB
 
 	IDs      *ark.Service
@@ -167,13 +166,15 @@ func New(opt Options) (*Federation, error) {
 	if f.RootGFS, err = buildVolume(e, "root-gfs", simnet.SiteChicagoKenwood, 1024*TB, 2); err != nil {
 		return nil, err
 	}
-	f.RootExport = gateway.New("osdc-root", f.RootGFS)
+	f.RootExport = gateway.New(f.RootGFS)
 	// Public data world-readable; curator-writable.
 	f.RootExport.Allow(gateway.ACE{Prefix: "/glusterfs/public/", Mode: gateway.PermRead})
 	f.RootExport.Allow(gateway.ACE{Prefix: "/glusterfs/public/", User: "curator", Mode: gateway.PermRead | gateway.PermWrite})
 
 	// --- Hadoop data clouds ---
-	f.OCCY = buildHadoop(e, ClusterOCCY, 116/opt.Scale, 8)  // 928 cores
+	// OCC-Y runs no job here. It is still built: its HDFS forks the
+	// engine's RNG, and every later draw follows that fork.
+	buildHadoop(e, ClusterOCCY, 116/opt.Scale, 8)           // 928 cores
 	f.Matsu = buildHadoop(e, ClusterMatsu, 15/opt.Scale, 8) // 120 cores
 
 	// --- science cloud services ---
@@ -255,8 +256,8 @@ func BuildCloud(e *sim.Engine, name string, scale int) *iaas.Cloud {
 	default:
 		panic("core: BuildCloud knows no cloud " + name)
 	}
-	c.RegisterImage(iaas.Image{Name: "ubuntu-12.04-server", Public: true, Portable: true})
-	c.RegisterImage(iaas.Image{Name: "osdc-datasci", Public: true, Portable: true,
+	c.RegisterImage(iaas.Image{Name: "ubuntu-12.04-server", Public: true})
+	c.RegisterImage(iaas.Image{Name: "osdc-datasci", Public: true,
 		Tools: []string{"python-numpy", "R", "hadoop-client"}})
 	return c
 }
@@ -380,9 +381,9 @@ func buildVolume(e *sim.Engine, name, site string, capacity int64, bricks int) (
 	bs := make([]*dfs.Brick, bricks)
 	for i := range bs {
 		d := simdisk.New(fmt.Sprintf("%s-disk%d", name, i), per)
-		bs[i] = dfs.NewBrick(fmt.Sprintf("%s-brick%d", name, i), fmt.Sprintf("%s-node%d", name, i), d)
+		bs[i] = dfs.NewBrick(fmt.Sprintf("%s-brick%d", name, i), d)
 	}
-	return dfs.NewVolume(e, name, 2, dfs.Version33, bs)
+	return dfs.NewVolume(e, 2, dfs.Version33, bs)
 }
 
 func buildHadoop(e *sim.Engine, name string, nodes, slotsPerNode int) *mapred.Cluster {
@@ -394,7 +395,7 @@ func buildHadoop(e *sim.Engine, name string, nodes, slotsPerNode int) *mapred.Cl
 		names[i] = fmt.Sprintf("%s-dn%03d", name, i)
 	}
 	fs := mapred.NewHDFS(e, names, mapred.DefaultBlockSize, 3)
-	return mapred.NewCluster(e, name, fs, slotsPerNode)
+	return mapred.NewCluster(e, fs, slotsPerNode)
 }
 
 // InventoryRow is one Table 2 row.

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"osdc/internal/monitor"
 	"osdc/internal/sim"
 )
 
@@ -74,8 +75,8 @@ func TestPaperScaleCores(t *testing.T) {
 		t.Fatalf("simulated utility cores = %d, want 1248", got)
 	}
 	// Hadoop slots exist.
-	if f.OCCY.TotalSlots() == 0 || f.Matsu.TotalSlots() == 0 {
-		t.Fatal("hadoop clusters have no slots")
+	if f.Matsu.TotalSlots() == 0 {
+		t.Fatal("the hadoop cluster has no slots")
 	}
 }
 
@@ -144,12 +145,18 @@ func TestBillingRunsOnFederationClock(t *testing.T) {
 func TestMonitoringWiredToBricks(t *testing.T) {
 	f := newFed(t)
 	f.Engine.RunFor(6 * sim.Minute)
-	if f.Nagios.ChecksRun == 0 {
-		t.Fatal("no nagios checks ran on the federation")
-	}
 	// No alerts on a healthy, empty federation.
 	if n := len(f.Nagios.Alerts()); n != 0 {
 		t.Fatalf("unexpected alerts on empty federation: %d", n)
+	}
+	// A brick filled past the warning threshold alerts at the next sweep.
+	b := f.AdlerGFS.Bricks()[0]
+	if err := b.Disk.Alloc(b.Disk.Capacity * 9 / 10); err != nil {
+		t.Fatal(err)
+	}
+	f.Engine.RunFor(5 * sim.Minute)
+	if a := f.Nagios.Alerts(); len(a) != 1 || a[0].Host != b.Name || a[0].State != monitor.StateWarning {
+		t.Fatalf("alerts after filling %s to 90%%: %+v, want one WARNING", b.Name, a)
 	}
 }
 
@@ -215,13 +222,13 @@ func TestShardedFederationBootsInstances(t *testing.T) {
 		t.Fatalf("all %d instances hashed to one shard — keying broken?", len(ids))
 	}
 	f.RunFor(2 * sim.Minute)
-	for _, id := range ids {
-		inst, ok := f.Adler.Instance(id)
-		if !ok {
-			t.Fatalf("instance %s vanished", id)
+	for i, u := range users {
+		insts := f.Adler.Instances(u)
+		if len(insts) != 1 || insts[0].ID != ids[i] {
+			t.Fatalf("%s lists %v, want only %s", u, insts, ids[i])
 		}
-		if inst.State != "ACTIVE" {
-			t.Fatalf("instance %s state %s after boot window, want ACTIVE", id, inst.State)
+		if insts[0].State != "ACTIVE" {
+			t.Fatalf("instance %s state %s after boot window, want ACTIVE", ids[i], insts[0].State)
 		}
 	}
 	if f.Set.Skew() != 0 {

@@ -69,12 +69,11 @@ func (c RackCosts) Annual() float64 {
 type AWSPrices struct {
 	PerCoreHour  float64 // derived from m1.xlarge: $0.64/hr ÷ 8 cores
 	S3PerGBMonth float64
-	EgressPerGB  float64
 }
 
 // AWS2012 returns the published 2012 on-demand rates.
 func AWS2012() AWSPrices {
-	return AWSPrices{PerCoreHour: 0.080, S3PerGBMonth: 0.105, EgressPerGB: 0.12}
+	return AWSPrices{PerCoreHour: 0.080, S3PerGBMonth: 0.105}
 }
 
 const hoursPerYear = 8766

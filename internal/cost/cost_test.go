@@ -99,12 +99,3 @@ func TestBadUtilizationPanics(t *testing.T) {
 		}()
 	}
 }
-
-func TestEgressCost(t *testing.T) {
-	// Moving 100 TB out of AWS at 2012 egress pricing costs real money —
-	// the paper's data-gravity argument for community clouds.
-	d := 100 * 1024 * AWS2012().EgressPerGB
-	if d < 10_000 || d > 14_000 {
-		t.Fatalf("100 TB egress = $%v, want ~$12k", d)
-	}
-}

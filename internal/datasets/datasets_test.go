@@ -18,11 +18,11 @@ func newCatalog(t *testing.T) *Catalog {
 	var bricks []*dfs.Brick
 	for i := 0; i < 2; i++ {
 		d := simdisk.New("d", 2<<50)
-		bricks = append(bricks, dfs.NewBrick("b", "n", d))
+		bricks = append(bricks, dfs.NewBrick("b", d))
 	}
 	// unique names required per volume; adjust
 	bricks[0].Name, bricks[1].Name = "b0", "b1"
-	vol, err := dfs.NewVolume(e, "osdc-root", 1, dfs.Version33, bricks)
+	vol, err := dfs.NewVolume(e, 1, dfs.Version33, bricks)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,6 @@ type Transfer struct {
 	Bytes      int64
 	Checksum   string // carried from the source replica; verified on arrival
 	Version    int
-	PlannedAt  sim.Time
 	ArriveAt   sim.Time
 	Retransmit int64 // packets retransmitted by the simulated flow
 }
@@ -39,29 +38,14 @@ type LinkStats struct {
 	Retransmits int64  `json:"retransmits"`
 }
 
-// SiteStats is the coordinator's view of one site's data-plane health.
-type SiteStats struct {
-	Site           string `json:"site"`
-	Replicas       int    `json:"replicas"` // last observed inventory size
-	Bytes          int64  `json:"bytes"`    // last observed stored bytes
-	PutBytes       int64  `json:"put_bytes"`
-	Errors         int64  `json:"errors"` // unreachable lists / failed puts
-	FailedVerifies int64  `json:"failed_verifies"`
-}
-
 // Stats is a snapshot of everything the coordinator has done.
 type Stats struct {
-	Rounds         int64
-	Transfers      int64 // completed replica installs
-	BytesMoved     int64
-	Retransmits    int64
-	MaxInFlight    int // most concurrent in-flight transfers observed
-	FailedVerifies int64
-	Aborted        int64 // transfers dropped when their site detached
-	Drained        int64 // excess replicas deleted back to the target factor
-	LostDatasets   int   // datasets with no replica anywhere, last round
-	Sites          []SiteStats
-	Links          []LinkStats
+	Rounds      int64
+	Transfers   int64 // completed replica installs
+	BytesMoved  int64
+	Retransmits int64
+	MaxInFlight int // most concurrent in-flight transfers observed
+	Links       []LinkStats
 }
 
 // observeGrace is how many consecutive failed observations a site gets
@@ -122,7 +106,6 @@ type Coordinator struct {
 	siteDeadline time.Duration
 	inflight     map[string]*Transfer // key dataset + "→" + destination site
 	stats        Stats
-	siteStats    map[string]*SiteStats
 	linkStats    map[string]*LinkStats
 	// lastSeen is each site's inventory from the newest round it answered
 	// (carried forward through the observeGrace window), keyed site →
@@ -158,15 +141,11 @@ func NewCoordinator(e *sim.Engine, nw *simnet.Network, cat *datasets.Catalog, op
 		sites:        append([]API(nil), sites...),
 		siteDeadline: 10 * time.Second,
 		inflight:     make(map[string]*Transfer),
-		siteStats:    make(map[string]*SiteStats),
 		linkStats:    make(map[string]*LinkStats),
 		lastSeen:     make(map[string]map[string]Replica),
 		knownRev:     make(map[string]int64),
 		missed:       make(map[string]int),
 		pinned:       make(map[string]bool),
-	}
-	for _, s := range sites {
-		c.siteStats[s.Name()] = &SiteStats{Site: s.Name()}
 	}
 	return c
 }
@@ -239,7 +218,6 @@ func (c *Coordinator) Round() (planned, arrived int) {
 	for i, s := range sites {
 		name := s.Name()
 		if !completed[i] || listings[i].err != nil {
-			c.siteStats[name].Errors++
 			c.missed[name]++
 			allObserved = false
 			// Inside the grace window a silent site's last-known replicas
@@ -282,8 +260,6 @@ func (c *Coordinator) Round() (planned, arrived int) {
 			bytesBy[name] += r.SizeBytes
 		}
 		newSeen[name] = seen
-		c.siteStats[name].Replicas = len(seen)
-		c.siteStats[name].Bytes = bytesBy[name]
 	}
 	c.lastSeen = newSeen
 
@@ -292,7 +268,6 @@ func (c *Coordinator) Round() (planned, arrived int) {
 	// sources rotated by per-round outgoing count.
 	outgoing := make(map[string]int)
 	var plans []*Transfer
-	lost := 0
 	for _, d := range c.catalog.All() {
 		holders := confirmedBy[d.Name]
 		sort.Strings(holders)
@@ -316,9 +291,6 @@ func (c *Coordinator) Round() (planned, arrived int) {
 			continue
 		}
 		if len(holders) == 0 {
-			if countedBy[d.Name] == 0 && pending == 0 {
-				lost++
-			}
 			continue
 		}
 		// Candidate destinations: reachable sites neither holding nor
@@ -353,13 +325,11 @@ func (c *Coordinator) Round() (planned, arrived int) {
 				Link:     c.locOf(src) + "→" + dst.Loc(),
 				Bytes:    rep.SizeBytes,
 				Checksum: rep.Checksum, Version: rep.Version,
-				PlannedAt: now,
 			})
 			bytesBy[dst.Name()] += rep.SizeBytes
 			deficit--
 		}
 	}
-	c.stats.LostDatasets = lost
 
 	c.priceLocked(now, plans)
 	for _, t := range plans {
@@ -398,12 +368,9 @@ func (c *Coordinator) drainLocked(dataset string, holders []string, excess int, 
 		if !ok {
 			continue
 		}
-		if err := s.Delete(dataset); err != nil {
-			c.siteStats[cands[i]].Errors++
-			continue
+		if err := s.Delete(dataset); err == nil {
+			delete(c.lastSeen[cands[i]], dataset)
 		}
-		delete(c.lastSeen[cands[i]], dataset)
-		c.stats.Drained++
 	}
 }
 
@@ -567,22 +534,7 @@ func (c *Coordinator) completeArrived(now sim.Time) int {
 		link.Retransmits += t.Retransmit
 		c.stats.BytesMoved += t.Bytes
 		c.stats.Retransmits += t.Retransmit
-		switch {
-		case jobs[i].corrupt:
-			c.stats.FailedVerifies++
-			if st, ok := c.siteStats[t.To]; ok {
-				st.FailedVerifies++
-			}
-		case jobs[i].dst == nil:
-			c.stats.Aborted++
-		case !completed[i] || putErrs[i] != nil:
-			if st, ok := c.siteStats[t.To]; ok {
-				st.Errors++
-			}
-		default:
-			if st, ok := c.siteStats[t.To]; ok {
-				st.PutBytes += t.Bytes
-			}
+		if !jobs[i].corrupt && jobs[i].dst != nil && completed[i] && putErrs[i] == nil {
 			c.stats.Transfers++
 		}
 	}
@@ -703,7 +655,6 @@ func (c *Coordinator) Stage(dataset, site string) (StageStatus, error) {
 		Link:     src.Loc() + "→" + dst.Loc(),
 		Bytes:    rep.SizeBytes,
 		Checksum: rep.Checksum, Version: rep.Version,
-		PlannedAt: now,
 	}
 	c.priceLocked(now, []*Transfer{t})
 	c.inflight[dataset+"→"+site] = t
@@ -753,11 +704,6 @@ func (c *Coordinator) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := c.stats
-	out.Sites = make([]SiteStats, 0, len(c.siteStats))
-	for _, s := range c.siteStats {
-		out.Sites = append(out.Sites, *s)
-	}
-	sort.Slice(out.Sites, func(i, j int) bool { return out.Sites[i].Site < out.Sites[j].Site })
 	out.Links = make([]LinkStats, 0, len(c.linkStats))
 	for _, l := range c.linkStats {
 		out.Links = append(out.Links, *l)

@@ -104,8 +104,8 @@ func TestCoordinatorReachesFactor(t *testing.T) {
 	if st.BytesMoved != 6*cgb {
 		t.Errorf("BytesMoved = %d, want %d", st.BytesMoved, 6*cgb)
 	}
-	if st.Transfers != 3 || st.FailedVerifies != 0 {
-		t.Errorf("Transfers = %d, FailedVerifies = %d", st.Transfers, st.FailedVerifies)
+	if st.Transfers != 3 {
+		t.Errorf("Transfers = %d, want 3", st.Transfers)
 	}
 	if st.MaxInFlight < 1 || st.MaxInFlight > 3 {
 		t.Errorf("MaxInFlight = %d", st.MaxInFlight)
@@ -180,6 +180,7 @@ func TestCoordinatorRepairsDetachedSite(t *testing.T) {
 	c.Detach(dead.Name())
 
 	converge(t, rig.e, c)
+	// No dataset is lost: each is back at the factor on the live sites.
 	for _, d := range rig.cat.All() {
 		n := 0
 		for _, s := range []*Store{rig.a, rig.b, rig.c} {
@@ -198,14 +199,11 @@ func TestCoordinatorRepairsDetachedSite(t *testing.T) {
 	if repair := c.Stats().BytesMoved - moved; repair != lostBytes {
 		t.Errorf("repair moved %d bytes, want exactly the %d lost", repair, lostBytes)
 	}
-	if c.Stats().LostDatasets != 0 {
-		t.Errorf("LostDatasets = %d after repair", c.Stats().LostDatasets)
-	}
 }
 
 // TestCoordinatorQuarantinesCorruptSource: a transfer from a corrupt
-// master fails checksum verification on arrival; the bad copy is dropped
-// (not installed) and counted.
+// master fails checksum verification on arrival; the bad copy moves but is
+// dropped, not installed.
 func TestCoordinatorQuarantinesCorruptSource(t *testing.T) {
 	rig := newCoordRig(t, 13)
 	// Corrupt the only copy of Alpha Survey.
@@ -215,18 +213,17 @@ func TestCoordinatorQuarantinesCorruptSource(t *testing.T) {
 	c := NewCoordinator(rig.e, rig.nw, rig.cat, Options{Factor: 2, Seed: 13}, rig.a, rig.b, rig.c)
 	converge(t, rig.e, c)
 
-	st := c.Stats()
-	if st.FailedVerifies != 1 {
-		t.Fatalf("FailedVerifies = %d, want 1", st.FailedVerifies)
+	// One copy of each dataset moved, 1+2+3 GB, and only the two healthy
+	// ones installed: the 1 GB corrupt copy failed verification.
+	if st := c.Stats(); st.Transfers != 2 || st.BytesMoved != 6*cgb {
+		t.Fatalf("Transfers = %d, BytesMoved = %d; want 2 and %d", st.Transfers, st.BytesMoved, 6*cgb)
 	}
 	if _, err := rig.a.Get("Alpha Survey"); !errors.Is(err, ErrNoReplica) {
 		t.Error("corrupt source replica survived quarantine")
 	}
+	// Lost: the quarantined master was its only copy.
 	if got := rig.replicaCount("Alpha Survey"); got != 0 {
 		t.Errorf("corrupt dataset propagated to %d sites", got)
-	}
-	if st.LostDatasets != 1 {
-		t.Errorf("LostDatasets = %d, want 1 (the quarantined master)", st.LostDatasets)
 	}
 	// The healthy datasets still reached their factor.
 	for _, name := range []string{"Beta Genomes", "Gamma Imagery"} {
@@ -322,10 +319,7 @@ func TestCoordinatorGraceSuppressesFlapRepairs(t *testing.T) {
 	if got := c.Stats().BytesMoved; got != moved {
 		t.Fatalf("flap moved %d extra bytes", got-moved)
 	}
-	if c.Stats().Drained != 0 {
-		t.Fatalf("flap drained %d replicas", c.Stats().Drained)
-	}
-	// Every dataset still sits at exactly the factor.
+	// Every dataset still sits at exactly the factor: nothing drained.
 	for _, d := range rig.cat.All() {
 		if got := rig.replicaCount(d.Name); got != 2 {
 			t.Errorf("%s has %d replicas after the flap, want 2", d.Name, got)
@@ -348,9 +342,6 @@ func TestCoordinatorDrainsExcessReplicas(t *testing.T) {
 		}
 	}
 	converge(t, rig.e, c)
-	if got := c.Stats().Drained; got != 2 {
-		t.Fatalf("Drained = %d, want 2", got)
-	}
 	if got := rig.replicaCount("Alpha Survey"); got != 1 {
 		t.Fatalf("Alpha Survey at %d replicas after drain, want 1", got)
 	}
@@ -377,8 +368,8 @@ func TestDrainSparesStagedReplicas(t *testing.T) {
 	if _, err := rig.c.Get("Beta Genomes"); err != nil {
 		t.Fatalf("drain removed the staged replica: %v", err)
 	}
-	if got := c.Stats().Drained; got != 0 {
-		t.Fatalf("Drained = %d, want 0", got)
+	if got := rig.replicaCount("Beta Genomes"); got != 2 {
+		t.Fatalf("Beta Genomes at %d replicas, want the master and the staged copy", got)
 	}
 }
 
@@ -410,25 +401,15 @@ func (u unreachableAPI) ListSince(int64) (Delta, error) {
 	return Delta{}, errors.New("unreachable")
 }
 
-func TestCoordinatorCountsUnreachableSites(t *testing.T) {
+// TestCoordinatorPlacesAroundUnreachableSites: a site that answers
+// nothing is left out of placement, and the factor is met on the
+// reachable sites.
+func TestCoordinatorPlacesAroundUnreachableSites(t *testing.T) {
 	rig := newCoordRig(t, 15)
 	ghost := unreachableAPI{name: "site-ghost", loc: simnet.SiteLVOC}
 	c := NewCoordinator(rig.e, rig.nw, rig.cat, Options{Factor: 2, Seed: 15}, rig.a, rig.b, ghost)
 	converge(t, rig.e, c)
 
-	for _, s := range c.Stats().Sites {
-		switch s.Site {
-		case "site-ghost":
-			if s.Errors == 0 {
-				t.Error("unreachable site recorded no errors")
-			}
-		default:
-			if s.Errors != 0 {
-				t.Errorf("healthy site %s recorded %d errors", s.Site, s.Errors)
-			}
-		}
-	}
-	// The factor is met on the reachable sites.
 	for _, d := range rig.cat.All() {
 		if got := rig.replicaCount(d.Name); got != 2 {
 			t.Errorf("%s has %d replicas, want 2", d.Name, got)

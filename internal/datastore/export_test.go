@@ -34,7 +34,7 @@ func (s *Store) Count() int {
 // Detach removes a site from the placement set: its replicas stop counting
 // toward every dataset's factor, transfers touching it are aborted, and
 // subsequent rounds repair the resulting under-replication on the
-// remaining sites. Stats for the site are retained.
+// remaining sites.
 func (c *Coordinator) Detach(name string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -48,7 +48,6 @@ func (c *Coordinator) Detach(name string) {
 	for key, t := range c.inflight {
 		if t.From == name || t.To == name {
 			delete(c.inflight, key)
-			c.stats.Aborted++
 		}
 	}
 	delete(c.lastSeen, name)

@@ -19,9 +19,9 @@ func testVolume(t *testing.T, e *sim.Engine, name string, capacity int64) *dfs.V
 	bricks := make([]*dfs.Brick, 2)
 	for i := range bricks {
 		d := simdisk.New(fmt.Sprintf("%s-d%d", name, i), capacity)
-		bricks[i] = dfs.NewBrick(fmt.Sprintf("%s-b%d", name, i), fmt.Sprintf("%s-n%d", name, i), d)
+		bricks[i] = dfs.NewBrick(fmt.Sprintf("%s-b%d", name, i), d)
 	}
-	vol, err := dfs.NewVolume(e, name, 2, dfs.Version33, bricks)
+	vol, err := dfs.NewVolume(e, 2, dfs.Version33, bricks)
 	if err != nil {
 		t.Fatal(err)
 	}

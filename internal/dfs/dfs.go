@@ -45,7 +45,6 @@ type File struct {
 // Brick is one storage unit: a directory on one server's disk.
 type Brick struct {
 	Name   string
-	Node   string // simnet node / server name
 	Disk   *simdisk.Disk
 	files  map[string]*File
 	online bool
@@ -54,9 +53,9 @@ type Brick struct {
 }
 
 // NewBrick creates an online brick on a disk.
-func NewBrick(name, node string, disk *simdisk.Disk) *Brick {
+func NewBrick(name string, disk *simdisk.Disk) *Brick {
 	return &Brick{
-		Name: name, Node: node, Disk: disk,
+		Name: name, Disk: disk,
 		files: make(map[string]*File), corrupt: make(map[string]bool),
 		online: true,
 	}
@@ -95,37 +94,25 @@ func (b *Brick) remove(path string) {
 	}
 }
 
-// Volume is a DFS volume: an ordered list of replica sets, each a group of
-// ReplicaCount bricks. Placement distributes files across replica sets by
-// elastic hash.
+// Volume is a DFS volume: an ordered list of replica sets of bricks.
+// Placement distributes files across replica sets by elastic hash.
 type Volume struct {
-	Name         string
-	ReplicaCount int
-	Version      Version
-	sets         [][]*Brick
-	rng          *sim.RNG
-
-	// Counters for reports and tests.
-	Writes       int64
-	Reads        int64
-	HealedFiles  int64
-	CorruptReads int64
+	Version Version
+	sets    [][]*Brick
+	rng     *sim.RNG
 }
 
 // NewVolume builds a volume from bricks. len(bricks) must be a non-zero
 // multiple of replicaCount; consecutive bricks form replica sets, as in
 // gluster volume create.
-func NewVolume(e *sim.Engine, name string, replicaCount int, version Version, bricks []*Brick) (*Volume, error) {
+func NewVolume(e *sim.Engine, replicaCount int, version Version, bricks []*Brick) (*Volume, error) {
 	if replicaCount < 1 {
 		return nil, fmt.Errorf("dfs: replica count must be ≥1")
 	}
 	if len(bricks) == 0 || len(bricks)%replicaCount != 0 {
 		return nil, fmt.Errorf("dfs: brick count %d not a multiple of replica %d", len(bricks), replicaCount)
 	}
-	v := &Volume{
-		Name: name, ReplicaCount: replicaCount, Version: version,
-		rng: e.RNG().Fork(),
-	}
+	v := &Volume{Version: version, rng: e.RNG().Fork()}
 	for i := 0; i < len(bricks); i += replicaCount {
 		v.sets = append(v.sets, bricks[i:i+replicaCount])
 	}
@@ -199,7 +186,6 @@ func (v *Volume) writeFile(f *File) error {
 	if wrote == 0 {
 		return fmt.Errorf("dfs: no online replica for %s", f.Path)
 	}
-	v.Writes++
 	// The 3.1 mirroring bug: with both replicas online, a race occasionally
 	// leaves one replica silently corrupt.
 	if v.Version == VersionBuggy31 && wrote > 1 && v.rng.Bernoulli(0.02) {
@@ -217,7 +203,6 @@ func (v *Volume) writeFile(f *File) error {
 // data-loss mode the paper hit), reported via ErrCorrupt.
 func (v *Volume) Read(path string) (*File, error) {
 	set := v.hashSet(path)
-	v.Reads++
 	var stale []*Brick
 	var good *File
 	for _, b := range set {
@@ -237,7 +222,6 @@ func (v *Volume) Read(path string) (*File, error) {
 			}
 			// 3.1: corruption undetected; first replica wins.
 			if good == nil {
-				v.CorruptReads++
 				return nil, ErrCorrupt{Path: path, Brick: b.Name}
 			}
 			continue
@@ -252,9 +236,7 @@ func (v *Volume) Read(path string) (*File, error) {
 	// Self-heal stale/corrupt replicas from the good copy (3.3 behaviour).
 	if v.Version == Version33 {
 		for _, b := range stale {
-			if err := b.store(good); err == nil {
-				v.HealedFiles++
-			}
+			_ = b.store(good) // a full disk stays stale until a later read
 		}
 	}
 	return good, nil

@@ -16,9 +16,9 @@ func newVolume(t *testing.T, bricks, replica int, ver Version) (*sim.Engine, *Vo
 	bs := make([]*Brick, bricks)
 	for i := range bs {
 		d := simdisk.New(fmt.Sprintf("disk%d", i), 1<<50)
-		bs[i] = NewBrick(fmt.Sprintf("brick%d", i), fmt.Sprintf("node%d", i), d)
+		bs[i] = NewBrick(fmt.Sprintf("brick%d", i), d)
 	}
-	v, err := NewVolume(e, "vol", replica, ver, bs)
+	v, err := NewVolume(e, replica, ver, bs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,9 +98,6 @@ func TestSelfHealAfterRecovery(t *testing.T) {
 	if b1.FileCount() != 1 {
 		t.Fatal("stale replica not healed on read")
 	}
-	if v.HealedFiles == 0 {
-		t.Fatal("heal counter not incremented")
-	}
 	_ = b0
 }
 
@@ -122,9 +119,6 @@ func TestMirroringBug31CausesCorruptReads(t *testing.T) {
 	}
 	if !sawCorrupt {
 		t.Fatal("3.1 mirroring bug never surfaced in 2000 writes")
-	}
-	if v.CorruptReads == 0 {
-		t.Fatal("corrupt-read counter not incremented")
 	}
 }
 
@@ -251,14 +245,14 @@ func TestOverwriteReplacesNotDuplicates(t *testing.T) {
 func TestBadVolumeConfigs(t *testing.T) {
 	e := sim.NewEngine(1)
 	d := simdisk.New("d", 1<<30)
-	b := NewBrick("b", "n", d)
-	if _, err := NewVolume(e, "v", 2, Version33, []*Brick{b}); err == nil {
+	b := NewBrick("b", d)
+	if _, err := NewVolume(e, 2, Version33, []*Brick{b}); err == nil {
 		t.Fatal("1 brick with replica 2 must fail")
 	}
-	if _, err := NewVolume(e, "v", 0, Version33, []*Brick{b}); err == nil {
+	if _, err := NewVolume(e, 0, Version33, []*Brick{b}); err == nil {
 		t.Fatal("replica 0 must fail")
 	}
-	if _, err := NewVolume(e, "v", 1, Version33, nil); err == nil {
+	if _, err := NewVolume(e, 1, Version33, nil); err == nil {
 		t.Fatal("no bricks must fail")
 	}
 }

@@ -203,14 +203,14 @@ func Figure2(seed uint64, w, h int) (Figure2Result, error) {
 	raw := matsu.SynthesizeScene(rng, "EO1-HYP-NAMIBIA", matsu.SynthSpec{
 		W: w, H: h, FloodFrac: 0.22, FireSpots: 3, NoiseSigma: 20,
 	})
-	l1 := matsu.CalibrateL0ToL1(raw, -18.96, 16.0) // Namibia
+	l1 := matsu.CalibrateL0ToL1(raw)
 	res, tiles, err := matsu.RunOnCluster(f.Matsu, l1, 32)
 	if err != nil {
 		return Figure2Result{}, err
 	}
 	out := Figure2Result{
 		TileMap: matsu.TileMap(tiles), TotalTiles: len(tiles),
-		FloodKm2: matsu.FloodArea(tiles), Alerts: len(matsu.Alerts(tiles)),
+		FloodKm2: matsu.FloodArea(tiles), Alerts: matsu.Alerts(tiles),
 		JobDuration: res.Duration(), Locality: res.LocalityFraction(),
 	}
 	for _, t := range tiles {

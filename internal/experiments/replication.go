@@ -44,9 +44,9 @@ func sweepVolume(e *sim.Engine, name string) (*dfs.Volume, error) {
 	bricks := make([]*dfs.Brick, 2)
 	for i := range bricks {
 		d := simdisk.New(fmt.Sprintf("%s-d%d", name, i), 1<<40)
-		bricks[i] = dfs.NewBrick(fmt.Sprintf("%s-b%d", name, i), fmt.Sprintf("%s-n%d", name, i), d)
+		bricks[i] = dfs.NewBrick(fmt.Sprintf("%s-b%d", name, i), d)
 	}
-	return dfs.NewVolume(e, name, 2, dfs.Version33, bricks)
+	return dfs.NewVolume(e, 2, dfs.Version33, bricks)
 }
 
 // replicationPoint runs one (factor, bandwidth) cell: a fresh four-site

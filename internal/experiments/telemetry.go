@@ -16,7 +16,6 @@ import (
 	"bytes"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"net/http"
 	"strings"
 
@@ -191,6 +190,6 @@ func telemetryScrape(client *http.Client, base, secret string) (int, []byte, err
 		return 0, nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	body, err := wire.ReadBody(resp.Body)
 	return resp.StatusCode, body, err
 }

@@ -34,17 +34,13 @@ type ACE struct {
 
 // Export is a gateway share: a DFS volume plus its access-control list.
 type Export struct {
-	Name   string
 	volume *dfs.Volume
 	acl    []ACE
-
-	Grants  int64 // permitted operations
-	Denials int64 // rejected operations
 }
 
 // New creates an export over a volume.
-func New(name string, vol *dfs.Volume) *Export {
-	return &Export{Name: name, volume: vol}
+func New(vol *dfs.Volume) *Export {
+	return &Export{volume: vol}
 }
 
 // Allow appends an ACE. Longest-prefix entries win over shorter ones; among
@@ -92,10 +88,8 @@ func (e *Export) check(user, path string, want Mode) error {
 		}
 	}
 	if bestLen >= 0 && mode&want == want {
-		e.Grants++
 		return nil
 	}
-	e.Denials++
 	op := "read"
 	if want&PermWrite != 0 {
 		op = "write"

@@ -15,13 +15,13 @@ func newExport(t *testing.T) *Export {
 	var bricks []*dfs.Brick
 	for i := 0; i < 2; i++ {
 		d := simdisk.New(fmt.Sprintf("d%d", i), 1<<40)
-		bricks = append(bricks, dfs.NewBrick(fmt.Sprintf("b%d", i), "n", d))
+		bricks = append(bricks, dfs.NewBrick(fmt.Sprintf("b%d", i), d))
 	}
-	vol, err := dfs.NewVolume(e, "vol", 1, dfs.Version33, bricks)
+	vol, err := dfs.NewVolume(e, 1, dfs.Version33, bricks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New("osdc-root", vol)
+	return New(vol)
 }
 
 func TestOwnerReadWrite(t *testing.T) {
@@ -49,9 +49,6 @@ func TestStrangerDenied(t *testing.T) {
 		t.Fatal("stranger read allowed")
 	} else if _, ok := err.(ErrDenied); !ok {
 		t.Fatalf("got %T, want ErrDenied", err)
-	}
-	if ex.Denials == 0 {
-		t.Fatal("denial not counted")
 	}
 }
 

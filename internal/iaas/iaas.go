@@ -47,9 +47,6 @@ type Image struct {
 	Name   string
 	Tools  []string // preinstalled community pipelines
 	Public bool
-	// Portable marks images built to also run on AWS (§9: "OSDC machine
-	// images can also run on AWS"), the paper's anti-lock-in stance.
-	Portable bool
 }
 
 // InstanceState is the VM lifecycle state.
@@ -66,15 +63,13 @@ const (
 
 // Instance is one virtual machine.
 type Instance struct {
-	ID       string
-	Name     string
-	User     string
-	Flavor   Flavor
-	ImageID  string
-	Host     string
-	State    InstanceState
-	Launched sim.Time
-	Stopped  sim.Time // valid when terminated/shutoff
+	ID      string
+	Name    string
+	User    string
+	Flavor  Flavor
+	ImageID string
+	Host    string
+	State   InstanceState
 
 	// Timer plumbing, all homed on the shard that owns ID. boot and stop
 	// are per-schedule handles: cancelling one locks the engine the event
@@ -247,9 +242,6 @@ type Cloud struct {
 	// change at or below the value it read — the invariant UsageSince
 	// depends on.
 	usageRev atomic.Int64
-
-	Launches   int64
-	Rejections int64
 }
 
 // NewCloud creates a cloud on an engine with the default flavors.
@@ -499,11 +491,9 @@ func (c *Cloud) Launch(user, name, flavorName, imageID string) (*Instance, error
 	q := c.quotaFor(user)
 	ft := c.foot[user]
 	if ft.n+1 > q.MaxInstances {
-		c.Rejections++
 		return nil, ErrQuota{User: user, Reason: "instance limit"}
 	}
 	if ft.cores+f.VCPUs > q.MaxCores {
-		c.Rejections++
 		return nil, ErrQuota{User: user, Reason: "core limit"}
 	}
 	// Schedule: host with the most free cores that fits.
@@ -517,7 +507,6 @@ func (c *Cloud) Launch(user, name, flavorName, imageID string) (*Instance, error
 		}
 	}
 	if best == nil {
-		c.Rejections++
 		return nil, ErrCapacity{Flavor: flavorName}
 	}
 	best.usedCores += f.VCPUs
@@ -530,7 +519,7 @@ func (c *Cloud) Launch(user, name, flavorName, imageID string) (*Instance, error
 	inst := &Instance{
 		ID: fmt.Sprintf("%s-inst-%d", c.Name, c.nextID), Name: name,
 		User: user, Flavor: f, ImageID: imageID, Host: best.Name,
-		State: StateBuild, Launched: c.engine.Now(),
+		State: StateBuild,
 	}
 	best.instances[inst.ID] = inst
 	topo := c.topo.Load()
@@ -546,7 +535,6 @@ func (c *Cloud) Launch(user, name, flavorName, imageID string) (*Instance, error
 	acct.n++
 	acct.cores += f.VCPUs
 	acct.rev = c.usageRev.Add(1)
-	c.Launches++
 	// VMs take ~90 s to boot. The callback fires on the owning shard's
 	// clock goroutine and takes only the bucket lock — never c.mu — so K
 	// shards complete boots concurrently. Scheduling while we hold locks
@@ -616,7 +604,6 @@ func (c *Cloud) Stop(user, id string) error {
 		sh.mu.Lock()
 		if inst.State == StateActive || inst.State == StateBuild {
 			inst.State = StateShutoff
-			inst.Stopped = eng.Now()
 			c.footDec(inst.User, inst.Flavor.VCPUs)
 			a := sh.account(inst.User)
 			a.n--
@@ -634,7 +621,6 @@ func (c *Cloud) Stop(user, id string) error {
 // boot or stop timer on the shard that owns them.
 func (c *Cloud) Terminate(user, id string) error {
 	sh := c.topo.Load().bucket(id)
-	eng := c.timerEngine(id)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	sh.mu.Lock()
@@ -661,14 +647,12 @@ func (c *Cloud) Terminate(user, id string) error {
 	// sample reports just changed, so cached same-rev snapshots must not
 	// be served. The user's account rev moves only when the running
 	// footprint itself changed. Either way the record leaves the user's
-	// live index; the tombstone stays in sh.inst for Instance(id).
+	// live index; the tombstone stays in sh.inst, so a second Terminate
+	// is a no-op.
 	rev := c.usageRev.Add(1)
 	a := sh.account(inst.User)
 	delete(a.inst, id)
 	if wasRunning {
-		// A SHUTOFF instance keeps its earlier stop timestamp — billing
-		// must not re-open the accrual window.
-		inst.Stopped = eng.Now()
 		a.n--
 		a.cores -= inst.Flavor.VCPUs
 		a.rev = rev
@@ -720,19 +704,6 @@ func (c *Cloud) Instances(user string) []*Instance {
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
 	return out
-}
-
-// Instance looks up one instance, returning a point-in-time copy.
-func (c *Cloud) Instance(id string) (*Instance, bool) {
-	sh := c.topo.Load().bucket(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	i, ok := sh.inst[id]
-	if !ok {
-		return nil, false
-	}
-	cp := *i
-	return &cp, true
 }
 
 // RunningByUser returns user → (instance count, cores) for active VMs: the

@@ -43,11 +43,6 @@ func TestLaunchLifecycle(t *testing.T) {
 	if c.UsedCores() != 0 {
 		t.Fatalf("cores not released: %d", c.UsedCores())
 	}
-	// Core-seconds: 4 cores for ~3720 s.
-	cs := float64(gone.Stopped-gone.Launched) * float64(gone.Flavor.VCPUs)
-	if cs < 4*3700 || cs > 4*3740 {
-		t.Fatalf("core-seconds = %v, want ~14880", cs)
-	}
 }
 
 func TestFreeTierQuotaEnforced(t *testing.T) {
@@ -63,9 +58,6 @@ func TestFreeTierQuotaEnforced(t *testing.T) {
 		t.Fatal("third instance must exceed free tier")
 	} else if _, ok := err.(ErrQuota); !ok {
 		t.Fatalf("got %T, want ErrQuota", err)
-	}
-	if c.Rejections == 0 {
-		t.Fatal("rejection not counted")
 	}
 }
 
@@ -114,7 +106,7 @@ func TestSchedulerSpreadsLoad(t *testing.T) {
 
 func TestImageVisibility(t *testing.T) {
 	_, c := testCloud(1)
-	pub := c.RegisterImage(Image{Name: "ubuntu-12.04", Public: true, Portable: true})
+	pub := c.RegisterImage(Image{Name: "ubuntu-12.04", Public: true})
 	c.RegisterImage(Image{Name: "private-pipeline"})
 	if imgs := c.Images(); len(imgs) != 1 || imgs[0] != pub {
 		t.Fatalf("listed %v, want the public image alone", imgs)

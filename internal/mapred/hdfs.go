@@ -4,10 +4,10 @@
 // It provides HDFS-lite — a block-oriented store with rack-unaware random
 // replica placement — and a MapReduce engine with a JobTracker that
 // schedules map tasks for data locality, a hash-partitioned shuffle, and
-// reduce tasks. Map and reduce functions really execute over the stored
-// bytes, and task timing runs on the simulation engine, so both answers and
-// durations come out of a run. Project Matsu's flood-detection analytics
-// (internal/matsu) run on this engine.
+// reduce tasks timed from the bytes shuffled to them. Map functions really
+// execute over the stored bytes, and task timing runs on the simulation
+// engine, so a job's duration comes out of a run. Project Matsu's
+// flood-detection analytics (internal/matsu) run on this engine.
 package mapred
 
 import (
@@ -25,7 +25,6 @@ const DefaultReplication = 3
 
 // Block is one stored block of a file.
 type Block struct {
-	ID      string
 	Seq     int
 	Size    int64
 	Nodes   []string // datanodes holding replicas
@@ -39,7 +38,6 @@ type HDFS struct {
 	nodes       []string
 	files       map[string][]Block
 	rng         *sim.RNG
-	nextBlock   int
 }
 
 // NewHDFS creates a filesystem over the given datanodes.
@@ -87,10 +85,8 @@ func (h *HDFS) Put(path string, content []byte) []Block {
 		if hi > int64(len(content)) {
 			hi = int64(len(content))
 		}
-		h.nextBlock++
 		blocks = append(blocks, Block{
-			ID: fmt.Sprintf("blk_%06d", h.nextBlock), Seq: len(blocks),
-			Size: hi - off, Nodes: h.place(),
+			Seq: len(blocks), Size: hi - off, Nodes: h.place(),
 			Content: append([]byte(nil), content[off:hi]...),
 		})
 		if len(content) == 0 {

@@ -3,52 +3,29 @@ package mapred
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
 
 	"osdc/internal/sim"
 )
-
-// KV is one key/value pair flowing through the framework.
-type KV struct {
-	Key   string
-	Value string
-}
 
 // MapFunc processes one input block and emits intermediate pairs. The input
 // key is "path:blockSeq"; value is the block's bytes.
 type MapFunc func(key string, value []byte, emit func(k, v string))
 
-// ReduceFunc folds all values for one key and emits output pairs.
-type ReduceFunc func(key string, values []string, emit func(k, v string))
-
-// Job describes one MapReduce job.
+// Job describes one MapReduce job. Its reduce phase is timed from the
+// shuffle volume each partition receives.
 type Job struct {
 	Name     string
 	Input    []string // HDFS paths
 	Map      MapFunc
-	Reduce   ReduceFunc
 	Reducers int // number of reduce partitions (default 1)
-}
-
-// TaskStat describes one executed task for reports.
-type TaskStat struct {
-	Node    string
-	Block   string
-	Local   bool // ran on a node holding a replica
-	Start   sim.Time
-	End     sim.Time
-	InBytes int64
 }
 
 // Result is a completed job.
 type Result struct {
-	Job          string
-	Output       []KV
-	MapTasks     []TaskStat
-	Reduces      int
-	Started      sim.Time
-	Finished     sim.Time
-	ShuffleBytes int64
+	MapTasks   int // one per input block
+	LocalTasks int // map tasks that ran on a node holding a replica
+	Started    sim.Time
+	Finished   sim.Time
 }
 
 // Duration returns the job wall-clock time.
@@ -57,35 +34,26 @@ func (r *Result) Duration() sim.Duration { return sim.Duration(r.Finished - r.St
 // LocalityFraction returns the share of map tasks that ran data-local —
 // the number Hadoop operators watch.
 func (r *Result) LocalityFraction() float64 {
-	if len(r.MapTasks) == 0 {
+	if r.MapTasks == 0 {
 		return 0
 	}
-	local := 0
-	for _, t := range r.MapTasks {
-		if t.Local {
-			local++
-		}
-	}
-	return float64(local) / float64(len(r.MapTasks))
+	return float64(r.LocalTasks) / float64(r.MapTasks)
 }
 
 // Cluster is a Hadoop-like compute cluster: a JobTracker over TaskTrackers
 // co-located with HDFS datanodes.
 type Cluster struct {
-	Name   string
 	HDFS   *HDFS
 	engine *sim.Engine
 	slots  map[string]int // node -> map slots
 	// Throughput model: how fast a map slot streams its input.
 	LocalBps  float64 // reading a local replica
 	RemoteBps float64 // reading across the rack switch
-
-	JobsRun int64
 }
 
 // NewCluster builds a cluster whose TaskTrackers are the HDFS datanodes.
 // slotsPerNode is the concurrent map-task capacity per node.
-func NewCluster(e *sim.Engine, name string, fs *HDFS, slotsPerNode int) *Cluster {
+func NewCluster(e *sim.Engine, fs *HDFS, slotsPerNode int) *Cluster {
 	if slotsPerNode <= 0 {
 		panic("mapred: slotsPerNode must be positive")
 	}
@@ -94,7 +62,7 @@ func NewCluster(e *sim.Engine, name string, fs *HDFS, slotsPerNode int) *Cluster
 		slots[n] = slotsPerNode
 	}
 	return &Cluster{
-		Name: name, HDFS: fs, engine: e, slots: slots,
+		HDFS: fs, engine: e, slots: slots,
 		LocalBps: 800e6, RemoteBps: 400e6, // 2012 SATA vs oversubscribed ToR
 	}
 }
@@ -111,13 +79,13 @@ func (c *Cluster) TotalSlots() int {
 // Run executes a job to completion on the simulation engine and returns its
 // result. The engine is advanced internally (Run drives the clock).
 func (c *Cluster) Run(job Job) (*Result, error) {
-	if job.Map == nil || job.Reduce == nil {
-		return nil, fmt.Errorf("mapred: job %q needs Map and Reduce", job.Name)
+	if job.Map == nil {
+		return nil, fmt.Errorf("mapred: job %q needs Map", job.Name)
 	}
 	if job.Reducers <= 0 {
 		job.Reducers = 1
 	}
-	res := &Result{Job: job.Name, Reduces: job.Reducers, Started: c.engine.Now()}
+	res := &Result{Started: c.engine.Now()}
 
 	// Collect input splits: one map task per block.
 	type split struct {
@@ -151,7 +119,7 @@ func (c *Cluster) Run(job Job) (*Result, error) {
 		}
 	}
 
-	intermediate := make(map[string][]string)
+	shuffled := make(map[string]int64) // intermediate value bytes per key
 	var mapEnd sim.Time
 	for _, sp := range splits {
 		// Choose the earliest-free lane, breaking ties toward data-local.
@@ -184,67 +152,39 @@ func (c *Cluster) Run(job Job) (*Result, error) {
 		if end > mapEnd {
 			mapEnd = end
 		}
-		res.MapTasks = append(res.MapTasks, TaskStat{
-			Node: ln.node, Block: sp.block.ID, Local: local,
-			Start: start, End: end, InBytes: sp.block.Size,
-		})
+		res.MapTasks++
+		if local {
+			res.LocalTasks++
+		}
 		// Execute the user map function for real.
 		key := fmt.Sprintf("%s:%d", sp.path, sp.block.Seq)
 		job.Map(key, sp.block.Content, func(k, v string) {
-			intermediate[k] = append(intermediate[k], v)
-			res.ShuffleBytes += int64(len(k) + len(v))
+			shuffled[k] += int64(len(v))
 		})
 	}
 
 	// Shuffle: partition keys across reducers by hash; reducers start when
-	// all maps finish (no slow-start modeling).
-	partitions := make([]map[string][]string, job.Reducers)
-	for i := range partitions {
-		partitions[i] = make(map[string][]string)
-	}
-	for k, vs := range intermediate {
+	// all maps finish (no slow-start modeling), and each partition's
+	// reduce time scales with its shuffle volume.
+	partitions := make([]int64, job.Reducers)
+	for k, bytes := range shuffled {
 		h := fnv.New32a()
 		h.Write([]byte(k))
-		partitions[int(h.Sum32())%job.Reducers][k] = vs
+		partitions[int(h.Sum32())%job.Reducers] += bytes
 	}
-
-	// Reduce: each partition's time scales with its shuffle volume.
-	var out []KV
-	var reduceEnd sim.Time = mapEnd
-	for _, part := range partitions {
-		var bytes int64
-		keys := make([]string, 0, len(part))
-		for k, vs := range part {
-			keys = append(keys, k)
-			for _, v := range vs {
-				bytes += int64(len(v))
-			}
-		}
-		sort.Strings(keys) // Hadoop sorts keys into reducers
-		for _, k := range keys {
-			job.Reduce(k, part[k], func(ok, ov string) {
-				out = append(out, KV{ok, ov})
-			})
-		}
+	reduceEnd := mapEnd
+	for _, bytes := range partitions {
 		end := mapEnd + sim.Time(float64(bytes*8)/c.RemoteBps+1.0)
 		if end > reduceEnd {
 			reduceEnd = end
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Key != out[j].Key {
-			return out[i].Key < out[j].Key
-		}
-		return out[i].Value < out[j].Value
-	})
-	res.Output = out
 
 	// Advance the engine to job completion.
 	if reduceEnd > c.engine.Now() {
 		c.engine.RunUntil(reduceEnd)
 	}
 	res.Finished = c.engine.Now()
-	c.JobsRun++
 	return res, nil
 }
 

@@ -2,7 +2,6 @@ package mapred
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -17,19 +16,13 @@ func testCluster(t *testing.T, nodes, slots int, blockSize int64) (*sim.Engine, 
 		names[i] = fmt.Sprintf("dn%02d", i)
 	}
 	fs := NewHDFS(e, names, blockSize, 3)
-	return e, NewCluster(e, "occ-y", fs, slots)
+	return e, NewCluster(e, fs, slots)
 }
 
-func wordCount() (MapFunc, ReduceFunc) {
-	m := func(key string, value []byte, emit func(k, v string)) {
-		for _, w := range strings.Fields(string(value)) {
-			emit(w, "1")
-		}
+func wordCount(key string, value []byte, emit func(k, v string)) {
+	for _, w := range strings.Fields(string(value)) {
+		emit(w, "1")
 	}
-	r := func(key string, values []string, emit func(k, v string)) {
-		emit(key, strconv.Itoa(len(values)))
-	}
-	return m, r
 }
 
 func TestHDFSBlockSplitting(t *testing.T) {
@@ -86,33 +79,11 @@ func TestHDFSMissingFile(t *testing.T) {
 	}
 }
 
-func TestWordCountCorrectness(t *testing.T) {
-	e, c := testCluster(t, 4, 2, 64)
-	_ = e
-	c.HDFS.Put("/in/doc1", []byte("flood fire flood"))
-	c.HDFS.Put("/in/doc2", []byte("fire fire water"))
-	m, r := wordCount()
-	res, err := c.Run(Job{Name: "wc", Input: []string{"/in/doc1", "/in/doc2"}, Map: m, Reduce: r, Reducers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]string{"flood": "2", "fire": "3", "water": "1"}
-	if len(res.Output) != len(want) {
-		t.Fatalf("output = %v", res.Output)
-	}
-	for _, kv := range res.Output {
-		if want[kv.Key] != kv.Value {
-			t.Fatalf("%s = %s, want %s", kv.Key, kv.Value, want[kv.Key])
-		}
-	}
-}
-
 func TestJobAdvancesClockAndRecordsTasks(t *testing.T) {
 	e, c := testCluster(t, 4, 2, 1<<20)
 	before := e.Now()
 	c.HDFS.Put("/in/x", make([]byte, 5<<20)) // 5 blocks
-	m, r := wordCount()
-	res, err := c.Run(Job{Name: "j", Input: []string{"/in/x"}, Map: m, Reduce: r})
+	res, err := c.Run(Job{Name: "j", Input: []string{"/in/x"}, Map: wordCount})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,8 +93,8 @@ func TestJobAdvancesClockAndRecordsTasks(t *testing.T) {
 	if e.Now() <= before {
 		t.Fatal("engine clock did not advance")
 	}
-	if len(res.MapTasks) != 5 {
-		t.Fatalf("map tasks = %d, want 5", len(res.MapTasks))
+	if res.MapTasks != 5 {
+		t.Fatalf("map tasks = %d, want 5", res.MapTasks)
 	}
 }
 
@@ -133,8 +104,7 @@ func TestDataLocalityPreferred(t *testing.T) {
 	e, c := testCluster(t, 8, 2, 1<<20)
 	_ = e
 	c.HDFS.Put("/in/big", make([]byte, 40<<20)) // 40 tasks
-	m, r := wordCount()
-	res, err := c.Run(Job{Name: "loc", Input: []string{"/in/big"}, Map: m, Reduce: r})
+	res, err := c.Run(Job{Name: "loc", Input: []string{"/in/big"}, Map: wordCount})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,8 +117,7 @@ func TestMoreSlotsFasterJob(t *testing.T) {
 	run := func(slots int) sim.Duration {
 		_, c := testCluster(t, 4, slots, 1<<20)
 		c.HDFS.Put("/in/x", make([]byte, 64<<20))
-		m, r := wordCount()
-		res, err := c.Run(Job{Name: "speed", Input: []string{"/in/x"}, Map: m, Reduce: r})
+		res, err := c.Run(Job{Name: "speed", Input: []string{"/in/x"}, Map: wordCount})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,42 +133,9 @@ func TestMoreSlotsFasterJob(t *testing.T) {
 func TestJobValidation(t *testing.T) {
 	_, c := testCluster(t, 2, 1, 100)
 	if _, err := c.Run(Job{Name: "bad"}); err == nil {
-		t.Fatal("job without Map/Reduce must fail")
+		t.Fatal("job without Map must fail")
 	}
-	m, r := wordCount()
-	if _, err := c.Run(Job{Name: "bad2", Input: []string{"/missing"}, Map: m, Reduce: r}); err == nil {
+	if _, err := c.Run(Job{Name: "bad2", Input: []string{"/missing"}, Map: wordCount}); err == nil {
 		t.Fatal("job with missing input must fail")
-	}
-}
-
-func TestReducerPartitioningCoversAllKeys(t *testing.T) {
-	_, c := testCluster(t, 4, 2, 32)
-	var doc strings.Builder
-	for i := 0; i < 100; i++ {
-		fmt.Fprintf(&doc, "k%02d ", i%50)
-	}
-	c.HDFS.Put("/in/keys", []byte(doc.String()))
-	m, r := wordCount()
-	res, err := c.Run(Job{Name: "p", Input: []string{"/in/keys"}, Map: m, Reduce: r, Reducers: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Output) != 50 {
-		t.Fatalf("keys out = %d, want 50", len(res.Output))
-	}
-}
-
-func TestOutputDeterministicOrder(t *testing.T) {
-	for trial := 0; trial < 2; trial++ {
-		_, c := testCluster(t, 4, 2, 64)
-		c.HDFS.Put("/in/d", []byte("b a c a b a"))
-		m, r := wordCount()
-		res, err := c.Run(Job{Name: "det", Input: []string{"/in/d"}, Map: m, Reduce: r, Reducers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Output[0].Key != "a" || res.Output[1].Key != "b" || res.Output[2].Key != "c" {
-			t.Fatalf("output order = %v", res.Output)
-		}
 	}
 }

@@ -33,15 +33,12 @@ const (
 )
 
 // Scene is one satellite acquisition. Level 0 holds raw digital numbers
-// (uncalibrated counts); Level 1 holds calibrated reflectance/temperature
-// with geolocation.
+// (uncalibrated counts); Level 1 holds calibrated reflectance/temperature.
 type Scene struct {
 	ID    string
 	W, H  int
 	Level int         // 0 = raw, 1 = calibrated
 	Bands [][]float64 // [band][y*W+x]
-	// Geolocation (Level 1): top-left corner and per-pixel step in degrees.
-	Lat0, Lon0, DLat, DLon float64
 }
 
 // At returns a band value at (x, y).
@@ -137,17 +134,13 @@ func abs(x int) int {
 
 // CalibrateL0ToL1 performs Level 0 → Level 1 processing: radiometric
 // calibration (gain/offset per band, normalizing digital numbers to
-// reflectance in [0,1]; thermal stays in kelvin) and geolocation. Returns a
-// new Level 1 scene; the input is unmodified.
-func CalibrateL0ToL1(raw *Scene, lat0, lon0 float64) *Scene {
+// reflectance in [0,1]; thermal stays in kelvin). Returns a new Level 1
+// scene; the input is unmodified.
+func CalibrateL0ToL1(raw *Scene) *Scene {
 	if raw.Level != 0 {
 		panic("matsu: CalibrateL0ToL1 requires a Level 0 scene")
 	}
-	l1 := &Scene{
-		ID: raw.ID + "-L1", W: raw.W, H: raw.H, Level: 1,
-		Lat0: lat0, Lon0: lon0,
-		DLat: -30.0 / 3600, DLon: 30.0 / 3600, // 30 m pixels in degrees-ish
-	}
+	l1 := &Scene{ID: raw.ID + "-L1", W: raw.W, H: raw.H, Level: 1}
 	l1.Bands = make([][]float64, numBands)
 	for b := range l1.Bands {
 		l1.Bands[b] = make([]float64, raw.W*raw.H)
@@ -180,13 +173,11 @@ const (
 
 // Tile is one analysis unit of a scene.
 type Tile struct {
-	SceneID   string
 	X, Y      int // tile grid coordinates
 	Size      int
 	FloodFrac float64
 	FireCount int
 	Flooded   bool
-	Lat, Lon  float64
 }
 
 // DetectTiles runs flood and fire detection over a Level 1 scene cut into
@@ -202,9 +193,7 @@ func DetectTiles(s *Scene, size int) []Tile {
 	var tiles []Tile
 	for ty := 0; ty*size < s.H; ty++ {
 		for tx := 0; tx*size < s.W; tx++ {
-			t := Tile{SceneID: s.ID, X: tx, Y: ty, Size: size,
-				Lat: s.Lat0 + float64(ty*size)*s.DLat,
-				Lon: s.Lon0 + float64(tx*size)*s.DLon}
+			t := Tile{X: tx, Y: ty, Size: size}
 			pixels, wet := 0, 0
 			for y := ty * size; y < (ty+1)*size && y < s.H; y++ {
 				for x := tx * size; x < (tx+1)*size && x < s.W; x++ {
@@ -225,30 +214,20 @@ func DetectTiles(s *Scene, size int) []Tile {
 	return tiles
 }
 
-// Alert is a notification to interested parties (§4.2: "distributing this
-// information to interested parties").
-type Alert struct {
-	Kind         string // "flood" or "fire"
-	SceneID      string
-	TileX, TileY int
-	Lat, Lon     float64
-	Severity     float64
-}
-
-// Alerts derives notifications from detected tiles.
-func Alerts(tiles []Tile) []Alert {
-	var out []Alert
+// Alerts counts the notifications detected tiles raise for interested
+// parties (§4.2: "distributing this information to interested parties"):
+// one per flooded tile and one per tile with fire pixels.
+func Alerts(tiles []Tile) int {
+	n := 0
 	for _, t := range tiles {
 		if t.Flooded {
-			out = append(out, Alert{Kind: "flood", SceneID: t.SceneID,
-				TileX: t.X, TileY: t.Y, Lat: t.Lat, Lon: t.Lon, Severity: t.FloodFrac})
+			n++
 		}
 		if t.FireCount > 0 {
-			out = append(out, Alert{Kind: "fire", SceneID: t.SceneID,
-				TileX: t.X, TileY: t.Y, Lat: t.Lat, Lon: t.Lon, Severity: float64(t.FireCount)})
+			n++
 		}
 	}
-	return out
+	return n
 }
 
 // TileMap renders the Figure 2 style ASCII overview: '≈' flooded tiles,
@@ -288,8 +267,8 @@ func TileMap(tiles []Tile) string {
 
 // RunOnCluster executes the tile detection as a MapReduce job on a Hadoop
 // cluster (the OCC-Matsu deployment). The Level 1 scene is stored in HDFS
-// as row-band stripes; each map task detects floods in its stripe and the
-// reduce aggregates per-tile-row flood counts.
+// as row-band stripes; each map task detects floods in its stripe and
+// shuffles them by tile row to the reducers.
 func RunOnCluster(c *mapred.Cluster, s *Scene, tileSize int) (*mapred.Result, []Tile, error) {
 	tiles := DetectTiles(s, tileSize) // ground truth (serial path)
 
@@ -318,9 +297,6 @@ func RunOnCluster(c *mapred.Cluster, s *Scene, tileSize int) (*mapred.Result, []
 					}
 				}
 			}
-		},
-		Reduce: func(key string, values []string, emit func(k, v string)) {
-			emit(key, fmt.Sprint(len(values)))
 		},
 		Reducers: 4,
 	}

@@ -1,7 +1,7 @@
 package matsu
 
 import (
-	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -29,7 +29,7 @@ func TestSceneSynthesisBands(t *testing.T) {
 
 func TestCalibrationNormalizes(t *testing.T) {
 	_, raw := synth(t, SynthSpec{W: 64, H: 64, FloodFrac: 0.2, NoiseSigma: 20})
-	l1 := CalibrateL0ToL1(raw, -19.0, 16.0)
+	l1 := CalibrateL0ToL1(raw)
 	if l1.Level != 1 {
 		t.Fatal("not level 1")
 	}
@@ -41,10 +41,6 @@ func TestCalibrationNormalizes(t *testing.T) {
 	// Thermal stays physical.
 	if l1.At(BandThermal, 0, 0) < 250 {
 		t.Fatal("thermal band was wrongly normalized")
-	}
-	// Geolocation assigned.
-	if l1.Lat0 != -19.0 || l1.DLon == 0 {
-		t.Fatal("geolocation missing")
 	}
 	// Raw scene unmodified.
 	if raw.Level != 0 || raw.At(BandGreen, 0, 0) <= 1 {
@@ -59,13 +55,13 @@ func TestCalibrateRejectsL1(t *testing.T) {
 		}
 	}()
 	_, raw := synth(t, SynthSpec{W: 8, H: 8})
-	l1 := CalibrateL0ToL1(raw, 0, 0)
-	CalibrateL0ToL1(l1, 0, 0)
+	l1 := CalibrateL0ToL1(raw)
+	CalibrateL0ToL1(l1)
 }
 
 func TestNDWISeparatesWaterFromLand(t *testing.T) {
 	_, raw := synth(t, SynthSpec{W: 64, H: 64, FloodFrac: 0.3, NoiseSigma: 10})
-	l1 := CalibrateL0ToL1(raw, -19, 16)
+	l1 := CalibrateL0ToL1(raw)
 	// Center row is the river.
 	water := NDWI(l1, 32, 32)
 	land := NDWI(l1, 32, 2)
@@ -79,7 +75,7 @@ func TestNDWISeparatesWaterFromLand(t *testing.T) {
 
 func TestDetectTilesFindsFloodBand(t *testing.T) {
 	_, raw := synth(t, SynthSpec{W: 256, H: 256, FloodFrac: 0.25, NoiseSigma: 20})
-	l1 := CalibrateL0ToL1(raw, -19, 16)
+	l1 := CalibrateL0ToL1(raw)
 	tiles := DetectTiles(l1, 32)
 	if len(tiles) != 64 {
 		t.Fatalf("tiles = %d, want 64", len(tiles))
@@ -99,42 +95,38 @@ func TestDetectTilesFindsFloodBand(t *testing.T) {
 func TestFireDetection(t *testing.T) {
 	rng := sim.NewRNG(55)
 	raw := SynthesizeScene(rng, "fire-scene", SynthSpec{W: 128, H: 128, FloodFrac: 0.05, FireSpots: 5, NoiseSigma: 10})
-	l1 := CalibrateL0ToL1(raw, -19, 16)
+	l1 := CalibrateL0ToL1(raw)
 	tiles := DetectTiles(l1, 32)
-	fires := 0
+	fires, fireTiles, flooded := 0, 0, 0
 	for _, t := range tiles {
 		fires += t.FireCount
+		if t.FireCount > 0 {
+			fireTiles++
+		}
+		if t.Flooded {
+			flooded++
+		}
 	}
 	if fires == 0 {
 		t.Fatal("no fire pixels detected despite 5 hot spots")
 	}
-	alerts := Alerts(tiles)
-	hasFire := false
-	for _, a := range alerts {
-		if a.Kind == "fire" {
-			hasFire = true
-		}
-	}
-	if !hasFire {
-		t.Fatal("no fire alert raised")
+	if n := Alerts(tiles); n != flooded+fireTiles {
+		t.Fatalf("%d alerts for %d flooded and %d fire tiles", n, flooded, fireTiles)
 	}
 }
 
 func TestNoFloodNoAlerts(t *testing.T) {
 	rng := sim.NewRNG(56)
 	raw := SynthesizeScene(rng, "dry", SynthSpec{W: 64, H: 64, FloodFrac: 0.0, NoiseSigma: 10})
-	l1 := CalibrateL0ToL1(raw, -19, 16)
-	tiles := DetectTiles(l1, 16)
-	for _, a := range Alerts(tiles) {
-		if a.Kind == "flood" {
-			t.Fatal("flood alert on a dry scene")
-		}
+	l1 := CalibrateL0ToL1(raw)
+	if n := Alerts(DetectTiles(l1, 16)); n != 0 {
+		t.Fatalf("%d alerts on a dry scene without fires", n)
 	}
 }
 
 func TestTileMapRendersFloodRows(t *testing.T) {
 	_, raw := synth(t, SynthSpec{W: 128, H: 128, FloodFrac: 0.3, NoiseSigma: 15})
-	l1 := CalibrateL0ToL1(raw, -19, 16)
+	l1 := CalibrateL0ToL1(raw)
 	tiles := DetectTiles(l1, 16)
 	m := TileMap(tiles)
 	if !strings.Contains(m, "≈") {
@@ -149,32 +141,17 @@ func TestRunOnClusterMatchesSerialDetection(t *testing.T) {
 	e := sim.NewEngine(77)
 	nodes := []string{"m0", "m1", "m2", "m3"}
 	fs := mapred.NewHDFS(e, nodes, 4<<10, 2)
-	cluster := mapred.NewCluster(e, "occ-matsu", fs, 2)
+	cluster := mapred.NewCluster(e, fs, 2)
 	rng := sim.NewRNG(9)
 	raw := SynthesizeScene(rng, "EO1-NAM-042", SynthSpec{W: 256, H: 256, FloodFrac: 0.25, NoiseSigma: 15})
-	l1 := CalibrateL0ToL1(raw, -19, 16)
+	l1 := CalibrateL0ToL1(raw)
 	res, tiles, err := RunOnCluster(cluster, l1, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The reduce output (flooded tiles per row) must sum to the serial
-	// flood count.
-	serial := 0
-	for _, tl := range tiles {
-		if tl.Flooded {
-			serial++
-		}
-	}
-	mrTotal := 0
-	for _, kv := range res.Output {
-		var n int
-		if _, err := fmt.Sscan(kv.Value, &n); err != nil {
-			t.Fatal(err)
-		}
-		mrTotal += n
-	}
-	if mrTotal != serial {
-		t.Fatalf("mapreduce found %d flooded tiles, serial found %d", mrTotal, serial)
+	// The tiles the cluster run reports are the serial detection's.
+	if !reflect.DeepEqual(tiles, DetectTiles(l1, 32)) {
+		t.Fatal("the cluster run's tiles differ from the serial detection")
 	}
 	if res.Duration() <= 0 {
 		t.Fatal("job took no simulated time")
@@ -183,7 +160,7 @@ func TestRunOnClusterMatchesSerialDetection(t *testing.T) {
 
 func TestFloodAreaPositiveWhenFlooded(t *testing.T) {
 	_, raw := synth(t, SynthSpec{W: 128, H: 128, FloodFrac: 0.3, NoiseSigma: 10})
-	l1 := CalibrateL0ToL1(raw, -19, 16)
+	l1 := CalibrateL0ToL1(raw)
 	tiles := DetectTiles(l1, 16)
 	if FloodArea(tiles) <= 0 {
 		t.Fatal("no flood area measured")

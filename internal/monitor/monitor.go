@@ -132,8 +132,7 @@ type Alert struct {
 // Nagios-style notification on change, with re-notification left out).
 //
 // pollAll fires on the clock-driving goroutine while status pages read
-// Alerts/StateOf; mu covers the agent table, the state map, the alert log
-// and the ChecksRun counter.
+// Alerts; mu covers the agent table, the state map and the alert log.
 type Master struct {
 	engine *sim.Engine
 
@@ -142,7 +141,6 @@ type Master struct {
 	last   map[string]State // "host/check" -> last state
 	alerts []Alert
 
-	ChecksRun int64
 	// PollsAbandoned counts agent sweeps that missed their per-poll
 	// deadline (a hung plugin); read with atomic.LoadInt64 while polling
 	// may fire.
@@ -215,7 +213,6 @@ func (m *Master) pollAll() {
 		for _, r := range sweeps[i] {
 			key := a.Host + "/" + r.name
 			m.mu.Lock()
-			m.ChecksRun++
 			if r.state != m.last[key] && r.state != StateOK {
 				m.alerts = append(m.alerts, Alert{Host: a.Host, Check: r.name, State: r.state, Value: r.value, At: now})
 			}

@@ -75,9 +75,6 @@ func TestMasterAlertsOnTransitionOnly(t *testing.T) {
 	if m.StateOf("node1", "disk") != StateCritical {
 		t.Fatal("StateOf wrong")
 	}
-	if m.ChecksRun == 0 {
-		t.Fatal("no checks counted")
-	}
 }
 
 func TestMasterRecoveryThenReAlert(t *testing.T) {

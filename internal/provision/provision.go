@@ -76,8 +76,6 @@ type Server struct {
 	Role    Role
 	Phase   Phase
 	Applied []string // converged recipes
-	Started sim.Time
-	Ready   sim.Time
 	Retries int
 }
 
@@ -107,35 +105,30 @@ type Pipeline struct {
 	engine *sim.Engine
 	dur    Durations
 	rng    *sim.RNG
-	// InstallSlots bounds concurrent OS installs (apt mirror / PXE TFTP
-	// bandwidth). The paper's rack is 39 servers; ~16 concurrent installs
-	// is what one gigabit mirror sustains.
-	InstallSlots int
 	// FailureProb is the per-phase transient failure probability; failures
 	// retry from the IPMI step (as the real pipeline does).
 	FailureProb float64
 
+	// installFree is when each install slot frees up. The slots bound
+	// concurrent OS installs (apt mirror / PXE TFTP bandwidth).
 	installFree []sim.Time
-
-	Provisioned int64
-	Failures    int64
 }
 
-// NewPipeline creates the automated pipeline.
+// NewPipeline creates the automated pipeline with installSlots concurrent
+// OS installs (16 when <= 0). The paper's rack is 39 servers; ~16
+// concurrent installs is what one gigabit mirror sustains.
 func NewPipeline(e *sim.Engine, dur Durations, installSlots int, failureProb float64) *Pipeline {
 	if installSlots <= 0 {
 		installSlots = 16
 	}
 	return &Pipeline{
 		engine: e, dur: dur, rng: e.RNG().Fork(),
-		InstallSlots: installSlots, FailureProb: failureProb,
-		installFree: make([]sim.Time, installSlots),
+		FailureProb: failureProb, installFree: make([]sim.Time, installSlots),
 	}
 }
 
 // Provision drives one server bare-metal→ready; done fires on completion.
 func (p *Pipeline) Provision(s *Server, done func(*Server)) {
-	s.Started = p.engine.Now()
 	s.Phase = PhaseBareMetal
 	p.step(s, done)
 }
@@ -145,7 +138,6 @@ func (p *Pipeline) step(s *Server, done func(*Server)) {
 	fail := func() bool {
 		if p.rng.Bernoulli(p.FailureProb) {
 			s.Retries++
-			p.Failures++
 			s.Phase = PhaseBareMetal
 			// Restart after an operator-visible backoff.
 			p.engine.After(300, func() { p.step(s, done) })
@@ -211,8 +203,6 @@ func (p *Pipeline) step(s *Server, done func(*Server)) {
 		p.engine.After(p.dur.Cleanup, func() { p.step(s, done) })
 	case PhaseCleanup:
 		s.Phase = PhaseReady
-		s.Ready = p.engine.Now()
-		p.Provisioned++
 		if done != nil {
 			done(s)
 		}

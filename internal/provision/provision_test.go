@@ -11,7 +11,8 @@ func TestSingleServerPipelinePhases(t *testing.T) {
 	p := NewPipeline(e, DefaultDurations(), 16, 0)
 	s := &Server{Name: "n1", Role: RoleCompute}
 	var ready *Server
-	p.Provision(s, func(x *Server) { ready = x })
+	var readyAt sim.Time
+	p.Provision(s, func(x *Server) { ready, readyAt = x, e.Now() })
 	e.Run()
 	if ready == nil || s.Phase != PhaseReady {
 		t.Fatalf("server not ready: phase=%s", s.Phase)
@@ -22,7 +23,7 @@ func TestSingleServerPipelinePhases(t *testing.T) {
 		t.Fatalf("applied %d recipes, want %d", len(s.Applied), want)
 	}
 	// One server should take ~1.5 h, certainly under 3 h.
-	dur := sim.Duration(s.Ready - s.Started)
+	dur := sim.Duration(readyAt)
 	if dur <= 0 || dur > 3*sim.Hour {
 		t.Fatalf("single server took %v", sim.Time(dur))
 	}
@@ -136,10 +137,18 @@ func TestManagementNodeFirst(t *testing.T) {
 	if mgmt == nil {
 		t.Fatal("no management node")
 	}
-	for _, s := range res.Servers {
-		if s.Role != RoleManagement && s.Started < mgmt.Ready {
-			t.Fatalf("%s started before the management node was ready", s.Name)
-		}
+	// Alone, each role's server takes its own time; the workers start
+	// only once the management node is ready, so the rack takes at least
+	// the two in sequence.
+	alone := func(role Role) sim.Duration {
+		e := sim.NewEngine(4)
+		var at sim.Time
+		NewPipeline(e, DefaultDurations(), 16, 0).Provision(&Server{Role: role}, func(*Server) { at = e.Now() })
+		e.Run()
+		return sim.Duration(at)
+	}
+	if first := alone(RoleManagement) + min(alone(RoleCompute), alone(RoleStorage)); res.Duration < first {
+		t.Fatalf("rack took %v, under the %v of the management node then a worker", res.Duration, first)
 	}
 }
 

@@ -24,12 +24,6 @@ const (
 	Gbit = 1e9
 )
 
-// Node is a host or router attached to the network.
-type Node struct {
-	Name string
-	Site string // data center this node lives in
-}
-
 // Link is a unidirectional pipe between two nodes with finite bandwidth, a
 // fixed propagation delay and an independent per-packet loss probability.
 type Link struct {
@@ -41,7 +35,7 @@ type Link struct {
 
 // Network holds the topology and its routes.
 type Network struct {
-	nodes  map[string]*Node
+	nodes  map[string]bool              // hosts and routers, by name
 	links  map[string]*Link             // keyed "from->to"
 	routes map[string]map[string]string // routes[src][dst] = next hop
 }
@@ -49,28 +43,26 @@ type Network struct {
 // New creates an empty network.
 func New() *Network {
 	return &Network{
-		nodes: make(map[string]*Node),
+		nodes: make(map[string]bool),
 		links: make(map[string]*Link),
 	}
 }
 
 // AddNode creates a node. Adding a duplicate name panics: topologies are
 // static configuration and a duplicate is a construction bug.
-func (nw *Network) AddNode(name, site string) *Node {
-	if _, ok := nw.nodes[name]; ok {
+func (nw *Network) AddNode(name string) {
+	if nw.nodes[name] {
 		panic("simnet: duplicate node " + name)
 	}
-	n := &Node{Name: name, Site: site}
-	nw.nodes[name] = n
+	nw.nodes[name] = true
 	nw.routes = nil // invalidate routing
-	return n
 }
 
 func linkKey(from, to string) string { return from + "->" + to }
 
 // AddLink installs a unidirectional link. Both endpoints must exist.
 func (nw *Network) AddLink(l Link) *Link {
-	if nw.nodes[l.From] == nil || nw.nodes[l.To] == nil {
+	if !nw.nodes[l.From] || !nw.nodes[l.To] {
 		panic(fmt.Sprintf("simnet: link %s->%s references unknown node", l.From, l.To))
 	}
 	if l.Bandwidth <= 0 {

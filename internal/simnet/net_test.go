@@ -10,7 +10,7 @@ import (
 func TestMultiHopRouting(t *testing.T) {
 	nw := New()
 	for _, n := range []string{"a", "m", "b"} {
-		nw.AddNode(n, "s")
+		nw.AddNode(n)
 	}
 	nw.AddDuplex("a", "m", Gbit, 5*sim.Millisecond, 0)
 	nw.AddDuplex("m", "b", Gbit, 7*sim.Millisecond, 0)
@@ -22,7 +22,7 @@ func TestMultiHopRouting(t *testing.T) {
 func TestShortestPathPreferred(t *testing.T) {
 	nw := New()
 	for _, n := range []string{"a", "fast", "slow", "b"} {
-		nw.AddNode(n, "s")
+		nw.AddNode(n)
 	}
 	nw.AddDuplex("a", "fast", Gbit, 1*sim.Millisecond, 0)
 	nw.AddDuplex("fast", "b", Gbit, 1*sim.Millisecond, 0)
@@ -40,7 +40,7 @@ func TestShortestPathPreferred(t *testing.T) {
 func TestPathBandwidthBottleneck(t *testing.T) {
 	nw := New()
 	for _, n := range []string{"a", "m", "b"} {
-		nw.AddNode(n, "s")
+		nw.AddNode(n)
 	}
 	nw.AddDuplex("a", "m", 10*Gbit, sim.Millisecond, 0)
 	nw.AddDuplex("m", "b", Gbit, sim.Millisecond, 0)
@@ -52,7 +52,7 @@ func TestPathBandwidthBottleneck(t *testing.T) {
 func TestPathLossCompounds(t *testing.T) {
 	nw := New()
 	for _, n := range []string{"a", "m", "b"} {
-		nw.AddNode(n, "s")
+		nw.AddNode(n)
 	}
 	nw.AddDuplex("a", "m", Gbit, 0, 0.1)
 	nw.AddDuplex("m", "b", Gbit, 0, 0.1)
@@ -69,16 +69,14 @@ func TestDuplicateNodePanics(t *testing.T) {
 		}
 	}()
 	nw := New()
-	nw.AddNode("a", "s")
-	nw.AddNode("a", "s")
+	nw.AddNode("a")
+	nw.AddNode("a")
 }
 
 func TestOSDCTopologyRTTs(t *testing.T) {
 	nw := BuildOSDCTopology(DefaultWAN())
-	a := AttachHost(nw, "host-chi", SiteChicagoKenwood)
-	b := AttachHost(nw, "host-lvoc", SiteLVOC)
-	_ = a
-	_ = b
+	AttachHost(nw, "host-chi", SiteChicagoKenwood)
+	AttachHost(nw, "host-lvoc", SiteLVOC)
 	rtt := nw.PathRTT("host-chi", "host-lvoc")
 	// Paper Table 3: 104 ms RTT Chicago↔LVOC (plus negligible LAN hops).
 	if rtt < 0.1035 || rtt > 0.1045 {

@@ -49,7 +49,7 @@ func DefaultWAN() WANParams {
 func BuildOSDCTopology(p WANParams) *Network {
 	nw := New()
 	for _, site := range []string{SiteChicagoKenwood, SiteChicagoNU, SiteLVOC, SiteAMPATH, SiteStarLight} {
-		nw.AddNode("gw-"+site, site)
+		nw.AddNode("gw-" + site)
 	}
 	// Chicago sites reach StarLight over metro fiber; LVOC and AMPATH over
 	// long-haul circuits. Delays chosen so the paper's measured RTTs hold.
@@ -62,10 +62,9 @@ func BuildOSDCTopology(p WANParams) *Network {
 
 // AttachHost adds a host at a site, connected to the site gateway by a LAN
 // link (10G, 50 µs, lossless).
-func AttachHost(nw *Network, name, site string) *Node {
-	n := nw.AddNode(name, site)
+func AttachHost(nw *Network, name, site string) {
+	nw.AddNode(name)
 	nw.AddDuplex(name, "gw-"+site, 10*Gbit, 50*sim.Microsecond, 0)
-	return n
 }
 
 // Gateway returns the gateway node name for a site.

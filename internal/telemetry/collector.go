@@ -133,7 +133,7 @@ func (c *Collector) scrapeOne(m Member) (map[string]float64, error) {
 		_, _ = io.Copy(io.Discard, resp.Body)
 		return nil, fmt.Errorf("telemetry: %s /metrics returned %d", m.Name, resp.StatusCode)
 	}
-	body, err := io.ReadAll(resp.Body)
+	body, err := wire.ReadBody(resp.Body)
 	if err != nil {
 		return nil, err
 	}

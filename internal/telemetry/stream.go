@@ -35,14 +35,6 @@ type Streamer struct {
 	prev   map[string]float64
 	seq    int64
 	closed bool
-
-	// Dropped counts frames discarded because a subscriber's buffer was
-	// full: a tick fires inside an engine callback and must never block
-	// on a slow reader.
-	Dropped int64
-	// Withheld counts series values left out of frames for being NaN or
-	// ±Inf, which JSON cannot carry.
-	Withheld int64
 }
 
 // NewStreamer builds a streamer over a snapshot source (typically
@@ -93,10 +85,10 @@ func (s *Streamer) tick() {
 	changed := make(map[string]float64)
 	for k, v := range snap {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			// Withheld, and dropped from prev, so it is sent again once
-			// finite; the frame still carries every other change.
+			// JSON cannot carry it: withheld, and dropped from prev, so it
+			// is sent again once finite; the frame still carries every
+			// other change.
 			delete(snap, k)
-			s.Withheld++
 			continue
 		}
 		if old, ok := s.prev[k]; !ok || old != v {
@@ -110,12 +102,12 @@ func (s *Streamer) tick() {
 	s.prev = snap
 	s.seq++
 	frame := []byte(fmt.Sprintf("id: %d\nevent: telemetry\ndata: %s\n\n", s.seq, data))
-	for id, ch := range s.subs {
+	// A tick fires inside an engine callback and must never block on a
+	// slow reader: a frame a full buffer cannot take is dropped.
+	for _, ch := range s.subs {
 		select {
 		case ch <- frame:
 		default:
-			s.Dropped++
-			_ = id
 		}
 	}
 }

@@ -83,24 +83,21 @@ func TestStreamSelectFilters(t *testing.T) {
 
 // TestStreamNeverBlocksEngine pins the no-backpressure contract: a
 // subscriber that never reads cannot stall ticks; overflow frames are
-// counted, not waited on.
+// dropped, not waited on.
 func TestStreamNeverBlocksEngine(t *testing.T) {
 	e := sim.NewEngine(1)
 	reg := NewRegistry()
 	c := reg.Counter("x_total", "x")
 	s := NewStreamer(reg.Snapshot)
 	s.Start(e, 1)
-	_, cancel := s.Subscribe(16) // never read
+	ch, cancel := s.Subscribe(16) // never read
 	defer cancel()
 	for i := 0; i < 100; i++ {
 		c.Inc()
 		e.RunFor(1)
 	}
-	s.mu.Lock()
-	dropped := s.Dropped
-	s.mu.Unlock()
-	if dropped == 0 {
-		t.Fatal("expected dropped frames on an unread subscriber")
+	if len(ch) != 16 {
+		t.Fatalf("the unread subscriber holds %d frames after 100 ticks, want its 16", len(ch))
 	}
 }
 

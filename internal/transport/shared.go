@@ -52,10 +52,7 @@ type flow struct {
 	// Fractional lost packets accumulate across ticks and are rounded once,
 	// at completion; truncating per tick undercounts slow flows whose
 	// per-tick loss is < 1 packet.
-	retrans float64
-	// The largest tick delivery; bytes → bits/s is monotone, so it is
-	// converted once, at completion.
-	peak      float64
+	retrans   float64
 	pps       float64 // this tick's offered rate, packets/s
 	sinceCtrl sim.Duration
 	loss      lossSampler
@@ -138,14 +135,11 @@ func simulate(rng *sim.RNG, path Path, flows []flow, caps Caps) {
 				var n int
 				n, f.delivered, t, f.loss.first = held.quietRun(rng, f.delivered, f.total, t)
 				f.quiet.OnQuietIntervals(n)
-				if n > 0 && held.bytes > f.peak {
-					f.peak = held.bytes
-				}
 				if t > 100*sim.Day {
 					panic(notConverged)
 				}
 				if f.delivered >= f.total {
-					f.finish(t, tick)
+					f.finish(t)
 					break
 				}
 			}
@@ -181,9 +175,6 @@ func simulate(rng *sim.RNG, path Path, flows []flow, caps Caps) {
 			f.retrans += lost + congDrops
 			deliveredNow := (sent - lost) * mss
 			f.delivered += deliveredNow
-			if deliveredNow > f.peak {
-				f.peak = deliveredNow
-			}
 			if f.sinceCtrl += tick; f.sinceCtrl >= f.interval-1e-12 {
 				if f.lossInWin {
 					f.res.LossEvents++
@@ -192,7 +183,7 @@ func simulate(rng *sim.RNG, path Path, flows []flow, caps Caps) {
 				f.sinceCtrl, f.lossInWin = 0, false
 			}
 			if f.delivered >= f.total {
-				f.finish(t+tick, tick)
+				f.finish(t + tick)
 				active--
 			}
 		}
@@ -206,14 +197,13 @@ func simulate(rng *sim.RNG, path Path, flows []flow, caps Caps) {
 // finish completes f at t, the end of the tick that delivered its last
 // byte. The overshoot of that tick is removed at the flow's average rate,
 // for a fair duration.
-func (f *flow) finish(t, tick sim.Duration) {
+func (f *flow) finish(t sim.Duration) {
 	if over := f.delivered - f.total; over > 0 {
 		if rate := f.delivered / t; rate > 0 {
 			t -= over / rate
 		}
 	}
 	f.res.Duration = t
-	f.res.PeakBps = f.peak * 8 / tick
 	f.res.Retransmit = int64(math.Round(f.retrans))
 	f.done = true
 }

@@ -95,9 +95,8 @@ type Result struct {
 	Protocol   string
 	Bytes      int64
 	Duration   sim.Duration
-	LossEvents int64   // control intervals that saw loss
-	Retransmit int64   // packets retransmitted
-	PeakBps    float64 // highest interval goodput observed
+	LossEvents int64 // control intervals that saw loss
+	Retransmit int64 // packets retransmitted
 }
 
 // ThroughputBps is the average goodput in bits per second.

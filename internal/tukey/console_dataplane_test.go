@@ -108,8 +108,8 @@ func dataPlaneRig(t *testing.T) (*rig, *httptest.Server, *datastore.Coordinator,
 	vol := func(name string) *dfs.Volume {
 		d1 := simdisk.New(name+"-d0", 1<<40)
 		d2 := simdisk.New(name+"-d1", 1<<40)
-		v, err := dfs.NewVolume(r.e, name, 2, dfs.Version33,
-			[]*dfs.Brick{dfs.NewBrick(name+"-b0", name+"-n0", d1), dfs.NewBrick(name+"-b1", name+"-n1", d2)})
+		v, err := dfs.NewVolume(r.e, 2, dfs.Version33,
+			[]*dfs.Brick{dfs.NewBrick(name+"-b0", d1), dfs.NewBrick(name+"-b1", d2)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -142,8 +142,6 @@ type Middleware struct {
 	ttl         time.Duration    // session lifetime; 0 = sessions never expire
 	now         func() time.Time // test hook; time.Now when nil
 
-	Logins       int64
-	LoginFails   int64
 	Translations int64
 }
 
@@ -303,14 +301,11 @@ func (m *Middleware) Login(p Provider, username, secret string) (string, error) 
 	// The IdP assertion happens outside the lock; enrolled IdP tables are
 	// setup-time state.
 	id, err := idp.Assert(username, secret)
-	m.mu.Lock()
 	if err != nil {
-		m.LoginFails++
-		m.mu.Unlock()
 		return "", err
 	}
+	m.mu.Lock()
 	if _, ok := m.userDB[id.Identifier]; !ok {
-		m.LoginFails++
 		m.mu.Unlock()
 		return "", fmt.Errorf("tukey: %s authenticated but has no OSDC account", id.Identifier)
 	}
@@ -321,7 +316,6 @@ func (m *Middleware) Login(p Provider, username, secret string) (string, error) 
 		s.Expires = m.wallNow().Add(m.ttl)
 	}
 	store := m.store
-	m.Logins++
 	m.mu.Unlock()
 	// The Put runs outside m.mu: with a wire-backed store it is a network
 	// round trip, and holding the middleware lock across it serializes

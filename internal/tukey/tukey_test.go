@@ -64,8 +64,8 @@ func TestLoginShibboleth(t *testing.T) {
 	if !strings.HasPrefix(tok, "tukey-sess-") {
 		t.Fatalf("token = %q", tok)
 	}
-	if r.mw.Logins != 1 {
-		t.Fatal("login not counted")
+	if n := r.mw.SessionCount(); n != 1 {
+		t.Fatalf("%d sessions after one login, want 1", n)
 	}
 }
 
@@ -74,8 +74,8 @@ func TestLoginWrongPassword(t *testing.T) {
 	if _, err := r.mw.Login(Shibboleth, "alice", "wrong"); err == nil {
 		t.Fatal("bad password accepted")
 	}
-	if r.mw.LoginFails != 1 {
-		t.Fatal("failure not counted")
+	if n := r.mw.SessionCount(); n != 0 {
+		t.Fatalf("%d sessions after a refused login, want 0", n)
 	}
 }
 

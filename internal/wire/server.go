@@ -20,8 +20,9 @@ const (
 	// IdleTimeout bounds how long a kept-alive connection waits for its
 	// next request.
 	IdleTimeout = 2 * time.Minute
-	// MaxBodyBytes bounds every request body. The largest body any plane
-	// takes, a login or a launch, is under 1 KB.
+	// MaxBodyBytes bounds every request body, and every response body a
+	// client reads whole (ReadBody). The largest body any plane takes, a
+	// login or a launch, is under 1 KB.
 	MaxBodyBytes = 1 << 20
 	// ShutdownGrace is how long Close waits for in-flight requests before
 	// it cuts their connections.

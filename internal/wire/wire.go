@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"crypto/subtle"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"time"
@@ -66,6 +67,16 @@ func NewClient(client *http.Client, timeout time.Duration) *http.Client {
 		client = &http.Client{Timeout: timeout}
 	}
 	return client
+}
+
+// ReadBody reads a response body whole, up to MaxBodyBytes: a longer body
+// is an error, never cut short.
+func ReadBody(body io.Reader) ([]byte, error) {
+	raw, err := io.ReadAll(io.LimitReader(body, MaxBodyBytes+1))
+	if err == nil && len(raw) > MaxBodyBytes {
+		return nil, fmt.Errorf("wire: response body over %d bytes", MaxBodyBytes)
+	}
+	return raw, err
 }
 
 // Call makes one JSON round trip: in is encoded as the request body (nil

@@ -4,6 +4,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 )
 
@@ -51,5 +52,17 @@ func TestCallRoundTrip(t *testing.T) {
 	srv.Close()
 	if status, _, err = Call(client, http.MethodGet, srv.URL+"/echo", "", nil, nil, http.StatusOK); status != 0 || err == nil {
 		t.Fatalf("closed server = %d %v, want a transport error", status, err)
+	}
+}
+
+// TestReadBodyRefusesPastMax: a body of exactly MaxBodyBytes reads whole;
+// one byte more is an error, not a body cut short.
+func TestReadBodyRefusesPastMax(t *testing.T) {
+	raw, err := ReadBody(strings.NewReader(strings.Repeat("x", MaxBodyBytes)))
+	if err != nil || len(raw) != MaxBodyBytes {
+		t.Fatalf("a body of MaxBodyBytes: %d bytes, err %v", len(raw), err)
+	}
+	if raw, err := ReadBody(strings.NewReader(strings.Repeat("x", MaxBodyBytes+1))); err == nil {
+		t.Fatalf("a body over MaxBodyBytes read as %d bytes, want an error", len(raw))
 	}
 }

@@ -30,7 +30,6 @@ type FlowSpec struct {
 	Class    FlowClass
 	Bytes    int64
 	Incoming bool // toward the provider (upload) vs outgoing
-	Start    sim.Time
 }
 
 // GenParams tunes the generator.
@@ -46,6 +45,8 @@ type GenParams struct {
 	ScienceIncomingFrac float64
 	WebIncomingFrac     float64
 	// Arrival process: exponential inter-arrivals with this mean (seconds).
+	// No flow carries its arrival time, but each is still drawn, so every
+	// later draw from the stream stays where it was.
 	MeanInterarrival float64
 }
 
@@ -63,9 +64,8 @@ func DefaultParams() GenParams {
 // Generate produces flows of one class.
 func Generate(rng *sim.RNG, class FlowClass, p GenParams) []FlowSpec {
 	out := make([]FlowSpec, 0, p.Flows)
-	var t sim.Time
 	for i := 0; i < p.Flows; i++ {
-		t += sim.Time(rng.Exp(p.MeanInterarrival))
+		rng.Exp(p.MeanInterarrival) // the arrival draw
 		var bytes int64
 		var inFrac float64
 		switch class {
@@ -88,7 +88,7 @@ func Generate(rng *sim.RNG, class FlowClass, p GenParams) []FlowSpec {
 		}
 		out = append(out, FlowSpec{
 			Class: class, Bytes: bytes,
-			Incoming: rng.Bernoulli(inFrac), Start: t,
+			Incoming: rng.Bernoulli(inFrac),
 		})
 	}
 	return out
@@ -99,7 +99,6 @@ type Stats struct {
 	Class         FlowClass
 	Count         int
 	TotalBytes    int64
-	MeanBytes     float64
 	MedianBytes   int64
 	P99Bytes      int64
 	MaxBytes      int64
@@ -129,7 +128,6 @@ func Characterize(flows []FlowSpec) Stats {
 		}
 	}
 	sort.Slice(sizes, func(i, j int) bool { return sizes[i] < sizes[j] })
-	s.MeanBytes = float64(s.TotalBytes) / float64(len(flows))
 	s.MedianBytes = sizes[len(sizes)/2]
 	s.P99Bytes = sizes[len(sizes)*99/100]
 	s.ElephantShare = float64(elephantBytes) / float64(s.TotalBytes)

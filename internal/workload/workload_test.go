@@ -53,18 +53,6 @@ func TestTable1Contrast(t *testing.T) {
 	}
 }
 
-func TestArrivalsMonotone(t *testing.T) {
-	rng := sim.NewRNG(4)
-	flows := Generate(rng, ClassWeb, GenParams{
-		Flows: 100, WebMu: 10, WebSigma: 1, MeanInterarrival: 1,
-	})
-	for i := 1; i < len(flows); i++ {
-		if flows[i].Start < flows[i-1].Start {
-			t.Fatal("arrival times not monotone")
-		}
-	}
-}
-
 func TestCharacterizeEmpty(t *testing.T) {
 	s := Characterize(nil)
 	if s.Count != 0 || s.TotalBytes != 0 {
