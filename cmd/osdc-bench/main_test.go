@@ -53,28 +53,26 @@ func normalizeGolden(t *testing.T, raw []byte) []byte {
 
 // TestEveryScenarioDispatches runs every registered scenario through the
 // CLI's -exp dispatch with a small seed, asserting each produces formatted
-// output, and golden-files the -json form.
+// output, and golden-files the -json form. paper_test.go's ledger runs
+// after it and checks the paper's claims against these goldens.
 func TestEveryScenarioDispatches(t *testing.T) {
 	names := scenario.Names()
 	if len(names) < 11 {
 		t.Fatalf("registry holds %d scenarios, want >= 11: %v", len(names), names)
 	}
-	// The formatted-output check reruns the scenario a second time; for
-	// scenarios whose default sweep is expensive (console-knee stands up
-	// 9 federations), pin the formatted run to one cheap grid point. The
-	// -json golden below still runs the full default sweep.
+	// console-knee's default grid stands up nine federations, so its
+	// golden pins one point: 1024 users × 2 replicas, 9 216 requests, above
+	// kneeMaxInFlight (256) so the in-flight bound still runs. The
+	// formatted-output check reruns the scenario, on the cheaper 128×2
+	// point. osdc-bench -exp console-knee keeps the grid as its default.
+	goldenParams := map[string][]string{
+		"console-knee": {"-param", "users=1024,replicas=2"},
+	}
 	formattedParams := map[string][]string{
 		"console-knee": {"-param", "users=128,replicas=2"},
 	}
 	for _, name := range names {
 		t.Run(name, func(t *testing.T) {
-			if name == "console-knee" && raceEnabled {
-				// The knee grid is ~140k HTTP requests of CPU-bound load:
-				// minutes under the race detector for no new interleavings.
-				// Raced coverage of this stack comes from the lb tests, the
-				// tukey-server multi-replica smoke test, and console-load.
-				t.Skip("console-knee golden skipped under -race")
-			}
 			var out bytes.Buffer
 			if err := run(append([]string{"-exp", name, "-seed", "7"}, formattedParams[name]...), &out); err != nil {
 				t.Fatalf("run -exp %s: %v", name, err)
@@ -87,7 +85,7 @@ func TestEveryScenarioDispatches(t *testing.T) {
 			}
 
 			var jsonOut bytes.Buffer
-			if err := run([]string{"-exp", name, "-seed", "7", "-json"}, &jsonOut); err != nil {
+			if err := run(append([]string{"-exp", name, "-seed", "7", "-json"}, goldenParams[name]...), &jsonOut); err != nil {
 				t.Fatalf("run -exp %s -json: %v", name, err)
 			}
 			var parsed []struct {

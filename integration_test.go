@@ -1,9 +1,9 @@
 package osdc
 
 // Repository-level integration tests. The scenario registry drives the
-// broad coverage — every registered scenario must run and render — while
-// the tests below it keep the assertions that need structured results: the
-// Figure 1 HTTP walk hop by hop and Table 3's values against the paper.
+// broad coverage — every registered scenario must run and render — and the
+// Figure 1 HTTP walk is checked hop by hop. The paper's numbers are rows
+// of cmd/osdc-bench's ledger; Table 3's are also held here at seed 2012.
 
 import (
 	"encoding/json"
@@ -22,78 +22,13 @@ import (
 )
 
 // TestAllScenariosRunAndRender iterates the registry: every scenario must
-// run from a small seed, produce metrics and a table, and satisfy its
-// scenario-specific spot checks. New scenarios get the generic coverage
-// for free; add a checks entry only when there is something extra to pin.
+// run from seed 5, off the goldens' seed 7, and produce metrics and a
+// table. The goldens pin each table's text, cmd/osdc-bench's ledger the
+// paper's claims, and internal/experiments' tests what the scenarios
+// beyond the paper show. New scenarios get this coverage for free.
 func TestAllScenariosRunAndRender(t *testing.T) {
-	checks := map[string]func(t *testing.T, r scenario.Result){
-		"table1": func(t *testing.T, r scenario.Result) {
-			if !strings.Contains(r.Table, "Commercial CSP") {
-				t.Fatal("table 1 format")
-			}
-			if r.Metrics["science-elephant-share"] < 0.9 {
-				t.Fatalf("science traffic lost its elephants: %v", r.Metrics)
-			}
-		},
-		"table2": func(t *testing.T, r scenario.Result) {
-			if !strings.Contains(r.Table, "OCC-Y") {
-				t.Fatal("table 2 format")
-			}
-		},
-		"table3": func(t *testing.T, r scenario.Result) {
-			if !strings.Contains(r.Table, "udr (no encryption)") {
-				t.Fatalf("table 3 format:\n%s", r.Table)
-			}
-		},
-		"fig2": func(t *testing.T, r scenario.Result) {
-			if r.Metrics["flood-tiles"] == 0 || !strings.Contains(r.Table, "≈") {
-				t.Fatalf("no flood in figure 2 output:\n%s", r.Table)
-			}
-			if r.Metrics["map-locality"] < 0.5 {
-				t.Fatalf("map locality %.2f suspiciously low", r.Metrics["map-locality"])
-			}
-		},
-		"fig3": func(t *testing.T, r scenario.Result) {
-			for _, cluster := range []string{"OSDC-Adler", "OSDC-Sullivan", "OSDC-Root", "OCC-Y", "OCC-Matsu"} {
-				if !strings.Contains(r.Table, cluster) {
-					t.Fatalf("figure 3 missing %s:\n%s", cluster, r.Table)
-				}
-			}
-			if strings.Count(r.Table, "solid") != 3 || strings.Count(r.Table, "partial") != 2 {
-				t.Fatalf("figure 3 arrows wrong:\n%s", r.Table)
-			}
-		},
-		"cost": func(t *testing.T, r scenario.Result) {
-			if !strings.Contains(r.Table, "crossover") {
-				t.Fatal("cost format")
-			}
-		},
-		"provision": func(t *testing.T, r scenario.Result) {
-			if !strings.Contains(r.Table, "speedup") {
-				t.Fatal("provision format")
-			}
-			if r.Metrics["speedup"] <= 1 {
-				t.Fatalf("automation not faster than manual: %v", r.Metrics)
-			}
-		},
-		"mixed-workload": func(t *testing.T, r scenario.Result) {
-			if r.Metrics["vm-core-hours"] <= 0 || r.Metrics["elephant-mbit"] <= 0 {
-				t.Fatalf("mixed workload left a subsystem idle: %v", r.Metrics)
-			}
-		},
-		"wan-contention": func(t *testing.T, r scenario.Result) {
-			if f := r.Metrics["fairness[4-flows]"]; f < 0.8 {
-				t.Fatalf("4 identical UDT flows shared unfairly: %.3f", f)
-			}
-			if r.Metrics["utilization[8-flows]"] < r.Metrics["utilization[1-flows]"] {
-				t.Fatalf("more flows should fill the pipe during ramp-up: %v", r.Metrics)
-			}
-		},
-	}
-
 	// console-knee's default sweep stands up nine federations; one grid
-	// point shows it runs and renders. The osdc-bench -json golden keeps
-	// the full sweep.
+	// point shows it runs and renders.
 	points := map[string]map[string]float64{
 		"console-knee": {"users": 128, "replicas": 2},
 	}
@@ -118,9 +53,6 @@ func TestAllScenariosRunAndRender(t *testing.T) {
 			}
 			if r.Table == "" {
 				t.Fatalf("%s returned no table", s.Name())
-			}
-			if chk := checks[s.Name()]; chk != nil {
-				chk(t, r)
 			}
 		})
 	}
@@ -254,23 +186,21 @@ func TestFigure1TukeyEndToEnd(t *testing.T) {
 }
 
 func TestTable3ShapeAgainstPaper(t *testing.T) {
-	got := experiments.Table3(2012)
-	want := experiments.PaperTable3()
-	if len(got) != len(want) {
-		t.Fatalf("rows = %d", len(got))
+	got, err := experiments.Table3(2012)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range got {
-		g, w := got[i], want[i]
+	for _, w := range experiments.PaperTable3() {
+		cfg := w.Config.String()
 		// Within 15% of the paper's measured throughput on both sizes.
-		for _, pair := range [][2]float64{{g.Mbit108, w.Mbit108}, {g.Mbit1T, w.Mbit1T}} {
+		for _, pair := range [][2]float64{{got.Metrics["mbit-108GB["+cfg+"]"], w.Mbit108}, {got.Metrics["mbit-1.1TB["+cfg+"]"], w.Mbit1T}} {
 			ratio := pair[0] / pair[1]
 			if ratio < 0.85 || ratio > 1.15 {
-				t.Errorf("%s: measured %.0f vs paper %.0f mbit/s (ratio %.2f)",
-					g.Config, pair[0], pair[1], ratio)
+				t.Errorf("%s: measured %.0f vs paper %.0f mbit/s (ratio %.2f)", cfg, pair[0], pair[1], ratio)
 			}
 		}
-		if diff := g.LLR108 - w.LLR108; diff > 0.06 || diff < -0.06 {
-			t.Errorf("%s: LLR %.2f vs paper %.2f", g.Config, g.LLR108, w.LLR108)
+		if diff := got.Metrics["llr-108GB["+cfg+"]"] - w.LLR108; diff > 0.06 || diff < -0.06 {
+			t.Errorf("%s: LLR %.2f vs paper %.2f", cfg, got.Metrics["llr-108GB["+cfg+"]"], w.LLR108)
 		}
 	}
 }

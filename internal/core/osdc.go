@@ -10,7 +10,8 @@
 //     utility clouds with their GlusterFS-like volumes and Samba-like
 //     permission gateways;
 //   - OSDC-Root, the ~1 PB storage cloud holding the public datasets;
-//   - OCC-Y and OCC-Matsu, the Hadoop-like data clouds;
+//   - OCC-Matsu, the Hadoop-like data cloud Matsu's jobs run on (OCC-Y,
+//     which runs none, is in the inventory and topology only);
 //   - the science-cloud services: Tukey middleware, ARK dataset IDs, the
 //     public-data catalog, billing/accounting and monitoring.
 package core
@@ -172,10 +173,14 @@ func New(opt Options) (*Federation, error) {
 	f.RootExport.Allow(gateway.ACE{Prefix: "/glusterfs/public/", User: "curator", Mode: gateway.PermRead | gateway.PermWrite})
 
 	// --- Hadoop data clouds ---
-	// OCC-Y runs no job here. It is still built: its HDFS forks the
-	// engine's RNG, and every later draw follows that fork.
-	buildHadoop(e, ClusterOCCY, 116/opt.Scale, 8)           // 928 cores
-	f.Matsu = buildHadoop(e, ClusterMatsu, 15/opt.Scale, 8) // 120 cores
+	// OCC-Y runs no job, so only the draw its HDFS fork took remains.
+	e.RNG().Uint64()
+	// OCC-Matsu: 15 paper nodes × 8 slots, 120 cores.
+	datanodes := make([]string, max(15/opt.Scale, 2))
+	for i := range datanodes {
+		datanodes[i] = fmt.Sprintf("%s-dn%03d", ClusterMatsu, i)
+	}
+	f.Matsu = mapred.NewCluster(e, mapred.NewHDFS(e, datanodes, mapred.DefaultBlockSize, 3), 8)
 
 	// --- science cloud services ---
 	f.IDs = ark.NewService()
@@ -386,18 +391,6 @@ func buildVolume(e *sim.Engine, name, site string, capacity int64, bricks int) (
 	return dfs.NewVolume(e, 2, dfs.Version33, bs)
 }
 
-func buildHadoop(e *sim.Engine, name string, nodes, slotsPerNode int) *mapred.Cluster {
-	if nodes < 2 {
-		nodes = 2
-	}
-	names := make([]string, nodes)
-	for i := range names {
-		names[i] = fmt.Sprintf("%s-dn%03d", name, i)
-	}
-	fs := mapred.NewHDFS(e, names, mapred.DefaultBlockSize, 3)
-	return mapred.NewCluster(e, fs, slotsPerNode)
-}
-
 // InventoryRow is one Table 2 row.
 type InventoryRow struct {
 	Resource string
@@ -408,7 +401,7 @@ type InventoryRow struct {
 
 // Inventory reproduces Table 2 (sizes are the paper's stated capacities,
 // independent of test-scale shrinking of the simulated host counts).
-func (f *Federation) Inventory() []InventoryRow {
+func Inventory() []InventoryRow {
 	return []InventoryRow{
 		{Resource: "OSDC-Adler & Sullivan", Type: "OpenStack & Eucalyptus based utility cloud", Cores: 1248, DiskTB: 1200},
 		{Resource: "OSDC-Root", Type: "Storage cloud", Cores: 0, DiskTB: 1024},
@@ -419,8 +412,8 @@ func (f *Federation) Inventory() []InventoryRow {
 
 // Totals sums the inventory; the paper's abstract quotes "more than 2000
 // cores and 2 PB of storage".
-func (f *Federation) Totals() (cores int, diskTB int64) {
-	for _, r := range f.Inventory() {
+func Totals() (cores int, diskTB int64) {
+	for _, r := range Inventory() {
 		cores += r.Cores
 		diskTB += r.DiskTB
 	}
@@ -437,8 +430,8 @@ type TopologyRow struct {
 	FullTukey bool
 }
 
-// Topology reproduces Figure 3's wiring.
-func (f *Federation) Topology() []TopologyRow {
+// Wiring reproduces Figure 3: where each cluster sits and how it meets Tukey.
+func Wiring() []TopologyRow {
 	rows := []TopologyRow{
 		{ClusterAdler, simnet.SiteChicagoKenwood, "openstack", true},
 		{ClusterSullivan, simnet.SiteChicagoNU, "eucalyptus", true},

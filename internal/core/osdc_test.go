@@ -6,6 +6,7 @@ import (
 
 	"osdc/internal/monitor"
 	"osdc/internal/sim"
+	"osdc/internal/simnet"
 )
 
 func newFed(t *testing.T) *Federation {
@@ -17,49 +18,24 @@ func newFed(t *testing.T) *Federation {
 	return f
 }
 
+// TestTable2Inventory pins the per-cluster rows no scenario key reports;
+// the totals and Figure 3's arrows are claims in cmd/osdc-bench's ledger.
 func TestTable2Inventory(t *testing.T) {
-	f := newFed(t)
-	rows := f.Inventory()
-	if len(rows) != 4 {
-		t.Fatalf("inventory rows = %d, want 4 (Table 2)", len(rows))
-	}
-	cores, disk := f.Totals()
-	// Abstract: "more than 2000 cores and 2 PB of storage".
-	if cores <= 2000 {
-		t.Fatalf("total cores = %d, want >2000", cores)
-	}
-	if disk < 2048 {
-		t.Fatalf("total disk = %d TB, want ≥2 PB", disk)
-	}
-	// Specific Table 2 figures.
-	if rows[0].Cores != 1248 || rows[2].Cores != 928 || rows[3].Cores != 120 {
+	if rows := Inventory(); rows[0].Cores != 1248 || rows[2].Cores != 928 || rows[3].Cores != 120 {
 		t.Fatalf("per-cluster cores wrong: %+v", rows)
 	}
 }
 
 func TestFigure3Topology(t *testing.T) {
-	f := newFed(t)
-	rows := f.Topology()
-	full, partial := 0, 0
 	sites := map[string]bool{}
-	for _, r := range rows {
+	for _, r := range Wiring() {
 		sites[r.Site] = true
-		if r.FullTukey {
-			full++
-		} else {
-			partial++
-		}
-	}
-	// Figure 3: utility clouds + root storage fully behind Tukey (solid
-	// arrows); the two Hadoop clusters only partially.
-	if full != 3 || partial != 2 {
-		t.Fatalf("full=%d partial=%d, want 3/2", full, partial)
 	}
 	if len(sites) < 3 {
 		t.Fatalf("clusters span %d sites, want ≥3", len(sites))
 	}
 	// The WAN connects all sites.
-	if f.Network.PathRTT(
+	if simnet.BuildOSDCTopology(simnet.DefaultWAN()).PathRTT(
 		"gw-chicago-kenwood", "gw-lvoc") < 0.09 {
 		t.Fatal("Chicago-LVOC RTT unexpectedly low")
 	}

@@ -1,19 +1,21 @@
-// Package experiments regenerates every table and figure in the paper's
-// evaluation. Each experiment returns a structured result plus a formatted
-// rendition matching the paper's presentation; cmd/osdc-bench and the
-// repository-root benchmarks are thin wrappers over these functions.
+// Package experiments holds every scenario this repository registers: the
+// paper's tables and figures, and the runs that go beyond the paper. Each
+// run function takes a seed and builds its scenario.Result directly —
+// named metrics plus the paper-style table — and scenarios.go registers
+// it; cmd/osdc-bench runs them through the scenario registry, and its
+// ledger checks the paper's claims against their goldens.
 //
-// Index (see DESIGN.md §3):
+// The paper's evaluation (see DESIGN.md §3), by scenario name:
 //
-//	Table1   — commercial vs science CSP traffic characterization
-//	Table2   — OCC resource inventory
-//	Table3   — UDR vs rsync transfer matrix (the paper's headline numbers)
-//	Figure1  — Tukey end-to-end over live HTTP
-//	Figure2  — Matsu flood detection tile map
-//	Figure3  — federation topology
-//	Cost     — §9.1 utilization crossover sweep
-//	Provision— §7.3 manual vs automated rack install
-//	Billing  — §6.4 a month of metering
+//	table1     Table1       — commercial vs science CSP traffic characterization
+//	table2     Table2       — OCC resource inventory
+//	table3     Table3       — UDR vs rsync transfer matrix (the paper's headline numbers)
+//	fig1       Figure1      — Tukey end-to-end over live HTTP
+//	fig2       Figure2      — Matsu flood detection tile map
+//	fig3       Figure3      — federation topology
+//	cost       CostSweep    — §9.1 utilization crossover sweep
+//	provision  Provisioning — §7.3 manual vs automated rack install
+//	ciphers    Ciphers      — cipher round trips and Table 3's throughput caps
 package experiments
 
 import (
@@ -25,6 +27,7 @@ import (
 	"osdc/internal/cost"
 	"osdc/internal/matsu"
 	"osdc/internal/provision"
+	"osdc/internal/scenario"
 	"osdc/internal/sim"
 	"osdc/internal/simnet"
 	"osdc/internal/transport"
@@ -41,8 +44,9 @@ type Table3Row struct {
 	LLR1T   float64
 }
 
-// PaperTable3 returns the paper's measured values for EXPERIMENTS.md
-// comparison, in the same row order as Table3.
+// PaperTable3 returns the paper's measured values, in the same row order
+// as table3Rows: the table3 scenario prints them beside its own, and
+// cmd/osdc-bench's ledger quotes them.
 func PaperTable3() []Table3Row {
 	cfgs := udr.Table3Configs()
 	vals := [][4]float64{
@@ -70,9 +74,9 @@ func ChicagoLVOCPath(seed uint64) transport.Path {
 	return transport.PathBetween(nw, "adler-xfer", "lvoc-xfer")
 }
 
-// Table3 runs the full transfer matrix. Sizes in bytes default to the
-// paper's 108 GB and 1.1 TB.
-func Table3(seed uint64) []Table3Row {
+// table3Rows runs the full transfer matrix at the paper's 108 GB and
+// 1.1 TB.
+func table3Rows(seed uint64) []Table3Row {
 	path := ChicagoLVOCPath(seed)
 	rng := sim.NewRNG(seed)
 	const size108 = 108 << 30
@@ -90,8 +94,8 @@ func Table3(seed uint64) []Table3Row {
 	return rows
 }
 
-// FormatTable3 renders rows the way the paper prints Table 3.
-func FormatTable3(rows []Table3Row) string {
+// formatTable3 renders rows the way the paper prints Table 3.
+func formatTable3(rows []Table3Row) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-24s | %-16s | %-16s\n", "", "108 GB Data Set", "1.1 TB Data Set")
 	fmt.Fprintf(&b, "%-24s | %8s %7s | %8s %7s\n", "", "mbit/s", "LLR", "mbit/s", "LLR")
@@ -103,40 +107,53 @@ func FormatTable3(rows []Table3Row) string {
 	return b.String()
 }
 
-// Table1Result contrasts the two CSP traffic classes.
-type Table1Result struct {
-	Web     workload.Stats
-	Science workload.Stats
+// Table3 runs the transfer matrix and prints it above the paper's.
+func Table3(seed uint64) (scenario.Result, error) {
+	rows := table3Rows(seed)
+	metrics := map[string]float64{}
+	for _, r := range rows {
+		metrics["mbit-108GB["+r.Config.String()+"]"] = r.Mbit108
+		metrics["llr-108GB["+r.Config.String()+"]"] = r.LLR108
+		metrics["mbit-1.1TB["+r.Config.String()+"]"] = r.Mbit1T
+	}
+	table := "measured (this reproduction):\n" + formatTable3(rows) +
+		"\npaper (Grossman et al. 2012, Table 3):\n" + formatTable3(PaperTable3())
+	return scenario.Result{Metrics: metrics, Table: table}, nil
 }
 
-// Table1 generates and characterizes both traffic classes.
-func Table1(seed uint64) Table1Result {
+// Table1 generates both traffic classes and contrasts them beside the
+// paper's qualitative rows.
+func Table1(seed uint64) (scenario.Result, error) {
 	rng := sim.NewRNG(seed)
 	p := workload.DefaultParams()
-	return Table1Result{
-		Web:     workload.Characterize(workload.Generate(rng, workload.ClassWeb, p)),
-		Science: workload.Characterize(workload.Generate(rng, workload.ClassScience, p)),
-	}
-}
+	web := workload.Characterize(workload.Generate(rng, workload.ClassWeb, p))
+	sci := workload.Characterize(workload.Generate(rng, workload.ClassScience, p))
 
-// FormatTable1 renders the measured contrast alongside the paper's
-// qualitative rows.
-func FormatTable1(r Table1Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-12s | %-34s | %-34s\n", "", "Commercial CSP", "Science CSP")
 	fmt.Fprintln(&b, strings.Repeat("-", 86))
 	fmt.Fprintf(&b, "%-12s | %-34s | %-34s\n", "Flows",
-		fmt.Sprintf("lots of small web flows (med %s)", humanBytes(r.Web.MedianBytes)),
-		fmt.Sprintf("large in+out data flows (med %s)", humanBytes(r.Science.MedianBytes)))
+		fmt.Sprintf("lots of small web flows (med %s)", humanBytes(web.MedianBytes)),
+		fmt.Sprintf("large in+out data flows (med %s)", humanBytes(sci.MedianBytes)))
 	fmt.Fprintf(&b, "%-12s | %-34s | %-34s\n", "Elephants",
-		fmt.Sprintf("%.1f%% of bytes in ≥1GB flows", 100*r.Web.ElephantShare),
-		fmt.Sprintf("%.1f%% of bytes in ≥1GB flows", 100*r.Science.ElephantShare))
+		fmt.Sprintf("%.1f%% of bytes in ≥1GB flows", 100*web.ElephantShare),
+		fmt.Sprintf("%.1f%% of bytes in ≥1GB flows", 100*sci.ElephantShare))
 	fmt.Fprintf(&b, "%-12s | %-34s | %-34s\n", "Direction",
-		fmt.Sprintf("%.0f%% bytes incoming (responses out)", 100*r.Web.IncomingShare),
-		fmt.Sprintf("%.0f%% bytes incoming (symmetric)", 100*r.Science.IncomingShare))
+		fmt.Sprintf("%.0f%% bytes incoming (responses out)", 100*web.IncomingShare),
+		fmt.Sprintf("%.0f%% bytes incoming (symmetric)", 100*sci.IncomingShare))
 	fmt.Fprintf(&b, "%-12s | %-34s | %-34s\n", "Accounting", "essential", "essential (per-minute core polls)")
 	fmt.Fprintf(&b, "%-12s | %-34s | %-34s\n", "Lock in", "lock in is good", "portable images, UDR export")
-	return b.String()
+	return scenario.Result{
+		Metrics: map[string]float64{
+			"web-median-bytes":       float64(web.MedianBytes),
+			"web-elephant-share":     web.ElephantShare,
+			"web-incoming-share":     web.IncomingShare,
+			"science-median-bytes":   float64(sci.MedianBytes),
+			"science-elephant-share": sci.ElephantShare,
+			"science-incoming-share": sci.IncomingShare,
+		},
+		Table: b.String(),
+	}, nil
 }
 
 func humanBytes(n int64) string {
@@ -154,19 +171,11 @@ func humanBytes(n int64) string {
 	}
 }
 
-// Table2 builds the federation and returns the inventory.
-func Table2(seed uint64) ([]core.InventoryRow, int, int64, error) {
-	f, err := core.New(core.Options{Seed: seed, Scale: 8})
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	rows := f.Inventory()
-	cores, disk := f.Totals()
-	return rows, cores, disk, nil
-}
-
-// FormatTable2 renders Table 2.
-func FormatTable2(rows []core.InventoryRow, cores int, diskTB int64) string {
+// Table2 prints the inventory. Its sizes are the paper's, so every seed
+// gives the same table.
+func Table2(uint64) (scenario.Result, error) {
+	rows := core.Inventory()
+	cores, disk := core.Totals()
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-24s %-46s %s\n", "Resource", "Type", "Size")
 	fmt.Fprintln(&b, strings.Repeat("-", 92))
@@ -177,156 +186,158 @@ func FormatTable2(rows []core.InventoryRow, cores int, diskTB int64) string {
 		}
 		fmt.Fprintf(&b, "%-24s %-46s %s\n", r.Resource, r.Type, size)
 	}
-	fmt.Fprintf(&b, "TOTAL: %d cores, %.1f PB\n", cores, float64(diskTB)/1024)
-	return b.String()
+	fmt.Fprintf(&b, "TOTAL: %d cores, %.1f PB\n", cores, float64(disk)/1024)
+	return scenario.Result{
+		Metrics: map[string]float64{
+			"resources": float64(len(rows)),
+			"cores":     float64(cores),
+			"disk-TB":   float64(disk),
+		},
+		Table: b.String(),
+	}, nil
 }
 
-// Figure2Result is the Matsu run.
-type Figure2Result struct {
-	TileMap     string
-	FloodTiles  int
-	TotalTiles  int
-	FloodKm2    float64
-	Alerts      int
-	JobDuration sim.Duration
-	Locality    float64
-}
-
-// Figure2 synthesizes a Hyperion-like scene over Namibia, processes
-// L0→L1, and runs flood detection on the OCC-Matsu MapReduce cluster.
-func Figure2(seed uint64, w, h int) (Figure2Result, error) {
+// Figure2 synthesizes a 256×256 Hyperion-like scene over Namibia,
+// processes L0→L1, and runs flood detection on the OCC-Matsu MapReduce
+// cluster.
+func Figure2(seed uint64) (scenario.Result, error) {
 	f, err := core.New(core.Options{Seed: seed, Scale: 8})
 	if err != nil {
-		return Figure2Result{}, err
+		return scenario.Result{}, err
 	}
 	rng := sim.NewRNG(seed)
 	raw := matsu.SynthesizeScene(rng, "EO1-HYP-NAMIBIA", matsu.SynthSpec{
-		W: w, H: h, FloodFrac: 0.22, FireSpots: 3, NoiseSigma: 20,
+		W: 256, H: 256, FloodFrac: 0.22, FireSpots: 3, NoiseSigma: 20,
 	})
-	l1 := matsu.CalibrateL0ToL1(raw)
-	res, tiles, err := matsu.RunOnCluster(f.Matsu, l1, 32)
+	res, tiles, err := matsu.RunOnCluster(f.Matsu, matsu.CalibrateL0ToL1(raw), 32)
 	if err != nil {
-		return Figure2Result{}, err
+		return scenario.Result{}, err
 	}
-	out := Figure2Result{
-		TileMap: matsu.TileMap(tiles), TotalTiles: len(tiles),
-		FloodKm2: matsu.FloodArea(tiles), Alerts: matsu.Alerts(tiles),
-		JobDuration: res.Duration(), Locality: res.LocalityFraction(),
-	}
+	flooded := 0
 	for _, t := range tiles {
 		if t.Flooded {
-			out.FloodTiles++
+			flooded++
 		}
 	}
-	return out, nil
+	km2, alerts := matsu.FloodArea(tiles), matsu.Alerts(tiles)
+	table := fmt.Sprintf("EO-1 Hyperion tiles over Namibia (≈ flood, ^ fire, . clear):\n%s"+
+		"flooded tiles: %d/%d (%.2f km²), alerts: %d\n"+
+		"mapreduce job: %v on OCC-Matsu, %.0f%% data-local maps\n",
+		matsu.TileMap(tiles), flooded, len(tiles), km2, alerts,
+		sim.Time(res.Duration()), 100*res.LocalityFraction())
+	return scenario.Result{
+		Metrics: map[string]float64{
+			"flood-tiles":  float64(flooded),
+			"total-tiles":  float64(len(tiles)),
+			"flood-km2":    km2,
+			"alerts":       float64(alerts),
+			"job-seconds":  res.Duration(),
+			"map-locality": res.LocalityFraction(),
+		},
+		Table: table,
+	}, nil
 }
 
-// Figure3 renders the federation wiring.
-func Figure3(seed uint64) (string, error) {
-	f, err := core.New(core.Options{Seed: seed, Scale: 8})
-	if err != nil {
-		return "", err
-	}
+// Figure3 prints the federation's wiring.
+func Figure3(uint64) (scenario.Result, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-16s %-18s %-12s %s\n", "Cluster", "Site", "Stack", "Tukey")
 	fmt.Fprintln(&b, strings.Repeat("-", 60))
-	for _, r := range f.Topology() {
+	rows, full := core.Wiring(), 0
+	for _, r := range rows {
 		arrow := "partial (some services)"
 		if r.FullTukey {
 			arrow = "solid (fully operational)"
+			full++
 		}
 		fmt.Fprintf(&b, "%-16s %-18s %-12s %s\n", r.Cluster, r.Site, r.Stack, arrow)
 	}
-	return b.String(), nil
+	return scenario.Result{
+		Metrics: map[string]float64{"clusters": float64(len(rows)), "full-tukey": float64(full)},
+		Table:   b.String(),
+	}, nil
 }
 
-// CostSweepResult is the §9.1 sweep.
-type CostSweepResult struct {
-	Rows      []cost.Comparison
-	Crossover float64
-}
-
-// CostSweep runs the utilization sweep.
-func CostSweep() CostSweepResult {
+// CostSweep compares the paper's rack with AWS at utilizations 10 %–100 %.
+func CostSweep(uint64) (scenario.Result, error) {
 	rack, costs, aws := cost.PaperRack(), cost.Defaults2012(), cost.AWS2012()
-	utils := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}
-	return CostSweepResult{
-		Rows:      cost.Sweep(rack, costs, aws, utils),
-		Crossover: cost.Crossover(rack, costs, aws),
-	}
-}
-
-// FormatCostSweep renders the sweep.
-func FormatCostSweep(r CostSweepResult) string {
+	rows := cost.Sweep(rack, costs, aws, []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0})
+	crossover := cost.Crossover(rack, costs, aws)
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-12s %-14s %-16s %-12s %s\n", "Utilization", "Rack $/yr", "AWS-equiv $/yr", "$/core-hr", "Cheaper")
 	fmt.Fprintln(&b, strings.Repeat("-", 68))
-	for _, row := range r.Rows {
+	osdcCheaper := 0
+	for _, row := range rows {
 		who := "AWS"
 		if row.OSDCCheaper {
 			who = "OSDC"
+			osdcCheaper++
 		}
 		fmt.Fprintf(&b, "%-12.0f %-14.0f %-16.0f %-12.4f %s\n",
 			row.Utilization*100, row.RackAnnual, row.AWSEquivalent, row.RackPerCoreHr, who)
 	}
-	fmt.Fprintf(&b, "crossover at %.0f%% utilization (paper: ~80%%)\n", r.Crossover*100)
-	return b.String()
-}
-
-// ProvisionResult is the §7.3 comparison.
-type ProvisionResult struct {
-	AutomatedDur sim.Duration
-	ManualDur    sim.Duration
-	Speedup      float64
-	Retries      int
+	fmt.Fprintf(&b, "crossover at %.0f%% utilization (paper: ~80%%)\n", crossover*100)
+	return scenario.Result{
+		Metrics: map[string]float64{
+			"crossover-utilization": crossover,
+			"osdc-cheaper-points":   float64(osdcCheaper),
+			"sweep-points":          float64(len(rows)),
+		},
+		Table: b.String(),
+	}, nil
 }
 
 // Provisioning compares the automated pipeline to the manual install for a
 // 39-server rack.
-func Provisioning(seed uint64) ProvisionResult {
+func Provisioning(seed uint64) (scenario.Result, error) {
 	e := sim.NewEngine(seed)
 	p := provision.NewPipeline(e, provision.DefaultDurations(), 16, 0.02)
 	rack := provision.ProvisionRack(e, p, 39)
 	manual := provision.ManualRackTime(provision.DefaultManual(), 39)
-	return ProvisionResult{
-		AutomatedDur: rack.Duration, ManualDur: manual,
-		Speedup: manual / rack.Duration, Retries: rack.Retries,
-	}
+	speedup := manual / rack.Duration
+	return scenario.Result{
+		Metrics: map[string]float64{
+			"automated-hours": rack.Duration / sim.Hour,
+			"manual-days":     manual / sim.Day,
+			"speedup":         speedup,
+			"retries":         float64(rack.Retries),
+		},
+		Table: fmt.Sprintf(
+			"manual first rack install : %v  (paper: \"over a week\")\n"+
+				"automated PXE/IPMI/Chef   : %v  (paper: \"much less than a day\")\n"+
+				"speedup                   : %.1fx  (transient failures retried: %d)\n",
+			sim.Time(manual), sim.Time(rack.Duration), speedup, rack.Retries),
+	}, nil
 }
 
-// FormatProvisioning renders the comparison.
-func FormatProvisioning(r ProvisionResult) string {
-	return fmt.Sprintf(
-		"manual first rack install : %v  (paper: \"over a week\")\n"+
-			"automated PXE/IPMI/Chef   : %v  (paper: \"much less than a day\")\n"+
-			"speedup                   : %.1fx  (transient failures retried: %d)\n",
-		sim.Time(r.ManualDur), sim.Time(r.AutomatedDur), r.Speedup, r.Retries)
-}
-
-// CipherSanity verifies the real cipher round trips used in Table 3 and
-// reports the modeled throughput caps.
-func CipherSanity() (string, error) {
+// Ciphers round-trips a message through each real cipher Table 3 uses
+// and reports the modeled throughput caps.
+func Ciphers(uint64) (scenario.Result, error) {
 	msg := []byte("OSDC cipher self-test: Chicago to Livermore, 104 ms away")
 	var b strings.Builder
 	for _, name := range []cipher.Name{cipher.None, cipher.Blowfish, cipher.TripleDES} {
 		enc, err := cipher.NewStream(name, []byte("bench-key"), []byte("iv"))
 		if err != nil {
-			return "", err
+			return scenario.Result{}, err
 		}
 		dec, err := cipher.NewStream(name, []byte("bench-key"), []byte("iv"))
 		if err != nil {
-			return "", err
+			return scenario.Result{}, err
 		}
 		ct := make([]byte, len(msg))
 		enc.Process(ct, msg)
 		pt := make([]byte, len(ct))
 		dec.Process(pt, ct)
 		if string(pt) != string(msg) {
-			return "", fmt.Errorf("cipher %s failed round trip", name)
+			return scenario.Result{}, fmt.Errorf("cipher %s failed round trip", name)
 		}
 		fmt.Fprintf(&b, "%-10s udr-cap=%5.0f mbit/s  ssh-cap=%5.0f mbit/s\n", name,
 			cipher.ThroughputBps(name, cipher.ImplUDR)/1e6,
 			cipher.ThroughputBps(name, cipher.ImplSSH)/1e6)
 	}
-	return b.String(), nil
+	metrics := map[string]float64{}
+	for _, cfg := range udr.Table3Configs() {
+		metrics["cap-mbit["+cfg.String()+"]"] = cfg.Caps().Min() / 1e6
+	}
+	return scenario.Result{Metrics: metrics, Table: b.String()}, nil
 }

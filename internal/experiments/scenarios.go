@@ -1,162 +1,23 @@
 package experiments
 
 // Every experiment in this package is exposed through the scenario
-// registry, which is what cmd/osdc-bench, the root benchmarks, and the
-// integration tests iterate. Porting an experiment means mapping its
-// structured result onto scenario.Result: named numeric metrics (so sweeps
-// can aggregate across seeds) plus the paper-style formatted table.
+// registry, which is what cmd/osdc-bench, bench/ and the integration
+// tests iterate. Each run function builds its scenario.Result itself:
+// named numeric metrics (so sweeps can aggregate across seeds) plus the
+// paper-style formatted table.
 
-import (
-	"fmt"
-	"strings"
-
-	"osdc/internal/scenario"
-	"osdc/internal/sim"
-	"osdc/internal/udr"
-)
+import "osdc/internal/scenario"
 
 func init() {
-	scenario.Register(scenario.New("table1",
-		"Table 1 — commercial vs science CSP traffic characterization",
-		func(seed uint64) (scenario.Result, error) {
-			r := Table1(seed)
-			return scenario.Result{
-				Metrics: map[string]float64{
-					"web-median-bytes":       float64(r.Web.MedianBytes),
-					"web-elephant-share":     r.Web.ElephantShare,
-					"web-incoming-share":     r.Web.IncomingShare,
-					"science-median-bytes":   float64(r.Science.MedianBytes),
-					"science-elephant-share": r.Science.ElephantShare,
-					"science-incoming-share": r.Science.IncomingShare,
-				},
-				Table: FormatTable1(r),
-			}, nil
-		}))
-
-	scenario.Register(scenario.New("table2",
-		"Table 2 — OCC resource inventory",
-		func(seed uint64) (scenario.Result, error) {
-			rows, cores, disk, err := Table2(seed)
-			if err != nil {
-				return scenario.Result{}, err
-			}
-			return scenario.Result{
-				Metrics: map[string]float64{
-					"resources": float64(len(rows)),
-					"cores":     float64(cores),
-					"disk-TB":   float64(disk),
-				},
-				Table: FormatTable2(rows, cores, disk),
-			}, nil
-		}))
-
-	scenario.Register(scenario.New("table3",
-		"Table 3 — UDR vs rsync transfer matrix, Chicago↔LVOC (104 ms RTT)",
-		func(seed uint64) (scenario.Result, error) {
-			rows := Table3(seed)
-			metrics := map[string]float64{}
-			for _, r := range rows {
-				metrics["mbit-108GB["+r.Config.String()+"]"] = r.Mbit108
-				metrics["llr-108GB["+r.Config.String()+"]"] = r.LLR108
-				metrics["mbit-1.1TB["+r.Config.String()+"]"] = r.Mbit1T
-			}
-			table := "measured (this reproduction):\n" + FormatTable3(rows) +
-				"\npaper (Grossman et al. 2012, Table 3):\n" + FormatTable3(PaperTable3())
-			return scenario.Result{Metrics: metrics, Table: table}, nil
-		}))
-
+	scenario.Register(scenario.New("table1", "Table 1 — commercial vs science CSP traffic characterization", Table1))
+	scenario.Register(scenario.New("table2", "Table 2 — OCC resource inventory", Table2))
+	scenario.Register(scenario.New("table3", "Table 3 — UDR vs rsync transfer matrix, Chicago↔LVOC (104 ms RTT)", Table3))
 	scenario.Register(scenario.New("fig1", "Figure 1 — Tukey end to end over live HTTP", Figure1))
-
-	scenario.Register(scenario.New("fig2",
-		"Figure 2 — Project Matsu flood detection on OCC-Matsu",
-		func(seed uint64) (scenario.Result, error) {
-			r, err := Figure2(seed, 256, 256)
-			if err != nil {
-				return scenario.Result{}, err
-			}
-			table := fmt.Sprintf("EO-1 Hyperion tiles over Namibia (≈ flood, ^ fire, . clear):\n%s"+
-				"flooded tiles: %d/%d (%.2f km²), alerts: %d\n"+
-				"mapreduce job: %v on OCC-Matsu, %.0f%% data-local maps\n",
-				r.TileMap, r.FloodTiles, r.TotalTiles, r.FloodKm2, r.Alerts,
-				sim.Time(r.JobDuration), 100*r.Locality)
-			return scenario.Result{
-				Metrics: map[string]float64{
-					"flood-tiles":  float64(r.FloodTiles),
-					"total-tiles":  float64(r.TotalTiles),
-					"flood-km2":    r.FloodKm2,
-					"alerts":       float64(r.Alerts),
-					"job-seconds":  r.JobDuration,
-					"map-locality": r.Locality,
-				},
-				Table: table,
-			}, nil
-		}))
-
-	scenario.Register(scenario.New("fig3",
-		"Figure 3 — OSDC cluster topology",
-		func(seed uint64) (scenario.Result, error) {
-			out, err := Figure3(seed)
-			if err != nil {
-				return scenario.Result{}, err
-			}
-			return scenario.Result{
-				Metrics: map[string]float64{
-					"clusters":   float64(strings.Count(out, "OSDC-") + strings.Count(out, "OCC-")),
-					"full-tukey": float64(strings.Count(out, "solid")),
-				},
-				Table: out,
-			}, nil
-		}))
-
-	scenario.Register(scenario.New("cost",
-		"§9.1 — OSDC rack vs AWS utilization sweep",
-		func(seed uint64) (scenario.Result, error) {
-			r := CostSweep()
-			osdcCheaper := 0
-			for _, row := range r.Rows {
-				if row.OSDCCheaper {
-					osdcCheaper++
-				}
-			}
-			return scenario.Result{
-				Metrics: map[string]float64{
-					"crossover-utilization": r.Crossover,
-					"osdc-cheaper-points":   float64(osdcCheaper),
-					"sweep-points":          float64(len(r.Rows)),
-				},
-				Table: FormatCostSweep(r),
-			}, nil
-		}))
-
-	scenario.Register(scenario.New("provision",
-		"§7.3 — bare metal to cloud, manual vs automated rack install",
-		func(seed uint64) (scenario.Result, error) {
-			r := Provisioning(seed)
-			return scenario.Result{
-				Metrics: map[string]float64{
-					"automated-hours": r.AutomatedDur / sim.Hour,
-					"manual-days":     r.ManualDur / sim.Day,
-					"speedup":         r.Speedup,
-					"retries":         float64(r.Retries),
-				},
-				Table: FormatProvisioning(r),
-			}, nil
-		}))
-
-	scenario.Register(scenario.New("ciphers",
-		"Cipher self-test and modeled throughput caps",
-		func(seed uint64) (scenario.Result, error) {
-			out, err := CipherSanity()
-			if err != nil {
-				return scenario.Result{}, err
-			}
-			metrics := map[string]float64{}
-			for _, cfg := range udr.Table3Configs() {
-				caps := cfg.Caps()
-				metrics["cap-mbit["+cfg.String()+"]"] = caps.Min() / 1e6
-			}
-			return scenario.Result{Metrics: metrics, Table: out}, nil
-		}))
+	scenario.Register(scenario.New("fig2", "Figure 2 — Project Matsu flood detection on OCC-Matsu", Figure2))
+	scenario.Register(scenario.New("fig3", "Figure 3 — OSDC cluster topology", Figure3))
+	scenario.Register(scenario.New("cost", "§9.1 — OSDC rack vs AWS utilization sweep", CostSweep))
+	scenario.Register(scenario.New("provision", "§7.3 — bare metal to cloud, manual vs automated rack install", Provisioning))
+	scenario.Register(scenario.New("ciphers", "Cipher self-test and modeled throughput caps", Ciphers))
 
 	// mixed-workload's shards param runs the composition on the sharded
 	// kernel; the default (1) is the historic single-engine run.

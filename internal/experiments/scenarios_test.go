@@ -229,7 +229,7 @@ func TestConsoleLoadParams(t *testing.T) {
 // TestConsoleKneeShape checks one cheap grid point of the (users ×
 // replicas) sweep end to end: 2 replica consoles over a live state plane
 // behind the balancer, with exact request accounting and zero errors.
-// (The full default grid is pinned by the osdc-bench golden.)
+// (The osdc-bench golden pins the 1024×2 point.)
 func TestConsoleKneeShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live-HTTP load scenario")
