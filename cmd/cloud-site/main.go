@@ -142,11 +142,11 @@ func clockPollURL(raw string) (string, error) {
 // Errors are logged (the first of every 20 in a row) and retried: a site
 // that misses syncs holds its clock still rather than drifting.
 func (s *cloudSite) pollCoordinator(pollURL string, every time.Duration, stderr io.Writer) func() {
-	client := wire.NewClient(nil, fanout.RoundDeadline(every))
+	client := wire.NewClient(nil, fanout.RoundDeadline(every), 0)
 	fails := 0
 	return func() {
 		var body cloudapi.ClockStatus
-		status, _, err := wire.Call(client, http.MethodGet, pollURL, "", nil, &body, http.StatusOK)
+		status, _, err := wire.Call(context.Background(), client, http.MethodGet, pollURL, "", nil, &body, http.StatusOK)
 		if err != nil || status != http.StatusOK {
 			if fails++; fails%20 == 1 {
 				fmt.Fprintf(stderr, "clock poll %s: status %d, err %v\n", pollURL, status, err)

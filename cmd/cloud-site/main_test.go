@@ -46,10 +46,10 @@ func TestCloudSiteFreeRunServesNativeAndOperatorPlanes(t *testing.T) {
 	if _, err := r.Instances("alice"); err != nil {
 		t.Fatalf("native listing route: %v", err)
 	}
-	if _, err := r.UsageSince(0); err != nil {
+	if _, err := r.UsageSince(context.Background(), 0); err != nil {
 		t.Fatalf("operator usage route: %v", err)
 	}
-	st, err := r.Clock()
+	st, err := r.Clock(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestCloudSitePushFollow(t *testing.T) {
 	defer s.Close()
 
 	r := cloudapi.NewRemote(s.Cloud.Name, s.Cloud.Stack, s.URL, nil)
-	if err := r.ClockSync(sim.Time(2 * sim.Minute)); err != nil {
+	if err := r.ClockSync(context.Background(), sim.Time(2*sim.Minute)); err != nil {
 		t.Fatal(err)
 	}
 	waitUntil(t, 5*time.Second, func() bool { return sim.Time(s.Server().Clock.ClockStatus().Now) >= sim.Time(2*sim.Minute) },

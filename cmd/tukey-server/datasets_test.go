@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -73,7 +74,7 @@ func TestReplicationAndStagingInProcess(t *testing.T) {
 
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		if _, err := s.fed.Stores[core.ClusterAdler].Get("Enron Email"); err == nil {
+		if _, err := s.fed.Stores[core.ClusterAdler].Get(context.Background(), "Enron Email"); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -129,7 +130,7 @@ func TestStageAcrossSubprocessSite(t *testing.T) {
 	// The subprocess enforces the shared secret: an unauthenticated put
 	// is rejected before it touches the store.
 	bare := datastore.NewRemote(core.ClusterSullivan, core.SiteOf(core.ClusterSullivan), siteURL, nil)
-	if err := bare.Put(datastore.Replica{Dataset: "x", SizeBytes: 1, Version: 1}); err == nil {
+	if err := bare.Put(context.Background(), datastore.Replica{Dataset: "x", SizeBytes: 1, Version: 1}); err == nil {
 		t.Fatal("unauthenticated put crossed the process boundary")
 	}
 
@@ -170,7 +171,7 @@ func TestStageAcrossSubprocessSite(t *testing.T) {
 	}
 	deadline := time.Now().Add(20 * time.Second)
 	for {
-		if rep, err := probe.Get("Enron Email"); err == nil {
+		if rep, err := probe.Get(context.Background(), "Enron Email"); err == nil {
 			if rep.Checksum != datastore.Fingerprint("Enron Email", rep.Version) {
 				t.Fatalf("replica crossed the boundary corrupt: %+v", rep)
 			}

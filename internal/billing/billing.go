@@ -95,10 +95,12 @@ func New(e *sim.Engine, clouds []cloudapi.CloudAPI) *Biller {
 	return b
 }
 
-// Stop halts all pollers.
+// Stop halts all pollers; a poll in flight returns at once, its samples
+// counted as errors.
 func (b *Biller) Stop() {
 	b.pollMin.Stop()
 	b.pollMon.Stop()
+	b.usage.Stop()
 }
 
 // PollErrorsByCloud returns each polled cloud's sample-failure count —
@@ -140,7 +142,7 @@ func (sh *usageShard) user(u string) *Usage {
 // cloudapi.UsagePoller). Accrual stays on this goroutine, in
 // cloud-attachment order, so the metered sums remain deterministic; it
 // iterates each maintained snapshot every tick, so unchanged users keep
-// accruing. An errored or abandoned cloud accrues nothing this tick.
+// accruing. An errored or cancelled cloud accrues nothing this tick.
 func (b *Biller) pollVMs() {
 	snaps := b.usage.Poll(b.deadline)
 	atomic.AddInt64(&b.Polls, 1)

@@ -1,8 +1,11 @@
 package billing
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -106,7 +109,7 @@ func (f failingCloud) Name() string { return f.name }
 func (f failingCloud) Usage() (cloudapi.Usage, error) {
 	return cloudapi.Usage{}, fmt.Errorf("site %s unreachable", f.name)
 }
-func (f failingCloud) UsageSince(int64) (cloudapi.UsageDelta, error) {
+func (f failingCloud) UsageSince(context.Context, int64) (cloudapi.UsageDelta, error) {
 	return cloudapi.UsageDelta{}, fmt.Errorf("site %s unreachable", f.name)
 }
 
@@ -141,28 +144,37 @@ func TestStopHaltsPolling(t *testing.T) {
 	}
 }
 
-// hangingCloud is a CloudAPI whose usage samples block until released — a
-// hung remote site that never answers, as opposed to one that errors fast.
-type hangingCloud struct {
-	cloudapi.CloudAPI
-	name    string
-	release chan struct{}
+// hungSite is a site that accepts every request and never answers. Its
+// handler signals entered when a request arrives and cancelled when the
+// client cancels it.
+type hungSite struct {
+	url                string
+	entered, cancelled chan struct{}
 }
 
-func (h *hangingCloud) Name() string { return h.name }
-func (h *hangingCloud) Usage() (cloudapi.Usage, error) {
-	<-h.release
-	return cloudapi.Usage{}, nil
-}
-func (h *hangingCloud) UsageSince(int64) (cloudapi.UsageDelta, error) {
-	<-h.release
-	return cloudapi.UsageDelta{}, nil
+func startHungSite(t *testing.T) *hungSite {
+	h := &hungSite{entered: make(chan struct{}, 64), cancelled: make(chan struct{}, 64)}
+	signal := func(ch chan struct{}) {
+		select {
+		case ch <- struct{}{}:
+		default:
+		}
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		signal(h.entered)
+		<-r.Context().Done()
+		signal(h.cancelled)
+	}))
+	t.Cleanup(srv.Close)
+	h.url = srv.URL
+	return h
 }
 
-// TestAbandonedPollSurfacesAsPollError: a site whose Usage hangs past the
-// per-poll deadline is counted in PollErrorsByCloud while the healthy site
-// keeps accruing — the poll abandons the wait instead of stalling the
-// clock goroutine behind the hung transport.
+// TestAbandonedPollSurfacesAsPollError: a site that never answers is
+// counted in PollErrorsByCloud while the healthy site keeps accruing —
+// the poll cancels the request at its deadline, and the site sees it
+// cancelled, instead of stalling the clock goroutine behind the hung
+// transport.
 func TestAbandonedPollSurfacesAsPollError(t *testing.T) {
 	e := sim.NewEngine(3)
 	good := iaas.NewCloud(e, "healthy", "openstack", "chicago")
@@ -171,12 +183,11 @@ func TestAbandonedPollSurfacesAsPollError(t *testing.T) {
 	if _, err := good.Launch("alice", "vm", "m1.small", ""); err != nil {
 		t.Fatal(err)
 	}
-	hung := &hangingCloud{name: "hung-site", release: make(chan struct{})}
-	t.Cleanup(func() { close(hung.release) }) // drain the abandoned tasks
+	hung := startHungSite(t)
 
 	b := New(e, []cloudapi.CloudAPI{
 		cloudapi.NewLocal(good),
-		hung,
+		cloudapi.NewRemote("hung-site", "openstack", hung.url, nil),
 	})
 	b.deadline = 5 * time.Millisecond
 	e.RunFor(5 * sim.Minute)
@@ -187,10 +198,38 @@ func TestAbandonedPollSurfacesAsPollError(t *testing.T) {
 		t.Fatalf("healthy cloud charged %d poll errors", per["healthy"])
 	}
 	if per["hung-site"] < 4 {
-		t.Fatalf("hung-site abandoned polls = %d, want ~5", per["hung-site"])
+		t.Fatalf("hung-site cancelled polls = %d, want ~5", per["hung-site"])
 	}
 	if u := b.CurrentUsage("alice"); u.CoreMinutes < 4 { // one core, sampled each minute
 		t.Fatalf("healthy accrual stalled behind the hung site: %v core-minutes", u.CoreMinutes)
+	}
+	select {
+	case <-hung.cancelled:
+	case <-time.After(cloudapi.PollDeadline):
+		t.Fatal("the hung site never saw a poll's request cancelled")
+	}
+}
+
+// TestStopCutsPollInFlight: under a driver at 86 400× a minute poll fires
+// every millisecond of wall time, and a poll of a site that never answers
+// waits out cloudapi.PollDeadline. Teardown — the biller, then the clock —
+// returns in well under that deadline: Stop cancels the poll in flight,
+// so the driver's tick ends at once.
+func TestStopCutsPollInFlight(t *testing.T) {
+	e := sim.NewEngine(3)
+	hung := startHungSite(t)
+	b := New(e, []cloudapi.CloudAPI{cloudapi.NewRemote("hung-site", "openstack", hung.url, nil)})
+	driver := sim.StartDriver(e, 86400, 5*time.Millisecond)
+	<-hung.entered // a poll is in flight on the driver's goroutine
+
+	start := time.Now()
+	b.Stop()
+	driver.Stop()
+	if took := time.Since(start); took > cloudapi.PollDeadline/10 {
+		t.Fatalf("teardown took %v with a poll in flight, want well under the %v poll deadline", took, cloudapi.PollDeadline)
+	}
+	if per := b.PollErrorsByCloud(); per["hung-site"] == 0 {
+		t.Fatal("the cut poll was not counted as an error")
 	}
 }
 
@@ -224,8 +263,8 @@ func TestTerminatedUserStopsAccruing(t *testing.T) {
 
 // TestPollVMsSteadyStateAllocs pins the poller's reused buffers: a
 // steady-state minute poll over two unchanged clouds allocates only the
-// fan-out's per-run goroutine plumbing and the per-user accrual, never
-// per-poll result slices or snapshots.
+// fan-out's per-run workers, its per-task deadline contexts and the
+// per-user accrual, never per-poll result slices or snapshots.
 func TestPollVMsSteadyStateAllocs(t *testing.T) {
 	e := sim.NewEngine(4)
 	var clouds []cloudapi.CloudAPI
@@ -239,8 +278,8 @@ func TestPollVMsSteadyStateAllocs(t *testing.T) {
 		clouds = append(clouds, cloudapi.NewLocal(c))
 	}
 	b := New(e, clouds)
+	defer b.Stop()           // a stopped biller's polls are cancelled: stop after measuring
 	e.RunFor(3 * sim.Minute) // boots settle; the first polls take the full snapshots
-	b.Stop()
 	const bound = 14
 	if allocs := testing.AllocsPerRun(200, b.pollVMs); allocs > bound {
 		t.Fatalf("steady-state pollVMs = %v allocs, want <= %d", allocs, bound)

@@ -1,6 +1,7 @@
 package cloudapi
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -45,14 +46,14 @@ func TestClockPlaneFreeRunSite(t *testing.T) {
 	defer site.Close()
 	r := site.RemoteWithClient(nil)
 
-	st, err := r.Clock()
+	st, err := r.Clock(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Mode != "free-run" || st.Now != 0 {
 		t.Fatalf("clock status = %+v, want free-run at 0", st)
 	}
-	if err := r.ClockSync(100); !errors.Is(err, ErrFreeRunning) {
+	if err := r.ClockSync(context.Background(), 100); !errors.Is(err, ErrFreeRunning) {
 		t.Fatalf("sync against free-run site: %v, want ErrFreeRunning", err)
 	}
 	if site.Follower() != nil {
@@ -92,7 +93,7 @@ func TestClockPlaneFollowSite(t *testing.T) {
 	defer site.Close()
 	r := site.RemoteWithClient(nil)
 
-	if err := r.ClockSync(sim.Time(5 * sim.Minute)); err != nil {
+	if err := r.ClockSync(context.Background(), sim.Time(5*sim.Minute)); err != nil {
 		t.Fatal(err)
 	}
 	waitUntil(t, 5*time.Second, func() bool { return e.Now() >= sim.Time(5*sim.Minute) },
@@ -100,7 +101,7 @@ func TestClockPlaneFollowSite(t *testing.T) {
 	if now := e.Now(); now != sim.Time(5*sim.Minute) {
 		t.Fatalf("followed site overshot the target: %v", now)
 	}
-	st, err := r.Clock()
+	st, err := r.Clock(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,45 +223,41 @@ func TestCoordinatorBoundsSkew(t *testing.T) {
 }
 
 // slowPushTarget answers clock reads at once and holds every push until
-// released: each round's push overruns the coordinator's deadline.
+// its context ends, then reports success: the site took the target, but
+// its answer missed the coordinator's deadline.
 type slowPushTarget struct {
-	release  chan struct{}
-	pushes   atomic.Int64 // pushes started
-	inFlight atomic.Int64
+	pushes atomic.Int64 // pushes started
 }
 
-func (s *slowPushTarget) Name() string                { return "slow-push" }
-func (s *slowPushTarget) Clock() (ClockStatus, error) { return ClockStatus{Mode: "follow"}, nil }
-func (s *slowPushTarget) ClockSync(target sim.Time) error {
+func (s *slowPushTarget) Name() string { return "slow-push" }
+func (s *slowPushTarget) Clock(context.Context) (ClockStatus, error) {
+	return ClockStatus{Mode: "follow"}, nil
+}
+func (s *slowPushTarget) ClockSync(ctx context.Context, _ sim.Time) error {
 	s.pushes.Add(1)
-	s.inFlight.Add(1)
-	defer s.inFlight.Add(-1)
-	<-s.release
+	<-ctx.Done()
 	return nil
 }
 
-// TestCoordinatorSettlesAbandonedPushOnce: a push abandoned at the round's
-// deadline is one error for that round and nothing else — when it lands
-// later it counts no sync and moves neither the skew statistics nor the
-// last-push time.
+// TestCoordinatorSettlesAbandonedPushOnce: a push cut at the round's
+// deadline is one error for that round and nothing else — though the site
+// took it, it counts no sync and moves neither the skew statistics nor
+// the last-push time.
 func TestCoordinatorSettlesAbandonedPushOnce(t *testing.T) {
 	console := sim.NewEngine(12)
 	console.RunFor(100) // the site (at 0) trails by 100 virtual s
-	slow := &slowPushTarget{release: make(chan struct{})}
+	slow := &slowPushTarget{}
 	coord := StartClockCoordinator(console, 40*time.Millisecond, slow)
 	waitUntil(t, 10*time.Second, func() bool { return slow.pushes.Load() >= 3 },
 		"coordinator started too few pushes")
-	coord.Stop()
-	close(slow.release)
-	waitUntil(t, 5*time.Second, func() bool { return slow.inFlight.Load() == 0 },
-		"abandoned pushes never landed")
+	coord.Stop() // waits for the round in flight: every push has returned
 
 	st := coord.Stats()[0]
 	if pushes := slow.pushes.Load(); st.Syncs != 0 || st.Errors != pushes {
-		t.Fatalf("%d abandoned pushes settled as Syncs %d, Errors %d; want 0 and %d",
+		t.Fatalf("%d cut pushes settled as Syncs %d, Errors %d; want 0 and %d",
 			pushes, st.Syncs, st.Errors, pushes)
 	}
 	if st.LastSkew != 0 || st.MaxSkew != 0 || st.MaxExcess != 0 {
-		t.Fatalf("abandoned rounds moved the skew statistics: %+v", st)
+		t.Fatalf("cut rounds moved the skew statistics: %+v", st)
 	}
 }

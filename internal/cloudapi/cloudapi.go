@@ -24,6 +24,7 @@
 package cloudapi
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"strings"
@@ -189,6 +190,6 @@ type CloudAPI interface {
 	// previous delta's Rev and receive only the users whose footprint
 	// changed. since == 0 is a fresh caller and yields a Reset
 	// snapshot; since < 0 is rejected with an error through both
-	// backends.
-	UsageSince(since int64) (UsageDelta, error)
+	// backends. A Remote gives up when ctx ends.
+	UsageSince(ctx context.Context, since int64) (UsageDelta, error)
 }

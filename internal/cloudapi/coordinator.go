@@ -1,6 +1,7 @@
 package cloudapi
 
 import (
+	"context"
 	"sort"
 	"sync"
 	"time"
@@ -15,10 +16,10 @@ import (
 type ClockSyncTarget interface {
 	Name() string
 	// Clock reads the site's current virtual time.
-	Clock() (ClockStatus, error)
+	Clock(ctx context.Context) (ClockStatus, error)
 	// ClockSync publishes a target virtual time (ErrFreeRunning if the
 	// site does not follow).
-	ClockSync(target sim.Time) error
+	ClockSync(ctx context.Context, target sim.Time) error
 }
 
 // SkewStats aggregates a site's samples over the coordinator's lifetime.
@@ -55,11 +56,10 @@ type SkewStats struct {
 // Pushes fan out concurrently over a bounded worker pool (ROADMAP:
 // coordinator fan-out): at dozens of sites a sequential round-robin would
 // eat the interval, so each round gives every site the loop's round
-// deadline and abandons any site still unanswered. Each site settles
-// exactly once per round, on the coordinator's goroutine: an abandoned
-// push is one error — it may still land late, which the follower
-// tolerates by design, but that landing counts as no sync and moves no
-// statistic.
+// deadline and cancels the calls of any site still unanswered. Each site
+// settles exactly once per round, on the coordinator's goroutine: a push
+// cut at its deadline is one error and no sync, even if the site applied
+// the target before the cut (the follower tolerates that by design).
 type ClockCoordinator struct {
 	engine *sim.Engine
 
@@ -71,8 +71,8 @@ type ClockCoordinator struct {
 }
 
 // StartClockCoordinator begins pushing e's virtual time to every target
-// each interval of wall time, each round waiting fanout.RoundDeadline for
-// a site. Stop it before tearing the sites down.
+// each interval of wall time, each round cancelling a site's calls after
+// fanout.RoundDeadline. Stop it before tearing the sites down.
 func StartClockCoordinator(e *sim.Engine, interval time.Duration, targets ...ClockSyncTarget) *ClockCoordinator {
 	c := &ClockCoordinator{
 		engine:   e,
@@ -82,12 +82,12 @@ func StartClockCoordinator(e *sim.Engine, interval time.Duration, targets ...Clo
 	for _, t := range targets {
 		c.stats[t.Name()] = &SkewStats{Site: t.Name()}
 	}
-	group := fanout.NewGroup(siteWorkers, len(targets), func(i int) syncOutcome {
-		return c.syncOne(targets[i])
+	group := fanout.NewGroup(siteWorkers, len(targets), func(ctx context.Context, i int) syncOutcome {
+		return c.syncOne(ctx, targets[i])
 	})
 	deadline := fanout.RoundDeadline(interval)
 	c.loop = fanout.Every(interval, func() {
-		outcomes, completed := group.Run(deadline)
+		outcomes, completed := group.Run(context.Background(), deadline)
 		for i, t := range targets {
 			c.settle(t.Name(), outcomes[i], completed[i])
 		}
@@ -109,8 +109,8 @@ type syncOutcome struct {
 
 // syncOne observes one site's clock against the authoritative engine, then
 // pushes the engine's current time as the site's next target.
-func (c *ClockCoordinator) syncOne(t ClockSyncTarget) syncOutcome {
-	st, err := t.Clock()
+func (c *ClockCoordinator) syncOne(ctx context.Context, t ClockSyncTarget) syncOutcome {
+	st, err := t.Clock(ctx)
 	if err != nil {
 		return syncOutcome{err: err}
 	}
@@ -121,12 +121,12 @@ func (c *ClockCoordinator) syncOne(t ClockSyncTarget) syncOutcome {
 	// A site can only appear ahead by measurement race (its clock was read
 	// before ours); clamp rather than report negative skew.
 	skew := max(float64(now)-st.Now, 0)
-	return syncOutcome{read: true, skew: skew, now: now, err: t.ClockSync(now)}
+	return syncOutcome{read: true, skew: skew, now: now, err: t.ClockSync(ctx, now)}
 }
 
-// settle records one site's round: an abandoned round is one error and
-// nothing else; a completed one records its skew observation (if the read
-// answered) and then either a sync or an error.
+// settle records one site's round: a round cut at its deadline is one
+// error and nothing else; a completed one records its skew observation
+// (if the read answered) and then either a sync or an error.
 func (c *ClockCoordinator) settle(name string, o syncOutcome, completed bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

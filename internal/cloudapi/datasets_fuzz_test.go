@@ -1,6 +1,7 @@
 package cloudapi
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -113,8 +114,8 @@ func FuzzDatasetsListSinceMatchesSnapshot(f *testing.F) {
 		// the same Delta.
 		since := func(step int, rev int64) datastore.Delta {
 			t.Helper()
-			l, errL := local.ListSince(rev)
-			r, errR := remote.ListSince(rev)
+			l, errL := local.ListSince(context.Background(), rev)
+			r, errR := remote.ListSince(context.Background(), rev)
 			if errL != nil || errR != nil {
 				t.Fatalf("step %d: ListSince(%d): local err %v, remote err %v", step, rev, errL, errR)
 			}
@@ -128,7 +129,7 @@ func FuzzDatasetsListSinceMatchesSnapshot(f *testing.F) {
 		follow := func(step int, h heldSnapshot) heldSnapshot {
 			t.Helper()
 			next := h.apply(since(step, h.rev))
-			want, _ := local.List()
+			want, _ := local.List(context.Background())
 			if got := next.list(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("step %d: snapshot at rev %d plus its delta != List():\nsnapshot: %+v\nlist    : %+v", step, h.rev, got, want)
 			}
@@ -147,15 +148,15 @@ func FuzzDatasetsListSinceMatchesSnapshot(f *testing.F) {
 			}
 			switch kind {
 			case dsPut:
-				_ = api.Put(datastore.Replica{Dataset: name, SizeBytes: int64(1+arg>>3) << 20, Version: 1})
+				_ = api.Put(context.Background(), datastore.Replica{Dataset: name, SizeBytes: int64(1+arg>>3) << 20, Version: 1})
 			case dsReplace:
-				if cur, err := local.Get(name); err == nil {
+				if cur, err := local.Get(context.Background(), name); err == nil {
 					cur.Version++
 					cur.Checksum = ""
-					_ = api.Put(cur)
+					_ = api.Put(context.Background(), cur)
 				}
 			case dsDelete:
-				_ = api.Delete(name)
+				_ = api.Delete(context.Background(), name)
 			case dsAdopt:
 				_ = local.Adopt(datastore.Replica{Dataset: name, SizeBytes: int64(1+arg>>2) << 30, Version: 1})
 			case dsObserve:

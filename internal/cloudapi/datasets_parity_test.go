@@ -1,6 +1,7 @@
 package cloudapi
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -96,17 +97,20 @@ func TestDatasetsLocalRemoteParity(t *testing.T) {
 	}
 
 	// Empty stores agree, including the miss class and text.
-	bothData(t, "List(empty)", l.List, r.List)
+	list := func(api datastore.API) func() ([]datastore.Replica, error) {
+		return func() ([]datastore.Replica, error) { return api.List(context.Background()) }
+	}
+	bothData(t, "List(empty)", list(l), list(r))
 	bothData(t, "Get(miss)",
-		func() (datastore.Replica, error) { return l.Get("nope") },
-		func() (datastore.Replica, error) { return r.Get("nope") })
-	if _, err := r.Get("nope"); !errors.Is(err, datastore.ErrNoReplica) {
+		func() (datastore.Replica, error) { return l.Get(context.Background(), "nope") },
+		func() (datastore.Replica, error) { return r.Get(context.Background(), "nope") })
+	if _, err := r.Get(context.Background(), "nope"); !errors.Is(err, datastore.ErrNoReplica) {
 		t.Fatalf("remote miss lost the ErrNoReplica class: %v", err)
 	}
 
 	// Puts: valid, checksum-defaulting, and invalid.
 	put := func(api datastore.API, rep datastore.Replica) func() (struct{}, error) {
-		return func() (struct{}, error) { return struct{}{}, api.Put(rep) }
+		return func() (struct{}, error) { return struct{}{}, api.Put(context.Background(), rep) }
 	}
 	good := datastore.Replica{Dataset: "EO-1 Slice", SizeBytes: 4 << 30, Version: 1}
 	bothData(t, "Put(good)", put(l, good), put(r, good))
@@ -115,24 +119,24 @@ func TestDatasetsLocalRemoteParity(t *testing.T) {
 	bothData(t, "Put(bad version)", put(l, datastore.Replica{Dataset: "x", SizeBytes: 1}),
 		put(r, datastore.Replica{Dataset: "x", SizeBytes: 1}))
 
-	bothData(t, "List(one)", l.List, r.List)
+	bothData(t, "List(one)", list(l), list(r))
 	bothData(t, "Get(hit)",
-		func() (datastore.Replica, error) { return l.Get("EO-1 Slice") },
-		func() (datastore.Replica, error) { return r.Get("EO-1 Slice") })
+		func() (datastore.Replica, error) { return l.Get(context.Background(), "EO-1 Slice") },
+		func() (datastore.Replica, error) { return r.Get(context.Background(), "EO-1 Slice") })
 
 	// Deletes: present then absent.
 	del := func(api datastore.API, name string) func() (struct{}, error) {
-		return func() (struct{}, error) { return struct{}{}, api.Delete(name) }
+		return func() (struct{}, error) { return struct{}{}, api.Delete(context.Background(), name) }
 	}
 	bothData(t, "Delete(hit)", del(l, "EO-1 Slice"), del(r, "EO-1 Slice"))
 	bothData(t, "Delete(miss)", del(l, "EO-1 Slice"), del(r, "EO-1 Slice"))
-	if err := r.Delete("EO-1 Slice"); !errors.Is(err, datastore.ErrNoReplica) {
+	if err := r.Delete(context.Background(), "EO-1 Slice"); !errors.Is(err, datastore.ErrNoReplica) {
 		t.Fatalf("remote delete-miss lost the ErrNoReplica class: %v", err)
 	}
 
 	// End state agrees store-to-store.
-	ll, _ := rig.local.List()
-	rl, _ := rig.remoteStore.List()
+	ll, _ := rig.local.List(context.Background())
+	rl, _ := rig.remoteStore.List(context.Background())
 	if !reflect.DeepEqual(ll, rl) {
 		t.Fatalf("end state diverged:\nlocal : %+v\nremote: %+v", ll, rl)
 	}
@@ -144,8 +148,8 @@ func TestDatasetsParityOnFullVolume(t *testing.T) {
 	rig := newDatasetsRig(t, 1<<30) // ~2 GB of replica-2 capacity per store
 	big := datastore.Replica{Dataset: "Too Big", SizeBytes: 8 << 30, Version: 1}
 	bothData(t, "Put(full)",
-		func() (struct{}, error) { return struct{}{}, rig.local.Put(big) },
-		func() (struct{}, error) { return struct{}{}, rig.remote.Put(big) })
+		func() (struct{}, error) { return struct{}{}, rig.local.Put(context.Background(), big) },
+		func() (struct{}, error) { return struct{}{}, rig.remote.Put(context.Background(), big) })
 }
 
 // TestDatasetsParityUnderConcurrency hammers both backends with the same
@@ -163,10 +167,10 @@ func TestDatasetsParityUnderConcurrency(t *testing.T) {
 				defer wg.Done()
 				name := fmt.Sprintf("set-%d", w)
 				for i := 0; i < 40; i++ {
-					_ = api.Put(datastore.Replica{Dataset: name, SizeBytes: 1 << 20, Version: 1})
-					_, _ = api.Get(name)
-					_, _ = api.List()
-					_ = api.Delete(name)
+					_ = api.Put(context.Background(), datastore.Replica{Dataset: name, SizeBytes: 1 << 20, Version: 1})
+					_, _ = api.Get(context.Background(), name)
+					_, _ = api.List(context.Background())
+					_ = api.Delete(context.Background(), name)
 				}
 			}()
 		}
@@ -212,7 +216,7 @@ func TestOperatorPlaneAuth(t *testing.T) {
 			t.Errorf("unauthenticated %s %s = %d, want 403", probe.method, probe.path, resp.StatusCode)
 		}
 	}
-	if list, _ := store.List(); len(list) != 0 || e.Now() != 0 {
+	if list, _ := store.List(context.Background()); len(list) != 0 || e.Now() != 0 {
 		t.Fatal("an unauthenticated write had an effect")
 	}
 
@@ -231,7 +235,7 @@ func TestOperatorPlaneAuth(t *testing.T) {
 	// Secret-bearing clients pass on both planes.
 	cr := NewRemote("auth-site", "openstack", hs.URL, nil)
 	cr.SetOperatorSecret("hunter2")
-	if err := cr.ClockSync(10); err != nil {
+	if err := cr.ClockSync(context.Background(), 10); err != nil {
 		t.Fatalf("authenticated clock sync: %v", err)
 	}
 	if err := cr.SetQuota("u", iaas.Quota{MaxInstances: 2, MaxCores: 2}); err != nil {
@@ -239,10 +243,10 @@ func TestOperatorPlaneAuth(t *testing.T) {
 	}
 	dr := datastore.NewRemote("auth-site", "chicago", hs.URL, nil)
 	dr.SetOperatorSecret("hunter2")
-	if err := dr.Put(datastore.Replica{Dataset: "d", SizeBytes: 1 << 20, Version: 1}); err != nil {
+	if err := dr.Put(context.Background(), datastore.Replica{Dataset: "d", SizeBytes: 1 << 20, Version: 1}); err != nil {
 		t.Fatalf("authenticated dataset put: %v", err)
 	}
-	if err := dr.Delete("d"); err != nil {
+	if err := dr.Delete(context.Background(), "d"); err != nil {
 		t.Fatalf("authenticated dataset delete: %v", err)
 	}
 
@@ -263,7 +267,7 @@ func TestDatasetsListSinceParity(t *testing.T) {
 	l, r := datastore.API(rig.local), datastore.API(rig.remote)
 
 	since := func(api datastore.API, rev int64) func() (datastore.Delta, error) {
-		return func() (datastore.Delta, error) { return api.ListSince(rev) }
+		return func() (datastore.Delta, error) { return api.ListSince(context.Background(), rev) }
 	}
 	bothData(t, "ListSince(0, empty)", since(l, 0), since(r, 0))
 
@@ -273,26 +277,26 @@ func TestDatasetsListSinceParity(t *testing.T) {
 			{Dataset: "A Set", SizeBytes: 1 << 30, Version: 1},
 			{Dataset: "C Set", SizeBytes: 3 << 30, Version: 1},
 		} {
-			if err := api.Put(rep); err != nil {
+			if err := api.Put(context.Background(), rep); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := api.Put(datastore.Replica{Dataset: "A Set", SizeBytes: 1 << 30, Version: 2}); err != nil {
+		if err := api.Put(context.Background(), datastore.Replica{Dataset: "A Set", SizeBytes: 1 << 30, Version: 2}); err != nil {
 			t.Fatal(err)
 		}
-		if err := api.Delete("B Set"); err != nil {
+		if err := api.Delete(context.Background(), "B Set"); err != nil {
 			t.Fatal(err)
 		}
 	}
 	bothData(t, "ListSince(0)", since(l, 0), since(r, 0))
 	bothData(t, "ListSince(3)", since(l, 3), since(r, 3))
-	caught, _ := l.ListSince(0)
+	caught, _ := l.ListSince(context.Background(), 0)
 	bothData(t, "ListSince(caught-up)", since(l, caught.Rev), since(r, caught.Rev))
 	bothData(t, "ListSince(future)", since(l, 9999), since(r, 9999))
 
 	// The delta must actually be a delta: from rev 3, only the replaced
 	// A Set and the dead B Set.
-	d, err := r.ListSince(3)
+	d, err := r.ListSince(context.Background(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package cloudapi
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -82,7 +83,7 @@ func (l *Local) Usage() (Usage, error) {
 }
 
 // UsageSince implements CloudAPI over the iaas counter index.
-func (l *Local) UsageSince(since int64) (UsageDelta, error) {
+func (l *Local) UsageSince(_ context.Context, since int64) (UsageDelta, error) {
 	if since < 0 {
 		return UsageDelta{}, fmt.Errorf("cloudapi: bad usage since %d", since)
 	}

@@ -1,6 +1,7 @@
 package cloudapi
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http/httptest"
@@ -93,8 +94,8 @@ func TestLocalRemoteParity(t *testing.T) {
 				t.Fatalf("alice lists %+v, want the two launches %+v and %+v", list, viaRemote, viaLocal)
 			}
 			both(t, "UsageSince(0)",
-				func() (UsageDelta, error) { return local.UsageSince(0) },
-				func() (UsageDelta, error) { return remote.UsageSince(0) })
+				func() (UsageDelta, error) { return local.UsageSince(context.Background(), 0) },
+				func() (UsageDelta, error) { return remote.UsageSince(context.Background(), 0) })
 
 			// Boot timers fire; ACTIVE must round-trip through both wire
 			// dialects (EC2 "running" must come back as ACTIVE).
@@ -202,7 +203,7 @@ func TestParityUnderConcurrency(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := api.UsageSince(0); err != nil {
+				if _, err := api.UsageSince(context.Background(), 0); err != nil {
 					t.Error(err)
 					return
 				}

@@ -1,7 +1,7 @@
 package cloudapi
 
 import (
-	"sync"
+	"context"
 	"sync/atomic"
 	"time"
 
@@ -9,9 +9,9 @@ import (
 )
 
 // PollDeadline is the wall budget one site gets in an operator poll
-// (billing and usage-monitor samples, Nagios agent sweeps) before the poll
-// abandons the wait: half the Remote client's own timeout, so a poll
-// surfaces a hung site well before the transport gives up.
+// (billing and usage-monitor samples) before the poll cancels its
+// request: half the Remote client's own timeout, so a poll surfaces a
+// hung site well before the transport gives up.
 const PollDeadline = DefaultTimeout / 2
 
 // UsagePoller keeps one maintained usage snapshot per cloud, advanced by
@@ -26,12 +26,11 @@ type UsagePoller struct {
 	clouds []CloudAPI
 	group  *fanout.Group[usageSample]
 	errs   []atomic.Int64 // per cloud, in attachment order
+	snaps  []Usage
+	out    []*Usage // Poll's reused result
 
-	// mu covers snaps: a sample abandoned at its deadline may read its
-	// cloud's Rev after the next Poll has begun folding.
-	mu    sync.Mutex
-	snaps []Usage
-	out   []*Usage // Poll's reused result
+	ctx    context.Context // every poll's; Stop cancels it
+	cancel context.CancelFunc
 }
 
 type usageSample struct {
@@ -48,29 +47,26 @@ func NewUsagePoller(clouds []CloudAPI) *UsagePoller {
 		out:    make([]*Usage, len(clouds)),
 	}
 	p.group = fanout.NewGroup(siteWorkers, len(clouds), p.sample)
+	p.ctx, p.cancel = context.WithCancel(context.Background())
 	return p
 }
 
-func (p *UsagePoller) sample(i int) usageSample {
-	p.mu.Lock()
-	since := p.snaps[i].Rev
-	p.mu.Unlock()
-	d, err := p.clouds[i].UsageSince(since)
+func (p *UsagePoller) sample(ctx context.Context, i int) usageSample {
+	d, err := p.clouds[i].UsageSince(ctx, p.snaps[i].Rev)
 	return usageSample{d, err}
 }
 
-// Poll samples every cloud through the bounded pool, waiting up to
-// deadline for each — one hung remote site polled serially would stall the
-// clock for every site behind it — and folds each answered delta into that
-// cloud's snapshot. It returns the snapshots in attachment order, nil for
-// a cloud that errored or missed the deadline (counted in ErrorsByCloud).
+// Poll samples every cloud through the bounded pool, cancelling each
+// sample after deadline — one hung remote site polled serially would
+// stall the clock for every site behind it — and folds each answered
+// delta into that cloud's snapshot. It returns the snapshots in attachment
+// order, nil for a cloud that errored, missed the deadline or was cut by
+// Stop (counted in ErrorsByCloud).
 // A failed cloud's snapshot and rev stay put: the churn it missed re-sends
 // next poll because deltas carry absolute values. The slice and the
 // snapshots are valid until the next Poll.
 func (p *UsagePoller) Poll(deadline time.Duration) []*Usage {
-	res, done := p.group.Run(deadline)
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	res, done := p.group.Run(p.ctx, deadline)
 	for i := range p.out {
 		p.out[i] = nil
 		if !done[i] || res[i].err != nil {
@@ -82,6 +78,10 @@ func (p *UsagePoller) Poll(deadline time.Duration) []*Usage {
 	}
 	return p.out
 }
+
+// Stop cancels the poll in flight, which returns at once, and every later
+// one. It may be called from any goroutine.
+func (p *UsagePoller) Stop() { p.cancel() }
 
 // ErrorsByCloud returns each cloud's failed-sample count — zero entries
 // included, so a healthy federation reports every site.

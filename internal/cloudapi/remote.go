@@ -1,6 +1,7 @@
 package cloudapi
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -34,7 +35,7 @@ type Remote struct {
 
 // DefaultTimeout bounds every round trip of a Remote built with a nil
 // client, so a hung site surfaces as an error to every caller instead of
-// holding a goroutine forever. The operator pollers give up waiting
+// holding a goroutine forever. The operator pollers cancel their calls
 // sooner (PollDeadline).
 const DefaultTimeout = 10 * time.Second
 
@@ -46,7 +47,7 @@ func NewRemote(name, stack, endpoint string, client *http.Client) *Remote {
 		panic("cloudapi: unsupported stack " + stack)
 	}
 	return &Remote{name: name, stack: stack, endpoint: strings.TrimRight(endpoint, "/"),
-		client: wire.NewClient(client, DefaultTimeout)}
+		client: wire.NewClient(client, DefaultTimeout, 0)}
 }
 
 // ProbeRemote builds a client for whatever cloud serves endpoint by asking
@@ -54,9 +55,9 @@ func NewRemote(name, stack, endpoint string, client *http.Client) *Remote {
 // tukey-server attaches an externally running cloud-site process it knows
 // only by URL. client may be nil for a private client with DefaultTimeout.
 func ProbeRemote(endpoint string, client *http.Client) (*Remote, error) {
-	client = wire.NewClient(client, DefaultTimeout)
+	client = wire.NewClient(client, DefaultTimeout, 0)
 	var m meta
-	status, _, err := wire.Call(client, http.MethodGet, strings.TrimRight(endpoint, "/")+"/cloudapi/meta", "", nil, &m, http.StatusOK)
+	status, _, err := wire.Call(context.Background(), client, http.MethodGet, strings.TrimRight(endpoint, "/")+"/cloudapi/meta", "", nil, &m, http.StatusOK)
 	if status == 0 {
 		return nil, fmt.Errorf("cloudapi: probing %s: %w", endpoint, err)
 	}
@@ -89,8 +90,8 @@ func (r *Remote) refusedCall(call string, status int, msg string) error {
 // --- the operator plane (JSON, stack-independent) ---
 
 // operator makes one operator-plane round trip through wire.Call.
-func (r *Remote) operator(method, path string, in, out interface{}, ok int) (status int, msg string, err error) {
-	return wire.Call(r.client, method, r.endpoint+path, r.secret, in, out, ok)
+func (r *Remote) operator(ctx context.Context, method, path string, in, out interface{}, ok int) (status int, msg string, err error) {
+	return wire.Call(ctx, r.client, method, r.endpoint+path, r.secret, in, out, ok)
 }
 
 // refused words an operator-plane answer other than the one wanted: msg
@@ -150,7 +151,7 @@ func (r *Remote) Instances(user string) ([]Instance, error) {
 // server words (an empty user) surfaces with the Local backend's text.
 func (r *Remote) SetQuota(user string, q iaas.Quota) error {
 	req := quotaRequest{User: user, MaxInstances: q.MaxInstances, MaxCores: q.MaxCores}
-	status, msg, err := r.operator(http.MethodPost, "/cloudapi/quota", req, nil, http.StatusNoContent)
+	status, msg, err := r.operator(context.Background(), http.MethodPost, "/cloudapi/quota", req, nil, http.StatusNoContent)
 	if err != nil || status == http.StatusNoContent {
 		return err
 	}
@@ -159,9 +160,9 @@ func (r *Remote) SetQuota(user string, q iaas.Quota) error {
 
 // Clock reads the site's clock plane: the site engine's current virtual
 // time, mode, and (follow mode) newest target.
-func (r *Remote) Clock() (ClockStatus, error) {
+func (r *Remote) Clock(ctx context.Context) (ClockStatus, error) {
 	var st ClockStatus
-	status, _, err := r.operator(http.MethodGet, "/cloudapi/clock", nil, &st, http.StatusOK)
+	status, _, err := r.operator(ctx, http.MethodGet, "/cloudapi/clock", nil, &st, http.StatusOK)
 	if err != nil {
 		return ClockStatus{}, err
 	}
@@ -174,8 +175,8 @@ func (r *Remote) Clock() (ClockStatus, error) {
 // ClockSync publishes a target virtual time on the site's clock plane. A
 // free-running site answers 409, surfaced as ErrFreeRunning so a
 // coordinator can tell "does not follow" from "unreachable".
-func (r *Remote) ClockSync(target sim.Time) error {
-	status, _, err := r.operator(http.MethodPost, "/cloudapi/clock", clockSyncRequest{Target: float64(target)}, nil, http.StatusNoContent)
+func (r *Remote) ClockSync(ctx context.Context, target sim.Time) error {
+	status, _, err := r.operator(ctx, http.MethodPost, "/cloudapi/clock", clockSyncRequest{Target: float64(target)}, nil, http.StatusNoContent)
 	switch {
 	case err != nil || status == http.StatusNoContent:
 		return err
@@ -188,9 +189,9 @@ func (r *Remote) ClockSync(target sim.Time) error {
 // UsageSince implements CloudAPI via the operator plane's ?since= form.
 // Server-reported rejections (a negative since) surface with the Local
 // backend's error text, verbatim.
-func (r *Remote) UsageSince(since int64) (UsageDelta, error) {
+func (r *Remote) UsageSince(ctx context.Context, since int64) (UsageDelta, error) {
 	var d UsageDelta
-	status, msg, err := r.operator(http.MethodGet, fmt.Sprintf("/cloudapi/usage?since=%d", since), nil, &d, http.StatusOK)
+	status, msg, err := r.operator(ctx, http.MethodGet, fmt.Sprintf("/cloudapi/usage?since=%d", since), nil, &d, http.StatusOK)
 	if err != nil {
 		return UsageDelta{}, err
 	}

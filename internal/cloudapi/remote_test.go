@@ -1,6 +1,7 @@
 package cloudapi
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -129,12 +130,12 @@ func operatorPlaneErrorTable(t *testing.T) {
 				return wantErr{text: fmt.Sprintf("cloudapi: broken quota update returned %d", status)}
 			}},
 		{"Clock",
-			func(r *Remote, _ string) error { _, err := r.Clock(); return err },
+			func(r *Remote, _ string) error { _, err := r.Clock(context.Background()); return err },
 			func(status int, _, _ string) wantErr {
 				return wantErr{text: fmt.Sprintf("cloudapi: broken clock read returned %d", status)}
 			}},
 		{"ClockSync",
-			func(r *Remote, _ string) error { return r.ClockSync(10) },
+			func(r *Remote, _ string) error { return r.ClockSync(context.Background(), 10) },
 			func(status int, _, _ string) wantErr {
 				if status == http.StatusConflict {
 					return wantErr{text: "cloudapi: broken: " + ErrFreeRunning.Error(), class: ErrFreeRunning}
@@ -142,7 +143,7 @@ func operatorPlaneErrorTable(t *testing.T) {
 				return wantErr{text: fmt.Sprintf("cloudapi: broken clock sync returned %d", status)}
 			}},
 		{"UsageSince",
-			func(r *Remote, _ string) error { _, err := r.UsageSince(3); return err },
+			func(r *Remote, _ string) error { _, err := r.UsageSince(context.Background(), 3); return err },
 			func(status int, msg, _ string) wantErr {
 				if msg != "" {
 					return wantErr{text: msg}

@@ -159,7 +159,7 @@ func (s *Server) serveUsage(w http.ResponseWriter, r *http.Request) {
 		computedAt = u.Rev
 		_ = json.NewEncoder(&buf).Encode(u)
 	} else {
-		d, err := s.local.UsageSince(key.since)
+		d, err := s.local.UsageSince(r.Context(), key.since)
 		if err != nil {
 			wire.WriteError(w, http.StatusBadRequest, err.Error())
 			return

@@ -1,6 +1,7 @@
 package cloudapi
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -62,11 +63,11 @@ func FuzzSinceParam(f *testing.F) {
 	}
 	store := datastore.NewStore("since-site", "chicago", datasetsVolume(f, e, "svol", 1<<40))
 	for _, name := range []string{"a", "b", "c"} {
-		if err := store.Put(datastore.Replica{Dataset: name, SizeBytes: 1 << 20, Version: 1}); err != nil {
+		if err := store.Put(context.Background(), datastore.Replica{Dataset: name, SizeBytes: 1 << 20, Version: 1}); err != nil {
 			f.Fatal(err)
 		}
 	}
-	if err := store.Delete("b"); err != nil {
+	if err := store.Delete(context.Background(), "b"); err != nil {
 		f.Fatal(err)
 	}
 	srv := NewServer(c)
@@ -109,7 +110,7 @@ func FuzzSinceParam(f *testing.F) {
 		dataCode, dataBody := get(t, "/cloudapi/datasets", raw)
 		if raw == "" {
 			u, _ := local.Usage()
-			reps, _ := store.List()
+			reps, _ := store.List(context.Background())
 			answers(t, "usage", usageCode, http.StatusOK, usageBody, u, func() any { return new(Usage) })
 			answers(t, "datasets", dataCode, http.StatusOK, dataBody, listWire{store.Name(), store.Loc(), reps}, func() any { return new(listWire) })
 			return
@@ -120,12 +121,12 @@ func FuzzSinceParam(f *testing.F) {
 			answers(t, "datasets", dataCode, http.StatusBadRequest, dataBody, errorBody("datastore: bad since "+strconv.Quote(raw)), newErr)
 			return
 		}
-		if d, err := local.UsageSince(since); err != nil {
+		if d, err := local.UsageSince(context.Background(), since); err != nil {
 			answers(t, "usage", usageCode, http.StatusBadRequest, usageBody, errorBody(err.Error()), newErr)
 		} else {
 			answers(t, "usage", usageCode, http.StatusOK, usageBody, d, func() any { return new(UsageDelta) })
 		}
-		d, _ := store.ListSince(since)
+		d, _ := store.ListSince(context.Background(), since)
 		answers(t, "datasets", dataCode, http.StatusOK, dataBody, deltaWire{store.Name(), store.Loc(), d}, func() any { return new(deltaWire) })
 	})
 }

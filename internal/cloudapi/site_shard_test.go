@@ -1,6 +1,7 @@
 package cloudapi
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -35,7 +36,7 @@ func TestShardedSiteFollowMode(t *testing.T) {
 
 	// Advance past the 90 s boot delay; the follower must carry every
 	// shard (not just the anchor) to the target.
-	if err := r.ClockSync(120); err != nil {
+	if err := r.ClockSync(context.Background(), 120); err != nil {
 		t.Fatal(err)
 	}
 	waitUntil(t, 10*time.Second, func() bool { return set.Now() >= 120 },

@@ -4,58 +4,68 @@ package cloudapi
 
 import (
 	"maps"
+	"net/http"
 	"slices"
+	"strconv"
 	"sync"
 	"testing"
 	"testing/synctest"
 	"time"
+
+	"osdc/internal/wire"
 )
 
-// scriptedCloud is an in-process CloudAPI whose usage plane answers
-// whatever delta the test scripted, blocking first while hang is open.
-// It records the revision every call passed.
-type scriptedCloud struct {
-	CloudAPI
-	name string
-
-	mu     sync.Mutex
-	reply  UsageDelta
-	hang   chan struct{}
-	sinces []int64
+// scriptedSite is a site's usage route, reached by a real Remote over an
+// in-memory transport (a bubble cannot hold a socket): it answers
+// whatever delta the test scripted, or with hang set accepts the request
+// and never answers, counting each request its client cancelled. It
+// records the revision every request asked from.
+type scriptedSite struct {
+	mu        sync.Mutex
+	reply     UsageDelta
+	hang      bool
+	sinces    []int64
+	cancelled int
 }
 
-func (c *scriptedCloud) Name() string { return c.name }
-
-func (c *scriptedCloud) UsageSince(since int64) (UsageDelta, error) {
-	c.mu.Lock()
-	c.sinces = append(c.sinces, since)
-	reply, hang := c.reply, c.hang
-	c.mu.Unlock()
-	if hang != nil {
-		<-hang
+func (s *scriptedSite) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	since, _ := strconv.ParseInt(r.URL.Query().Get("since"), 10, 64)
+	s.mu.Lock()
+	s.sinces = append(s.sinces, since)
+	reply, hang := s.reply, s.hang
+	s.mu.Unlock()
+	if hang {
+		<-r.Context().Done()
+		s.mu.Lock()
+		s.cancelled++
+		s.mu.Unlock()
+		return
 	}
-	return reply, nil
+	wire.WriteJSON(w, http.StatusOK, reply)
 }
 
-func (c *scriptedCloud) script(d UsageDelta, hang chan struct{}) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.reply, c.hang = d, hang
+func (s *scriptedSite) script(d UsageDelta, hang bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.reply, s.hang = d, hang
 }
 
-// TestSynctestUsagePollerRoundsAndReset runs UsagePoller's rounds on a
-// fake wall clock. A hung cloud is abandoned at exactly the deadline, its
-// answer, once released, lands nowhere, and its snapshot's rev stays put,
-// so the next round asks from the same revision. A Reset delta (the cloud
-// restarted under the poller) then replaces the snapshot whole.
+// TestSynctestUsagePollerRoundsAndReset runs UsagePoller's rounds over
+// real Remotes on a fake wall clock. A hung site's request is cancelled
+// at exactly the deadline, the site sees the cancellation, and its
+// snapshot's rev stays put, so the next round asks from the same
+// revision. A Reset delta (the site restarted under the poller) then
+// replaces the snapshot whole.
 // Run with GOEXPERIMENT=synctest go test -run Synctest ./internal/cloudapi/.
 // The bubble runs on its own goroutine, so failures are t.Error.
 func TestSynctestUsagePollerRoundsAndReset(t *testing.T) {
 	synctest.Run(func() {
 		const deadline = 50 * time.Millisecond
-		a := &scriptedCloud{name: "a"}
-		b := &scriptedCloud{name: "b"}
-		p := NewUsagePoller([]CloudAPI{a, b})
+		a, b := &scriptedSite{}, &scriptedSite{}
+		remote := func(name string, s *scriptedSite) CloudAPI {
+			return NewRemote(name, "openstack", "http://"+name+".test", &http.Client{Transport: handlerTransport{s}})
+		}
+		p := NewUsagePoller([]CloudAPI{remote("a", a), remote("b", b)})
 		users := func(u *Usage) map[string]UserUsage {
 			if u == nil {
 				return nil
@@ -64,8 +74,8 @@ func TestSynctestUsagePollerRoundsAndReset(t *testing.T) {
 		}
 
 		// Round 1: both answer full snapshots at once.
-		a.script(UsageDelta{Rev: 3, Reset: true, Changed: map[string]UserUsage{"alice": {1, 4}}}, nil)
-		b.script(UsageDelta{Rev: 7, Reset: true, Changed: map[string]UserUsage{"bob": {2, 8}}}, nil)
+		a.script(UsageDelta{Rev: 3, Reset: true, Changed: map[string]UserUsage{"alice": {1, 4}}}, false)
+		b.script(UsageDelta{Rev: 7, Reset: true, Changed: map[string]UserUsage{"bob": {2, 8}}}, false)
 		start := time.Now()
 		snaps := p.Poll(deadline)
 		if took := time.Since(start); took != 0 {
@@ -77,9 +87,8 @@ func TestSynctestUsagePollerRoundsAndReset(t *testing.T) {
 		}
 
 		// Round 2: a sends a delta, b hangs.
-		hang := make(chan struct{})
-		a.script(UsageDelta{Rev: 4, Changed: map[string]UserUsage{"amy": {1, 1}}}, nil)
-		b.script(UsageDelta{Rev: 9, Changed: map[string]UserUsage{"bob": {9, 9}}}, hang)
+		a.script(UsageDelta{Rev: 4, Changed: map[string]UserUsage{"amy": {1, 1}}}, false)
+		b.script(UsageDelta{}, true)
 		start = time.Now()
 		snaps = p.Poll(deadline)
 		if took := time.Since(start); took != deadline {
@@ -94,19 +103,20 @@ func TestSynctestUsagePollerRoundsAndReset(t *testing.T) {
 		if got := p.ErrorsByCloud(); got["a"] != 0 || got["b"] != 1 {
 			t.Errorf("errors %v, want a 0, b 1", got)
 		}
-		close(hang)
-		synctest.Wait() // the abandoned call returns; its answer must not land
 
 		// Round 3: b restarted under the poller and answers a Reset.
-		b.script(UsageDelta{Rev: 2, Reset: true, Changed: map[string]UserUsage{"carol": {1, 2}}}, nil)
+		b.script(UsageDelta{Rev: 2, Reset: true, Changed: map[string]UserUsage{"carol": {1, 2}}}, false)
 		snaps = p.Poll(deadline)
 		if want := map[string]UserUsage{"carol": {1, 2}}; snaps[1] == nil || snaps[1].Rev != 2 || !maps.Equal(snaps[1].ByUser, want) {
 			t.Errorf("b after its Reset = %+v, want rev 2 and %v", snaps[1], want)
 		}
 		b.mu.Lock()
 		defer b.mu.Unlock()
+		if b.cancelled != 1 {
+			t.Errorf("b saw %d requests cancelled, want the hung round's 1", b.cancelled)
+		}
 		if want := []int64{0, 7, 7}; !slices.Equal(b.sinces, want) {
-			t.Errorf("b was asked since %v, want %v: the abandoned round moved its rev", b.sinces, want)
+			t.Errorf("b was asked since %v, want %v: the cancelled round moved its rev", b.sinces, want)
 		}
 	})
 }

@@ -7,6 +7,7 @@ package cloudapi
 // delta-maintained snapshots to the full sample.
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -21,8 +22,8 @@ import (
 func bothDeltas(t *testing.T, rig *parityRig, since int64) UsageDelta {
 	t.Helper()
 	return both(t, "UsageSince",
-		func() (UsageDelta, error) { return rig.local.UsageSince(since) },
-		func() (UsageDelta, error) { return rig.remote.UsageSince(since) })
+		func() (UsageDelta, error) { return rig.local.UsageSince(context.Background(), since) },
+		func() (UsageDelta, error) { return rig.remote.UsageSince(context.Background(), since) })
 }
 
 func TestUsageDeltaParity(t *testing.T) {
@@ -70,8 +71,8 @@ func TestUsageDeltaParity(t *testing.T) {
 
 			// A bad rev errors identically through both backends (the wire
 			// side is a 400 whose body carries Local's error text).
-			_, errL := rig.local.UsageSince(-1)
-			_, errR := rig.remote.UsageSince(-1)
+			_, errL := rig.local.UsageSince(context.Background(), -1)
+			_, errR := rig.remote.UsageSince(context.Background(), -1)
 			if errL == nil || errR == nil || errL.Error() != errR.Error() {
 				t.Fatalf("bad-rev errors diverged: local=%v remote=%v", errL, errR)
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -282,7 +283,9 @@ func (d *Deployment) start(cfg ConsoleConfig) error {
 	} else {
 		f.Set.Share()
 	}
-	d.closers = append(d.closers, d.StopClock)
+	// Close stops the pollers before the clock: a stop cancels the poll
+	// in flight, so the driver's last tick ends at once.
+	d.closers = append(d.closers, d.StopClock, func() { f.Biller.Stop(); f.UsageMon.Stop() })
 	if len(d.syncTargets) > 0 {
 		f.ClockSync = cloudapi.StartClockCoordinator(f.Engine, syncEvery, d.syncTargets...)
 		d.Console.ClockSync = f.ClockSync
@@ -353,7 +356,7 @@ func (d *Deployment) attachExternal(s ExternalSite, secret string, sync bool) er
 	remote.SetOperatorSecret(secret)
 	follows := false
 	if sync {
-		st, err := remote.Clock()
+		st, err := remote.Clock(context.Background())
 		if err != nil {
 			return fmt.Errorf("core: site %s at %s: clock plane unreadable with clock sync on: %w", s.Name, s.URL, err)
 		}
@@ -393,9 +396,7 @@ func (d *Deployment) serve(h http.Handler) (string, error) {
 // pooledClient returns a client whose transport keeps pooledIdlePerHost
 // idle connections per host; Close drops them.
 func (d *Deployment) pooledClient(timeout time.Duration) *http.Client {
-	c := &http.Client{Timeout: timeout, Transport: &http.Transport{
-		MaxIdleConns: pooledIdlePerHost, MaxIdleConnsPerHost: pooledIdlePerHost,
-	}}
+	c := wire.NewClient(nil, timeout, pooledIdlePerHost)
 	d.closers = append(d.closers, c.CloseIdleConnections)
 	return c
 }

@@ -1,5 +1,7 @@
 package datastore
 
+import "context"
+
 // API is one site's datasets plane as the console and the replication
 // coordinator see it. Two backends exist, mirroring the cloudapi pattern:
 //
@@ -13,7 +15,8 @@ package datastore
 // behavior, including error messages.
 //
 // Implementations must be safe for concurrent use: console handlers and
-// coordinator rounds call in at once.
+// coordinator rounds call in at once. A Remote gives up a call when its
+// ctx ends; the Local backend never blocks and ignores it.
 type API interface {
 	// Name is the federation site name (e.g. "OSDC-Adler").
 	Name() string
@@ -21,19 +24,19 @@ type API interface {
 	// what transfer paths are derived from.
 	Loc() string
 	// List returns every replica sorted by dataset name.
-	List() ([]Replica, error)
+	List(ctx context.Context) ([]Replica, error)
 	// Get looks one replica up; errors.Is(err, ErrNoReplica) when absent.
-	Get(dataset string) (Replica, error)
+	Get(ctx context.Context, dataset string) (Replica, error)
 	// Put installs or replaces a replica, accounting bytes on the site
 	// volume. Invalid replicas and full volumes error.
-	Put(r Replica) error
+	Put(ctx context.Context, r Replica) error
 	// Delete drops a replica; errors.Is(err, ErrNoReplica) when absent.
-	Delete(dataset string) error
+	Delete(ctx context.Context, dataset string) error
 	// ListSince returns everything that changed after revision since — the
 	// pagination form of List: a fresh client passes 0 for a Reset
 	// snapshot, then feeds each response's Rev back and receives only the
 	// churn in between. See Delta.
-	ListSince(since int64) (Delta, error)
+	ListSince(ctx context.Context, since int64) (Delta, error)
 }
 
 // Delta is ListSince's result: the store's state relative to a revision

@@ -1,6 +1,7 @@
 package datastore
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -188,21 +189,16 @@ func (c *Coordinator) Round() (planned, arrived int) {
 	// passes the revision the coordinator's view already reflects and
 	// reads only the churn since. A plane that cannot serve the delta
 	// route falls back to a full List (treated as a Reset snapshot).
-	// Index i maps results to sites, so the fan-out stays deterministic;
-	// the tasks read copies, since an abandoned one may outlive c.mu.
+	// Index i maps results to sites, so the fan-out stays deterministic.
 	type listing struct {
 		delta Delta
 		err   error
 	}
-	sites := append([]API(nil), c.sites...)
-	since := make([]int64, len(sites))
-	for i, s := range sites {
-		since[i] = c.knownRev[s.Name()]
-	}
-	listings, completed := fanout.Each(coordinatorWorkers, c.siteDeadline, len(sites), func(i int) listing {
-		d, err := sites[i].ListSince(since[i])
+	sites := c.sites
+	listings, completed := fanout.Each(context.Background(), coordinatorWorkers, c.siteDeadline, len(sites), func(ctx context.Context, i int) listing {
+		d, err := sites[i].ListSince(ctx, c.knownRev[sites[i].Name()])
 		if err != nil {
-			if reps, lerr := sites[i].List(); lerr == nil {
+			if reps, lerr := sites[i].List(ctx); lerr == nil {
 				d, err = Delta{Changed: reps, Reset: true}, nil
 			}
 		}
@@ -368,7 +364,7 @@ func (c *Coordinator) drainLocked(dataset string, holders []string, excess int, 
 		if !ok {
 			continue
 		}
-		if err := s.Delete(dataset); err == nil {
+		if err := s.Delete(context.Background(), dataset); err == nil {
 			delete(c.lastSeen[cands[i]], dataset)
 		}
 	}
@@ -466,8 +462,8 @@ func (c *Coordinator) priceShardedLocked(now sim.Time, links []string, byLink ma
 // destination plane must not pin the coordinator lock (and with it every
 // console data-plane route: Stage, Poll, Placement) for the length of an
 // HTTP round trip. Due transfers leave inflight before the lock drops, so
-// a concurrent Round cannot install them twice; a Put abandoned at its
-// deadline is counted as a site error and may still land later, which the
+// a concurrent Round cannot install them twice; a Put cut at its deadline
+// is counted as a site error even if the site stored it first, which the
 // next round's delta observation reconciles (and the drain trims if it
 // over-replicates).
 func (c *Coordinator) completeArrived(now sim.Time) int {
@@ -510,13 +506,13 @@ func (c *Coordinator) completeArrived(now sim.Time) int {
 	deadline := c.siteDeadline
 	c.mu.Unlock()
 
-	putErrs, completed := fanout.Each(coordinatorWorkers, deadline, len(jobs), func(i int) error {
+	putErrs, completed := fanout.Each(context.Background(), coordinatorWorkers, deadline, len(jobs), func(ctx context.Context, i int) error {
 		j, t := jobs[i], jobs[i].t
 		switch {
 		case j.corrupt && j.src != nil:
-			_ = j.src.Delete(t.Dataset)
+			_ = j.src.Delete(ctx, t.Dataset)
 		case !j.corrupt && j.dst != nil:
-			return j.dst.Put(Replica{
+			return j.dst.Put(ctx, Replica{
 				Dataset: t.Dataset, SizeBytes: t.Bytes,
 				Checksum: t.Checksum, Version: t.Version,
 			})
@@ -599,7 +595,7 @@ func (c *Coordinator) Stage(dataset, site string) (StageStatus, error) {
 	// A staged placement is deliberate: pin it so the over-replication
 	// drain never removes it out from under the user's compute.
 	c.pinned[dataset+"→"+site] = true
-	if _, err := dst.Get(dataset); err == nil {
+	if _, err := dst.Get(context.Background(), dataset); err == nil {
 		return StageStatus{Dataset: dataset, Site: site, State: "present"}, nil
 	} else if !errors.Is(err, ErrNoReplica) {
 		// An unreachable destination is an error, not "absent": planning
@@ -631,15 +627,14 @@ func (c *Coordinator) Stage(dataset, site string) (StageStatus, error) {
 			r   Replica
 			err error
 		}
-		sites := append([]API(nil), c.sites...) // an abandoned task may outlive c.mu
-		found, completed := fanout.Each(coordinatorWorkers, c.siteDeadline, len(sites), func(i int) lookup {
-			if sites[i].Name() == site {
+		found, completed := fanout.Each(context.Background(), coordinatorWorkers, c.siteDeadline, len(c.sites), func(ctx context.Context, i int) lookup {
+			if c.sites[i].Name() == site {
 				return lookup{err: ErrNoReplica}
 			}
-			r, err := sites[i].Get(dataset)
+			r, err := c.sites[i].Get(ctx, dataset)
 			return lookup{r, err}
 		})
-		for i, s := range sites {
+		for i, s := range c.sites {
 			if !completed[i] || found[i].err != nil {
 				continue
 			}

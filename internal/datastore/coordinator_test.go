@@ -1,6 +1,7 @@
 package datastore
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"runtime"
@@ -48,7 +49,7 @@ func newCoordRig(t *testing.T, seed uint64) *coordRig {
 		if _, err := cat.Publish("walt", d); err != nil {
 			t.Fatal(err)
 		}
-		if err := rig.a.Put(Replica{Dataset: d.Name, SizeBytes: d.SizeBytes, Version: 1}); err != nil {
+		if err := rig.a.Put(context.Background(), Replica{Dataset: d.Name, SizeBytes: d.SizeBytes, Version: 1}); err != nil {
 			t.Fatalf("seeding dataset %d: %v", i, err)
 		}
 	}
@@ -79,7 +80,7 @@ func converge(t *testing.T, e *sim.Engine, c *Coordinator) int {
 func (rig *coordRig) replicaCount(dataset string) int {
 	n := 0
 	for _, s := range []*Store{rig.a, rig.b, rig.c} {
-		if _, err := s.Get(dataset); err == nil {
+		if _, err := s.Get(context.Background(), dataset); err == nil {
 			n++
 		}
 	}
@@ -166,7 +167,7 @@ func TestCoordinatorRepairsDetachedSite(t *testing.T) {
 	if rig.c.TotalBytes() > rig.b.TotalBytes() {
 		dead = rig.c
 	}
-	lost, err := dead.List()
+	lost, err := dead.List(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestCoordinatorRepairsDetachedSite(t *testing.T) {
 			if s == dead {
 				continue
 			}
-			if _, err := s.Get(d.Name); err == nil {
+			if _, err := s.Get(context.Background(), d.Name); err == nil {
 				n++
 			}
 		}
@@ -207,7 +208,7 @@ func TestCoordinatorRepairsDetachedSite(t *testing.T) {
 func TestCoordinatorQuarantinesCorruptSource(t *testing.T) {
 	rig := newCoordRig(t, 13)
 	// Corrupt the only copy of Alpha Survey.
-	if err := rig.a.Put(Replica{Dataset: "Alpha Survey", SizeBytes: 1 * cgb, Version: 1, Checksum: "rot"}); err != nil {
+	if err := rig.a.Put(context.Background(), Replica{Dataset: "Alpha Survey", SizeBytes: 1 * cgb, Version: 1, Checksum: "rot"}); err != nil {
 		t.Fatal(err)
 	}
 	c := NewCoordinator(rig.e, rig.nw, rig.cat, Options{Factor: 2, Seed: 13}, rig.a, rig.b, rig.c)
@@ -218,7 +219,7 @@ func TestCoordinatorQuarantinesCorruptSource(t *testing.T) {
 	if st := c.Stats(); st.Transfers != 2 || st.BytesMoved != 6*cgb {
 		t.Fatalf("Transfers = %d, BytesMoved = %d; want 2 and %d", st.Transfers, st.BytesMoved, 6*cgb)
 	}
-	if _, err := rig.a.Get("Alpha Survey"); !errors.Is(err, ErrNoReplica) {
+	if _, err := rig.a.Get(context.Background(), "Alpha Survey"); !errors.Is(err, ErrNoReplica) {
 		t.Error("corrupt source replica survived quarantine")
 	}
 	// Lost: the quarantined master was its only copy.
@@ -258,7 +259,7 @@ func TestCoordinatorStage(t *testing.T) {
 	if c.completeArrived(c.engine.Now()) != 1 {
 		t.Fatal("no install after arrival")
 	}
-	if _, err := rig.c.Get("Gamma Imagery"); err != nil {
+	if _, err := rig.c.Get(context.Background(), "Gamma Imagery"); err != nil {
 		t.Fatalf("staged replica missing: %v", err)
 	}
 	done, err := c.Stage("Gamma Imagery", "site-c")
@@ -282,21 +283,21 @@ type flakyAPI struct {
 	failCalls map[int]bool // 1-based List call numbers that error
 }
 
-func (f *flakyAPI) ListSince(since int64) (Delta, error) {
+func (f *flakyAPI) ListSince(ctx context.Context, since int64) (Delta, error) {
 	f.calls++
 	if f.failCalls[f.calls] {
 		return Delta{}, errors.New("transient observe failure")
 	}
-	return f.Store.ListSince(since)
+	return f.Store.ListSince(ctx, since)
 }
 
 // List fails alongside the same programmed observation, so the
 // coordinator's full-listing fallback sees the site down too.
-func (f *flakyAPI) List() ([]Replica, error) {
+func (f *flakyAPI) List(ctx context.Context) ([]Replica, error) {
 	if f.failCalls[f.calls] {
 		return nil, errors.New("transient observe failure")
 	}
-	return f.Store.List()
+	return f.Store.List(ctx)
 }
 
 // TestCoordinatorGraceSuppressesFlapRepairs: one missed observation of a
@@ -337,7 +338,7 @@ func TestCoordinatorDrainsExcessReplicas(t *testing.T) {
 	// Two stray extra copies appear (an operator's manual put, or a site
 	// back from a long outage).
 	for _, s := range []*Store{rig.b, rig.c} {
-		if err := s.Put(Replica{Dataset: "Alpha Survey", SizeBytes: 1 * cgb, Version: 1}); err != nil {
+		if err := s.Put(context.Background(), Replica{Dataset: "Alpha Survey", SizeBytes: 1 * cgb, Version: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -346,7 +347,7 @@ func TestCoordinatorDrainsExcessReplicas(t *testing.T) {
 		t.Fatalf("Alpha Survey at %d replicas after drain, want 1", got)
 	}
 	// The surviving copy is the anchor's master.
-	if _, err := rig.a.Get("Alpha Survey"); err != nil {
+	if _, err := rig.a.Get(context.Background(), "Alpha Survey"); err != nil {
 		t.Fatal("drain removed the anchor's master copy")
 	}
 }
@@ -365,7 +366,7 @@ func TestDrainSparesStagedReplicas(t *testing.T) {
 	}
 	rig.e.RunFor(sim.Duration(st.ETASecs) + sim.Second)
 	converge(t, rig.e, c) // rounds see 2 > factor 1; the pin protects it
-	if _, err := rig.c.Get("Beta Genomes"); err != nil {
+	if _, err := rig.c.Get(context.Background(), "Beta Genomes"); err != nil {
 		t.Fatalf("drain removed the staged replica: %v", err)
 	}
 	if got := rig.replicaCount("Beta Genomes"); got != 2 {
@@ -391,13 +392,17 @@ func TestStageUnreachableDestinationErrors(t *testing.T) {
 // unreachableAPI fails every call — a detached-but-still-configured site.
 type unreachableAPI struct{ name, loc string }
 
-func (u unreachableAPI) Name() string                { return u.name }
-func (u unreachableAPI) Loc() string                 { return u.loc }
-func (u unreachableAPI) List() ([]Replica, error)    { return nil, errors.New("unreachable") }
-func (u unreachableAPI) Get(string) (Replica, error) { return Replica{}, errors.New("unreachable") }
-func (u unreachableAPI) Put(Replica) error           { return errors.New("unreachable") }
-func (u unreachableAPI) Delete(string) error         { return errors.New("unreachable") }
-func (u unreachableAPI) ListSince(int64) (Delta, error) {
+func (u unreachableAPI) Name() string { return u.name }
+func (u unreachableAPI) Loc() string  { return u.loc }
+func (u unreachableAPI) List(context.Context) ([]Replica, error) {
+	return nil, errors.New("unreachable")
+}
+func (u unreachableAPI) Get(context.Context, string) (Replica, error) {
+	return Replica{}, errors.New("unreachable")
+}
+func (u unreachableAPI) Put(context.Context, Replica) error   { return errors.New("unreachable") }
+func (u unreachableAPI) Delete(context.Context, string) error { return errors.New("unreachable") }
+func (u unreachableAPI) ListSince(context.Context, int64) (Delta, error) {
 	return Delta{}, errors.New("unreachable")
 }
 
@@ -454,18 +459,18 @@ type deltaSpy struct {
 	fullLists int
 }
 
-func (d *deltaSpy) ListSince(since int64) (Delta, error) {
+func (d *deltaSpy) ListSince(ctx context.Context, since int64) (Delta, error) {
 	d.mu.Lock()
 	d.sinces = append(d.sinces, since)
 	d.mu.Unlock()
-	return d.Store.ListSince(since)
+	return d.Store.ListSince(ctx, since)
 }
 
-func (d *deltaSpy) List() ([]Replica, error) {
+func (d *deltaSpy) List(ctx context.Context) ([]Replica, error) {
 	d.mu.Lock()
 	d.fullLists++
 	d.mu.Unlock()
-	return d.Store.List()
+	return d.Store.List(ctx)
 }
 
 // TestCoordinatorObservesViaDeltas: after the first round's snapshot, the
@@ -511,10 +516,10 @@ type blockingAPI struct {
 	once    sync.Once
 }
 
-func (b *blockingAPI) Put(r Replica) error {
+func (b *blockingAPI) Put(ctx context.Context, r Replica) error {
 	b.once.Do(func() { close(b.entered) })
 	<-b.release
-	return b.Store.Put(r)
+	return b.Store.Put(ctx, r)
 }
 
 // TestArrivalInstallDoesNotHoldCoordinatorLock is the lock-hazard

@@ -50,7 +50,7 @@ func ServePlane(api API, w http.ResponseWriter, r *http.Request) {
 				wire.WriteError(w, http.StatusBadRequest, "datastore: bad since "+strconv.Quote(raw))
 				return
 			}
-			d, err := api.ListSince(since)
+			d, err := api.ListSince(r.Context(), since)
 			if err != nil {
 				wire.WriteError(w, http.StatusBadGateway, err.Error())
 				return
@@ -58,7 +58,7 @@ func ServePlane(api API, w http.ResponseWriter, r *http.Request) {
 			wire.WriteJSON(w, http.StatusOK, deltaResponse{Site: api.Name(), Loc: api.Loc(), Delta: d})
 			return
 		}
-		reps, err := api.List()
+		reps, err := api.List(r.Context())
 		if err != nil {
 			wire.WriteError(w, http.StatusBadGateway, err.Error())
 			return
@@ -66,7 +66,7 @@ func ServePlane(api API, w http.ResponseWriter, r *http.Request) {
 		wire.WriteJSON(w, http.StatusOK, listResponse{Site: api.Name(), Loc: api.Loc(), Replicas: reps})
 
 	case r.URL.Path == "/cloudapi/datasets/replica" && r.Method == http.MethodGet:
-		rep, err := api.Get(r.URL.Query().Get("dataset"))
+		rep, err := api.Get(r.Context(), r.URL.Query().Get("dataset"))
 		if err != nil {
 			wire.WriteError(w, http.StatusNotFound, err.Error())
 			return
@@ -79,7 +79,7 @@ func ServePlane(api API, w http.ResponseWriter, r *http.Request) {
 			wire.WriteError(w, http.StatusBadRequest, "datastore: bad JSON: "+err.Error())
 			return
 		}
-		if err := api.Put(rep); err != nil {
+		if err := api.Put(r.Context(), rep); err != nil {
 			// Invalid replicas are the caller's fault; anything else is
 			// the volume rejecting the bytes (full share → 507).
 			code := http.StatusInsufficientStorage
@@ -92,7 +92,7 @@ func ServePlane(api API, w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 
 	case r.URL.Path == "/cloudapi/datasets/replica" && r.Method == http.MethodDelete:
-		if err := api.Delete(r.URL.Query().Get("dataset")); err != nil {
+		if err := api.Delete(r.Context(), r.URL.Query().Get("dataset")); err != nil {
 			code := http.StatusNotFound
 			if !errors.Is(err, ErrNoReplica) {
 				code = http.StatusBadGateway

@@ -1,6 +1,7 @@
 package datastore
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -33,7 +34,7 @@ type Remote struct {
 // client may be nil for a private client with a 10 s timeout.
 func NewRemote(name, loc, endpoint string, client *http.Client) *Remote {
 	return &Remote{name: name, loc: loc, endpoint: strings.TrimRight(endpoint, "/"),
-		client: wire.NewClient(client, remoteTimeout)}
+		client: wire.NewClient(client, remoteTimeout, 0)}
 }
 
 // ProbeRemote builds a client for whatever site serves endpoint by reading
@@ -41,9 +42,9 @@ func NewRemote(name, loc, endpoint string, client *http.Client) *Remote {
 // externally running cloud-site's store knowing only its URL. A site not
 // serving the plane errors.
 func ProbeRemote(endpoint string, client *http.Client) (*Remote, error) {
-	client = wire.NewClient(client, remoteTimeout)
+	client = wire.NewClient(client, remoteTimeout, 0)
 	var list listResponse
-	status, _, err := wire.Call(client, http.MethodGet, strings.TrimRight(endpoint, "/")+"/cloudapi/datasets", "", nil, &list, http.StatusOK)
+	status, _, err := wire.Call(context.Background(), client, http.MethodGet, strings.TrimRight(endpoint, "/")+"/cloudapi/datasets", "", nil, &list, http.StatusOK)
 	if status == 0 {
 		return nil, fmt.Errorf("datastore: probing %s: %w", endpoint, err)
 	}
@@ -79,8 +80,8 @@ func (e wireError) Unwrap() error { return e.kind }
 // call makes one round trip through wire.Call. Any status but ok comes
 // back as the server's message (or, when it sent none, the status) in a
 // wireError; with miss set, a 404 keeps the ErrNoReplica class.
-func (r *Remote) call(method, path string, in, out interface{}, ok int, miss bool) error {
-	status, msg, err := wire.Call(r.client, method, r.endpoint+path, r.secret, in, out, ok)
+func (r *Remote) call(ctx context.Context, method, path string, in, out interface{}, ok int, miss bool) error {
+	status, msg, err := wire.Call(ctx, r.client, method, r.endpoint+path, r.secret, in, out, ok)
 	if err != nil || status == ok {
 		return err
 	}
@@ -95,9 +96,9 @@ func (r *Remote) call(method, path string, in, out interface{}, ok int, miss boo
 }
 
 // List implements API.
-func (r *Remote) List() ([]Replica, error) {
+func (r *Remote) List(ctx context.Context) ([]Replica, error) {
 	var list listResponse
-	if err := r.call(http.MethodGet, "/cloudapi/datasets", nil, &list, http.StatusOK, false); err != nil {
+	if err := r.call(ctx, http.MethodGet, "/cloudapi/datasets", nil, &list, http.StatusOK, false); err != nil {
 		return nil, err
 	}
 	return list.Replicas, nil
@@ -106,31 +107,31 @@ func (r *Remote) List() ([]Replica, error) {
 // ListSince implements API: the ?since= form of the datasets route. The
 // server evaluates the delta against the Local semantics, so both backends
 // return identical Deltas for identical stores.
-func (r *Remote) ListSince(since int64) (Delta, error) {
+func (r *Remote) ListSince(ctx context.Context, since int64) (Delta, error) {
 	var d deltaResponse
-	if err := r.call(http.MethodGet, fmt.Sprintf("/cloudapi/datasets?since=%d", since), nil, &d, http.StatusOK, false); err != nil {
+	if err := r.call(ctx, http.MethodGet, fmt.Sprintf("/cloudapi/datasets?since=%d", since), nil, &d, http.StatusOK, false); err != nil {
 		return Delta{}, err
 	}
 	return d.Delta, nil
 }
 
 // Get implements API.
-func (r *Remote) Get(dataset string) (Replica, error) {
+func (r *Remote) Get(ctx context.Context, dataset string) (Replica, error) {
 	var rep Replica
-	if err := r.call(http.MethodGet, "/cloudapi/datasets/replica?dataset="+url.QueryEscape(dataset), nil, &rep, http.StatusOK, true); err != nil {
+	if err := r.call(ctx, http.MethodGet, "/cloudapi/datasets/replica?dataset="+url.QueryEscape(dataset), nil, &rep, http.StatusOK, true); err != nil {
 		return Replica{}, err
 	}
 	return rep, nil
 }
 
 // Put implements API.
-func (r *Remote) Put(rep Replica) error {
-	return r.call(http.MethodPost, "/cloudapi/datasets/replica", rep, nil, http.StatusNoContent, false)
+func (r *Remote) Put(ctx context.Context, rep Replica) error {
+	return r.call(ctx, http.MethodPost, "/cloudapi/datasets/replica", rep, nil, http.StatusNoContent, false)
 }
 
 // Delete implements API.
-func (r *Remote) Delete(dataset string) error {
-	return r.call(http.MethodDelete, "/cloudapi/datasets/replica?dataset="+url.QueryEscape(dataset), nil, nil, http.StatusNoContent, true)
+func (r *Remote) Delete(ctx context.Context, dataset string) error {
+	return r.call(ctx, http.MethodDelete, "/cloudapi/datasets/replica?dataset="+url.QueryEscape(dataset), nil, nil, http.StatusNoContent, true)
 }
 
 var _ API = (*Remote)(nil)

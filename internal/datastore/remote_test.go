@@ -1,6 +1,7 @@
 package datastore
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -28,13 +29,13 @@ func TestRemoteErrorTable(t *testing.T) {
 		// miss reports the rows whose 404 keeps the ErrNoReplica class.
 		miss bool
 	}{
-		{name: "List", call: func(r *Remote, _ string) error { _, err := r.List(); return err }},
-		{name: "ListSince", call: func(r *Remote, _ string) error { _, err := r.ListSince(3); return err }},
-		{name: "Get", miss: true, call: func(r *Remote, _ string) error { _, err := r.Get("EO-1"); return err }},
+		{name: "List", call: func(r *Remote, _ string) error { _, err := r.List(context.Background()); return err }},
+		{name: "ListSince", call: func(r *Remote, _ string) error { _, err := r.ListSince(context.Background(), 3); return err }},
+		{name: "Get", miss: true, call: func(r *Remote, _ string) error { _, err := r.Get(context.Background(), "EO-1"); return err }},
 		{name: "Put", call: func(r *Remote, _ string) error {
-			return r.Put(Replica{Dataset: "EO-1", SizeBytes: 1 << 20, Version: 1})
+			return r.Put(context.Background(), Replica{Dataset: "EO-1", SizeBytes: 1 << 20, Version: 1})
 		}},
-		{name: "Delete", miss: true, call: func(r *Remote, _ string) error { return r.Delete("EO-1") }},
+		{name: "Delete", miss: true, call: func(r *Remote, _ string) error { return r.Delete(context.Background(), "EO-1") }},
 		{name: "ProbeRemote", call: func(_ *Remote, url string) error { _, err := ProbeRemote(url, nil); return err }},
 	}
 	for _, status := range []int{http.StatusBadRequest, http.StatusNotFound, http.StatusConflict,

@@ -20,6 +20,7 @@
 package datastore
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -111,7 +112,7 @@ func validate(r Replica) error {
 
 // Put installs (or replaces) a replica, accounting its bytes on the
 // volume. Replacing a replica releases the old bytes first.
-func (s *Store) Put(r Replica) error {
+func (s *Store) Put(_ context.Context, r Replica) error {
 	if err := validate(r); err != nil {
 		return err
 	}
@@ -153,7 +154,7 @@ func (s *Store) Adopt(r Replica) error {
 }
 
 // Get looks one replica up; ErrNoReplica if the store holds none.
-func (s *Store) Get(dataset string) (Replica, error) {
+func (s *Store) Get(_ context.Context, dataset string) (Replica, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	r, ok := s.replicas[dataset]
@@ -164,7 +165,7 @@ func (s *Store) Get(dataset string) (Replica, error) {
 }
 
 // List returns every replica sorted by dataset name.
-func (s *Store) List() ([]Replica, error) {
+func (s *Store) List(context.Context) ([]Replica, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make([]Replica, 0, len(s.replicas))
@@ -176,7 +177,7 @@ func (s *Store) List() ([]Replica, error) {
 }
 
 // Delete drops a replica and releases its bytes. ErrNoReplica if absent.
-func (s *Store) Delete(dataset string) error {
+func (s *Store) Delete(_ context.Context, dataset string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.replicas[dataset]; !ok {
@@ -199,7 +200,7 @@ func (s *Store) Delete(dataset string) error {
 // from O(inventory) to O(churn). A since ahead of the store's revision
 // (the store restarted, or the client followed a different store) also
 // resets.
-func (s *Store) ListSince(since int64) (Delta, error) {
+func (s *Store) ListSince(_ context.Context, since int64) (Delta, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	d := Delta{Rev: s.rev}

@@ -1,6 +1,7 @@
 package datastore
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -41,25 +42,25 @@ func TestStorePutGetListDelete(t *testing.T) {
 	e := sim.NewEngine(1)
 	s := testStore(t, e, "s1", 1<<40)
 
-	if _, err := s.Get("nope"); !errors.Is(err, ErrNoReplica) {
+	if _, err := s.Get(context.Background(), "nope"); !errors.Is(err, ErrNoReplica) {
 		t.Fatalf("Get(missing) = %v, want ErrNoReplica", err)
 	}
 	for _, r := range []Replica{
 		{Dataset: "B Set", SizeBytes: 2 << 30, Version: 1},
 		{Dataset: "A Set", SizeBytes: 1 << 30, Version: 1},
 	} {
-		if err := s.Put(r); err != nil {
+		if err := s.Put(context.Background(), r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got, err := s.Get("A Set")
+	got, err := s.Get(context.Background(), "A Set")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Checksum != Fingerprint("A Set", 1) {
 		t.Fatalf("Put did not default the checksum: %q", got.Checksum)
 	}
-	list, err := s.List()
+	list, err := s.List(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,18 +75,18 @@ func TestStorePutGetListDelete(t *testing.T) {
 	if used := usedBytes(s); used != 3<<30 {
 		t.Fatalf("volume UsedBytes = %d, want %d", used, int64(3<<30))
 	}
-	if err := s.Delete("B Set"); err != nil {
+	if err := s.Delete(context.Background(), "B Set"); err != nil {
 		t.Fatal(err)
 	}
 	if used := usedBytes(s); used != 1<<30 {
 		t.Fatalf("volume UsedBytes after delete = %d, want %d", used, int64(1<<30))
 	}
-	if err := s.Delete("B Set"); !errors.Is(err, ErrNoReplica) {
+	if err := s.Delete(context.Background(), "B Set"); !errors.Is(err, ErrNoReplica) {
 		t.Fatalf("double delete = %v, want ErrNoReplica", err)
 	}
 
 	// Replacing a replica releases the old bytes first.
-	if err := s.Put(Replica{Dataset: "A Set", SizeBytes: 4 << 30, Version: 2}); err != nil {
+	if err := s.Put(context.Background(), Replica{Dataset: "A Set", SizeBytes: 4 << 30, Version: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if used := usedBytes(s); used != 4<<30 {
@@ -103,11 +104,11 @@ func TestStoreRejectsInvalidAndFull(t *testing.T) {
 		{Dataset: "x", SizeBytes: 0, Version: 1},
 		{Dataset: "x", SizeBytes: 1, Version: 0},
 	} {
-		if err := s.Put(bad); err == nil {
+		if err := s.Put(context.Background(), bad); err == nil {
 			t.Fatalf("Put(%+v) accepted an invalid replica", bad)
 		}
 	}
-	if err := s.Put(Replica{Dataset: "big", SizeBytes: 8 << 30, Version: 1}); err == nil {
+	if err := s.Put(context.Background(), Replica{Dataset: "big", SizeBytes: 8 << 30, Version: 1}); err == nil {
 		t.Fatal("Put onto a full volume succeeded")
 	}
 	if s.Count() != 0 {
@@ -122,13 +123,13 @@ func TestStoreRejectsInvalidAndFull(t *testing.T) {
 func TestStoreFailedReplaceKeepsAccounting(t *testing.T) {
 	e := sim.NewEngine(1)
 	s := testStore(t, e, "repl", 4<<30) // per-brick 4 GB
-	if err := s.Put(Replica{Dataset: "Set", SizeBytes: 2 << 30, Version: 1}); err != nil {
+	if err := s.Put(context.Background(), Replica{Dataset: "Set", SizeBytes: 2 << 30, Version: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(Replica{Dataset: "Set", SizeBytes: 16 << 30, Version: 2}); err == nil {
+	if err := s.Put(context.Background(), Replica{Dataset: "Set", SizeBytes: 16 << 30, Version: 2}); err == nil {
 		t.Fatal("oversized replace succeeded")
 	}
-	got, err := s.Get("Set")
+	got, err := s.Get(context.Background(), "Set")
 	if err != nil || got.Version != 1 || got.SizeBytes != 2<<30 {
 		t.Fatalf("failed replace clobbered the replica: %+v, %v", got, err)
 	}
@@ -136,7 +137,7 @@ func TestStoreFailedReplaceKeepsAccounting(t *testing.T) {
 		t.Fatalf("volume UsedBytes after failed replace = %d, want %d", used, int64(2<<30))
 	}
 	// The delete releases exactly once; accounting returns to zero.
-	if err := s.Delete("Set"); err != nil {
+	if err := s.Delete(context.Background(), "Set"); err != nil {
 		t.Fatal(err)
 	}
 	if used := usedBytes(s); used != 0 {
@@ -153,7 +154,7 @@ func TestStoreAdoptSkipsVolumeAccounting(t *testing.T) {
 	if used := usedBytes(s); used != 0 {
 		t.Fatalf("Adopt wrote %d bytes to the volume", used)
 	}
-	if got, err := s.Get("Master"); err != nil || got.Checksum != Fingerprint("Master", 1) {
+	if got, err := s.Get(context.Background(), "Master"); err != nil || got.Checksum != Fingerprint("Master", 1) {
 		t.Fatalf("adopted replica = %+v, %v", got, err)
 	}
 }
@@ -171,11 +172,11 @@ func TestStoreConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			name := fmt.Sprintf("set-%d", w)
 			for i := 0; i < 100; i++ {
-				_ = s.Put(Replica{Dataset: name, SizeBytes: 1 << 20, Version: 1})
-				_, _ = s.Get(name)
-				_, _ = s.List()
+				_ = s.Put(context.Background(), Replica{Dataset: name, SizeBytes: 1 << 20, Version: 1})
+				_, _ = s.Get(context.Background(), name)
+				_, _ = s.List(context.Background())
 				s.TotalBytes()
-				_ = s.Delete(name)
+				_ = s.Delete(context.Background(), name)
 			}
 		}()
 	}
@@ -200,7 +201,7 @@ func TestListSinceDeltas(t *testing.T) {
 	s := testStore(t, e, "delta", 1<<40)
 
 	// Empty store, fresh client: an empty Reset snapshot at revision 0.
-	d, err := s.ListSince(0)
+	d, err := s.ListSince(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,11 +210,11 @@ func TestListSinceDeltas(t *testing.T) {
 	}
 
 	for _, name := range []string{"B Set", "A Set", "C Set"} {
-		if err := s.Put(Replica{Dataset: name, SizeBytes: 1 << 30, Version: 1}); err != nil {
+		if err := s.Put(context.Background(), Replica{Dataset: name, SizeBytes: 1 << 30, Version: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	d, err = s.ListSince(0)
+	d, err = s.ListSince(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,13 +227,13 @@ func TestListSinceDeltas(t *testing.T) {
 
 	// Churn: one replace, one delete. The delta from rev 3 holds exactly
 	// those two, nothing else.
-	if err := s.Put(Replica{Dataset: "B Set", SizeBytes: 2 << 30, Version: 2}); err != nil {
+	if err := s.Put(context.Background(), Replica{Dataset: "B Set", SizeBytes: 2 << 30, Version: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Delete("C Set"); err != nil {
+	if err := s.Delete(context.Background(), "C Set"); err != nil {
 		t.Fatal(err)
 	}
-	d, err = s.ListSince(3)
+	d, err = s.ListSince(context.Background(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +248,7 @@ func TestListSinceDeltas(t *testing.T) {
 	}
 
 	// Caught up: an empty delta.
-	d, err = s.ListSince(5)
+	d, err = s.ListSince(context.Background(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,10 +258,10 @@ func TestListSinceDeltas(t *testing.T) {
 
 	// A re-put of a deleted dataset clears its grave: the delta reports it
 	// changed, not removed.
-	if err := s.Put(Replica{Dataset: "C Set", SizeBytes: 1 << 30, Version: 3}); err != nil {
+	if err := s.Put(context.Background(), Replica{Dataset: "C Set", SizeBytes: 1 << 30, Version: 3}); err != nil {
 		t.Fatal(err)
 	}
-	d, err = s.ListSince(5)
+	d, err = s.ListSince(context.Background(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +270,7 @@ func TestListSinceDeltas(t *testing.T) {
 	}
 
 	// A client from the future (store restarted under it) resets.
-	d, err = s.ListSince(999)
+	d, err = s.ListSince(context.Background(), 999)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +287,7 @@ func TestListSinceTracksAdopt(t *testing.T) {
 	if err := s.Adopt(Replica{Dataset: "Master Set", SizeBytes: 4 << 30, Version: 1}); err != nil {
 		t.Fatal(err)
 	}
-	d, err := s.ListSince(0)
+	d, err := s.ListSince(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

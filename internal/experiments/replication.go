@@ -9,6 +9,7 @@ package experiments
 // saw — all deterministic functions of the seed.
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -82,7 +83,7 @@ func replicationPoint(seed uint64, factor int, backbone float64) (datastore.Stat
 		if _, err := cat.Publish("curator", d); err != nil {
 			return datastore.Stats{}, 0, err
 		}
-		if err := root.Put(datastore.Replica{Dataset: d.Name, SizeBytes: d.SizeBytes, Version: 1}); err != nil {
+		if err := root.Put(context.Background(), datastore.Replica{Dataset: d.Name, SizeBytes: d.SizeBytes, Version: 1}); err != nil {
 			return datastore.Stats{}, 0, err
 		}
 	}

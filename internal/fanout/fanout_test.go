@@ -1,6 +1,8 @@
 package fanout
 
 import (
+	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -9,7 +11,7 @@ import (
 
 func TestEachRunsEveryTask(t *testing.T) {
 	var ran int64
-	res, done := Each(8, 0, 50, func(i int) int {
+	res, done := Each(context.Background(), 8, 0, 50, func(_ context.Context, i int) int {
 		atomic.AddInt64(&ran, 1)
 		return i * i
 	})
@@ -26,58 +28,54 @@ func TestEachRunsEveryTask(t *testing.T) {
 	}
 }
 
+// TestEachBoundsConcurrency: the first `workers` tasks hold each other at
+// a barrier until all of them are in, so the pool must run that many at
+// once; none beyond that may ever run beside them.
 func TestEachBoundsConcurrency(t *testing.T) {
 	const workers = 3
-	var cur, peak int64
-	var mu sync.Mutex
-	Each(workers, 0, 20, func(int) struct{} {
-		n := atomic.AddInt64(&cur, 1)
-		mu.Lock()
-		if n > peak {
-			peak = n
+	var cur, peak atomic.Int64
+	full := make(chan struct{})
+	var once sync.Once
+	Each(context.Background(), workers, 0, 20, func(context.Context, int) struct{} {
+		n := cur.Add(1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
 		}
-		mu.Unlock()
-		time.Sleep(2 * time.Millisecond)
-		atomic.AddInt64(&cur, -1)
+		if n == workers {
+			once.Do(func() { close(full) })
+		}
+		<-full
+		cur.Add(-1)
 		return struct{}{}
 	})
-	mu.Lock()
-	defer mu.Unlock()
-	if peak > workers {
-		t.Fatalf("observed %d concurrent tasks, want <= %d", peak, workers)
+	if p := peak.Load(); p != workers {
+		t.Fatalf("observed %d concurrent tasks, want exactly %d", p, workers)
 	}
 }
 
-// awaitLate waits until an abandoned task has returned (*finished != 0),
-// then gives the late write that follows it — if the group let one
-// through — time to land: a write that must not happen has no event to
-// wait on.
-func awaitLate(t *testing.T, finished *int64) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for atomic.LoadInt64(finished) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("abandoned task never finished")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(20 * time.Millisecond)
-}
-
+// TestEachAbandonsOverrunningTask: a hung task's context ends at its
+// deadline, the task returns, and it reports incomplete with a zero
+// result; Run has waited for it to return.
 func TestEachAbandonsOverrunningTask(t *testing.T) {
-	release := make(chan struct{})
-	var slowFinished int64
+	var cause error
+	var finished atomic.Bool
 	start := time.Now()
-	res, done := Each(2, 20*time.Millisecond, 2, func(i int) int {
+	res, done := Each(context.Background(), 2, 20*time.Millisecond, 2, func(ctx context.Context, i int) int {
 		if i == 0 {
-			<-release
-			atomic.AddInt64(&slowFinished, 1)
+			<-ctx.Done()
+			cause = ctx.Err()
+			finished.Store(true)
 			return -1
 		}
 		return 1
 	})
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("Each blocked %v on a hung task", elapsed)
+	if elapsed := time.Since(start); elapsed < 20*time.Millisecond || elapsed > 2*time.Second {
+		t.Fatalf("Each returned after %v, want about its 20ms deadline", elapsed)
+	}
+	if !finished.Load() {
+		t.Fatal("Each returned before the cancelled task did")
+	}
+	if !errors.Is(cause, context.DeadlineExceeded) {
+		t.Fatalf("the hung task's context ended with %v, want its deadline", cause)
 	}
 	if done[0] || res[0] != 0 {
 		t.Fatalf("hung task reported complete: %v %v", res[0], done[0])
@@ -85,46 +83,29 @@ func TestEachAbandonsOverrunningTask(t *testing.T) {
 	if !done[1] || res[1] != 1 {
 		t.Fatalf("fast task reported incomplete: %v %v", res[1], done[1])
 	}
-	// The abandoned task still runs to completion in the background, and
-	// its late result lands nowhere the caller can see.
-	close(release)
-	awaitLate(t, &slowFinished)
-	if done[0] || res[0] != 0 || !done[1] || res[1] != 1 {
-		t.Fatalf("a late writer changed the returned slices: res %v done %v", res, done)
-	}
+}
 
-	// On a reused Group, run 2's result for the index run 1 abandoned is
-	// run 2's own, even after run 1's task finishes late.
-	release = make(chan struct{})
-	var run, lateFinished int64
-	g := NewGroup(2, 2, func(i int) int64 {
-		r := atomic.LoadInt64(&run)
-		if i == 0 && r == 1 {
-			<-release
-			atomic.AddInt64(&lateFinished, 1)
-		}
-		return r
-	})
-	atomic.StoreInt64(&run, 1)
-	if _, done := g.Run(20 * time.Millisecond); done[0] || !done[1] {
-		t.Fatalf("run 1 completion = %v, want [false true]", done)
+// TestRunUnderCancelledParent: a round whose context has already ended
+// completes no task, and a reused Group reports the next round afresh.
+func TestRunUnderCancelledParent(t *testing.T) {
+	g := NewGroup(2, 3, func(ctx context.Context, i int) int { return i + 1 })
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if res, done := g.Run(ctx, time.Second); done[0] || done[1] || done[2] || res[2] != 0 {
+		t.Fatalf("under a cancelled parent: res %v done %v, want every task incomplete", res, done)
 	}
-	atomic.StoreInt64(&run, 2)
-	res2, done2 := g.Run(20 * time.Millisecond)
-	close(release)
-	awaitLate(t, &lateFinished)
-	if !done2[0] || res2[0] != 2 || !done2[1] || res2[1] != 2 {
-		t.Fatalf("run 2 = %v %v, want [2 2] [true true]: run 1's late value leaked in", res2, done2)
+	if res, done := g.Run(context.Background(), time.Second); !done[0] || !done[1] || !done[2] || res[2] != 3 {
+		t.Fatalf("the next round: res %v done %v, want every task complete", res, done)
 	}
 }
 
 func TestEachEmptyAndSmall(t *testing.T) {
-	if res, done := Each(4, 0, 0, func(int) int { return 1 }); len(res) != 0 || len(done) != 0 {
+	if res, done := Each(context.Background(), 4, 0, 0, func(context.Context, int) int { return 1 }); len(res) != 0 || len(done) != 0 {
 		t.Fatalf("Each over no tasks = %v %v", res, done)
 	}
 	// More workers than tasks, and a non-positive worker count.
 	ran := false
-	if _, done := Each(0, 0, 1, func(int) bool { ran = true; return true }); !done[0] || !ran {
+	if _, done := Each(context.Background(), 0, 0, 1, func(context.Context, int) bool { ran = true; return true }); !done[0] || !ran {
 		t.Fatalf("single task not run: %v", done)
 	}
 }

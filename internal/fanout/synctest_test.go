@@ -3,40 +3,57 @@
 package fanout
 
 import (
+	"context"
 	"testing"
 	"testing/synctest"
 	"time"
 )
 
-// TestSynctestEachAbandonsAtDeadline runs Each with one hung task in a
+// TestSynctestEachCancelsAtDeadline runs Each with one hung task in a
 // synctest bubble, so the per-task deadline is measured on a fake wall
-// clock: Each returns at exactly 20 fake ms, and once the hung task is
-// released and has run to completion its late result has not landed.
+// clock: the hung task sees its context end at exactly 20 fake ms, Each
+// returns at that instant with the task incomplete, and a task still
+// running after its deadline holds Run until it returns.
 // Run with GOEXPERIMENT=synctest go test -run Synctest ./internal/fanout/.
-func TestSynctestEachAbandonsAtDeadline(t *testing.T) {
+func TestSynctestEachCancelsAtDeadline(t *testing.T) {
 	synctest.Run(func() {
-		release := make(chan struct{})
-		finished := false
+		var cut time.Duration
 		start := time.Now()
-		res, done := Each(2, 20*time.Millisecond, 2, func(i int) int {
+		res, done := Each(context.Background(), 2, 20*time.Millisecond, 2, func(ctx context.Context, i int) int {
 			if i == 0 {
-				<-release
-				finished = true
+				<-ctx.Done()
+				cut = time.Since(start)
 				return -1
 			}
 			return 1
 		})
-		if elapsed := time.Since(start); elapsed != 20*time.Millisecond {
-			t.Errorf("Each returned after %v, want exactly the 20ms deadline", elapsed)
-		}
-		close(release)
-		synctest.Wait() // the abandoned task runs to completion
-		if !finished {
-			t.Fatal("the released task did not finish")
+		if elapsed := time.Since(start); cut != 20*time.Millisecond || elapsed != 20*time.Millisecond {
+			t.Errorf("the task saw its context end after %v and Each returned after %v, want both exactly 20ms", cut, elapsed)
 		}
 		if done[0] || res[0] != 0 || !done[1] || res[1] != 1 {
-			t.Errorf("res %v done %v, want [0 1] [false true]: the late result landed", res, done)
+			t.Errorf("res %v done %v, want [0 1] [false true]", res, done)
 		}
+
+		// A task that keeps running past its deadline holds Run.
+		release := make(chan struct{})
+		returned := make(chan struct{})
+		go func() {
+			defer close(returned)
+			Each(context.Background(), 1, 20*time.Millisecond, 1, func(ctx context.Context, _ int) int {
+				<-ctx.Done()
+				<-release
+				return 0
+			})
+		}()
+		time.Sleep(time.Second)
+		synctest.Wait()
+		select {
+		case <-returned:
+			t.Error("Run returned while its cancelled task was still running")
+		default:
+		}
+		close(release)
+		<-returned
 	})
 }
 

@@ -18,6 +18,7 @@ package lb
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -80,16 +81,7 @@ type ringPoint struct {
 // NewPool builds a balancer over the given replica base URLs. A nil client
 // gets a pooled default sized for many concurrent console requests.
 func NewPool(urls []string, client *http.Client) *Pool {
-	if client == nil {
-		client = &http.Client{
-			Timeout: 30 * time.Second,
-			Transport: &http.Transport{
-				MaxIdleConns:        256,
-				MaxIdleConnsPerHost: 64,
-			},
-		}
-	}
-	p := &Pool{client: client}
+	p := &Pool{client: wire.NewClient(client, 30*time.Second, 64)}
 	for _, u := range urls {
 		p.backends = append(p.backends, &backend{url: strings.TrimRight(u, "/")})
 	}
@@ -276,8 +268,8 @@ func copyResponse(w http.ResponseWriter, resp *http.Response) {
 // probeWorkers bounds one sweep's concurrent /healthz probes.
 const probeWorkers = 8
 
-// Probe runs one health sweep: GET /healthz on every backend, waiting up
-// to deadline for each (<= 0 waits for every answer). A backend that
+// Probe runs one health sweep: GET /healthz on every backend, each probe
+// cancelled after deadline (<= 0 waits for every answer). A backend that
 // answers 200 is marked up (and its failure streak cleared); one that
 // does not, or misses the deadline, gets a strike, and evictAfter
 // consecutive strikes removes it from the pool entirely (0 = never
@@ -286,14 +278,9 @@ func (p *Pool) Probe(evictAfter int, deadline time.Duration) int {
 	p.mu.Lock()
 	backends := append([]*backend(nil), p.backends...)
 	p.mu.Unlock()
-	healthy, answered := fanout.Each(probeWorkers, deadline, len(backends), func(i int) bool {
-		resp, err := p.client.Get(backends[i].url + "/healthz")
-		if err != nil {
-			return false
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		return resp.StatusCode == http.StatusOK
+	healthy, answered := fanout.Each(context.Background(), probeWorkers, deadline, len(backends), func(ctx context.Context, i int) bool {
+		status, _, err := wire.Call(ctx, p.client, http.MethodGet, backends[i].url+"/healthz", "", nil, nil, http.StatusOK)
+		return err == nil && status == http.StatusOK
 	})
 	evicted := 0
 	for i, b := range backends {

@@ -203,13 +203,15 @@ func TestProbeRecovery(t *testing.T) {
 }
 
 // TestProbeAbandonsHungBackend: a backend whose /healthz never answers
-// costs a sweep its deadline, not the client's timeout, and takes the
-// strike a refused probe would.
+// costs a sweep its deadline, not the client's timeout, sees its probe
+// cancelled, and takes the strike a refused probe would.
 func TestProbeAbandonsHungBackend(t *testing.T) {
-	release := make(chan struct{})
-	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { <-release }))
+	cancelled := make(chan struct{}, 1)
+	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		<-r.Context().Done()
+		cancelled <- struct{}{}
+	}))
 	defer hung.Close()
-	defer close(release)
 	live, _ := echoBackend(t, "live")
 	pool := NewPool([]string{hung.URL, live.URL}, nil)
 
@@ -223,6 +225,11 @@ func TestProbeAbandonsHungBackend(t *testing.T) {
 	}
 	if n := atomic.LoadInt64(&pool.ProbeFails); n != 1 {
 		t.Fatalf("probe failures = %d, want 1", n)
+	}
+	select {
+	case <-cancelled:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the hung backend never saw its probe cancelled")
 	}
 }
 

@@ -8,29 +8,23 @@
 //  2. An in-house cloud-usage monitor whose high-level summary is published
 //     on the OSDC website (instances per user, cloud status).
 //
-// Both poll on the simulation clock and fan out per host or per cloud with
-// a wall deadline: the master's agent sweeps through internal/fanout, the
-// usage monitor through its own cloudapi.UsagePoller (the sampler the
-// biller also uses, at the monitor's cadence). Results are folded on the
+// Both poll on the simulation clock and fold their results on the
 // clock-driving goroutine in a fixed order, so alerts and snapshots stay
-// deterministic.
+// deterministic. The master runs its agents' in-process plugins host by
+// host; the usage monitor fans out per cloud through its own
+// cloudapi.UsagePoller (the sampler the biller also uses, at the monitor's
+// cadence), each sample cancelled at its wall deadline.
 package monitor
 
 import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"osdc/internal/cloudapi"
-	"osdc/internal/fanout"
 	"osdc/internal/sim"
 )
-
-// sweepWorkers bounds the master's agent-sweep fan-out — the same worker
-// count the cloudapi pollers use.
-const sweepWorkers = 8
 
 // State is a Nagios check state.
 type State int
@@ -140,24 +134,12 @@ type Master struct {
 	agents map[string]*Agent
 	last   map[string]State // "host/check" -> last state
 	alerts []Alert
-
-	// PollsAbandoned counts agent sweeps that missed their per-poll
-	// deadline (a hung plugin); read with atomic.LoadInt64 while polling
-	// may fire.
-	PollsAbandoned int64
-
-	// deadline bounds one agent sweep's wall time; defaults to
-	// cloudapi.PollDeadline; the tests shorten it.
-	deadline time.Duration
 }
 
 // NewMaster starts a master polling all registered agents every interval.
 // Fired alerts are logged, in order, for Alerts.
 func NewMaster(e *sim.Engine, interval sim.Duration) *Master {
-	m := &Master{
-		engine: e, agents: make(map[string]*Agent), last: make(map[string]State),
-		deadline: cloudapi.PollDeadline,
-	}
+	m := &Master{engine: e, agents: make(map[string]*Agent), last: make(map[string]State)}
 	e.Every(interval, m.pollAll)
 	return m
 }
@@ -179,44 +161,21 @@ func (m *Master) pollAll() {
 	sort.Slice(agents, func(i, j int) bool { return agents[i].Host < agents[j].Host })
 	now := m.engine.Now()
 
-	// One task per agent host: the whole sweep runs outside m.mu (plugins
-	// reach into other subsystems — disk models, clouds — with locks of
-	// their own) and the hosts fan out over the bounded pool so one slow
-	// plugin does not serialize every other host's sweep. State
-	// transitions and alerts are then applied on this goroutine in sorted
-	// host order, so the alert log stays deterministic regardless of which
-	// host finished first.
-	type result struct {
-		name  string
-		state State
-		value float64
-	}
-	sweeps, completed := fanout.Each(sweepWorkers, m.deadline, len(agents), func(i int) []result {
-		a := agents[i]
-		names := a.CheckNames()
-		res := make([]result, 0, len(names))
-		for _, name := range names {
+	// Each check runs outside m.mu (plugins reach into other subsystems —
+	// disk models, clouds — with locks of their own), host by host in
+	// sorted order, so the alert log stays deterministic.
+	for _, a := range agents {
+		for _, name := range a.CheckNames() {
 			st, v, err := a.RunCheck(name)
 			if err != nil {
 				st = StateUnknown
 			}
-			res = append(res, result{name: name, state: st, value: v})
-		}
-		return res
-	})
-
-	for i, a := range agents {
-		if !completed[i] {
-			atomic.AddInt64(&m.PollsAbandoned, 1)
-			continue
-		}
-		for _, r := range sweeps[i] {
-			key := a.Host + "/" + r.name
+			key := a.Host + "/" + name
 			m.mu.Lock()
-			if r.state != m.last[key] && r.state != StateOK {
-				m.alerts = append(m.alerts, Alert{Host: a.Host, Check: r.name, State: r.state, Value: r.value, At: now})
+			if st != m.last[key] && st != StateOK {
+				m.alerts = append(m.alerts, Alert{Host: a.Host, Check: name, State: st, Value: v, At: now})
 			}
-			m.last[key] = r.state
+			m.last[key] = st
 			m.mu.Unlock()
 		}
 	}
@@ -274,8 +233,9 @@ func (um *UsageMonitor) SampleErrorsByCloud() map[string]int64 { return um.usage
 
 // sample summarizes every cloud's maintained usage snapshot — the same
 // delta-polled path the biller uses (cloudapi.UsagePoller), with its own
-// poller and cadence. A cloud whose sample errored or missed the per-poll
-// deadline counts in SampleErrorsByCloud and keeps its previous summary.
+// poller and cadence. A cloud whose sample errored or was cancelled at the
+// per-poll deadline counts in SampleErrorsByCloud and keeps its previous
+// summary.
 func (um *UsageMonitor) sample() {
 	now := um.engine.Now()
 	for i, u := range um.usage.Poll(um.deadline) {
@@ -313,5 +273,8 @@ func (um *UsageMonitor) PublicStatus() []UsageSnapshot {
 	return out
 }
 
-// Stop halts sampling.
-func (um *UsageMonitor) Stop() { um.ticker.Stop() }
+// Stop halts sampling; a sample in flight returns at once.
+func (um *UsageMonitor) Stop() {
+	um.ticker.Stop()
+	um.usage.Stop()
+}

@@ -2,7 +2,8 @@ package monitor
 
 import (
 	"errors"
-	"sync/atomic"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -121,34 +122,31 @@ func TestUsageMonitorPublishesSnapshot(t *testing.T) {
 	um.Stop()
 }
 
-// hangingCloud is a CloudAPI whose usage samples block until released.
-type hangingCloud struct {
-	cloudapi.CloudAPI
-	name    string
-	release chan struct{}
+// hungSite starts a site that accepts every request and never answers;
+// each request its client cancels is signalled on the returned channel.
+func hungSite(t *testing.T) (url string, cancelled <-chan struct{}) {
+	ch := make(chan struct{}, 64)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		<-r.Context().Done()
+		select {
+		case ch <- struct{}{}:
+		default:
+		}
+	}))
+	t.Cleanup(srv.Close)
+	return srv.URL, ch
 }
 
-func (h *hangingCloud) Name() string { return h.name }
-func (h *hangingCloud) Usage() (cloudapi.Usage, error) {
-	<-h.release
-	return cloudapi.Usage{}, nil
-}
-func (h *hangingCloud) UsageSince(int64) (cloudapi.UsageDelta, error) {
-	<-h.release
-	return cloudapi.UsageDelta{}, nil
-}
-
-// TestAbandonedSampleSurfacesPerCloud: a cloud whose Usage hangs past the
-// sample deadline lands in SampleErrorsByCloud while the healthy cloud's
-// snapshot still publishes.
+// TestAbandonedSampleSurfacesPerCloud: a site that never answers lands in
+// SampleErrorsByCloud, its requests cancelled at the sample deadline,
+// while the healthy cloud's snapshot still publishes.
 func TestAbandonedSampleSurfacesPerCloud(t *testing.T) {
 	e := sim.NewEngine(9)
 	c := iaas.NewCloud(e, "adler", "openstack", "chicago")
 	c.AddRack("r", 4)
-	hung := &hangingCloud{name: "hung-site", release: make(chan struct{})}
-	t.Cleanup(func() { close(hung.release) })
+	url, cancelled := hungSite(t)
 
-	um := NewUsageMonitor(e, []cloudapi.CloudAPI{cloudapi.NewLocal(c), hung}, 300)
+	um := NewUsageMonitor(e, []cloudapi.CloudAPI{cloudapi.NewLocal(c), cloudapi.NewRemote("hung-site", "openstack", url, nil)}, 300)
 	um.deadline = 5 * time.Millisecond
 	e.RunFor(901)
 	um.Stop()
@@ -158,42 +156,15 @@ func TestAbandonedSampleSurfacesPerCloud(t *testing.T) {
 		t.Fatalf("healthy cloud charged %d sample errors", per["adler"])
 	}
 	if per["hung-site"] < 2 {
-		t.Fatalf("hung-site abandoned samples = %d, want ~3", per["hung-site"])
+		t.Fatalf("hung-site cancelled samples = %d, want ~3", per["hung-site"])
 	}
 	status := um.PublicStatus()
 	if len(status) != 1 || status[0].Cloud != "adler" {
 		t.Fatalf("healthy snapshot missing: %+v", status)
 	}
-}
-
-// TestMasterAbandonsHungAgent: one agent's plugin hangs; its sweep is
-// abandoned (PollsAbandoned) while the other host's checks keep running.
-func TestMasterAbandonsHungAgent(t *testing.T) {
-	e := sim.NewEngine(9)
-	m := NewMaster(e, 60)
-	m.deadline = 5 * time.Millisecond
-
-	release := make(chan struct{})
-	t.Cleanup(func() { close(release) })
-	stuck := NewAgent("stuck-host")
-	stuck.Register(Check{Name: "hang", Plugin: func() (float64, error) {
-		<-release
-		return 0, nil
-	}, Warn: 1, Crit: 2})
-	healthy := NewAgent("ok-host")
-	healthy.Register(Check{Name: "load", Plugin: func() (float64, error) { return 0.5, nil }, Warn: 8, Crit: 16})
-	m.AddAgent(stuck)
-	m.AddAgent(healthy)
-
-	e.RunFor(301) // 5 polls
-
-	if n := atomic.LoadInt64(&m.PollsAbandoned); n < 4 {
-		t.Fatalf("PollsAbandoned = %d, want ~5", n)
-	}
-	if m.StateOf("ok-host", "load") != StateOK {
-		t.Fatal("healthy host's checks did not run")
-	}
-	if m.StateOf("stuck-host", "hang") != StateOK {
-		t.Fatal("abandoned sweep must not record a state")
+	select {
+	case <-cancelled:
+	case <-time.After(cloudapi.PollDeadline):
+		t.Fatal("the hung site never saw a sample's request cancelled")
 	}
 }

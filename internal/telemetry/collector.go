@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -24,7 +25,7 @@ type Member struct {
 type MemberStats struct {
 	Member  string
 	Scrapes int64 // successful scrape rounds
-	Errors  int64 // unreachable, non-200, unparseable, or abandoned at deadline
+	Errors  int64 // unreachable, non-200, unparseable, or cancelled at deadline
 	Series  int   // series count in the last successful scrape
 }
 
@@ -58,7 +59,7 @@ const scrapeWorkers = 8
 // deterministic scenario drives off the sim clock).
 func NewCollector(secret string, client *http.Client, members ...Member) *Collector {
 	c := &Collector{
-		members: members, secret: secret, client: wire.NewClient(client, 10*time.Second),
+		members: members, secret: secret, client: wire.NewClient(client, 10*time.Second, 0),
 		workers: scrapeWorkers,
 		stats:   make(map[string]*MemberStats),
 		data:    make(map[string]map[string]float64),
@@ -71,15 +72,14 @@ func NewCollector(secret string, client *http.Client, members ...Member) *Collec
 
 // Round runs one synchronous scrape sweep over every member. Each member
 // settles exactly once per round, here: a scrape still running when the
-// fanout deadline passes is counted as an error, and if it later finishes
-// anyway its result is dropped — never one error plus one success for the
-// same member in the same round.
+// fanout deadline passes is cancelled and counted as an error — never one
+// error plus one success for the same member in the same round.
 func (c *Collector) Round() {
 	c.mu.Lock()
 	deadline := c.deadline
 	c.mu.Unlock()
-	scrapes, completed := fanout.Each(c.workers, deadline, len(c.members), func(i int) scrape {
-		series, err := c.scrapeOne(c.members[i])
+	scrapes, completed := fanout.Each(context.Background(), c.workers, deadline, len(c.members), func(ctx context.Context, i int) scrape {
+		series, err := c.scrapeOne(ctx, c.members[i])
 		return scrape{series, err}
 	})
 	c.mu.Lock()
@@ -103,7 +103,7 @@ type scrape struct {
 }
 
 // Start begins scraping every interval of wall time until Stop, each
-// member's scrape waiting fanout.RoundDeadline(interval).
+// member's scrape cancelled after fanout.RoundDeadline(interval).
 func (c *Collector) Start(interval time.Duration) {
 	c.mu.Lock()
 	c.deadline = fanout.RoundDeadline(interval)
@@ -116,8 +116,8 @@ func (c *Collector) Start(interval time.Duration) {
 func (c *Collector) Stop() { c.loop.Stop() }
 
 // scrapeOne GETs one member's /metrics and parses it.
-func (c *Collector) scrapeOne(m Member) (map[string]float64, error) {
-	req, err := http.NewRequest(http.MethodGet, m.URL+"/metrics", nil)
+func (c *Collector) scrapeOne(ctx context.Context, m Member) (map[string]float64, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, m.URL+"/metrics", nil)
 	if err != nil {
 		return nil, err
 	}

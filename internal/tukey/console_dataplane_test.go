@@ -1,6 +1,7 @@
 package tukey
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -122,7 +123,7 @@ func dataPlaneRig(t *testing.T) (*rig, *httptest.Server, *datastore.Coordinator,
 	}
 	root := datastore.NewStore("site-root", simnet.SiteChicagoKenwood, vol("root"))
 	adler := datastore.NewStore("adler", simnet.SiteChicagoKenwood, vol("adler"))
-	if err := root.Put(datastore.Replica{Dataset: "EO-1 Scenes", SizeBytes: 2 << 30, Version: 1}); err != nil {
+	if err := root.Put(context.Background(), datastore.Replica{Dataset: "EO-1 Scenes", SizeBytes: 2 << 30, Version: 1}); err != nil {
 		t.Fatal(err)
 	}
 	coord := datastore.NewCoordinator(r.e, nw, cat, datastore.Options{Factor: 1, Seed: 7}, root, adler)
@@ -181,7 +182,7 @@ func TestConsoleStageAndReplicas(t *testing.T) {
 	if st.State != "present" {
 		t.Fatalf("re-stage state = %q, want present", st.State)
 	}
-	if _, err := adlerStore.Get("EO-1 Scenes"); err != nil {
+	if _, err := adlerStore.Get(context.Background(), "EO-1 Scenes"); err != nil {
 		t.Fatalf("staged replica missing from the store: %v", err)
 	}
 

@@ -1,6 +1,7 @@
 package tukeystate
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"sync"
@@ -39,7 +40,7 @@ type RemoteSessionStore struct {
 // NewRemoteSessionStore builds a client for the tukeystate server at base
 // (e.g. "http://state:9200"). A nil client gets a DefaultTimeout one.
 func NewRemoteSessionStore(base string, client *http.Client) *RemoteSessionStore {
-	return &RemoteSessionStore{base: base, client: wire.NewClient(client, DefaultTimeout)}
+	return &RemoteSessionStore{base: base, client: wire.NewClient(client, DefaultTimeout, 0)}
 }
 
 // post sends one request/response pair, recording transport errors.
@@ -122,7 +123,7 @@ type RemoteLimiter struct {
 // NewRemoteLimiter builds a client for the tukeystate server at base. A
 // nil client gets a DefaultTimeout one.
 func NewRemoteLimiter(base string, client *http.Client) *RemoteLimiter {
-	return &RemoteLimiter{base: base, client: wire.NewClient(client, DefaultTimeout)}
+	return &RemoteLimiter{base: base, client: wire.NewClient(client, DefaultTimeout, 0)}
 }
 
 // AllowN implements tukey.Limiter, failing open on transport errors.
@@ -162,7 +163,7 @@ func (l *RemoteLimiter) Gate(store tukey.SessionStore, token string, cost float6
 
 // postJSON is one POST round trip with JSON bodies both ways.
 func postJSON(client *http.Client, url string, req, resp interface{}) error {
-	status, _, err := wire.Call(client, http.MethodPost, url, "", req, resp, http.StatusOK)
+	status, _, err := wire.Call(context.Background(), client, http.MethodPost, url, "", req, resp, http.StatusOK)
 	if err == nil && status != http.StatusOK {
 		err = fmt.Errorf("tukeystate: %s: status %d", url, status)
 	}

@@ -145,7 +145,7 @@ func TestOperatorGate(t *testing.T) {
 					WriteJSON(w, http.StatusOK, struct{}{})
 				}
 			}))
-			code, msg, err := Call(NewClient(nil, time.Minute), http.MethodGet, s.URL, c.header, nil, nil, http.StatusOK)
+			code, msg, err := Call(context.Background(), NewClient(nil, time.Minute, 0), http.MethodGet, s.URL, c.header, nil, nil, http.StatusOK)
 			if code != c.code || msg != c.msg || err != nil {
 				t.Fatalf("gate = %d %q %v, want %d %q", code, msg, err, c.code, c.msg)
 			}

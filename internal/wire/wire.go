@@ -9,6 +9,7 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"crypto/subtle"
 	"encoding/json"
 	"fmt"
@@ -61,10 +62,17 @@ func OperatorGate(secret, plane string, w http.ResponseWriter, r *http.Request) 
 
 // NewClient returns client, or when it is nil a private client whose
 // round trips give up after timeout — so a hung peer surfaces as an
-// error instead of holding a goroutine forever.
-func NewClient(client *http.Client, timeout time.Duration) *http.Client {
-	if client == nil {
-		client = &http.Client{Timeout: timeout}
+// error instead of holding a goroutine forever. idlePerHost > 0 gives the
+// private client a transport of its own that keeps that many idle
+// connections per host, for a caller with many requests in flight to
+// few peers; 0 shares the default transport.
+func NewClient(client *http.Client, timeout time.Duration, idlePerHost int) *http.Client {
+	if client != nil {
+		return client
+	}
+	client = &http.Client{Timeout: timeout}
+	if idlePerHost > 0 {
+		client.Transport = &http.Transport{MaxIdleConnsPerHost: idlePerHost}
 	}
 	return client
 }
@@ -79,14 +87,15 @@ func ReadBody(body io.Reader) ([]byte, error) {
 	return raw, err
 }
 
-// Call makes one JSON round trip: in is encoded as the request body (nil
-// sends none), secret rides in the OperatorHeader when set, and the
-// response is decoded into out (nil discards it) only when the status is
-// ok. Any other status comes back with the server's envelope message, ""
-// when the body carries none, and a nil error: the caller words its own
-// error. err is set for a request that could not be made or a body that
-// did not decode; status is 0 when no response arrived.
-func Call(client *http.Client, method, url, secret string, in, out interface{}, ok int) (status int, msg string, err error) {
+// Call makes one JSON round trip under ctx: in is encoded as the request
+// body (nil sends none), secret rides in the OperatorHeader when set, and
+// the response is decoded into out (nil discards it) only when the status
+// is ok. Any other status comes back with the server's envelope message,
+// "" when the body carries none, and a nil error: the caller words its
+// own error. err is set for a request that could not be made or a body
+// that did not decode; status is 0 when no response arrived. The body is
+// read to its end either way, so the connection can carry the next call.
+func Call(ctx context.Context, client *http.Client, method, url, secret string, in, out interface{}, ok int) (status int, msg string, err error) {
 	var body io.Reader
 	if in != nil {
 		raw, err := json.Marshal(in)
@@ -95,7 +104,7 @@ func Call(client *http.Client, method, url, secret string, in, out interface{}, 
 		}
 		body = bytes.NewReader(raw)
 	}
-	req, err := http.NewRequest(method, url, body)
+	req, err := http.NewRequestWithContext(ctx, method, url, body)
 	if err != nil {
 		return 0, "", err
 	}
@@ -109,7 +118,10 @@ func Call(client *http.Client, method, url, secret string, in, out interface{}, 
 	if err != nil {
 		return 0, "", err
 	}
-	defer resp.Body.Close()
+	defer func() {
+		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, MaxBodyBytes))
+		resp.Body.Close()
+	}()
 	if resp.StatusCode != ok {
 		var fail envelope
 		_ = json.NewDecoder(resp.Body).Decode(&fail) // a body that is no envelope leaves msg ""

@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"context"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -10,7 +12,8 @@ import (
 
 // TestCallRoundTrip: the body goes out as JSON with the operator header,
 // the wanted status is decoded, and any other status hands back the
-// envelope's message without touching out — "" when there is none.
+// envelope's message without touching out — "" when there is none. A
+// call whose context has ended gets no response.
 func TestCallRoundTrip(t *testing.T) {
 	type msg struct {
 		N int `json:"n"`
@@ -32,25 +35,31 @@ func TestCallRoundTrip(t *testing.T) {
 		}
 	}))
 	defer srv.Close()
-	client := NewClient(nil, 0)
+	client := NewClient(nil, 0, 0)
+	ctx := context.Background()
 
 	var out msg
-	status, text, err := Call(client, http.MethodPost, srv.URL+"/echo", "s3", msg{N: 7}, &out, http.StatusOK)
+	status, text, err := Call(ctx, client, http.MethodPost, srv.URL+"/echo", "s3", msg{N: 7}, &out, http.StatusOK)
 	if status != http.StatusOK || text != "" || err != nil || out.N != 7 {
 		t.Fatalf("echo = %d %q %v, out %+v", status, text, err, out)
 	}
-	if status, text, err = Call(client, http.MethodPost, srv.URL+"/echo", "", msg{N: 1}, &out, http.StatusOK); status != http.StatusForbidden || text != "no secret" || err != nil {
+	if status, text, err = Call(ctx, client, http.MethodPost, srv.URL+"/echo", "", msg{N: 1}, &out, http.StatusOK); status != http.StatusForbidden || text != "no secret" || err != nil {
 		t.Fatalf("echo without the secret = %d %q %v", status, text, err)
 	}
 	out = msg{}
-	if status, text, err = Call(client, http.MethodGet, srv.URL+"/refuse", "", nil, &out, http.StatusOK); status != http.StatusConflict || text != `refused "x" <y>` || err != nil || out.N != 0 {
+	if status, text, err = Call(ctx, client, http.MethodGet, srv.URL+"/refuse", "", nil, &out, http.StatusOK); status != http.StatusConflict || text != `refused "x" <y>` || err != nil || out.N != 0 {
 		t.Fatalf("refuse = %d %q %v, out %+v", status, text, err, out)
 	}
-	if status, text, err = Call(client, http.MethodGet, srv.URL+"/plain", "", nil, &out, http.StatusOK); status != http.StatusBadGateway || text != "" || err != nil {
+	if status, text, err = Call(ctx, client, http.MethodGet, srv.URL+"/plain", "", nil, &out, http.StatusOK); status != http.StatusBadGateway || text != "" || err != nil {
 		t.Fatalf("plain = %d %q %v", status, text, err)
 	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if status, _, err = Call(cancelled, client, http.MethodGet, srv.URL+"/echo", "", nil, nil, http.StatusOK); status != 0 || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled call = %d %v, want no response and context.Canceled", status, err)
+	}
 	srv.Close()
-	if status, _, err = Call(client, http.MethodGet, srv.URL+"/echo", "", nil, nil, http.StatusOK); status != 0 || err == nil {
+	if status, _, err = Call(ctx, client, http.MethodGet, srv.URL+"/echo", "", nil, nil, http.StatusOK); status != 0 || err == nil {
 		t.Fatalf("closed server = %d %v, want a transport error", status, err)
 	}
 }
