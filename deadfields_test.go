@@ -7,8 +7,8 @@ package osdc_test
 // on a pointer receiver are both. The fields of a root's results are read
 // (readAll). A struct whose values fill an empty-interface slot (an
 // encoder's argument, an `any` map element, a value appended to a []any)
-// is wire format: encoding/json and encoding/xml read and write its fields
-// by name, so neither rule judges them.
+// is wire format: encoding/json reads and writes its fields by name, so
+// neither rule judges them.
 
 import (
 	"go/ast"
@@ -77,10 +77,10 @@ func (r *fieldRules) visitor(pkg *types.Package) func(ast.Node) {
 	}
 }
 
-// encoder reports whether fun is a function of encoding/json, encoding/xml
-// or the tree, whose interface{} parameters are its encode helpers', or
-// append, which can collect values for an encoder in a []any. A std
-// function such as sort.Slice also takes any, but reads no field.
+// encoder reports whether fun is a function of encoding/json or the tree,
+// whose interface{} parameters are its encode helpers', or append, which
+// can collect values for an encoder in a []any. A std function such as
+// sort.Slice also takes any, but reads no field.
 func (r *fieldRules) encoder(fun ast.Expr) bool {
 	id, _ := ast.Unparen(fun).(*ast.Ident)
 	if sel := selOf(fun); sel != nil {
@@ -90,7 +90,7 @@ func (r *fieldRules) encoder(fun ast.Expr) bool {
 		return b.Name() == "append"
 	}
 	fn, ok := r.info.Uses[id].(*types.Func)
-	return ok && fn.Pkg() != nil && (r.files[fn.Pkg()] != nil || fn.Pkg().Path() == "encoding/json" || fn.Pkg().Path() == "encoding/xml")
+	return ok && fn.Pkg() != nil && (r.files[fn.Pkg()] != nil || fn.Pkg().Path() == "encoding/json")
 }
 
 func (r *fieldRules) write(id *ast.Ident) {
@@ -235,7 +235,11 @@ func (r *fieldRules) findings(judged func(*types.Package) bool) map[string]token
 func paramType(sig *types.Signature, i int) types.Type {
 	ps := sig.Params()
 	if sig.Variadic() && i >= ps.Len()-1 {
-		return ps.At(ps.Len() - 1).Type().(*types.Slice).Elem()
+		last := ps.At(ps.Len() - 1).Type()
+		if s, ok := last.(*types.Slice); ok {
+			return s.Elem()
+		}
+		return last // append([]byte, string...) takes the string whole
 	} else if i < ps.Len() {
 		return ps.At(i).Type()
 	}

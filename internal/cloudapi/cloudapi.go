@@ -74,7 +74,7 @@ func wireText(s string, header bool) bool {
 			if header {
 				return false
 			}
-		case r < 0x20 || r == 0xfffe || r == 0xffff:
+		case !xmlChar(r):
 			return false
 		}
 	}

@@ -1,11 +1,13 @@
 package cloudapi
 
 import (
-	"encoding/xml"
 	"fmt"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
+	"sync"
+	"unicode/utf8"
 
 	"osdc/internal/iaas"
 	"osdc/internal/wire"
@@ -17,68 +19,10 @@ import (
 // reservations, and the caller arrives as AWSAccessKeyId. The site serves
 // RunInstances, DescribeInstances, StopInstances, TerminateInstances and
 // DescribeImages with serveEC2; Remote reads all but DescribeImages, which
-// is served for raw clients, with ec2, through the declarations below.
-
-// ec2Instance is the wire form of one instance.
-type ec2Instance struct {
-	InstanceID   string `xml:"instanceId"`
-	ImageID      string `xml:"imageId"`
-	InstanceType string `xml:"instanceType"`
-	StateName    string `xml:"instanceState>name"`
-	KeyName      string `xml:"keyName"`
-}
-
-func toEC2Instance(i *iaas.Instance) ec2Instance {
-	return ec2Instance{
-		InstanceID: i.ID, ImageID: i.ImageID,
-		InstanceType: i.Flavor.Name, StateName: ec2StateName(i.State), KeyName: i.Name,
-	}
-}
-
-func (it ec2Instance) instance() Instance {
-	return Instance{ID: it.InstanceID, Name: it.KeyName, Flavor: it.InstanceType, Status: openStackStatus(it.StateName)}
-}
-
-type ec2Reservation struct {
-	OwnerID string        `xml:"ownerId"`
-	Items   []ec2Instance `xml:"instancesSet>item"`
-}
-
-type ec2Image struct {
-	ImageID string `xml:"imageId"`
-	Name    string `xml:"name"`
-	Public  bool   `xml:"isPublic"`
-}
-
-// The response bodies.
-type (
-	ec2RunInstances struct {
-		XMLName xml.Name      `xml:"RunInstancesResponse"`
-		Items   []ec2Instance `xml:"instancesSet>item"`
-	}
-	ec2DescribeInstances struct {
-		XMLName      xml.Name         `xml:"DescribeInstancesResponse"`
-		Reservations []ec2Reservation `xml:"reservationSet>item"`
-	}
-	// ec2StateChange answers TerminateInstances and StopInstances, under
-	// the action's own response name.
-	ec2StateChange struct {
-		XMLName xml.Name
-		ID      string `xml:"instancesSet>item>instanceId"`
-		State   string `xml:"instancesSet>item>currentState>name"`
-	}
-	ec2DescribeImages struct {
-		XMLName xml.Name   `xml:"DescribeImagesResponse"`
-		Images  []ec2Image `xml:"imagesSet>item"`
-	}
-)
-
-// ec2Fail is the dialect's error envelope.
-type ec2Fail struct {
-	XMLName xml.Name `xml:"Response"`
-	Code    string   `xml:"Errors>Error>Code"`
-	Message string   `xml:"Errors>Error>Message"`
-}
+// is served for raw clients, with ec2. Neither direction uses reflection:
+// each answer is one of the forms below, which the site fills into a
+// pooled ec2Body and Remote matches in one strict pass of an ec2Reader.
+// FuzzEC2CodecMatchesEncodingXML holds both to encoding/xml's bytes.
 
 // ec2States names each instance state in EC2's words: the site reads it
 // forwards, Remote backwards (one of the §5.2 "rules of the configuration
@@ -122,44 +66,143 @@ var ec2LaunchCodes = map[int]string{
 	http.StatusBadRequest: "InvalidParameterValue",
 }
 
-func writeXML(w http.ResponseWriter, code int, v any) {
+// xmlHeader opens every answer; it is encoding/xml's Header.
+const xmlHeader = `<?xml version="1.0" encoding="UTF-8"?>` + "\n"
+
+// The dialect's answers, each declared once for the site that fills it and
+// the Remote that reads it back: a % is one escaped text, and the rest is
+// written and expected byte for byte. A listing is its head, an item per
+// entry and its tail; a state change's first and last texts are the action.
+const (
+	ec2Item = "<item><instanceId>%</instanceId><imageId>%</imageId><instanceType>%</instanceType>" +
+		"<instanceState><name>%</name></instanceState><keyName>%</keyName></item>"
+	ec2Run         = "<RunInstancesResponse><instancesSet>" + ec2Item + "</instancesSet></RunInstancesResponse>"
+	ec2ListHead    = "<DescribeInstancesResponse><reservationSet><item><ownerId>%</ownerId><instancesSet>"
+	ec2ListTail    = "</instancesSet></item></reservationSet></DescribeInstancesResponse>"
+	ec2StateChange = "<%Response><instancesSet><item><instanceId>%</instanceId><currentState><name>%</name></currentState></item></instancesSet></%Response>"
+	ec2ImagesHead  = "<DescribeImagesResponse><imagesSet>"
+	ec2Image       = "<item><imageId>%</imageId><name>%</name><isPublic>%</isPublic></item>"
+	ec2ImagesTail  = "</imagesSet></DescribeImagesResponse>"
+	ec2Fail        = "<Response><Errors><Error><Code>%</Code><Message>%</Message></Error></Errors></Response>"
+)
+
+// ec2Body is one answer being written.
+type ec2Body struct{ b []byte }
+
+// ec2Bodies pools the answers' buffers; one grown past ec2BodyMax is left
+// to the collector rather than held.
+var ec2Bodies = sync.Pool{New: func() any { return new(ec2Body) }}
+
+const ec2BodyMax = 64 << 10
+
+// newEC2Body takes a buffer from the pool, holding the XML header.
+func newEC2Body() *ec2Body {
+	x := ec2Bodies.Get().(*ec2Body)
+	x.b = append(x.b[:0], xmlHeader...)
+	return x
+}
+
+func (x *ec2Body) free() {
+	if cap(x.b) <= ec2BodyMax {
+		ec2Bodies.Put(x)
+	}
+}
+
+// fill writes form with each % replaced by the next of texts, escaped.
+func (x *ec2Body) fill(form string, texts ...string) {
+	for _, t := range texts {
+		lit, rest, _ := strings.Cut(form, "%")
+		x.b = appendEscaped(append(x.b, lit...), t)
+		form = rest
+	}
+	x.b = append(x.b, form...)
+}
+
+// instance writes i as form, which holds ec2Item's texts.
+func (x *ec2Body) instance(form string, i *iaas.Instance) {
+	x.fill(form, i.ID, i.ImageID, i.Flavor.Name, ec2StateName(i.State), i.Name)
+}
+
+func (x *ec2Body) describeInstances(user string, insts []*iaas.Instance) {
+	x.fill(ec2ListHead, user)
+	for _, i := range insts {
+		x.instance(ec2Item, i)
+	}
+	x.fill(ec2ListTail)
+}
+
+func (x *ec2Body) describeImages(imgs []*iaas.Image) {
+	x.fill(ec2ImagesHead)
+	for _, im := range imgs {
+		x.fill(ec2Image, im.ID, im.Name, strconv.FormatBool(im.Public))
+	}
+	x.fill(ec2ImagesTail)
+}
+
+// fail writes the dialect's error envelope and returns status.
+func (x *ec2Body) fail(status int, code, msg string) int {
+	x.fill(ec2Fail, code, msg)
+	return status
+}
+
+// xmlChar reports whether XML 1.0 can carry r.
+func xmlChar(r rune) bool {
+	return r == '\t' || r == '\n' || r == '\r' || r >= 0x20 && r <= 0xD7FF ||
+		r >= 0xE000 && r <= 0xFFFD || r >= 0x10000 && r <= utf8.MaxRune
+}
+
+// xmlEscapes are the characters xml.EscapeText writes as references.
+var xmlEscapes = [...]string{'"': "&#34;", '\'': "&#39;", '&': "&amp;", '<': "&lt;", '>': "&gt;", '\t': "&#x9;", '\n': "&#xA;", '\r': "&#xD;"}
+
+// appendEscaped appends s escaped as xml.EscapeText escapes it: the
+// xmlEscapes as references, and a rune XML cannot carry, or a byte that is
+// not UTF-8, as U+FFFD.
+func appendEscaped(b []byte, s string) []byte {
+	last := 0
+	for i := 0; i < len(s); {
+		r, width := utf8.DecodeRuneInString(s[i:])
+		i += width
+		esc := "\uFFFD"
+		if int(r) < len(xmlEscapes) && xmlEscapes[r] != "" {
+			esc = xmlEscapes[r]
+		} else if xmlChar(r) && (r != utf8.RuneError || width > 1) {
+			continue
+		}
+		b = append(append(b, s[last:i-width]...), esc...)
+		last = i
+	}
+	return append(b, s[last:]...)
+}
+
+// serveEC2 answers one request of the dialect against the site's cloud,
+// in one Write of a pooled buffer.
+func (s *Server) serveEC2(w http.ResponseWriter, r *http.Request) {
+	x := newEC2Body()
+	code := s.answerEC2(x, r.URL.Query())
 	w.Header().Set("Content-Type", "text/xml")
 	w.WriteHeader(code)
-	fmt.Fprint(w, xml.Header)
-	_ = xml.NewEncoder(w).Encode(v)
+	_, _ = w.Write(x.b)
+	x.free()
 }
 
-func ec2Error(w http.ResponseWriter, code int, ecode, msg string) {
-	writeXML(w, code, ec2Fail{Code: ecode, Message: msg})
-}
-
-// serveEC2 answers one request of the dialect against the site's cloud.
-func (s *Server) serveEC2(w http.ResponseWriter, r *http.Request) {
+// answerEC2 writes the answer to the query q into x and returns its status.
+func (s *Server) answerEC2(x *ec2Body, q url.Values) int {
 	c := s.local.C
-	q := r.URL.Query()
 	user := q.Get("AWSAccessKeyId")
 	if user == "" {
-		ec2Error(w, http.StatusUnauthorized, "AuthFailure", "missing AWSAccessKeyId")
-		return
+		return x.fail(http.StatusUnauthorized, "AuthFailure", "missing AWSAccessKeyId")
 	}
 	switch action := q.Get("Action"); action {
 	case "RunInstances":
 		inst, err := launch(c, user, q.Get("KeyName"), q.Get("InstanceType"), q.Get("ImageId"))
 		if err != nil {
 			status := launchStatus(err)
-			ec2Error(w, status, ec2LaunchCodes[status], err.Error())
-			return
+			return x.fail(status, ec2LaunchCodes[status], err.Error())
 		}
-		writeXML(w, http.StatusOK, ec2RunInstances{Items: []ec2Instance{toEC2Instance(inst)}})
+		x.instance(ec2Run, inst)
 
 	case "DescribeInstances":
-		var items []ec2Instance
-		for _, i := range c.Instances(user) {
-			items = append(items, toEC2Instance(i))
-		}
-		writeXML(w, http.StatusOK, ec2DescribeInstances{
-			Reservations: []ec2Reservation{{OwnerID: user, Items: items}},
-		})
+		x.describeInstances(user, c.Instances(user))
 
 	case "StopInstances", "TerminateInstances":
 		id := q.Get("InstanceId.1")
@@ -168,82 +211,207 @@ func (s *Server) serveEC2(w http.ResponseWriter, r *http.Request) {
 			change, state = c.Terminate, "terminated"
 		}
 		if err := change(user, id); err != nil {
-			ec2Error(w, http.StatusNotFound, "InvalidInstanceID.NotFound", err.Error())
-			return
+			return x.fail(http.StatusNotFound, "InvalidInstanceID.NotFound", err.Error())
 		}
-		writeXML(w, http.StatusOK, ec2StateChange{XMLName: xml.Name{Local: action + "Response"}, ID: id, State: state})
+		x.fill(ec2StateChange, action, id, state, action)
 
 	case "DescribeImages":
-		var imgs []ec2Image
-		for _, im := range c.Images() {
-			imgs = append(imgs, ec2Image{ImageID: im.ID, Name: im.Name, Public: im.Public})
-		}
-		writeXML(w, http.StatusOK, ec2DescribeImages{Images: imgs})
+		x.describeImages(c.Images())
 
 	default:
-		ec2Error(w, http.StatusBadRequest, "InvalidAction", "unknown action "+action)
+		return x.fail(http.StatusBadRequest, "InvalidAction", "unknown action "+action)
+	}
+	return http.StatusOK
+}
+
+// ec2Reader reads an answer back in one strict pass: after an optional XML
+// header, the body must be exactly what the site writes, and the first
+// deviation sticks in err. A text is a substring of the body, unescaped
+// only when it holds a reference.
+type ec2Reader struct {
+	s   string // what is left to read
+	n   int    // the body's length, to place a deviation
+	err error
+}
+
+func readEC2(body []byte) ec2Reader {
+	s := string(body)
+	return ec2Reader{s: strings.TrimPrefix(s, xmlHeader), n: len(s)}
+}
+
+func (r *ec2Reader) fail(want string) {
+	if r.err == nil {
+		r.err = fmt.Errorf("cloudapi: malformed EC2 response: want %q at byte %d", want, r.n-len(r.s))
 	}
 }
 
-// ec2 makes one round trip on the dialect: q names the action and the
-// caller, an answer over wire.MaxBodyBytes is an error, and a 200
-// answer decodes into out (nil discards it). Any other answer is an error
-// naming the action, the status and the site's message; status and msg
-// come back too, so a launch can rebuild the refusal's class.
-func (r *Remote) ec2(q url.Values, out any) (status int, msg string, err error) {
-	resp, err := r.client.Get(r.endpoint + "/?" + q.Encode())
-	if err != nil {
-		return 0, "", err
-	}
-	defer resp.Body.Close()
-	// Read whole, then unmarshalled: an xml.Decoder on the stream would
-	// allocate a 4 KB buffer for a body a tenth of that.
-	raw, err := wire.ReadBody(resp.Body)
-	switch {
-	case err != nil:
-		return 0, "", err
-	case resp.StatusCode != http.StatusOK:
-		var fail ec2Fail
-		_ = xml.Unmarshal(raw, &fail)
-		return resp.StatusCode, fail.Message, r.refusedCall(q.Get("Action"), resp.StatusCode, fail.Message)
-	case out != nil:
-		err = xml.Unmarshal(raw, out)
-	}
-	return resp.StatusCode, "", err
-}
-
-func (r *Remote) ec2Instances(user string) ([]Instance, error) {
-	var body ec2DescribeInstances
-	if _, _, err := r.ec2(url.Values{"Action": {"DescribeInstances"}, "AWSAccessKeyId": {user}}, &body); err != nil {
-		return nil, err
-	}
-	var out []Instance
-	for _, res := range body.Reservations {
-		for _, it := range res.Items {
-			out = append(out, it.instance())
+// match reads form, storing the text at each % through the next of texts.
+// A text runs to the next tag, which the rest of form must then match.
+func (r *ec2Reader) match(form string, texts ...*string) {
+	for _, t := range texts {
+		lit, rest, _ := strings.Cut(form, "%")
+		r.expect(lit)
+		text, _, _ := strings.Cut(r.s, "<")
+		r.s, form = r.s[len(text):], rest
+		if *t = text; strings.Contains(text, "&") {
+			*t = r.unescape(text)
 		}
+	}
+	r.expect(form)
+}
+
+// expect reads lit, which the body must go on with.
+func (r *ec2Reader) expect(lit string) {
+	rest, ok := strings.CutPrefix(r.s, lit)
+	if !ok {
+		r.fail(lit)
+	}
+	r.s = rest
+}
+
+var xmlEntities = map[string]rune{"lt": '<', "gt": '>', "amp": '&', "apos": '\'', "quot": '"'}
+
+// unescape resolves t's references: the five predefined entities and
+// numeric references to characters XML can carry.
+func (r *ec2Reader) unescape(t string) string {
+	var b strings.Builder
+	for {
+		before, after, found := strings.Cut(t, "&")
+		b.WriteString(before)
+		if !found {
+			return b.String()
+		}
+		ref, rest, ok := strings.Cut(after, ";")
+		c := xmlRef(ref)
+		if !ok || c < 0 {
+			r.fail("a reference")
+			return ""
+		}
+		b.WriteRune(c)
+		t = rest
+	}
+}
+
+// xmlRef is the character the reference &ref; stands for, or -1 when ref
+// is neither a predefined entity nor a numeric reference (#N or #xH) to a
+// character XML can carry.
+func xmlRef(ref string) rune {
+	if c, ok := xmlEntities[ref]; ok {
+		return c
+	}
+	digits, base := strings.TrimPrefix(ref, "#"), 10
+	if hex, ok := strings.CutPrefix(digits, "x"); ok {
+		digits, base = hex, 16
+	}
+	n, err := strconv.ParseUint(digits, base, 32)
+	if err != nil || !strings.HasPrefix(ref, "#") || !xmlChar(rune(n)) {
+		return -1
+	}
+	return rune(n)
+}
+
+// done is the reader's verdict: nil only when the whole body was read.
+func (r *ec2Reader) done() error {
+	if r.s != "" {
+		r.fail("the end")
+	}
+	return r.err
+}
+
+// instance reads one instance written as form, which holds ec2Item's texts.
+func (r *ec2Reader) instance(form string) Instance {
+	var inst Instance
+	var image, state string
+	r.match(form, &inst.ID, &image, &inst.Flavor, &state, &inst.Name)
+	inst.Status = openStackStatus(state)
+	return inst
+}
+
+func readRunInstances(body []byte) (Instance, error) {
+	r := readEC2(body)
+	inst := r.instance(ec2Run)
+	if err := r.done(); err != nil {
+		return Instance{}, err
+	}
+	return inst, nil
+}
+
+func readDescribeInstances(body []byte) ([]Instance, error) {
+	r := readEC2(body)
+	var owner string
+	r.match(ec2ListHead, &owner)
+	var out []Instance
+	for r.err == nil && strings.HasPrefix(r.s, "<item>") {
+		out = append(out, r.instance(ec2Item))
+	}
+	r.match(ec2ListTail)
+	if err := r.done(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
+// readFail is the message of an error envelope, "" for a body that is not
+// one.
+func readFail(body []byte) string {
+	r := readEC2(body)
+	var code, msg string
+	r.match(ec2Fail, &code, &msg)
+	if r.done() != nil {
+		return ""
+	}
+	return msg
+}
+
+// ec2 makes one round trip on the dialect. The query carries user, action
+// and params, name/value pairs whose names sort after "Action", in order,
+// so that it reads as url.Values.Encode writes it. An answer over
+// wire.MaxBodyBytes is an error, and a 200 answer's body comes back whole.
+// Any other answer is an error naming the action, the status and the
+// site's message; status and msg come back too, so a launch can rebuild
+// the refusal's class.
+func (r *Remote) ec2(action, user string, params ...string) (body []byte, status int, msg string, err error) {
+	q := append(make([]byte, 0, 256), r.endpoint...)
+	q = append(append(q, "/?AWSAccessKeyId="...), url.QueryEscape(user)...)
+	q = append(append(q, "&Action="...), action...)
+	for i := 0; i+1 < len(params); i += 2 {
+		q = append(append(append(append(q, '&'), params[i]...), '='), url.QueryEscape(params[i+1])...)
+	}
+	resp, err := r.client.Get(string(q))
+	if err != nil {
+		return nil, 0, "", err
+	}
+	defer resp.Body.Close()
+	raw, err := wire.ReadBody(resp.Body)
+	switch {
+	case err != nil:
+		return nil, 0, "", err
+	case resp.StatusCode != http.StatusOK:
+		msg = readFail(raw)
+		return nil, resp.StatusCode, msg, r.refusedCall(action, resp.StatusCode, msg)
+	}
+	return raw, resp.StatusCode, "", nil
+}
+
+func (r *Remote) ec2Instances(user string) ([]Instance, error) {
+	raw, _, _, err := r.ec2("DescribeInstances", user)
+	if err != nil {
+		return nil, err
+	}
+	return readDescribeInstances(raw)
+}
+
 func (r *Remote) ec2Launch(user, name, flavor, image string) (Instance, error) {
-	q := url.Values{
-		"Action": {"RunInstances"}, "AWSAccessKeyId": {user},
-		"InstanceType": {flavor}, "KeyName": {name},
+	params := []string{"ImageId", image, "InstanceType", flavor, "KeyName", name}
+	if image == "" {
+		params = params[2:]
 	}
-	if image != "" {
-		q.Set("ImageId", image)
-	}
-	var body ec2RunInstances
-	status, msg, err := r.ec2(q, &body)
+	raw, status, msg, err := r.ec2("RunInstances", user, params...)
 	if status != 0 && status != http.StatusOK {
 		return Instance{}, r.launchError(user, flavor, status, msg)
 	}
 	if err != nil {
 		return Instance{}, err
 	}
-	if len(body.Items) == 0 {
-		return Instance{}, fmt.Errorf("cloudapi: empty RunInstances response from %s", r.name)
-	}
-	return body.Items[0].instance(), nil
+	return readRunInstances(raw)
 }

@@ -174,10 +174,11 @@ func (s *Server) serveNova(w http.ResponseWriter, r *http.Request) {
 }
 
 // nova makes one round trip on the dialect: body, when set, is sent as
-// is, user rides in X-Auth-User, and an answer of status ok decodes into
-// out (nil discards it). Any other answer is an error naming the call, the
-// status and the site's message; status and msg come back too, so a
-// launch can rebuild the refusal's class.
+// is, user rides in X-Auth-User, an answer over wire.MaxBodyBytes is an
+// error, and an answer of status ok decodes into out (nil discards it).
+// Any other answer is an error naming the call, the status and the site's
+// message; status and msg come back too, so a launch can rebuild the
+// refusal's class.
 func (r *Remote) nova(method, path, user, body string, ok int, out any) (status int, msg string, err error) {
 	var rd io.Reader
 	if body != "" {
@@ -193,13 +194,16 @@ func (r *Remote) nova(method, path, user, body string, ok int, out any) (status 
 		return 0, "", err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != ok {
+	raw, err := wire.ReadBody(resp.Body)
+	switch {
+	case err != nil:
+		return 0, "", err
+	case resp.StatusCode != ok:
 		var fail novaFail
-		_ = json.NewDecoder(resp.Body).Decode(&fail)
+		_ = json.Unmarshal(raw, &fail)
 		return resp.StatusCode, fail.Error.Message, r.refusedCall(method+" "+path, resp.StatusCode, fail.Error.Message)
-	}
-	if out != nil {
-		err = json.NewDecoder(resp.Body).Decode(out)
+	case out != nil:
+		err = json.Unmarshal(raw, out)
 	}
 	return resp.StatusCode, "", err
 }

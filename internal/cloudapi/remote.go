@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/url"
 	"strings"
 	"time"
 
@@ -121,7 +120,7 @@ func (r *Remote) Launch(user, name, flavor, image string) (Instance, error) {
 func (r *Remote) Terminate(user, id string) error {
 	var err error
 	if r.stack == "eucalyptus" {
-		_, _, err = r.ec2(url.Values{"Action": {"TerminateInstances"}, "AWSAccessKeyId": {user}, "InstanceId.1": {id}}, nil)
+		_, _, _, err = r.ec2("TerminateInstances", user, "InstanceId.1", id)
 	} else {
 		_, _, err = r.nova(http.MethodDelete, "/v2/servers/"+id, user, "", http.StatusNoContent, nil)
 	}
@@ -132,7 +131,7 @@ func (r *Remote) Terminate(user, id string) error {
 func (r *Remote) Stop(user, id string) error {
 	var err error
 	if r.stack == "eucalyptus" {
-		_, _, err = r.ec2(url.Values{"Action": {"StopInstances"}, "AWSAccessKeyId": {user}, "InstanceId.1": {id}}, nil)
+		_, _, _, err = r.ec2("StopInstances", user, "InstanceId.1", id)
 	} else {
 		_, _, err = r.nova(http.MethodPost, "/v2/servers/"+id+"/action", user, novaStop, http.StatusAccepted, nil)
 	}

@@ -194,3 +194,17 @@ func TestEC2BodyOverMaxIsRefused(t *testing.T) {
 		t.Fatal("an EC2 answer over wire.MaxBodyBytes was read as a listing")
 	}
 }
+
+// TestNovaBodyOverMaxIsRefused: a Nova answer over wire.MaxBodyBytes is an
+// error too, even when the listing it starts with would decode on its own.
+func TestNovaBodyOverMaxIsRefused(t *testing.T) {
+	const listing = `{"servers":[{"id":"i-1","name":"vm","status":"ACTIVE","flavorRef":"m1.small"}]}`
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprint(w, listing, strings.Repeat(" ", wire.MaxBodyBytes+1-len(listing)))
+	}))
+	defer srv.Close()
+	if l, err := NewRemote("big", "openstack", srv.URL, nil).Instances("alice"); err == nil {
+		t.Fatalf("a Nova answer over wire.MaxBodyBytes was read as a listing of %d", len(l))
+	}
+}

@@ -92,9 +92,10 @@ func ReadBody(body io.Reader) ([]byte, error) {
 // the response is decoded into out (nil discards it) only when the status
 // is ok. Any other status comes back with the server's envelope message,
 // "" when the body carries none, and a nil error: the caller words its
-// own error. err is set for a request that could not be made or a body
-// that did not decode; status is 0 when no response arrived. The body is
-// read to its end either way, so the connection can carry the next call.
+// own error. err is set for a request that could not be made, a body over
+// MaxBodyBytes or one that did not decode; status is 0 when no response
+// arrived. The body is read to its end either way, so the connection can
+// carry the next call.
 func Call(ctx context.Context, client *http.Client, method, url, secret string, in, out interface{}, ok int) (status int, msg string, err error) {
 	var body io.Reader
 	if in != nil {
@@ -122,13 +123,17 @@ func Call(ctx context.Context, client *http.Client, method, url, secret string, 
 		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, MaxBodyBytes))
 		resp.Body.Close()
 	}()
+	raw, err := ReadBody(resp.Body)
+	if err != nil {
+		return resp.StatusCode, "", err
+	}
 	if resp.StatusCode != ok {
 		var fail envelope
-		_ = json.NewDecoder(resp.Body).Decode(&fail) // a body that is no envelope leaves msg ""
+		_ = json.Unmarshal(raw, &fail) // a body that is no envelope leaves msg ""
 		return resp.StatusCode, fail.Error, nil
 	}
 	if out != nil {
-		err = json.NewDecoder(resp.Body).Decode(out)
+		err = json.Unmarshal(raw, out)
 	}
 	return resp.StatusCode, "", err
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -73,5 +74,29 @@ func TestReadBodyRefusesPastMax(t *testing.T) {
 	}
 	if raw, err := ReadBody(strings.NewReader(strings.Repeat("x", MaxBodyBytes+1))); err == nil {
 		t.Fatalf("a body over MaxBodyBytes read as %d bytes, want an error", len(raw))
+	}
+}
+
+// TestCallRefusesBodyPastMax: an answer of MaxBodyBytes+1 bytes is an
+// error on the wanted status and on any other, never a decode of the
+// value it starts with.
+func TestCallRefusesBodyPastMax(t *testing.T) {
+	const value = `{"error":"refused","n":7}`
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/refuse" {
+			w.WriteHeader(http.StatusConflict)
+		}
+		fmt.Fprint(w, value, strings.Repeat(" ", MaxBodyBytes+1-len(value)))
+	}))
+	defer srv.Close()
+	client := NewClient(nil, 0, 0)
+	var out struct {
+		N int `json:"n"`
+	}
+	if status, msg, err := Call(context.Background(), client, http.MethodGet, srv.URL+"/ok", "", nil, &out, http.StatusOK); status != http.StatusOK || msg != "" || err == nil || out.N != 0 {
+		t.Errorf("an answer over MaxBodyBytes = %d %q %v, out %+v; want an error and out untouched", status, msg, err, out)
+	}
+	if status, msg, err := Call(context.Background(), client, http.MethodGet, srv.URL+"/refuse", "", nil, &out, http.StatusOK); status != http.StatusConflict || msg != "" || err == nil {
+		t.Errorf("a refusal over MaxBodyBytes = %d %q %v; want an error and no message", status, msg, err)
 	}
 }
