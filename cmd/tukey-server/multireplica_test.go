@@ -29,15 +29,15 @@ func TestMultiReplicaSmoke(t *testing.T) {
 	// One shared world: both clouds live behind cloudapi sites that every
 	// replica attaches by URL, so a VM launched through replica 1 is
 	// visible through replica 2.
-	e := sim.NewEngine(21)
-	adler := core.BuildCloud(e, core.ClusterAdler, 8)
-	sullivan := core.BuildCloud(e, core.ClusterSullivan, 8)
-	siteA, err := cloudapi.StartSite(e, adler, cloudapi.SiteOptions{})
+	set := sim.NewShardSet(21, 1)
+	adler := core.BuildCloud(set.Anchor(), core.ClusterAdler, 8)
+	sullivan := core.BuildCloud(set.Anchor(), core.ClusterSullivan, 8)
+	siteA, err := cloudapi.StartSite(set, adler, cloudapi.SiteOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer siteA.Close()
-	siteS, err := cloudapi.StartSite(e, sullivan, cloudapi.SiteOptions{})
+	siteS, err := cloudapi.StartSite(set, sullivan, cloudapi.SiteOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,8 +38,8 @@ func waitUntil(t *testing.T, d time.Duration, cond func() bool, msg string) {
 // TestClockPlaneFreeRunSite: a free-run site's clock is readable over the
 // wire but rejects sync targets with the free-running conflict.
 func TestClockPlaneFreeRunSite(t *testing.T) {
-	e := sim.NewEngine(1)
-	site, err := StartSite(e, testCloud(e, "clock-test", "openstack"), SiteOptions{}) // frozen free-run clock
+	set := sim.NewShardSet(1, 1)
+	site, err := StartSite(set, testCloud(set.Anchor(), "clock-test", "openstack"), SiteOptions{}) // frozen free-run clock
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,8 +65,8 @@ func TestClockPlaneFreeRunSite(t *testing.T) {
 // before Close holds a kept-alive connection; after Close the site
 // answers nothing on it or on a new one.
 func TestClosedSiteRefusesKeptAliveRemote(t *testing.T) {
-	e := sim.NewEngine(1)
-	site, err := StartSite(e, testCloud(e, "close-test", "openstack"), SiteOptions{})
+	set := sim.NewShardSet(1, 1)
+	site, err := StartSite(set, testCloud(set.Anchor(), "close-test", "openstack"), SiteOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +84,9 @@ func TestClosedSiteRefusesKeptAliveRemote(t *testing.T) {
 // to the target and never past it, visible both in-process and over the
 // wire.
 func TestClockPlaneFollowSite(t *testing.T) {
-	e := sim.NewEngine(2)
-	site, err := StartSite(e, testCloud(e, "clock-test", "eucalyptus"),
+	set := sim.NewShardSet(2, 1)
+	e := set.Anchor()
+	site, err := StartSite(set, testCloud(e, "clock-test", "eucalyptus"),
 		SiteOptions{Clock: ClockFollow})
 	if err != nil {
 		t.Fatal(err)
@@ -138,8 +139,9 @@ func TestClockPlaneNoClock(t *testing.T) {
 // TestClockSyncRejectsBadTargets: malformed and negative targets are 400s,
 // not clock movements.
 func TestClockSyncRejectsBadTargets(t *testing.T) {
-	e := sim.NewEngine(4)
-	site, err := StartSite(e, testCloud(e, "clock-test", "openstack"),
+	set := sim.NewShardSet(4, 1)
+	e := set.Anchor()
+	site, err := StartSite(set, testCloud(e, "clock-test", "openstack"),
 		SiteOptions{Clock: ClockFollow})
 	if err != nil {
 		t.Fatal(err)
@@ -175,8 +177,8 @@ func TestCoordinatorBoundsSkew(t *testing.T) {
 	var sites []*Site
 	var targets []ClockSyncTarget
 	for i, stack := range []string{"openstack", "eucalyptus"} {
-		e := sim.NewEngine(uint64(20 + i))
-		site, err := StartSite(e, testCloud(e, fmt.Sprintf("clock-site-%d", i), stack),
+		set := sim.NewShardSet(uint64(20+i), 1)
+		site, err := StartSite(set, testCloud(set.Anchor(), fmt.Sprintf("clock-site-%d", i), stack),
 			SiteOptions{Clock: ClockFollow})
 		if err != nil {
 			t.Fatal(err)

@@ -98,9 +98,12 @@ func TestDatasetsLocalRemoteParity(t *testing.T) {
 
 	// Empty stores agree, including the miss class and text.
 	list := func(api datastore.API) func() ([]datastore.Replica, error) {
-		return func() ([]datastore.Replica, error) { return api.List(context.Background()) }
+		return func() ([]datastore.Replica, error) {
+			d, err := api.ListSince(context.Background(), 0)
+			return d.Changed, err
+		}
 	}
-	bothData(t, "List(empty)", list(l), list(r))
+	bothData(t, "ListSince(0, empty)", list(l), list(r))
 	bothData(t, "Get(miss)",
 		func() (datastore.Replica, error) { return l.Get(context.Background(), "nope") },
 		func() (datastore.Replica, error) { return r.Get(context.Background(), "nope") })
@@ -119,7 +122,7 @@ func TestDatasetsLocalRemoteParity(t *testing.T) {
 	bothData(t, "Put(bad version)", put(l, datastore.Replica{Dataset: "x", SizeBytes: 1}),
 		put(r, datastore.Replica{Dataset: "x", SizeBytes: 1}))
 
-	bothData(t, "List(one)", list(l), list(r))
+	bothData(t, "ListSince(0, one)", list(l), list(r))
 	bothData(t, "Get(hit)",
 		func() (datastore.Replica, error) { return l.Get(context.Background(), "EO-1 Slice") },
 		func() (datastore.Replica, error) { return r.Get(context.Background(), "EO-1 Slice") })
@@ -135,9 +138,9 @@ func TestDatasetsLocalRemoteParity(t *testing.T) {
 	}
 
 	// End state agrees store-to-store.
-	ll, _ := rig.local.List(context.Background())
-	rl, _ := rig.remoteStore.List(context.Background())
-	if !reflect.DeepEqual(ll, rl) {
+	ll, _ := rig.local.ListSince(context.Background(), 0)
+	rl, _ := rig.remoteStore.ListSince(context.Background(), 0)
+	if !reflect.DeepEqual(ll.Changed, rl.Changed) {
 		t.Fatalf("end state diverged:\nlocal : %+v\nremote: %+v", ll, rl)
 	}
 }
@@ -169,7 +172,7 @@ func TestDatasetsParityUnderConcurrency(t *testing.T) {
 				for i := 0; i < 40; i++ {
 					_ = api.Put(context.Background(), datastore.Replica{Dataset: name, SizeBytes: 1 << 20, Version: 1})
 					_, _ = api.Get(context.Background(), name)
-					_, _ = api.List(context.Background())
+					_, _ = api.ListSince(context.Background(), 0)
 					_ = api.Delete(context.Background(), name)
 				}
 			}()
@@ -216,7 +219,7 @@ func TestOperatorPlaneAuth(t *testing.T) {
 			t.Errorf("unauthenticated %s %s = %d, want 403", probe.method, probe.path, resp.StatusCode)
 		}
 	}
-	if list, _ := store.List(context.Background()); len(list) != 0 || e.Now() != 0 {
+	if snap, _ := store.ListSince(context.Background(), 0); len(snap.Changed) != 0 || e.Now() != 0 {
 		t.Fatal("an unauthenticated write had an effect")
 	}
 

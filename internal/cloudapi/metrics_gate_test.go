@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"osdc/internal/sim"
 	"osdc/internal/telemetry"
 )
 
@@ -83,8 +84,8 @@ func TestMetricsGate(t *testing.T) {
 // TestSiteMetricsCarryEngineSeries: a Site's /metrics includes its
 // kernel's per-shard series — the collector's raw material.
 func TestSiteMetricsCarryEngineSeries(t *testing.T) {
-	rig := newParityRig(t, "openstack")
-	site, err := StartSite(rig.engine, rig.cloud, SiteOptions{OperatorSecret: "s3cret"})
+	set := sim.NewShardSet(5, 2)
+	site, err := StartSite(set, testCloud(set.Anchor(), "metrics-site", "openstack"), SiteOptions{OperatorSecret: "s3cret"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,6 +110,7 @@ func TestSiteMetricsCarryEngineSeries(t *testing.T) {
 		`osdc_engine_pending{shard="0"}`,
 		`osdc_engine_fired_total{shard="0"}`,
 		`osdc_engine_now_seconds{shard="0"}`,
+		`osdc_engine_now_seconds{shard="1"}`,
 	} {
 		if _, ok := parsed[want]; !ok {
 			t.Errorf("series %s missing from site exposition", want)

@@ -11,14 +11,14 @@ import (
 	"osdc/internal/wire"
 )
 
-// Site is one cloud running as its own miniature process: a private engine
+// Site is one cloud running as its own miniature process: a private kernel
 // (and a clock source advancing it), the cloud it hosts, and a wire.Server
 // listener serving the cloud's Server. This is the remote-topology
 // building block — every service reaches a Site only through a Remote
 // pointed at its URL.
 //
-// Clock: in ClockFreeRun mode the site's engine tracks wall time at its
-// own speedup, independent of every other engine (the historic behavior);
+// Clock: in ClockFreeRun mode the site's kernel tracks wall time at its
+// own speedup, independent of every other engine;
 // in ClockFollow mode a sim.Follower drives it toward targets published on
 // the site's /cloudapi/clock plane, which is how a ClockCoordinator keeps
 // the federation's engines within a bounded skew of the console.
@@ -57,60 +57,45 @@ type SiteOptions struct {
 	// OperatorSecret, when non-empty, gates operator-plane writes on the
 	// site's server; Remote()s built from the site carry it.
 	OperatorSecret string
-	// Set, when non-nil, is the site's sharded kernel: its anchor must be
-	// the engine passed to StartSite. The clock source then
-	// advances all shards to a common target each tick and the cloud's
-	// per-instance timers land on their owning shards. The clock plane is
-	// unchanged — it publishes and follows the anchor's time, which bounds
-	// every shard through the common-target invariant.
-	Set *sim.ShardSet
 }
 
-// StartSite serves c's per-cloud Server on opt.Addr, with the engine
-// driven per opt. The site's Server always exposes the clock plane:
-// readable in both modes, sync-able only in follow mode.
-func StartSite(e *sim.Engine, c *iaas.Cloud, opt SiteOptions) (*Site, error) {
+// StartSite serves c's per-cloud Server on opt.Addr, with the site's
+// kernel set (K ≥ 1; c is built on its anchor) driven per opt. The clock
+// source advances every shard to a common target each tick, and the
+// cloud's per-instance timers land on their owning shards. The site's
+// Server always exposes the clock plane, which publishes and follows the
+// anchor's time: readable in both modes, sync-able only in follow mode.
+func StartSite(set *sim.ShardSet, c *iaas.Cloud, opt SiteOptions) (*Site, error) {
 	addr := opt.Addr
 	if addr == "" {
 		addr = "127.0.0.1:0"
-	}
-	if opt.Set != nil && opt.Set.Anchor() != e {
-		return nil, fmt.Errorf("cloudapi: site %s: shard set's anchor is not the site engine", c.Name)
 	}
 	s := &Site{
 		Cloud: c, Mode: opt.Clock, Datasets: opt.Datasets,
 		secret: opt.OperatorSecret,
 	}
-	if opt.Set != nil {
-		c.SetShards(opt.Set)
-	}
+	c.SetShards(set)
 	srv := NewServer(c)
 	srv.Datasets = opt.Datasets
 	srv.OperatorSecret = opt.OperatorSecret
 	s.srv = srv
 	// The site's kernel is its own: its engine series belong on the site's
 	// /metrics, where the federation collector picks them up per member.
-	var clock sim.Clock = e
-	if opt.Set != nil {
-		RegisterKernel(srv.Metrics, opt.Set)
-		clock = opt.Set
-	} else {
-		RegisterEngine(srv.Metrics, "0", e)
-	}
+	RegisterKernel(srv.Metrics, set)
 	switch opt.Clock {
 	case ClockFollow:
-		s.follower = sim.StartFollower(clock, opt.Speedup, siteTick)
+		s.follower = sim.StartFollower(set, opt.Speedup, siteTick)
 		s.clock = s.follower
 		srv.Clock = FollowerClock{F: s.follower}
 	default:
 		if opt.Speedup > 0 {
-			s.clock = sim.StartDriver(clock, opt.Speedup, siteTick)
-		} else if opt.Set != nil {
-			// No clock source, but handlers may still schedule against any
-			// shard (instance boot timers), so the whole set goes shared.
-			opt.Set.Share()
+			s.clock = sim.StartDriver(set, opt.Speedup, siteTick)
+		} else {
+			// No clock source, but handlers still schedule against the
+			// shards (instance boot timers), so the set goes shared.
+			set.Share()
 		}
-		srv.Clock = EngineClock{E: e}
+		srv.Clock = EngineClock{E: set.Anchor()}
 	}
 	edge, err := wire.Listen(addr, srv)
 	if err != nil {

@@ -16,9 +16,8 @@ import (
 // though none of them live on the anchor engine alone.
 func TestShardedSiteFollowMode(t *testing.T) {
 	set := sim.NewShardSet(9, 4)
-	e := set.Anchor()
-	site, err := StartSite(e, testCloud(e, "shard-test", "openstack"),
-		SiteOptions{Clock: ClockFollow, Set: set})
+	site, err := StartSite(set, testCloud(set.Anchor(), "shard-test", "openstack"),
+		SiteOptions{Clock: ClockFollow})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,17 +51,5 @@ func TestShardedSiteFollowMode(t *testing.T) {
 		if insts[0].State != iaas.StateActive {
 			t.Fatalf("instance %s state %s after boot window, want ACTIVE", ids[i], insts[0].State)
 		}
-	}
-}
-
-// TestShardedSiteAnchorMismatch: passing a set whose anchor is not the
-// site engine is a wiring bug and must be rejected.
-func TestShardedSiteAnchorMismatch(t *testing.T) {
-	set := sim.NewShardSet(9, 2)
-	other := sim.NewEngine(10)
-	_, err := StartSite(other, testCloud(other, "shard-mismatch", "openstack"),
-		SiteOptions{Set: set})
-	if err == nil {
-		t.Fatal("mismatched shard set accepted")
 	}
 }

@@ -7,29 +7,23 @@ import (
 	"osdc/internal/telemetry"
 )
 
-// RegisterEngine contributes one simulation engine's kernel metrics to
-// reg under a shard label: live event-queue depth (Pending) and the
-// monotonic fired-event count — the two observers the kernel already
-// keeps, now visible while the system runs instead of only in post-hoc
-// scenario tables.
-func RegisterEngine(reg *telemetry.Registry, shard string, e *sim.Engine) {
-	l := telemetry.Label{Key: "shard", Value: shard}
-	reg.GaugeFunc("osdc_engine_pending",
-		"Live events queued on the simulation engine.",
-		func() float64 { return float64(e.Pending()) }, l)
-	reg.CounterFunc("osdc_engine_fired_total",
-		"Events the simulation engine has executed.",
-		func() float64 { return float64(e.Fired()) }, l)
-	reg.GaugeFunc("osdc_engine_now_seconds",
-		"The engine's virtual clock.",
-		func() float64 { return float64(e.Now()) }, l)
-}
-
-// RegisterKernel contributes every shard of a sharded kernel to reg,
-// one series per shard.
+// RegisterKernel contributes a sharded kernel's metrics to reg, one
+// series per shard under a shard label: live event-queue depth (Pending),
+// the monotonic fired-event count and the virtual clock — the observers
+// the kernel already keeps, visible while the system runs instead of only
+// in post-hoc scenario tables.
 func RegisterKernel(reg *telemetry.Registry, set *sim.ShardSet) {
 	for i := 0; i < set.K(); i++ {
-		RegisterEngine(reg, strconv.Itoa(i), set.ShardAt(i))
+		e, l := set.ShardAt(i), telemetry.Label{Key: "shard", Value: strconv.Itoa(i)}
+		reg.GaugeFunc("osdc_engine_pending",
+			"Live events queued on the simulation engine.",
+			func() float64 { return float64(e.Pending()) }, l)
+		reg.CounterFunc("osdc_engine_fired_total",
+			"Events the simulation engine has executed.",
+			func() float64 { return float64(e.Fired()) }, l)
+		reg.GaugeFunc("osdc_engine_now_seconds",
+			"The engine's virtual clock.",
+			func() float64 { return float64(e.Now()) }, l)
 	}
 }
 

@@ -145,10 +145,8 @@ func New(opt Options) (*Federation, error) {
 	// servers. Split 2 racks Adler / 2 racks Sullivan.
 	f.Adler = BuildCloud(e, ClusterAdler, opt.Scale)
 	f.Sullivan = BuildCloud(e, ClusterSullivan, opt.Scale)
-	if set.K() > 1 {
-		f.Adler.SetShards(set)
-		f.Sullivan.SetShards(set)
-	}
+	f.Adler.SetShards(set)
+	f.Sullivan.SetShards(set)
 	f.AdlerAPI = cloudapi.NewLocal(f.Adler)
 	f.SullivanAPI = cloudapi.NewLocal(f.Sullivan)
 
@@ -293,10 +291,7 @@ func StartSite(name string, seed uint64, scale, shards int, opts cloudapi.SiteOp
 		return nil, fmt.Errorf("core: site %s: %w", name, err)
 	}
 	opts.Datasets = datastore.NewStore(name, SiteOf(name), vol)
-	if set.K() > 1 {
-		opts.Set = set
-	}
-	return cloudapi.StartSite(e, BuildCloud(e, name, scale), opts)
+	return cloudapi.StartSite(set, BuildCloud(e, name, scale), opts)
 }
 
 // buildDatasetVolume builds the storage volume backing a per-site dataset
@@ -342,8 +337,7 @@ func (f *Federation) StartReplication(opt ReplicationOptions) *datastore.Coordin
 		}
 	}
 	f.Replication = datastore.NewCoordinator(f.Engine, f.Network, f.Catalog,
-		datastore.Options{Factor: opt.Factor, Seed: opt.Seed,
-			Shards: f.Set}, sites...)
+		datastore.Options{Factor: opt.Factor, Seed: opt.Seed}, sites...)
 	if opt.Interval > 0 {
 		f.Replication.Start(opt.Interval)
 	}

@@ -23,8 +23,6 @@ type API interface {
 	// Loc is the simnet site hosting the store (e.g. "chicago-kenwood") —
 	// what transfer paths are derived from.
 	Loc() string
-	// List returns every replica sorted by dataset name.
-	List(ctx context.Context) ([]Replica, error)
 	// Get looks one replica up; errors.Is(err, ErrNoReplica) when absent.
 	Get(ctx context.Context, dataset string) (Replica, error)
 	// Put installs or replaces a replica, accounting bytes on the site
@@ -32,10 +30,10 @@ type API interface {
 	Put(ctx context.Context, r Replica) error
 	// Delete drops a replica; errors.Is(err, ErrNoReplica) when absent.
 	Delete(ctx context.Context, dataset string) error
-	// ListSince returns everything that changed after revision since — the
-	// pagination form of List: a fresh client passes 0 for a Reset
-	// snapshot, then feeds each response's Rev back and receives only the
-	// churn in between. See Delta.
+	// ListSince returns everything that changed after revision since: a
+	// fresh client passes 0 for a Reset snapshot of every replica, sorted
+	// by dataset name, then feeds each response's Rev back and receives
+	// only the churn in between. See Delta.
 	ListSince(ctx context.Context, since int64) (Delta, error)
 }
 

@@ -51,7 +51,7 @@ type Stats struct {
 
 // observeGrace is how many consecutive failed observations a site gets
 // before its last-known replicas stop counting toward replication
-// factors. One slow List (GC pause, restart) must not trigger a round of
+// factors. One slow listing (GC pause, restart) must not trigger a round of
 // duplicate repairs; a site silent this long is treated as gone and its
 // datasets are repaired elsewhere.
 const observeGrace = 2
@@ -66,11 +66,6 @@ type Options struct {
 	Factor int
 	// Seed feeds the coordinator's private RNG (flow loss sampling).
 	Seed uint64
-	// Shards, when set with K > 1, homes each round's flow groups by link
-	// name and prices them concurrently across shards (per-link RNG
-	// streams). Nil or K = 1 keeps the serial single-stream pricing path —
-	// the one the scenario goldens are pinned against.
-	Shards *sim.ShardSet
 }
 
 // Coordinator keeps every catalog dataset at its target replication factor
@@ -95,13 +90,10 @@ type Coordinator struct {
 	catalog *datasets.Catalog
 	factor  int
 
-	shards  *sim.ShardSet
-	rngSeed uint64
-
 	mu    sync.Mutex
 	rng   *sim.RNG
 	sites []API
-	// siteDeadline is the per-site wall budget for one List during a
+	// siteDeadline is the per-site wall budget for one ListSince during a
 	// round; a site answering slower is counted unreachable for the
 	// round. Start tightens it to the loop's round deadline.
 	siteDeadline time.Duration
@@ -136,8 +128,7 @@ func NewCoordinator(e *sim.Engine, nw *simnet.Network, cat *datasets.Catalog, op
 	}
 	c := &Coordinator{
 		engine: e, nw: nw, catalog: cat,
-		factor: opt.Factor,
-		shards: opt.Shards, rngSeed: opt.Seed ^ 0xda7a,
+		factor:       opt.Factor,
 		rng:          sim.NewRNG(opt.Seed ^ 0xda7a),
 		sites:        append([]API(nil), sites...),
 		siteDeadline: 10 * time.Second,
@@ -187,9 +178,8 @@ func (c *Coordinator) Round() (planned, arrived int) {
 
 	// Observe every site through the bounded pool, as deltas: each task
 	// passes the revision the coordinator's view already reflects and
-	// reads only the churn since. A plane that cannot serve the delta
-	// route falls back to a full List (treated as a Reset snapshot).
-	// Index i maps results to sites, so the fan-out stays deterministic.
+	// reads only the churn since. Index i maps results to sites, so the
+	// fan-out stays deterministic.
 	type listing struct {
 		delta Delta
 		err   error
@@ -197,11 +187,6 @@ func (c *Coordinator) Round() (planned, arrived int) {
 	sites := c.sites
 	listings, completed := fanout.Each(context.Background(), coordinatorWorkers, c.siteDeadline, len(sites), func(ctx context.Context, i int) listing {
 		d, err := sites[i].ListSince(ctx, c.knownRev[sites[i].Name()])
-		if err != nil {
-			if reps, lerr := sites[i].List(ctx); lerr == nil {
-				d, err = Delta{Changed: reps, Reset: true}, nil
-			}
-		}
 		return listing{d, err}
 	})
 
@@ -217,7 +202,7 @@ func (c *Coordinator) Round() (planned, arrived int) {
 			c.missed[name]++
 			allObserved = false
 			// Inside the grace window a silent site's last-known replicas
-			// still count toward every factor — one slow List must not
+			// still count toward every factor — one slow listing must not
 			// trigger duplicate repairs — but the site serves as neither
 			// source nor destination until it answers again.
 			if prev, ok := c.lastSeen[name]; ok && c.missed[name] <= observeGrace {
@@ -392,7 +377,9 @@ func (c *Coordinator) siteByName(name string) (API, bool) {
 
 // priceLocked runs the planned transfers as simulated flows, grouped by
 // directed link so same-link flows contend at the shared bottleneck, and
-// stamps each transfer's arrival time.
+// stamps each transfer's arrival time. Every link draws from the
+// coordinator's one RNG stream, in link-name order, so pricing does not
+// depend on the kernel's shard count.
 func (c *Coordinator) priceLocked(now sim.Time, plans []*Transfer) {
 	byLink := make(map[string][]*Transfer)
 	var links []string
@@ -403,10 +390,6 @@ func (c *Coordinator) priceLocked(now sim.Time, plans []*Transfer) {
 		byLink[t.Link] = append(byLink[t.Link], t)
 	}
 	sort.Strings(links) // deterministic RNG consumption order
-	if c.shards != nil && c.shards.K() > 1 {
-		c.priceShardedLocked(now, links, byLink)
-		return
-	}
 	for _, link := range links {
 		group := byLink[link]
 		path := c.pathBetween(c.locOf(group[0].From), c.locOf(group[0].To))
@@ -420,36 +403,6 @@ func (c *Coordinator) priceLocked(now sim.Time, plans []*Transfer) {
 		for i, t := range group {
 			t.ArriveAt = now + sim.Time(results[i].Duration)
 			t.Retransmit = results[i].Retransmit
-		}
-	}
-}
-
-// priceShardedLocked prices the round's link groups concurrently, homed by
-// link name over the kernel's shard count — replication and staging flows
-// planned in one round price in parallel while arrivals still install on
-// the anchor engine's clock. Each link draws a private RNG stream seeded
-// from its name, so sharded pricing is bit-deterministic for any K; it is
-// a different (equally valid) loss sample than the serial path's single
-// shared stream, which is why K = 1 keeps the serial path and its pinned
-// goldens.
-func (c *Coordinator) priceShardedLocked(now sim.Time, links []string, byLink map[string][]*Transfer) {
-	groups := make([]transport.FlowGroup, len(links))
-	for gi, link := range links {
-		group := byLink[link]
-		path := c.pathBetween(c.locOf(group[0].From), c.locOf(group[0].To))
-		ctrls := make([]transport.Controller, len(group))
-		sizes := make([]int64, len(group))
-		for i, t := range group {
-			ctrls[i] = udt.NewRateControl(path)
-			sizes[i] = t.Bytes
-		}
-		groups[gi] = transport.FlowGroup{Name: link, Path: path, Ctrls: ctrls, Sizes: sizes}
-	}
-	results := transport.SimulateGrouped(c.rngSeed, c.shards.K(), groups)
-	for gi, link := range links {
-		for i, t := range byLink[link] {
-			t.ArriveAt = now + sim.Time(results[gi][i].Duration)
-			t.Retransmit = results[gi][i].Retransmit
 		}
 	}
 }

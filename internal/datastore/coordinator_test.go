@@ -29,7 +29,12 @@ type coordRig struct {
 
 func newCoordRig(t *testing.T, seed uint64) *coordRig {
 	t.Helper()
-	e := sim.NewEngine(seed)
+	return newCoordRigOn(t, sim.NewEngine(seed))
+}
+
+// newCoordRigOn builds the rig on e — a bare engine or a kernel's anchor.
+func newCoordRigOn(t *testing.T, e *sim.Engine) *coordRig {
+	t.Helper()
 	nw := simnet.BuildOSDCTopology(simnet.DefaultWAN())
 	catVol := testVolume(t, e, "cat", 1<<40)
 	cat := datasets.NewCatalog(ark.NewService(), catVol)
@@ -56,9 +61,9 @@ func newCoordRig(t *testing.T, seed uint64) *coordRig {
 	return rig
 }
 
-// converge runs planning rounds, advancing the engine to each next
+// converge runs planning rounds, advancing the clock to each next
 // arrival, until the coordinator reports nothing to do.
-func converge(t *testing.T, e *sim.Engine, c *Coordinator) int {
+func converge(t *testing.T, e sim.Clock, c *Coordinator) int {
 	t.Helper()
 	rounds := 0
 	for {
@@ -167,12 +172,12 @@ func TestCoordinatorRepairsDetachedSite(t *testing.T) {
 	if rig.c.TotalBytes() > rig.b.TotalBytes() {
 		dead = rig.c
 	}
-	lost, err := dead.List(context.Background())
+	lost, err := dead.ListSince(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var lostBytes int64
-	for _, r := range lost {
+	for _, r := range lost.Changed {
 		lostBytes += r.SizeBytes
 	}
 	if lostBytes == 0 {
@@ -291,15 +296,6 @@ func (f *flakyAPI) ListSince(ctx context.Context, since int64) (Delta, error) {
 	return f.Store.ListSince(ctx, since)
 }
 
-// List fails alongside the same programmed observation, so the
-// coordinator's full-listing fallback sees the site down too.
-func (f *flakyAPI) List(ctx context.Context) ([]Replica, error) {
-	if f.failCalls[f.calls] {
-		return nil, errors.New("transient observe failure")
-	}
-	return f.Store.List(ctx)
-}
-
 // TestCoordinatorGraceSuppressesFlapRepairs: one missed observation of a
 // healthy holder must not trigger duplicate repairs — inside the grace
 // window the site's last-known replicas keep counting.
@@ -394,9 +390,6 @@ type unreachableAPI struct{ name, loc string }
 
 func (u unreachableAPI) Name() string { return u.name }
 func (u unreachableAPI) Loc() string  { return u.loc }
-func (u unreachableAPI) List(context.Context) ([]Replica, error) {
-	return nil, errors.New("unreachable")
-}
 func (u unreachableAPI) Get(context.Context, string) (Replica, error) {
 	return Replica{}, errors.New("unreachable")
 }
@@ -451,12 +444,11 @@ func TestCoordinatorDeterministic(t *testing.T) {
 }
 
 // deltaSpy wraps a store and records every since value the coordinator's
-// observation passes, plus any full-List fallbacks.
+// observation passes.
 type deltaSpy struct {
 	*Store
-	mu        sync.Mutex
-	sinces    []int64
-	fullLists int
+	mu     sync.Mutex
+	sinces []int64
 }
 
 func (d *deltaSpy) ListSince(ctx context.Context, since int64) (Delta, error) {
@@ -464,13 +456,6 @@ func (d *deltaSpy) ListSince(ctx context.Context, since int64) (Delta, error) {
 	d.sinces = append(d.sinces, since)
 	d.mu.Unlock()
 	return d.Store.ListSince(ctx, since)
-}
-
-func (d *deltaSpy) List(ctx context.Context) ([]Replica, error) {
-	d.mu.Lock()
-	d.fullLists++
-	d.mu.Unlock()
-	return d.Store.List(ctx)
 }
 
 // TestCoordinatorObservesViaDeltas: after the first round's snapshot, the
@@ -501,9 +486,6 @@ func TestCoordinatorObservesViaDeltas(t *testing.T) {
 		if since <= 0 {
 			t.Fatalf("round %d re-read the full inventory (since=%d) despite an answered prior round", i+2, since)
 		}
-	}
-	if spy.fullLists != 0 {
-		t.Fatalf("observation fell back to full List %d times with a healthy delta route", spy.fullLists)
 	}
 }
 
@@ -564,36 +546,43 @@ func TestArrivalInstallDoesNotHoldCoordinatorLock(t *testing.T) {
 	}
 }
 
-// TestShardedPricingDeterministicAndConverges: a coordinator homed on a
-// K=4 kernel prices flow groups concurrently yet reproduces the same
-// placement and stats run over run, and a K=1 shard set keeps the serial
-// pricing path bit-identical to a shard-less coordinator.
+// TestShardedPricingDeterministicAndConverges: replication prices on the
+// coordinator's one RNG stream at every shard count. A coordinator on a
+// bare engine and one on the anchor of a K=1 or a K=4 kernel converge to
+// equal Stats, every link row included, at the same virtual time. At
+// factor 3 over the OSDC WAN the flows retransmit, so a pricing path that
+// drew differently at some K would show here.
 func TestShardedPricingDeterministicAndConverges(t *testing.T) {
-	run := func(set *sim.ShardSet) Stats {
-		rig := newCoordRig(t, 11)
-		c := NewCoordinator(rig.e, rig.nw, rig.cat,
-			Options{Factor: 2, Seed: 11, Shards: set}, rig.a, rig.b, rig.c)
-		converge(t, rig.e, c)
+	type outcome struct {
+		stats Stats
+		at    sim.Time
+	}
+	run := func(set *sim.ShardSet) outcome {
+		var rig *coordRig
+		var clock sim.Clock
+		if set == nil {
+			rig = newCoordRig(t, 11)
+			clock = rig.e
+		} else {
+			rig, clock = newCoordRigOn(t, set.Anchor()), set
+		}
+		c := NewCoordinator(rig.e, rig.nw, rig.cat, Options{Factor: 3, Seed: 11}, rig.a, rig.b, rig.c)
+		converge(t, clock, c)
 		for _, d := range rig.cat.All() {
-			if got := rig.replicaCount(d.Name); got != 2 {
-				t.Fatalf("%s has %d replicas, want 2", d.Name, got)
+			if got := rig.replicaCount(d.Name); got != 3 {
+				t.Fatalf("%s has %d replicas, want 3", d.Name, got)
 			}
 		}
-		return c.Stats()
+		return outcome{c.Stats(), clock.Now()}
 	}
 
-	sharded1 := run(sim.NewShardSet(11, 4))
-	sharded2 := run(sim.NewShardSet(11, 4))
-	if !reflect.DeepEqual(sharded1, sharded2) {
-		t.Fatalf("K=4 pricing not deterministic:\nrun1: %+v\nrun2: %+v", sharded1, sharded2)
+	want := run(nil)
+	if want.stats.Retransmits == 0 {
+		t.Fatal("no flow retransmitted: the rig cannot tell two loss samples apart")
 	}
-
-	k1 := run(sim.NewShardSet(11, 1))
-	serial := run(nil)
-	if !reflect.DeepEqual(k1, serial) {
-		t.Fatalf("K=1 shard set diverged from serial pricing:\nK=1:    %+v\nserial: %+v", k1, serial)
-	}
-	if sharded1.BytesMoved != serial.BytesMoved || sharded1.Transfers != serial.Transfers {
-		t.Fatalf("sharded pricing changed what moved: sharded %+v vs serial %+v", sharded1, serial)
+	for _, k := range []int{1, 4} {
+		if got := run(sim.NewShardSet(11, k)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("K=%d pricing diverged from the bare engine:\nK=%d: %+v\nbare: %+v", k, k, got, want)
+		}
 	}
 }

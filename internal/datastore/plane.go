@@ -58,12 +58,15 @@ func ServePlane(api API, w http.ResponseWriter, r *http.Request) {
 			wire.WriteJSON(w, http.StatusOK, deltaResponse{Site: api.Name(), Loc: api.Loc(), Delta: d})
 			return
 		}
-		reps, err := api.List(r.Context())
+		d, err := api.ListSince(r.Context(), 0)
 		if err != nil {
 			wire.WriteError(w, http.StatusBadGateway, err.Error())
 			return
 		}
-		wire.WriteJSON(w, http.StatusOK, listResponse{Site: api.Name(), Loc: api.Loc(), Replicas: reps})
+		if d.Changed == nil {
+			d.Changed = []Replica{} // an empty plane lists [], not null
+		}
+		wire.WriteJSON(w, http.StatusOK, listResponse{Site: api.Name(), Loc: api.Loc(), Replicas: d.Changed})
 
 	case r.URL.Path == "/cloudapi/datasets/replica" && r.Method == http.MethodGet:
 		rep, err := api.Get(r.Context(), r.URL.Query().Get("dataset"))

@@ -95,15 +95,6 @@ func (r *Remote) call(ctx context.Context, method, path string, in, out interfac
 	return wireError{msg: msg, kind: kind}
 }
 
-// List implements API.
-func (r *Remote) List(ctx context.Context) ([]Replica, error) {
-	var list listResponse
-	if err := r.call(ctx, http.MethodGet, "/cloudapi/datasets", nil, &list, http.StatusOK, false); err != nil {
-		return nil, err
-	}
-	return list.Replicas, nil
-}
-
 // ListSince implements API: the ?since= form of the datasets route. The
 // server evaluates the delta against the Local semantics, so both backends
 // return identical Deltas for identical stores.

@@ -29,7 +29,7 @@ func TestRemoteErrorTable(t *testing.T) {
 		// miss reports the rows whose 404 keeps the ErrNoReplica class.
 		miss bool
 	}{
-		{name: "List", call: func(r *Remote, _ string) error { _, err := r.List(context.Background()); return err }},
+		{name: "ListSince(0)", call: func(r *Remote, _ string) error { _, err := r.ListSince(context.Background(), 0); return err }},
 		{name: "ListSince", call: func(r *Remote, _ string) error { _, err := r.ListSince(context.Background(), 3); return err }},
 		{name: "Get", miss: true, call: func(r *Remote, _ string) error { _, err := r.Get(context.Background(), "EO-1"); return err }},
 		{name: "Put", call: func(r *Remote, _ string) error {

@@ -164,18 +164,6 @@ func (s *Store) Get(_ context.Context, dataset string) (Replica, error) {
 	return r, nil
 }
 
-// List returns every replica sorted by dataset name.
-func (s *Store) List(context.Context) ([]Replica, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]Replica, 0, len(s.replicas))
-	for _, r := range s.replicas {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Dataset < out[j].Dataset })
-	return out, nil
-}
-
 // Delete drops a replica and releases its bytes. ErrNoReplica if absent.
 func (s *Store) Delete(_ context.Context, dataset string) error {
 	s.mu.Lock()

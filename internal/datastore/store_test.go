@@ -60,12 +60,12 @@ func TestStorePutGetListDelete(t *testing.T) {
 	if got.Checksum != Fingerprint("A Set", 1) {
 		t.Fatalf("Put did not default the checksum: %q", got.Checksum)
 	}
-	list, err := s.List(context.Background())
+	snap, err := s.ListSince(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(list) != 2 || list[0].Dataset != "A Set" || list[1].Dataset != "B Set" {
-		t.Fatalf("List = %+v, want name-sorted pair", list)
+	if list := snap.Changed; len(list) != 2 || list[0].Dataset != "A Set" || list[1].Dataset != "B Set" {
+		t.Fatalf("ListSince(0) = %+v, want name-sorted pair", list)
 	}
 	if s.TotalBytes() != 3<<30 {
 		t.Fatalf("TotalBytes = %d", s.TotalBytes())
@@ -174,7 +174,7 @@ func TestStoreConcurrentAccess(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				_ = s.Put(context.Background(), Replica{Dataset: name, SizeBytes: 1 << 20, Version: 1})
 				_, _ = s.Get(context.Background(), name)
-				_, _ = s.List(context.Background())
+				_, _ = s.ListSince(context.Background(), 0)
 				s.TotalBytes()
 				_ = s.Delete(context.Background(), name)
 			}

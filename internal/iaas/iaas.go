@@ -174,8 +174,9 @@ func (sh *instShard) account(user string) *userAccount {
 
 // topology pins the instance population's shard fan-out: the ShardSet
 // keying instance IDs to engines (nil = unsharded) and the matching
-// per-shard buckets. SetShards replaces it wholesale during setup; all
-// traffic-time readers load it lock-free through the atomic pointer.
+// per-shard buckets. SetShards replaces it during setup, before the first
+// launch; all traffic-time readers load it lock-free through the atomic
+// pointer.
 type topology struct {
 	set *sim.ShardSet
 	sh  []*instShard
@@ -265,50 +266,21 @@ func NewCloud(e *sim.Engine, name, stack, site string) *Cloud {
 // timer (boot, heartbeat, stop) fires on the owning shard instead of the
 // cloud's base engine — the sharded-kernel wiring. The set's anchor must
 // be the cloud's engine, so a K=1 set reproduces the unsharded behavior
-// exactly. Call during setup, before traffic starts; instances launched
-// before the call are re-bucketed, but their already-scheduled timers
-// stay on the engine that scheduled them (their handles cancel there
-// regardless).
+// exactly. It is setup only: it panics once the cloud holds an instance.
 func (c *Cloud) SetShards(set *sim.ShardSet) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	k := 1
-	if set != nil {
-		k = set.K()
+	for _, sh := range c.topo.Load().sh {
+		sh.mu.Lock()
+		n := len(sh.inst)
+		sh.mu.Unlock()
+		if n > 0 {
+			panic("iaas: SetShards on a cloud that holds instances")
+		}
 	}
-	next := &topology{set: set, sh: make([]*instShard, k)}
+	next := &topology{set: set, sh: make([]*instShard, set.K())}
 	for i := range next.sh {
 		next.sh[i] = newInstShard()
-	}
-	prev := c.topo.Load()
-	for _, sh := range prev.sh {
-		sh.mu.Lock()
-		for id, inst := range sh.inst {
-			nsh := next.bucket(id)
-			nsh.inst[id] = inst
-			// Rebuild the user accounts in the new buckets: the index
-			// follows the live record (tombstones stay reachable by ID
-			// only), the footprint is recomputed from state.
-			if inst.State == StateTerminated {
-				continue
-			}
-			a := nsh.account(inst.User)
-			a.inst[id] = inst
-			if inst.State == StateBuild || inst.State == StateActive {
-				a.n++
-				a.cores += inst.Flavor.VCPUs
-			}
-		}
-		// Carry each user's last-change revision (graves included) so a
-		// delta client holding a pre-rebucket rev still sees the churn.
-		for user, a := range sh.users {
-			na := next.sh[0].account(user)
-			if a.rev > na.rev {
-				na.rev = a.rev
-			}
-		}
-		next.sh[0].beats += sh.beats
-		sh.mu.Unlock()
 	}
 	c.topo.Store(next)
 }

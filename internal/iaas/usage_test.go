@@ -122,8 +122,8 @@ func assertListingIsLiveSet(t *testing.T, c *Cloud, when string) {
 // TestInstancesByUserIndex pins the listing contract: a named listing is
 // the user's instances that still exist (SHUTOFF included, TERMINATED
 // not), the "" wildcard is the audit walk over every record, and a
-// tombstone stays reachable by ID — through Terminate's unlink and
-// through SetShards' rebuild of the index.
+// tombstone stays reachable by ID through Terminate's unlink. SetShards
+// on the populated cloud panics and leaves the index intact.
 func TestInstancesByUserIndex(t *testing.T) {
 	for _, k := range []int{1, 8} {
 		t.Run(fmt.Sprintf("k%d", k), func(t *testing.T) {
@@ -177,18 +177,23 @@ func TestInstancesByUserIndex(t *testing.T) {
 			}
 			check("after terminate")
 
-			// Re-bucket K → 1 → K: the rebuilt index must not resurrect
-			// the tombstone.
-			c.SetShards(nil)
-			check("re-bucketed onto one shard")
-			c.SetShards(set)
-			check("re-bucketed back")
+			// Shards are set before the first launch: homing a populated
+			// cloud again panics and leaves the index as it was.
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatal("SetShards on a populated cloud did not panic")
+					}
+				}()
+				c.SetShards(set)
+			}()
+			check("after the refused SetShards")
 
-			// The rebuilt index keeps serving transitions.
+			// The index keeps serving transitions.
 			if err := c.Terminate("alice", stopped); err != nil {
 				t.Fatal(err)
 			}
-			assertListingIsLiveSet(t, c, "terminate after re-bucket")
+			assertListingIsLiveSet(t, c, "terminate after the refused SetShards")
 			if n := len(c.Instances("alice")); n != 3 {
 				t.Fatalf("alice lists %d after terminating a SHUTOFF instance, want 3", n)
 			}

@@ -218,7 +218,8 @@ type RackResult struct {
 
 // ProvisionRack drives a full rack: the management node first (it hosts the
 // PXE/Chef services for the rest), then all remaining servers in parallel.
-// Returns when every node is ready.
+// It runs e until the last node is ready and halts it there, so the clock
+// reads that node's ready time and later events stay pending.
 func ProvisionRack(e *sim.Engine, p *Pipeline, servers int) RackResult {
 	if servers < 2 {
 		panic("provision: a rack needs a management node plus workers")
@@ -228,7 +229,6 @@ func ProvisionRack(e *sim.Engine, p *Pipeline, servers int) RackResult {
 	mgmt := &Server{Name: "node-00", Role: RoleManagement}
 	res.Servers = append(res.Servers, mgmt)
 	remaining := servers - 1
-	doneAll := false
 	p.Provision(mgmt, func(*Server) {
 		for i := 1; i < servers; i++ {
 			role := RoleCompute
@@ -240,13 +240,12 @@ func ProvisionRack(e *sim.Engine, p *Pipeline, servers int) RackResult {
 			p.Provision(s, func(*Server) {
 				remaining--
 				if remaining == 0 {
-					doneAll = true
+					e.Halt()
 				}
 			})
 		}
 	})
-	for !doneAll && e.Step() {
-	}
+	e.Run()
 	res.Duration = sim.Duration(e.Now() - start)
 	for _, s := range res.Servers {
 		res.Retries += s.Retries

@@ -87,13 +87,23 @@ func TestManualRackOverAWeek(t *testing.T) {
 	}
 }
 
-func TestAutomationSpeedupFactor(t *testing.T) {
+// TestRackHaltsAtLastReady: ProvisionRack halts the engine at the last
+// node's ready time, so it fires every pipeline event and no later one.
+func TestRackHaltsAtLastReady(t *testing.T) {
 	e := sim.NewEngine(4)
-	p := NewPipeline(e, DefaultDurations(), 16, 0)
-	auto := ProvisionRack(e, p, 39).Duration
-	manual := ManualRackTime(DefaultManual(), 39)
-	if manual/auto < 7 {
-		t.Fatalf("speedup = %.1fx, want ≥7x", manual/auto)
+	p := NewPipeline(e, DefaultDurations(), 16, 0.02)
+	later := false
+	e.At(sim.Time(sim.Week), func() { later = true })
+	res := ProvisionRack(e, p, 39)
+
+	// Only the later event is left, so the clock stands at the last
+	// pipeline event: the last node's ready time.
+	if later || e.Pending() != 1 || e.Now() != sim.Time(res.Duration) {
+		t.Fatalf("after the rack: later fired %v, %d pending, clock %v; want false, 1, %v",
+			later, e.Pending(), e.Now(), sim.Time(res.Duration))
+	}
+	if e.Run(); !later {
+		t.Fatal("the later event was lost")
 	}
 }
 

@@ -128,26 +128,9 @@ func BenchmarkEngineScheduleDrain(b *testing.B) {
 // batched run loop is built for: one lock round-trip drains the whole
 // tick instead of one per event.
 func BenchmarkSameTickBatch(b *testing.B) {
-	benchSameTick(b, func(e *Engine) { e.Run() })
-}
-
-// BenchmarkSameTickStepped is the same workload drained through the
-// single-event Step path — the per-event lock cost the batch amortizes.
-func BenchmarkSameTickStepped(b *testing.B) {
-	benchSameTick(b, func(e *Engine) {
-		for e.Step() {
-		}
-	})
-}
-
-func benchSameTick(b *testing.B, drain func(*Engine)) {
 	b.ReportAllocs()
 	e := NewEngine(2012)
 	e.Share()
-	runSameTick(b, e, drain)
-}
-
-func runSameTick(b *testing.B, e *Engine, drain func(*Engine)) {
 	fire := func() {}
 	const width = 1024
 	b.ResetTimer()
@@ -165,7 +148,7 @@ func runSameTick(b *testing.B, e *Engine, drain func(*Engine)) {
 		scheduled += n
 		// Drain the tick before refilling, so the heap stays at tick
 		// width and the measurement is dispatch, not heap growth.
-		drain(e)
+		e.Run()
 	}
 }
 

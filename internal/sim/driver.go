@@ -6,7 +6,7 @@ import (
 )
 
 // ClockSource is an engine's single clock-driving goroutine, abstracted:
-// something that owns the right to call Run*/Step on a shared Engine and
+// something that owns the right to call Run* on a shared Engine and
 // advances its virtual clock from the background. Two implementations
 // exist:
 //

@@ -23,7 +23,6 @@ type kernel interface {
 	After(d Duration, fire func()) canceller
 	Every(period Duration, fire func()) stopper
 	NewTimer(fire func()) timer
-	Step() bool
 	Run() Time
 	RunUntil(deadline Time) Time
 	Halt()
@@ -105,14 +104,6 @@ func (r *refKernel) fireFirst() {
 	r.now = ev.at
 	r.fired++
 	ev.fire()
-}
-
-func (r *refKernel) Step() bool {
-	if len(r.queue) == 0 {
-		return false
-	}
-	r.fireFirst()
-	return true
 }
 
 func (r *refKernel) Run() Time {
@@ -294,7 +285,7 @@ func (s *session) note(what string, n int, result bool) {
 	s.log = append(s.log, logLine{what, n, result, s.k.Now(), s.k.Fired(), s.k.Pending()})
 }
 
-// Opcodes. Those below opStep act on one shard and are legal inside a
+// Opcodes. Those below opRun act on one shard and are legal inside a
 // callback; the rest drive the clock and come from outside only.
 const (
 	opAt = iota
@@ -308,7 +299,6 @@ const (
 	opTickerStop
 	opHalt
 	opTimerPending
-	opStep
 	opRun
 	opRunUntil
 	opRunFor
@@ -348,7 +338,7 @@ func (s *session) exec(prog []byte) []byte {
 	}
 	acts, rest := prog[:3*n], prog[3*n:]
 	for ; len(acts) > 0; acts = acts[3:] {
-		s.do(acts[0]%opStep, acts[1], acts[2], rest)
+		s.do(acts[0]%opRun, acts[1], acts[2], rest)
 	}
 	return rest
 }
@@ -426,8 +416,6 @@ func runProgram(w world, k int, data []byte) []*session {
 		cb := data[:n:n]
 		data = data[n:]
 		switch op {
-		case opStep:
-			s.note("step", step, s.k.Step())
 		case opRun:
 			if s.liveTickers == 0 { // a live ticker never lets Run return
 				s.inRun = true
@@ -516,11 +504,12 @@ func FuzzEngineMatchesReference(f *testing.F) {
 		op(opAt, 0, 2, 3, opAfter, 0, 0, opAfter, 0, 0, opHalt, 0, 0).
 		op(opAt, 0, 2).op(opAt, 0, 2).
 		op(opRunUntil, 0, 4).op(opAfter, 0, 0).op(opRunUntil, 0, 4)))
-	// Step with a run on top: one event off it, the rest stay, and a later
-	// schedule for the instant still lands behind them.
+	// A run on top whose every member halts: each Run fires one event off
+	// it, the rest stay, and a later schedule for the instant still lands
+	// behind them.
 	f.Add([]byte(prog{}.
-		op(opAt, 0, 2).op(opAt, 0, 2).op(opAt, 0, 2).op(opStep, 0, 0).
-		op(opAt, 0, 0).op(opStep, 0, 0).op(opCancel, 2, 0).op(opStep, 0, 0).op(opStep, 0, 0).op(opStep, 0, 0)))
+		op(opAt, 0, 2, 1, opHalt, 0, 0).op(opAt, 0, 2, 1, opHalt, 0, 0).op(opAt, 0, 2, 1, opHalt, 0, 0).op(opRun, 0, 0).
+		op(opAt, 0, 0, 1, opHalt, 0, 0).op(opRun, 0, 0).op(opCancel, 2, 0).op(opRun, 0, 0).op(opRun, 0, 0).op(opRun, 0, 0)))
 	// Every member of a run cancelled, the run due before the deadline:
 	// under Run the clock must not visit its time.
 	f.Add([]byte(prog{}.

@@ -68,7 +68,7 @@
 // goroutines switches it into shared mode, where every public method takes
 // an internal mutex. Event callbacks always fire with the lock released,
 // so a callback may freely call At/After/Every/Now/Cancel. Exactly one
-// goroutine — the clock driver — may call Step/Run/RunUntil/RunFor/Halt;
+// goroutine — the clock driver — may call Run/RunUntil/RunFor/Halt;
 // any number of goroutines may schedule, cancel and read the clock. This
 // is what lets live HTTP handlers share the clock with the Driver that
 // advances it.
@@ -152,7 +152,7 @@ type event struct {
 }
 
 // run holds the events of one coalesced heap entry in seq order.
-// members[:next] are gone already: taken by Step or reaped as tombstones.
+// members[:next] are gone already: reaped as tombstones.
 type run struct {
 	members []runMember
 	next    int
@@ -451,45 +451,6 @@ func (tk *Ticker) Stop() {
 // clock-driving goroutine (or a callback it is firing) may call it.
 func (e *Engine) Halt() { e.halted = true }
 
-// takeNext pops the earliest live event with timestamp ≤ deadline, advances
-// the clock to it, and returns its callback — which the caller must invoke
-// with the lock released, so the callback can schedule and cancel freely.
-// It returns nil when no live event is due by deadline; with clamp set it
-// then also advances the clock to the deadline, atomically with the
-// emptiness check. The atomicity matters in shared mode: if the clamp
-// happened after the lock was dropped, a concurrent After could slip an
-// event in below the deadline and the clamp would strand it in the past.
-func (e *Engine) takeNext(deadline Time, clamp bool) func() {
-	e.lock()
-	defer e.unlock()
-	top, r := e.liveTop()
-	if top == nil || top.at > deadline {
-		if clamp && e.now < deadline {
-			e.now = deadline
-		}
-		return nil
-	}
-	if top.at < e.now {
-		panic("sim: event queue time went backwards")
-	}
-	e.now = top.at
-	s := top.s
-	if r != nil {
-		// One event off the run; the rest stay, keyed by its first seq.
-		s = r.members[r.next].s
-		r.next++
-	}
-	if r == nil || r.next == len(r.members) {
-		e.pop()
-	}
-	e.queued--
-	fire := s.fire
-	s.state = slotIdle
-	e.release(s)
-	e.fired.Add(1)
-	return fire
-}
-
 // reap reports whether the entry scheduled as seq on s is a tombstone,
 // consuming it.
 func (e *Engine) reap(seq uint64, s *slot) bool {
@@ -530,8 +491,10 @@ func (e *Engine) liveTop() (*event, *run) {
 // deadline into e.batch under a single lock acquisition, advancing the
 // clock to that timestamp, and returns the batch size. It returns 0 when
 // no live event is due by deadline; with clamp set it then also advances
-// the clock to the deadline, atomically with the emptiness check (see
-// takeNext for why the atomicity matters in shared mode).
+// the clock to the deadline, atomically with the emptiness check. The
+// atomicity matters in shared mode: if the clamp happened after the lock
+// was dropped, a concurrent After could slip an event in below the
+// deadline and the clamp would strand it in the past.
 func (e *Engine) takeBatch(deadline Time, clamp bool) int {
 	e.lock()
 	defer e.unlock()
@@ -646,17 +609,6 @@ func (e *Engine) requeueBatch() {
 	clear(e.batch)
 	e.batch = e.batch[:0]
 	e.tail = -1
-}
-
-// Step executes the single earliest pending event. It reports false when the
-// queue is empty.
-func (e *Engine) Step() bool {
-	fire := e.takeNext(Forever, false)
-	if fire == nil {
-		return false
-	}
-	fire()
-	return true
 }
 
 // Run executes events until the queue drains or Halt is called, in
