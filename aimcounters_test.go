@@ -73,6 +73,12 @@ var aimRules = []aimRule{
 	{name: "hand-built HTTP request", baseline: 6, match: func(n ast.Node, imp map[string]string) bool {
 		return isCall(n, imp, "net/http", "NewRequest", "NewRequestWithContext", "Get", "Post", "Head", "PostForm")
 	}},
+	// A call a caller may give up on takes the caller's context; a root
+	// belongs to main, a stop-owning loop or a constructor with no caller
+	// to ask (ROADMAP F).
+	{name: "context.Background() in product code", baseline: 12, match: func(n ast.Node, imp map[string]string) bool {
+		return isCall(n, imp, "context", "Background")
+	}},
 	{name: "files importing context", floor: true, baseline: 22, match: func(n ast.Node, _ map[string]string) bool {
 		spec, ok := n.(*ast.ImportSpec)
 		return ok && spec.Path.Value == `"context"`

@@ -239,12 +239,10 @@ func TestMutexProfileWritten(t *testing.T) {
 	}
 }
 
-// TestShardedGoldensPinnedAtK1 is the sharded live path's backward-
-// compatibility gate: running the scenarios that grew a shard axis with an
-// explicit shards=1 override must reproduce the pre-sharding goldens byte
-// for byte — K=1 is not "approximately the old behavior", it IS the old
-// behavior (same engine seeding, same serial dispatch, no extra metric
-// keys).
+// TestShardedGoldensPinnedAtK1: the scenarios with a shard axis, run with
+// an explicit shards=1 override, must reproduce their committed goldens
+// byte for byte (same engine seeding, no extra metric keys) — an explicit
+// K=1 is the default, not an approximation of it.
 func TestShardedGoldensPinnedAtK1(t *testing.T) {
 	cases := map[string]string{
 		"console-load":   "shards=1,bg-instances=0",
@@ -262,7 +260,7 @@ func TestShardedGoldensPinnedAtK1(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(want, normalized) {
-				t.Errorf("explicit K=1 run of %s drifted from the pre-sharding golden\n--- got ---\n%s\n--- want ---\n%s",
+				t.Errorf("explicit K=1 run of %s drifted from its golden\n--- got ---\n%s\n--- want ---\n%s",
 					name, normalized, want)
 			}
 		})

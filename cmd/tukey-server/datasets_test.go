@@ -165,7 +165,7 @@ func TestStageAcrossSubprocessSite(t *testing.T) {
 
 	// The replica lands in the OTHER PROCESS: read it back through the
 	// site's own datasets plane.
-	probe, err := datastore.ProbeRemote(siteURL, nil)
+	probe, err := datastore.ProbeRemote(context.Background(), siteURL, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

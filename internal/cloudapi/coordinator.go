@@ -57,30 +57,33 @@ type SkewStats struct {
 // coordinator fan-out): at dozens of sites a sequential round-robin would
 // eat the interval, so each round gives every site the loop's round
 // deadline and cancels the calls of any site still unanswered. Each site
-// settles exactly once per round, on the coordinator's goroutine: a push
-// cut at its deadline is one error and no sync, even if the site applied
-// the target before the cut (the follower tolerates that by design).
+// settles exactly once per round, on the coordinator's goroutine, through
+// settle, the coordinator's pure step: a push cut at its deadline is one
+// error and no sync, even if the site applied the target before the cut
+// (the follower tolerates that by design).
 type ClockCoordinator struct {
 	engine *sim.Engine
 
-	mu       sync.Mutex
-	stats    map[string]*SkewStats
-	lastPush map[string]sim.Time // console time at a site's previous push
+	mu    sync.Mutex
+	sites []clockSite // attachment order
 
 	loop *fanout.Loop
+}
+
+// clockSite is one followed site's record.
+type clockSite struct {
+	SkewStats
+	lastPush sim.Time // console time at the site's previous sync
+	pushed   bool
 }
 
 // StartClockCoordinator begins pushing e's virtual time to every target
 // each interval of wall time, each round cancelling a site's calls after
 // fanout.RoundDeadline. Stop it before tearing the sites down.
 func StartClockCoordinator(e *sim.Engine, interval time.Duration, targets ...ClockSyncTarget) *ClockCoordinator {
-	c := &ClockCoordinator{
-		engine:   e,
-		stats:    make(map[string]*SkewStats),
-		lastPush: make(map[string]sim.Time),
-	}
-	for _, t := range targets {
-		c.stats[t.Name()] = &SkewStats{Site: t.Name()}
+	c := &ClockCoordinator{engine: e, sites: make([]clockSite, len(targets))}
+	for i, t := range targets {
+		c.sites[i].Site = t.Name()
 	}
 	group := fanout.NewGroup(siteWorkers, len(targets), func(ctx context.Context, i int) syncOutcome {
 		return c.syncOne(ctx, targets[i])
@@ -88,8 +91,10 @@ func StartClockCoordinator(e *sim.Engine, interval time.Duration, targets ...Clo
 	deadline := fanout.RoundDeadline(interval)
 	c.loop = fanout.Every(interval, func() {
 		outcomes, completed := group.Run(context.Background(), deadline)
-		for i, t := range targets {
-			c.settle(t.Name(), outcomes[i], completed[i])
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		for i := range c.sites {
+			c.sites[i].settle(outcomes[i], completed[i])
 		}
 	})
 	return c
@@ -124,26 +129,20 @@ func (c *ClockCoordinator) syncOne(ctx context.Context, t ClockSyncTarget) syncO
 	return syncOutcome{read: true, skew: skew, now: now, err: t.ClockSync(ctx, now)}
 }
 
-// settle records one site's round: a round cut at its deadline is one
-// error and nothing else; a completed one records its skew observation
-// (if the read answered) and then either a sync or an error.
-func (c *ClockCoordinator) settle(name string, o syncOutcome, completed bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := c.stats[name]
+// settle is the coordinator's step, a pure function of the site's record
+// and its outcome in one round: a round cut at its deadline is one error
+// and nothing else; a completed one records its skew observation (if the
+// read answered) and then either a sync or an error.
+func (s *clockSite) settle(o syncOutcome, completed bool) {
 	if !completed {
 		s.Errors++
 		return
 	}
 	if o.read {
 		s.LastSkew = o.skew
-		if o.skew > s.MaxSkew {
-			s.MaxSkew = o.skew
-		}
-		if prev, ok := c.lastPush[name]; ok {
-			if excess := o.skew - float64(o.now-prev); excess > s.MaxExcess {
-				s.MaxExcess = excess
-			}
+		s.MaxSkew = max(s.MaxSkew, o.skew)
+		if s.pushed {
+			s.MaxExcess = max(s.MaxExcess, o.skew-float64(o.now-s.lastPush))
 		}
 	}
 	if o.err != nil {
@@ -151,7 +150,7 @@ func (c *ClockCoordinator) settle(name string, o syncOutcome, completed bool) {
 		return
 	}
 	s.Syncs++
-	c.lastPush[name] = o.now
+	s.lastPush, s.pushed = o.now, true
 }
 
 // Stats returns a copy of every site's skew statistics, sorted by site
@@ -159,9 +158,9 @@ func (c *ClockCoordinator) settle(name string, o syncOutcome, completed bool) {
 func (c *ClockCoordinator) Stats() []SkewStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]SkewStats, 0, len(c.stats))
-	for _, s := range c.stats {
-		out = append(out, *s)
+	out := make([]SkewStats, len(c.sites))
+	for i := range c.sites {
+		out[i] = c.sites[i].SkewStats
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Site < out[j].Site })
 	return out

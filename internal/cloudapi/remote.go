@@ -53,10 +53,11 @@ func NewRemote(name, stack, endpoint string, client *http.Client) *Remote {
 // its /cloudapi/meta discovery document for the name and stack — how
 // tukey-server attaches an externally running cloud-site process it knows
 // only by URL. client may be nil for a private client with DefaultTimeout.
-func ProbeRemote(endpoint string, client *http.Client) (*Remote, error) {
+// The probe gives up when ctx ends.
+func ProbeRemote(ctx context.Context, endpoint string, client *http.Client) (*Remote, error) {
 	client = wire.NewClient(client, DefaultTimeout, 0)
 	var m meta
-	status, _, err := wire.Call(context.Background(), client, http.MethodGet, strings.TrimRight(endpoint, "/")+"/cloudapi/meta", "", nil, &m, http.StatusOK)
+	status, _, err := wire.Call(ctx, client, http.MethodGet, strings.TrimRight(endpoint, "/")+"/cloudapi/meta", "", nil, &m, http.StatusOK)
 	if status == 0 {
 		return nil, fmt.Errorf("cloudapi: probing %s: %w", endpoint, err)
 	}

@@ -151,7 +151,7 @@ func operatorPlaneErrorTable(t *testing.T) {
 				return wantErr{text: fmt.Sprintf("cloudapi: broken usage delta returned %d", status)}
 			}},
 		{"ProbeRemote",
-			func(_ *Remote, url string) error { _, err := ProbeRemote(url, nil); return err },
+			func(_ *Remote, url string) error { _, err := ProbeRemote(context.Background(), url, nil); return err },
 			func(status int, msg, url string) wantErr {
 				text := fmt.Sprintf("cloudapi: %s is not a cloud site (status %d", url, status)
 				if msg != "" {

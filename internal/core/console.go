@@ -346,7 +346,10 @@ func (d *Deployment) startSite(cfg ConsoleConfig, name string) error {
 // out of the coordinator would freeze forever — and a site that follows
 // joins the coordinator.
 func (d *Deployment) attachExternal(s ExternalSite, secret string, sync bool) error {
-	remote, err := cloudapi.ProbeRemote(s.URL, d.SiteClient)
+	// StartConsole takes no context: each call is bounded by the site
+	// client's timeout.
+	ctx := context.Background()
+	remote, err := cloudapi.ProbeRemote(ctx, s.URL, d.SiteClient)
 	if err != nil {
 		return err
 	}
@@ -356,13 +359,13 @@ func (d *Deployment) attachExternal(s ExternalSite, secret string, sync bool) er
 	remote.SetOperatorSecret(secret)
 	follows := false
 	if sync {
-		st, err := remote.Clock(context.Background())
+		st, err := remote.Clock(ctx)
 		if err != nil {
 			return fmt.Errorf("core: site %s at %s: clock plane unreadable with clock sync on: %w", s.Name, s.URL, err)
 		}
 		follows = st.Mode == cloudapi.ClockFollow.String()
 	}
-	if ds, err := datastore.ProbeRemote(s.URL, d.SiteClient); err == nil {
+	if ds, err := datastore.ProbeRemote(ctx, s.URL, d.SiteClient); err == nil {
 		ds.SetOperatorSecret(secret)
 		d.DataSites = append(d.DataSites, ds)
 	}

@@ -72,48 +72,41 @@ type Options struct {
 // across the federation's site stores — the console-side planning loop of
 // the data plane, shaped like cloudapi.ClockCoordinator.
 //
-// Each Round it (1) installs transfers whose simulated flows have arrived,
-// verifying checksums first, (2) reads every site's inventory through a
-// bounded fan-out pool, (3) plans transfers for under-replicated datasets
-// — deterministic source/destination choice — and (4) prices every planned
-// flow by running it through transport.SimulateShared over the simnet
-// path it crosses, so flows planned in the same round onto the same link
-// contend with each other and arrival times accrue on the shared engine's
-// virtual clock. A transfer that arrives corrupt is not installed; the
-// corrupt source replica is dropped so the next round repairs from a
-// healthy copy. A detached site's replicas stop counting, and the next
-// rounds restore the factor on the remaining sites with bounded traffic
-// (exactly the lost copies), all recorded in Stats.
+// Every decision is a pure method on its view, which holds no context and
+// no lock and calls no site: arrive takes transfers whose flows have landed
+// out of flight and names the calls that install them, step folds a
+// round's listings into the view and plans, and settle books the answers
+// to those calls. do makes the calls, and is the only code that calls a
+// site: it runs a batch through the bounded fan-out pool with c.mu
+// released, so a hung site holds up only the operation waiting on it.
+//
+// Each Round (1) installs transfers whose simulated flows have arrived,
+// verifying checksums first, (2) reads every site's inventory churn, (3)
+// steps, planning transfers for under-replicated datasets and drains for
+// over-replicated ones, and (4) prices every planned flow by running it
+// through transport.SimulateShared over the simnet path it crosses, so
+// flows planned in the same round onto the same link contend with each
+// other and arrival times accrue on the shared engine's virtual clock. A
+// transfer that arrives corrupt is not installed; the corrupt source
+// replica is dropped so the next round repairs from a healthy copy. A
+// detached site's replicas stop counting, and the next rounds restore the
+// factor on the remaining sites with bounded traffic (exactly the lost
+// copies), all recorded in Stats.
 type Coordinator struct {
 	engine  *sim.Engine
 	nw      *simnet.Network
 	catalog *datasets.Catalog
-	factor  int
+	ctx     context.Context // every round's calls run under it; Stop cancels it
+	cancel  context.CancelFunc
 
 	mu    sync.Mutex
 	rng   *sim.RNG
-	sites []API
-	// siteDeadline is the per-site wall budget for one ListSince during a
-	// round; a site answering slower is counted unreachable for the
-	// round. Start tightens it to the loop's round deadline.
+	sites []API // indexed like v.sites
+	v     view
+	// siteDeadline is the per-site wall budget of one call; a site
+	// answering slower is counted failed. Start tightens it to the loop's
+	// round deadline.
 	siteDeadline time.Duration
-	inflight     map[string]*Transfer // key dataset + "→" + destination site
-	stats        Stats
-	linkStats    map[string]*LinkStats
-	// lastSeen is each site's inventory from the newest round it answered
-	// (carried forward through the observeGrace window), keyed site →
-	// dataset; Stage reads it before falling back to Gets.
-	lastSeen map[string]map[string]Replica
-	// knownRev is the store revision each site's lastSeen entry reflects:
-	// what the next round's ListSince passes, so observation reads only
-	// the churn since the last answer instead of the full inventory.
-	knownRev map[string]int64
-	// missed counts a site's consecutive failed observations.
-	missed map[string]int
-	// pinned marks deliberate placements (dataset + "→" + site, the
-	// inflight key form) made by Stage: the drain never removes them —
-	// a user parked that replica next to their compute on purpose.
-	pinned map[string]bool
 
 	loop *fanout.Loop // Start's; nil for a coordinator driven by Round
 }
@@ -123,28 +116,20 @@ type Coordinator struct {
 // and the given site stores. It does not start a loop: call Round directly
 // (scenarios) or Start (live federations).
 func NewCoordinator(e *sim.Engine, nw *simnet.Network, cat *datasets.Catalog, opt Options, sites ...API) *Coordinator {
-	if opt.Factor < 1 {
-		opt.Factor = 1
-	}
 	c := &Coordinator{
 		engine: e, nw: nw, catalog: cat,
-		factor:       opt.Factor,
 		rng:          sim.NewRNG(opt.Seed ^ 0xda7a),
 		sites:        append([]API(nil), sites...),
+		v:            newView(max(opt.Factor, 1), sites),
 		siteDeadline: 10 * time.Second,
-		inflight:     make(map[string]*Transfer),
-		linkStats:    make(map[string]*LinkStats),
-		lastSeen:     make(map[string]map[string]Replica),
-		knownRev:     make(map[string]int64),
-		missed:       make(map[string]int),
-		pinned:       make(map[string]bool),
 	}
+	c.ctx, c.cancel = context.WithCancel(context.Background())
 	return c
 }
 
 // Start runs Round every interval of wall time until Stop. The per-site
-// read deadline becomes fanout.RoundDeadline(interval), so a hung site
-// cannot eat the round (ROADMAP: coordinator fan-out).
+// deadline becomes fanout.RoundDeadline(interval), so a hung site cannot
+// eat the round (ROADMAP: coordinator fan-out).
 func (c *Coordinator) Start(interval time.Duration) {
 	c.mu.Lock()
 	c.siteDeadline = fanout.RoundDeadline(interval)
@@ -152,9 +137,14 @@ func (c *Coordinator) Start(interval time.Duration) {
 	c.loop = fanout.Every(interval, func() { c.Round() })
 }
 
-// Stop halts the Start loop once its round in flight has finished, and
-// returns at once if Start never ran. Idempotent.
-func (c *Coordinator) Stop() { c.loop.Stop() }
+// Stop cancels the round in flight, whose site calls return at once, and
+// halts the Start loop once that round has finished; it returns at once if
+// Start never ran. Every later coordinator call to a site fails at once.
+// Idempotent.
+func (c *Coordinator) Stop() {
+	c.cancel()
+	c.loop.Stop()
+}
 
 // pathBetween derives the flow path for a transfer between two simnet
 // sites; co-located sites move over the LAN.
@@ -173,126 +163,278 @@ func (c *Coordinator) Round() (planned, arrived int) {
 	now := c.engine.Now()
 	arrived = c.completeArrived(now)
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.stats.Rounds++
+	lists := c.v.lists()
+	c.mu.Unlock()
+	answers := c.do(c.ctx, lists)
+	c.mu.Lock()
+	plans, drains := c.v.step(c.catalog.All(), answers)
+	c.price(now, plans)
+	c.mu.Unlock()
+	c.settle(drains, c.do(c.ctx, drains))
+	return len(plans), arrived
+}
 
-	// Observe every site through the bounded pool, as deltas: each task
-	// passes the revision the coordinator's view already reflects and
-	// reads only the churn since. Index i maps results to sites, so the
-	// fan-out stays deterministic.
-	type listing struct {
-		delta Delta
-		err   error
+// completeArrived installs every transfer whose flow has arrived by
+// virtual time now, verifying checksums first. Returns how many arrived.
+// Due transfers leave flight before the lock drops, so a concurrent caller
+// cannot install them twice.
+func (c *Coordinator) completeArrived(now sim.Time) int {
+	c.mu.Lock()
+	calls := c.v.arrive(c.v.due(now))
+	c.mu.Unlock()
+	c.settle(calls, c.do(c.ctx, calls))
+	return len(calls)
+}
+
+// settle books answered calls into the view.
+func (c *Coordinator) settle(calls []call, answers []answer) {
+	if len(calls) == 0 {
+		return
 	}
-	sites := c.sites
-	listings, completed := fanout.Each(context.Background(), coordinatorWorkers, c.siteDeadline, len(sites), func(ctx context.Context, i int) listing {
-		d, err := sites[i].ListSince(ctx, c.knownRev[sites[i].Name()])
-		return listing{d, err}
-	})
+	c.mu.Lock()
+	c.v.settle(calls, answers)
+	c.mu.Unlock()
+}
 
-	reachable := make([]API, 0, len(sites))
-	confirmedBy := make(map[string][]string) // dataset → sites observed holding it this round
-	countedBy := make(map[string]int)        // dataset → holders incl. grace-carried silent sites
-	bytesBy := make(map[string]int64)        // site → observed stored bytes
-	newSeen := make(map[string]map[string]Replica)
-	allObserved := true
+// op is what a call asks of a site.
+type op uint8
+
+const (
+	opList op = iota
+	opGet
+	opPut
+	opDelete
+)
+
+// call is one site request a decision asks do to make.
+type call struct {
+	op    op
+	site  int     // index into the coordinator's sites
+	rep   Replica // opPut installs it; opGet and opDelete name rep.Dataset
+	since int64   // opList
+}
+
+// answer is what a call brought back; err is set for a call that failed
+// or was cut.
+type answer struct {
+	err   error
+	rep   Replica // opGet
+	delta Delta   // opList
+}
+
+// errNoAnswer marks a call do cut: its site did not answer before the
+// deadline, or the caller's context ended first.
+var errNoAnswer = errors.New("datastore: site did not answer in time")
+
+// do is the only code that calls a site. It makes calls through the
+// bounded pool, each under ctx and the per-site deadline, with c.mu
+// released, and returns each call's answer in call order.
+func (c *Coordinator) do(ctx context.Context, calls []call) []answer {
+	if len(calls) == 0 {
+		return nil
+	}
+	c.mu.Lock()
+	sites, deadline := c.sites, c.siteDeadline
+	c.mu.Unlock()
+	answers, done := fanout.Each(ctx, coordinatorWorkers, deadline, len(calls), func(ctx context.Context, i int) (a answer) {
+		k, s := calls[i], sites[calls[i].site]
+		switch k.op {
+		case opList:
+			a.delta, a.err = s.ListSince(ctx, k.since)
+		case opGet:
+			a.rep, a.err = s.Get(ctx, k.rep.Dataset)
+		case opPut:
+			a.err = s.Put(ctx, k.rep)
+		case opDelete:
+			a.err = s.Delete(ctx, k.rep.Dataset)
+		}
+		return a
+	})
+	for i := range answers {
+		if !done[i] {
+			answers[i].err = errNoAnswer
+		}
+	}
+	return answers
+}
+
+// view is everything the coordinator knows, and every decision it makes is
+// a method on it: a pure function of the view and its arguments.
+type view struct {
+	factor   int
+	sites    []siteView     // attachment order; sites[0] holds the masters
+	index    map[string]int // site name → position in sites
+	byName   []int          // positions in site-name order: every tie-break
+	inflight map[pair]*Transfer
+	// pinned marks Stage's deliberate placements: the drain never removes
+	// them — a user parked that replica next to their compute on purpose.
+	pinned map[pair]bool
+	stats  Stats
+	links  map[string]*LinkStats
+}
+
+// pair is {dataset, site}: an in-flight transfer's destination, or a pin.
+type pair [2]string
+
+// siteView is one site as the coordinator last saw it.
+type siteView struct {
+	name, loc string
+	// seen is the site's inventory as of rev, patched by each answered
+	// listing. A silent site's stays in place for observeGrace rounds,
+	// then goes with its rev, so its next answer is a full snapshot.
+	seen   map[string]Replica
+	rev    int64
+	missed int // consecutive failed listings
+}
+
+func newView(factor int, sites []API) view {
+	v := view{factor: factor, index: make(map[string]int, len(sites)),
+		inflight: make(map[pair]*Transfer), pinned: make(map[pair]bool),
+		links: make(map[string]*LinkStats)}
 	for i, s := range sites {
-		name := s.Name()
-		if !completed[i] || listings[i].err != nil {
-			c.missed[name]++
+		v.sites = append(v.sites, siteView{name: s.Name(), loc: s.Loc()})
+		v.index[s.Name()] = i
+		v.byName = append(v.byName, i)
+	}
+	sort.Slice(v.byName, func(a, b int) bool { return v.sites[v.byName[a]].name < v.sites[v.byName[b]].name })
+	return v
+}
+
+// due returns the in-flight transfers whose flows have arrived by now.
+func (v *view) due(now sim.Time) []*Transfer {
+	var due []*Transfer
+	for _, t := range v.inflight {
+		if t.ArriveAt <= now {
+			due = append(due, t)
+		}
+	}
+	return due
+}
+
+// arrive takes arrived transfers out of flight, books their bytes to their
+// links, and returns one call each: the Put that installs a verified copy,
+// or — the flow delivered a corrupt copy — the Delete that drops the
+// source's bad replica so a later round repairs from a healthy holder.
+func (v *view) arrive(due []*Transfer) []call {
+	calls := make([]call, 0, len(due))
+	for _, t := range due {
+		delete(v.inflight, pair{t.Dataset, t.To})
+		link, ok := v.links[t.Link]
+		if !ok {
+			link = &LinkStats{Link: t.Link}
+			v.links[t.Link] = link
+		}
+		link.Flows++
+		link.Bytes += t.Bytes
+		link.Retransmits += t.Retransmit
+		v.stats.BytesMoved += t.Bytes
+		v.stats.Retransmits += t.Retransmit
+		if t.Checksum != Fingerprint(t.Dataset, t.Version) {
+			calls = append(calls, call{op: opDelete, site: v.index[t.From], rep: Replica{Dataset: t.Dataset}})
+			continue
+		}
+		calls = append(calls, call{op: opPut, site: v.index[t.To], rep: Replica{
+			Dataset: t.Dataset, SizeBytes: t.Bytes, Checksum: t.Checksum, Version: t.Version}})
+	}
+	return calls
+}
+
+// settle books the answers to arrive's and step's calls: a Put answered ok
+// is a completed transfer, and a Delete answered ok drops the replica from
+// the site's view ahead of its next listing. A failed or cut call books
+// nothing, even if the site applied it; the next listing reconciles that
+// (and the drain trims a copy that over-replicates).
+func (v *view) settle(calls []call, answers []answer) {
+	for i, k := range calls {
+		switch {
+		case answers[i].err != nil:
+		case k.op == opPut:
+			v.stats.Transfers++
+		case k.op == opDelete:
+			delete(v.sites[k.site].seen, k.rep.Dataset)
+		}
+	}
+}
+
+// lists returns the round's observation: one ListSince per site, passing
+// the revision the view reflects, so each answer carries only the churn.
+func (v *view) lists() []call {
+	calls := make([]call, len(v.sites))
+	for i, s := range v.sites {
+		calls[i] = call{op: opList, site: i, since: s.rev}
+	}
+	return calls
+}
+
+// step is the round's decision. It folds each site's listing answer
+// (answers[i] for sites[i]) into the view, then plans, deterministically:
+// datasets in catalog order, destinations by (observed bytes, name),
+// sources rotated by per-round outgoing count. Plans join the flight set
+// unpriced; drains are the Deletes that trim over-replicated datasets.
+func (v *view) step(cat []*datasets.Dataset, answers []answer) (plans []*Transfer, drains []call) {
+	v.stats.Rounds++
+	allObserved := true
+	bytesBy := make([]int64, len(v.sites)) // observed stored bytes
+	for i := range v.sites {
+		s := &v.sites[i]
+		if answers[i].err != nil {
 			allObserved = false
 			// Inside the grace window a silent site's last-known replicas
 			// still count toward every factor — one slow listing must not
 			// trigger duplicate repairs — but the site serves as neither
 			// source nor destination until it answers again.
-			if prev, ok := c.lastSeen[name]; ok && c.missed[name] <= observeGrace {
-				newSeen[name] = prev
-				for ds := range prev {
-					countedBy[ds]++
-				}
+			if s.missed++; s.missed > observeGrace {
+				s.seen, s.rev = nil, 0
 			}
 			continue
 		}
-		c.missed[name] = 0
-		reachable = append(reachable, s)
-		// Materialize the site's inventory: from scratch on a Reset
-		// snapshot, else the carried view patched with the delta.
-		d := listings[i].delta
-		var seen map[string]Replica
-		if d.Reset {
-			seen = make(map[string]Replica, len(d.Changed))
-		} else {
-			prev := c.lastSeen[name]
-			seen = make(map[string]Replica, len(prev)+len(d.Changed))
-			for ds, r := range prev {
-				seen[ds] = r
+		s.missed = 0
+		s.observe(answers[i].delta)
+		for _, r := range s.seen {
+			bytesBy[i] += r.SizeBytes
+		}
+	}
+	outgoing := make([]int, len(v.sites))
+	var holders, cands []int
+	for _, d := range cat {
+		holders, cands = holders[:0], cands[:0] // observed this round, by name
+		counted, pending := 0, 0                // counted: grace-carried too
+		for _, i := range v.byName {
+			if _, ok := v.sites[i].seen[d.Name]; ok {
+				counted++
+				if v.sites[i].missed == 0 {
+					holders = append(holders, i)
+				}
 			}
 		}
-		for _, r := range d.Changed {
-			seen[r.Dataset] = r
-		}
-		for _, ds := range d.Removed {
-			delete(seen, ds)
-		}
-		c.knownRev[name] = d.Rev
-		for ds, r := range seen {
-			confirmedBy[ds] = append(confirmedBy[ds], name)
-			countedBy[ds]++
-			bytesBy[name] += r.SizeBytes
-		}
-		newSeen[name] = seen
-	}
-	c.lastSeen = newSeen
-
-	// Plan transfers for under-replicated datasets, deterministically:
-	// datasets in name order, destinations by (observed bytes, name),
-	// sources rotated by per-round outgoing count.
-	outgoing := make(map[string]int)
-	var plans []*Transfer
-	for _, d := range c.catalog.All() {
-		holders := confirmedBy[d.Name]
-		sort.Strings(holders)
-		pending := 0
-		pendingTo := make(map[string]bool)
-		for _, t := range c.inflight {
+		for _, t := range v.inflight {
 			if t.Dataset == d.Name {
 				pending++
-				pendingTo[t.To] = true
 			}
 		}
-		deficit := c.factor - countedBy[d.Name] - pending
+		deficit := v.factor - counted - pending
 		if deficit <= 0 {
 			// Over-replication (a site that outlived its grace window
 			// coming back, say) drains back to the target — but only on
-			// full information, and never from the anchor site (the
-			// first-listed store, which holds the masters).
-			if excess := len(holders) - c.factor; excess > 0 && pending == 0 && allObserved {
-				c.drainLocked(d.Name, holders, excess, bytesBy)
+			// full information.
+			if excess := len(holders) - v.factor; excess > 0 && pending == 0 && allObserved {
+				drains = v.drain(drains, d.Name, holders, excess, bytesBy)
 			}
 			continue
 		}
 		if len(holders) == 0 {
 			continue
 		}
-		// Candidate destinations: reachable sites neither holding nor
+		// Candidate destinations: answering sites neither holding nor
 		// already receiving this dataset, least-loaded first.
-		var cands []API
-		for _, s := range reachable {
-			if _, holds := newSeen[s.Name()][d.Name]; !holds && !pendingTo[s.Name()] {
-				cands = append(cands, s)
+		for _, i := range v.byName {
+			s := &v.sites[i]
+			if _, holds := s.seen[d.Name]; s.missed == 0 && !holds && v.inflight[pair{d.Name, s.name}] == nil {
+				cands = append(cands, i)
 			}
 		}
-		sort.Slice(cands, func(i, j int) bool {
-			bi, bj := bytesBy[cands[i].Name()], bytesBy[cands[j].Name()]
-			if bi != bj {
-				return bi < bj
-			}
-			return cands[i].Name() < cands[j].Name()
-		})
-		for _, dst := range cands {
-			if deficit == 0 {
-				break
-			}
+		sort.SliceStable(cands, func(a, b int) bool { return bytesBy[cands[a]] < bytesBy[cands[b]] })
+		for _, dst := range cands[:min(deficit, len(cands))] {
 			src := holders[0]
 			for _, h := range holders[1:] {
 				if outgoing[h] < outgoing[src] {
@@ -300,87 +442,76 @@ func (c *Coordinator) Round() (planned, arrived int) {
 				}
 			}
 			outgoing[src]++
-			rep := c.lastSeen[src][d.Name]
-			plans = append(plans, &Transfer{
-				Dataset: d.Name, From: src, To: dst.Name(),
-				Link:     c.locOf(src) + "→" + dst.Loc(),
-				Bytes:    rep.SizeBytes,
-				Checksum: rep.Checksum, Version: rep.Version,
-			})
-			bytesBy[dst.Name()] += rep.SizeBytes
-			deficit--
+			t := v.transfer(v.sites[src].seen[d.Name], src, dst)
+			plans = append(plans, t)
+			bytesBy[dst] += t.Bytes
 		}
 	}
-
-	c.priceLocked(now, plans)
-	for _, t := range plans {
-		c.inflight[t.Dataset+"→"+t.To] = t
-	}
-	if n := len(c.inflight); n > c.stats.MaxInFlight {
-		c.stats.MaxInFlight = n
-	}
-	return len(plans), arrived
+	return plans, drains
 }
 
-// drainLocked deletes excess confirmed replicas of dataset back to the
-// target factor: most-loaded holders first (name-descending tie-break),
-// never the anchor site's copy (the first-listed store holds the
-// masters).
-func (c *Coordinator) drainLocked(dataset string, holders []string, excess int, bytesBy map[string]int64) {
-	anchor := ""
-	if len(c.sites) > 0 {
-		anchor = c.sites[0].Name()
+// observe patches the site's view with a listing: from scratch on a Reset
+// snapshot, else in place.
+func (s *siteView) observe(d Delta) {
+	if d.Reset || s.seen == nil {
+		s.seen = make(map[string]Replica, len(d.Changed))
 	}
-	cands := make([]string, 0, len(holders))
-	for _, h := range holders {
-		if h != anchor && !c.pinned[dataset+"→"+h] {
+	for _, r := range d.Changed {
+		s.seen[r.Dataset] = r
+	}
+	for _, ds := range d.Removed {
+		delete(s.seen, ds)
+	}
+	s.rev = d.Rev
+}
+
+// drain appends Deletes of excess confirmed replicas of dataset back to
+// the target factor: most-loaded holders first (name-descending
+// tie-break), never the anchor site's copy (sites[0] holds the masters)
+// nor a pinned one.
+func (v *view) drain(drains []call, dataset string, holders []int, excess int, bytesBy []int64) []call {
+	var cands []int
+	for j := len(holders) - 1; j >= 0; j-- {
+		if h := holders[j]; h != 0 && !v.pinned[pair{dataset, v.sites[h].name}] {
 			cands = append(cands, h)
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		bi, bj := bytesBy[cands[i]], bytesBy[cands[j]]
-		if bi != bj {
-			return bi > bj
-		}
-		return cands[i] > cands[j]
-	})
-	for i := 0; i < excess && i < len(cands); i++ {
-		s, ok := c.siteByName(cands[i])
-		if !ok {
-			continue
-		}
-		if err := s.Delete(context.Background(), dataset); err == nil {
-			delete(c.lastSeen[cands[i]], dataset)
-		}
+	sort.SliceStable(cands, func(a, b int) bool { return bytesBy[cands[a]] > bytesBy[cands[b]] })
+	for _, h := range cands[:min(excess, len(cands))] {
+		drains = append(drains, call{op: opDelete, site: h, rep: Replica{Dataset: dataset}})
 	}
+	return drains
 }
 
-// locOf resolves a site name to its simnet location.
-func (c *Coordinator) locOf(name string) string {
-	for _, s := range c.sites {
-		if s.Name() == name {
-			return s.Loc()
-		}
-	}
-	return ""
+// transfer plans a move of rep from site src to site dst and puts it in
+// flight, unpriced.
+func (v *view) transfer(rep Replica, src, dst int) *Transfer {
+	from, to := &v.sites[src], &v.sites[dst]
+	t := &Transfer{Dataset: rep.Dataset, From: from.name, To: to.name,
+		Link:  from.loc + "→" + to.loc,
+		Bytes: rep.SizeBytes, Checksum: rep.Checksum, Version: rep.Version}
+	v.inflight[pair{t.Dataset, t.To}] = t
+	v.stats.MaxInFlight = max(v.stats.MaxInFlight, len(v.inflight))
+	return t
 }
 
-// siteByName resolves a site name to its API.
-func (c *Coordinator) siteByName(name string) (API, bool) {
-	for _, s := range c.sites {
-		if s.Name() == name {
-			return s, true
+// holder finds a site other than except whose newest view holds dataset,
+// in attachment order.
+func (v *view) holder(dataset string, except int) (int, Replica, bool) {
+	for i, s := range v.sites {
+		if r, ok := s.seen[dataset]; ok && i != except {
+			return i, r, true
 		}
 	}
-	return nil, false
+	return 0, Replica{}, false
 }
 
-// priceLocked runs the planned transfers as simulated flows, grouped by
-// directed link so same-link flows contend at the shared bottleneck, and
-// stamps each transfer's arrival time. Every link draws from the
-// coordinator's one RNG stream, in link-name order, so pricing does not
-// depend on the kernel's shard count.
-func (c *Coordinator) priceLocked(now sim.Time, plans []*Transfer) {
+// price runs the planned transfers as simulated flows, grouped by directed
+// link so same-link flows contend at the shared bottleneck, and stamps
+// each transfer's arrival time. Every link draws from the coordinator's
+// one RNG stream, in link-name order, so pricing does not depend on the
+// kernel's shard count. The caller holds c.mu.
+func (c *Coordinator) price(now sim.Time, plans []*Transfer) {
 	byLink := make(map[string][]*Transfer)
 	var links []string
 	for _, t := range plans {
@@ -392,7 +523,8 @@ func (c *Coordinator) priceLocked(now sim.Time, plans []*Transfer) {
 	sort.Strings(links) // deterministic RNG consumption order
 	for _, link := range links {
 		group := byLink[link]
-		path := c.pathBetween(c.locOf(group[0].From), c.locOf(group[0].To))
+		from, to := c.v.sites[c.v.index[group[0].From]], c.v.sites[c.v.index[group[0].To]]
+		path := c.pathBetween(from.loc, to.loc)
 		ctrls := make([]transport.Controller, len(group))
 		sizes := make([]int64, len(group))
 		for i, t := range group {
@@ -407,103 +539,11 @@ func (c *Coordinator) priceLocked(now sim.Time, plans []*Transfer) {
 	}
 }
 
-// completeArrived installs every transfer whose flow has arrived by
-// virtual time now, verifying checksums first. Returns how many arrived.
-//
-// The remote side effects — Puts at destinations, a corrupt source's
-// Delete — run through the bounded fan-out pool with c.mu RELEASED: a slow
-// destination plane must not pin the coordinator lock (and with it every
-// console data-plane route: Stage, Poll, Placement) for the length of an
-// HTTP round trip. Due transfers leave inflight before the lock drops, so
-// a concurrent Round cannot install them twice; a Put cut at its deadline
-// is counted as a site error even if the site stored it first, which the
-// next round's delta observation reconciles (and the drain trims if it
-// over-replicates).
-func (c *Coordinator) completeArrived(now sim.Time) int {
-	c.mu.Lock()
-	var due []*Transfer
-	for _, t := range c.inflight {
-		if t.ArriveAt <= now {
-			due = append(due, t)
-		}
-	}
-	sort.Slice(due, func(i, j int) bool {
-		if due[i].ArriveAt != due[j].ArriveAt {
-			return due[i].ArriveAt < due[j].ArriveAt
-		}
-		if due[i].Dataset != due[j].Dataset {
-			return due[i].Dataset < due[j].Dataset
-		}
-		return due[i].To < due[j].To
-	})
-	type job struct {
-		t       *Transfer
-		corrupt bool
-		src     API // corrupt: holder of the bad copy to drop
-		dst     API // healthy: destination to install at
-	}
-	jobs := make([]job, len(due))
-	for i, t := range due {
-		delete(c.inflight, t.Dataset+"→"+t.To)
-		j := job{t: t, corrupt: t.Checksum != Fingerprint(t.Dataset, t.Version)}
-		if j.corrupt {
-			// The flow delivered what the source held — a corrupt copy.
-			// Do not install it; drop the source's bad replica so the
-			// next round repairs from a healthy holder.
-			j.src, _ = c.siteByName(t.From)
-		} else {
-			j.dst, _ = c.siteByName(t.To)
-		}
-		jobs[i] = j
-	}
-	deadline := c.siteDeadline
-	c.mu.Unlock()
-
-	putErrs, completed := fanout.Each(context.Background(), coordinatorWorkers, deadline, len(jobs), func(ctx context.Context, i int) error {
-		j, t := jobs[i], jobs[i].t
-		switch {
-		case j.corrupt && j.src != nil:
-			_ = j.src.Delete(ctx, t.Dataset)
-		case !j.corrupt && j.dst != nil:
-			return j.dst.Put(ctx, Replica{
-				Dataset: t.Dataset, SizeBytes: t.Bytes,
-				Checksum: t.Checksum, Version: t.Version,
-			})
-		}
-		return nil
-	})
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := range jobs {
-		t := jobs[i].t
-		link := c.linkStat(t.Link)
-		link.Flows++
-		link.Bytes += t.Bytes
-		link.Retransmits += t.Retransmit
-		c.stats.BytesMoved += t.Bytes
-		c.stats.Retransmits += t.Retransmit
-		if !jobs[i].corrupt && jobs[i].dst != nil && completed[i] && putErrs[i] == nil {
-			c.stats.Transfers++
-		}
-	}
-	return len(due)
-}
-
-func (c *Coordinator) linkStat(link string) *LinkStats {
-	ls, ok := c.linkStats[link]
-	if !ok {
-		ls = &LinkStats{Link: link}
-		c.linkStats[link] = ls
-	}
-	return ls
-}
-
 // InFlight reports the number of transfers currently in flight.
 func (c *Coordinator) InFlight() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.inflight)
+	return len(c.v.inflight)
 }
 
 // NextArrival returns the earliest in-flight arrival time, and whether any
@@ -513,7 +553,7 @@ func (c *Coordinator) NextArrival() (sim.Time, bool) {
 	defer c.mu.Unlock()
 	var min sim.Time
 	found := false
-	for _, t := range c.inflight {
+	for _, t := range c.v.inflight {
 		if !found || t.ArriveAt < min {
 			min, found = t.ArriveAt, true
 		}
@@ -532,23 +572,39 @@ type StageStatus struct {
 
 // Stage ensures a replica of dataset on the named site, planning an
 // immediate transfer from the nearest holder when one is missing — the
-// pre-launch placement call behind POST /console/datasets/stage. The
-// returned ETA is in virtual seconds; the replica installs when the
-// engine's clock passes it (a Round or Poll observes the arrival).
-func (c *Coordinator) Stage(dataset, site string) (StageStatus, error) {
+// pre-launch placement call behind POST /console/datasets/stage. Its site
+// calls end with ctx. The returned ETA is in virtual seconds; the replica
+// installs when the engine's clock passes it (a Round or Poll observes the
+// arrival).
+func (c *Coordinator) Stage(ctx context.Context, dataset, site string) (StageStatus, error) {
 	now := c.engine.Now()
 	c.completeArrived(now)
 	c.mu.Lock()
-	defer c.mu.Unlock()
-
-	dst, ok := c.siteByName(site)
+	dst, ok := c.v.index[site]
 	if !ok {
+		c.mu.Unlock()
 		return StageStatus{}, fmt.Errorf("datastore: no site %q in the placement set", site)
 	}
 	// A staged placement is deliberate: pin it so the over-replication
 	// drain never removes it out from under the user's compute.
-	c.pinned[dataset+"→"+site] = true
-	if _, err := dst.Get(context.Background(), dataset); err == nil {
+	c.v.pinned[pair{dataset, site}] = true
+	// Ask the destination; when the newest round's view knows no holder
+	// (the coordinator may never have run a round), ask every other site
+	// in the same batch.
+	gets := []call{{op: opGet, site: dst, rep: Replica{Dataset: dataset}}}
+	if _, _, known := c.v.holder(dataset, dst); !known {
+		for i := range c.v.sites {
+			if i != dst {
+				gets = append(gets, call{op: opGet, site: i, rep: Replica{Dataset: dataset}})
+			}
+		}
+	}
+	c.mu.Unlock()
+	answers := c.do(ctx, gets)
+
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := answers[0].err; err == nil {
 		return StageStatus{Dataset: dataset, Site: site, State: "present"}, nil
 	} else if !errors.Is(err, ErrNoReplica) {
 		// An unreachable destination is an error, not "absent": planning
@@ -556,58 +612,19 @@ func (c *Coordinator) Stage(dataset, site string) (StageStatus, error) {
 		// polling "staging" forever.
 		return StageStatus{}, fmt.Errorf("datastore: site %q unreachable: %w", site, err)
 	}
-	if t, ok := c.inflight[dataset+"→"+site]; ok {
-		return StageStatus{Dataset: dataset, Site: site, State: "staging",
-			From: t.From, ETASecs: float64(t.ArriveAt - now)}, nil
-	}
-	// Find a holder: prefer the newest round's view (no I/O), else ask
-	// every other site at once through the bounded pool — the coordinator
-	// may never have run a round, and one dead site must not pin c.mu
-	// (and with it every console data-plane route) for serial timeouts.
-	var src API
-	var rep Replica
-	for _, s := range c.sites {
-		if s.Name() == site {
-			continue
-		}
-		if r, ok := c.lastSeen[s.Name()][dataset]; ok {
-			src, rep = s, r
-			break
-		}
-	}
-	if src == nil {
-		type lookup struct {
-			r   Replica
-			err error
-		}
-		found, completed := fanout.Each(context.Background(), coordinatorWorkers, c.siteDeadline, len(c.sites), func(ctx context.Context, i int) lookup {
-			if c.sites[i].Name() == site {
-				return lookup{err: ErrNoReplica}
+	t, ok := c.v.inflight[pair{dataset, site}]
+	if !ok {
+		src, rep, found := c.v.holder(dataset, dst)
+		for j := 1; !found && j < len(gets); j++ {
+			if answers[j].err == nil {
+				src, rep, found = gets[j].site, answers[j].rep, true
 			}
-			r, err := c.sites[i].Get(ctx, dataset)
-			return lookup{r, err}
-		})
-		for i, s := range c.sites {
-			if !completed[i] || found[i].err != nil {
-				continue
-			}
-			src, rep = s, found[i].r
-			break
 		}
-	}
-	if src == nil {
-		return StageStatus{}, fmt.Errorf("datastore: no site holds a replica of %q", dataset)
-	}
-	t := &Transfer{
-		Dataset: dataset, From: src.Name(), To: site,
-		Link:     src.Loc() + "→" + dst.Loc(),
-		Bytes:    rep.SizeBytes,
-		Checksum: rep.Checksum, Version: rep.Version,
-	}
-	c.priceLocked(now, []*Transfer{t})
-	c.inflight[dataset+"→"+site] = t
-	if n := len(c.inflight); n > c.stats.MaxInFlight {
-		c.stats.MaxInFlight = n
+		if !found {
+			return StageStatus{}, fmt.Errorf("datastore: no site holds a replica of %q", dataset)
+		}
+		t = c.v.transfer(rep, src, dst)
+		c.price(now, []*Transfer{t})
 	}
 	return StageStatus{Dataset: dataset, Site: site, State: "staging",
 		From: t.From, ETASecs: float64(t.ArriveAt - now)}, nil
@@ -629,14 +646,13 @@ func (c *Coordinator) Placement() []PlacementRow {
 	defer c.mu.Unlock()
 	rows := make([]PlacementRow, 0)
 	for _, d := range c.catalog.All() {
-		row := PlacementRow{Dataset: d.Name, Target: c.factor}
-		for site, seen := range c.lastSeen {
-			if _, ok := seen[d.Name]; ok {
-				row.Sites = append(row.Sites, site)
+		row := PlacementRow{Dataset: d.Name, Target: c.v.factor}
+		for _, i := range c.v.byName {
+			if _, ok := c.v.sites[i].seen[d.Name]; ok {
+				row.Sites = append(row.Sites, c.v.sites[i].name)
 			}
 		}
-		sort.Strings(row.Sites)
-		for _, t := range c.inflight {
+		for _, t := range c.v.inflight {
 			if t.Dataset == d.Name {
 				row.InFlight++
 			}
@@ -651,9 +667,9 @@ func (c *Coordinator) Placement() []PlacementRow {
 func (c *Coordinator) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := c.stats
-	out.Links = make([]LinkStats, 0, len(c.linkStats))
-	for _, l := range c.linkStats {
+	out := c.v.stats
+	out.Links = make([]LinkStats, 0, len(c.v.links))
+	for _, l := range c.v.links {
 		out.Links = append(out.Links, *l)
 	}
 	sort.Slice(out.Links, func(i, j int) bool { return out.Links[i].Link < out.Links[j].Link })

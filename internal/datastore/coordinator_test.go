@@ -3,6 +3,8 @@ package datastore
 import (
 	"context"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"runtime"
 	"sync"
@@ -11,6 +13,7 @@ import (
 
 	"osdc/internal/ark"
 	"osdc/internal/datasets"
+	"osdc/internal/fanout"
 	"osdc/internal/sim"
 	"osdc/internal/simnet"
 )
@@ -243,7 +246,7 @@ func TestCoordinatorStage(t *testing.T) {
 	rig := newCoordRig(t, 14)
 	c := NewCoordinator(rig.e, rig.nw, rig.cat, Options{Factor: 1, Seed: 14}, rig.a, rig.b, rig.c)
 
-	st, err := c.Stage("Gamma Imagery", "site-c")
+	st, err := c.Stage(context.Background(), "Gamma Imagery", "site-c")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +255,7 @@ func TestCoordinatorStage(t *testing.T) {
 	}
 	// Before the flow arrives the replica is absent; repeated stages
 	// report the same in-flight transfer rather than planning another.
-	again, err := c.Stage("Gamma Imagery", "site-c")
+	again, err := c.Stage(context.Background(), "Gamma Imagery", "site-c")
 	if err != nil || again.State != "staging" {
 		t.Fatalf("second Stage = %+v, %v", again, err)
 	}
@@ -267,15 +270,15 @@ func TestCoordinatorStage(t *testing.T) {
 	if _, err := rig.c.Get(context.Background(), "Gamma Imagery"); err != nil {
 		t.Fatalf("staged replica missing: %v", err)
 	}
-	done, err := c.Stage("Gamma Imagery", "site-c")
+	done, err := c.Stage(context.Background(), "Gamma Imagery", "site-c")
 	if err != nil || done.State != "present" {
 		t.Fatalf("post-arrival Stage = %+v, %v", done, err)
 	}
 
-	if _, err := c.Stage("No Such Set", "site-c"); err == nil {
+	if _, err := c.Stage(context.Background(), "No Such Set", "site-c"); err == nil {
 		t.Error("staging an unknown dataset succeeded")
 	}
-	if _, err := c.Stage("Gamma Imagery", "site-x"); err == nil {
+	if _, err := c.Stage(context.Background(), "Gamma Imagery", "site-x"); err == nil {
 		t.Error("staging to an unknown site succeeded")
 	}
 }
@@ -356,7 +359,7 @@ func TestDrainSparesStagedReplicas(t *testing.T) {
 	c := NewCoordinator(rig.e, rig.nw, rig.cat, Options{Factor: 1, Seed: 19}, rig.a, rig.b, rig.c)
 	converge(t, rig.e, c)
 
-	st, err := c.Stage("Beta Genomes", "site-c")
+	st, err := c.Stage(context.Background(), "Beta Genomes", "site-c")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +380,7 @@ func TestStageUnreachableDestinationErrors(t *testing.T) {
 	rig := newCoordRig(t, 18)
 	ghost := unreachableAPI{name: "site-ghost", loc: simnet.SiteLVOC}
 	c := NewCoordinator(rig.e, rig.nw, rig.cat, Options{Factor: 1, Seed: 18}, rig.a, rig.b, ghost)
-	if _, err := c.Stage("Alpha Survey", "site-ghost"); err == nil {
+	if _, err := c.Stage(context.Background(), "Alpha Survey", "site-ghost"); err == nil {
 		t.Fatal("staging to an unreachable site returned an ETA")
 	}
 	if c.InFlight() != 0 {
@@ -489,60 +492,184 @@ func TestCoordinatorObservesViaDeltas(t *testing.T) {
 	}
 }
 
-// blockingAPI wraps a store with a Put that parks until released — a
-// destination plane mid-HTTP-round-trip.
-type blockingAPI struct {
+// parkedAPI wraps a store; once armed with op, the first call of that
+// kind parks until released — a site mid-HTTP-round-trip.
+type parkedAPI struct {
 	*Store
-	entered chan struct{} // closed when the first Put starts
-	release chan struct{} // Put returns when this closes
+	op      string        // "Put", "ListSince", "Delete" or "Get"; "" parks nothing
+	entered chan struct{} // closed when the first parked call starts
+	release chan struct{} // parked calls return when this closes
 	once    sync.Once
 }
 
-func (b *blockingAPI) Put(ctx context.Context, r Replica) error {
-	b.once.Do(func() { close(b.entered) })
-	<-b.release
-	return b.Store.Put(ctx, r)
+func (p *parkedAPI) park(op string) {
+	if op == p.op {
+		p.once.Do(func() { close(p.entered) })
+		<-p.release
+	}
+}
+
+func (p *parkedAPI) Put(ctx context.Context, r Replica) error {
+	p.park("Put")
+	return p.Store.Put(ctx, r)
+}
+
+func (p *parkedAPI) ListSince(ctx context.Context, since int64) (Delta, error) {
+	p.park("ListSince")
+	return p.Store.ListSince(ctx, since)
+}
+
+func (p *parkedAPI) Delete(ctx context.Context, dataset string) error {
+	p.park("Delete")
+	return p.Store.Delete(ctx, dataset)
+}
+
+func (p *parkedAPI) Get(ctx context.Context, dataset string) (Replica, error) {
+	p.park("Get")
+	return p.Store.Get(ctx, dataset)
 }
 
 // TestArrivalInstallDoesNotHoldCoordinatorLock is the lock-hazard
-// regression test: while a destination's Put is in flight, every other
-// coordinator surface (InFlight, NextArrival, Placement, Stats) must stay
-// responsive — the remote install runs outside c.mu.
+// regression test, one case per site call: while a site's Put (an arrival
+// install), ListSince (a round's observation), Delete (a drain) or Get (a
+// Stage's lookup) is parked, every other coordinator surface (InFlight,
+// NextArrival, Stats, Placement) must stay responsive — no site call runs
+// under c.mu.
 func TestArrivalInstallDoesNotHoldCoordinatorLock(t *testing.T) {
-	rig := newCoordRig(t, 29)
-	slow := &blockingAPI{Store: rig.b, entered: make(chan struct{}), release: make(chan struct{})}
-	c := NewCoordinator(rig.e, rig.nw, rig.cat, Options{Factor: 2, Seed: 29}, rig.a, slow, rig.c)
-
-	// Plan the first transfers, then advance past every arrival so the
-	// next install pass has work to do.
-	c.Round()
-	at, ok := c.NextArrival()
-	if !ok {
-		t.Fatal("round planned no transfers")
+	cases := []struct {
+		op string
+		// factor is the coordinator's; setup readies the call to park, and
+		// trigger makes it.
+		factor  int
+		setup   func(rig *coordRig, c *Coordinator)
+		trigger func(c *Coordinator)
+	}{
+		{op: "Put", factor: 2,
+			setup: func(rig *coordRig, c *Coordinator) {
+				// Plan the first transfers, then advance past every arrival
+				// so the next install pass has work to do.
+				c.Round()
+				at, ok := c.NextArrival()
+				if !ok {
+					t.Fatal("round planned no transfers")
+				}
+				rig.e.RunUntil(at + sim.Time(sim.Hour))
+			},
+			trigger: func(c *Coordinator) { c.completeArrived(c.engine.Now()) }},
+		{op: "ListSince", factor: 2,
+			trigger: func(c *Coordinator) { c.Round() }},
+		{op: "Delete", factor: 1,
+			setup: func(rig *coordRig, c *Coordinator) {
+				// A stray copy on site-b lifts Alpha Survey over factor 1:
+				// the next round drains it.
+				converge(t, rig.e, c)
+				if err := rig.b.Put(context.Background(), Replica{Dataset: "Alpha Survey", SizeBytes: 1 * cgb, Version: 1}); err != nil {
+					t.Fatal(err)
+				}
+			},
+			trigger: func(c *Coordinator) { c.Round() }},
+		{op: "Get", factor: 1,
+			trigger: func(c *Coordinator) { _, _ = c.Stage(context.Background(), "Alpha Survey", "site-b") }},
 	}
-	rig.e.RunUntil(at + sim.Time(sim.Hour))
+	for _, tc := range cases {
+		t.Run(tc.op, func(t *testing.T) {
+			rig := newCoordRig(t, 29)
+			slow := &parkedAPI{Store: rig.b, entered: make(chan struct{}), release: make(chan struct{})}
+			c := NewCoordinator(rig.e, rig.nw, rig.cat, Options{Factor: tc.factor, Seed: 29}, rig.a, slow, rig.c)
+			if tc.setup != nil {
+				tc.setup(rig, c)
+			}
+			slow.op = tc.op
+			finished := make(chan struct{})
+			go func() {
+				defer close(finished)
+				tc.trigger(c)
+			}()
+			<-slow.entered // the call is now parked at the slow site
 
-	polled := make(chan int)
-	go func() { polled <- c.completeArrived(c.engine.Now()) }()
-	<-slow.entered // an install is now parked inside the slow Put
-
-	// The coordinator lock must be free while the Put blocks.
-	responsive := make(chan struct{})
-	go func() {
-		c.InFlight()
-		c.NextArrival()
-		c.Stats()
-		close(responsive)
-	}()
-	select {
-	case <-responsive:
-	case <-time.After(5 * time.Second):
-		t.Fatal("coordinator surfaces blocked behind an in-flight destination Put")
+			// The coordinator lock must be free while the call blocks.
+			responsive := make(chan struct{})
+			go func() {
+				c.InFlight()
+				c.NextArrival()
+				c.Stats()
+				c.Placement()
+				close(responsive)
+			}()
+			select {
+			case <-responsive:
+			case <-time.After(5 * time.Second):
+				t.Errorf("coordinator surfaces blocked behind a parked %s", tc.op)
+			}
+			close(slow.release)
+			<-finished
+			<-responsive
+		})
 	}
+}
 
-	close(slow.release)
-	if n := <-polled; n == 0 {
-		t.Fatal("the install pass completed no arrivals")
+// TestStopCutsRoundInFlight: a round whose listing waits on a site that
+// accepted the request and never answers would hold Stop for the round's
+// per-site deadline. Stop cancels the round instead: it returns in well
+// under that deadline, and the site sees its request cancelled.
+func TestStopCutsRoundInFlight(t *testing.T) {
+	entered, cancelled := make(chan struct{}, 1), make(chan struct{}, 1)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-r.Context().Done()
+		select {
+		case cancelled <- struct{}{}:
+		default:
+		}
+	}))
+	defer srv.Close()
+	rig := newCoordRig(t, 37)
+	hung := NewRemote("site-hung", simnet.SiteLVOC, srv.URL, nil)
+	c := NewCoordinator(rig.e, rig.nw, rig.cat, Options{Factor: 1, Seed: 37}, rig.a, hung)
+	const interval = time.Second
+	c.Start(interval)
+	<-entered // a round's listing is in flight at the hung site
+
+	start := time.Now()
+	c.Stop()
+	if took, deadline := time.Since(start), fanout.RoundDeadline(interval); took > deadline/10 {
+		t.Fatalf("Stop took %v with a round in flight, want well under the %v round deadline", took, deadline)
+	}
+	<-cancelled
+}
+
+// TestSiteBackFromSilenceIsReadInFull: a site silent past the grace window
+// loses its place in the view, so when it answers again the coordinator
+// must read it from a full snapshot, not as the churn since its old
+// revision — or the copies it kept all along stay invisible, and the
+// repairs made in its absence leave the dataset over-replicated for good.
+func TestSiteBackFromSilenceIsReadInFull(t *testing.T) {
+	rig := newCoordRig(t, 41)
+	flaky := &flakyAPI{Store: rig.b, failCalls: map[int]bool{}}
+	c := NewCoordinator(rig.e, rig.nw, rig.cat, Options{Factor: 2, Seed: 41}, rig.a, flaky, rig.c)
+	converge(t, rig.e, c)
+	held := rig.b.Count()
+	if held == 0 {
+		t.Fatal("site-b holds nothing: its silence proves nothing")
+	}
+	// site-b goes silent past the grace window; its datasets are repaired
+	// onto site-c.
+	for i := 1; i <= observeGrace+1; i++ {
+		flaky.failCalls[flaky.calls+i] = true
+	}
+	for range observeGrace + 1 {
+		c.Round()
+	}
+	// Back, site-b is read in full: every dataset it kept is over the
+	// factor once the repairs land, and is drained back to exactly 2.
+	converge(t, rig.e, c)
+	for _, d := range rig.cat.All() {
+		if got := rig.replicaCount(d.Name); got != 2 {
+			t.Errorf("%s at %d replicas after site-b came back, want 2", d.Name, got)
+		}
 	}
 }
 

@@ -1,6 +1,6 @@
 package datastore
 
-import "strings"
+import "slices"
 
 // Test-only surface: accessors the tests assert through, and the site
 // detach the repair test drives.
@@ -38,24 +38,23 @@ func (s *Store) Count() int {
 func (c *Coordinator) Detach(name string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	kept := c.sites[:0]
-	for _, s := range c.sites {
-		if s.Name() != name {
-			kept = append(kept, s)
+	gone, ok := c.v.index[name]
+	if !ok {
+		return
+	}
+	c.sites = slices.Delete(slices.Clone(c.sites), gone, gone+1)
+	v := newView(c.v.factor, c.sites)
+	v.sites = slices.Delete(slices.Clone(c.v.sites), gone, gone+1)
+	v.stats, v.links = c.v.stats, c.v.links
+	for key, t := range c.v.inflight {
+		if t.From != name && t.To != name {
+			v.inflight[key] = t
 		}
 	}
-	c.sites = kept
-	for key, t := range c.inflight {
-		if t.From == name || t.To == name {
-			delete(c.inflight, key)
+	for key := range c.v.pinned {
+		if key[1] != name {
+			v.pinned[key] = true
 		}
 	}
-	delete(c.lastSeen, name)
-	delete(c.knownRev, name)
-	delete(c.missed, name)
-	for key := range c.pinned {
-		if strings.HasSuffix(key, "→"+name) {
-			delete(c.pinned, key)
-		}
-	}
+	c.v = v
 }

@@ -40,11 +40,11 @@ func NewRemote(name, loc, endpoint string, client *http.Client) *Remote {
 // ProbeRemote builds a client for whatever site serves endpoint by reading
 // the datasets plane's self-description — how tukey-server attaches an
 // externally running cloud-site's store knowing only its URL. A site not
-// serving the plane errors.
-func ProbeRemote(endpoint string, client *http.Client) (*Remote, error) {
+// serving the plane errors. The probe gives up when ctx ends.
+func ProbeRemote(ctx context.Context, endpoint string, client *http.Client) (*Remote, error) {
 	client = wire.NewClient(client, remoteTimeout, 0)
 	var list listResponse
-	status, _, err := wire.Call(context.Background(), client, http.MethodGet, strings.TrimRight(endpoint, "/")+"/cloudapi/datasets", "", nil, &list, http.StatusOK)
+	status, _, err := wire.Call(ctx, client, http.MethodGet, strings.TrimRight(endpoint, "/")+"/cloudapi/datasets", "", nil, &list, http.StatusOK)
 	if status == 0 {
 		return nil, fmt.Errorf("datastore: probing %s: %w", endpoint, err)
 	}

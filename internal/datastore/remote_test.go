@@ -36,7 +36,7 @@ func TestRemoteErrorTable(t *testing.T) {
 			return r.Put(context.Background(), Replica{Dataset: "EO-1", SizeBytes: 1 << 20, Version: 1})
 		}},
 		{name: "Delete", miss: true, call: func(r *Remote, _ string) error { return r.Delete(context.Background(), "EO-1") }},
-		{name: "ProbeRemote", call: func(_ *Remote, url string) error { _, err := ProbeRemote(url, nil); return err }},
+		{name: "ProbeRemote", call: func(_ *Remote, url string) error { _, err := ProbeRemote(context.Background(), url, nil); return err }},
 	}
 	for _, status := range []int{http.StatusBadRequest, http.StatusNotFound, http.StatusConflict,
 		http.StatusInternalServerError, http.StatusBadGateway} {

@@ -329,7 +329,7 @@ func (c *Console) handleDatasetStage(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, http.StatusBadRequest, "stage needs a dataset and a cloud")
 		return
 	}
-	st, err := c.Replication.Stage(req.Dataset, req.Cloud)
+	st, err := c.Replication.Stage(r.Context(), req.Dataset, req.Cloud)
 	if err != nil {
 		wire.WriteError(w, http.StatusConflict, err.Error())
 		return
