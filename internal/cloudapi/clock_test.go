@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"osdc/internal/fanout"
 	"osdc/internal/iaas"
 	"osdc/internal/sim"
 )
@@ -261,5 +262,28 @@ func TestCoordinatorSettlesAbandonedPushOnce(t *testing.T) {
 	}
 	if st.LastSkew != 0 || st.MaxSkew != 0 || st.MaxExcess != 0 {
 		t.Fatalf("cut rounds moved the skew statistics: %+v", st)
+	}
+}
+
+// TestClockStopCutsPushInFlight: Stop cancels a push parked at a site that
+// answers only when its context ends, so it returns at once rather than
+// after the round's deadline, and the cut push settles as one error.
+func TestClockStopCutsPushInFlight(t *testing.T) {
+	console := sim.NewEngine(13)
+	slow := &slowPushTarget{}
+	const interval = time.Second
+	coord := StartClockCoordinator(console, interval, slow)
+	t.Cleanup(coord.Stop)
+	waitUntil(t, 10*time.Second, func() bool { return slow.pushes.Load() >= 1 },
+		"coordinator started no push")
+
+	start := time.Now()
+	coord.Stop()
+	if took := time.Since(start); took > 100*time.Millisecond {
+		t.Fatalf("Stop took %v with a push in flight, want under 100ms (round deadline %v)",
+			took, fanout.RoundDeadline(interval))
+	}
+	if st := coord.Stats()[0]; st.Syncs != 0 || st.Errors != 1 {
+		t.Fatalf("the cut push settled as Syncs %d, Errors %d; want 0 and 1", st.Syncs, st.Errors)
 	}
 }

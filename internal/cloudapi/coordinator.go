@@ -67,7 +67,8 @@ type ClockCoordinator struct {
 	mu    sync.Mutex
 	sites []clockSite // attachment order
 
-	loop *fanout.Loop
+	cancel context.CancelFunc // ends the round in flight; Stop calls it
+	loop   *fanout.Loop
 }
 
 // clockSite is one followed site's record.
@@ -89,8 +90,10 @@ func StartClockCoordinator(e *sim.Engine, interval time.Duration, targets ...Clo
 		return c.syncOne(ctx, targets[i])
 	})
 	deadline := fanout.RoundDeadline(interval)
+	ctx, cancel := context.WithCancel(context.Background())
+	c.cancel = cancel
 	c.loop = fanout.Every(interval, func() {
-		outcomes, completed := group.Run(context.Background(), deadline)
+		outcomes, completed := group.Run(ctx, deadline)
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		for i := range c.sites {
@@ -199,6 +202,9 @@ func (c *ClockCoordinator) Syncs() int64 {
 	return n
 }
 
-// Stop halts the coordinator once its round in flight has settled.
-// Idempotent.
-func (c *ClockCoordinator) Stop() { c.loop.Stop() }
+// Stop cancels the round in flight, whose calls return at once and settle
+// as errors, and halts the coordinator once it has. Idempotent.
+func (c *ClockCoordinator) Stop() {
+	c.cancel()
+	c.loop.Stop()
+}

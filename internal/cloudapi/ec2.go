@@ -234,7 +234,11 @@ type ec2Reader struct {
 	err error
 }
 
-func readEC2(body []byte) ec2Reader {
+// ec2Text is what a reader reads: a Remote's answer, already copied out of
+// the pooled read buffer as a string, or bytes.
+type ec2Text interface{ []byte | string }
+
+func readEC2[B ec2Text](body B) ec2Reader {
 	s := string(body)
 	return ec2Reader{s: strings.TrimPrefix(s, xmlHeader), n: len(s)}
 }
@@ -327,7 +331,7 @@ func (r *ec2Reader) instance(form string) Instance {
 	return inst
 }
 
-func readRunInstances(body []byte) (Instance, error) {
+func readRunInstances[B ec2Text](body B) (Instance, error) {
 	r := readEC2(body)
 	inst := r.instance(ec2Run)
 	if err := r.done(); err != nil {
@@ -336,7 +340,7 @@ func readRunInstances(body []byte) (Instance, error) {
 	return inst, nil
 }
 
-func readDescribeInstances(body []byte) ([]Instance, error) {
+func readDescribeInstances[B ec2Text](body B) ([]Instance, error) {
 	r := readEC2(body)
 	var owner string
 	r.match(ec2ListHead, &owner)
@@ -366,11 +370,12 @@ func readFail(body []byte) string {
 // ec2 makes one round trip on the dialect. The query carries user, action
 // and params, name/value pairs whose names sort after "Action", in order,
 // so that it reads as url.Values.Encode writes it. An answer over
-// wire.MaxBodyBytes is an error, and a 200 answer's body comes back whole.
+// wire.MaxBodyBytes is an error, and a 200 answer's body comes back whole,
+// copied out of the pooled read buffer.
 // Any other answer is an error naming the action, the status and the
 // site's message; status and msg come back too, so a launch can rebuild
 // the refusal's class.
-func (r *Remote) ec2(action, user string, params ...string) (body []byte, status int, msg string, err error) {
+func (r *Remote) ec2(action, user string, params ...string) (body string, status int, msg string, err error) {
 	q := append(make([]byte, 0, 256), r.endpoint...)
 	q = append(append(q, "/?AWSAccessKeyId="...), url.QueryEscape(user)...)
 	q = append(append(q, "&Action="...), action...)
@@ -379,18 +384,19 @@ func (r *Remote) ec2(action, user string, params ...string) (body []byte, status
 	}
 	resp, err := r.client.Get(string(q))
 	if err != nil {
-		return nil, 0, "", err
+		return "", 0, "", err
 	}
 	defer resp.Body.Close()
-	raw, err := wire.ReadBody(resp.Body)
-	switch {
-	case err != nil:
-		return nil, 0, "", err
-	case resp.StatusCode != http.StatusOK:
-		msg = readFail(raw)
-		return nil, resp.StatusCode, msg, r.refusedCall(action, resp.StatusCode, msg)
+	b, err := wire.ReadBody(resp.Body)
+	if err != nil {
+		return "", 0, "", err
 	}
-	return raw, resp.StatusCode, "", nil
+	defer b.Release()
+	if resp.StatusCode != http.StatusOK {
+		msg = readFail(b.Bytes())
+		return "", resp.StatusCode, msg, r.refusedCall(action, resp.StatusCode, msg)
+	}
+	return string(b.Bytes()), resp.StatusCode, "", nil
 }
 
 func (r *Remote) ec2Instances(user string) ([]Instance, error) {

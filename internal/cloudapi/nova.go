@@ -194,10 +194,13 @@ func (r *Remote) nova(method, path, user, body string, ok int, out any) (status 
 		return 0, "", err
 	}
 	defer resp.Body.Close()
-	raw, err := wire.ReadBody(resp.Body)
-	switch {
-	case err != nil:
+	b, err := wire.ReadBody(resp.Body)
+	if err != nil {
 		return 0, "", err
+	}
+	defer b.Release() // json.Unmarshal copies what it keeps
+	raw := b.Bytes()
+	switch {
 	case resp.StatusCode != ok:
 		var fail novaFail
 		_ = json.Unmarshal(raw, &fail)

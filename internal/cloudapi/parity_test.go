@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -220,5 +221,57 @@ func TestParityUnderConcurrency(t *testing.T) {
 	r, _ := rig.remote.Instances("alice")
 	if !reflect.DeepEqual(l, r) {
 		t.Fatalf("post-storm listings diverged:\nlocal : %+v\nremote: %+v", l, r)
+	}
+}
+
+// TestRemoteResultsSurvivePooledReads: a Remote reads every answer into a
+// pooled buffer and hands it back once decoded, so nothing it returns may
+// point into that buffer. On each dialect, a listing and a launch result
+// taken first must read the same after concurrent callers on the same
+// Remote have reused the buffer for answers of other lengths and bytes,
+// refusals included; under -race a read of a handed-back buffer is a
+// reported race.
+func TestRemoteResultsSurvivePooledReads(t *testing.T) {
+	for _, stack := range []string{"openstack", "eucalyptus"} {
+		t.Run(stack, func(t *testing.T) {
+			rig := newParityRig(t, stack)
+			launched, err := rig.remote.Launch("alice", "first-vm", "m1.small", "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			listed, err := rig.remote.Instances("alice")
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := rig.local.Instances("alice")
+			if !reflect.DeepEqual(listed, want) || launched != want[0] {
+				t.Fatalf("first answers diverged from Local:\nlaunch: %+v\nlist  : %+v\nlocal : %+v", launched, listed, want)
+			}
+			snapshot := fmt.Sprintf("%#v %#v", launched, listed)
+
+			var wg sync.WaitGroup
+			for g := range 4 {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					user := fmt.Sprintf("user-%d", g)
+					for i := range 10 {
+						name := fmt.Sprintf("%d-%d-%s", g, i, strings.Repeat("overwrite", 1+i))
+						if inst, err := rig.remote.Launch(user, name, "m1.small", ""); err == nil {
+							_ = rig.remote.Terminate(user, inst.ID)
+						}
+						_, _ = rig.remote.Launch(user, name, "no-such-flavor", "")
+						if got, err := rig.remote.Instances("alice"); err != nil || !reflect.DeepEqual(got, want) {
+							t.Errorf("a listing among concurrent callers = %+v, %v; want %+v", got, err, want)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			if got := fmt.Sprintf("%#v %#v", launched, listed); got != snapshot {
+				t.Fatalf("first answers changed under later reads:\nwas: %s\nnow: %s", snapshot, got)
+			}
+		})
 	}
 }

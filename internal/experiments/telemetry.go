@@ -191,5 +191,9 @@ func telemetryScrape(client *http.Client, base, secret string) (int, []byte, err
 	}
 	defer resp.Body.Close()
 	body, err := wire.ReadBody(resp.Body)
-	return resp.StatusCode, body, err
+	if err != nil {
+		return resp.StatusCode, nil, err
+	}
+	defer body.Release()
+	return resp.StatusCode, bytes.Clone(body.Bytes()), nil
 }

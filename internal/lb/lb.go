@@ -14,6 +14,10 @@
 // transport layer (the request is retried on the next healthy backend, so
 // a replica dying mid-flight costs the user nothing — their session lives
 // in the state plane, not the corpse).
+//
+// A response relays as the replica wrote it: headers as they are, the
+// body through a pooled buffer, and an event stream flushed frame by
+// frame. The pool's 30 s client timeout still ends a stream.
 package lb
 
 import (
@@ -235,7 +239,7 @@ func (p *Pool) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		req.Header = r.Header.Clone()
+		req.Header = r.Header // the transport only reads it; Do copies it to follow a redirect
 		resp, err := p.client.Do(req)
 		if err != nil {
 			// Transport failure: the replica is gone or wedged. Mark it
@@ -254,6 +258,14 @@ func (p *Pool) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	http.Error(w, "no console replica reachable", http.StatusBadGateway)
 }
 
+// copyBufs holds the buffers response bodies are relayed through. A plain
+// io.Copy hands a body of known length to the server's ReadFrom, whose
+// socket falls back to io.Copy with a fresh 32 KB buffer per response.
+var copyBufs = sync.Pool{New: func() any { return new([32 << 10]byte) }}
+
+// copyResponse relays resp to w: headers unchanged, then the body through
+// a pooled buffer. An event stream is flushed after every write, so each
+// frame reaches the client as the replica sends it.
 func copyResponse(w http.ResponseWriter, resp *http.Response) {
 	defer resp.Body.Close()
 	for k, vs := range resp.Header {
@@ -262,7 +274,31 @@ func copyResponse(w http.ResponseWriter, resp *http.Response) {
 		}
 	}
 	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
+	dst := relay{w: w}
+	if strings.HasPrefix(resp.Header.Get("Content-Type"), "text/event-stream") {
+		dst.rc = http.NewResponseController(w)
+	}
+	buf := copyBufs.Get().(*[32 << 10]byte)
+	defer copyBufs.Put(buf)
+	_, _ = io.CopyBuffer(dst, resp.Body, buf[:])
+}
+
+// relay is the writer copyResponse copies into. It hides the response's
+// ReadFrom, so io.CopyBuffer uses the pooled buffer, and with rc set it
+// flushes each write.
+type relay struct {
+	w  http.ResponseWriter
+	rc *http.ResponseController
+}
+
+func (r relay) Write(p []byte) (int, error) {
+	n, err := r.w.Write(p)
+	if err == nil && r.rc != nil {
+		// A writer that cannot flush still relays; a client that has gone
+		// fails the next Write.
+		_ = r.rc.Flush()
+	}
+	return n, err
 }
 
 // probeWorkers bounds one sweep's concurrent /healthz probes.

@@ -1,10 +1,14 @@
 package lb
 
 import (
+	"bufio"
+	"context"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -13,6 +17,10 @@ import (
 	"osdc/internal/telemetry"
 	"osdc/internal/wire"
 )
+
+// raceEnabled is set under the race detector, whose sync.Pool drops items
+// at random, so allocation bounds do not hold there.
+var raceEnabled bool
 
 // echoBackend is a fake console replica that reports its own name, so
 // tests can see where each request landed.
@@ -330,5 +338,85 @@ func TestOversizedBodyRejected(t *testing.T) {
 	}
 	if n := atomic.LoadInt64(hits); n != 1 {
 		t.Fatalf("backend saw %d requests, want 1", n)
+	}
+}
+
+// TestPoolRelaysStreamFrames: an event stream's frames reach the client as
+// the replica flushes them, not when the stream ends or the balancer's
+// client gives up on it.
+func TestPoolRelaysStreamFrames(t *testing.T) {
+	release := make(chan struct{})
+	replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/event-stream")
+		fmt.Fprint(w, "id: 1\ndata: {}\n\n")
+		w.(http.Flusher).Flush()
+		select { // the stream stays open
+		case <-release:
+		case <-r.Context().Done():
+		}
+	}))
+	defer replica.Close()
+	front := httptest.NewServer(NewPool([]string{replica.URL}, nil))
+	defer front.Close()
+	defer close(release)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, front.URL+"/console/stream", nil)
+	start := time.Now()
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("no response headers after %v: %v", time.Since(start), err)
+	}
+	defer resp.Body.Close()
+	line, err := bufio.NewReader(resp.Body).ReadString('\n')
+	if took := time.Since(start); err != nil || line != "id: 1\n" || took > time.Second {
+		t.Fatalf("first frame line = %q, %v after %v; want %q in under 1s", line, err, took, "id: 1\n")
+	}
+}
+
+// TestProxyHopAllocBytes: relaying a response costs about its own bytes,
+// not a fresh copy buffer. 500 GETs of a 1 KB body of known length through
+// the balancer over loopback, after 50 to warm the connections and pools,
+// allocate under 24 KB each, counting the whole process: client, balancer
+// and replica. A fresh 32 KB buffer per response reads about 48 KB.
+func TestProxyHopAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops buffers at random")
+	}
+	body := strings.Repeat("x", 1024)
+	replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		_, _ = io.WriteString(w, body)
+	}))
+	defer replica.Close()
+	front := httptest.NewServer(NewPool([]string{replica.URL}, nil))
+	defer front.Close()
+	client := front.Client()
+	get := func() {
+		resp, err := client.Get(front.URL + "/console/instances")
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, _ := io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || n != int64(len(body)) {
+			t.Fatalf("proxied GET = %d with %d bytes, want 200 with %d", resp.StatusCode, n, len(body))
+		}
+	}
+	for range 50 {
+		get()
+	}
+	const n = 500
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range n {
+		get()
+	}
+	runtime.ReadMemStats(&after)
+	kb := float64(after.TotalAlloc-before.TotalAlloc) / n / 1024
+	t.Logf("%.1f KB allocated per proxied request", kb)
+	if kb > 24 {
+		t.Fatalf("%.1f KB allocated per proxied request, want under 24", kb)
 	}
 }

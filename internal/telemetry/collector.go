@@ -137,7 +137,8 @@ func (c *Collector) scrapeOne(ctx context.Context, m Member) (map[string]float64
 	if err != nil {
 		return nil, err
 	}
-	return ParseText(body)
+	defer body.Release() // ParseText copies what it keeps
+	return ParseText(body.Bytes())
 }
 
 // Snapshot returns the aggregated federation view: every member's series

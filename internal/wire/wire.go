@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 	"time"
 )
 
@@ -77,14 +78,46 @@ func NewClient(client *http.Client, timeout time.Duration, idlePerHost int) *htt
 	return client
 }
 
-// ReadBody reads a response body whole, up to MaxBodyBytes: a longer body
-// is an error, never cut short.
-func ReadBody(body io.Reader) ([]byte, error) {
-	raw, err := io.ReadAll(io.LimitReader(body, MaxBodyBytes+1))
-	if err == nil && len(raw) > MaxBodyBytes {
-		return nil, fmt.Errorf("wire: response body over %d bytes", MaxBodyBytes)
+// Body is a response body read whole into a pooled buffer. Its bytes are
+// the reader's until Release hands the buffer back for the next read.
+type Body struct {
+	buf bytes.Buffer
+	lim io.LimitedReader
+}
+
+// bodies holds the Bodies ReadBody reads into.
+var bodies = sync.Pool{New: func() any { return new(Body) }}
+
+// maxPooledBody is the largest buffer Release keeps, so a rare large body
+// does not stay pinned in the pool.
+const maxPooledBody = 64 << 10
+
+// ReadBody reads a response body whole, up to MaxBodyBytes, into a pooled
+// Body: a longer body is an error, never cut short.
+func ReadBody(body io.Reader) (*Body, error) {
+	b := bodies.Get().(*Body)
+	b.buf.Reset()
+	b.lim = io.LimitedReader{R: body, N: MaxBodyBytes + 1}
+	_, err := b.buf.ReadFrom(&b.lim)
+	b.lim.R = nil
+	if err == nil && b.buf.Len() > MaxBodyBytes {
+		err = fmt.Errorf("wire: response body over %d bytes", MaxBodyBytes)
 	}
-	return raw, err
+	if err != nil {
+		b.Release()
+		return nil, err
+	}
+	return b, nil
+}
+
+// Bytes is the body. Nothing may keep it past Release.
+func (b *Body) Bytes() []byte { return b.buf.Bytes() }
+
+// Release hands the buffer back; b must not be used after it.
+func (b *Body) Release() {
+	if b.buf.Cap() <= maxPooledBody {
+		bodies.Put(b)
+	}
 }
 
 // Call makes one JSON round trip under ctx: in is encoded as the request
@@ -123,10 +156,12 @@ func Call(ctx context.Context, client *http.Client, method, url, secret string, 
 		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, MaxBodyBytes))
 		resp.Body.Close()
 	}()
-	raw, err := ReadBody(resp.Body)
+	b, err := ReadBody(resp.Body)
 	if err != nil {
 		return resp.StatusCode, "", err
 	}
+	defer b.Release() // json.Unmarshal copies what it keeps
+	raw := b.Bytes()
 	if resp.StatusCode != ok {
 		var fail envelope
 		_ = json.Unmarshal(raw, &fail) // a body that is no envelope leaves msg ""

@@ -68,12 +68,16 @@ func TestCallRoundTrip(t *testing.T) {
 // TestReadBodyRefusesPastMax: a body of exactly MaxBodyBytes reads whole;
 // one byte more is an error, not a body cut short.
 func TestReadBodyRefusesPastMax(t *testing.T) {
-	raw, err := ReadBody(strings.NewReader(strings.Repeat("x", MaxBodyBytes)))
-	if err != nil || len(raw) != MaxBodyBytes {
-		t.Fatalf("a body of MaxBodyBytes: %d bytes, err %v", len(raw), err)
+	b, err := ReadBody(strings.NewReader(strings.Repeat("x", MaxBodyBytes)))
+	if err != nil {
+		t.Fatalf("a body of MaxBodyBytes: %v", err)
 	}
-	if raw, err := ReadBody(strings.NewReader(strings.Repeat("x", MaxBodyBytes+1))); err == nil {
-		t.Fatalf("a body over MaxBodyBytes read as %d bytes, want an error", len(raw))
+	if n := len(b.Bytes()); n != MaxBodyBytes {
+		t.Fatalf("a body of MaxBodyBytes read as %d bytes", n)
+	}
+	b.Release()
+	if b, err := ReadBody(strings.NewReader(strings.Repeat("x", MaxBodyBytes+1))); err == nil {
+		t.Fatalf("a body over MaxBodyBytes read as %d bytes, want an error", len(b.Bytes()))
 	}
 }
 
