@@ -126,15 +126,15 @@ func Table3(seed uint64) (scenario.Result, error) {
 func Table1(seed uint64) (scenario.Result, error) {
 	rng := sim.NewRNG(seed)
 	p := workload.DefaultParams()
-	web := workload.Characterize(workload.Generate(rng, workload.ClassWeb, p))
-	sci := workload.Characterize(workload.Generate(rng, workload.ClassScience, p))
+	web := workload.Sample(rng, workload.ClassWeb, p)
+	sci := workload.Sample(rng, workload.ClassScience, p)
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-12s | %-34s | %-34s\n", "", "Commercial CSP", "Science CSP")
 	fmt.Fprintln(&b, strings.Repeat("-", 86))
 	fmt.Fprintf(&b, "%-12s | %-34s | %-34s\n", "Flows",
-		fmt.Sprintf("lots of small web flows (med %s)", humanBytes(web.MedianBytes)),
-		fmt.Sprintf("large in+out data flows (med %s)", humanBytes(sci.MedianBytes)))
+		fmt.Sprintf("lots of small web flows (med %s)", workload.HumanBytes(web.MedianBytes)),
+		fmt.Sprintf("large in+out data flows (med %s)", workload.HumanBytes(sci.MedianBytes)))
 	fmt.Fprintf(&b, "%-12s | %-34s | %-34s\n", "Elephants",
 		fmt.Sprintf("%.1f%% of bytes in ≥1GB flows", 100*web.ElephantShare),
 		fmt.Sprintf("%.1f%% of bytes in ≥1GB flows", 100*sci.ElephantShare))
@@ -154,21 +154,6 @@ func Table1(seed uint64) (scenario.Result, error) {
 		},
 		Table: b.String(),
 	}, nil
-}
-
-func humanBytes(n int64) string {
-	switch {
-	case n >= 1<<40:
-		return fmt.Sprintf("%.1fTB", float64(n)/(1<<40))
-	case n >= 1<<30:
-		return fmt.Sprintf("%.1fGB", float64(n)/(1<<30))
-	case n >= 1<<20:
-		return fmt.Sprintf("%.1fMB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.1fKB", float64(n)/(1<<10))
-	default:
-		return fmt.Sprintf("%dB", n)
-	}
 }
 
 // Table2 prints the inventory. Its sizes are the paper's, so every seed

@@ -55,8 +55,8 @@ func MixedWorkload(seed uint64, shards int) (scenario.Result, error) {
 	rng := sim.NewRNG(seed)
 	p := workload.DefaultParams()
 	p.Flows = 4000
-	web := workload.Characterize(workload.Generate(rng, workload.ClassWeb, p))
-	science := workload.Characterize(workload.Generate(rng, workload.ClassScience, p))
+	web := workload.Sample(rng, workload.ClassWeb, p)
+	science := workload.Sample(rng, workload.ClassScience, p)
 
 	// WAN side: the largest science elephant rides UDR Chicago → LVOC.
 	path := ChicagoLVOCPath(seed)
